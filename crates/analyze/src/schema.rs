@@ -629,14 +629,19 @@ fn find_push_literal(body: &[Token]) -> Option<String> {
 
 // --------------------------------------------------------------- the lock
 
-/// Container versions parsed from the sources: `SNAPSHOT_VERSION: u32 = N`
-/// and `WAL_HEADER: &str = "WEBEVO-WAL N"`.
+/// Container versions parsed from the sources: the declarations
+/// `const SNAPSHOT_VERSION: u32 = N` and
+/// `const WAL_HEADER: &str = "WEBEVO-WAL N"` (uses of the names, which may
+/// sit next to unrelated literals, are not declarations).
 pub fn wire_versions(ws: &Workspace) -> (u32, u32) {
     let mut snapshot = 0;
     let mut wal = 0;
     for (_, file) in ws.files() {
         let tokens = file.tokens();
-        for i in 0..tokens.len() {
+        for i in 1..tokens.len() {
+            if !tokens[i - 1].is_ident("const") {
+                continue;
+            }
             if tokens[i].is_ident("SNAPSHOT_VERSION") {
                 for t in tokens.iter().skip(i).take(8) {
                     if let Some(n) = t.num().and_then(|n| n.parse::<u32>().ok()) {
@@ -1043,9 +1048,12 @@ mod tests {
     fn lock_drift_detected_and_versions_parsed() {
         let src = format!(
             "pub const SNAPSHOT_VERSION: u32 = 3;\n\
-             pub const WAL_HEADER: &str = \"WEBEVO-WAL 2\";\n{STRUCT_PAIR}"
+             pub const WAL_HEADER: &str = \"WEBEVO-WAL 2\";\n\
+             fn f() {{ g(SNAPSHOT_VERSION, 256 * 1024, WAL_HEADER, \"WEBEVO-WAL 7\"); }}\n\
+             {STRUCT_PAIR}"
         );
         let workspace = ws(&src);
+        // Only the declarations count, not a use next to another literal.
         assert_eq!(wire_versions(&workspace), (3, 2));
         let lock = render_lock(&workspace);
         assert!(lock.contains("format snapshot=3 wal=2"), "{lock}");

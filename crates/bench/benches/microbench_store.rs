@@ -1,19 +1,16 @@
 //! Micro-benchmarks of the durability layer: snapshot encode/decode
-//! throughput — binary (version 3) against the legacy JSON (version 2)
-//! codec, at collection sizes bracketing a production shard — and WAL
+//! throughput at collection sizes bracketing a production shard, and WAL
 //! append latency.
 //!
-//! The numbers to watch: binary snapshot cost must stay ≥5× below the
-//! JSON baseline at 100k pages (the `repro bench` target enforces the same
-//! bar in CI); WAL appends are the per-boundary steady-state cost and must
-//! stay flat regardless of collection size (they scale with the *fetch
-//! rate*, not the corpus).
+//! The numbers to watch: snapshot cost must stay proportional to snapshot
+//! bytes (the `repro bench` target enforces an absolute MB/s floor in CI);
+//! WAL appends are the per-boundary steady-state cost and must stay flat
+//! regardless of collection size (they scale with the *fetch rate*, not
+//! the corpus).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
-use webevo::store::{
-    decode_snapshot, encode_snapshot, encode_snapshot_json, WalWriter,
-};
+use webevo::store::{decode_snapshot, encode_snapshot, WalWriter};
 use webevo_bench::{synthetic_records, synthetic_state};
 
 fn bench(c: &mut Criterion) {
@@ -22,8 +19,7 @@ fn bench(c: &mut Criterion) {
 
     for &pages in &[10_000u64, 100_000] {
         let state = synthetic_state(pages);
-        let binary_doc = encode_snapshot(&state);
-        let json_doc = encode_snapshot_json(&state);
+        let doc = encode_snapshot(&state);
         g.bench_with_input(
             BenchmarkId::new("snapshot_encode_pages", pages),
             &state,
@@ -31,24 +27,8 @@ fn bench(c: &mut Criterion) {
         );
         g.bench_with_input(
             BenchmarkId::new("snapshot_decode_pages", pages),
-            &binary_doc,
+            &doc,
             |b, doc| b.iter(|| black_box(decode_snapshot(black_box(doc)).expect("decodes"))),
-        );
-        // The legacy JSON codec, as the measured baseline for the same
-        // state (decode goes through the same version-sniffing entry).
-        g.bench_with_input(
-            BenchmarkId::new("snapshot_encode_json_pages", pages),
-            &state,
-            |b, state| b.iter(|| black_box(encode_snapshot_json(black_box(state)))),
-        );
-        g.bench_with_input(
-            BenchmarkId::new("snapshot_decode_json_pages", pages),
-            &json_doc,
-            |b, doc| {
-                b.iter(|| {
-                    black_box(decode_snapshot(black_box(doc.as_bytes())).expect("decodes"))
-                })
-            },
         );
     }
 

@@ -92,14 +92,14 @@
 //!
 //! `bench` emits one machine-readable JSON document (see
 //! `BENCH_substrates.json` at the repo root for a checked-in run) and
-//! exits non-zero if the binary codec fails to clearly beat the JSON
-//! baseline — the perf-regression smoke CI runs.
+//! exits non-zero if the snapshot codec's encode+decode throughput falls
+//! under its absolute floor — the perf-regression smoke CI runs.
 
 use std::path::PathBuf;
 use webevo::experiment::report;
 use webevo::freshness::curves::policy_curves;
 use webevo::prelude::*;
-use webevo::store::{decode_snapshot, encode_snapshot, encode_snapshot_json, WalWriter};
+use webevo::store::{decode_snapshot, encode_snapshot, WalWriter};
 use webevo_bench::{
     median_secs, paper_rate_mixture, repro_experiment, repro_universe, synthetic_records,
     synthetic_state, TABLE2_LAMBDA,
@@ -700,8 +700,8 @@ fn main() {
                 }
                 if regression {
                     eprintln!(
-                        "[repro] PERF REGRESSION: binary codec no longer clearly beats \
-                         the JSON baseline (see the report above)"
+                        "[repro] PERF REGRESSION: snapshot codec throughput or obs \
+                         overhead is outside its budget (see the report above)"
                     );
                     std::process::exit(1);
                 }
@@ -1186,22 +1186,22 @@ fn run_e2e_bench(days: f64, sites: usize, pages: usize) -> (String, bool) {
 }
 
 /// The `bench` target: end-to-end crawl throughput, snapshot codec
-/// binary-vs-JSON timings, and WAL append latency, as one machine-readable
-/// JSON document plus the regression verdict. The `regression` field (and
-/// returned flag) is the CI smoke marker, `true` when either gate fails:
+/// timings, and WAL append latency, as one machine-readable JSON document
+/// plus the regression verdict. The `regression` field (and returned flag)
+/// is the CI smoke marker, `true` when either gate fails:
 ///
-/// * codec — the binary codec fails to beat the JSON baseline by at
-///   least 3× at the largest measured size (the locally measured margin
-///   is far larger; 3× absorbs machine noise without letting a real
-///   regression through);
+/// * codec — snapshot encode+decode moves fewer than 40 MB/s of snapshot
+///   bytes at any measured size. The checked-in `BENCH_substrates.json`
+///   run does ~300 MB/s (27.9 MB in 0.088 s + 0.100 s at 100k pages), so
+///   the floor absorbs a slow runner but not a real regression;
 /// * obs overhead — a fully traced end-to-end crawl (recording
 ///   [`ObsSink`]) costs more than 2% over the untraced run, plus a small
 ///   absolute slack so the ratio cannot trip on sub-second timer noise.
 fn run_perf_bench(bench_days: f64, bench_pages: &[u64]) -> (String, bool) {
-    const REGRESSION_SPEEDUP_FLOOR: f64 = 3.0;
+    const CODEC_MB_PER_SECOND_FLOOR: f64 = 40.0;
     const OBS_OVERHEAD_CEILING: f64 = 1.02;
     const OBS_ABSOLUTE_SLACK_SECS: f64 = 0.25;
-    let mut out = String::from("{\n  \"schema\": \"webevo-repro-bench/1\",\n");
+    let mut out = String::from("{\n  \"schema\": \"webevo-repro-bench/2\",\n");
 
     // --- End-to-end crawl throughput (dense substrates under load). ---
     // Untraced and fully traced, median of 3 each: the traced run is the
@@ -1251,28 +1251,21 @@ fn run_perf_bench(bench_days: f64, bench_pages: &[u64]) -> (String, bool) {
         traced_secs / elapsed.max(f64::EPSILON),
     ));
 
-    // --- Snapshot codec: binary (v3) vs the JSON baseline (v2). ---
-    let mut worst_speedup = f64::INFINITY;
+    // --- Snapshot codec: encode + decode throughput. ---
+    let mut worst_mb_per_second = f64::INFINITY;
     out.push_str("  \"snapshot\": [\n");
     for (i, &pages) in bench_pages.iter().enumerate() {
         eprintln!("[repro] bench: snapshot codec at {pages} pages...");
         let state = synthetic_state(pages);
-        let binary_doc = encode_snapshot(&state);
-        let json_doc = encode_snapshot_json(&state);
-        let bin_enc = median_secs(3, || encode_snapshot(&state));
-        let bin_dec = median_secs(3, || decode_snapshot(&binary_doc).expect("decodes"));
-        let json_enc = median_secs(3, || encode_snapshot_json(&state));
-        let json_dec =
-            median_secs(3, || decode_snapshot(json_doc.as_bytes()).expect("decodes"));
-        let speedup = (json_enc + json_dec) / (bin_enc + bin_dec);
-        worst_speedup = worst_speedup.min(speedup);
+        let doc = encode_snapshot(&state);
+        let encode = median_secs(3, || encode_snapshot(&state));
+        let decode = median_secs(3, || decode_snapshot(&doc).expect("decodes"));
+        let mb_per_second = 2.0 * doc.len() as f64 / 1e6 / (encode + decode).max(f64::EPSILON);
+        worst_mb_per_second = worst_mb_per_second.min(mb_per_second);
         out.push_str(&format!(
-            "    {{\"pages\": {pages}, \
-             \"binary_encode_seconds\": {bin_enc:.4}, \"binary_decode_seconds\": {bin_dec:.4}, \
-             \"json_encode_seconds\": {json_enc:.4}, \"json_decode_seconds\": {json_dec:.4}, \
-             \"binary_bytes\": {}, \"json_bytes\": {}, \"speedup\": {speedup:.2}}}{}\n",
-            binary_doc.len(),
-            json_doc.len(),
+            "    {{\"pages\": {pages}, \"bytes\": {}, \"encode_seconds\": {encode:.4}, \
+             \"decode_seconds\": {decode:.4}, \"mb_per_second\": {mb_per_second:.1}}}{}\n",
+            doc.len(),
             if i + 1 == bench_pages.len() { "" } else { "," },
         ));
     }
@@ -1294,9 +1287,11 @@ fn run_perf_bench(bench_days: f64, bench_pages: &[u64]) -> (String, bool) {
         "  \"wal\": {{\"batch_records\": 512, \"append_seconds\": {wal_secs:.6}}},\n"
     ));
 
-    let regression = !(fetches > 0 && worst_speedup >= REGRESSION_SPEEDUP_FLOOR && obs_ok);
+    let regression =
+        !(fetches > 0 && worst_mb_per_second >= CODEC_MB_PER_SECOND_FLOOR && obs_ok);
     out.push_str(&format!(
-        "  \"speedup_floor\": {REGRESSION_SPEEDUP_FLOOR:.1},\n  \"regression\": {regression}\n}}"
+        "  \"codec_mb_per_second_floor\": {CODEC_MB_PER_SECOND_FLOOR:.1},\n  \
+         \"regression\": {regression}\n}}"
     ));
     (out, regression)
 }

@@ -13,13 +13,12 @@
 //! candidate ranking sorts by `(estimate, site, page)`, a total order, so
 //! the enumeration order never leaks into replacement decisions.
 
-use serde::{Deserialize, Error as SerdeError, Serialize, Value};
 use std::collections::BTreeSet;
 use webevo_types::binio::{BinDecode, BinEncode, BinError, BinReader};
 use webevo_types::{DenseMap, PageId, SiteId, Url};
 
 /// Metadata for one discovered URL.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct UrlInfo {
     /// Collection pages known to link here (bounded; enough for importance
     /// estimation).
@@ -182,51 +181,6 @@ impl AllUrls {
     }
 }
 
-// Serialized exactly like the ordered-map layout this structure replaced
-// (`urls` as a sequence of `[url, info]` pairs), so pre-existing JSON
-// snapshots decode unchanged. Pair order is ascending page id — identical
-// to the old `(site, page)` order whenever ids ascend with sites, and
-// immaterial to decoding either way.
-impl Serialize for AllUrls {
-    fn to_value(&self) -> Value {
-        let urls = Value::Seq(
-            self.urls
-                .iter()
-                .map(|(page, slot)| {
-                    Value::Seq(vec![
-                        Url::new(slot.site, page).to_value(),
-                        slot.info.to_value(),
-                    ])
-                })
-                .collect(),
-        );
-        Value::Map(vec![
-            ("urls".to_string(), urls),
-            ("max_sources".to_string(), self.max_sources.to_value()),
-        ])
-    }
-}
-
-impl Deserialize for AllUrls {
-    fn from_value(v: &Value) -> Result<AllUrls, SerdeError> {
-        let urls_value = v
-            .get("urls")
-            .ok_or_else(|| SerdeError::custom("AllUrls missing `urls`"))?;
-        let pairs = Vec::<(Url, UrlInfo)>::from_value(urls_value)?;
-        let max_sources = v
-            .get("max_sources")
-            .ok_or_else(|| SerdeError::custom("AllUrls missing `max_sources`"))?;
-        let mut all = AllUrls {
-            urls: DenseMap::new(),
-            max_sources: usize::from_value(max_sources)?,
-        };
-        for (url, info) in pairs {
-            all.urls.insert(url.page, UrlSlot { site: url.site, info });
-        }
-        Ok(all)
-    }
-}
-
 impl BinEncode for UrlInfo {
     fn bin_encode(&self, out: &mut Vec<u8>) {
         let sources: Vec<PageId> = self.in_link_sources.iter().copied().collect();
@@ -342,19 +296,24 @@ mod tests {
     }
 
     #[test]
-    fn serde_roundtrip_preserves_sites_and_sources() {
+    fn wire_roundtrip_preserves_sites_and_sources() {
         let mut a = AllUrls::new();
         a.add_in_link(Url::new(SiteId(3), PageId(7)), PageId(1), 2.0);
         a.add_in_link(Url::new(SiteId(1), PageId(2)), PageId(7), 1.0);
         a.mark_dead(Url::new(SiteId(1), PageId(2)), 5.0);
-        let json = serde_json::to_string(&a).unwrap();
-        let back: AllUrls = serde_json::from_str(&json).unwrap();
+        let mut bytes = Vec::new();
+        a.bin_encode(&mut bytes);
+        let mut r = BinReader::new(&bytes);
+        let back = AllUrls::bin_decode(&mut r).unwrap();
+        assert!(r.is_exhausted());
         assert_eq!(back.len(), 2);
         assert_eq!(back.info(url(2)).unwrap().dead_since, Some(5.0));
         let never = |_| false;
         let cands: Vec<Url> = back.candidates(&never).map(|(u, _)| u).collect();
         assert_eq!(cands, vec![Url::new(SiteId(3), PageId(7))]);
-        // Re-serialization is canonical.
-        assert_eq!(serde_json::to_string(&back).unwrap(), json);
+        // Re-encoding is canonical.
+        let mut again = Vec::new();
+        back.bin_encode(&mut again);
+        assert_eq!(again, bytes);
     }
 }

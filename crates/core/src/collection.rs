@@ -5,13 +5,12 @@
 //! frequency estimators, the extracted links (feeding both AllUrls and the
 //! RankingModule's link structure), and the current importance score.
 
-use serde::{Deserialize, Serialize};
 use webevo_estimate::{BayesianEstimator, ChangeHistory};
 use webevo_types::binio::{BinDecode, BinEncode, BinError, BinReader};
 use webevo_types::{Checksum, DenseMap, PageId, SiteId, Url};
 
 /// One page's stored state.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct StoredPage {
     /// The page's URL.
     pub url: Url,
@@ -35,7 +34,7 @@ pub struct StoredPage {
 }
 
 /// The local collection: a capacity-bounded page store.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Collection {
     // Dense slot map, iterated in ascending-id order: iteration feeds
     // float accumulations (metrics sampling, ranking mass sums) that must

@@ -76,7 +76,6 @@ use crate::routing::{RoutedBatch, RoutedLink, RoutingState, ShardScope, WalEvent
 use crate::state::{CrawlerState, EngineClock};
 use crate::threaded::ThreadedCrawler;
 use crate::view::ViewPublisher;
-use serde::{Deserialize, Serialize};
 use webevo_obs::ObsSink;
 use webevo_sim::{FetchError, FetchOutcome, Fetcher, FetcherState, WebUniverse};
 use webevo_types::{Url, WebEvoError};
@@ -95,7 +94,7 @@ pub use crate::state::{EngineConfig, EngineKind};
 /// keeps the comparison honest — the paper's Table 2 budget exists once,
 /// as [`CrawlBudget::paper_monthly`], instead of being hardcoded per
 /// engine.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct CrawlBudget {
     /// Collection capacity in pages (§5.2's fixed size).
     pub capacity: usize,

@@ -25,7 +25,6 @@
 //! flushed boundary.
 
 use crate::state::CrawlerState;
-use serde::{Deserialize, Serialize};
 use webevo_sim::{FetchError, FetchOutcome};
 use webevo_types::binio::{BinDecode, BinEncode, BinError, BinReader};
 use webevo_types::Url;
@@ -36,7 +35,7 @@ use webevo_types::Url;
 /// to discard WAL records already folded into a newer snapshot and to
 /// detect gaps. `url` and `t` are carried redundantly so replay can verify
 /// the deterministic schedule reproduces the logged one record-for-record.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct FetchRecord {
     /// Engine-wide fetch-attempt sequence number (1-based).
     pub seq: u64,

@@ -33,7 +33,6 @@ use crate::view::{BoundaryPages, ViewBoundary, ViewPublisher};
 use crate::state::{
     entries_to_queue, queue_to_entries, CrawlerState, EngineClock, EngineConfig, EngineKind,
 };
-use serde::{Deserialize, Serialize};
 use webevo_obs::{LogicalClock, ObsSink, SpanGuard, Stage};
 use webevo_schedule::RevisitQueue;
 use webevo_sim::{FetchError, Fetcher, FetcherState, WebUniverse};
@@ -41,7 +40,7 @@ use webevo_types::binio::{BinDecode, BinEncode, BinError, BinReader};
 use webevo_types::{DenseSet, Url, WebEvoError};
 
 /// Configuration of the incremental crawler.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct IncrementalConfig {
     /// Collection capacity in pages (§5.2's fixed size).
     pub capacity: usize,

@@ -6,14 +6,13 @@
 //! and record admission events; the summaries feed Figure 10's comparison
 //! and the crawler-architecture benches.
 
-use serde::{Deserialize, Serialize};
 use webevo_freshness::FreshnessSeries;
 use webevo_stats::Summary;
 use webevo_types::binio::{BinDecode, BinEncode, BinError, BinReader};
 use webevo_types::WebEvoError;
 
 /// Metrics collected over one crawler run.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct CrawlMetrics {
     /// Freshness of the user-visible collection over time.
     pub freshness: FreshnessSeries,
@@ -39,7 +38,7 @@ pub struct CrawlMetrics {
 
 /// A time series like [`FreshnessSeries`] but without the `[0,1]` bound
 /// (ages are unbounded).
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct FreshnessSeriesLike {
     times: Vec<f64>,
     values: Vec<f64>,

@@ -17,7 +17,6 @@
 
 use crate::allurls::AllUrls;
 use crate::collection::{Collection, StoredPage};
-use serde::{Deserialize, Serialize};
 use webevo_graph::pagerank::{pagerank, PageRankConfig};
 use webevo_graph::PageGraph;
 use webevo_schedule::{
@@ -28,7 +27,7 @@ use webevo_types::binio::{BinDecode, BinEncode, BinError, BinReader};
 use webevo_types::{ChangeRate, DenseMap, PageId, Url};
 
 /// Which frequency estimator the UpdateModule uses (§5.3).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum EstimatorKind {
     /// EP: frequentist bias-corrected Poisson estimate from the change
     /// history.
@@ -38,7 +37,7 @@ pub enum EstimatorKind {
 }
 
 /// Which revisit strategy turns rates into frequencies (§4.3).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum RevisitStrategy {
     /// Every page at the same frequency.
     Uniform,
@@ -50,7 +49,7 @@ pub enum RevisitStrategy {
 
 /// The CrawlModule: fetch plus accounting. One instance per worker in the
 /// threaded engine.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct CrawlModule {
     crawled: u64,
     failed: u64,
@@ -99,7 +98,7 @@ impl CrawlModule {
 }
 
 /// The UpdateModule: rate estimation and revisit-interval assignment.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct UpdateModule {
     strategy: RevisitStrategy,
     estimator: EstimatorKind,
@@ -311,7 +310,7 @@ impl BinDecode for UpdateModule {
 }
 
 /// RankingModule parameters.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct RankingConfig {
     /// PageRank parameterization (importance metric).
     pub pagerank: PageRankConfig,

@@ -24,7 +24,6 @@ use crate::modules::{CrawlModule, EstimatorKind, RevisitStrategy, UpdateModule};
 use crate::routing::{RoutedBatch, RoutedLink, RoutingState, ShardScope, WalEvent};
 use crate::view::{BoundaryPages, ViewBoundary, ViewPublisher};
 use crate::state::{CrawlerState, EngineClock, EngineConfig, EngineKind};
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use webevo_obs::{LogicalClock, ObsSink, SpanGuard, Stage};
 use webevo_sim::{FetchError, Fetcher, FetcherState, WebUniverse};
@@ -32,7 +31,7 @@ use webevo_types::binio::{BinDecode, BinEncode, BinError, BinReader};
 use webevo_types::{Checksum, DenseMap, DenseSet, Url, WebEvoError};
 
 /// Configuration of the periodic crawler.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct PeriodicConfig {
     /// Collection capacity in pages.
     pub capacity: usize,
@@ -67,7 +66,7 @@ impl PeriodicConfig {
 
 /// One page of a periodic collection (current or shadow): when it was
 /// crawled and what digest came back.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct PeriodicPage {
     /// When the batch crawl fetched this copy (days).
     pub crawl_time: f64,
@@ -78,7 +77,7 @@ pub struct PeriodicPage {
 /// The in-flight state of one batch window: the shadow collection under
 /// construction and its BFS frontier. Serialized inside
 /// [`PeriodicState`] so a checkpoint can freeze a crawl mid-window.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct BatchWindow {
     /// The shadow collection being built this cycle.
     pub shadow: DenseMap<PeriodicPage>,
@@ -91,7 +90,7 @@ pub struct BatchWindow {
 /// The periodic engine's cycle/shadow payload inside
 /// [`CrawlerState`] (the incremental fields of the shared state are empty
 /// for this engine).
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct PeriodicState {
     /// The user-visible collection.
     pub current: DenseMap<PeriodicPage>,

@@ -25,7 +25,6 @@ use crate::allurls::UrlInfo;
 use crate::collection::StoredPage;
 use crate::hooks::FetchRecord;
 use crate::state::{CrawlerState, EngineConfig, EngineKind, QueueEntry};
-use serde::{Deserialize, Error as SerdeError, Serialize, Value};
 use webevo_types::binio::{BinDecode, BinEncode, BinError, BinReader};
 use webevo_types::{PageId, ShardId, ShardPlan, SiteId, Url, WebEvoError};
 
@@ -34,7 +33,7 @@ use webevo_types::{PageId, ShardId, ShardPlan, SiteId, Url, WebEvoError};
 /// `seq` is the *source* shard's fetch sequence number at the moment of
 /// discovery; together with the source [`ShardId`] it gives every routed
 /// link a fleet-wide total order (see [`merge_outboxes`]).
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct RoutedLink {
     /// Source-shard fetch sequence at discovery time.
     pub seq: u64,
@@ -90,7 +89,7 @@ impl WalEvent {
 }
 
 /// A shard's view of the fleet partition: the plan plus its own id.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ShardScope {
     /// The fleet-wide site partition.
     pub plan: ShardPlan,
@@ -114,7 +113,7 @@ impl ShardScope {
 /// even when empty, so the counter doubles as "how many pass barriers has
 /// this shard's durable state absorbed", which is what fleet recovery
 /// compares to find the laggard after a mid-exchange kill.
-#[derive(Clone, Debug, Default, PartialEq, Serialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct RoutingState {
     /// The shard's partition view, if sharded.
     pub scope: Option<ShardScope>,
@@ -145,33 +144,6 @@ impl RoutingState {
             Some(scope) => !scope.owns(site),
             None => false,
         }
-    }
-}
-
-impl Deserialize for RoutingState {
-    fn from_value(v: &Value) -> Result<RoutingState, SerdeError> {
-        // Snapshots written before the routing era have no `routing`
-        // field at all; the member arrives as Null and means "inert".
-        if matches!(v, Value::Null) {
-            return Ok(RoutingState::default());
-        }
-        let scope = Option::<ShardScope>::from_value(
-            v.get("scope")
-                .ok_or_else(|| SerdeError::custom("RoutingState missing `scope`"))?,
-        )?;
-        let outbox = Vec::<RoutedLink>::from_value(
-            v.get("outbox")
-                .ok_or_else(|| SerdeError::custom("RoutingState missing `outbox`"))?,
-        )?;
-        let inbox = Vec::<Url>::from_value(
-            v.get("inbox")
-                .ok_or_else(|| SerdeError::custom("RoutingState missing `inbox`"))?,
-        )?;
-        let exchanges = u64::from_value(
-            v.get("exchanges")
-                .ok_or_else(|| SerdeError::custom("RoutingState missing `exchanges`"))?,
-        )?;
-        Ok(RoutingState { scope, outbox, inbox, exchanges })
     }
 }
 
@@ -488,33 +460,12 @@ mod tests {
     }
 
     #[test]
-    fn routing_state_roundtrips_serde() {
-        let plan = ShardPlan::new(ShardFn::Balanced, 2, 12);
-        let state = RoutingState {
-            scope: Some(ShardScope { plan, shard: ShardId(1) }),
-            outbox: vec![link(5, 2, 6)],
-            inbox: vec![],
-            exchanges: 3,
-        };
-        let back = RoutingState::from_value(&state.to_value()).expect("roundtrips");
-        assert_eq!(state, back);
-    }
-
-    #[test]
-    fn null_deserializes_to_inert_default() {
-        // A pre-routing snapshot has no `routing` member at all; the
-        // accessor hands us Null and that must mean "unsharded, empty".
-        let state = RoutingState::from_value(&Value::Null).expect("null tolerated");
-        assert_eq!(state, RoutingState::default());
-        assert!(!state.is_foreign(SiteId(3)));
-    }
-
-    #[test]
     fn scope_decides_foreignness() {
         let plan = ShardPlan::new(ShardFn::Balanced, 2, 6);
         let state = RoutingState::scoped(plan, ShardId(0));
         assert!(!state.is_foreign(SiteId(2)));
         assert!(state.is_foreign(SiteId(3)));
+        assert!(!RoutingState::default().is_foreign(SiteId(3)), "unscoped owns everything");
     }
 
     #[test]

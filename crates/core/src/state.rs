@@ -19,7 +19,7 @@
 //!
 //! * Queue due-times are stored as raw IEEE-754 bit patterns
 //!   ([`QueueEntry::due_bits`]): the immediate-priority lane uses `−∞`,
-//!   which JSON cannot represent as a number.
+//!   which must survive the trip exactly.
 //! * The `queued`/`admissions` sets are stored as ascending id vectors
 //!   (the engines' dense sets iterate in that order already) so two
 //!   snapshots of the same state are byte-identical.
@@ -31,7 +31,6 @@ use crate::metrics::CrawlMetrics;
 use crate::modules::{CrawlModule, UpdateModule};
 use crate::periodic::{PeriodicConfig, PeriodicState};
 use crate::routing::RoutingState;
-use serde::{Deserialize, Serialize};
 use webevo_schedule::{RevisitQueue, ScheduledVisit};
 use webevo_sim::FetcherState;
 use webevo_types::binio::{BinDecode, BinEncode, BinError, BinReader};
@@ -39,7 +38,7 @@ use webevo_types::{PageId, Url, WebEvoError};
 
 /// Which engine a [`CrawlerState`] belongs to — and, in the
 /// `CrawlSession` builder, which engine to construct.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum EngineKind {
     /// The batch-mode, shadowing baseline [`crate::PeriodicCrawler`].
     Periodic,
@@ -83,7 +82,7 @@ impl std::fmt::Display for EngineKind {
 
 /// The engine-specific configuration carried inside a [`CrawlerState`],
 /// so `--resume` needs no re-specification.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub enum EngineConfig {
     /// Configuration of the incremental engines (single-threaded and
     /// threaded alike).
@@ -126,7 +125,7 @@ impl EngineConfig {
 
 /// The engine's discrete-event clock: the current fetch-slot time plus the
 /// next due times of the two periodic activities.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct EngineClock {
     /// Current simulated time (days).
     pub t: f64,
@@ -139,7 +138,7 @@ pub struct EngineClock {
 
 /// One `CollUrls` entry with its due time as a raw bit pattern (exact for
 /// every float, including the `−∞` of the immediate-priority lane).
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct QueueEntry {
     /// `f64::to_bits` of the due time.
     pub due_bits: u64,
@@ -148,7 +147,7 @@ pub struct QueueEntry {
 }
 
 /// Complete serializable engine state. See the module docs.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct CrawlerState {
     /// Which engine wrote this state (including the worker count for the
     /// threaded engine, whose deterministic schedule depends on it).

@@ -14,12 +14,11 @@
 //! Bayes' rule. The estimator reports the MAP class and the
 //! posterior-mean rate.
 
-use serde::{Deserialize, Serialize};
 use webevo_types::binio::{BinDecode, BinEncode, BinError, BinReader};
 use webevo_types::{ChangeRate, Error, Result};
 
 /// A frequency-class hypothesis: a label and its Poisson rate.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct FrequencyClass {
     /// Human-readable label ("daily", "weekly", …).
     pub label: String,
@@ -38,7 +37,7 @@ impl FrequencyClass {
 }
 
 /// The Bayesian frequency-class estimator for one page.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct BayesianEstimator {
     classes: Vec<FrequencyClass>,
     /// Posterior probabilities, kept normalized.

@@ -18,12 +18,11 @@
 //! [`webevo_stats::rate_ci_from_regular_access`].
 
 use crate::history::ChangeHistory;
-use serde::{Deserialize, Serialize};
 use webevo_stats::{rate_ci_from_regular_access, ConfidenceInterval};
 use webevo_types::{ChangeRate, Error, Result};
 
 /// A point estimate of a page's change rate with its confidence interval.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct EpEstimate {
     /// Estimated Poisson rate (events/day).
     pub rate: ChangeRate,

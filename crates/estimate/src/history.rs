@@ -6,13 +6,12 @@
 //! with whether the checksum differed from the previous visit, plus running
 //! totals so estimators never need to replay the log.
 
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use webevo_types::binio::{BinDecode, BinEncode, BinError, BinReader};
 use webevo_types::Checksum;
 
 /// One crawl observation of a page.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Observation {
     /// When the page was visited (days).
     pub time: f64,
@@ -28,7 +27,7 @@ pub struct Observation {
 /// The window is bounded by observation count (a proxy for the paper's
 /// "last 6 months"): old observations retire from the running totals as
 /// they fall out, so long-lived pages adapt when their behaviour drifts.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct ChangeHistory {
     window: usize,
     observations: VecDeque<Observation>,

@@ -16,12 +16,11 @@
 
 use crate::ep::EpEstimate;
 use crate::history::ChangeHistory;
-use serde::{Deserialize, Serialize};
 use webevo_stats::rate_ci_from_regular_access;
 use webevo_types::{ChangeRate, Error, Result};
 
 /// Pooled change statistics for a group of pages (a site or directory).
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct SitePool {
     comparisons: u64,
     detections: u64,

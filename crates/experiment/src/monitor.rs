@@ -6,13 +6,12 @@
 //! with all the granularity consequences the paper discusses (at most one
 //! detected change per day, Figure 1).
 
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use webevo_sim::{FetchError, Fetcher, SimFetcher, WebUniverse};
 use webevo_types::{Checksum, Domain, PageId, SiteId};
 
 /// Monitor parameters.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct MonitorConfig {
     /// Number of daily observations (the paper: Feb 17 – Jun 24 1999 ≈ 128).
     pub days: usize,
@@ -39,7 +38,7 @@ impl MonitorConfig {
 }
 
 /// Everything the monitor learned about one page.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct PageRecord {
     /// The page.
     pub page: PageId,

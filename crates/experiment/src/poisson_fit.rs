@@ -8,12 +8,11 @@
 //! goodness-of-fit verdict the paper only eyeballs.
 
 use crate::monitor::MonitoringData;
-use serde::{Deserialize, Serialize};
 use webevo_stats::gof::{chi_square_geometric_fit, figure6_series};
 use webevo_stats::GofResult;
 
 /// The Figure 6 data for one interval group.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct PoissonFitReport {
     /// The target mean interval (10 or 20 days in the paper).
     pub target_interval_days: f64,

@@ -7,7 +7,6 @@
 //! permission filter becomes a deterministic pseudo-random subsample
 //! (permission grants were effectively exogenous to popularity).
 
-use serde::{Deserialize, Serialize};
 use webevo_graph::pagerank::PageRankConfig;
 use webevo_graph::sitegraph::{rank_sites, site_pagerank, SiteGraph};
 use webevo_sim::WebUniverse;
@@ -18,7 +17,7 @@ use webevo_types::SiteId;
 use webevo_types::Domain;
 
 /// The outcome of site selection.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct SiteSelection {
     /// The selected (monitored) sites, in rank order.
     pub selected: Vec<SiteId>,

@@ -12,10 +12,9 @@
 
 use crate::analytic::one_minus_exp_over;
 use crate::policy::{CrawlPolicy, UpdateMode};
-use serde::{Deserialize, Serialize};
 
 /// A sampled curve: expected freshness at uniformly spaced times.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct FreshnessCurve {
     times: Vec<f64>,
     values: Vec<f64>,
@@ -132,7 +131,7 @@ pub fn shadow_current_freshness_at(lambda: f64, cycle: f64, window: f64, t: f64)
 
 /// The pair of curves Figure 8 plots for one policy: the crawler's
 /// collection (only meaningful under shadowing) and the current collection.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct PolicyCurves {
     /// Freshness of the collection being assembled (shadow) — equals the
     /// current collection for in-place policies.

@@ -1,10 +1,9 @@
 //! The crawler design space of §4: crawl mode × update mode.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// How the crawler spreads its visits over a cycle (§4 choice 1).
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub enum CrawlMode {
     /// Runs continuously; every page is revisited once per cycle, with
     /// visits spread uniformly over the whole cycle.
@@ -37,7 +36,7 @@ impl CrawlMode {
 }
 
 /// How the crawler installs refreshed pages (§4 choice 2).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum UpdateMode {
     /// Each crawled page replaces its old copy immediately.
     InPlace,
@@ -47,7 +46,7 @@ pub enum UpdateMode {
 }
 
 /// A full policy point: crawl mode, update mode and the cycle length.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct CrawlPolicy {
     /// Steady or batch crawling.
     pub mode: CrawlMode,

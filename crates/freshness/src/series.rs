@@ -5,10 +5,8 @@
 //! `(time, freshness)` samples and provides the aggregates the experiments
 //! report (time average via trapezoid, minima after warm-up, etc.).
 
-use serde::{Deserialize, Serialize};
-
 /// A time-ordered series of `(day, freshness)` samples.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct FreshnessSeries {
     times: Vec<f64>,
     values: Vec<f64>,

@@ -5,11 +5,10 @@
 //! normalization per step; scores are reported L2-normalized.
 
 use crate::pagegraph::PageGraph;
-use serde::{Deserialize, Serialize};
 use webevo_types::{DenseMap, Error, PageId, Result};
 
 /// Parameters for the HITS iteration.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct HitsConfig {
     /// Convergence threshold on the per-page L1 change of both vectors.
     pub tolerance: f64,
@@ -24,7 +23,7 @@ impl Default for HitsConfig {
 }
 
 /// Hub and authority scores per page, each vector L2-normalized.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct HitsScores {
     hubs: DenseMap<f64>,
     authorities: DenseMap<f64>,

@@ -6,11 +6,10 @@
 //! reverse adjacency list, both kept in sync, so PageRank (needs in-links)
 //! and link extraction (needs out-links) are both cheap.
 
-use serde::{Deserialize, Serialize};
 use webevo_types::{DenseMap, PageId, SiteId};
 
 /// A node's adjacency record.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 struct NodeLinks {
     out: Vec<PageId>,
     inc: Vec<PageId>,
@@ -22,7 +21,7 @@ struct NodeLinks {
 /// Self-links are permitted (they occur on the real web); parallel edges are
 /// collapsed (a second `add_link` with the same endpoints is a no-op), which
 /// matches how link extraction de-duplicates URLs found in a page.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct PageGraph {
     nodes: DenseMap<NodeLinks>,
     edge_count: usize,

@@ -18,11 +18,10 @@
 //! every graph.
 
 use crate::pagegraph::PageGraph;
-use serde::{Deserialize, Serialize};
 use webevo_types::{DenseMap, Error, PageId, Result};
 
 /// Parameters for the PageRank iteration.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct PageRankConfig {
     /// Probability of following a link (the conventional damping factor).
     /// The teleport probability is `1 − follow`.
@@ -76,7 +75,7 @@ impl webevo_types::BinDecode for PageRankConfig {
 /// PageRank scores, normalized so they **average to 1** (the paper's
 /// convention: iteration starts with all values 1 and the damping form
 /// preserves the mean).
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct PageRankScores {
     scores: DenseMap<f64>,
     iterations: usize,

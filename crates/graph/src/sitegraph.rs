@@ -10,14 +10,13 @@
 
 use crate::pagegraph::PageGraph;
 use crate::pagerank::PageRankConfig;
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 use webevo_types::{Error, Result, SiteId};
 
 /// A directed graph over sites, collapsed from a page graph. Adjacency is
 /// kept in ordered maps so neighbor iteration is deterministic by
 /// construction.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct SiteGraph {
     out: BTreeMap<SiteId, BTreeSet<SiteId>>,
     inc: BTreeMap<SiteId, BTreeSet<SiteId>>,

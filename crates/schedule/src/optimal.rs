@@ -20,7 +20,6 @@
 //! solver is deterministic and robust.
 
 use crate::policy::{Allocation, RevisitPolicy};
-use serde::{Deserialize, Serialize};
 use webevo_types::{ChangeRate, Error, Result};
 
 /// Marginal freshness gain `∂F/∂f` at frequency `f` for rate `lambda`.
@@ -125,7 +124,7 @@ fn solve_frequency(lambda: f64, mu: f64) -> f64 {
 }
 
 /// Result of the optimal allocation solve.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct OptimalSolution {
     /// The per-page frequencies.
     pub allocation: Allocation,

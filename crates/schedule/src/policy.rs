@@ -1,11 +1,10 @@
 //! Allocation baselines and the shared evaluation metric.
 
-use serde::{Deserialize, Serialize};
 use webevo_freshness::freshness_periodic;
 use webevo_types::{ChangeRate, Error, Result};
 
 /// Which revisit policy to use (§4.3's design axis).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum RevisitPolicy {
     /// Same frequency for every page (the "fixed frequency" choice).
     Uniform,
@@ -18,7 +17,7 @@ pub enum RevisitPolicy {
 
 /// A per-page revisit-frequency assignment (visits per day), aligned with
 /// the rate slice it was computed from.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Allocation {
     /// Visits per day per page.
     pub frequencies: Vec<f64>,

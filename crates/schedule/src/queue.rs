@@ -8,13 +8,12 @@
 //! immediate-priority lane for the RankingModule's "crawl this new page
 //! now" insertions.
 
-use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use webevo_types::Url;
 
 /// One scheduled visit.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ScheduledVisit {
     /// When the visit is due (days).
     pub due: f64,

@@ -1,11 +1,10 @@
 //! Universe generation parameters.
 
-use serde::{Deserialize, Serialize};
 use webevo_types::domain::PerDomain;
 use webevo_types::Domain;
 
 /// Parameters for generating a [`crate::WebUniverse`].
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct UniverseConfig {
     /// Number of sites per domain class. The paper's Table 1 mix is
     /// com:edu:netorg:gov = 132:78:30:30.

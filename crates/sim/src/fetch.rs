@@ -9,12 +9,11 @@
 //! testing.
 
 use crate::universe::WebUniverse;
-use serde::{Deserialize, Serialize};
 use webevo_types::binio::{BinDecode, BinEncode, BinError, BinReader};
 use webevo_types::{Checksum, SiteId, Url};
 
 /// Why a fetch failed.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub enum FetchError {
     /// The URL does not resolve (page deleted, or not yet created).
     NotFound,
@@ -29,7 +28,7 @@ pub enum FetchError {
 }
 
 /// A successful fetch.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct FetchOutcome {
     /// Digest of the page content (the UpdateModule's change signal).
     pub checksum: Checksum,
@@ -75,7 +74,7 @@ pub trait Fetcher {
 /// influence a *future* fetch result. Politeness limits and the failure
 /// rate are configuration, not state — the owner re-applies them when
 /// rebuilding a fetcher.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct FetcherState {
     /// Last successful access time per site (politeness pacing), sorted by
     /// site id so snapshots are deterministic.
@@ -106,7 +105,7 @@ impl BinDecode for FetcherState {
 }
 
 /// Politeness constraints, mirroring §2.3.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Politeness {
     /// Minimum delay between requests to one site, in days (the paper's
     /// 10 s ≈ 1.157e-4 days).
@@ -160,7 +159,7 @@ impl Politeness {
 }
 
 /// Counters a fetcher keeps (useful for the peak-speed arguments of §4).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct FetchStats {
     /// Successful fetches.
     pub ok: u64,

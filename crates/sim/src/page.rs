@@ -14,12 +14,11 @@
 //! `[start, start+len)` window and every content query is a binary search
 //! over a shared, cache-friendly buffer.
 
-use serde::{Deserialize, Serialize};
 use webevo_stats::event_slice;
 use webevo_types::{ChangeRate, Checksum, Domain, PageId, PageVersion, SiteId};
 
 /// A page's slice of the universe-wide change-event arena.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct EventRange {
     /// Offset of the first event in the arena.
     pub start: usize,
@@ -36,7 +35,7 @@ impl EventRange {
 }
 
 /// One page incarnation.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct SimPage {
     /// Globally unique id (index into the universe's page table).
     pub id: PageId,
@@ -94,7 +93,7 @@ impl SimPage {
 }
 
 /// One simulated site: a domain, and its slots' occupancy history.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct SimSite {
     /// Site identifier (index into the universe's site table).
     pub id: SiteId,

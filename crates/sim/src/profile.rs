@@ -7,7 +7,6 @@
 //! spread multiplicatively, and log-uniform keeps every decade of the bin
 //! represented.
 
-use serde::{Deserialize, Serialize};
 use webevo_stats::dist::sample_log_uniform;
 use webevo_stats::SimRng;
 use webevo_types::{ChangeRate, Domain};
@@ -48,7 +47,7 @@ pub struct PageBehavior {
 const LIFESPAN_EDGES: [(f64, f64); 4] = [(1.0, 7.0), (7.0, 30.0), (30.0, 120.0), (120.0, 720.0)];
 
 /// Behaviour profile of one domain class.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct DomainProfile {
     /// The domain this profile describes.
     pub domain: Domain,

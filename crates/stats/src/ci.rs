@@ -10,10 +10,9 @@
 //! (0 or n detections) that dominate crawl histories.
 
 use crate::special::normal_quantile;
-use serde::{Deserialize, Serialize};
 
 /// A two-sided confidence interval `[lo, hi]` with its nominal level.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ConfidenceInterval {
     /// Lower bound.
     pub lo: f64,

@@ -5,10 +5,8 @@
 //! sampled at day granularity; [`Ecdf`] is the general empirical CDF used by
 //! the Kolmogorov–Smirnov test in [`crate::gof`].
 
-use serde::{Deserialize, Serialize};
-
 /// An empirical cumulative distribution function over a finite sample.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Ecdf {
     sorted: Vec<f64>,
 }
@@ -66,7 +64,7 @@ impl Ecdf {
 /// A survival curve sampled on a uniform day grid: `value[k]` is the
 /// fraction of the population still "alive" (unchanged, or present) at the
 /// end of day `k`.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct SurvivalCurve {
     values: Vec<f64>,
 }

@@ -9,10 +9,9 @@
 use crate::ecdf::Ecdf;
 use crate::histogram::Histogram;
 use crate::special::chi_square_sf;
-use serde::{Deserialize, Serialize};
 
 /// Outcome of a goodness-of-fit test.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct GofResult {
     /// The test statistic (chi-square value or KS distance).
     pub statistic: f64,

@@ -7,13 +7,12 @@
 //! on the edges.
 
 use crate::summary::Summary;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 use webevo_types::time::{FOUR_MONTHS, MONTH, WEEK};
 
 /// The five change-interval bins of Figure 2.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum IntervalBin {
     /// Average change interval of one day or less (the paper's "changed
     /// every time we visited" bucket — >20% of all pages, >40% of com).
@@ -84,7 +83,7 @@ impl fmt::Display for IntervalBin {
 }
 
 /// Counts per change-interval bin; renders Figure 2 rows.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct IntervalHistogram {
     counts: [u64; 5],
 }
@@ -139,7 +138,7 @@ impl IntervalHistogram {
 }
 
 /// The four visible-lifespan bins of Figure 4.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum LifespanBin {
     /// Visible lifespan of one week or less.
     UpToWeek,
@@ -201,7 +200,7 @@ impl fmt::Display for LifespanBin {
 }
 
 /// Counts per lifespan bin; renders Figure 4 rows.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct LifespanHistogram {
     counts: [u64; 4],
 }
@@ -251,7 +250,7 @@ impl LifespanHistogram {
 
 /// A general equal-width histogram over `[lo, hi)` with `n` bins, used for
 /// Figure 6's change-interval distributions.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Histogram {
     lo: f64,
     hi: f64,

@@ -8,10 +8,9 @@
 
 use crate::dist::sample_exponential;
 use crate::rng::SimRng;
-use serde::{Deserialize, Serialize};
 
 /// A realized Poisson process: sorted event times within `[0, horizon)`.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct PoissonProcess {
     events: Vec<f64>,
     horizon: f64,

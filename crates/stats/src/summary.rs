@@ -1,9 +1,7 @@
 //! Streaming summary statistics (Welford) and batch quantiles.
 
-use serde::{Deserialize, Serialize};
-
 /// Numerically stable streaming mean/variance plus min/max.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct Summary {
     n: u64,
     mean: f64,

@@ -361,9 +361,17 @@ impl Drop for Checkpointer {
             }
             return;
         }
-        self.join_pending_snapshot().unwrap_or_else(|e| {
-            panic!("background snapshot write to {:?} failed: {e}", self.config.snapshot_path())
-        });
+        // A failed final write is a crash mid-encode as far as the disk is
+        // concerned: the WAL reset is skipped, so the previous snapshot
+        // plus the intact log still recover. Drop reports it rather than
+        // panicking (the directory may simply have been deleted under a
+        // session that outlived it).
+        if let Err(e) = self.join_pending_snapshot() {
+            eprintln!(
+                "[webevo-store] background snapshot write to {:?} failed: {e}",
+                self.config.snapshot_path()
+            );
+        }
     }
 }
 
@@ -421,8 +429,7 @@ pub fn recover(dir: &Path) -> Result<Option<Recovered>, StoreError> {
             // No snapshot: fine when the log is empty too (a directory
             // that never checkpointed), an error when committed work
             // would be orphaned.
-            let wal = read_wal(&dir.join(WAL_FILE))
-                .map_err(|e| StoreError::Io(format!("reading WAL: {e}")))?;
+            let wal = read_wal(&dir.join(WAL_FILE))?;
             return if wal.is_empty() {
                 Ok(None)
             } else {
@@ -432,8 +439,7 @@ pub fn recover(dir: &Path) -> Result<Option<Recovered>, StoreError> {
         Err(e) => return Err(StoreError::Io(format!("reading {snapshot_path:?}: {e}"))),
     };
     let state = decode_snapshot(&doc)?;
-    let wal = read_wal(&dir.join(WAL_FILE))
-        .map_err(|e| StoreError::Io(format!("reading WAL: {e}")))?;
+    let wal = read_wal(&dir.join(WAL_FILE))?;
     Ok(Some(Recovered { state, wal }))
 }
 
@@ -554,6 +560,10 @@ mod tests {
             }
             other => panic!("expected WalWithoutSnapshot, got {other:?}"),
         }
+        // Same refusal for a log this build cannot read at all: an
+        // old-format WAL must not pass for an empty one.
+        fs::write(dir.join(WAL_FILE), b"WEBEVO-WAL 1\nR 0 {}\nC 0 1\n").unwrap();
+        assert!(matches!(recover(&dir), Err(StoreError::UnsupportedVersion(1))));
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -1,13 +1,18 @@
 //! The versioned snapshot codec. See the crate docs for the on-disk
 //! layout.
 //!
-//! Version 3 is binary: a one-line text header (magic, version, fnv64 of
-//! the payload) followed by the [`CrawlerState`] in the `webevo-types`
-//! binary wire format ([`webevo_types::BinEncode`]) — length-prefixed
-//! fields, varint integers, floats as raw IEEE-754 bits. Decoding sniffs
-//! the header version, so version-2 JSON snapshots written by earlier
-//! builds still recover through [`decode_snapshot`].
+//! A snapshot is a one-line text header (magic, version, fnv64 of the
+//! payload) followed by the [`CrawlerState`] in the `webevo-types` binary
+//! wire format ([`webevo_types::BinEncode`]) — length-prefixed fields,
+//! varint integers, floats as raw IEEE-754 bits. That binary format is the
+//! only serialization in the workspace: this build reads exactly the
+//! version it writes, and a header naming any other version — the JSON
+//! snapshots of versions 1–2 included — is refused with
+//! [`StoreError::UnsupportedVersion`], never guessed at. The fleet manifest
+//! ([`crate::fleet`]) is framed by the same header discipline.
 
+use crate::fleet::MANIFEST_VERSION;
+use crate::wal::WAL_HEADER;
 use std::fmt;
 use webevo_core::CrawlerState;
 use webevo_types::binio::{BinDecode, BinEncode, BinReader};
@@ -17,28 +22,27 @@ pub const SNAPSHOT_MAGIC: &str = "WEBEVO-SNAPSHOT";
 /// The snapshot format version this build writes.
 ///
 /// Version history:
-/// * 1 — the original incremental/threaded JSON layout (`workers` as a
-///   state field, `config` as a bare `IncrementalConfig`).
-/// * 2 — the unified-engine JSON layout: `config` is the `EngineConfig`
-///   enum, `EngineKind::Threaded` carries its worker count, and the
-///   periodic engine's cycle/shadow state rides in a `periodic` payload.
-///   Still decoded by this build.
-/// * 3 — the same logical layout in the binary wire format (current).
+/// * 1–2 — JSON layouts written by early builds; no longer decoded.
+/// * 3 — the unified-engine layout (`config` is the `EngineConfig` enum,
+///   `EngineKind::Threaded` carries its worker count, the periodic
+///   engine's cycle/shadow state rides in a `periodic` payload) in the
+///   binary wire format (current).
 pub const SNAPSHOT_VERSION: u32 = 3;
-/// The newest JSON snapshot version, still decoded for migration.
-pub const SNAPSHOT_VERSION_JSON: u32 = 2;
 
-/// Why a snapshot or WAL could not be decoded.
+/// Why a snapshot, WAL or fleet manifest could not be decoded.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum StoreError {
     /// The file does not start with the expected magic/header shape.
     NotASnapshot,
-    /// The format version is one this build does not understand.
+    /// The file is a well-formed snapshot, WAL or manifest of a format
+    /// version this build does not read. There is one version of each —
+    /// the one this build writes — so files from older builds land here
+    /// rather than being migrated.
     UnsupportedVersion(u32),
     /// The payload checksum does not match the header (torn write or
     /// corruption).
     ChecksumMismatch,
-    /// The payload failed to parse as a `CrawlerState`.
+    /// The payload failed to parse as the type the header announces.
     Malformed(String),
     /// Reading the checkpoint files failed before any decoding happened —
     /// a permissions or I/O problem, *not* corruption; the lineage on disk
@@ -69,16 +73,17 @@ pub enum StoreError {
 impl fmt::Display for StoreError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            StoreError::NotASnapshot => write!(f, "not a webevo snapshot"),
+            StoreError::NotASnapshot => write!(f, "not a webevo snapshot or manifest"),
             StoreError::UnsupportedVersion(v) => {
                 write!(
                     f,
-                    "unsupported snapshot version {v} (this build reads \
-                     {SNAPSHOT_VERSION_JSON} and {SNAPSHOT_VERSION})"
+                    "unsupported format version {v} (this build reads only what it \
+                     writes: snapshot version {SNAPSHOT_VERSION}, {WAL_HEADER}, fleet \
+                     manifest version {MANIFEST_VERSION})"
                 )
             }
-            StoreError::ChecksumMismatch => write!(f, "snapshot payload checksum mismatch"),
-            StoreError::Malformed(msg) => write!(f, "malformed snapshot payload: {msg}"),
+            StoreError::ChecksumMismatch => write!(f, "payload checksum mismatch"),
+            StoreError::Malformed(msg) => write!(f, "malformed payload: {msg}"),
             StoreError::Io(msg) => write!(f, "checkpoint I/O error: {msg}"),
             StoreError::WalWithoutSnapshot { committed_records } => write!(
                 f,
@@ -104,39 +109,39 @@ pub fn fnv64(bytes: &[u8]) -> u64 {
     webevo_types::Checksum::of_bytes(bytes).0
 }
 
-/// Encode a full engine state as a version-3 binary snapshot document
-/// (text header line + binary payload).
-pub fn encode_snapshot(state: &CrawlerState) -> Vec<u8> {
-    // The header is fixed-width (magic + one version digit + 16 hex
-    // digits), so encode the payload straight into the document after a
-    // placeholder header and patch the checksum in afterwards — no second
-    // buffer, no final copy of a multi-megabyte payload.
-    let placeholder = format!("{SNAPSHOT_MAGIC} {SNAPSHOT_VERSION} {:016x}\n", 0);
+/// Frame `body` as a checksummed document: the text header line
+/// `<magic> <version> <fnv64 of payload, 16 hex digits>` followed by the
+/// binary payload.
+pub(crate) fn encode_document(
+    magic: &str,
+    version: u32,
+    capacity: usize,
+    body: &impl BinEncode,
+) -> Vec<u8> {
+    // The header's width does not depend on the checksum, so encode the
+    // payload straight into the document after a placeholder header and
+    // patch the checksum in afterwards — no second buffer, no final copy
+    // of a multi-megabyte payload.
+    let placeholder = format!("{magic} {version} {:016x}\n", 0);
     let header_len = placeholder.len();
-    let mut doc = Vec::with_capacity(256 * 1024);
+    let mut doc = Vec::with_capacity(capacity);
     doc.extend_from_slice(placeholder.as_bytes());
-    state.bin_encode(&mut doc);
+    body.bin_encode(&mut doc);
     let checksum = fnv64(&doc[header_len..]);
-    let header = format!("{SNAPSHOT_MAGIC} {SNAPSHOT_VERSION} {checksum:016x}\n");
+    let header = format!("{magic} {version} {checksum:016x}\n");
     debug_assert_eq!(header.len(), header_len);
     doc[..header_len].copy_from_slice(header.as_bytes());
     doc
 }
 
-/// Encode a full engine state as a version-2 JSON snapshot document — the
-/// legacy text format, kept as the measured baseline for the codec benches
-/// and to manufacture migration fixtures in tests. [`decode_snapshot`]
-/// reads both.
-pub fn encode_snapshot_json(state: &CrawlerState) -> String {
-    let payload = serde_json::to_string(state).expect("engine state always serializes");
-    let checksum = fnv64(payload.as_bytes());
-    format!("{SNAPSHOT_MAGIC} {SNAPSHOT_VERSION_JSON} {checksum:016x}\n{payload}\n")
-}
-
-/// Decode a snapshot document of any supported version, verifying the
-/// checksum. Version sniffing happens on the header line: version 3 reads
-/// the binary payload, version 2 the legacy JSON payload.
-pub fn decode_snapshot(doc: &[u8]) -> Result<CrawlerState, StoreError> {
+/// Decode a document framed by [`encode_document`]: the header must name
+/// `magic` and exactly `version`, the checksum must match, and the payload
+/// must decode as `T` with nothing left over.
+pub(crate) fn decode_document<T: BinDecode>(
+    magic: &str,
+    version: u32,
+    doc: &[u8],
+) -> Result<T, StoreError> {
     let newline = doc
         .iter()
         .position(|&b| b == b'\n')
@@ -144,10 +149,10 @@ pub fn decode_snapshot(doc: &[u8]) -> Result<CrawlerState, StoreError> {
     let header =
         std::str::from_utf8(&doc[..newline]).map_err(|_| StoreError::NotASnapshot)?;
     let mut parts = header.split(' ');
-    if parts.next() != Some(SNAPSHOT_MAGIC) {
+    if parts.next() != Some(magic) {
         return Err(StoreError::NotASnapshot);
     }
-    let version: u32 = parts
+    let found: u32 = parts
         .next()
         .and_then(|v| v.parse().ok())
         .ok_or(StoreError::NotASnapshot)?;
@@ -155,34 +160,35 @@ pub fn decode_snapshot(doc: &[u8]) -> Result<CrawlerState, StoreError> {
         .next()
         .and_then(|c| u64::from_str_radix(c, 16).ok())
         .ok_or(StoreError::NotASnapshot)?;
-    let payload = &doc[newline + 1..];
-    match version {
-        SNAPSHOT_VERSION => {
-            if fnv64(payload) != checksum {
-                return Err(StoreError::ChecksumMismatch);
-            }
-            let mut reader = BinReader::new(payload);
-            let state = CrawlerState::bin_decode(&mut reader)
-                .map_err(|e| StoreError::Malformed(e.to_string()))?;
-            if !reader.is_exhausted() {
-                return Err(StoreError::Malformed(format!(
-                    "{} trailing bytes after the engine state",
-                    reader.remaining()
-                )));
-            }
-            Ok(state)
-        }
-        SNAPSHOT_VERSION_JSON => {
-            let text =
-                std::str::from_utf8(payload).map_err(|_| StoreError::NotASnapshot)?;
-            let text = text.strip_suffix('\n').unwrap_or(text);
-            if fnv64(text.as_bytes()) != checksum {
-                return Err(StoreError::ChecksumMismatch);
-            }
-            serde_json::from_str(text).map_err(|e| StoreError::Malformed(e.to_string()))
-        }
-        other => Err(StoreError::UnsupportedVersion(other)),
+    if found != version {
+        return Err(StoreError::UnsupportedVersion(found));
     }
+    let payload = &doc[newline + 1..];
+    if fnv64(payload) != checksum {
+        return Err(StoreError::ChecksumMismatch);
+    }
+    let mut reader = BinReader::new(payload);
+    let body = T::bin_decode(&mut reader).map_err(|e| StoreError::Malformed(e.to_string()))?;
+    if !reader.is_exhausted() {
+        return Err(StoreError::Malformed(format!(
+            "{} trailing bytes after the payload",
+            reader.remaining()
+        )));
+    }
+    Ok(body)
+}
+
+/// Encode a full engine state as a snapshot document (text header line +
+/// binary payload).
+pub fn encode_snapshot(state: &CrawlerState) -> Vec<u8> {
+    encode_document(SNAPSHOT_MAGIC, SNAPSHOT_VERSION, 256 * 1024, state)
+}
+
+/// Decode a snapshot document, verifying the header version and the
+/// checksum. Any version other than [`SNAPSHOT_VERSION`] is
+/// [`StoreError::UnsupportedVersion`].
+pub fn decode_snapshot(doc: &[u8]) -> Result<CrawlerState, StoreError> {
+    decode_document(SNAPSHOT_MAGIC, SNAPSHOT_VERSION, doc)
 }
 
 #[cfg(test)]
@@ -216,31 +222,6 @@ mod tests {
     }
 
     #[test]
-    fn json_snapshot_still_decodes_to_the_same_state() {
-        let state = sample_state();
-        let json_doc = encode_snapshot_json(&state);
-        let from_json = decode_snapshot(json_doc.as_bytes()).expect("v2 decodes");
-        // The two formats must agree on the logical state: re-encode both
-        // through the binary codec and compare bytes.
-        assert_eq!(encode_snapshot(&from_json), encode_snapshot(&state));
-        // And the JSON writer stays canonical for fixture manufacturing.
-        assert_eq!(encode_snapshot_json(&from_json), json_doc);
-    }
-
-    #[test]
-    fn binary_beats_json_on_size() {
-        let state = sample_state();
-        let binary = encode_snapshot(&state);
-        let json = encode_snapshot_json(&state);
-        assert!(
-            binary.len() * 2 < json.len(),
-            "binary {} bytes vs JSON {} bytes",
-            binary.len(),
-            json.len()
-        );
-    }
-
-    #[test]
     fn version_and_checksum_are_enforced() {
         let state = sample_state();
         let doc = encode_snapshot(&state);
@@ -261,6 +242,14 @@ mod tests {
             decode_snapshot(&future).unwrap_err(),
             StoreError::UnsupportedVersion(9)
         );
+        // A version-2 JSON snapshot as early builds wrote it: well-formed
+        // header, correct checksum — refused by version, never parsed.
+        let json = "{\"engine\":\"Incremental\"}";
+        let legacy = format!("{SNAPSHOT_MAGIC} 2 {:016x}\n{json}\n", fnv64(json.as_bytes()));
+        assert_eq!(
+            decode_snapshot(legacy.as_bytes()).unwrap_err(),
+            StoreError::UnsupportedVersion(2)
+        );
         // Flip one payload byte: the checksum must catch it.
         let mut corrupt = doc.clone();
         let flip_at = header_len + (doc.len() - header_len) / 2;
@@ -280,6 +269,10 @@ mod tests {
     fn error_display_is_informative() {
         let err: Box<dyn std::error::Error> = Box::new(StoreError::UnsupportedVersion(9));
         assert!(err.to_string().contains("version 9"));
+        assert!(
+            err.to_string().contains(&format!("snapshot version {SNAPSHOT_VERSION}")),
+            "names what this build does read: {err}"
+        );
         assert!(StoreError::ChecksumMismatch.to_string().contains("checksum"));
     }
 }

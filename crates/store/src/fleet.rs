@@ -48,6 +48,7 @@
 //! ```text
 //! fleet-dir/
 //! ├── fleet.manifest     # shard count, partition fn, engine kind, seed
+//! │                      #   (binary, checksummed; see FleetManifest)
 //! ├── shard-0/           # a normal CrawlSession checkpoint dir:
 //! │   ├── snapshot.wsnap #   base snapshot at lineage start, then cadence
 //! │   └── wal.wlog       #   committed per-fetch deltas, interleaved with
@@ -119,9 +120,8 @@
 //! ```
 
 use crate::checkpoint::{recover, CheckpointConfig, Checkpointer, Recovered};
-use crate::codec::StoreError;
+use crate::codec::{decode_document, encode_document, StoreError};
 use crate::session::CrawlSession;
-use serde::{Deserialize, Serialize};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 use webevo_core::engine::{CrawlBudget, EngineKind};
@@ -129,12 +129,16 @@ use webevo_core::{rebalance_states, route_exchange, CrawlMetrics, RoutedLink, Sh
 use webevo_obs::{LogicalClock, ObsSink, Stage};
 use webevo_serve::{FleetViewCollector, QueryService, ServeHandle};
 use webevo_sim::{ShardedFetcher, SimFetcher, WebUniverse};
+use webevo_types::binio::{BinDecode, BinEncode, BinError, BinReader};
 use webevo_types::{ShardFn, ShardId, ShardPlan, WebEvoError};
 
 /// Manifest file name within a fleet directory.
 pub const MANIFEST_FILE: &str = "fleet.manifest";
-/// Current manifest format version.
-pub const MANIFEST_VERSION: u32 = 1;
+/// Magic token opening the manifest's header line.
+const MANIFEST_MAGIC: &str = "WEBEVO-MANIFEST";
+/// The manifest format version this build writes, and the only one it
+/// reads. Version 1 was an unchecksummed JSON object.
+pub const MANIFEST_VERSION: u32 = 2;
 
 /// The name of shard `k`'s checkpoint directory under the fleet dir.
 pub fn shard_dir_name(shard: ShardId) -> String {
@@ -142,17 +146,18 @@ pub fn shard_dir_name(shard: ShardId) -> String {
 }
 
 /// The durable identity of a fleet — the routing-relevant fields
-/// (`version`, `plan`, `engine`, `seed`) that `resume` verifies before it
-/// re-routes sites to shards — plus the snapshot cadence, recorded for
-/// operators but deliberately *not* validated (resuming under a new
-/// cadence is legitimate tuning, exactly as it is for a single
-/// `CrawlSession`). Serialized as one JSON object in [`MANIFEST_FILE`].
+/// (`plan`, `engine`, `seed`) that `resume` verifies before it re-routes
+/// sites to shards — plus the snapshot cadence, recorded for operators but
+/// deliberately *not* validated (resuming under a new cadence is
+/// legitimate tuning, exactly as it is for a single `CrawlSession`).
+/// Stored in [`MANIFEST_FILE`] under the same header discipline as
+/// snapshots: the text line `WEBEVO-MANIFEST <version> <fnv64 of payload>`
+/// followed by these fields in the binary wire format, so a torn or
+/// bit-rotted manifest is detected rather than half-loaded.
 /// [`FleetSession::rebalance`] rewrites it atomically when the plan
 /// changes.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct FleetManifest {
-    /// Manifest format version ([`MANIFEST_VERSION`]).
-    pub version: u32,
     /// The site partition: shard count, total sites, and partition
     /// function. Resuming under a different plan would route sites to
     /// different shards and tear every shard's deterministic schedule.
@@ -165,6 +170,26 @@ pub struct FleetManifest {
     /// Full-snapshot cadence of every shard's checkpointer when the
     /// manifest was written (informational; see the struct docs).
     pub snapshot_every_days: f64,
+}
+
+impl BinEncode for FleetManifest {
+    fn bin_encode(&self, out: &mut Vec<u8>) {
+        self.plan.bin_encode(out);
+        self.engine.bin_encode(out);
+        self.seed.bin_encode(out);
+        self.snapshot_every_days.bin_encode(out);
+    }
+}
+
+impl BinDecode for FleetManifest {
+    fn bin_decode(r: &mut BinReader<'_>) -> Result<FleetManifest, BinError> {
+        Ok(FleetManifest {
+            plan: ShardPlan::bin_decode(r)?,
+            engine: EngineKind::bin_decode(r)?,
+            seed: u64::bin_decode(r)?,
+            snapshot_every_days: f64::bin_decode(r)?,
+        })
+    }
 }
 
 /// One shard's share of a fleet result.
@@ -559,7 +584,6 @@ impl<'a> FleetSession<'a> {
     /// The fleet manifest this configuration implies (what `run` writes).
     pub fn manifest(&self) -> FleetManifest {
         FleetManifest {
-            version: MANIFEST_VERSION,
             plan: self.plan,
             engine: self.engine,
             seed: self.universe.config().seed,
@@ -630,12 +654,6 @@ impl<'a> FleetSession<'a> {
     fn validate_manifest(&self, dir: &Path) -> Result<(), WebEvoError> {
         let manifest = read_manifest(dir)?;
         let expected = self.manifest();
-        if manifest.version != MANIFEST_VERSION {
-            return Err(WebEvoError::InvalidState(format!(
-                "fleet manifest version {} is not understood (this build reads {})",
-                manifest.version, MANIFEST_VERSION
-            )));
-        }
         if manifest.plan != expected.plan {
             return Err(WebEvoError::InvalidState(format!(
                 "fleet manifest partitions {} sites across {} shards by {}, but this \
@@ -1073,18 +1091,19 @@ impl<'a> FleetSession<'a> {
 /// Write the manifest atomically (temp file + rename), mirroring the
 /// snapshot discipline: a crash mid-write never leaves a torn manifest.
 fn write_manifest(dir: &Path, manifest: &FleetManifest) -> Result<(), WebEvoError> {
-    let json = serde_json::to_string(manifest)
-        .map_err(|e| WebEvoError::InvalidState(format!("manifest does not encode: {e}")))?;
+    let doc = encode_document(MANIFEST_MAGIC, MANIFEST_VERSION, 64, manifest);
     let path = dir.join(MANIFEST_FILE);
     let tmp = dir.join(format!("{MANIFEST_FILE}.tmp"));
-    std::fs::write(&tmp, json.as_bytes())
+    std::fs::write(&tmp, &doc)
         .and_then(|()| std::fs::rename(&tmp, &path))
         .map_err(|e| {
             WebEvoError::invalid(format!("fleet manifest {path:?} cannot be written: {e}"))
         })
 }
 
-/// Read and decode the manifest of a fleet directory. A stale
+/// Read and decode the manifest of a fleet directory: a missing,
+/// truncated, corrupted or other-version file is a typed error, never a
+/// guess at what the fleet was. A stale
 /// `fleet.manifest.tmp` — the residue of a crash between the temp write
 /// and the rename in `write_manifest` — is removed here, mirroring the
 /// snapshot-tmp cleanup in [`crate::checkpoint::recover`]: the rename
@@ -1101,12 +1120,18 @@ pub fn read_manifest(dir: &Path) -> Result<FleetManifest, WebEvoError> {
         }
     }
     let path = dir.join(MANIFEST_FILE);
-    let json = std::fs::read_to_string(&path).map_err(|e| {
+    let doc = std::fs::read(&path).map_err(|e| {
         WebEvoError::InvalidState(format!(
             "nothing to resume: fleet manifest {path:?} cannot be read: {e}"
         ))
     })?;
-    serde_json::from_str(&json).map_err(|e| {
+    // Version 1 was a bare JSON object with no header line to sniff.
+    let decoded = if doc.first() == Some(&b'{') {
+        Err(StoreError::UnsupportedVersion(1))
+    } else {
+        decode_document(MANIFEST_MAGIC, MANIFEST_VERSION, &doc)
+    };
+    decoded.map_err(|e| {
         WebEvoError::InvalidState(format!("fleet manifest {path:?} does not decode: {e}"))
     })
 }
@@ -1195,6 +1220,47 @@ mod tests {
         let manifest = read_manifest(&dir).expect("stale tmp must not break reads");
         assert_eq!(manifest, fleet.manifest());
         assert!(!tmp.exists(), "read_manifest removes the stale temp file");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn damaged_or_foreign_manifests_are_typed_errors() {
+        let dir = temp_dir("manifest-damage");
+        std::fs::create_dir_all(&dir).unwrap();
+        let manifest = FleetManifest {
+            plan: ShardPlan::new(ShardFn::Balanced, 4, 270),
+            engine: EngineKind::Threaded { workers: 3 },
+            seed: 0xfeed_beef,
+            snapshot_every_days: 2.5,
+        };
+        write_manifest(&dir, &manifest).expect("writes");
+        let doc = std::fs::read(dir.join(MANIFEST_FILE)).unwrap();
+        assert_eq!(read_manifest(&dir).expect("clean manifest reads"), manifest);
+        let read_bytes = |bytes: &[u8]| {
+            std::fs::write(dir.join(MANIFEST_FILE), bytes).unwrap();
+            read_manifest(&dir)
+        };
+
+        // The version-1 manifest earlier builds wrote: refused by version.
+        let v1 = br#"{"version":1,"plan":{"shards":4,"total_sites":270,"function":"Balanced"},"engine":"Incremental","seed":7,"snapshot_every_days":2.5}"#;
+        let err = read_bytes(v1).unwrap_err().to_string();
+        assert!(err.contains("version 1"), "{err}");
+        // Cut short at every byte offset: always an error.
+        for cut in 0..doc.len() {
+            assert!(read_bytes(&doc[..cut]).is_err(), "truncation at {cut} decoded");
+        }
+        // Every single-bit flip of every byte: an error, or (a hex digit
+        // of the checksum changing case) the very same manifest — never a
+        // different one.
+        for at in 0..doc.len() {
+            for bit in 0..8 {
+                let mut damaged = doc.clone();
+                damaged[at] ^= 1 << bit;
+                if let Ok(read) = read_bytes(&damaged) {
+                    assert_eq!(read, manifest, "flip of bit {bit} at byte {at}");
+                }
+            }
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

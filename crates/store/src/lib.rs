@@ -40,8 +40,8 @@
 //! <payload: the CrawlerState in the webevo-types binary wire format>
 //! ```
 //!
-//! The header carries the format **version** (decoders reject versions
-//! they do not understand, so the layout can evolve) and a checksum over
+//! The header carries the format **version** (decoders reject every
+//! version but their own, so the layout can evolve) and a checksum over
 //! the payload bytes (a partially written or bit-rotted snapshot is
 //! detected, never half-loaded). The payload uses
 //! [`webevo_types::BinEncode`]: length-prefixed fields, varint integers,
@@ -50,10 +50,20 @@
 //! written to a temporary file and atomically renamed into place, so a
 //! crash mid-write leaves the previous snapshot intact.
 //!
-//! Version-2 snapshots (the same logical layout as one line of JSON) are
-//! still decoded: [`decode_snapshot`] sniffs the header version, so a
-//! checkpoint directory written by an earlier build resumes unchanged
-//! (pinned by the migration fixture test in this crate).
+//! # One wire format
+//!
+//! [`webevo_types::binio`] is the only serialization in the workspace, and
+//! each file has exactly one supported version — the one this build
+//! writes: snapshot 3, WAL 2, fleet manifest 2 (see [`fleet`]; same
+//! `MAGIC version fnv64` header line as the snapshot). Files of any other
+//! version — the JSON snapshots (1–2), JSON-lines WALs (1) and JSON
+//! manifests (1) of early builds — fail closed with
+//! [`StoreError::UnsupportedVersion`] from [`decode_snapshot`],
+//! [`read_wal`], [`recover`] and [`read_manifest`]; in particular an
+//! old-format WAL never reads as an empty one. A checked-in
+//! snapshot-3/WAL-2 checkpoint (`tests/golden_fixture.rs`) pins the live
+//! bytes: it must keep resuming onto the exact trajectory of an
+//! uninterrupted run and re-encode to itself.
 //!
 //! # WAL format (version 2, binary)
 //!
@@ -78,10 +88,9 @@
 //! pass boundaries (the only states the engines can resume from).
 //! Records carry the engine's fetch sequence number; recovery skips those
 //! already folded into the snapshot (covering the crash window between a
-//! snapshot rename and the log reset that follows it). Version-1 logs
-//! (JSON lines) are still read for migration. The writer performs one
-//! `sync_data` per pass boundary and none per record; see [`wal`] for the
-//! full fsync contract.
+//! snapshot rename and the log reset that follows it). The writer performs
+//! one `sync_data` per pass boundary and none per record; see [`wal`] for
+//! the full fsync contract.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -95,7 +104,7 @@ pub mod wal;
 pub use checkpoint::{
     recover, CheckpointConfig, CheckpointStats, Checkpointer, Recovered, SNAPSHOT_FILE, WAL_FILE,
 };
-pub use codec::{decode_snapshot, encode_snapshot, encode_snapshot_json, fnv64, StoreError};
+pub use codec::{decode_snapshot, encode_snapshot, fnv64, StoreError};
 pub use fleet::{
     read_manifest, shard_dir_name, FleetManifest, FleetMetrics, FleetSession,
     FleetSessionBuilder, ShardReport, MANIFEST_FILE,

@@ -13,18 +13,17 @@
 //! depends on it. All writes — header, batches, resets — go through the
 //! writer's single buffered handle; nothing reopens the file behind it.
 
-use crate::codec::fnv64;
+use crate::codec::{fnv64, StoreError};
 use std::fs::File;
 use std::io::{self, BufWriter, Write};
 use std::path::{Path, PathBuf};
 use webevo_core::{FetchRecord, RoutedBatch, WalEvent};
 use webevo_types::binio::{put_var_u64, BinDecode, BinEncode, BinReader};
 
-/// Header line opening every version-2 (binary) WAL file.
+/// Header line opening every WAL file: the magic and the format version.
+/// Version 2 is the binary framing below; version 1 (JSON lines, written
+/// by early builds) is no longer read.
 pub const WAL_HEADER: &str = "WEBEVO-WAL 2";
-/// Header line of the legacy version-1 (JSON lines) WAL, still read for
-/// migration.
-pub const WAL_HEADER_V1: &str = "WEBEVO-WAL 1";
 
 /// Frame tag: one fetch record.
 const TAG_RECORD: u8 = b'R';
@@ -157,32 +156,35 @@ fn push_frame(chunk: &mut Vec<u8>, tag: u8, payload: &[u8]) {
 /// Read every *committed* event from a WAL file: events after the last
 /// valid commit marker — including a torn final frame, a frame whose
 /// checksum fails, or a batch whose commit never landed — are discarded.
-/// A missing file reads as empty (no log yet). Both the binary version-2
-/// framing and the legacy version-1 JSON lines are understood; the header
-/// line picks the parser (v1 predates routing, so its lines are all
-/// fetches).
-pub fn read_wal(path: &Path) -> io::Result<Vec<WalEvent>> {
+/// A missing file reads as empty (no log yet), and so does a torn or
+/// garbage header line (the header write never completed, so nothing was
+/// ever committed behind it). A well-formed `WEBEVO-WAL <n>` header of any
+/// other version is [`StoreError::UnsupportedVersion`]: that log may hold
+/// committed work this build cannot see, and reporting it as empty would
+/// let a caller start fresh over it.
+pub fn read_wal(path: &Path) -> Result<Vec<WalEvent>, StoreError> {
     let bytes = match std::fs::read(path) {
         Ok(bytes) => bytes,
         Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(Vec::new()),
-        Err(e) => return Err(e),
+        Err(e) => return Err(StoreError::Io(format!("reading {path:?}: {e}"))),
     };
-    // The header is a complete text line in both versions; without one
-    // (torn header write) there are no trustworthy records.
     let Some(newline) = bytes.iter().position(|&b| b == b'\n') else {
         return Ok(Vec::new());
     };
     let (header, body) = (&bytes[..newline], &bytes[newline + 1..]);
     if header == WAL_HEADER.as_bytes() {
-        Ok(read_binary_frames(body))
-    } else if header == WAL_HEADER_V1.as_bytes() {
-        Ok(read_v1_lines(body))
-    } else {
-        Ok(Vec::new())
+        return Ok(read_binary_frames(body));
+    }
+    let other_version = std::str::from_utf8(header)
+        .ok()
+        .and_then(|h| h.strip_prefix("WEBEVO-WAL ")?.parse::<u32>().ok());
+    match other_version {
+        Some(version) => Err(StoreError::UnsupportedVersion(version)),
+        None => Ok(Vec::new()),
     }
 }
 
-/// Parse the version-2 binary frame stream.
+/// Parse the binary frame stream that follows the header line.
 fn read_binary_frames(body: &[u8]) -> Vec<WalEvent> {
     let mut committed: Vec<WalEvent> = Vec::new();
     let mut pending: Vec<WalEvent> = Vec::new();
@@ -241,56 +243,6 @@ fn read_binary_frames(body: &[u8]) -> Vec<WalEvent> {
         pos += FRAME_HEAD + len;
     }
     committed
-}
-
-/// Parse the legacy version-1 line stream (`R <fnv64> <json>` records and
-/// `C <fnv64> <seq>` commit markers).
-fn read_v1_lines(body: &[u8]) -> Vec<WalEvent> {
-    let mut committed: Vec<WalEvent> = Vec::new();
-    let mut pending: Vec<WalEvent> = Vec::new();
-    // A torn write can truncate the final line: only lines terminated by
-    // `\n` are candidates. `split` leaves either the torn remainder or an
-    // empty slice after the last newline — drop it either way.
-    let mut complete: Vec<&[u8]> = body.split(|&b| b == b'\n').collect();
-    complete.pop();
-    for line in complete {
-        let Some(parsed) = parse_v1_line(line) else {
-            break; // corruption: trust nothing at or beyond this point
-        };
-        match parsed {
-            WalLine::Record(record) => pending.push(WalEvent::Fetch(record)),
-            WalLine::Commit(seq) => {
-                if let Some(last) = pending.last() {
-                    if last.seq() != seq {
-                        break;
-                    }
-                }
-                committed.append(&mut pending);
-            }
-        }
-    }
-    committed
-}
-
-enum WalLine {
-    Record(FetchRecord),
-    Commit(u64),
-}
-
-/// Parse one complete v1 WAL line; `None` marks corruption.
-fn parse_v1_line(line: &[u8]) -> Option<WalLine> {
-    let text = std::str::from_utf8(line).ok()?;
-    let (tag, rest) = text.split_once(' ')?;
-    let (checksum, payload) = rest.split_once(' ')?;
-    let checksum = u64::from_str_radix(checksum, 16).ok()?;
-    if fnv64(payload.as_bytes()) != checksum {
-        return None;
-    }
-    match tag {
-        "R" => serde_json::from_str(payload).ok().map(WalLine::Record),
-        "C" => payload.parse::<u64>().ok().map(WalLine::Commit),
-        _ => None,
-    }
 }
 
 #[cfg(test)]
@@ -488,20 +440,18 @@ mod tests {
     }
 
     #[test]
-    fn v1_text_logs_still_read() {
-        // A migration log written by the previous build: JSON lines under
-        // the v1 header, including an uncommitted tail to discard.
+    fn other_versions_are_refused_not_read_as_empty() {
+        // A version-1 log as early builds wrote it, holding a committed
+        // record: it must not read as "no records".
         let path = temp_path("v1");
-        let mut text = format!("{WAL_HEADER_V1}\n");
-        for r in [record(1), record(2)] {
-            let payload = serde_json::to_string(&r).unwrap();
-            text.push_str(&format!("R {:016x} {payload}\n", fnv64(payload.as_bytes())));
-        }
-        text.push_str(&format!("C {:016x} 2\n", fnv64(b"2")));
-        let orphan = serde_json::to_string(&record(3)).unwrap();
-        text.push_str(&format!("R {:016x} {orphan}\n", fnv64(orphan.as_bytes())));
+        let payload = "{\"seq\":1}";
+        let mut text = String::from("WEBEVO-WAL 1\n");
+        text.push_str(&format!("R {:016x} {payload}\n", fnv64(payload.as_bytes())));
+        text.push_str(&format!("C {:016x} 1\n", fnv64(b"1")));
         std::fs::write(&path, text).unwrap();
-        assert_eq!(read_wal(&path).unwrap(), vec![fetch(1), fetch(2)]);
+        assert_eq!(read_wal(&path).unwrap_err(), StoreError::UnsupportedVersion(1));
+        std::fs::write(&path, b"WEBEVO-WAL 9\nstuff\n").unwrap();
+        assert_eq!(read_wal(&path).unwrap_err(), StoreError::UnsupportedVersion(9));
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -512,9 +462,13 @@ mod tests {
 
     #[test]
     fn unknown_header_reads_empty() {
+        // Not a `WEBEVO-WAL <n>` line at all: a header write that tore or
+        // rotted, behind which nothing can have been committed.
         let path = temp_path("unknown");
-        std::fs::write(&path, b"WEBEVO-WAL 9\nstuff\n").unwrap();
-        assert!(read_wal(&path).unwrap().is_empty());
+        for garbage in [&b"WEBEVO-WAL\nstuff\n"[..], b"WEBEVO-WAL x\n", b"\n", b"WEBEVO-WA"] {
+            std::fs::write(&path, garbage).unwrap();
+            assert!(read_wal(&path).unwrap().is_empty(), "{garbage:?}");
+        }
         std::fs::remove_file(&path).unwrap();
     }
 }

@@ -1,12 +1,13 @@
-//! The binary wire format shared by snapshots and the write-ahead log.
+//! The binary wire format shared by snapshots, the write-ahead log and
+//! the fleet manifest — the only serialization in the workspace.
 //!
-//! The JSON snapshot codec spends most of its time formatting and parsing
-//! decimal floats and field names; at web scale (the paper targets hundreds
-//! of millions of pages) that cost dominates checkpointing. [`BinEncode`] /
-//! [`BinDecode`] are the streaming replacement: length-prefixed fields,
-//! LEB128 varints for integers, and floats as raw IEEE-754 bit patterns —
-//! bit-exact by construction, including the revisit queue's `−∞`
-//! immediate-priority lane, with no intermediate value tree.
+//! A text codec spends most of its time formatting and parsing decimal
+//! floats and field names; at web scale (the paper targets hundreds of
+//! millions of pages) that cost dominates checkpointing. [`BinEncode`] /
+//! [`BinDecode`] stream instead: length-prefixed fields, LEB128 varints
+//! for integers, and floats as raw IEEE-754 bit patterns — bit-exact by
+//! construction, including the revisit queue's `−∞` immediate-priority
+//! lane, with no intermediate value tree.
 //!
 //! Wire conventions (every implementation follows these, so the format is
 //! auditable in one place):

@@ -13,22 +13,20 @@
 //!   same order as the ordered maps they replace, so crawls continue to
 //!   replay bit-identically for a fixed seed — without per-lookup tree
 //!   descent.
-//! * **Serialization matches the ordered containers.** A `DenseMap<V>`
-//!   serializes exactly like `BTreeMap<PageId, V>` (a sequence of
-//!   `[id, value]` pairs, ascending) and a `DenseSet` like
-//!   `BTreeSet<PageId>` (a sorted id sequence), so pre-existing snapshots
-//!   decode into the new substrates unchanged and two exports of the same
-//!   state remain byte-identical.
+//! * **Encoding is canonical.** On the wire ([`crate::binio`]) a
+//!   `DenseMap<V>` is its `(id, value)` pairs in ascending id order and a
+//!   `DenseSet` its sorted ids — a function of the contents, not of the
+//!   insertion history — so two exports of the same state are
+//!   byte-identical.
 //!
 //! Slots are `Option<V>`; lookups are a bounds check plus an index. Memory
 //! is proportional to the largest id ever inserted, which the dense-id
 //! universe keeps within a constant factor of the live population.
 
 use crate::id::PageId;
-use serde::{Deserialize, Error as SerdeError, Serialize, Value};
 
 /// A `Vec`-backed map from [`PageId`] to `V`. See the module docs for the
-/// iteration-order and serialization contracts.
+/// iteration-order and encoding contracts.
 #[derive(Clone, Debug)]
 pub struct DenseMap<V> {
     slots: Vec<Option<V>>,
@@ -168,26 +166,8 @@ impl<V> FromIterator<(PageId, V)> for DenseMap<V> {
     }
 }
 
-// Serialize exactly like `BTreeMap<PageId, V>` under the workspace serde:
-// a sequence of two-element `[key, value]` sequences, ascending by id.
-impl<V: Serialize> Serialize for DenseMap<V> {
-    fn to_value(&self) -> Value {
-        Value::Seq(
-            self.iter()
-                .map(|(p, v)| Value::Seq(vec![p.to_value(), v.to_value()]))
-                .collect(),
-        )
-    }
-}
-
-impl<V: Deserialize> Deserialize for DenseMap<V> {
-    fn from_value(v: &Value) -> Result<DenseMap<V>, SerdeError> {
-        Vec::<(PageId, V)>::from_value(v).map(DenseMap::from_iter)
-    }
-}
-
-/// A `Vec<u64>` bitset over [`PageId`]s. Iteration ascends; serialization
-/// matches `BTreeSet<PageId>` (a sorted id sequence).
+/// A `Vec<u64>` bitset over [`PageId`]s. Iteration ascends, and so does
+/// the wire encoding (a sorted id sequence).
 #[derive(Clone, Debug, Default)]
 pub struct DenseSet {
     words: Vec<u64>,
@@ -286,21 +266,10 @@ impl FromIterator<PageId> for DenseSet {
     }
 }
 
-impl Serialize for DenseSet {
-    fn to_value(&self) -> Value {
-        Value::Seq(self.iter().map(|p| p.to_value()).collect())
-    }
-}
-
-impl Deserialize for DenseSet {
-    fn from_value(v: &Value) -> Result<DenseSet, SerdeError> {
-        Vec::<PageId>::from_value(v).map(DenseSet::from_iter)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::binio::{BinDecode, BinEncode, BinReader};
 
     #[test]
     fn map_insert_get_remove() {
@@ -345,18 +314,24 @@ mod tests {
         assert_eq!(m.len(), 1);
     }
 
+    fn encoded<T: BinEncode>(value: &T) -> Vec<u8> {
+        let mut out = Vec::new();
+        value.bin_encode(&mut out);
+        out
+    }
+
     #[test]
     fn map_serializes_like_btreemap() {
         use std::collections::BTreeMap;
         let pairs = [(PageId(8), 3.5f64), (PageId(1), -1.0), (PageId(30), 0.25)];
         let dense: DenseMap<f64> = pairs.iter().copied().collect();
         let tree: BTreeMap<PageId, f64> = pairs.iter().copied().collect();
-        let a = serde_json::to_string(&dense).unwrap();
-        let b = serde_json::to_string(&tree).unwrap();
-        assert_eq!(a, b, "snapshot compatibility requires identical shapes");
-        let back: DenseMap<f64> = serde_json::from_str(&b).unwrap();
-        assert_eq!(back.len(), 3);
-        assert_eq!(back.get(PageId(30)), Some(&0.25));
+        let sorted: Vec<(PageId, f64)> = tree.into_iter().collect();
+        let bytes = encoded(&dense);
+        assert_eq!(bytes, encoded(&sorted), "the wire order is ascending id, not insertion");
+        let back = DenseMap::<f64>::bin_decode(&mut BinReader::new(&bytes)).unwrap();
+        assert_eq!(back, dense);
+        assert_eq!(encoded(&back), bytes, "re-encoding is canonical");
     }
 
     #[test]
@@ -383,10 +358,11 @@ mod tests {
         let ids = [PageId(7), PageId(0), PageId(130)];
         let dense: DenseSet = ids.iter().copied().collect();
         let tree: BTreeSet<PageId> = ids.iter().copied().collect();
-        let a = serde_json::to_string(&dense).unwrap();
-        let b = serde_json::to_string(&tree).unwrap();
-        assert_eq!(a, b);
-        let back: DenseSet = serde_json::from_str(&a).unwrap();
-        assert_eq!(back.to_vec(), dense.to_vec());
+        let sorted: Vec<PageId> = tree.into_iter().collect();
+        let bytes = encoded(&dense);
+        assert_eq!(bytes, encoded(&sorted));
+        let back = DenseSet::bin_decode(&mut BinReader::new(&bytes)).unwrap();
+        assert_eq!(back.to_vec(), sorted);
+        assert_eq!(encoded(&back), bytes, "re-encoding is canonical");
     }
 }

@@ -4,12 +4,11 @@
 //! `netorg` (".net" + ".org") and `gov` (".gov" + ".mil"). Every per-domain
 //! figure in §3 (Figures 2b, 4b, 5b) is broken down over these classes.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::str::FromStr;
 
 /// The four domain classes of Table 1.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub enum Domain {
     /// Commercial sites (`.com`) — the most dynamic class in every §3 result.
     Com,
@@ -113,7 +112,7 @@ impl FromStr for Domain {
 /// A per-domain accumulator: one slot per Table 1 domain class.
 ///
 /// This is the workhorse of every "(b) For each domain" figure.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct PerDomain<T> {
     slots: [T; 4],
 }

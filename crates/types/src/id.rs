@@ -1,6 +1,5 @@
 //! Compact identifiers for pages and sites.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of a web site (a root URL and everything reachable under it).
@@ -8,7 +7,7 @@ use std::fmt;
 /// The paper monitors 270 sites (Table 1); site identity is the unit of
 /// domain classification, politeness limits, and site-level statistics
 /// pooling (§5.3).
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SiteId(pub u32);
 
 /// Identifier of a single web page.
@@ -16,7 +15,7 @@ pub struct SiteId(pub u32);
 /// Pages are globally numbered across the whole simulated web; the owning
 /// site is tracked separately so that `PageId` stays a bare `u64` in hot
 /// maps and queues.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct PageId(pub u64);
 
 impl SiteId {
@@ -92,14 +91,6 @@ mod tests {
     fn display_formats() {
         assert_eq!(SiteId(7).to_string(), "site#7");
         assert_eq!(PageId(42).to_string(), "page#42");
-    }
-
-    #[test]
-    fn id_roundtrip_serde() {
-        let p = PageId(99);
-        let s = serde_json::to_string(&p).unwrap();
-        let back: PageId = serde_json::from_str(&s).unwrap();
-        assert_eq!(p, back);
     }
 
     #[test]

@@ -1,6 +1,5 @@
 //! Page-level value types: checksums, versions, change rates.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A page content digest.
@@ -12,7 +11,7 @@ use std::fmt;
 /// two crawls of an unchanged page always collide, and changed content never
 /// does (64-bit digest; collisions are negligible at our scales and the paper
 /// makes the same implicit assumption).
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Checksum(pub u64);
 
 impl Checksum {
@@ -55,7 +54,7 @@ impl fmt::Debug for Checksum {
 /// Version 0 is the content at page birth; each Poisson change event bumps
 /// the version by one. The simulator's ground truth; the crawler only ever
 /// sees the derived [`Checksum`].
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct PageVersion(pub u64);
 
 impl PageVersion {
@@ -74,7 +73,7 @@ impl PageVersion {
 /// §3.4 verifies that page changes follow a Poisson process with a
 /// page-specific rate; this newtype keeps rates from being confused with
 /// frequencies-per-month or intervals.
-#[derive(Clone, Copy, PartialEq, PartialOrd, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, PartialOrd, Debug)]
 pub struct ChangeRate(pub f64);
 
 impl ChangeRate {

@@ -10,11 +10,10 @@
 //! keeps contiguous id ranges together).
 
 use crate::binio::{BinDecode, BinEncode, BinError, BinReader};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of one shard (crawl unit) within a fleet.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ShardId(pub u32);
 
 impl ShardId {
@@ -38,7 +37,7 @@ impl fmt::Display for ShardId {
 }
 
 /// The partition-function family of a [`ShardPlan`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ShardFn {
     /// Scatter sites across shards by a fixed 64-bit mix of the site id:
     /// balanced in expectation, insensitive to the id numbering.
@@ -68,7 +67,7 @@ impl fmt::Display for ShardFn {
 /// A deterministic assignment of sites to shards. Two plans with equal
 /// fields route every site identically — the property fleet recovery
 /// checks before resuming against a manifest.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ShardPlan {
     shards: u32,
     total_sites: u32,
@@ -276,11 +275,21 @@ mod tests {
     }
 
     #[test]
-    fn plan_roundtrips_through_json() {
-        let plan = ShardPlan::new(ShardFn::Hash, 8, 270);
-        let json = serde_json::to_string(&plan).unwrap();
-        let back: ShardPlan = serde_json::from_str(&json).unwrap();
-        assert_eq!(plan, back);
+    fn plan_roundtrips_through_the_wire_format() {
+        for function in [ShardFn::Hash, ShardFn::Range, ShardFn::Balanced] {
+            let plan = ShardPlan::new(function, 8, 270);
+            let mut bytes = Vec::new();
+            plan.bin_encode(&mut bytes);
+            let mut r = BinReader::new(&bytes);
+            assert_eq!(ShardPlan::bin_decode(&mut r).unwrap(), plan);
+            assert!(r.is_exhausted());
+        }
+        // The constructor's invariant holds for decoded plans too.
+        let mut zero = Vec::new();
+        0u32.bin_encode(&mut zero);
+        270u32.bin_encode(&mut zero);
+        ShardFn::Hash.bin_encode(&mut zero);
+        assert!(ShardPlan::bin_decode(&mut BinReader::new(&zero)).is_err());
     }
 
     #[test]

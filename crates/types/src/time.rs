@@ -8,7 +8,6 @@
 //! Calendar constants follow the paper's conventions: 1 week = 7 days,
 //! 1 month = 30 days, 4 months = 120 days.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 
@@ -26,11 +25,11 @@ pub const FOUR_MONTHS: f64 = 120.0;
 pub const YEAR: f64 = 365.0;
 
 /// A point in simulation time, measured in days since the simulation epoch.
-#[derive(Clone, Copy, PartialEq, PartialOrd, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, PartialOrd)]
 pub struct SimTime(pub f64);
 
 /// A span of simulation time, measured in days.
-#[derive(Clone, Copy, PartialEq, PartialOrd, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, PartialOrd)]
 pub struct SimDuration(pub f64);
 
 impl SimTime {

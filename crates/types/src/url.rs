@@ -8,7 +8,6 @@
 //! address).
 
 use crate::{PageId, SiteId};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A simulated URL: the page's site and its global page id.
@@ -16,7 +15,7 @@ use std::fmt;
 /// Ordered by `(site, page)` so URL-keyed engine state can live in ordered
 /// containers — iteration order (and therefore floating-point accumulation
 /// order) must not depend on hash seeds, or crawls stop replaying.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct Url {
     /// Owning site.
     pub site: SiteId,
