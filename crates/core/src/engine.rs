@@ -1,11 +1,12 @@
-//! One driver API over all three crawler engines.
+//! One driver API over every crawler engine.
 //!
 //! The paper's argument is *comparative*: periodic vs. incremental
 //! crawling under one shared fetch budget and one freshness metric
-//! (Figure 10). That comparison needs one crawl-loop contract, not three —
-//! [`CrawlEngine`] is that contract, implemented by
-//! [`crate::PeriodicCrawler`], [`crate::IncrementalCrawler`], and
-//! [`crate::ThreadedCrawler`] alike:
+//! (Figure 10). That comparison needs one crawl-loop contract, not one per
+//! engine — [`CrawlEngine`] is that contract, implemented by
+//! [`crate::PeriodicCrawler`] and by the incremental engine under both of
+//! its executors ([`crate::IncrementalCrawler`], inline, and
+//! [`crate::ThreadedCrawler`], a worker pool) alike:
 //!
 //! * [`CrawlEngine::drive`] advances the engine to a target day — it
 //!   starts a fresh run on a new engine and continues a started (or
@@ -68,13 +69,12 @@
 
 use crate::collection::Collection;
 use crate::hooks::CrawlHook;
-use crate::incremental::{IncrementalConfig, IncrementalCrawler};
+use crate::incremental::{IncrementalConfig, IncrementalCrawler, ThreadedCrawler};
 use crate::metrics::CrawlMetrics;
 use crate::modules::{EstimatorKind, RankingConfig, RevisitStrategy};
 use crate::periodic::{PeriodicConfig, PeriodicCrawler};
 use crate::routing::{RoutedBatch, RoutedLink, RoutingState, ShardScope, WalEvent};
 use crate::state::{CrawlerState, EngineClock};
-use crate::threaded::ThreadedCrawler;
 use crate::view::ViewPublisher;
 use webevo_obs::ObsSink;
 use webevo_sim::{FetchError, FetchOutcome, Fetcher, FetcherState, WebUniverse};
@@ -272,9 +272,8 @@ pub trait CrawlEngine {
     /// Restrict the engine to the sites one fleet shard owns: foreign
     /// discoveries divert into the routing outbox instead of entering the
     /// frontier, and the residual schedule never fetches a foreign URL.
-    /// Must be set before the run starts. Engines without routing support
-    /// return a typed error (the threaded engine; fleets are the
-    /// process-level concurrency story instead).
+    /// Must be set before the run starts. An engine without routing
+    /// support returns a typed error (every engine in this crate has it).
     fn set_scope(&mut self, scope: ShardScope) -> Result<(), WebEvoError> {
         let _ = scope;
         Err(WebEvoError::InvalidState(format!(
@@ -387,29 +386,66 @@ pub fn collection_quality(collection: &Collection, universe: &WebUniverse, t: f6
     }
 }
 
+/// The one check every [`CrawlEngine::drive`] opens with: the target must
+/// lie beyond the clock the run starts (or continues) from.
+pub(crate) fn check_drive_target(
+    started: bool,
+    clock_t: f64,
+    until: f64,
+) -> Result<(), WebEvoError> {
+    if until <= clock_t {
+        let from = if started { "engine clock" } else { "start day" };
+        return Err(WebEvoError::InvalidState(format!(
+            "drive target {until} must lie beyond the {from} {clock_t}"
+        )));
+    }
+    Ok(())
+}
+
 /// Where a fetch slot's result comes from: a live fetcher, or the
 /// write-ahead log during recovery. Replay feeds recorded outcomes through
 /// the exact state transitions of a live crawl (including the fetcher's
 /// own counters, via [`Fetcher::observe_replay`]) and cross-checks that
 /// the deterministic schedule reproduces the log record-for-record.
-/// Shared by the single-threaded engines; the threaded engine replays
-/// through its own batch scheduler.
+/// Every engine replays through this; the incremental engine's worker
+/// pool is the one live source that does not (see [`crate::incremental`]).
 pub(crate) enum FetchSource<'a> {
     /// Fetch for real.
     Live(&'a mut dyn Fetcher),
-    /// Re-apply logged outcomes, advancing `fetcher` alongside.
+    /// Re-apply logged outcomes.
     Replay {
         /// The committed WAL tail (snapshot-covered events already
         /// skipped).
         events: &'a [WalEvent],
         /// Next event to consume.
         pos: usize,
-        /// The fetcher to advance via [`Fetcher::observe_replay`].
-        fetcher: &'a mut dyn Fetcher,
+        /// The fetcher to advance via [`Fetcher::observe_replay`]; `None`
+        /// for an engine that does not crawl through the caller's fetcher.
+        fetcher: Option<&'a mut dyn Fetcher>,
     },
 }
 
-impl FetchSource<'_> {
+impl<'a> FetchSource<'a> {
+    /// The replay source over the part of `events` that a state ending at
+    /// `fetch_seq` does not already cover. The uncovered tail must resume
+    /// at exactly `fetch_seq + 1`.
+    pub(crate) fn replay(
+        events: &'a [WalEvent],
+        fetch_seq: u64,
+        fetcher: Option<&'a mut dyn Fetcher>,
+    ) -> Result<FetchSource<'a>, WebEvoError> {
+        let tail = &events[events.partition_point(|e| e.seq() <= fetch_seq)..];
+        match tail.first() {
+            Some(first) if first.seq() != fetch_seq + 1 => {
+                Err(WebEvoError::InvalidState(format!(
+                    "WAL gap: snapshot ends at seq {fetch_seq} but the log resumes at {}",
+                    first.seq()
+                )))
+            }
+            _ => Ok(FetchSource::Replay { events: tail, pos: 0, fetcher }),
+        }
+    }
+
     /// True once a replay source has no events left (a live source never
     /// exhausts).
     pub(crate) fn exhausted(&self) -> bool {
@@ -419,39 +455,40 @@ impl FetchSource<'_> {
         }
     }
 
-    /// The next event, when it is a routed batch awaiting re-injection
-    /// (`None` for live sources and for fetch events — those flow through
-    /// [`FetchSource::fetch`]).
-    pub(crate) fn peek_routed(&self) -> Option<&RoutedBatch> {
+    /// Whether the event `ahead` places past the next one is a fetch
+    /// record (always, for a live source): a batch of slots is only
+    /// scheduled as far as the log has outcomes for it.
+    pub(crate) fn has_fetch_at(&self, ahead: usize) -> bool {
         match self {
-            FetchSource::Live(_) => None,
-            FetchSource::Replay { events, pos, .. } => match events.get(*pos) {
-                Some(WalEvent::Routed(batch)) => Some(batch),
-                _ => None,
-            },
+            FetchSource::Live(_) => true,
+            FetchSource::Replay { events, pos, .. } => {
+                matches!(events.get(*pos + ahead), Some(WalEvent::Fetch(_)))
+            }
         }
     }
 
-    /// Consume the next event as a routed batch. Call only after
-    /// [`FetchSource::peek_routed`] returned `Some`.
-    pub(crate) fn take_routed(&mut self) -> Option<RoutedBatch> {
-        match self {
-            FetchSource::Live(_) => None,
-            FetchSource::Replay { events, pos, .. } => match events.get(*pos) {
-                Some(WalEvent::Routed(batch)) => {
-                    *pos += 1;
-                    Some(batch.clone())
-                }
-                _ => None,
-            },
+    /// Consume the next event when it is the routed batch logged at
+    /// exactly clock `t` with sequence number `seq` (`None` for live
+    /// sources, fetch events and batches due later). Live injection
+    /// happens while the engine is frozen *between* drives; the match is
+    /// exact because batches record the frozen clock.
+    pub(crate) fn take_routed_at(&mut self, t: f64, seq: u64) -> Option<RoutedBatch> {
+        let FetchSource::Replay { events, pos, .. } = self else { return None };
+        let Some(WalEvent::Routed(batch)) = events.get(*pos) else { return None };
+        if batch.t.to_bits() != t.to_bits() || batch.seq != seq {
+            return None;
         }
+        *pos += 1;
+        Some(batch.clone())
     }
 
     /// The underlying fetcher's exportable state.
     pub(crate) fn fetcher_state(&self) -> Option<FetcherState> {
         match self {
             FetchSource::Live(f) => f.export_state(),
-            FetchSource::Replay { fetcher, .. } => fetcher.export_state(),
+            FetchSource::Replay { fetcher, .. } => {
+                fetcher.as_ref().and_then(|f| f.export_state())
+            }
         }
     }
 
@@ -483,7 +520,9 @@ impl FetchSource<'_> {
                     "WAL replay diverged at seq {seq}: slot time {t} vs logged {}",
                     record.t
                 );
-                fetcher.observe_replay(url, t, &record.result);
+                if let Some(fetcher) = fetcher {
+                    fetcher.observe_replay(url, t, &record.result);
+                }
                 *pos += 1;
                 record.result.clone()
             }

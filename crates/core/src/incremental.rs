@@ -1,16 +1,47 @@
-//! The single-threaded incremental crawler engine — Algorithm 5.1 /
-//! Figure 11 made concrete, deterministic, and instrumented.
+//! The incremental crawler engine — Algorithm 5.1 / Figures 11–12 made
+//! concrete, deterministic, and instrumented. One engine, two executors.
 //!
 //! The engine is a discrete-event loop over *fetch slots*: a steady crawler
 //! with budget `crawl_rate_per_day` performs one fetch every
 //! `1/crawl_rate_per_day` days, continuously (§4's steady mode — low peak
-//! load). Each slot:
+//! load). Each iteration of the loop:
 //!
-//! 1. runs the RankingModule and the UpdateModule's global reallocation if
-//!    their period elapsed (the periodic, off-hot-path refinement of §5.3),
-//! 2. pops the head of `CollUrls` (the most urgent URL),
-//! 3. crawls it, updates the Collection / AllUrls, estimates its change
-//!    rate, and pushes it back with its next due time.
+//! 1. samples the metrics on the sampling grid and, when the ranking
+//!    period elapsed, crosses a *pass boundary*: the RankingModule's
+//!    outcome and the UpdateModule's global reallocation are applied (the
+//!    periodic, off-hot-path refinement of §5.3),
+//! 2. pops a batch of the most urgent URLs off `CollUrls`, never past the
+//!    next boundary,
+//! 3. crawls them and, in slot order, updates the Collection / AllUrls,
+//!    estimates each page's change rate, and pushes it back with its next
+//!    due time.
+//!
+//! §5.3: *"multiple CrawlModules may run in parallel"* and *"separating the
+//! update decision (UpdateModule) from the refinement decision
+//! (RankingModule) is crucial for performance … the crawler cannot
+//! recompute the importance of pages for every page crawled."* Worker
+//! parallelism is a deployment property of that one design, not a second
+//! crawler: [`EngineKind`] selects the executor, and nothing else varies.
+//!
+//! * [`EngineKind::Incremental`] ⇒ **inline** ([`IncrementalCrawler`]):
+//!   one slot per batch, fetched through the caller's [`Fetcher`]; the
+//!   RankingModule runs in place at the boundary.
+//! * [`EngineKind::Threaded`] ⇒ **pool** ([`ThreadedCrawler`]): up to
+//!   `workers` slots per batch, fetched concurrently by scoped worker
+//!   threads that own their [`SimFetcher`]s (the caller's fetcher is
+//!   ignored), while the RankingModule runs on its *own* thread against a
+//!   snapshot taken at the boundary — the crawl hot path never waits for
+//!   PageRank.
+//!
+//! The pool is as **deterministic** as the inline executor: every job is
+//! tagged with its slot sequence number and a batch's completions are
+//! applied in slot order, whichever worker finished first; a ranking
+//! request issued at one boundary has its response applied at the *next*
+//! (or at the drive's end), not whenever the ranking thread happens to
+//! finish. That is what makes both kinds checkpointable: a
+//! [`CrawlerState`] snapshot plus the write-ahead-log tail reconstructs
+//! the pre-crash engine bit-for-bit through the same slot loop
+//! (`tests/determinism.rs`, `tests/trajectory_golden.rs`).
 //!
 //! Ground truth (`WebUniverse`) is used **only** by the metrics sampler;
 //! every crawl decision flows from checksums and link observations, as in
@@ -22,22 +53,26 @@
 
 use crate::allurls::AllUrls;
 use crate::collection::Collection;
-use crate::engine::{CrawlBudget, CrawlEngine, FetchSource};
+use crate::engine::{check_drive_target, CrawlBudget, CrawlEngine, FetchSource};
 use crate::hooks::{CrawlHook, FetchRecord, NoopHook};
 use crate::metrics::CrawlMetrics;
 use crate::modules::{
     CrawlModule, EstimatorKind, RankingConfig, RankingModule, RevisitStrategy, UpdateModule,
 };
 use crate::routing::{RoutedBatch, RoutedLink, RoutingState, ShardScope, WalEvent};
-use crate::view::{BoundaryPages, ViewBoundary, ViewPublisher};
 use crate::state::{
     entries_to_queue, queue_to_entries, CrawlerState, EngineClock, EngineConfig, EngineKind,
 };
+use crate::view::{BoundaryPages, ViewBoundary, ViewPublisher};
+use crossbeam::channel::{self, Receiver, Sender};
+use std::marker::PhantomData;
 use webevo_obs::{LogicalClock, ObsSink, SpanGuard, Stage};
 use webevo_schedule::RevisitQueue;
-use webevo_sim::{FetchError, Fetcher, FetcherState, WebUniverse};
+use webevo_sim::{
+    FetchError, FetchOutcome, Fetcher, FetcherState, Politeness, SimFetcher, WebUniverse,
+};
 use webevo_types::binio::{BinDecode, BinEncode, BinError, BinReader};
-use webevo_types::{DenseSet, Url, WebEvoError};
+use webevo_types::{DenseSet, PageId, Url, WebEvoError};
 
 /// Configuration of the incremental crawler.
 #[derive(Clone, Debug)]
@@ -97,9 +132,98 @@ impl BinDecode for IncrementalConfig {
     }
 }
 
-/// The incremental crawler (left-hand column of Figure 10).
-pub struct IncrementalCrawler {
+/// One scheduled fetch slot. `seq` is assigned when the slot is scheduled;
+/// a batch's results are applied in `seq` order regardless of which worker
+/// finished first.
+#[derive(Clone, Copy)]
+struct Slot {
+    seq: u64,
+    url: Url,
+    t: f64,
+}
+
+type FetchResult = Result<FetchOutcome, FetchError>;
+
+/// A deferred ranking request: snapshots of the state the RankingModule
+/// scans.
+struct RankRequest {
+    collection: Collection,
+    all_urls: AllUrls,
+}
+
+/// A deferred ranking response: new importance scores and replacement
+/// proposals.
+struct RankResponse {
+    importance: Vec<(PageId, f64)>,
+    replacements: Vec<(PageId, Url)>,
+}
+
+/// Compute a ranking response from a request — the ranking thread's inner
+/// step, also run synchronously during WAL replay.
+fn rank(ranking: &mut RankingModule, mut req: RankRequest) -> RankResponse {
+    let outcome = ranking.run(&mut req.collection, &req.all_urls);
+    let importance = req.collection.iter().map(|(p, s)| (p, s.importance)).collect();
+    RankResponse { importance, replacements: outcome.replacements }
+}
+
+/// How batches of slots are fetched and where ranking runs — derived from
+/// [`EngineKind`] and from nothing else.
+#[derive(Clone, Copy)]
+enum Executor {
+    /// One slot per batch through the caller's fetcher; ranking in place.
+    Inline,
+    /// Up to `workers` slots per batch on a scoped worker pool; ranking
+    /// deferred by one pass on its own thread.
+    Pool { workers: usize },
+}
+
+/// The coordinator's ends of a live pool's channels.
+struct PoolLinks {
+    work_tx: Sender<Slot>,
+    done_rx: Receiver<(Slot, FetchResult)>,
+    rank_tx: Sender<RankRequest>,
+    rank_rx: Receiver<RankResponse>,
+    rank_in_flight: bool,
+}
+
+/// What a drive or a replay runs the slot loop against.
+enum Backend<'a> {
+    /// The caller's fetcher (inline, live) or the write-ahead log (replay
+    /// of either kind, where deferred ranking is computed synchronously).
+    Source(FetchSource<'a>),
+    /// The live worker pool and ranking thread.
+    Pool(PoolLinks),
+}
+
+impl<'a> Backend<'a> {
+    fn source(&mut self) -> Option<&mut FetchSource<'a>> {
+        match self {
+            Backend::Source(source) => Some(source),
+            Backend::Pool(_) => None,
+        }
+    }
+}
+
+/// Marker of the inline executor; see [`IncrementalCrawler`].
+pub struct Inline;
+
+/// Marker of the pool executor; see [`ThreadedCrawler`].
+pub struct Pool;
+
+/// The incremental engine with the inline executor
+/// ([`EngineKind::Incremental`]; the left-hand column of Figure 10).
+pub type IncrementalCrawler = IncrementalEngine<Inline>;
+
+/// The incremental engine with the pool executor
+/// ([`EngineKind::Threaded`]): Figure 12 with real concurrency.
+pub type ThreadedCrawler = IncrementalEngine<Pool>;
+
+/// The incremental crawler. The type parameter only names which executor
+/// the value was constructed with, so that each alias has its own `new`
+/// and `from_state`; all behaviour is shared.
+pub struct IncrementalEngine<X> {
     config: IncrementalConfig,
+    executor: Executor,
     collection: Collection,
     all_urls: AllUrls,
     queue: RevisitQueue,
@@ -110,9 +234,14 @@ pub struct IncrementalCrawler {
     /// would leak slots whenever a candidate turns out dead).
     admissions: DenseSet,
     update: UpdateModule,
+    /// Runs in place (inline) or synchronously during replay (pool); a
+    /// live pool's ranking thread owns its own.
     ranking: RankingModule,
+    /// Fetch accounting of the inline executor's CrawlModule.
     crawl: CrawlModule,
     metrics: CrawlMetrics,
+    /// Ranking outcomes applied.
+    passes: u64,
     run_start: f64,
     /// Discrete-event clock; lives on the struct (not the run loop) so a
     /// checkpoint can freeze it and a resumed engine continues mid-run.
@@ -123,45 +252,37 @@ pub struct IncrementalCrawler {
     /// batches consume numbers from the same counter, so the WAL is one
     /// totally-ordered event stream.
     fetch_seq: u64,
+    /// Pool only. True once the first pass boundary has been crossed: a
+    /// ranking request derived from the engine state at the most recent
+    /// boundary is outstanding. Checkpoints persist the flag; the request
+    /// itself is rebuilt from the snapshot (which is taken at exactly the
+    /// state the request was built from).
+    rank_pending: bool,
+    /// Pool only. The outstanding ranking request while no ranking thread
+    /// holds it: after `from_state` and during WAL replay. A live drive
+    /// hands it to its ranking thread first thing.
+    unsent_rank_request: Option<RankRequest>,
     /// Cross-shard routing: scope, outbox of foreign discoveries, and the
-    /// applied-exchange counter. Inert (default) when unsharded.
+    /// applied-exchange counter. Inert (default) when unsharded. Scoping
+    /// is enforced where slots are scheduled, so a worker never sees a
+    /// foreign URL and worker parallelism composes with fleet sharding.
     routing: RoutingState,
-    /// Observability sink. Write-only and deliberately absent from
-    /// [`CrawlerState`]: spans and counters describe the run, they never
-    /// steer it, so a traced run stays byte-identical to an untraced one.
+    /// Observability sink, touched only on the coordinating thread.
+    /// Write-only and deliberately absent from [`CrawlerState`]: spans and
+    /// counters describe the run, they never steer it, so a traced run
+    /// stays byte-identical to an untraced one.
     obs: ObsSink,
     /// Serving-view publisher, fired at every pass boundary. Write-only
     /// and absent from [`CrawlerState`] for the same reason as `obs`: a
     /// served run stays byte-identical to an unserved one.
     publisher: Option<Box<dyn ViewPublisher>>,
+    _executor: PhantomData<X>,
 }
 
-impl IncrementalCrawler {
-    /// Create a crawler.
+impl IncrementalEngine<Inline> {
+    /// Create a crawler that fetches through the caller's fetcher.
     pub fn new(config: IncrementalConfig) -> IncrementalCrawler {
-        assert!(config.crawl_rate_per_day > 0.0);
-        assert!(config.ranking_interval_days > 0.0);
-        assert!(config.sample_interval_days > 0.0);
-        let default_interval = config.capacity as f64 / config.crawl_rate_per_day;
-        IncrementalCrawler {
-            collection: Collection::new(config.capacity, config.history_window),
-            all_urls: AllUrls::new(),
-            queue: RevisitQueue::new(),
-            queued: DenseSet::new(),
-            admissions: DenseSet::new(),
-            update: UpdateModule::new(config.revisit, config.estimator, default_interval),
-            ranking: RankingModule::new(config.ranking.clone()),
-            crawl: CrawlModule::new(),
-            metrics: CrawlMetrics::default(),
-            run_start: 0.0,
-            clock: EngineClock { t: 0.0, next_ranking: 0.0, next_sample: 0.0 },
-            seeded: false,
-            fetch_seq: 0,
-            routing: RoutingState::default(),
-            obs: ObsSink::noop(),
-            publisher: None,
-            config,
-        }
+        Self::build(config, Executor::Inline)
     }
 
     /// Rebuild an engine from a checkpointed state. Returns the engine and
@@ -176,37 +297,113 @@ impl IncrementalCrawler {
                 state.engine
             )));
         }
+        let fetcher = state.fetcher.clone();
+        Ok((Self::rebuild(state, Executor::Inline)?, fetcher))
+    }
+}
+
+impl IncrementalEngine<Pool> {
+    /// Create with `workers` parallel CrawlModules.
+    pub fn new(config: IncrementalConfig, workers: usize) -> ThreadedCrawler {
+        assert!(workers >= 1);
+        Self::build(config, Executor::Pool { workers })
+    }
+
+    /// Rebuild an engine from a checkpointed state.
+    pub fn from_state(state: CrawlerState) -> Result<ThreadedCrawler, WebEvoError> {
+        let EngineKind::Threaded { workers } = state.engine else {
+            return Err(WebEvoError::InvalidState(format!(
+                "state was written by the {} engine, not the threaded one",
+                state.engine
+            )));
+        };
+        if workers == 0 {
+            return Err(WebEvoError::InvalidState(
+                "threaded state must carry a positive worker count".into(),
+            ));
+        }
+        let rank_pending = state.rank_pending;
+        let mut crawler = Self::rebuild(state, Executor::Pool { workers })?;
+        if rank_pending {
+            // Snapshots are taken at pass boundaries, after the previous
+            // response was applied and before the next request was issued:
+            // the restored state *is* the outstanding request's base.
+            crawler.rank_pending = true;
+            crawler.unsent_rank_request = Some(RankRequest {
+                collection: crawler.collection.clone(),
+                all_urls: crawler.all_urls.clone(),
+            });
+        }
+        Ok(crawler)
+    }
+}
+
+impl<X> IncrementalEngine<X> {
+    fn build(config: IncrementalConfig, executor: Executor) -> Self {
+        assert!(config.crawl_rate_per_day > 0.0);
+        assert!(config.ranking_interval_days > 0.0);
+        assert!(config.sample_interval_days > 0.0);
+        let default_interval = config.capacity as f64 / config.crawl_rate_per_day;
+        IncrementalEngine {
+            executor,
+            collection: Collection::new(config.capacity, config.history_window),
+            all_urls: AllUrls::new(),
+            queue: RevisitQueue::new(),
+            queued: DenseSet::new(),
+            admissions: DenseSet::new(),
+            update: UpdateModule::new(config.revisit, config.estimator, default_interval),
+            ranking: RankingModule::new(config.ranking.clone()),
+            crawl: CrawlModule::new(),
+            metrics: CrawlMetrics::default(),
+            passes: 0,
+            run_start: 0.0,
+            clock: EngineClock { t: 0.0, next_ranking: 0.0, next_sample: 0.0 },
+            seeded: false,
+            fetch_seq: 0,
+            rank_pending: false,
+            unsent_rank_request: None,
+            routing: RoutingState::default(),
+            obs: ObsSink::noop(),
+            publisher: None,
+            _executor: PhantomData,
+            config,
+        }
+    }
+
+    fn rebuild(state: CrawlerState, executor: Executor) -> Result<Self, WebEvoError> {
         let config = state.config.as_incremental()?.clone();
-        let crawler = IncrementalCrawler {
+        Ok(IncrementalEngine {
+            executor,
             collection: state.collection,
             all_urls: state.all_urls,
             queue: entries_to_queue(&state.queue),
             queued: state.queued.into_iter().collect(),
             admissions: state.admissions.into_iter().collect(),
             update: state.update,
-            ranking: RankingModule::with_runs(config.ranking.clone(), state.ranking_runs),
+            ranking: RankingModule::new(config.ranking.clone()),
             crawl: state.crawl,
             metrics: state.metrics,
+            passes: match executor {
+                Executor::Inline => state.ranking_runs,
+                Executor::Pool { .. } => state.ranking_applied,
+            },
             run_start: state.run_start,
             clock: state.clock,
             seeded: state.seeded,
             fetch_seq: state.fetch_seq,
+            rank_pending: false,
+            unsent_rank_request: None,
             routing: state.routing,
             obs: ObsSink::noop(),
             publisher: None,
+            _executor: PhantomData,
             config,
-        };
-        Ok((crawler, state.fetcher))
+        })
     }
 
     /// All discovered URLs (for inspection).
     pub fn all_urls(&self) -> &AllUrls {
         &self.all_urls
-    }
-
-    /// Ranking passes completed.
-    pub fn ranking_runs(&self) -> u64 {
-        self.ranking.runs()
     }
 
     fn enqueue(&mut self, url: Url, due: f64) {
@@ -218,6 +415,22 @@ impl IncrementalCrawler {
     fn enqueue_front(&mut self, url: Url) {
         if self.queued.insert(url.page) {
             self.queue.push_front(url);
+        }
+    }
+
+    /// Enter a sighted link into the frontier. While the collection has
+    /// room, brand-new URLs jump the queue (§5.3: the new page "is placed
+    /// on the top of CollUrls, so that the UpdateModule can crawl the page
+    /// immediately"). Once full, admission is the RankingModule's call.
+    fn admit_link(&mut self, url: Url, from: PageId, t: f64) {
+        let first_sighting = !self.all_urls.contains(url);
+        self.all_urls.add_in_link(url, from, t);
+        if !self.collection.is_full() && !self.collection.contains(url.page) {
+            if first_sighting {
+                self.enqueue_front(url);
+            } else {
+                self.enqueue(url, t);
+            }
         }
     }
 
@@ -255,164 +468,163 @@ impl IncrementalCrawler {
     /// to build this exchange is cleared, each link enters `AllUrls` (and
     /// the frontier, collection permitting) exactly as a locally
     /// discovered link would, one sequence number is consumed, and the
-    /// exchange counter advances. Shared by live injection and WAL
-    /// replay, so a replayed shard is bit-identical to the live one.
+    /// exchange counter advances. Shared by live injection (on the frozen
+    /// engine between drives) and WAL replay, so a replayed shard is
+    /// bit-identical to the live one.
     fn apply_routed(&mut self, batch: RoutedBatch) {
         self.routing.outbox.clear();
         self.fetch_seq = batch.seq;
         self.routing.exchanges += 1;
-        let t = batch.t;
         for link in batch.links {
-            let first_sighting = !self.all_urls.contains(link.url);
-            self.all_urls.add_in_link(link.url, link.from, t);
-            if !self.collection.is_full() && !self.collection.contains(link.url.page) {
-                if first_sighting {
-                    self.enqueue_front(link.url);
-                } else {
-                    self.enqueue(link.url, t);
-                }
-            }
+            self.admit_link(link.url, link.from, batch.t);
         }
     }
 
-    /// The discrete-event loop over fetch slots, shared by live runs and
-    /// WAL replay. Stops at `end`, or — for replay sources — at log
-    /// exhaustion; the exhaustion check sits *before* the boundary
+    /// The discrete-event loop over fetch slots, shared by both executors,
+    /// live and in WAL replay. Stops at `end`, or — for replay sources —
+    /// at log exhaustion; the exhaustion check sits *before* the boundary
     /// handlers so a resumed run re-enters at exactly the point the
-    /// interrupted one left.
+    /// interrupted one left, and the `end` check before them because
+    /// boundaries past `end` belong to whoever resumes the run.
     fn advance(
         &mut self,
         universe: &WebUniverse,
-        source: &mut FetchSource<'_>,
+        backend: &mut Backend<'_>,
         end: f64,
         hook: &mut dyn CrawlHook,
     ) {
         let step = 1.0 / self.config.crawl_rate_per_day;
-        // The open fetch-batch span, lazily started at the first fetch
-        // after a boundary and closed (dropped) at the next one — so the
-        // trace alternates fetch_batch / pass under the drive span.
+        let width = match self.executor {
+            Executor::Inline => 1,
+            Executor::Pool { workers } => workers,
+        };
+        let mut batch: Vec<Slot> = Vec::with_capacity(width);
+        // The open fetch-batch span, started at the first batch after a
+        // boundary and closed (dropped) at the next one — so the trace
+        // alternates fetch_batch / pass under the drive span.
         let mut fetch_span: Option<SpanGuard> = None;
         while self.clock.t < end {
             // Routed batches re-inject before anything else: live
-            // injection happens while the engine is frozen *between*
-            // drives, i.e. before the boundary handlers of the slot the
-            // clock froze on. The seq/t match is exact — slot times are
-            // multiples of `step` and batches record the frozen clock.
-            if let Some(batch) = source.peek_routed() {
-                if batch.t.to_bits() == self.clock.t.to_bits()
-                    && batch.seq == self.fetch_seq + 1
-                {
-                    let batch = source.take_routed().expect("peeked a routed batch");
-                    // A routed record marks the end of a live drive call,
-                    // which closed by flushing samples through the
-                    // exchange barrier — the ranking-cadence instant the
-                    // coordinator drove to, which the frozen clock has
-                    // just overshot. Reconstruct that flush (not a sample
-                    // at the clock, which belongs to no live row) so the
-                    // replayed series matches the interrupted one row for
-                    // row.
-                    let barrier = (self.routing.exchanges + 1) as f64
-                        * self.config.ranking_interval_days;
-                    self.flush_samples(universe, barrier);
-                    self.apply_routed(batch);
-                    continue;
-                }
+            // injection happens before the boundary handlers of the slot
+            // the clock froze on.
+            let routed = backend
+                .source()
+                .and_then(|s| s.take_routed_at(self.clock.t, self.fetch_seq + 1));
+            if let Some(routed) = routed {
+                // A routed record marks the end of a live drive call at
+                // the exchange barrier — the ranking-cadence instant the
+                // coordinator drove to, which the frozen clock has just
+                // overshot. Reconstruct that drive's closing work (not a
+                // sample at the clock, which belongs to no live row) so
+                // the replayed state matches the interrupted one.
+                let barrier =
+                    (self.routing.exchanges + 1) as f64 * self.config.ranking_interval_days;
+                self.finish_drive(universe, backend, barrier);
+                self.apply_routed(routed);
+                continue;
             }
-            if source.exhausted() {
+            if backend.source().is_some_and(|s| s.exhausted()) {
                 break;
             }
             let t = self.clock.t;
-            while t >= self.clock.next_sample {
-                // Sample at the grid instant, not the slot that crossed
-                // it: slot times depend on the crawl rate, and fleet
-                // shards run at ownership-apportioned rates yet must
-                // sample on one shared grid to merge (the periodic
-                // engine pins its grid the same way).
-                let ts = self.clock.next_sample;
-                self.sample_metrics(universe, ts);
-                self.clock.next_sample += self.config.sample_interval_days;
-            }
+            // Sample at the grid instant, not the slot that crossed it:
+            // slot times depend on the crawl rate, and fleet shards run at
+            // ownership-apportioned rates yet must sample on one shared
+            // grid to merge (the periodic engine pins its grid the same
+            // way).
+            self.sample_grid(universe, t);
             if t >= self.clock.next_ranking {
                 fetch_span = None;
-                let _pass = self.obs.span(Stage::Pass, LogicalClock::new(t, self.fetch_seq));
-                self.obs.gauge("queue_depth", self.queue.len() as f64);
-                self.run_ranking(t);
-                // Advance the clock *before* the hook: a snapshot must
-                // record this pass as done, or the restored engine would
-                // run the boundary twice.
-                self.clock.next_ranking += self.config.ranking_interval_days;
-                if hook.active() {
-                    // The export closure is lazy on purpose: most pass
-                    // boundaries only flush the WAL, and neither the
-                    // engine nor the fetcher state should be captured
-                    // unless a snapshot is actually due.
-                    let source = &*source;
-                    hook.on_pass_boundary(t, &mut || {
-                        let mut state = self.export_state();
-                        state.fetcher = source.fetcher_state();
-                        state
-                    });
-                }
-                if let Some(publisher) = self.publisher.as_mut() {
-                    let _swap =
-                        self.obs.span(Stage::ViewSwap, LogicalClock::new(t, self.fetch_seq));
-                    publisher.publish(ViewBoundary {
-                        t,
-                        fetch_seq: self.fetch_seq,
-                        passes: self.ranking.runs(),
-                        pages: BoundaryPages::Stored {
-                            collection: &self.collection,
-                            update: &self.update,
-                        },
-                        metrics: &self.metrics,
-                    });
-                }
+                self.pass_boundary(t, backend, hook);
             }
-            let Some(visit) = self.queue.pop() else {
-                // Nothing to crawl yet (collection empty and no
-                // discoveries): burn the slot.
-                self.clock.t += step;
-                continue;
-            };
-            self.queued.remove(visit.url.page);
-            if self.routing.is_foreign(visit.url.site) {
-                // Residual foreign entry (only possible in a frontier
-                // inherited from a pre-routing checkpoint): routed links,
-                // not fetches, cross shard boundaries — drop it without
-                // spending a fetch or touching the fetch accounting.
-                self.clock.t += step;
-                continue;
-            }
-            if self.obs.enabled() && fetch_span.is_none() {
+            if self.obs.enabled() && fetch_span.is_none() && !self.queue.is_empty() {
                 fetch_span =
                     Some(self.obs.span(Stage::FetchBatch, LogicalClock::new(t, self.fetch_seq)));
             }
-            self.crawl_one(universe, source, visit.url, t, hook);
-            self.clock.t += step;
+            // Schedule one batch: at most `width` slots. The slot at `t`
+            // always runs; later ones only while they stay short of the
+            // next boundary, and in replay only as far as the log has
+            // outcomes for them.
+            let horizon = self.clock.next_sample.min(self.clock.next_ranking).min(end);
+            while batch.len() < width
+                && (self.clock.t == t || self.clock.t < horizon)
+                && backend.source().map_or(true, |s| s.has_fetch_at(batch.len()))
+            {
+                let Some(visit) = self.queue.pop() else { break };
+                self.queued.remove(visit.url.page);
+                // A foreign entry (only possible in a frontier inherited
+                // from a pre-routing checkpoint) burns its slot without
+                // spending a fetch or a sequence number: routed links, not
+                // fetches, cross shard boundaries.
+                if !self.routing.is_foreign(visit.url.site) {
+                    self.fetch_seq += 1;
+                    batch.push(Slot { seq: self.fetch_seq, url: visit.url, t: self.clock.t });
+                }
+                self.clock.t += step;
+            }
+            if self.clock.t == t {
+                // Nothing to crawl yet (collection empty and no
+                // discoveries): burn the slot.
+                self.clock.t += step;
+            }
+            self.execute(universe, backend, &mut batch, hook);
         }
     }
 
-    /// One fetch slot: crawl `url` at `t` and apply the result.
-    fn crawl_one(
+    /// Fetch a batch of scheduled slots and apply the results in slot
+    /// order. Workers race for a pool's jobs; only the *application*
+    /// order is pinned, so the interleaving of state updates does not
+    /// depend on thread timing.
+    fn execute(
         &mut self,
         universe: &WebUniverse,
-        source: &mut FetchSource<'_>,
-        url: Url,
-        t: f64,
+        backend: &mut Backend<'_>,
+        batch: &mut Vec<Slot>,
         hook: &mut dyn CrawlHook,
     ) {
-        self.fetch_seq += 1;
-        let result = source.fetch(self.fetch_seq, url, t);
-        self.crawl.observe(result.is_err());
+        match backend {
+            Backend::Source(source) => {
+                for slot in batch.drain(..) {
+                    let result = source.fetch(slot.seq, slot.url, slot.t);
+                    self.apply_result(universe, slot, result, hook);
+                }
+            }
+            Backend::Pool(links) => {
+                for slot in batch.iter() {
+                    links.work_tx.send(*slot).expect("workers alive");
+                }
+                let mut done: Vec<(Slot, FetchResult)> = batch
+                    .drain(..)
+                    .map(|_| links.done_rx.recv().expect("worker alive"))
+                    .collect();
+                done.sort_by_key(|(slot, _)| slot.seq);
+                for (slot, result) in done {
+                    self.apply_result(universe, slot, result, hook);
+                }
+            }
+        }
+    }
+
+    /// Apply one fetch slot's result.
+    fn apply_result(
+        &mut self,
+        universe: &WebUniverse,
+        slot: Slot,
+        result: FetchResult,
+        hook: &mut dyn CrawlHook,
+    ) {
+        let Slot { seq, url, t } = slot;
+        if let Executor::Inline = self.executor {
+            self.crawl.observe(result.is_err());
+        }
         if hook.active() {
-            hook.on_fetch(&FetchRecord { seq: self.fetch_seq, url, t, result: result.clone() });
+            hook.on_fetch(&FetchRecord { seq, url, t, result: result.clone() });
         }
         match result {
             Ok(outcome) => {
                 self.obs.add("fetch_ok_total", 1);
                 self.metrics.record_fetch(true);
-                let in_collection = self.collection.contains(url.page);
-                if in_collection {
+                if self.collection.contains(url.page) {
                     self.collection.update(url.page, outcome.checksum, outcome.links.clone(), t);
                 } else {
                     let admitted = self.admissions.remove(url.page);
@@ -441,11 +653,7 @@ impl IncrementalCrawler {
                         // do *new* pages reach users"; initial-fill pages
                         // would just measure the warm-up.
                         self.metrics.record_admission_latency(t - birth);
-                        let found = self
-                            .all_urls
-                            .info(url)
-                            .map(|i| i.discovered)
-                            .unwrap_or(t);
+                        let found = self.all_urls.info(url).map(|i| i.discovered).unwrap_or(t);
                         self.metrics.record_discovery_latency(t - found);
                     }
                 }
@@ -458,26 +666,9 @@ impl IncrementalCrawler {
                         // the local frontier. Every sighting is routed
                         // (no dedup), mirroring the per-sighting
                         // `add_in_link` evidence a single node collects.
-                        self.routing.outbox.push(RoutedLink {
-                            seq: self.fetch_seq,
-                            from: url.page,
-                            url: *link,
-                        });
-                        continue;
-                    }
-                    let first_sighting = !self.all_urls.contains(*link);
-                    self.all_urls.add_in_link(*link, url.page, t);
-                    // While the collection has room, brand-new URLs jump
-                    // the queue (§5.3: the new page "is placed on the top
-                    // of CollUrls, so that the UpdateModule can crawl the
-                    // page immediately"). Once full, admission is the
-                    // RankingModule's call.
-                    if !self.collection.is_full() && !self.collection.contains(link.page) {
-                        if first_sighting {
-                            self.enqueue_front(*link);
-                        } else {
-                            self.enqueue(*link, t);
-                        }
+                        self.routing.outbox.push(RoutedLink { seq, from: url.page, url: *link });
+                    } else {
+                        self.admit_link(*link, url.page, t);
                     }
                 }
                 self.enqueue(url, self.update.next_due(url.page, t));
@@ -505,44 +696,136 @@ impl IncrementalCrawler {
         }
     }
 
-    /// Periodic refinement: ranking pass + revisit reallocation.
+    /// One pass boundary at slot time `t`: apply a ranking outcome, let
+    /// the hook and the view publisher observe the quiescent engine, and
+    /// (pool) issue the next ranking request.
+    fn pass_boundary(&mut self, t: f64, backend: &mut Backend<'_>, hook: &mut dyn CrawlHook) {
+        let _pass = self.obs.span(Stage::Pass, LogicalClock::new(t, self.fetch_seq));
+        self.obs.gauge("queue_depth", self.queue.len() as f64);
+        match self.executor {
+            Executor::Inline => {
+                let outcome = self.ranking.run(&mut self.collection, &self.all_urls);
+                self.apply_ranking(Vec::new(), outcome.replacements);
+            }
+            Executor::Pool { .. } => {
+                // The response to the request issued one interval ago
+                // lands here — a fixed application point, not "whenever
+                // the ranking thread finishes", so replay can reproduce
+                // it. Waiting only at the pass boundary keeps ranking off
+                // the fetch hot path, as §5.3 prescribes.
+                if let Some(res) = self.take_ranking(backend) {
+                    self.apply_ranking(res.importance, res.replacements);
+                }
+                self.rank_pending = true;
+            }
+        }
+        // Advance the clock *before* the hook: a snapshot must record this
+        // pass as done, or the restored engine would run the boundary
+        // twice.
+        self.clock.next_ranking += self.config.ranking_interval_days;
+        if hook.active() {
+            // The export closure is lazy on purpose: most pass boundaries
+            // only flush the WAL, and neither the engine nor the fetcher
+            // state should be captured unless a snapshot is actually due.
+            let backend = &*backend;
+            hook.on_pass_boundary(t, &mut || {
+                let mut state = self.export_state();
+                if let Backend::Source(source) = backend {
+                    state.fetcher = source.fetcher_state();
+                }
+                state
+            });
+        }
+        if let Some(publisher) = self.publisher.as_mut() {
+            let _swap = self.obs.span(Stage::ViewSwap, LogicalClock::new(t, self.fetch_seq));
+            publisher.publish(ViewBoundary {
+                t,
+                fetch_seq: self.fetch_seq,
+                passes: self.passes,
+                pages: BoundaryPages::Stored { collection: &self.collection, update: &self.update },
+                metrics: &self.metrics,
+            });
+        }
+        if let Executor::Pool { .. } = self.executor {
+            let req = RankRequest {
+                collection: self.collection.clone(),
+                all_urls: self.all_urls.clone(),
+            };
+            match backend {
+                Backend::Pool(links) => links.rank_in_flight = links.rank_tx.send(req).is_ok(),
+                Backend::Source(_) => self.unsent_rank_request = Some(req),
+            }
+        }
+    }
+
+    /// The outcome of the outstanding deferred ranking request, if there
+    /// is one: received from a live pool's ranking thread, computed on the
+    /// spot otherwise.
+    fn take_ranking(&mut self, backend: &mut Backend<'_>) -> Option<RankResponse> {
+        match backend {
+            Backend::Pool(links) if links.rank_in_flight => {
+                links.rank_in_flight = false;
+                Some(links.rank_rx.recv().expect("ranking thread alive"))
+            }
+            _ => self.unsent_rank_request.take().map(|req| rank(&mut self.ranking, req)),
+        }
+    }
+
+    /// Periodic refinement: importance write-back (for an outcome computed
+    /// on a snapshot), replacement proposals, revisit reallocation.
     ///
     /// Replacement proposals only *schedule* the candidate (at the queue
     /// front, per §5.3); the matching eviction happens when the candidate's
     /// crawl succeeds, so dead candidates never cost a slot.
-    fn run_ranking(&mut self, _t: f64) {
-        let outcome = self.ranking.run(&mut self.collection, &self.all_urls);
-        for (_victim, admit) in outcome.replacements {
+    fn apply_ranking(&mut self, importance: Vec<(PageId, f64)>, replacements: Vec<(PageId, Url)>) {
+        self.passes += 1;
+        for (p, importance) in importance {
+            if let Some(stored) = self.collection.get_mut(p) {
+                stored.importance = importance;
+            }
+        }
+        for (_victim, admit) in replacements {
+            // A deferred outcome's snapshot is one interval stale: the
+            // admit may already be stored. (Never so when ranking ran in
+            // place — its candidates exclude the collection.)
+            if self.collection.contains(admit.page) {
+                continue;
+            }
             self.admissions.insert(admit.page);
             self.enqueue_front(admit);
         }
-        self.update
-            .reallocate(&self.collection, self.config.crawl_rate_per_day);
+        self.update.reallocate(&self.collection, self.config.crawl_rate_per_day);
+    }
+
+    /// Close a drive that ends at `until`: a deferred ranking outcome still
+    /// outstanding is applied rather than discarded (the application point
+    /// — the drive's end — is deterministic), then the samples are flushed.
+    /// Live drives end here; replay reconstructs the same at every routed
+    /// record, the only place a drive ends mid-log.
+    fn finish_drive(&mut self, universe: &WebUniverse, backend: &mut Backend<'_>, until: f64) {
+        if let Some(res) = self.take_ranking(backend) {
+            self.apply_ranking(res.importance, res.replacements);
+            // The outstanding request is consumed: a state exported now
+            // must not re-issue one.
+            self.rank_pending = false;
+        }
+        self.flush_samples(universe, until);
+    }
+
+    /// Emit every pending grid sample up to and including `until`.
+    fn sample_grid(&mut self, universe: &WebUniverse, until: f64) {
+        while self.clock.next_sample <= until {
+            let ts = self.clock.next_sample;
+            self.sample(universe, ts);
+            self.clock.next_sample += self.config.sample_interval_days;
+        }
     }
 
     /// Evaluation-only: freshness and mean age of the collection against
     /// ground truth.
-    fn sample_metrics(&mut self, universe: &WebUniverse, t: f64) {
-        if self.collection.is_empty() {
-            self.metrics.sample(t, 0.0, 0.0);
-            return;
-        }
-        let mut fresh = 0usize;
-        let mut age_sum = 0.0;
-        let n = self.collection.len();
-        for (p, stored) in self.collection.iter() {
-            if universe.copy_is_fresh(p, stored.last_crawl, t) {
-                fresh += 1;
-            } else {
-                let page = universe.page(p);
-                let staled_at = universe
-                    .first_change_after(p, stored.last_crawl)
-                    .unwrap_or(page.death)
-                    .min(page.death);
-                age_sum += (t - staled_at).max(0.0);
-            }
-        }
-        self.metrics.sample(t, fresh as f64 / n as f64, age_sum / n as f64);
+    fn sample(&mut self, universe: &WebUniverse, t: f64) {
+        let copies = self.collection.iter().map(|(p, stored)| (p, stored.last_crawl));
+        self.metrics.sample_freshness(universe, t, copies);
     }
 
     /// Emit every pending grid sample up to `until`, then the closing
@@ -552,18 +835,69 @@ impl IncrementalCrawler {
     /// pure function of the drive horizons and the sampling cadence —
     /// never of the crawl rate, whose slot times vary per fleet shard.
     fn flush_samples(&mut self, universe: &WebUniverse, until: f64) {
-        while self.clock.next_sample <= until {
-            let ts = self.clock.next_sample;
-            self.sample_metrics(universe, ts);
-            self.clock.next_sample += self.config.sample_interval_days;
-        }
-        self.sample_metrics(universe, until);
+        self.sample_grid(universe, until);
+        self.sample(universe, until);
+    }
+
+    /// Run `body` against a live worker pool and ranking thread, all of
+    /// which have exited when this returns. The workers fetch through
+    /// their own [`SimFetcher`]s with unrestricted politeness, under which
+    /// the simulated fetch is a pure function of `(url, t)` — that is what
+    /// makes the pool deterministic and checkpointable without fetcher
+    /// state.
+    fn with_pool(
+        &mut self,
+        universe: &WebUniverse,
+        workers: usize,
+        body: impl FnOnce(&mut Self, &mut Backend<'_>),
+    ) {
+        let (work_tx, work_rx) = channel::unbounded::<Slot>();
+        let (done_tx, done_rx) = channel::unbounded::<(Slot, FetchResult)>();
+        let (rank_tx, rank_req_rx) = channel::unbounded::<RankRequest>();
+        let (rank_res_tx, rank_rx) = channel::unbounded::<RankResponse>();
+        let ranking_config = self.config.ranking.clone();
+        crossbeam::scope(|scope| {
+            for _ in 0..workers {
+                let (work_rx, done_tx) = (work_rx.clone(), done_tx.clone());
+                scope.spawn(move |_| {
+                    let mut fetcher =
+                        SimFetcher::new(universe).with_politeness(Politeness::unrestricted());
+                    while let Ok(slot) = work_rx.recv() {
+                        let result = fetcher.fetch(slot.url, slot.t);
+                        if done_tx.send((slot, result)).is_err() {
+                            break;
+                        }
+                    }
+                });
+            }
+            drop(done_tx); // the coordinator holds the only receiver
+            scope.spawn(move |_| {
+                let mut ranking = RankingModule::new(ranking_config);
+                while let Ok(req) = rank_req_rx.recv() {
+                    if rank_res_tx.send(rank(&mut ranking, req)).is_err() {
+                        break;
+                    }
+                }
+            });
+            let mut links = PoolLinks { work_tx, done_rx, rank_tx, rank_rx, rank_in_flight: false };
+            // A restored/replayed engine re-issues the outstanding request.
+            if let Some(req) = self.unsent_rank_request.take() {
+                links.rank_in_flight = links.rank_tx.send(req).is_ok();
+            }
+            // Dropping the links when `body` returns closes the channels,
+            // which is what ends the threads.
+            body(self, &mut Backend::Pool(links));
+        })
+        .expect("crawler threads do not panic");
     }
 }
 
-impl CrawlEngine for IncrementalCrawler {
+impl<X> CrawlEngine for IncrementalEngine<X> {
     fn kind(&self) -> EngineKind {
-        EngineKind::Incremental
+        match self.executor {
+            Executor::Inline => EngineKind::Incremental,
+            Executor::Pool { workers } => EngineKind::Threaded { workers },
+        }
     }
 
     fn started(&self) -> bool {
@@ -579,15 +913,20 @@ impl CrawlEngine for IncrementalCrawler {
     /// URLs"); later calls continue from the frozen clock — including
     /// after a checkpoint restore, where the continuation is
     /// bit-identical to a never-interrupted run (`tests/determinism.rs`).
+    /// The pool executor ignores `fetcher`.
     ///
-    /// Each call closes with a metrics sample at `until`. When `until`
-    /// sits on the sampling grid — as every fleet exchange barrier does —
-    /// the closing sample collapses into the grid sample at the same
-    /// instant (`CrawlMetrics::sample` dedups identical instants), so
-    /// segmented drives, single long drives, and the checkpoint-recovery
-    /// path (restore + replay + drive) all produce the same series; a
+    /// Each call closes with a metrics sample at `until` and (pool)
+    /// applies the outstanding ranking response. When `until` sits on the
+    /// sampling grid — as every fleet exchange barrier does — the closing
+    /// sample collapses into the grid sample at the same instant
+    /// (`CrawlMetrics::sample` dedups identical instants), so segmented
+    /// drives, single long drives, and the checkpoint-recovery path
+    /// (restore + replay + drive) all produce the same series; a
     /// continued in-memory run carries one extra row only at an off-grid
-    /// intermediate horizon.
+    /// intermediate horizon, and a pool's early ranking application is an
+    /// artifact a single longer run would not have at that point (the
+    /// recovery path has neither: snapshots are captured at pass
+    /// boundaries).
     fn drive(
         &mut self,
         universe: &WebUniverse,
@@ -595,33 +934,31 @@ impl CrawlEngine for IncrementalCrawler {
         hook: &mut dyn CrawlHook,
         until: f64,
     ) -> Result<&CrawlMetrics, WebEvoError> {
+        check_drive_target(self.seeded, self.clock.t, until)?;
         if !self.seeded {
-            if until <= self.clock.t {
-                return Err(WebEvoError::InvalidState(format!(
-                    "drive target {until} must lie beyond the start day {}",
-                    self.clock.t
-                )));
-            }
             self.begin_run(universe);
-        } else if until <= self.clock.t {
-            return Err(WebEvoError::InvalidState(format!(
-                "drive target {until} must lie beyond the engine clock {}",
-                self.clock.t
-            )));
         }
         self.metrics.observe_speed(self.config.crawl_rate_per_day);
         let _drive = self.obs.span(Stage::Drive, LogicalClock::new(self.clock.t, self.fetch_seq));
-        self.advance(universe, &mut FetchSource::Live(fetcher), until, hook);
-        self.flush_samples(universe, until);
+        let mut run = |engine: &mut Self, backend: &mut Backend<'_>| {
+            engine.advance(universe, backend, until, hook);
+            engine.finish_drive(universe, backend, until);
+        };
+        match self.executor {
+            Executor::Inline => run(self, &mut Backend::Source(FetchSource::Live(fetcher))),
+            Executor::Pool { workers } => self.with_pool(universe, workers, run),
+        }
         Ok(&self.metrics)
     }
 
     /// Re-apply the write-ahead-log tail after restoring a snapshot:
     /// records already covered by the snapshot (seq ≤ the restored
     /// `fetch_seq`) are skipped, the rest drive the normal slot loop with
-    /// logged outcomes instead of live fetches. Afterwards the engine (and
-    /// `fetcher`, advanced via [`Fetcher::observe_replay`]) sit at the
-    /// exact state of the last flushed pass boundary; call
+    /// logged outcomes instead of live fetches, ranking passes crossed on
+    /// the way run synchronously, and routed batches re-inject at the
+    /// exchange barrier they were logged at. Afterwards the engine (and,
+    /// inline, `fetcher`, advanced via [`Fetcher::observe_replay`]) sit at
+    /// the exact state of the last flushed pass boundary; call
     /// [`CrawlEngine::drive`] to continue crawling for real.
     fn replay(
         &mut self,
@@ -639,30 +976,26 @@ impl CrawlEngine for IncrementalCrawler {
             }
             self.begin_run(universe);
         }
-        let skip = events.partition_point(|e| e.seq() <= self.fetch_seq);
-        let tail = &events[skip..];
-        if let Some(first) = tail.first() {
-            if first.seq() != self.fetch_seq + 1 {
-                return Err(WebEvoError::InvalidState(format!(
-                    "WAL gap: snapshot ends at seq {} but the log resumes at {}",
-                    self.fetch_seq,
-                    first.seq()
-                )));
-            }
-        }
-        let mut source = FetchSource::Replay { events: tail, pos: 0, fetcher };
+        let fetcher: Option<&mut dyn Fetcher> =
+            if self.uses_external_fetcher() { Some(fetcher) } else { None };
+        let mut backend = Backend::Source(FetchSource::replay(events, self.fetch_seq, fetcher)?);
         // The log is finite and each non-idle slot consumes one record, so
         // the unbounded horizon is only ever reached by exhaustion.
-        self.advance(universe, &mut source, f64::INFINITY, &mut NoopHook);
+        self.advance(universe, &mut backend, f64::INFINITY, &mut NoopHook);
         Ok(())
     }
 
-    /// Capture the full engine state (fetcher state excluded; the
-    /// checkpoint layer merges it in, since only the run loop can reach
-    /// the fetcher).
+    /// Capture the full engine state. The fetcher state is excluded: the
+    /// checkpoint layer merges the inline executor's in, since only the
+    /// run loop can reach the fetcher, and the pool's worker fetchers are
+    /// stateless.
     fn export_state(&self) -> CrawlerState {
+        let (ranking_runs, ranking_applied) = match self.executor {
+            Executor::Inline => (self.passes, 0),
+            Executor::Pool { .. } => (0, self.passes),
+        };
         CrawlerState {
-            engine: EngineKind::Incremental,
+            engine: self.kind(),
             config: EngineConfig::Incremental(self.config.clone()),
             run_start: self.run_start,
             seeded: self.seeded,
@@ -674,9 +1007,9 @@ impl CrawlEngine for IncrementalCrawler {
             queued: self.queued.to_vec(),
             admissions: self.admissions.to_vec(),
             update: self.update.clone(),
-            ranking_runs: self.ranking.runs(),
-            ranking_applied: 0,
-            rank_pending: false,
+            ranking_runs,
+            ranking_applied,
+            rank_pending: self.rank_pending,
             crawl: self.crawl.clone(),
             periodic: None,
             metrics: self.metrics.clone(),
@@ -698,7 +1031,11 @@ impl CrawlEngine for IncrementalCrawler {
     }
 
     fn passes(&self) -> u64 {
-        self.ranking.runs()
+        self.passes
+    }
+
+    fn uses_external_fetcher(&self) -> bool {
+        matches!(self.executor, Executor::Inline)
     }
 
     fn set_obs(&mut self, obs: ObsSink) {
@@ -744,11 +1081,11 @@ impl CrawlEngine for IncrementalCrawler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::collection_quality;
+    use crate::engine::{collection_quality, restore};
     use webevo_sim::{SimFetcher, UniverseConfig, WebUniverse};
 
-    fn universe() -> WebUniverse {
-        WebUniverse::generate(UniverseConfig::test_scale(77))
+    fn universe(seed: u64) -> WebUniverse {
+        WebUniverse::generate(UniverseConfig::test_scale(seed))
     }
 
     fn config(capacity: usize) -> IncrementalConfig {
@@ -764,36 +1101,96 @@ mod tests {
         }
     }
 
-    fn run(crawler: &mut IncrementalCrawler, u: &WebUniverse, f: &mut SimFetcher, days: f64) {
-        crawler.drive(u, f, &mut NoopHook, days).expect("drive succeeds");
+    /// The engine for an executor: inline for `None`, a pool of `workers`
+    /// otherwise.
+    fn engine(workers: Option<usize>, config: IncrementalConfig) -> Box<dyn CrawlEngine> {
+        match workers {
+            None => Box::new(IncrementalCrawler::new(config)),
+            Some(workers) => Box::new(ThreadedCrawler::new(config, workers)),
+        }
+    }
+
+    fn run(engine: &mut dyn CrawlEngine, u: &WebUniverse, f: &mut SimFetcher, days: f64) {
+        engine.drive(u, f, &mut NoopHook, days).expect("drive succeeds");
+    }
+
+    /// Drive a fresh engine for `days` through a plain fetcher (which a
+    /// pool ignores).
+    fn crawl(
+        workers: Option<usize>,
+        config: IncrementalConfig,
+        u: &WebUniverse,
+        days: f64,
+    ) -> Box<dyn CrawlEngine> {
+        let mut engine = engine(workers, config);
+        run(&mut *engine, u, &mut SimFetcher::new(u), days);
+        engine
+    }
+
+    /// `(executor, seed, capacity, days, least pages held, least passes)`.
+    type FillCase = (Option<usize>, u64, usize, f64, usize, u64);
+
+    fn assert_fills_collection(cases: &[FillCase]) {
+        for &(workers, seed, capacity, days, min_len, min_passes) in cases {
+            let engine = crawl(workers, config(capacity), &universe(seed), days);
+            assert!(
+                engine.collection_len() >= min_len,
+                "workers={workers:?}: collection should fill: {}",
+                engine.collection_len()
+            );
+            assert!(engine.passes() >= min_passes, "workers={workers:?}: {}", engine.passes());
+        }
     }
 
     #[test]
     fn fills_collection_and_stays_fresh() {
-        let u = universe();
-        let mut fetcher = SimFetcher::new(&u);
-        let mut crawler = IncrementalCrawler::new(config(60));
-        run(&mut crawler, &u, &mut fetcher, 60.0);
-        assert!(
-            crawler.collection_len() >= 55,
-            "collection should fill: {}",
-            crawler.collection_len()
-        );
-        let f = crawler.metrics().average_freshness_from(20.0);
+        assert_fills_collection(&[(None, 77, 60, 60.0, 55, 20)]);
+        let f = crawl(None, config(60), &universe(77), 60.0).metrics().average_freshness_from(20.0);
         // Calibration: the analytic per-page ceiling for this universe's
         // rate mixture at a 5-day cycle is ~0.62; the engine also spends
         // budget on discovery and carries churned pages until ranking
         // evicts them, landing near 0.49 at this seed.
         assert!(f > 0.45, "steady-state freshness too low: {f}");
-        assert!(crawler.ranking_runs() >= 20);
+    }
+
+    #[test]
+    fn threaded_fills_collection() {
+        assert_fills_collection(&[(Some(4), 55, 50, 50.0, 45, 6)]);
+    }
+
+    #[test]
+    fn single_worker_still_works() {
+        assert_fills_collection(&[(Some(1), 57, 30, 30.0, 25, 0)]);
+    }
+
+    #[test]
+    fn worker_count_changes_schedule_but_not_safety() {
+        // More workers = larger batches = slightly different schedules;
+        // every width must fill the collection.
+        assert_fills_collection(&[
+            (Some(1), 59, 40, 40.0, 35, 0),
+            (Some(3), 59, 40, 40.0, 35, 0),
+            (Some(8), 59, 40, 40.0, 35, 0),
+        ]);
+    }
+
+    #[test]
+    fn ranking_cadence_shorter_than_a_slot_does_not_stall_the_pool() {
+        // A boundary is still overdue after every pass here; the slot at
+        // the clock must run regardless, for either executor.
+        for workers in [None, Some(2)] {
+            let mut cfg = config(20);
+            cfg.ranking_interval_days = 0.5 / cfg.crawl_rate_per_day;
+            let engine = crawl(workers, cfg, &universe(62), 10.0);
+            assert!(engine.metrics().fetches > 20, "workers={workers:?} stalled");
+        }
     }
 
     #[test]
     fn discovers_beyond_seeds() {
-        let u = universe();
-        let mut fetcher = SimFetcher::new(&u);
+        let u = universe(77);
         let mut crawler = IncrementalCrawler::new(config(40));
-        run(&mut crawler, &u, &mut fetcher, 30.0);
+        run(&mut crawler, &u, &mut SimFetcher::new(&u), 30.0);
         assert!(
             crawler.all_urls().len() > u.site_count(),
             "link extraction should discover non-seed URLs"
@@ -802,10 +1199,8 @@ mod tests {
 
     #[test]
     fn dead_pages_are_evicted_and_replaced() {
-        let u = universe();
-        let mut fetcher = SimFetcher::new(&u);
-        let mut crawler = IncrementalCrawler::new(config(50));
-        run(&mut crawler, &u, &mut fetcher, 100.0);
+        let u = universe(77);
+        let crawler = crawl(None, config(50), &u, 100.0);
         // After 100 days of churn, every stored page must still be alive
         // recently (dead ones evicted on NotFound).
         let mut stale_dead = 0;
@@ -822,33 +1217,44 @@ mod tests {
 
     #[test]
     fn new_page_latency_is_recorded() {
-        let u = universe();
-        let mut fetcher = SimFetcher::new(&u);
-        let mut crawler = IncrementalCrawler::new(config(50));
-        run(&mut crawler, &u, &mut fetcher, 60.0);
+        let crawler = crawl(None, config(50), &universe(77), 60.0);
         assert!(crawler.metrics().new_page_latency.count() > 10);
         assert!(crawler.metrics().new_page_latency.mean() >= 0.0);
     }
 
-    #[test]
-    fn deterministic_given_same_inputs() {
-        let u = universe();
+    /// Same universe, same config, same executor → bit-identical metrics,
+    /// run to run. (A free-running pool coordinator could not promise
+    /// this; checkpoint recovery builds on it.)
+    fn assert_deterministic(workers: Option<usize>, seed: u64) {
+        let u = universe(seed);
         let run_once = || {
-            let mut fetcher = SimFetcher::new(&u);
-            let mut crawler = IncrementalCrawler::new(config(40));
-            run(&mut crawler, &u, &mut fetcher, 40.0);
+            let engine = crawl(workers, config(40), &u, 40.0);
+            let m = engine.metrics();
             (
-                crawler.collection_len(),
-                crawler.metrics().fetches,
-                crawler.metrics().freshness.values().to_vec(),
+                engine.collection_len(),
+                m.fetches,
+                m.failed_fetches,
+                m.freshness.rows().collect::<Vec<(f64, f64)>>(),
             )
         };
-        assert_eq!(run_once(), run_once());
+        let first = run_once();
+        assert!(first.1 > 0, "the run should actually crawl");
+        assert_eq!(first, run_once());
+    }
+
+    #[test]
+    fn deterministic_given_same_inputs() {
+        assert_deterministic(None, 77);
+    }
+
+    #[test]
+    fn threaded_replays_identically() {
+        assert_deterministic(Some(4), 58);
     }
 
     #[test]
     fn survives_transient_failures() {
-        let u = universe();
+        let u = universe(77);
         let mut fetcher = SimFetcher::new(&u).with_failure_rate(0.2);
         let mut crawler = IncrementalCrawler::new(config(50));
         run(&mut crawler, &u, &mut fetcher, 60.0);
@@ -864,37 +1270,87 @@ mod tests {
 
     #[test]
     fn quality_is_meaningful() {
-        let u = universe();
-        let mut fetcher = SimFetcher::new(&u);
-        let mut crawler = IncrementalCrawler::new(config(30));
-        run(&mut crawler, &u, &mut fetcher, 60.0);
+        let u = universe(77);
+        let crawler = crawl(None, config(30), &u, 60.0);
         let q = collection_quality(crawler.collection().expect("has one"), &u, 60.0);
         assert!(q > 0.2 && q <= 1.0 + 1e-9, "quality={q}");
     }
 
     #[test]
     fn optimal_strategy_runs_end_to_end() {
-        let u = universe();
-        let mut fetcher = SimFetcher::new(&u);
-        let mut cfg = config(50);
-        cfg.revisit = RevisitStrategy::Optimal;
-        cfg.estimator = EstimatorKind::Eb;
-        let mut crawler = IncrementalCrawler::new(cfg);
-        run(&mut crawler, &u, &mut fetcher, 80.0);
-        let f = crawler.metrics().average_freshness_from(40.0);
+        let u = universe(77);
+        let freshness = |revisit| {
+            let cfg = IncrementalConfig { revisit, estimator: EstimatorKind::Eb, ..config(50) };
+            crawl(None, cfg, &u, 80.0).metrics().average_freshness_from(40.0)
+        };
+        let f = freshness(RevisitStrategy::Optimal);
         assert!(f > 0.38, "optimal steady-state freshness: {f}");
-
         // The paper's §4.3 claim is comparative: the optimal allocation
         // must clearly beat the proportional trap under the same
         // (noisy, estimated) rates — absolute freshness depends on the
         // universe's rate mixture, which is heavy-tailed here.
-        let mut prop_cfg = config(50);
-        prop_cfg.revisit = RevisitStrategy::Proportional;
-        prop_cfg.estimator = EstimatorKind::Eb;
-        let mut prop_fetcher = SimFetcher::new(&u);
-        let mut prop = IncrementalCrawler::new(prop_cfg);
-        run(&mut prop, &u, &mut prop_fetcher, 80.0);
-        let f_prop = prop.metrics().average_freshness_from(40.0);
+        let f_prop = freshness(RevisitStrategy::Proportional);
         assert!(f > f_prop, "optimal {f} should beat proportional {f_prop}");
+    }
+
+    #[test]
+    fn threaded_matches_single_threaded_statistically() {
+        // Fixed composition (no churn, capacity covers every reachable
+        // page): any freshness difference is then pure scheduling, which
+        // must agree between the executors. Under churn they hold
+        // *different but equally valid* page sets, because the pool
+        // applies ranking one interval later — exactly as in a real
+        // concurrent crawler.
+        let mut ucfg = UniverseConfig::test_scale(56);
+        ucfg.churn = false;
+        ucfg.pages_per_site = 20;
+        ucfg.window_size = 20;
+        let u = WebUniverse::generate(ucfg);
+        let capacity = 200; // 10 sites × 20 slots: everything fits
+        let freshness = |workers| {
+            crawl(workers, config(capacity), &u, 60.0).metrics().average_freshness_from(30.0)
+        };
+        let (f_pool, f_inline) = (freshness(Some(4)), freshness(None));
+        assert!((f_pool - f_inline).abs() < 0.08, "pool {f_pool} vs inline {f_inline}");
+    }
+
+    #[test]
+    fn state_roundtrip_preserves_continuation() {
+        // Export at the end of a drive, rebuild, and continue both: the
+        // original and the restored copy must stay in lockstep.
+        let u = universe(60);
+        for workers in [None, Some(2)] {
+            let mut original = engine(workers, config(30));
+            let mut fetcher = SimFetcher::new(&u);
+            run(&mut *original, &u, &mut fetcher, 21.0);
+            let mut state = original.export_state();
+            assert_eq!(state.engine, original.kind());
+            if original.uses_external_fetcher() {
+                state.fetcher = Fetcher::export_state(&fetcher);
+            }
+            let (mut restored, fetcher_state) = restore(state).expect("state restores");
+            let mut restored_fetcher = SimFetcher::new(&u);
+            if let Some(fetcher_state) = fetcher_state {
+                restored_fetcher.restore_state(fetcher_state);
+            }
+            run(&mut *original, &u, &mut fetcher, 35.0);
+            run(&mut *restored, &u, &mut restored_fetcher, 35.0);
+            assert_eq!(original.metrics().fetches, restored.metrics().fetches);
+            let rows_a: Vec<(f64, f64)> = original.metrics().freshness.rows().collect();
+            let rows_b: Vec<(f64, f64)> = restored.metrics().freshness.rows().collect();
+            assert_eq!(rows_a, rows_b, "workers={workers:?}: restored engine diverged");
+        }
+    }
+
+    #[test]
+    fn from_state_rejects_foreign_states() {
+        let u = universe(61);
+        let inline = crawl(None, config(20), &u, 8.0).export_state();
+        let pool = crawl(Some(2), config(20), &u, 8.0).export_state();
+        assert!(matches!(ThreadedCrawler::from_state(inline), Err(WebEvoError::InvalidState(_))));
+        assert!(matches!(
+            IncrementalCrawler::from_state(pool),
+            Err(WebEvoError::InvalidState(_))
+        ));
     }
 }

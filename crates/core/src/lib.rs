@@ -18,13 +18,13 @@
 //! * [`modules`] — the three modules as separable units: `CrawlModule`
 //!   (fetch + link extraction), `UpdateModule` (update decision: what to
 //!   refresh, when), `RankingModule` (refinement decision: what to keep).
-//! * [`incremental`] — the single-threaded deterministic engine combining
-//!   them (Algorithm 5.1 / Figure 11 made concrete).
-//! * [`threaded`] — the same architecture with real concurrency: crawl
-//!   workers behind crossbeam channels, shared state behind parking_lot
-//!   locks, the RankingModule decoupled from the crawl hot path exactly as
-//!   §5.3 prescribes ("Separating the update decision from the refinement
-//!   decision is crucial").
+//! * [`incremental`] — the one deterministic engine combining them
+//!   (Algorithm 5.1 / Figure 11 made concrete), with two executors: inline
+//!   (one fetch slot at a time through the caller's fetcher, ranking in
+//!   place) and a worker pool (crawl workers behind crossbeam channels,
+//!   the RankingModule on its own thread, decoupled from the crawl hot
+//!   path exactly as §5.3 prescribes: "Separating the update decision from
+//!   the refinement decision is crucial").
 //! * [`periodic`] — the batch-mode, shadowing, fixed-frequency baseline
 //!   (the right-hand column of Figure 10).
 //! * [`metrics`] — freshness/age/new-page-latency instrumentation against
@@ -33,7 +33,7 @@
 //!   diverts foreign-site discoveries into an outbox instead of burning
 //!   fetches on them, and the fleet coordinator delivers merged batches
 //!   back into the owning shards' frontiers (durably, via the WAL).
-//! * [`engine`] — the [`CrawlEngine`] trait all three engines implement:
+//! * [`engine`] — the [`CrawlEngine`] trait every engine implements:
 //!   one step-wise `drive`/`replay`/`export_state` contract, plus the
 //!   shared [`CrawlBudget`] both configuration families derive from. The
 //!   application-facing `CrawlSession` builder in `webevo-store` drives
@@ -63,14 +63,13 @@ pub mod modules;
 pub mod periodic;
 pub mod routing;
 pub mod state;
-pub mod threaded;
 pub mod view;
 
 pub use allurls::AllUrls;
 pub use collection::{Collection, StoredPage};
 pub use engine::{collection_quality, restore, CrawlBudget, CrawlEngine};
 pub use hooks::{CrawlHook, FetchRecord, NoopHook, PairHook};
-pub use incremental::{IncrementalConfig, IncrementalCrawler};
+pub use incremental::{IncrementalConfig, IncrementalCrawler, IncrementalEngine, ThreadedCrawler};
 pub use metrics::CrawlMetrics;
 pub use modules::{
     CrawlModule, EstimatorKind, RankingConfig, RankingModule, RevisitStrategy, UpdateModule,
@@ -81,5 +80,4 @@ pub use routing::{
     ShardScope, WalEvent,
 };
 pub use state::{CrawlerState, EngineClock, EngineConfig, EngineKind, QueueEntry};
-pub use threaded::ThreadedCrawler;
 pub use view::{BoundaryPages, ViewBoundary, ViewPublisher};

@@ -7,9 +7,10 @@
 //! and the crawler-architecture benches.
 
 use webevo_freshness::FreshnessSeries;
+use webevo_sim::WebUniverse;
 use webevo_stats::Summary;
 use webevo_types::binio::{BinDecode, BinEncode, BinError, BinReader};
-use webevo_types::WebEvoError;
+use webevo_types::{PageId, WebEvoError};
 
 /// Metrics collected over one crawler run.
 #[derive(Clone, Debug, Default)]
@@ -95,6 +96,36 @@ impl CrawlMetrics {
         }
         self.freshness.push(t, freshness);
         self.age.push(t, mean_age);
+    }
+
+    /// The one freshness sampler of every engine kind: record the
+    /// freshness and mean age at `t` of the user-visible `copies` — each a
+    /// `(page, day it was crawled)` pair — against ground truth. A stale
+    /// copy ages from the page's first change after the crawl (or from its
+    /// death); an empty collection samples as `(0, 0)`.
+    pub fn sample_freshness(
+        &mut self,
+        universe: &WebUniverse,
+        t: f64,
+        copies: impl Iterator<Item = (PageId, f64)>,
+    ) {
+        let (mut n, mut fresh, mut age_sum) = (0usize, 0usize, 0.0);
+        for (p, crawled) in copies {
+            n += 1;
+            if universe.copy_is_fresh(p, crawled, t) {
+                fresh += 1;
+            } else {
+                let page = universe.page(p);
+                let staled_at =
+                    universe.first_change_after(p, crawled).unwrap_or(page.death).min(page.death);
+                age_sum += (t - staled_at).max(0.0);
+            }
+        }
+        if n == 0 {
+            self.sample(t, 0.0, 0.0);
+        } else {
+            self.sample(t, fresh as f64 / n as f64, age_sum / n as f64);
+        }
     }
 
     /// Record a page becoming visible to users `latency` days after its

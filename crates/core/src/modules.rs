@@ -372,12 +372,6 @@ impl RankingModule {
         RankingModule { config, runs: 0 }
     }
 
-    /// Rebuild from a checkpoint: same configuration, `runs` passes
-    /// already completed.
-    pub fn with_runs(config: RankingConfig, runs: u64) -> RankingModule {
-        RankingModule { config, runs }
-    }
-
     /// Number of completed passes.
     pub fn runs(&self) -> u64 {
         self.runs

@@ -17,7 +17,7 @@
 //! engine is quiescent between cycles.
 
 use crate::collection::Collection;
-use crate::engine::{CrawlBudget, CrawlEngine, FetchSource};
+use crate::engine::{check_drive_target, CrawlBudget, CrawlEngine, FetchSource};
 use crate::hooks::{CrawlHook, FetchRecord, NoopHook};
 use crate::metrics::CrawlMetrics;
 use crate::modules::{CrawlModule, EstimatorKind, RevisitStrategy, UpdateModule};
@@ -350,14 +350,11 @@ impl PeriodicCrawler {
     /// Whether the replay source's next event is the routed batch due at
     /// the current point of the schedule; apply it if so.
     fn try_apply_routed(&mut self, source: &mut FetchSource<'_>) -> bool {
-        if let Some(batch) = source.peek_routed() {
-            if batch.t.to_bits() == self.clock.t.to_bits() && batch.seq == self.fetch_seq + 1 {
-                let batch = source.take_routed().expect("peeked a routed batch");
-                self.apply_routed(batch);
-                return true;
-            }
-        }
-        false
+        let Some(batch) = source.take_routed_at(self.clock.t, self.fetch_seq + 1) else {
+            return false;
+        };
+        self.apply_routed(batch);
+        true
     }
 
     /// The shared event loop: samples, batch fetches, shadow swaps, and
@@ -431,7 +428,7 @@ impl PeriodicCrawler {
                     // builds (§4).
                     while self.clock.next_sample <= self.clock.t {
                         let ts = self.clock.next_sample;
-                        self.sample_metrics(universe, ts);
+                        self.sample(universe, ts);
                         self.clock.next_sample += self.config.sample_interval_days;
                     }
                     let Some(url) = self.window.as_mut().expect("window").frontier.pop_front()
@@ -457,7 +454,7 @@ impl PeriodicCrawler {
                         return;
                     }
                     let ts = self.clock.next_sample;
-                    self.sample_metrics(universe, ts);
+                    self.sample(universe, ts);
                     self.clock.next_sample += self.config.sample_interval_days;
                 }
                 cycle_span = None;
@@ -572,28 +569,11 @@ impl PeriodicCrawler {
         }
     }
 
-    /// Evaluation-only freshness/age sampling of the current collection.
-    fn sample_metrics(&mut self, universe: &WebUniverse, t: f64) {
-        if self.current.is_empty() {
-            self.metrics.sample(t, 0.0, 0.0);
-            return;
-        }
-        let mut fresh = 0usize;
-        let mut age_sum = 0.0;
-        let n = self.current.len();
-        for (p, snap) in self.current.iter() {
-            if universe.copy_is_fresh(p, snap.crawl_time, t) {
-                fresh += 1;
-            } else {
-                let page = universe.page(p);
-                let staled_at = universe
-                    .first_change_after(p, snap.crawl_time)
-                    .unwrap_or(page.death)
-                    .min(page.death);
-                age_sum += (t - staled_at).max(0.0);
-            }
-        }
-        self.metrics.sample(t, fresh as f64 / n as f64, age_sum / n as f64);
+    /// Evaluation-only: freshness and mean age of the current collection
+    /// against ground truth.
+    fn sample(&mut self, universe: &WebUniverse, t: f64) {
+        let copies = self.current.iter().map(|(p, snap)| (p, snap.crawl_time));
+        self.metrics.sample_freshness(universe, t, copies);
     }
 }
 
@@ -622,19 +602,9 @@ impl CrawlEngine for PeriodicCrawler {
         hook: &mut dyn CrawlHook,
         until: f64,
     ) -> Result<&CrawlMetrics, WebEvoError> {
+        check_drive_target(self.started, self.clock.t, until)?;
         if !self.started {
-            if until <= self.clock.t {
-                return Err(WebEvoError::InvalidState(format!(
-                    "drive target {until} must lie beyond the start day {}",
-                    self.clock.t
-                )));
-            }
             self.begin_run();
-        } else if until <= self.clock.t {
-            return Err(WebEvoError::InvalidState(format!(
-                "drive target {until} must lie beyond the engine clock {}",
-                self.clock.t
-            )));
         }
         self.metrics.observe_speed(self.config.peak_speed());
         let _drive = self.obs.span(Stage::Drive, LogicalClock::new(self.clock.t, self.fetch_seq));
@@ -661,18 +631,7 @@ impl CrawlEngine for PeriodicCrawler {
             }
             self.begin_run();
         }
-        let skip = events.partition_point(|e| e.seq() <= self.fetch_seq);
-        let tail = &events[skip..];
-        if let Some(first) = tail.first() {
-            if first.seq() != self.fetch_seq + 1 {
-                return Err(WebEvoError::InvalidState(format!(
-                    "WAL gap: snapshot ends at seq {} but the log resumes at {}",
-                    self.fetch_seq,
-                    first.seq()
-                )));
-            }
-        }
-        let mut source = FetchSource::Replay { events: tail, pos: 0, fetcher };
+        let mut source = FetchSource::replay(events, self.fetch_seq, Some(fetcher))?;
         self.advance(universe, &mut source, f64::INFINITY, &mut NoopHook);
         Ok(())
     }

@@ -42,10 +42,11 @@ use webevo_types::{PageId, Url, WebEvoError};
 pub enum EngineKind {
     /// The batch-mode, shadowing baseline [`crate::PeriodicCrawler`].
     Periodic,
-    /// The single-threaded [`crate::IncrementalCrawler`].
+    /// The incremental engine ([`crate::incremental`]) with its inline
+    /// executor: [`crate::IncrementalCrawler`].
     Incremental,
-    /// The concurrent [`crate::ThreadedCrawler`] with `workers` parallel
-    /// CrawlModules.
+    /// The same engine with its pool executor — `workers` parallel
+    /// CrawlModules and a ranking thread: [`crate::ThreadedCrawler`].
     Threaded {
         /// Number of crawl workers.
         workers: usize,

@@ -788,7 +788,7 @@ impl<'a> FleetSession<'a> {
                 // revisits — the collection deficit the routing protocol
                 // exists to close. Rates differ per shard, so metrics
                 // sampling is pinned to the shared grid (see
-                // `IncrementalCrawler::advance`), keeping the per-shard
+                // `IncrementalEngine::advance`), keeping the per-shard
                 // series mergeable.
                 config.crawl_rate_per_day =
                     self.budget.steady_rate() * capacity as f64 / total.max(1) as f64;

@@ -242,8 +242,8 @@ impl<'a> CrawlSessionBuilder<'a> {
             }
         };
 
-        // Shard scoping binds before the run seeds; engines that cannot be
-        // scoped (the threaded one) reject it here, at build time.
+        // Shard scoping binds before the run seeds; an engine that cannot
+        // be scoped rejects it here, at build time.
         if let Some(scope) = self.scope {
             engine.set_scope(scope)?;
         }

@@ -46,7 +46,7 @@
 //! | [`freshness`] | §4 | freshness/age analytics, Figures 7/8, Table 2 |
 //! | [`estimate`] | §5.3 | estimators EP and EB |
 //! | [`schedule`] | §4.3 | uniform/proportional/optimal revisit, Figure 9 |
-//! | [`core`] | §5 | all three crawl engines behind one `CrawlEngine` trait |
+//! | [`core`] | §5 | the crawl engines behind one `CrawlEngine` trait: periodic, and the incremental engine with its inline and pool executors |
 //! | [`store`] | §5 | durable crawl state, the `CrawlSession` entry point, sharded `FleetSession`s |
 //! | [`obs`] | — | structured tracing, metrics registry, stage profiling |
 //! | [`serve`] | §1, §5 | epoch-swapped query layer serving concurrent readers under a live crawl |

@@ -126,7 +126,8 @@ fn variable_frequency_beats_fixed_under_tight_budget() {
 #[test]
 fn threaded_engine_agrees_with_sequential() {
     // Fixed composition: no churn and full coverage, so the comparison
-    // isolates scheduling (see threaded.rs for the rationale).
+    // isolates scheduling (`threaded_matches_single_threaded_statistically`
+    // in incremental.rs gives the rationale).
     let mut ucfg = UniverseConfig::test_scale(402);
     ucfg.churn = false;
     ucfg.pages_per_site = 18;

@@ -122,187 +122,158 @@ fn universe_generation_replays() {
 // through CrawlSession::resume for every engine.)
 // --------------------------------------------------------------------
 
-#[test]
-fn incremental_killed_and_recovered_matches_uninterrupted() {
-    let dir = temp_dir("inc-recover");
-    let universe = WebUniverse::generate(UniverseConfig::test_scale(42));
-    let config = IncrementalConfig {
-        capacity: 50,
-        crawl_rate_per_day: 10.0,
-        ..IncrementalConfig::monthly(50)
-    };
-    // Failure injection makes the fetcher genuinely stateful (its attempt
-    // counter drives the failure pattern), so this also proves fetcher
-    // state survives the crash.
-    let failure_rate = 0.15;
+/// One kill → recover → continue scenario.
+struct RecoveryCase {
+    tag: &'static str,
+    kind: EngineKind,
+    seed: u64,
+    config: EngineConfig,
+    /// Crawl through a caller-supplied failure-injecting fetcher. That
+    /// makes the fetcher genuinely stateful (its attempt counter drives
+    /// the failure pattern), so the case also proves fetcher state
+    /// survives the crash. `None` for the threaded kind, whose workers own
+    /// their fetchers.
+    failure_rate: Option<f64>,
+    snapshot_every: f64,
+    /// Deliberately not a checkpoint boundary.
+    kill_day: f64,
+    end_day: f64,
+    min_snapshots: u64,
+    /// Passes the resumed run must have completed by `end_day` — proof
+    /// that the continuation crossed boundaries of its own.
+    min_passes: u64,
+}
 
-    // Phase 1: crawl under the checkpointer, then "kill" the process by
-    // dropping every in-memory structure. Day 23 is deliberately not a
-    // checkpoint boundary.
-    let mut killed_fetcher = SimFetcher::new(&universe).with_failure_rate(failure_rate);
-    let mut killed = CrawlSession::builder()
-        .engine(EngineKind::Incremental)
-        .incremental(config.clone())
-        .universe(&universe)
-        .fetcher(&mut killed_fetcher)
-        .checkpoint(&dir, 5.0)
-        .build()
-        .expect("checkpoint dir is writable");
-    killed.run(23.0).expect("the crawl runs");
+impl RecoveryCase {
+    /// A session of this case over `universe`, checkpointing into `dir`
+    /// when one is given.
+    fn session<'a, 'u: 'a>(
+        &self,
+        universe: &'a WebUniverse,
+        fetcher: Option<&'a mut SimFetcher<'u>>,
+        dir: Option<&std::path::Path>,
+    ) -> CrawlSession<'a> {
+        let mut builder = CrawlSession::builder().engine(self.kind).universe(universe);
+        builder = match self.config.clone() {
+            EngineConfig::Incremental(config) => builder.incremental(config),
+            EngineConfig::Periodic(config) => builder.periodic(config),
+        };
+        if let Some(fetcher) = fetcher {
+            builder = builder.fetcher(fetcher);
+        }
+        if let Some(dir) = dir {
+            builder = builder.checkpoint(dir, self.snapshot_every);
+        }
+        builder.build().expect("a valid session")
+    }
+}
+
+/// Crawl under the checkpointer to `kill_day`, "kill" the process by
+/// dropping every in-memory structure, recover from `snapshot + WAL tail`
+/// and continue to `end_day` in one call — and require the result to
+/// match, on every metric channel and in the fetcher's replay state, the
+/// same crawl never interrupted.
+fn assert_killed_and_recovered_matches_uninterrupted(case: RecoveryCase) {
+    let dir = temp_dir(case.tag);
+    let universe = WebUniverse::generate(UniverseConfig::test_scale(case.seed));
+    let fetcher = || {
+        case.failure_rate.map(|rate| SimFetcher::new(&universe).with_failure_rate(rate))
+    };
+    let mut killed_fetcher = fetcher();
+    let mut killed = case.session(&universe, killed_fetcher.as_mut(), Some(&dir));
+    killed.run(case.kill_day).expect("the crawl runs");
     let stats = killed.checkpoint_stats().expect("checkpointing active");
-    assert!(stats.snapshots >= 2, "stats={stats:?}");
+    assert!(stats.snapshots >= case.min_snapshots, "{}: stats={stats:?}", case.tag);
     drop(killed);
     drop(killed_fetcher);
 
     // Sanity: what is on disk predates the kill point.
     let on_disk = recover(&dir).expect("snapshot decodes").expect("snapshot exists");
-    assert!(on_disk.state.clock.t < 23.0, "snapshot predates the kill point");
+    assert!(on_disk.state.clock.t < case.kill_day, "snapshot predates the kill point");
 
-    // Phase 2: recover from disk and continue to day 40 — one call.
-    let mut resumed_fetcher = SimFetcher::new(&universe).with_failure_rate(failure_rate);
-    let mut resumed = CrawlSession::builder()
-        .engine(EngineKind::Incremental)
-        .incremental(config.clone())
-        .universe(&universe)
-        .fetcher(&mut resumed_fetcher)
-        .checkpoint(&dir, 5.0)
-        .build()
-        .expect("checkpoint dir is writable");
-    resumed.resume(40.0).expect("snapshot + WAL tail recover");
+    let mut resumed_fetcher = fetcher();
+    let mut resumed = case.session(&universe, resumed_fetcher.as_mut(), Some(&dir));
+    resumed.resume(case.end_day).expect("snapshot + WAL tail recover");
+    assert!(resumed.passes() >= case.min_passes, "{}: passes={}", case.tag, resumed.passes());
     let resumed_metrics = resumed.metrics().clone();
     drop(resumed);
 
-    // Reference: the same crawl, never interrupted.
-    let mut reference_fetcher = SimFetcher::new(&universe).with_failure_rate(failure_rate);
-    let mut reference = CrawlSession::builder()
-        .engine(EngineKind::Incremental)
-        .incremental(config)
-        .universe(&universe)
-        .fetcher(&mut reference_fetcher)
-        .build()
-        .expect("a valid session");
-    reference.run(40.0).expect("the crawl runs");
+    let mut reference_fetcher = fetcher();
+    let mut reference = case.session(&universe, reference_fetcher.as_mut(), None);
+    reference.run(case.end_day).expect("the crawl runs");
     let reference_metrics = reference.metrics().clone();
     drop(reference);
 
-    assert!(reference_metrics.failed_fetches > 0, "failure injection active");
+    assert!(reference_metrics.fetches > 0, "the run should actually crawl");
     assert_metrics_identical(&reference_metrics, &resumed_metrics);
-    assert_eq!(
-        Fetcher::export_state(&reference_fetcher),
-        Fetcher::export_state(&resumed_fetcher),
-        "fetcher replay state diverged"
-    );
+    if let (Some(reference_fetcher), Some(resumed_fetcher)) = (reference_fetcher, resumed_fetcher) {
+        assert!(reference_metrics.failed_fetches > 0, "failure injection active");
+        assert_eq!(
+            Fetcher::export_state(&reference_fetcher),
+            Fetcher::export_state(&resumed_fetcher),
+            "fetcher replay state diverged"
+        );
+    }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+fn small_incremental_config() -> EngineConfig {
+    EngineConfig::Incremental(IncrementalConfig {
+        capacity: 50,
+        crawl_rate_per_day: 10.0,
+        ..IncrementalConfig::monthly(50)
+    })
+}
+
+#[test]
+fn incremental_killed_and_recovered_matches_uninterrupted() {
+    assert_killed_and_recovered_matches_uninterrupted(RecoveryCase {
+        tag: "inc-recover",
+        kind: EngineKind::Incremental,
+        seed: 42,
+        config: small_incremental_config(),
+        failure_rate: Some(0.15),
+        snapshot_every: 5.0,
+        kill_day: 23.0,
+        end_day: 40.0,
+        min_snapshots: 2,
+        min_passes: 39,
+    });
 }
 
 #[test]
 fn threaded_killed_and_recovered_matches_uninterrupted() {
-    let dir = temp_dir("thr-recover");
-    let universe = WebUniverse::generate(UniverseConfig::test_scale(43));
-    let config = IncrementalConfig {
-        capacity: 50,
-        crawl_rate_per_day: 10.0,
-        ..IncrementalConfig::monthly(50)
-    };
-    let workers = 4;
-
-    let mut killed = CrawlSession::builder()
-        .engine(EngineKind::Threaded { workers })
-        .incremental(config.clone())
-        .universe(&universe)
-        .checkpoint(&dir, 4.0)
-        .build()
-        .expect("checkpoint dir is writable");
-    killed.run(21.0).expect("the crawl runs");
-    let stats = killed.checkpoint_stats().expect("checkpointing active");
-    assert!(stats.snapshots >= 2, "stats={stats:?}");
-    drop(killed);
-
-    let mut resumed = CrawlSession::builder()
-        .engine(EngineKind::Threaded { workers })
-        .incremental(config.clone())
-        .universe(&universe)
-        .checkpoint(&dir, 4.0)
-        .build()
-        .expect("checkpoint dir is writable");
-    resumed.resume(35.0).expect("snapshot + WAL tail recover");
-
-    let mut reference = CrawlSession::builder()
-        .engine(EngineKind::Threaded { workers })
-        .incremental(config)
-        .universe(&universe)
-        .build()
-        .expect("a valid session");
-    reference.run(35.0).expect("the crawl runs");
-
-    assert!(reference.metrics().fetches > 0, "the run should actually crawl");
-    assert_metrics_identical(reference.metrics(), resumed.metrics());
-    let _ = std::fs::remove_dir_all(&dir);
+    assert_killed_and_recovered_matches_uninterrupted(RecoveryCase {
+        tag: "thr-recover",
+        kind: EngineKind::Threaded { workers: 4 },
+        seed: 43,
+        config: small_incremental_config(),
+        failure_rate: None,
+        snapshot_every: 4.0,
+        kill_day: 21.0,
+        end_day: 35.0,
+        min_snapshots: 2,
+        min_passes: 34,
+    });
 }
 
 #[test]
 fn periodic_killed_and_recovered_matches_uninterrupted() {
-    // The periodic engine's save → kill → restore → continue parity: the
-    // redesign brought it to full durability parity with the incremental
-    // engines, and this pins it the same way. Day 23 sits mid-idle of the
-    // first monthly cycle, past the first shadow swap (the engine's pass
-    // boundary), so recovery crosses both a snapshot and an idle stretch.
-    let dir = temp_dir("per-recover");
-    let universe = WebUniverse::generate(UniverseConfig::test_scale(44));
-    let config = PeriodicConfig::monthly(50);
-    let failure_rate = 0.15;
-
-    let mut killed_fetcher = SimFetcher::new(&universe).with_failure_rate(failure_rate);
-    let mut killed = CrawlSession::builder()
-        .engine(EngineKind::Periodic)
-        .periodic(config.clone())
-        .universe(&universe)
-        .fetcher(&mut killed_fetcher)
-        .checkpoint(&dir, 5.0)
-        .build()
-        .expect("checkpoint dir is writable");
-    killed.run(23.0).expect("the crawl runs");
-    assert!(
-        killed.checkpoint_stats().expect("checkpointing active").snapshots >= 1,
-        "the first swap must have checkpointed"
-    );
-    drop(killed);
-    drop(killed_fetcher);
-
-    let mut resumed_fetcher = SimFetcher::new(&universe).with_failure_rate(failure_rate);
-    let mut resumed = CrawlSession::builder()
-        .engine(EngineKind::Periodic)
-        .periodic(config.clone())
-        .universe(&universe)
-        .fetcher(&mut resumed_fetcher)
-        .checkpoint(&dir, 5.0)
-        .build()
-        .expect("checkpoint dir is writable");
-    resumed.resume(70.0).expect("snapshot + WAL tail recover");
-    assert!(resumed.passes() >= 2, "the resumed run crosses the next swap");
-    let resumed_metrics = resumed.metrics().clone();
-    drop(resumed);
-
-    let mut reference_fetcher = SimFetcher::new(&universe).with_failure_rate(failure_rate);
-    let mut reference = CrawlSession::builder()
-        .engine(EngineKind::Periodic)
-        .periodic(config)
-        .universe(&universe)
-        .fetcher(&mut reference_fetcher)
-        .build()
-        .expect("a valid session");
-    reference.run(70.0).expect("the crawl runs");
-    let reference_metrics = reference.metrics().clone();
-    drop(reference);
-
-    assert!(reference_metrics.failed_fetches > 0, "failure injection active");
-    assert_metrics_identical(&reference_metrics, &resumed_metrics);
-    assert_eq!(
-        Fetcher::export_state(&reference_fetcher),
-        Fetcher::export_state(&resumed_fetcher),
-        "fetcher replay state diverged"
-    );
-    let _ = std::fs::remove_dir_all(&dir);
+    // Day 23 sits mid-idle of the first monthly cycle, past the first
+    // shadow swap (the engine's pass boundary), so recovery crosses both
+    // a snapshot and an idle stretch — and the resumed run the next swap.
+    assert_killed_and_recovered_matches_uninterrupted(RecoveryCase {
+        tag: "per-recover",
+        kind: EngineKind::Periodic,
+        seed: 44,
+        config: EngineConfig::Periodic(PeriodicConfig::monthly(50)),
+        failure_rate: Some(0.15),
+        snapshot_every: 5.0,
+        kill_day: 23.0,
+        end_day: 70.0,
+        min_snapshots: 1,
+        min_passes: 2,
+    });
 }
 
 #[test]
@@ -1087,7 +1058,9 @@ fn concurrent_readers_always_see_one_consistent_epoch() {
             std::thread::spawn(move || {
                 let mut last_epoch = 0u64;
                 let mut checks = 0u64;
-                while !stop.load(std::sync::atomic::Ordering::Relaxed) {
+                // Check first, test `stop` after: a reader the scheduler
+                // starves until the crawl is over still runs one check.
+                loop {
                     let view = queries.view();
                     let info = view.info();
                     // One snapshot, one epoch: every number below comes
@@ -1113,6 +1086,9 @@ fn concurrent_readers_always_see_one_consistent_epoch() {
                         );
                     }
                     checks += 1;
+                    if stop.load(std::sync::atomic::Ordering::Relaxed) {
+                        break;
+                    }
                 }
                 (last_epoch, checks)
             })

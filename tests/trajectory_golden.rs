@@ -1,0 +1,201 @@
+//! The cross-commit trajectory pin.
+//!
+//! `tests/determinism.rs` proves a build agrees with *itself* (killed and
+//! resumed equals uninterrupted, traced equals untraced). It cannot see a
+//! refactor that moves every trajectory of an engine the same way. This
+//! suite can: each case below runs a kill → resume crawl and compares a
+//! digest of everything it produced against a constant that was printed
+//! by a build of an **older commit**, never by the code under test.
+//!
+//! Regenerating the constants (only when a change is *meant* to move a
+//! trajectory): check out the parent of that change into a scratch
+//! directory, copy this file and its `[[test]]` entry in
+//! `crates/webevo/Cargo.toml` there, and run
+//!
+//! ```sh
+//! cargo test --release -p webevo --test trajectory_golden -- --ignored --nocapture
+//! ```
+//!
+//! then paste the printed rows over [`GOLDEN`]. The rows checked in here
+//! were printed at commit 8490ee6 (the last commit with two incremental
+//! engine source files).
+
+use std::path::PathBuf;
+use webevo::prelude::*;
+use webevo::store::{encode_snapshot, fnv64, SNAPSHOT_FILE, WAL_FILE};
+
+/// What one case leaves behind: a digest of every metrics channel, the
+/// raw counters (`passes` is 0 for the fleet, which does not expose one),
+/// and a digest of the final engine state's snapshot bytes (for the
+/// fleet: of every shard's on-disk snapshot and WAL).
+#[derive(Debug, PartialEq, Eq)]
+struct Digest {
+    metrics: u64,
+    fetches: u64,
+    passes: u64,
+    state: u64,
+}
+
+/// `(case, digest)` rows printed by `print_golden_digests` at the commit
+/// named in the module docs.
+const GOLDEN: &[(&str, Digest)] = &[
+    ("incremental", Digest { metrics: 0x31f48a784d343cc9, fetches: 350, passes: 34, state: 0x00c2c854a51d7906 }),
+    ("threaded-1", Digest { metrics: 0x60f7ffbd29fd7fc1, fetches: 350, passes: 34, state: 0xeed9858fde46c735 }),
+    ("threaded-4", Digest { metrics: 0x7d82a0f0afc2d1e8, fetches: 350, passes: 34, state: 0x1235cc74f1015c38 }),
+    ("fleet-2x-threaded-2", Digest { metrics: 0x3ddff81b39e3510d, fetches: 321, passes: 0, state: 0xb11fbc76233011e1 }),
+];
+
+fn temp_dir(name: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("webevo-golden-{}-{name}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
+fn push_f64s(out: &mut Vec<u8>, values: impl IntoIterator<Item = f64>) {
+    for v in values {
+        out.extend_from_slice(&v.to_bits().to_le_bytes());
+    }
+}
+
+/// Every `CrawlMetrics` channel, f64s by bit pattern.
+fn metrics_bytes(m: &CrawlMetrics, out: &mut Vec<u8>) {
+    for (t, v) in m.freshness.rows().chain(m.age.rows()) {
+        push_f64s(out, [t, v]);
+    }
+    for summary in [&m.new_page_latency, &m.discovery_latency] {
+        let (n, mean, m2, min, max) = summary.raw_parts();
+        out.extend_from_slice(&n.to_le_bytes());
+        push_f64s(out, [mean, m2, min, max]);
+    }
+    out.extend_from_slice(&m.fetches.to_le_bytes());
+    out.extend_from_slice(&m.failed_fetches.to_le_bytes());
+    push_f64s(out, [m.peak_speed]);
+}
+
+/// Single node: crawl under a 4-day snapshot cadence, kill at day 22.5
+/// (off the cadence, the ranking grid and the sampling grid), resume from
+/// `snapshot + WAL tail` and drive on to day 35. The single-threaded kind
+/// crawls through a failure-injecting fetcher so its replay state is part
+/// of the pinned snapshot.
+fn single_node(tag: &str, kind: EngineKind, seed: u64) -> Digest {
+    let dir = temp_dir(tag);
+    let universe = WebUniverse::generate(UniverseConfig::test_scale(seed));
+    let config = IncrementalConfig {
+        capacity: 50,
+        crawl_rate_per_day: 10.0,
+        ..IncrementalConfig::monthly(50)
+    };
+    let external = kind == EngineKind::Incremental;
+    let fetcher = || SimFetcher::new(&universe).with_failure_rate(0.15);
+    let session = |fetcher: Option<&mut SimFetcher>, days: f64, resume: bool| {
+        let mut builder = CrawlSession::builder()
+            .engine(kind)
+            .incremental(config.clone())
+            .universe(&universe)
+            .checkpoint(&dir, 4.0);
+        if let Some(f) = fetcher {
+            builder = builder.fetcher(f);
+        }
+        let mut session = builder.build().expect("checkpoint dir is writable");
+        if resume {
+            session.resume(days).expect("snapshot + WAL tail recover");
+        } else {
+            session.run(days).expect("the crawl runs");
+        }
+        let mut bytes = Vec::new();
+        metrics_bytes(session.metrics(), &mut bytes);
+        Digest {
+            metrics: fnv64(&bytes),
+            fetches: session.metrics().fetches,
+            passes: session.passes(),
+            state: fnv64(&encode_snapshot(&session.export_state())),
+        }
+    };
+    let mut killed_fetcher = fetcher();
+    session(external.then_some(&mut killed_fetcher), 22.5, false);
+    let mut resumed_fetcher = fetcher();
+    let digest = session(external.then_some(&mut resumed_fetcher), 35.0, true);
+    let _ = std::fs::remove_dir_all(&dir);
+    digest
+}
+
+/// Fleet: 2 shards × `Threaded { workers: 2 }`, killed at day 23 with
+/// shard 1's WAL torn mid-record, resumed to day 40 — the path that
+/// replays routed-batch records between seq-tagged fetch records.
+fn threaded_fleet() -> Digest {
+    let dir = temp_dir("fleet");
+    let universe = WebUniverse::generate(UniverseConfig::test_scale(50));
+    let build = || {
+        FleetSession::builder()
+            .shards(2)
+            .engine(EngineKind::Threaded { workers: 2 })
+            .budget(CrawlBudget::paper_monthly(48).with_cycle_days(6.0))
+            .universe(&universe)
+            .checkpoint(&dir, 4.0)
+            .build()
+            .expect("a valid fleet")
+    };
+    let mut killed = build();
+    killed.run(23.0).expect("the fleet runs");
+    drop(killed);
+    let wal_path = dir.join("shard-1").join(WAL_FILE);
+    let wal = std::fs::read(&wal_path).expect("shard 1 has a WAL");
+    std::fs::write(&wal_path, &wal[..wal.len() - 31]).expect("wal writable");
+
+    let mut resumed = build();
+    let results = resumed.resume(40.0).expect("the fleet recovers").clone();
+    drop(resumed);
+    assert!(results.routed_links() > 0, "cross-shard links were exchanged");
+
+    let mut bytes = Vec::new();
+    metrics_bytes(&results.merged, &mut bytes);
+    let mut files = Vec::new();
+    for report in &results.shards {
+        metrics_bytes(&report.metrics, &mut bytes);
+        bytes.extend_from_slice(&report.routed_links.to_le_bytes());
+        bytes.extend_from_slice(&(report.collection_len as u64).to_le_bytes());
+        let shard_dir = dir.join(format!("shard-{}", report.shard.0));
+        files.extend(std::fs::read(shard_dir.join(SNAPSHOT_FILE)).expect("snapshot"));
+        files.extend(std::fs::read(shard_dir.join(WAL_FILE)).expect("wal"));
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+    Digest {
+        metrics: fnv64(&bytes),
+        fetches: results.merged.fetches,
+        passes: 0,
+        state: fnv64(&files),
+    }
+}
+
+fn cases() -> Vec<(&'static str, Digest)> {
+    vec![
+        ("incremental", single_node("inc", EngineKind::Incremental, 42)),
+        ("threaded-1", single_node("thr1", EngineKind::Threaded { workers: 1 }, 43)),
+        ("threaded-4", single_node("thr4", EngineKind::Threaded { workers: 4 }, 43)),
+        ("fleet-2x-threaded-2", threaded_fleet()),
+    ]
+}
+
+#[test]
+fn trajectories_match_the_digests_of_an_older_build() {
+    let current = cases();
+    assert_eq!(current.len(), GOLDEN.len(), "every case needs a golden row");
+    for ((name, digest), (golden_name, golden)) in current.iter().zip(GOLDEN) {
+        assert_eq!(name, golden_name);
+        assert!(digest.fetches > 0, "{name}: the run should actually crawl");
+        assert_eq!(digest, golden, "{name}: trajectory moved against the older build");
+    }
+}
+
+/// Prints the rows of [`GOLDEN`]; see the module docs for when and where
+/// to run it.
+#[test]
+#[ignore = "prints golden rows; run at the PARENT commit, never to bless the code under test"]
+fn print_golden_digests() {
+    for (name, d) in cases() {
+        println!(
+            "    (\"{name}\", Digest {{ metrics: {:#018x}, fetches: {}, passes: {}, state: {:#018x} }}),",
+            d.metrics, d.fetches, d.passes, d.state
+        );
+    }
+}
