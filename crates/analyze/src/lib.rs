@@ -4,8 +4,8 @@
 //! WAL replay determinism, cross-engine comparability — are properties of
 //! the *source*, not of any single test run: one `HashMap` iteration on a
 //! serialized path, one `Instant::now()` feeding engine state, or one
-//! silent field reorder in a `BinEncode` impl breaks them in ways tests
-//! only catch probabilistically. This crate makes those properties
+//! silent field reorder in a wire-format declaration breaks them in ways
+//! tests only catch probabilistically. This crate makes those properties
 //! checkable on every commit, with three analyses over a hand-rolled token
 //! scanner (no `syn`, no dependencies — the gate builds offline):
 //!
@@ -15,10 +15,13 @@
 //!   `#![forbid(unsafe_code)]`. Exemptions live in per-crate
 //!   `ANALYZE.allow` files ([`allow`]) and every exemption needs a written
 //!   justification; stale exemptions are themselves findings.
-//! * **Wire-format schema** ([`schema`]) — every `BinEncode`/`BinDecode`
-//!   impl is parsed into its ordered field-write/read sequence, checked for
-//!   encode/decode symmetry, and pinned in `SCHEMA.lock` keyed to the
-//!   snapshot/WAL container versions, so no layout change lands unreviewed.
+//! * **Wire-format schema** ([`schema`]) — every persisted type's one
+//!   `wire_struct!`/`wire_enum!` field list (which generates both its
+//!   `BinEncode` and its `BinDecode`) is pinned in `SCHEMA.lock` keyed to
+//!   the snapshot/WAL/manifest container versions, so no layout change
+//!   lands unreviewed; a hand-written codec impl outside
+//!   `crates/types/src/binio.rs` is an error, because only a hand-written
+//!   pair can read fields back in a different order than it wrote them.
 //! * **Panic-path audit** ([`panics`]) — `unwrap()`/`expect()` counts in
 //!   the durability crates against budgets that can only ratchet down.
 //!

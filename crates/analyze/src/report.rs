@@ -16,7 +16,8 @@ pub enum Lint {
     /// `unwrap()`/`expect()` count above the budgeted allowlist.
     PanicBudget,
     /// Wire-format schema problems: drift vs `SCHEMA.lock`, a missing
-    /// encode/decode counterpart, or encode/decode asymmetry.
+    /// encode/decode counterpart in `binio.rs`, or a hand-written codec
+    /// impl anywhere else.
     Schema,
     /// A malformed or stale `ANALYZE.allow` entry.
     Allowlist,

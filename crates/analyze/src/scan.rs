@@ -4,7 +4,7 @@
 //! into a flat token stream with comments stripped and string/char literals
 //! collapsed into single tokens, which is exactly enough to pattern-match
 //! the constructs the lints care about (`HashMap`, `Instant::now`,
-//! `impl BinEncode for …`) without ever matching text inside a comment or
+//! `wire_struct!(Type { … })`) without ever matching text inside a comment or
 //! a string literal — the failure mode that makes `grep`-based gates cry
 //! wolf. Test modules (`#[cfg(test)] mod … { … }`) are marked so lints can
 //! skip them: test code may use unordered maps and wall clocks freely.

@@ -132,32 +132,19 @@ fn seeded_exemption_without_justification_fires() {
 
 // ------------------------------------------------------- schema contract
 
-/// A fixture store crate with a two-field wire struct. `fields` controls
-/// the encode/decode order so tests can seed reorders; `snapshot` is the
-/// container version constant.
-fn wire_crate(encode: [&str; 2], decode: [&str; 2], snapshot: u32) -> Workspace {
+/// A fixture store crate declaring a two-field wire struct in `fields`
+/// order, so tests can seed reorders; `snapshot` is the container version
+/// constant.
+fn wire_crate(fields: [&str; 2], snapshot: u32) -> Workspace {
     let lib = format!(
         "#![forbid(unsafe_code)]\n\
          pub const SNAPSHOT_VERSION: u32 = {snapshot};\n\
          pub const WAL_HEADER: &str = \"WEBEVO-WAL 2\";\n\
+         pub const MANIFEST_VERSION: u32 = 2;\n\
          pub struct Page {{ pub url: u64, pub rank: u64 }}\n\
-         impl BinEncode for Page {{\n\
-             fn bin_encode(&self, out: &mut Vec<u8>) {{\n\
-                 self.{e0}.bin_encode(out);\n\
-                 self.{e1}.bin_encode(out);\n\
-             }}\n\
-         }}\n\
-         impl BinDecode for Page {{\n\
-             fn bin_decode(r: &mut Reader) -> Result<Self> {{\n\
-                 let {d0} = u64::bin_decode(r)?;\n\
-                 let {d1} = u64::bin_decode(r)?;\n\
-                 Ok(Page {{ url, rank }})\n\
-             }}\n\
-         }}\n",
-        e0 = encode[0],
-        e1 = encode[1],
-        d0 = decode[0],
-        d1 = decode[1],
+         wire_struct!(Page {{ {f0}, {f1} }});\n",
+        f0 = fields[0],
+        f1 = fields[1],
     );
     let lib = SourceFile::new("crates/store/src/lib.rs", lib);
     Workspace::from_sources(vec![CrateSources::new("store", vec![lib])])
@@ -165,9 +152,9 @@ fn wire_crate(encode: [&str; 2], decode: [&str; 2], snapshot: u32) -> Workspace 
 
 #[test]
 fn wire_fixture_round_trips_into_the_lock() {
-    let ws = wire_crate(["url", "rank"], ["url", "rank"], 3);
+    let ws = wire_crate(["url", "rank"], 3);
     let lock = schema::render_lock(&ws);
-    assert!(lock.contains("format snapshot=3 wal=2"), "{lock}");
+    assert!(lock.contains("format snapshot=3 wal=2 manifest=2"), "{lock}");
     assert!(lock.contains("store::Page struct url rank"), "{lock}");
     // A workspace checked against its own freshly rendered lock is clean.
     assert!(run(&ws, Some(&lock)).is_empty());
@@ -175,10 +162,10 @@ fn wire_fixture_round_trips_into_the_lock() {
 
 #[test]
 fn seeded_field_reorder_without_version_bump_fails_against_lock() {
-    let lock = schema::render_lock(&wire_crate(["url", "rank"], ["url", "rank"], 3));
-    // Someone swaps the two encode writes (and the reads to match) but
-    // leaves SNAPSHOT_VERSION alone: the byte layout changed silently.
-    let reordered = wire_crate(["rank", "url"], ["rank", "url"], 3);
+    let lock = schema::render_lock(&wire_crate(["url", "rank"], 3));
+    // Someone swaps the two declared fields but leaves SNAPSHOT_VERSION
+    // alone: the byte layout changed silently.
+    let reordered = wire_crate(["rank", "url"], 3);
     let f = run(&reordered, Some(&lock));
     let drift: Vec<_> = f.iter().filter(|f| f.lint == Lint::Schema).collect();
     assert_eq!(drift.len(), 1, "{f:?}");
@@ -193,8 +180,8 @@ fn seeded_field_reorder_without_version_bump_fails_against_lock() {
 
 #[test]
 fn seeded_field_reorder_with_version_bump_points_at_regeneration() {
-    let lock = schema::render_lock(&wire_crate(["url", "rank"], ["url", "rank"], 3));
-    let bumped = wire_crate(["rank", "url"], ["rank", "url"], 4);
+    let lock = schema::render_lock(&wire_crate(["url", "rank"], 3));
+    let bumped = wire_crate(["rank", "url"], 4);
     let f = run(&bumped, Some(&lock));
     let drift: Vec<_> = f.iter().filter(|f| f.lint == Lint::Schema).collect();
     assert!(!drift.is_empty(), "{f:?}");
@@ -210,21 +197,39 @@ fn seeded_field_reorder_with_version_bump_points_at_regeneration() {
 
 #[test]
 fn seeded_encode_decode_asymmetry_fires() {
-    // Encode writes url then rank; decode reads rank then url. The bytes
-    // round-trip into the wrong fields — exactly what symmetry catches.
-    let ws = wire_crate(["url", "rank"], ["rank", "url"], 3);
-    let lock = schema::render_lock(&ws);
-    let f = run(&ws, Some(&lock));
-    assert!(
-        f.iter()
-            .any(|f| f.lint == Lint::Schema && f.message.contains("field order mismatch")),
-        "{f:?}"
+    // A hand-written pair: encode writes id then score, decode reads score
+    // then id. The bytes round-trip into the wrong fields — which only a
+    // hand-written pair can do, so the pair itself is the finding (one per
+    // impl), and the type is not pinned as if it were declared.
+    let ws = fixture(
+        "store",
+        "pub struct Hit { pub id: u64, pub score: u64 }\n\
+         impl BinEncode for Hit {\n\
+             fn bin_encode(&self, out: &mut Vec<u8>) {\n\
+                 self.id.bin_encode(out);\n\
+                 self.score.bin_encode(out);\n\
+             }\n\
+         }\n\
+         impl BinDecode for Hit {\n\
+             fn bin_decode(r: &mut BinReader<'_>) -> Result<Hit, BinError> {\n\
+                 Ok(Hit { score: u64::bin_decode(r)?, id: u64::bin_decode(r)? })\n\
+             }\n\
+         }\n",
     );
+    assert!(!schema::render_lock(&ws).contains("store::Hit"));
+    let f = run(&ws, None);
+    assert_eq!(f.len(), 2, "{f:?}");
+    for (finding, side) in f.iter().zip(["BinEncode", "BinDecode"]) {
+        assert_eq!((finding.lint, finding.severity), (Lint::Schema, Severity::Error));
+        let expected = format!("`store::Hit` has a hand-written `impl {side}`");
+        assert!(finding.message.contains(&expected), "{f:?}");
+        assert!(finding.message.contains("wire_struct!"), "{f:?}");
+    }
 }
 
 #[test]
 fn seeded_missing_lock_is_an_error() {
-    let ws = wire_crate(["url", "rank"], ["url", "rank"], 3);
+    let ws = wire_crate(["url", "rank"], 3);
     let f = run(&ws, None);
     assert!(
         f.iter()
@@ -271,7 +276,12 @@ fn checked_in_lock_matches_regeneration() {
 #[test]
 fn real_workspace_wire_versions_match_the_lock_header() {
     let ws = webevo_analyze::scan_workspace(std::path::Path::new(repo_root())).expect("workspace sources readable");
-    let (snapshot, wal) = schema::wire_versions(&ws);
+    let (snapshot, wal, manifest) = schema::wire_versions(&ws);
     assert!(snapshot >= 3, "SNAPSHOT_VERSION went backwards: {snapshot}");
     assert!(wal >= 2, "WAL version went backwards: {wal}");
+    assert!(manifest >= 2, "MANIFEST_VERSION went backwards: {manifest}");
+    let lock = std::fs::read_to_string(format!("{}/SCHEMA.lock", repo_root()))
+        .expect("SCHEMA.lock is checked in at the repo root");
+    let header = format!("format snapshot={snapshot} wal={wal} manifest={manifest}");
+    assert!(lock.lines().any(|l| l == header), "lock header is not `{header}`");
 }

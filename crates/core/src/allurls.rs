@@ -14,8 +14,7 @@
 //! the enumeration order never leaks into replacement decisions.
 
 use std::collections::BTreeSet;
-use webevo_types::binio::{BinDecode, BinEncode, BinError, BinReader};
-use webevo_types::{DenseMap, PageId, SiteId, Url};
+use webevo_types::{wire_struct, DenseMap, PageId, SiteId, Url};
 
 /// Metadata for one discovered URL.
 #[derive(Clone, Debug, Default)]
@@ -181,57 +180,14 @@ impl AllUrls {
     }
 }
 
-impl BinEncode for UrlInfo {
-    fn bin_encode(&self, out: &mut Vec<u8>) {
-        let sources: Vec<PageId> = self.in_link_sources.iter().copied().collect();
-        sources.bin_encode(out);
-        self.discovered.bin_encode(out);
-        self.dead_since.bin_encode(out);
-    }
-}
-
-impl BinDecode for UrlInfo {
-    fn bin_decode(r: &mut BinReader<'_>) -> Result<UrlInfo, BinError> {
-        Ok(UrlInfo {
-            in_link_sources: Vec::<PageId>::bin_decode(r)?.into_iter().collect(),
-            discovered: f64::bin_decode(r)?,
-            dead_since: Option::bin_decode(r)?,
-        })
-    }
-}
-
-impl BinEncode for UrlSlot {
-    fn bin_encode(&self, out: &mut Vec<u8>) {
-        self.site.bin_encode(out);
-        self.info.bin_encode(out);
-    }
-}
-
-impl BinDecode for UrlSlot {
-    fn bin_decode(r: &mut BinReader<'_>) -> Result<UrlSlot, BinError> {
-        Ok(UrlSlot { site: SiteId::bin_decode(r)?, info: UrlInfo::bin_decode(r)? })
-    }
-}
-
-impl BinEncode for AllUrls {
-    fn bin_encode(&self, out: &mut Vec<u8>) {
-        self.urls.bin_encode(out);
-        self.max_sources.bin_encode(out);
-    }
-}
-
-impl BinDecode for AllUrls {
-    fn bin_decode(r: &mut BinReader<'_>) -> Result<AllUrls, BinError> {
-        Ok(AllUrls {
-            urls: DenseMap::bin_decode(r)?,
-            max_sources: usize::bin_decode(r)?,
-        })
-    }
-}
+wire_struct!(UrlInfo { in_link_sources, discovered, dead_since });
+wire_struct!(UrlSlot { site, info });
+wire_struct!(AllUrls { urls, max_sources });
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use webevo_types::{BinDecode, BinEncode, BinReader};
 
     fn url(i: u64) -> Url {
         Url::new(SiteId(0), PageId(i))

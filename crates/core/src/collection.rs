@@ -6,8 +6,7 @@
 //! RankingModule's link structure), and the current importance score.
 
 use webevo_estimate::{BayesianEstimator, ChangeHistory};
-use webevo_types::binio::{BinDecode, BinEncode, BinError, BinReader};
-use webevo_types::{Checksum, DenseMap, PageId, SiteId, Url};
+use webevo_types::{wire_struct, Checksum, DenseMap, PageId, SiteId, Url};
 
 /// One page's stored state.
 #[derive(Clone, Debug)]
@@ -203,53 +202,10 @@ impl Collection {
     }
 }
 
-impl BinEncode for StoredPage {
-    fn bin_encode(&self, out: &mut Vec<u8>) {
-        self.url.bin_encode(out);
-        self.checksum.bin_encode(out);
-        self.links.bin_encode(out);
-        self.last_crawl.bin_encode(out);
-        self.admitted.bin_encode(out);
-        self.crawl_count.bin_encode(out);
-        self.history.bin_encode(out);
-        self.bayes.bin_encode(out);
-        self.importance.bin_encode(out);
-    }
-}
-
-impl BinDecode for StoredPage {
-    fn bin_decode(r: &mut BinReader<'_>) -> Result<StoredPage, BinError> {
-        Ok(StoredPage {
-            url: Url::bin_decode(r)?,
-            checksum: Checksum::bin_decode(r)?,
-            links: Vec::bin_decode(r)?,
-            last_crawl: f64::bin_decode(r)?,
-            admitted: f64::bin_decode(r)?,
-            crawl_count: u64::bin_decode(r)?,
-            history: ChangeHistory::bin_decode(r)?,
-            bayes: BayesianEstimator::bin_decode(r)?,
-            importance: f64::bin_decode(r)?,
-        })
-    }
-}
-
-impl BinEncode for Collection {
-    fn bin_encode(&self, out: &mut Vec<u8>) {
-        self.pages.bin_encode(out);
-        self.capacity.bin_encode(out);
-        self.history_window.bin_encode(out);
-    }
-}
-
-impl BinDecode for Collection {
-    fn bin_decode(r: &mut BinReader<'_>) -> Result<Collection, BinError> {
-        Ok(Collection {
-            pages: DenseMap::bin_decode(r)?,
-            capacity: usize::bin_decode(r)?,
-            history_window: usize::bin_decode(r)?,
-        })
-    }
-}
+wire_struct!(StoredPage {
+    url, checksum, links, last_crawl, admitted, crawl_count, history, bayes, importance
+});
+wire_struct!(Collection { pages, capacity, history_window });
 
 #[cfg(test)]
 mod tests {

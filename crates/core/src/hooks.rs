@@ -26,8 +26,7 @@
 
 use crate::state::CrawlerState;
 use webevo_sim::{FetchError, FetchOutcome};
-use webevo_types::binio::{BinDecode, BinEncode, BinError, BinReader};
-use webevo_types::Url;
+use webevo_types::{wire_struct, Url};
 
 /// One fetch attempt's outcome — the unit of the write-ahead log.
 ///
@@ -47,25 +46,7 @@ pub struct FetchRecord {
     pub result: Result<FetchOutcome, FetchError>,
 }
 
-impl BinEncode for FetchRecord {
-    fn bin_encode(&self, out: &mut Vec<u8>) {
-        self.seq.bin_encode(out);
-        self.url.bin_encode(out);
-        self.t.bin_encode(out);
-        self.result.bin_encode(out);
-    }
-}
-
-impl BinDecode for FetchRecord {
-    fn bin_decode(r: &mut BinReader<'_>) -> Result<FetchRecord, BinError> {
-        Ok(FetchRecord {
-            seq: u64::bin_decode(r)?,
-            url: Url::bin_decode(r)?,
-            t: f64::bin_decode(r)?,
-            result: Result::bin_decode(r)?,
-        })
-    }
-}
+wire_struct!(FetchRecord { seq, url, t, result });
 
 /// Observer the engines drive during a run. See the module docs for the
 /// hot-path/boundary split.

@@ -71,8 +71,7 @@ use webevo_schedule::RevisitQueue;
 use webevo_sim::{
     FetchError, FetchOutcome, Fetcher, FetcherState, Politeness, SimFetcher, WebUniverse,
 };
-use webevo_types::binio::{BinDecode, BinEncode, BinError, BinReader};
-use webevo_types::{DenseSet, PageId, Url, WebEvoError};
+use webevo_types::{wire_struct, DenseSet, PageId, Url, WebEvoError};
 
 /// Configuration of the incremental crawler.
 #[derive(Clone, Debug)]
@@ -104,33 +103,10 @@ impl IncrementalConfig {
     }
 }
 
-impl BinEncode for IncrementalConfig {
-    fn bin_encode(&self, out: &mut Vec<u8>) {
-        self.capacity.bin_encode(out);
-        self.crawl_rate_per_day.bin_encode(out);
-        self.ranking_interval_days.bin_encode(out);
-        self.revisit.bin_encode(out);
-        self.estimator.bin_encode(out);
-        self.history_window.bin_encode(out);
-        self.sample_interval_days.bin_encode(out);
-        self.ranking.bin_encode(out);
-    }
-}
-
-impl BinDecode for IncrementalConfig {
-    fn bin_decode(r: &mut BinReader<'_>) -> Result<IncrementalConfig, BinError> {
-        Ok(IncrementalConfig {
-            capacity: usize::bin_decode(r)?,
-            crawl_rate_per_day: f64::bin_decode(r)?,
-            ranking_interval_days: f64::bin_decode(r)?,
-            revisit: crate::modules::RevisitStrategy::bin_decode(r)?,
-            estimator: crate::modules::EstimatorKind::bin_decode(r)?,
-            history_window: usize::bin_decode(r)?,
-            sample_interval_days: f64::bin_decode(r)?,
-            ranking: crate::modules::RankingConfig::bin_decode(r)?,
-        })
-    }
-}
+wire_struct!(IncrementalConfig {
+    capacity, crawl_rate_per_day, ranking_interval_days, revisit, estimator, history_window,
+    sample_interval_days, ranking
+});
 
 /// One scheduled fetch slot. `seq` is assigned when the slot is scheduled;
 /// a batch's results are applied in `seq` order regardless of which worker

@@ -9,8 +9,7 @@
 use webevo_freshness::FreshnessSeries;
 use webevo_sim::WebUniverse;
 use webevo_stats::Summary;
-use webevo_types::binio::{BinDecode, BinEncode, BinError, BinReader};
-use webevo_types::{PageId, WebEvoError};
+use webevo_types::{wire_struct, PageId, WebEvoError};
 
 /// Metrics collected over one crawler run.
 #[derive(Clone, Debug, Default)]
@@ -288,70 +287,11 @@ impl std::fmt::Display for CrawlMetrics {
     }
 }
 
-impl BinEncode for FreshnessSeriesLike {
-    fn bin_encode(&self, out: &mut Vec<u8>) {
-        self.times.bin_encode(out);
-        self.values.bin_encode(out);
-    }
-}
-
-impl BinDecode for FreshnessSeriesLike {
-    fn bin_decode(r: &mut BinReader<'_>) -> Result<FreshnessSeriesLike, BinError> {
-        let times = Vec::<f64>::bin_decode(r)?;
-        let values = Vec::<f64>::bin_decode(r)?;
-        if times.len() != values.len() {
-            return Err(BinError::new("age series times/values length mismatch"));
-        }
-        Ok(FreshnessSeriesLike { times, values })
-    }
-}
-
-// `Summary` is a webevo-stats type, so its wire form lives here with the
-// only consumer, via the raw-parts accessors.
-fn encode_summary(summary: &Summary, out: &mut Vec<u8>) {
-    let (n, mean, m2, min, max) = summary.raw_parts();
-    n.bin_encode(out);
-    mean.bin_encode(out);
-    m2.bin_encode(out);
-    min.bin_encode(out);
-    max.bin_encode(out);
-}
-
-fn decode_summary(r: &mut BinReader<'_>) -> Result<Summary, BinError> {
-    Ok(Summary::from_raw_parts(
-        u64::bin_decode(r)?,
-        f64::bin_decode(r)?,
-        f64::bin_decode(r)?,
-        f64::bin_decode(r)?,
-        f64::bin_decode(r)?,
-    ))
-}
-
-impl BinEncode for CrawlMetrics {
-    fn bin_encode(&self, out: &mut Vec<u8>) {
-        self.freshness.bin_encode(out);
-        self.age.bin_encode(out);
-        encode_summary(&self.new_page_latency, out);
-        encode_summary(&self.discovery_latency, out);
-        self.fetches.bin_encode(out);
-        self.failed_fetches.bin_encode(out);
-        self.peak_speed.bin_encode(out);
-    }
-}
-
-impl BinDecode for CrawlMetrics {
-    fn bin_decode(r: &mut BinReader<'_>) -> Result<CrawlMetrics, BinError> {
-        Ok(CrawlMetrics {
-            freshness: FreshnessSeries::bin_decode(r)?,
-            age: FreshnessSeriesLike::bin_decode(r)?,
-            new_page_latency: decode_summary(r)?,
-            discovery_latency: decode_summary(r)?,
-            fetches: u64::bin_decode(r)?,
-            failed_fetches: u64::bin_decode(r)?,
-            peak_speed: f64::bin_decode(r)?,
-        })
-    }
-}
+wire_struct!(FreshnessSeriesLike { times, values }
+    reject |s| s.times.len() != s.values.len() => "age series times/values length mismatch");
+wire_struct!(CrawlMetrics {
+    freshness, age, new_page_latency, discovery_latency, fetches, failed_fetches, peak_speed
+});
 
 #[cfg(test)]
 mod tests {

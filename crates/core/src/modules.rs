@@ -23,8 +23,7 @@ use webevo_schedule::{
     optimal_allocation, proportional_allocation, uniform_allocation,
 };
 use webevo_sim::{FetchError, FetchOutcome, Fetcher};
-use webevo_types::binio::{BinDecode, BinEncode, BinError, BinReader};
-use webevo_types::{ChangeRate, DenseMap, PageId, Url};
+use webevo_types::{wire_enum, wire_struct, ChangeRate, DenseMap, PageId, Url};
 
 /// Which frequency estimator the UpdateModule uses (§5.3).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -234,80 +233,10 @@ impl UpdateModule {
     }
 }
 
-impl BinEncode for CrawlModule {
-    fn bin_encode(&self, out: &mut Vec<u8>) {
-        self.crawled.bin_encode(out);
-        self.failed.bin_encode(out);
-    }
-}
-
-impl BinDecode for CrawlModule {
-    fn bin_decode(r: &mut BinReader<'_>) -> Result<CrawlModule, BinError> {
-        Ok(CrawlModule { crawled: u64::bin_decode(r)?, failed: u64::bin_decode(r)? })
-    }
-}
-
-impl BinEncode for RevisitStrategy {
-    fn bin_encode(&self, out: &mut Vec<u8>) {
-        out.push(match self {
-            RevisitStrategy::Uniform => 0,
-            RevisitStrategy::Proportional => 1,
-            RevisitStrategy::Optimal => 2,
-        });
-    }
-}
-
-impl BinDecode for RevisitStrategy {
-    fn bin_decode(r: &mut BinReader<'_>) -> Result<RevisitStrategy, BinError> {
-        match r.byte()? {
-            0 => Ok(RevisitStrategy::Uniform),
-            1 => Ok(RevisitStrategy::Proportional),
-            2 => Ok(RevisitStrategy::Optimal),
-            other => Err(BinError::new(format!("invalid RevisitStrategy tag {other}"))),
-        }
-    }
-}
-
-impl BinEncode for EstimatorKind {
-    fn bin_encode(&self, out: &mut Vec<u8>) {
-        out.push(match self {
-            EstimatorKind::Ep => 0,
-            EstimatorKind::Eb => 1,
-        });
-    }
-}
-
-impl BinDecode for EstimatorKind {
-    fn bin_decode(r: &mut BinReader<'_>) -> Result<EstimatorKind, BinError> {
-        match r.byte()? {
-            0 => Ok(EstimatorKind::Ep),
-            1 => Ok(EstimatorKind::Eb),
-            other => Err(BinError::new(format!("invalid EstimatorKind tag {other}"))),
-        }
-    }
-}
-
-impl BinEncode for UpdateModule {
-    fn bin_encode(&self, out: &mut Vec<u8>) {
-        self.strategy.bin_encode(out);
-        self.estimator.bin_encode(out);
-        self.prior_rate.bin_encode(out);
-        self.intervals.bin_encode(out);
-        self.default_interval.bin_encode(out);
-    }
-}
-
-impl BinDecode for UpdateModule {
-    fn bin_decode(r: &mut BinReader<'_>) -> Result<UpdateModule, BinError> {
-        Ok(UpdateModule {
-            strategy: RevisitStrategy::bin_decode(r)?,
-            estimator: EstimatorKind::bin_decode(r)?,
-            prior_rate: ChangeRate::bin_decode(r)?,
-            intervals: DenseMap::bin_decode(r)?,
-            default_interval: f64::bin_decode(r)?,
-        })
-    }
-}
+wire_struct!(CrawlModule { crawled, failed });
+wire_enum!(RevisitStrategy { Uniform = 0, Proportional = 1, Optimal = 2 });
+wire_enum!(EstimatorKind { Ep = 0, Eb = 1 });
+wire_struct!(UpdateModule { strategy, estimator, prior_rate, intervals, default_interval });
 
 /// RankingModule parameters.
 #[derive(Clone, Debug)]
@@ -331,23 +260,7 @@ impl Default for RankingConfig {
     }
 }
 
-impl BinEncode for RankingConfig {
-    fn bin_encode(&self, out: &mut Vec<u8>) {
-        self.pagerank.bin_encode(out);
-        self.max_replacements_per_run.bin_encode(out);
-        self.admit_margin.bin_encode(out);
-    }
-}
-
-impl BinDecode for RankingConfig {
-    fn bin_decode(r: &mut BinReader<'_>) -> Result<RankingConfig, BinError> {
-        Ok(RankingConfig {
-            pagerank: PageRankConfig::bin_decode(r)?,
-            max_replacements_per_run: usize::bin_decode(r)?,
-            admit_margin: f64::bin_decode(r)?,
-        })
-    }
-}
+wire_struct!(RankingConfig { pagerank, max_replacements_per_run, admit_margin });
 
 /// The outcome of one ranking pass.
 #[derive(Clone, Debug, Default)]

@@ -27,8 +27,7 @@ use crate::state::{CrawlerState, EngineClock, EngineConfig, EngineKind};
 use std::collections::VecDeque;
 use webevo_obs::{LogicalClock, ObsSink, SpanGuard, Stage};
 use webevo_sim::{FetchError, Fetcher, FetcherState, WebUniverse};
-use webevo_types::binio::{BinDecode, BinEncode, BinError, BinReader};
-use webevo_types::{Checksum, DenseMap, DenseSet, Url, WebEvoError};
+use webevo_types::{wire_struct, Checksum, DenseMap, DenseSet, Url, WebEvoError};
 
 /// Configuration of the periodic crawler.
 #[derive(Clone, Debug, PartialEq)]
@@ -107,83 +106,10 @@ pub struct PeriodicState {
     pub window: Option<BatchWindow>,
 }
 
-impl BinEncode for PeriodicConfig {
-    fn bin_encode(&self, out: &mut Vec<u8>) {
-        self.capacity.bin_encode(out);
-        self.cycle_days.bin_encode(out);
-        self.window_days.bin_encode(out);
-        self.sample_interval_days.bin_encode(out);
-    }
-}
-
-impl BinDecode for PeriodicConfig {
-    fn bin_decode(r: &mut BinReader<'_>) -> Result<PeriodicConfig, BinError> {
-        Ok(PeriodicConfig {
-            capacity: usize::bin_decode(r)?,
-            cycle_days: f64::bin_decode(r)?,
-            window_days: f64::bin_decode(r)?,
-            sample_interval_days: f64::bin_decode(r)?,
-        })
-    }
-}
-
-impl BinEncode for PeriodicPage {
-    fn bin_encode(&self, out: &mut Vec<u8>) {
-        self.crawl_time.bin_encode(out);
-        self.checksum.bin_encode(out);
-    }
-}
-
-impl BinDecode for PeriodicPage {
-    fn bin_decode(r: &mut BinReader<'_>) -> Result<PeriodicPage, BinError> {
-        Ok(PeriodicPage {
-            crawl_time: f64::bin_decode(r)?,
-            checksum: Checksum::bin_decode(r)?,
-        })
-    }
-}
-
-impl BinEncode for BatchWindow {
-    fn bin_encode(&self, out: &mut Vec<u8>) {
-        self.shadow.bin_encode(out);
-        self.frontier.bin_encode(out);
-        self.seen.bin_encode(out);
-    }
-}
-
-impl BinDecode for BatchWindow {
-    fn bin_decode(r: &mut BinReader<'_>) -> Result<BatchWindow, BinError> {
-        Ok(BatchWindow {
-            shadow: DenseMap::bin_decode(r)?,
-            frontier: VecDeque::bin_decode(r)?,
-            seen: DenseSet::bin_decode(r)?,
-        })
-    }
-}
-
-impl BinEncode for PeriodicState {
-    fn bin_encode(&self, out: &mut Vec<u8>) {
-        self.current.bin_encode(out);
-        self.first_visible.bin_encode(out);
-        self.cycles.bin_encode(out);
-        self.cycle_start.bin_encode(out);
-        self.idle.bin_encode(out);
-        self.window.bin_encode(out);
-    }
-}
-
-impl BinDecode for PeriodicState {
-    fn bin_decode(r: &mut BinReader<'_>) -> Result<PeriodicState, BinError> {
-        Ok(PeriodicState {
-            current: DenseMap::bin_decode(r)?,
-            first_visible: DenseMap::bin_decode(r)?,
-            cycles: u64::bin_decode(r)?,
-            cycle_start: f64::bin_decode(r)?,
-            idle: bool::bin_decode(r)?,
-            window: Option::bin_decode(r)?,
-        })
-    }
-}
+wire_struct!(PeriodicConfig { capacity, cycle_days, window_days, sample_interval_days });
+wire_struct!(PeriodicPage { crawl_time, checksum });
+wire_struct!(BatchWindow { shadow, frontier, seen });
+wire_struct!(PeriodicState { current, first_visible, cycles, cycle_start, idle, window });
 
 /// The periodic crawler.
 pub struct PeriodicCrawler {

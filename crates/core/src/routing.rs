@@ -25,8 +25,7 @@ use crate::allurls::UrlInfo;
 use crate::collection::StoredPage;
 use crate::hooks::FetchRecord;
 use crate::state::{CrawlerState, EngineConfig, EngineKind, QueueEntry};
-use webevo_types::binio::{BinDecode, BinEncode, BinError, BinReader};
-use webevo_types::{PageId, ShardId, ShardPlan, SiteId, Url, WebEvoError};
+use webevo_types::{wire_struct, PageId, ShardId, ShardPlan, SiteId, Url, WebEvoError};
 
 /// One foreign-URL discovery queued for delivery to its owning shard.
 ///
@@ -147,77 +146,10 @@ impl RoutingState {
     }
 }
 
-impl BinEncode for RoutedLink {
-    fn bin_encode(&self, out: &mut Vec<u8>) {
-        self.seq.bin_encode(out);
-        self.from.bin_encode(out);
-        self.url.bin_encode(out);
-    }
-}
-
-impl BinDecode for RoutedLink {
-    fn bin_decode(r: &mut BinReader<'_>) -> Result<RoutedLink, BinError> {
-        Ok(RoutedLink {
-            seq: u64::bin_decode(r)?,
-            from: PageId::bin_decode(r)?,
-            url: Url::bin_decode(r)?,
-        })
-    }
-}
-
-impl BinEncode for RoutedBatch {
-    fn bin_encode(&self, out: &mut Vec<u8>) {
-        self.seq.bin_encode(out);
-        self.t.bin_encode(out);
-        self.links.bin_encode(out);
-    }
-}
-
-impl BinDecode for RoutedBatch {
-    fn bin_decode(r: &mut BinReader<'_>) -> Result<RoutedBatch, BinError> {
-        Ok(RoutedBatch {
-            seq: u64::bin_decode(r)?,
-            t: f64::bin_decode(r)?,
-            links: Vec::bin_decode(r)?,
-        })
-    }
-}
-
-impl BinEncode for ShardScope {
-    fn bin_encode(&self, out: &mut Vec<u8>) {
-        self.plan.bin_encode(out);
-        self.shard.bin_encode(out);
-    }
-}
-
-impl BinDecode for ShardScope {
-    fn bin_decode(r: &mut BinReader<'_>) -> Result<ShardScope, BinError> {
-        Ok(ShardScope {
-            plan: ShardPlan::bin_decode(r)?,
-            shard: ShardId::bin_decode(r)?,
-        })
-    }
-}
-
-impl BinEncode for RoutingState {
-    fn bin_encode(&self, out: &mut Vec<u8>) {
-        self.scope.bin_encode(out);
-        self.outbox.bin_encode(out);
-        self.inbox.bin_encode(out);
-        self.exchanges.bin_encode(out);
-    }
-}
-
-impl BinDecode for RoutingState {
-    fn bin_decode(r: &mut BinReader<'_>) -> Result<RoutingState, BinError> {
-        Ok(RoutingState {
-            scope: Option::bin_decode(r)?,
-            outbox: Vec::bin_decode(r)?,
-            inbox: Vec::bin_decode(r)?,
-            exchanges: u64::bin_decode(r)?,
-        })
-    }
-}
+wire_struct!(RoutedLink { seq, from, url });
+wire_struct!(RoutedBatch { seq, t, links });
+wire_struct!(ShardScope { plan, shard });
+wire_struct!(RoutingState { scope, outbox, inbox, exchanges });
 
 /// Merge per-shard outboxes into the fleet-wide exchange order.
 ///
@@ -384,7 +316,7 @@ pub fn rebalance_states(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use webevo_types::ShardFn;
+    use webevo_types::{BinDecode, BinEncode, BinReader, ShardFn};
 
     fn link(seq: u64, site: u32, page: u64) -> RoutedLink {
         RoutedLink {

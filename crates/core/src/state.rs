@@ -33,8 +33,7 @@ use crate::periodic::{PeriodicConfig, PeriodicState};
 use crate::routing::RoutingState;
 use webevo_schedule::{RevisitQueue, ScheduledVisit};
 use webevo_sim::FetcherState;
-use webevo_types::binio::{BinDecode, BinEncode, BinError, BinReader};
-use webevo_types::{PageId, Url, WebEvoError};
+use webevo_types::{wire_enum, wire_struct, PageId, Url, WebEvoError};
 
 /// Which engine a [`CrawlerState`] belongs to — and, in the
 /// `CrawlSession` builder, which engine to construct.
@@ -201,143 +200,17 @@ pub struct CrawlerState {
     pub routing: RoutingState,
 }
 
-impl BinEncode for EngineKind {
-    fn bin_encode(&self, out: &mut Vec<u8>) {
-        match self {
-            EngineKind::Periodic => out.push(0),
-            EngineKind::Incremental => out.push(1),
-            EngineKind::Threaded { workers } => {
-                out.push(2);
-                workers.bin_encode(out);
-            }
-        }
-    }
-}
-
-impl BinDecode for EngineKind {
-    fn bin_decode(r: &mut BinReader<'_>) -> Result<EngineKind, BinError> {
-        match r.byte()? {
-            0 => Ok(EngineKind::Periodic),
-            1 => Ok(EngineKind::Incremental),
-            2 => Ok(EngineKind::Threaded { workers: usize::bin_decode(r)? }),
-            other => Err(BinError::new(format!("invalid EngineKind tag {other}"))),
-        }
-    }
-}
-
-impl BinEncode for EngineConfig {
-    fn bin_encode(&self, out: &mut Vec<u8>) {
-        match self {
-            EngineConfig::Incremental(config) => {
-                out.push(0);
-                config.bin_encode(out);
-            }
-            EngineConfig::Periodic(config) => {
-                out.push(1);
-                config.bin_encode(out);
-            }
-        }
-    }
-}
-
-impl BinDecode for EngineConfig {
-    fn bin_decode(r: &mut BinReader<'_>) -> Result<EngineConfig, BinError> {
-        match r.byte()? {
-            0 => Ok(EngineConfig::Incremental(IncrementalConfig::bin_decode(r)?)),
-            1 => Ok(EngineConfig::Periodic(PeriodicConfig::bin_decode(r)?)),
-            other => Err(BinError::new(format!("invalid EngineConfig tag {other}"))),
-        }
-    }
-}
-
-impl BinEncode for EngineClock {
-    fn bin_encode(&self, out: &mut Vec<u8>) {
-        self.t.bin_encode(out);
-        self.next_ranking.bin_encode(out);
-        self.next_sample.bin_encode(out);
-    }
-}
-
-impl BinDecode for EngineClock {
-    fn bin_decode(r: &mut BinReader<'_>) -> Result<EngineClock, BinError> {
-        Ok(EngineClock {
-            t: f64::bin_decode(r)?,
-            next_ranking: f64::bin_decode(r)?,
-            next_sample: f64::bin_decode(r)?,
-        })
-    }
-}
-
-impl BinEncode for QueueEntry {
-    fn bin_encode(&self, out: &mut Vec<u8>) {
-        self.due_bits.bin_encode(out);
-        self.url.bin_encode(out);
-    }
-}
-
-impl BinDecode for QueueEntry {
-    fn bin_decode(r: &mut BinReader<'_>) -> Result<QueueEntry, BinError> {
-        Ok(QueueEntry { due_bits: u64::bin_decode(r)?, url: Url::bin_decode(r)? })
-    }
-}
-
-impl BinEncode for CrawlerState {
-    fn bin_encode(&self, out: &mut Vec<u8>) {
-        self.engine.bin_encode(out);
-        self.config.bin_encode(out);
-        self.run_start.bin_encode(out);
-        self.seeded.bin_encode(out);
-        self.clock.bin_encode(out);
-        self.fetch_seq.bin_encode(out);
-        self.collection.bin_encode(out);
-        self.all_urls.bin_encode(out);
-        self.queue.bin_encode(out);
-        self.queued.bin_encode(out);
-        self.admissions.bin_encode(out);
-        self.update.bin_encode(out);
-        self.ranking_runs.bin_encode(out);
-        self.ranking_applied.bin_encode(out);
-        self.rank_pending.bin_encode(out);
-        self.crawl.bin_encode(out);
-        self.periodic.bin_encode(out);
-        self.metrics.bin_encode(out);
-        self.fetcher.bin_encode(out);
-        self.routing.bin_encode(out);
-    }
-}
-
-impl BinDecode for CrawlerState {
-    fn bin_decode(r: &mut BinReader<'_>) -> Result<CrawlerState, BinError> {
-        Ok(CrawlerState {
-            engine: EngineKind::bin_decode(r)?,
-            config: EngineConfig::bin_decode(r)?,
-            run_start: f64::bin_decode(r)?,
-            seeded: bool::bin_decode(r)?,
-            clock: EngineClock::bin_decode(r)?,
-            fetch_seq: u64::bin_decode(r)?,
-            collection: Collection::bin_decode(r)?,
-            all_urls: AllUrls::bin_decode(r)?,
-            queue: Vec::bin_decode(r)?,
-            queued: Vec::bin_decode(r)?,
-            admissions: Vec::bin_decode(r)?,
-            update: UpdateModule::bin_decode(r)?,
-            ranking_runs: u64::bin_decode(r)?,
-            ranking_applied: u64::bin_decode(r)?,
-            rank_pending: bool::bin_decode(r)?,
-            crawl: CrawlModule::bin_decode(r)?,
-            periodic: Option::bin_decode(r)?,
-            metrics: CrawlMetrics::bin_decode(r)?,
-            fetcher: Option::bin_decode(r)?,
-            // Routing-era states append this block; earlier version-3
-            // snapshots end at `fetcher` and decode to the inert default.
-            routing: if r.is_exhausted() {
-                RoutingState::default()
-            } else {
-                RoutingState::bin_decode(r)?
-            },
-        })
-    }
-}
+wire_enum!(EngineKind { Periodic = 0, Incremental = 1, Threaded { workers } = 2 });
+wire_enum!(EngineConfig { Incremental(config) = 0, Periodic(config) = 1 });
+wire_struct!(EngineClock { t, next_ranking, next_sample });
+wire_struct!(QueueEntry { due_bits, url });
+// Routing-era states append `routing`; earlier version-3 snapshots end at
+// `fetcher` and decode it to the inert default.
+wire_struct!(CrawlerState {
+    engine, config, run_start, seeded, clock, fetch_seq, collection, all_urls, queue, queued,
+    admissions, update, ranking_runs, ranking_applied, rank_pending, crawl, periodic, metrics,
+    fetcher; routing ?
+});
 
 /// Encode a queue for a snapshot: entries earliest-first, due times as
 /// bits.
@@ -362,7 +235,9 @@ pub fn entries_to_queue(entries: &[QueueEntry]) -> RevisitQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use webevo_types::SiteId;
+    use crate::{CrawlEngine, NoopHook};
+    use webevo_sim::{SimFetcher, UniverseConfig, WebUniverse};
+    use webevo_types::{BinDecode, BinEncode, BinReader, ShardFn, ShardId, ShardPlan, SiteId};
 
     fn url(i: u64) -> Url {
         Url::new(SiteId(0), PageId(i))
@@ -407,5 +282,42 @@ mod tests {
             incremental.as_periodic(),
             Err(WebEvoError::InvalidState(_))
         ));
+    }
+
+    fn encoded<T: BinEncode>(value: &T) -> Vec<u8> {
+        let mut out = Vec::new();
+        value.bin_encode(&mut out);
+        out
+    }
+
+    #[test]
+    fn payload_ending_after_fetcher_decodes_to_default_routing() {
+        let u = WebUniverse::generate(UniverseConfig::test_scale(11));
+        let mut engine = crate::IncrementalCrawler::new(IncrementalConfig::monthly(60));
+        engine.drive(&u, &mut SimFetcher::new(&u), &mut NoopHook, 12.0).expect("drive succeeds");
+        let mut state = engine.export_state();
+        state.routing = RoutingState::scoped(ShardPlan::new(ShardFn::Hash, 2, 10), ShardId(1));
+        let full = encoded(&state);
+        let cut = full.len() - encoded(&state.routing).len();
+
+        // A pre-routing version-3 payload: everything up to `fetcher`.
+        let mut r = BinReader::new(&full[..cut]);
+        let old = CrawlerState::bin_decode(&mut r).expect("pre-routing payload decodes");
+        assert!(r.is_exhausted());
+        assert_eq!(old.routing, RoutingState::default());
+        // …which is written back in the current, full-length form.
+        assert_eq!(encoded(&old), [&full[..cut], &encoded(&RoutingState::default())[..]].concat());
+
+        // Every other strict prefix is a truncation, never a panic or a value.
+        for len in (0..full.len()).filter(|&len| len != cut) {
+            let prefix = &full[..len];
+            assert!(
+                CrawlerState::bin_decode(&mut BinReader::new(prefix)).is_err(),
+                "prefix of {len}/{} bytes decoded",
+                full.len()
+            );
+        }
+        let back = CrawlerState::bin_decode(&mut BinReader::new(&full)).expect("full decodes");
+        assert_eq!(back.routing, state.routing);
     }
 }

@@ -14,8 +14,7 @@
 //! Bayes' rule. The estimator reports the MAP class and the
 //! posterior-mean rate.
 
-use webevo_types::binio::{BinDecode, BinEncode, BinError, BinReader};
-use webevo_types::{ChangeRate, Error, Result};
+use webevo_types::{wire_struct, ChangeRate, Error, Result};
 
 /// A frequency-class hypothesis: a label and its Poisson rate.
 #[derive(Clone, Debug, PartialEq)]
@@ -156,39 +155,8 @@ impl BayesianEstimator {
     }
 }
 
-impl BinEncode for FrequencyClass {
-    fn bin_encode(&self, out: &mut Vec<u8>) {
-        self.label.bin_encode(out);
-        self.rate.bin_encode(out);
-    }
-}
-
-impl BinDecode for FrequencyClass {
-    fn bin_decode(r: &mut BinReader<'_>) -> std::result::Result<FrequencyClass, BinError> {
-        Ok(FrequencyClass {
-            label: String::bin_decode(r)?,
-            rate: ChangeRate::bin_decode(r)?,
-        })
-    }
-}
-
-impl BinEncode for BayesianEstimator {
-    fn bin_encode(&self, out: &mut Vec<u8>) {
-        self.classes.bin_encode(out);
-        self.posterior.bin_encode(out);
-        self.observations.bin_encode(out);
-    }
-}
-
-impl BinDecode for BayesianEstimator {
-    fn bin_decode(r: &mut BinReader<'_>) -> std::result::Result<BayesianEstimator, BinError> {
-        Ok(BayesianEstimator {
-            classes: Vec::bin_decode(r)?,
-            posterior: Vec::bin_decode(r)?,
-            observations: u64::bin_decode(r)?,
-        })
-    }
-}
+wire_struct!(FrequencyClass { label, rate });
+wire_struct!(BayesianEstimator { classes, posterior, observations });
 
 #[cfg(test)]
 mod tests {

@@ -7,8 +7,7 @@
 //! totals so estimators never need to replay the log.
 
 use std::collections::VecDeque;
-use webevo_types::binio::{BinDecode, BinEncode, BinError, BinReader};
-use webevo_types::Checksum;
+use webevo_types::{wire_struct, Checksum};
 
 /// One crawl observation of a page.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -143,49 +142,10 @@ impl ChangeHistory {
     }
 }
 
-impl BinEncode for Observation {
-    fn bin_encode(&self, out: &mut Vec<u8>) {
-        self.time.bin_encode(out);
-        self.interval.bin_encode(out);
-        self.changed.bin_encode(out);
-    }
-}
-
-impl BinDecode for Observation {
-    fn bin_decode(r: &mut BinReader<'_>) -> Result<Observation, BinError> {
-        Ok(Observation {
-            time: f64::bin_decode(r)?,
-            interval: f64::bin_decode(r)?,
-            changed: bool::bin_decode(r)?,
-        })
-    }
-}
-
-impl BinEncode for ChangeHistory {
-    fn bin_encode(&self, out: &mut Vec<u8>) {
-        self.window.bin_encode(out);
-        self.observations.bin_encode(out);
-        self.last_checksum.bin_encode(out);
-        self.last_visit.bin_encode(out);
-        self.comparisons.bin_encode(out);
-        self.detections.bin_encode(out);
-        self.monitored_days.bin_encode(out);
-    }
-}
-
-impl BinDecode for ChangeHistory {
-    fn bin_decode(r: &mut BinReader<'_>) -> Result<ChangeHistory, BinError> {
-        Ok(ChangeHistory {
-            window: usize::bin_decode(r)?,
-            observations: VecDeque::bin_decode(r)?,
-            last_checksum: Option::bin_decode(r)?,
-            last_visit: Option::bin_decode(r)?,
-            comparisons: u64::bin_decode(r)?,
-            detections: u64::bin_decode(r)?,
-            monitored_days: f64::bin_decode(r)?,
-        })
-    }
-}
+wire_struct!(Observation { time, interval, changed });
+wire_struct!(ChangeHistory {
+    window, observations, last_checksum, last_visit, comparisons, detections, monitored_days
+});
 
 #[cfg(test)]
 mod tests {

@@ -102,26 +102,8 @@ impl FreshnessSeries {
     }
 }
 
-impl webevo_types::BinEncode for FreshnessSeries {
-    fn bin_encode(&self, out: &mut Vec<u8>) {
-        self.times.bin_encode(out);
-        self.values.bin_encode(out);
-    }
-}
-
-impl webevo_types::BinDecode for FreshnessSeries {
-    fn bin_decode(
-        r: &mut webevo_types::BinReader<'_>,
-    ) -> Result<FreshnessSeries, webevo_types::BinError> {
-        use webevo_types::BinError;
-        let times = Vec::<f64>::bin_decode(r)?;
-        let values = Vec::<f64>::bin_decode(r)?;
-        if times.len() != values.len() {
-            return Err(BinError::new("freshness series times/values length mismatch"));
-        }
-        Ok(FreshnessSeries { times, values })
-    }
-}
+webevo_types::wire_struct!(FreshnessSeries { times, values }
+    reject |s| s.times.len() != s.values.len() => "freshness series times/values length mismatch");
 
 #[cfg(test)]
 mod tests {

@@ -52,25 +52,7 @@ impl Default for PageRankConfig {
     }
 }
 
-impl webevo_types::BinEncode for PageRankConfig {
-    fn bin_encode(&self, out: &mut Vec<u8>) {
-        self.follow.bin_encode(out);
-        self.tolerance.bin_encode(out);
-        self.max_iterations.bin_encode(out);
-    }
-}
-
-impl webevo_types::BinDecode for PageRankConfig {
-    fn bin_decode(
-        r: &mut webevo_types::BinReader<'_>,
-    ) -> std::result::Result<PageRankConfig, webevo_types::BinError> {
-        Ok(PageRankConfig {
-            follow: f64::bin_decode(r)?,
-            tolerance: f64::bin_decode(r)?,
-            max_iterations: usize::bin_decode(r)?,
-        })
-    }
-}
+webevo_types::wire_struct!(PageRankConfig { follow, tolerance, max_iterations });
 
 /// PageRank scores, normalized so they **average to 1** (the paper's
 /// convention: iteration starts with all values 1 and the damping form

@@ -9,8 +9,7 @@
 //! testing.
 
 use crate::universe::WebUniverse;
-use webevo_types::binio::{BinDecode, BinEncode, BinError, BinReader};
-use webevo_types::{Checksum, SiteId, Url};
+use webevo_types::{wire_enum, wire_struct, Checksum, SiteId, Url};
 
 /// Why a fetch failed.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -86,23 +85,7 @@ pub struct FetcherState {
     pub stats: FetchStats,
 }
 
-impl BinEncode for FetcherState {
-    fn bin_encode(&self, out: &mut Vec<u8>) {
-        self.last_site_access.bin_encode(out);
-        self.attempt_counter.bin_encode(out);
-        self.stats.bin_encode(out);
-    }
-}
-
-impl BinDecode for FetcherState {
-    fn bin_decode(r: &mut BinReader<'_>) -> Result<FetcherState, BinError> {
-        Ok(FetcherState {
-            last_site_access: Vec::bin_decode(r)?,
-            attempt_counter: u64::bin_decode(r)?,
-            stats: FetchStats::bin_decode(r)?,
-        })
-    }
-}
+wire_struct!(FetcherState { last_site_access, attempt_counter, stats });
 
 /// Politeness constraints, mirroring §2.3.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -178,67 +161,9 @@ impl FetchStats {
     }
 }
 
-impl BinEncode for FetchError {
-    fn bin_encode(&self, out: &mut Vec<u8>) {
-        match self {
-            FetchError::NotFound => out.push(0),
-            FetchError::RateLimited { retry_at } => {
-                out.push(1);
-                retry_at.bin_encode(out);
-            }
-            FetchError::Transient => out.push(2),
-        }
-    }
-}
-
-impl BinDecode for FetchError {
-    fn bin_decode(r: &mut BinReader<'_>) -> Result<FetchError, BinError> {
-        match r.byte()? {
-            0 => Ok(FetchError::NotFound),
-            1 => Ok(FetchError::RateLimited { retry_at: f64::bin_decode(r)? }),
-            2 => Ok(FetchError::Transient),
-            other => Err(BinError::new(format!("invalid FetchError tag {other}"))),
-        }
-    }
-}
-
-impl BinEncode for FetchOutcome {
-    fn bin_encode(&self, out: &mut Vec<u8>) {
-        self.checksum.bin_encode(out);
-        self.links.bin_encode(out);
-        self.last_modified.bin_encode(out);
-    }
-}
-
-impl BinDecode for FetchOutcome {
-    fn bin_decode(r: &mut BinReader<'_>) -> Result<FetchOutcome, BinError> {
-        Ok(FetchOutcome {
-            checksum: Checksum::bin_decode(r)?,
-            links: Vec::bin_decode(r)?,
-            last_modified: Option::bin_decode(r)?,
-        })
-    }
-}
-
-impl BinEncode for FetchStats {
-    fn bin_encode(&self, out: &mut Vec<u8>) {
-        self.ok.bin_encode(out);
-        self.not_found.bin_encode(out);
-        self.rate_limited.bin_encode(out);
-        self.transient.bin_encode(out);
-    }
-}
-
-impl BinDecode for FetchStats {
-    fn bin_decode(r: &mut BinReader<'_>) -> Result<FetchStats, BinError> {
-        Ok(FetchStats {
-            ok: u64::bin_decode(r)?,
-            not_found: u64::bin_decode(r)?,
-            rate_limited: u64::bin_decode(r)?,
-            transient: u64::bin_decode(r)?,
-        })
-    }
-}
+wire_enum!(FetchError { NotFound = 0, RateLimited { retry_at } = 1, Transient = 2 });
+wire_struct!(FetchOutcome { checksum, links, last_modified });
+wire_struct!(FetchStats { ok, not_found, rate_limited, transient });
 
 /// A [`Fetcher`] over a [`WebUniverse`].
 pub struct SimFetcher<'a> {

@@ -10,6 +10,8 @@ pub struct Summary {
     max: f64,
 }
 
+webevo_types::wire_struct!(Summary { n, mean, m2, min, max });
+
 impl Summary {
     /// Record one sample.
     pub fn record(&mut self, x: f64) {
@@ -68,15 +70,10 @@ impl Summary {
         self.variance().sqrt()
     }
 
-    /// The raw accumulator state `(n, mean, m2, min, max)` — the binary
-    /// snapshot codec's view of the summary.
+    /// The raw accumulator state `(n, mean, m2, min, max)`, bit for bit —
+    /// what trajectory digests hash.
     pub fn raw_parts(&self) -> (u64, f64, f64, f64, f64) {
         (self.n, self.mean, self.m2, self.min, self.max)
-    }
-
-    /// Rebuild from [`Summary::raw_parts`] output.
-    pub fn from_raw_parts(n: u64, mean: f64, m2: f64, min: f64, max: f64) -> Summary {
-        Summary { n, mean, m2, min, max }
     }
 
     /// Smallest sample (NaN when empty).

@@ -129,8 +129,7 @@ use webevo_core::{rebalance_states, route_exchange, CrawlMetrics, RoutedLink, Sh
 use webevo_obs::{LogicalClock, ObsSink, Stage};
 use webevo_serve::{FleetViewCollector, QueryService, ServeHandle};
 use webevo_sim::{ShardedFetcher, SimFetcher, WebUniverse};
-use webevo_types::binio::{BinDecode, BinEncode, BinError, BinReader};
-use webevo_types::{ShardFn, ShardId, ShardPlan, WebEvoError};
+use webevo_types::{wire_struct, ShardFn, ShardId, ShardPlan, WebEvoError};
 
 /// Manifest file name within a fleet directory.
 pub const MANIFEST_FILE: &str = "fleet.manifest";
@@ -172,25 +171,7 @@ pub struct FleetManifest {
     pub snapshot_every_days: f64,
 }
 
-impl BinEncode for FleetManifest {
-    fn bin_encode(&self, out: &mut Vec<u8>) {
-        self.plan.bin_encode(out);
-        self.engine.bin_encode(out);
-        self.seed.bin_encode(out);
-        self.snapshot_every_days.bin_encode(out);
-    }
-}
-
-impl BinDecode for FleetManifest {
-    fn bin_decode(r: &mut BinReader<'_>) -> Result<FleetManifest, BinError> {
-        Ok(FleetManifest {
-            plan: ShardPlan::bin_decode(r)?,
-            engine: EngineKind::bin_decode(r)?,
-            seed: u64::bin_decode(r)?,
-            snapshot_every_days: f64::bin_decode(r)?,
-        })
-    }
-}
+wire_struct!(FleetManifest { plan, engine, seed, snapshot_every_days });
 
 /// One shard's share of a fleet result.
 #[derive(Clone, Debug)]

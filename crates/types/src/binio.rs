@@ -17,12 +17,47 @@
 //! * `bool` — one byte, `0`/`1`.
 //! * `String`/byte strings — varint length prefix, then the bytes.
 //! * `Option<T>` — one tag byte (`0` = `None`, `1` = `Some`), then `T`.
-//! * Sequences (`Vec`, `VecDeque`, dense maps/sets) — varint element
-//!   count, then the elements; maps interleave `key, value`.
-//! * Enums — one tag byte, then the variant's fields.
-//! * Structs — fields in declaration order, no names. Layout changes are
-//!   format changes and must bump the container version (the snapshot and
-//!   WAL headers carry one).
+//! * Sequences (`Vec`, `VecDeque`, `BTreeSet`, dense maps/sets) — varint
+//!   element count, then the elements in iteration order; maps interleave
+//!   `key, value`.
+//! * Enums — one tag byte, then the variant's fields, declared once with
+//!   [`wire_enum!`](crate::wire_enum).
+//! * Structs — fields in declaration order, no names, declared once with
+//!   [`wire_struct!`](crate::wire_struct). Layout changes are format
+//!   changes and must bump the container version (the snapshot, WAL and
+//!   fleet-manifest headers each carry one).
+//!
+//! The two macros generate both directions from one field list, so encode
+//! and decode cannot disagree, and `repro analyze` reads the same list into
+//! `SCHEMA.lock`. Hand-written impls exist only in this file, for the
+//! primitives and generic containers the conventions above are defined by.
+//!
+//! ```
+//! use webevo_types::{wire_enum, wire_struct, BinDecode, BinEncode, BinReader};
+//!
+//! #[derive(Debug, PartialEq)]
+//! enum Verdict {
+//!     Unseen,
+//!     Changed { at: f64 },
+//!     Gone(u64),
+//! }
+//! wire_enum!(Verdict { Unseen = 0, Changed { at } = 1, Gone(since) = 2 });
+//!
+//! #[derive(Debug, PartialEq)]
+//! struct Visit {
+//!     page: u64,
+//!     verdict: Verdict,
+//! }
+//! wire_struct!(Visit { page, verdict });
+//!
+//! let visit = Visit { page: 300, verdict: Verdict::Changed { at: 1.5 } };
+//! let mut bytes = Vec::new();
+//! visit.bin_encode(&mut bytes);
+//! assert_eq!(bytes.len(), 2 + 1 + 8); // varint 300, tag byte, raw f64
+//! let mut r = BinReader::new(&bytes);
+//! assert_eq!(Visit::bin_decode(&mut r).unwrap(), visit);
+//! assert!(r.is_exhausted());
+//! ```
 //!
 //! Decoding never panics: every read is bounds-checked and surfaces a
 //! [`BinError`]. Containers additionally checksum their payloads before
@@ -33,7 +68,7 @@ use crate::dense::{DenseMap, DenseSet};
 use crate::id::{PageId, SiteId};
 use crate::page::{ChangeRate, Checksum, PageVersion};
 use crate::url::Url;
-use std::collections::VecDeque;
+use std::collections::{BTreeSet, VecDeque};
 use std::fmt;
 
 /// A binary decode failure: what the reader expected and where.
@@ -142,6 +177,93 @@ pub trait BinEncode {
 pub trait BinDecode: Sized {
     /// Consume this value's encoding from `r`.
     fn bin_decode(r: &mut BinReader<'_>) -> Result<Self, BinError>;
+}
+
+/// Declare a struct's wire layout once: the listed fields, in order, are
+/// what [`BinEncode`] writes and [`BinDecode`] reads back. Tuple newtypes
+/// list their index (`wire_struct!(PageId { 0 })`).
+///
+/// Two optional tails, both decode-side only:
+///
+/// * `; field ?` after the list marks one trailing field that older
+///   payloads may end before — it decodes to `Default::default()` when the
+///   reader is already exhausted, and is always written.
+/// * `reject |v| condition => "message"` after the braces validates the
+///   decoded value and turns a hit into a [`BinError`].
+#[macro_export]
+macro_rules! wire_struct {
+    ($ty:ident { $($field:tt),+ $(,)? $(; $tail:ident ?)? }
+     $(reject |$v:ident| $bad:expr => $msg:expr)?) => {
+        impl $crate::binio::BinEncode for $ty {
+            fn bin_encode(&self, out: &mut Vec<u8>) {
+                $($crate::binio::BinEncode::bin_encode(&self.$field, out);)+
+                $($crate::binio::BinEncode::bin_encode(&self.$tail, out);)?
+            }
+        }
+
+        impl $crate::binio::BinDecode for $ty {
+            fn bin_decode(
+                r: &mut $crate::binio::BinReader<'_>,
+            ) -> ::std::result::Result<$ty, $crate::binio::BinError> {
+                let value = $ty {
+                    $($field: $crate::binio::BinDecode::bin_decode(r)?,)+
+                    $($tail: if r.is_exhausted() {
+                        ::std::default::Default::default()
+                    } else {
+                        $crate::binio::BinDecode::bin_decode(r)?
+                    },)?
+                };
+                $(
+                    let $v = &value;
+                    if $bad {
+                        return Err($crate::binio::BinError::new($msg));
+                    }
+                )?
+                Ok(value)
+            }
+        }
+    };
+}
+
+/// Declare an enum's wire layout once: each variant's tag byte, then its
+/// fields in the order listed. Unit, struct-like (`V { a, b } = 1`) and
+/// tuple-like (`V(x) = 2`, the names are only binders) variants mix
+/// freely; an unlisted tag decodes to `invalid <Type> tag N`.
+#[macro_export]
+macro_rules! wire_enum {
+    ($ty:ident { $(
+        $variant:ident $({ $($field:ident),+ })? $(( $($item:ident),+ ))? = $tag:literal
+    ),+ $(,)? }) => {
+        impl $crate::binio::BinEncode for $ty {
+            fn bin_encode(&self, out: &mut Vec<u8>) {
+                match self {
+                    $($ty::$variant $({ $($field),+ })? $(( $($item),+ ))? => {
+                        out.push($tag);
+                        $($($crate::binio::BinEncode::bin_encode($field, out);)+)?
+                        $($($crate::binio::BinEncode::bin_encode($item, out);)+)?
+                    })+
+                }
+            }
+        }
+
+        impl $crate::binio::BinDecode for $ty {
+            fn bin_decode(
+                r: &mut $crate::binio::BinReader<'_>,
+            ) -> ::std::result::Result<$ty, $crate::binio::BinError> {
+                match r.byte()? {
+                    $($tag => {
+                        $($(let $field = $crate::binio::BinDecode::bin_decode(r)?;)+)?
+                        $($(let $item = $crate::binio::BinDecode::bin_decode(r)?;)+)?
+                        Ok($ty::$variant $({ $($field),+ })? $(( $($item),+ ))?)
+                    })+
+                    other => Err($crate::binio::BinError::new(format!(
+                        "invalid {} tag {other}",
+                        stringify!($ty)
+                    ))),
+                }
+            }
+        }
+    };
 }
 
 // ------------------------------------------------------------ primitives
@@ -325,78 +447,23 @@ impl<A: BinDecode, B: BinDecode> BinDecode for (A, B) {
     }
 }
 
-// ------------------------------------------------- workspace value types
-
-impl BinEncode for PageId {
+impl<T: BinEncode> BinEncode for BTreeSet<T> {
     fn bin_encode(&self, out: &mut Vec<u8>) {
-        put_var_u64(out, self.0);
+        put_var_u64(out, self.len() as u64);
+        for item in self {
+            item.bin_encode(out);
+        }
     }
 }
 
-impl BinDecode for PageId {
-    fn bin_decode(r: &mut BinReader<'_>) -> Result<PageId, BinError> {
-        r.var_u64().map(PageId)
-    }
-}
-
-impl BinEncode for SiteId {
-    fn bin_encode(&self, out: &mut Vec<u8>) {
-        put_var_u64(out, u64::from(self.0));
-    }
-}
-
-impl BinDecode for SiteId {
-    fn bin_decode(r: &mut BinReader<'_>) -> Result<SiteId, BinError> {
-        u32::bin_decode(r).map(SiteId)
-    }
-}
-
-impl BinEncode for Url {
-    fn bin_encode(&self, out: &mut Vec<u8>) {
-        self.site.bin_encode(out);
-        self.page.bin_encode(out);
-    }
-}
-
-impl BinDecode for Url {
-    fn bin_decode(r: &mut BinReader<'_>) -> Result<Url, BinError> {
-        Ok(Url { site: SiteId::bin_decode(r)?, page: PageId::bin_decode(r)? })
-    }
-}
-
-impl BinEncode for Checksum {
-    fn bin_encode(&self, out: &mut Vec<u8>) {
-        put_var_u64(out, self.0);
-    }
-}
-
-impl BinDecode for Checksum {
-    fn bin_decode(r: &mut BinReader<'_>) -> Result<Checksum, BinError> {
-        r.var_u64().map(Checksum)
-    }
-}
-
-impl BinEncode for PageVersion {
-    fn bin_encode(&self, out: &mut Vec<u8>) {
-        put_var_u64(out, self.0);
-    }
-}
-
-impl BinDecode for PageVersion {
-    fn bin_decode(r: &mut BinReader<'_>) -> Result<PageVersion, BinError> {
-        r.var_u64().map(PageVersion)
-    }
-}
-
-impl BinEncode for ChangeRate {
-    fn bin_encode(&self, out: &mut Vec<u8>) {
-        self.0.bin_encode(out);
-    }
-}
-
-impl BinDecode for ChangeRate {
-    fn bin_decode(r: &mut BinReader<'_>) -> Result<ChangeRate, BinError> {
-        f64::bin_decode(r).map(ChangeRate)
+impl<T: BinDecode + Ord> BinDecode for BTreeSet<T> {
+    fn bin_decode(r: &mut BinReader<'_>) -> Result<BTreeSet<T>, BinError> {
+        let len = usize::bin_decode(r)?;
+        let mut set = BTreeSet::new();
+        for _ in 0..len {
+            set.insert(T::bin_decode(r)?);
+        }
+        Ok(set)
     }
 }
 
@@ -441,6 +508,15 @@ impl BinDecode for DenseSet {
         Ok(set)
     }
 }
+
+// ------------------------------------------------- workspace value types
+
+wire_struct!(PageId { 0 });
+wire_struct!(SiteId { 0 });
+wire_struct!(Url { site, page });
+wire_struct!(Checksum { 0 });
+wire_struct!(PageVersion { 0 });
+wire_struct!(ChangeRate { 0 });
 
 #[cfg(test)]
 mod tests {
@@ -499,6 +575,54 @@ mod tests {
         roundtrip(Option::<u64>::None);
         roundtrip(vec![PageId(1), PageId(0), PageId(999)]);
         roundtrip(VecDeque::from(vec![(SiteId(1), 0.5f64), (SiteId(2), -1.5)]));
+        let set: BTreeSet<PageId> = [PageId(9), PageId(2), PageId(300)].into_iter().collect();
+        // A set is a sequence on the wire: same bytes as its sorted elements.
+        let (mut as_set, mut as_vec) = (Vec::new(), Vec::new());
+        set.bin_encode(&mut as_set);
+        set.iter().copied().collect::<Vec<_>>().bin_encode(&mut as_vec);
+        assert_eq!(as_set, as_vec);
+        roundtrip(set);
+    }
+
+    #[derive(Debug, PartialEq)]
+    enum Shape {
+        Point,
+        Circle { radius: f64 },
+        Segment(u64, u64),
+    }
+    wire_enum!(Shape { Point = 0, Circle { radius } = 1, Segment(from, to) = 4 });
+
+    #[derive(Debug, PartialEq, Default)]
+    struct Span {
+        lo: u64,
+        hi: u64,
+        label: String,
+    }
+    wire_struct!(Span { lo, hi; label ? } reject |s| s.lo > s.hi => "span ends before it starts");
+
+    #[test]
+    fn macro_arms_tags_checks_and_optional_tail() {
+        roundtrip(Shape::Point);
+        roundtrip(Shape::Circle { radius: 2.5 });
+        roundtrip(Shape::Segment(7, 300));
+        let mut out = Vec::new();
+        Shape::Segment(7, 300).bin_encode(&mut out);
+        assert_eq!(out, [4, 7, 0xac, 0x02], "tag byte, then the operands in order");
+        let err = Shape::bin_decode(&mut BinReader::new(&[2])).unwrap_err();
+        assert_eq!(err.to_string(), "invalid Shape tag 2");
+
+        roundtrip(Span { lo: 1, hi: 5, label: "x".into() });
+        // The marked tail may be absent (older payload) but is always written.
+        let old = Span::bin_decode(&mut BinReader::new(&[1, 5])).expect("tail-less payload");
+        assert_eq!(old, Span { lo: 1, hi: 5, label: String::new() });
+        let mut out = Vec::new();
+        old.bin_encode(&mut out);
+        assert_eq!(out, [1, 5, 0]);
+        // Only the tail is optional: a payload ending earlier is truncated.
+        assert!(Span::bin_decode(&mut BinReader::new(&[1])).is_err());
+        // The post-decode check runs on the decoded value and becomes a BinError.
+        let err = Span::bin_decode(&mut BinReader::new(&[5, 1, 0])).unwrap_err();
+        assert_eq!(err.to_string(), "span ends before it starts");
     }
 
     #[test]

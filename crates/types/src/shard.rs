@@ -9,7 +9,7 @@
 //! family ([`ShardFn::Hash`] scatters sites uniformly, [`ShardFn::Range`]
 //! keeps contiguous id ranges together).
 
-use crate::binio::{BinDecode, BinEncode, BinError, BinReader};
+use crate::{wire_enum, wire_struct};
 use std::fmt;
 
 /// Identifier of one shard (crawl unit) within a fleet.
@@ -131,63 +131,15 @@ impl ShardPlan {
     }
 }
 
-impl BinEncode for ShardId {
-    fn bin_encode(&self, out: &mut Vec<u8>) {
-        self.0.bin_encode(out);
-    }
-}
-
-impl BinDecode for ShardId {
-    fn bin_decode(r: &mut BinReader<'_>) -> Result<ShardId, BinError> {
-        Ok(ShardId(u32::bin_decode(r)?))
-    }
-}
-
-impl BinEncode for ShardFn {
-    fn bin_encode(&self, out: &mut Vec<u8>) {
-        out.push(match self {
-            ShardFn::Hash => 0,
-            ShardFn::Range => 1,
-            ShardFn::Balanced => 2,
-        });
-    }
-}
-
-impl BinDecode for ShardFn {
-    fn bin_decode(r: &mut BinReader<'_>) -> Result<ShardFn, BinError> {
-        match r.byte()? {
-            0 => Ok(ShardFn::Hash),
-            1 => Ok(ShardFn::Range),
-            2 => Ok(ShardFn::Balanced),
-            other => Err(BinError::new(format!("invalid ShardFn tag {other}"))),
-        }
-    }
-}
-
-impl BinEncode for ShardPlan {
-    fn bin_encode(&self, out: &mut Vec<u8>) {
-        self.shards.bin_encode(out);
-        self.total_sites.bin_encode(out);
-        self.function.bin_encode(out);
-    }
-}
-
-impl BinDecode for ShardPlan {
-    fn bin_decode(r: &mut BinReader<'_>) -> Result<ShardPlan, BinError> {
-        let shards = u32::bin_decode(r)?;
-        let total_sites = u32::bin_decode(r)?;
-        let function = ShardFn::bin_decode(r)?;
-        if shards == 0 {
-            return Err(BinError::new("shard plan with zero shards"));
-        }
-        Ok(ShardPlan { shards, total_sites, function })
-    }
-}
+wire_struct!(ShardId { 0 });
+wire_enum!(ShardFn { Hash = 0, Range = 1, Balanced = 2 });
+wire_struct!(ShardPlan { shards, total_sites, function }
+    reject |plan| plan.shards == 0 => "shard plan with zero shards");
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::SiteId;
+    use crate::{BinDecode, BinEncode, BinReader, SiteId};
 
     #[test]
     fn every_site_maps_to_exactly_one_shard() {
