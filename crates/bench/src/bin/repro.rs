@@ -13,8 +13,13 @@
 //! ```
 //!
 //! Available targets: `table1 table2 sensitivity fig2 fig4 fig5 fig6 fig7
-//! fig8 fig9 gain crawlers crawl fleet serve bench e2e analyze all` (`all`
-//! excludes `bench`, `fleet`, `serve`, `e2e` and `analyze`).
+//! fig8 fig9 gain crawlers crawl fleet analyze all` (`all` is the twelve
+//! paper targets; it excludes `crawl`, `fleet` and `analyze`). An unknown
+//! target is refused before anything runs (exit status 2).
+//!
+//! Host-side performance — throughput, codec, WAL, observation and
+//! serving cost — is measured by the standalone `benchmark/` package, not
+//! here; see the README's "Performance" section.
 //!
 //! Flags (for the `analyze` target — the static-analysis gate):
 //! * `--deny-warnings` — also fail on warnings (the CI mode).
@@ -30,20 +35,9 @@
 //! * `--days N` — crawl horizon in simulated days (default 75).
 //! * `--sites N` / `--pages N` — swap the default medium-scale universe
 //!   for a ratio-preserving scaled one with `N` sites / roughly `N` page
-//!   slots, materialized to `--days` (for scale runs; not compatible with
-//!   resuming to a later horizon).
-//!
-//! Flags (for the `e2e` target):
-//! * `--days N` — simulated days for the timed crawl (default 12).
-//! * `--sites N` — sites in the scaled universe (default 270).
-//! * `--pages N` — page slots in the scaled universe (default 1,000,000).
-//! * `--out FILE` — also write the JSON report to `FILE`.
-//!
-//! `e2e` is the hot-loop overhaul's headline measurement: generate a
-//! million-page universe (event arena + page table byte counts reported
-//! as the RSS proxy) and time an incremental crawl end to end. One JSON
-//! document (see `BENCH_e2e.json` at the repo root), non-zero exit on its
-//! fetch-throughput regression marker.
+//!   slots, materialized to `--days` (for scale runs — `--sites 270
+//!   --pages 1000000 --days 12` is the million-page crawl; not compatible
+//!   with resuming to a later horizon).
 //!
 //! Observability flags (for the `crawl` and `fleet` targets; any of them
 //! switches the run/an extra fleet run to a recording [`ObsSink`] and
@@ -66,43 +60,13 @@
 //! `max(0.75, min(shards, cores)/2)` — on a multi-core runner a 4-shard
 //! fleet must beat the single engine ≥ 2×, while a single-core machine
 //! only checks that sharding does not regress throughput.
-//!
-//! Flags (for the `serve` target):
-//! * `--days N` — crawl horizon for every leg (default 15).
-//! * `--readers N` — reader threads hammering the query service during
-//!   the served leg (default 4).
-//! * `--out FILE` — also write the JSON report to `FILE`.
-//!
-//! `serve` measures the epoch-swapped query layer under a live crawl:
-//! an unserved baseline, a served-but-unqueried leg (the boundary
-//! publisher's cost, gated: serving must stay within 10% of the unserved
-//! wall time), and a served leg with `--readers` threads hammering the
-//! [`QueryService`] concurrently (sustained QPS with a conservative
-//! floor, p50/p99 query latency, and a swap-stall gate on the p99 of the
-//! cheapest query — which only stalls when a reader blocks behind an
-//! epoch swap). One JSON document (see `BENCH_serve.json` at the repo
-//! root), non-zero exit on its regression marker.
-//!
-//! Flags (for the `bench` target):
-//! * `--bench-days N` — simulated days for the end-to-end throughput leg
-//!   (default 30).
-//! * `--bench-pages A,B,…` — synthetic collection sizes for the codec leg
-//!   (default `10000,100000`).
-//! * `--out FILE` — also write the JSON report to `FILE`.
-//!
-//! `bench` emits one machine-readable JSON document (see
-//! `BENCH_substrates.json` at the repo root for a checked-in run) and
-//! exits non-zero if the snapshot codec's encode+decode throughput falls
-//! under its absolute floor — the perf-regression smoke CI runs.
 
 use std::path::PathBuf;
 use webevo::experiment::report;
 use webevo::freshness::curves::policy_curves;
 use webevo::prelude::*;
-use webevo::store::{decode_snapshot, encode_snapshot, WalWriter};
 use webevo_bench::{
-    median_secs, paper_rate_mixture, repro_experiment, repro_universe, synthetic_records,
-    synthetic_state, TABLE2_LAMBDA,
+    median_secs, paper_rate_mixture, repro_experiment, repro_universe, TABLE2_LAMBDA,
 };
 
 /// Where the observability flags send their exports.
@@ -149,6 +113,16 @@ impl ObsOutputs {
     }
 }
 
+/// The paper's tables and figures, in the order `all` prints them.
+const PAPER_TARGETS: [&str; 12] = [
+    "table1", "fig2", "fig4", "fig5", "fig6", "fig7", "fig8", "table2", "sensitivity", "fig9",
+    "gain", "crawlers",
+];
+
+/// The targets `all` leaves out: they crawl, time or scan rather than
+/// regenerate a figure.
+const OTHER_TARGETS: [&str; 3] = ["crawl", "fleet", "analyze"];
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut checkpoint_dir: Option<PathBuf> = None;
@@ -156,11 +130,8 @@ fn main() {
     let mut resume = false;
     let mut days: Option<f64> = None;
     let mut shards = 4u32;
-    let mut readers = 4usize;
     let mut sites: Option<usize> = None;
     let mut pages: Option<usize> = None;
-    let mut bench_days = 30.0f64;
-    let mut bench_pages: Vec<u64> = vec![10_000, 100_000];
     let mut bench_out: Option<PathBuf> = None;
     let mut obs_out = ObsOutputs::default();
     let mut deny_warnings = false;
@@ -223,37 +194,6 @@ fn main() {
                         .expect("--pages must be a positive integer"),
                 );
             }
-            "--readers" => {
-                readers = iter
-                    .next()
-                    .expect("--readers needs a count")
-                    .parse()
-                    .ok()
-                    .filter(|&v: &usize| v > 0)
-                    .expect("--readers must be a positive integer");
-            }
-            "--bench-days" => {
-                bench_days = iter
-                    .next()
-                    .expect("--bench-days needs a day count")
-                    .parse()
-                    .ok()
-                    .filter(|&v: &f64| v > 0.0)
-                    .expect("--bench-days must be a positive number");
-            }
-            "--bench-pages" => {
-                bench_pages = iter
-                    .next()
-                    .expect("--bench-pages needs a comma-separated list")
-                    .split(',')
-                    .map(|p| {
-                        p.parse::<u64>()
-                            .ok()
-                            .filter(|&v| v > 0)
-                            .expect("--bench-pages entries must be positive integers")
-                    })
-                    .collect();
-            }
             "--out" => {
                 bench_out = Some(PathBuf::from(iter.next().expect("--out needs a path")));
             }
@@ -276,11 +216,30 @@ fn main() {
             other => positional.push(other.to_string()),
         }
     }
+    // Every positional is checked before any target runs: a typo (or a
+    // script still calling a removed target) must fail, not print the
+    // other targets' tables and exit 0.
+    for arg in &positional {
+        let arg = arg.as_str();
+        if arg == "all" || PAPER_TARGETS.contains(&arg) || OTHER_TARGETS.contains(&arg) {
+            continue;
+        }
+        eprintln!("[repro] unknown target: {arg}");
+        if matches!(arg, "bench" | "e2e" | "serve") {
+            eprintln!(
+                "[repro] `{arg}` was removed: the standalone benchmark/ package measures \
+                 that leg now (cargo run --release --manifest-path benchmark/Cargo.toml)"
+            );
+        }
+        eprintln!(
+            "[repro] valid targets: {} {} all",
+            PAPER_TARGETS.join(" "),
+            OTHER_TARGETS.join(" ")
+        );
+        std::process::exit(2);
+    }
     let targets: Vec<&str> = if positional.is_empty() || positional.iter().any(|a| a == "all") {
-        vec![
-            "table1", "fig2", "fig4", "fig5", "fig6", "fig7", "fig8", "table2",
-            "sensitivity", "fig9", "gain", "crawlers",
-        ]
+        PAPER_TARGETS.to_vec()
     } else {
         positional.iter().map(|s| s.as_str()).collect()
     };
@@ -647,65 +606,6 @@ fn main() {
                     std::process::exit(1);
                 }
             }
-            "serve" => {
-                let (report, regression) = run_serve_bench(days.unwrap_or(15.0), readers);
-                println!("{report}");
-                if let Some(path) = bench_out.clone() {
-                    std::fs::write(&path, format!("{report}\n")).unwrap_or_else(|e| {
-                        eprintln!("[repro] cannot write {path:?}: {e}");
-                        std::process::exit(1);
-                    });
-                    eprintln!("[repro] wrote {path:?}");
-                }
-                if regression {
-                    eprintln!(
-                        "[repro] PERF REGRESSION: the serving layer fails its gates — \
-                         boundary-publish overhead, sustained QPS, or swap-stall p99 \
-                         (see the report above)"
-                    );
-                    std::process::exit(1);
-                }
-            }
-            "e2e" => {
-                let (report, regression) = run_e2e_bench(
-                    days.unwrap_or(12.0),
-                    sites.unwrap_or(270),
-                    pages.unwrap_or(1_000_000),
-                );
-                println!("{report}");
-                if let Some(path) = bench_out.clone() {
-                    std::fs::write(&path, format!("{report}\n")).unwrap_or_else(|e| {
-                        eprintln!("[repro] cannot write {path:?}: {e}");
-                        std::process::exit(1);
-                    });
-                    eprintln!("[repro] wrote {path:?}");
-                }
-                if regression {
-                    eprintln!(
-                        "[repro] PERF REGRESSION: the million-page crawl fails its \
-                         fetch-throughput floor (see the report above)"
-                    );
-                    std::process::exit(1);
-                }
-            }
-            "bench" => {
-                let (report, regression) = run_perf_bench(bench_days, &bench_pages);
-                println!("{report}");
-                if let Some(path) = bench_out.clone() {
-                    std::fs::write(&path, format!("{report}\n")).unwrap_or_else(|e| {
-                        eprintln!("[repro] cannot write {path:?}: {e}");
-                        std::process::exit(1);
-                    });
-                    eprintln!("[repro] wrote {path:?}");
-                }
-                if regression {
-                    eprintln!(
-                        "[repro] PERF REGRESSION: snapshot codec throughput or obs \
-                         overhead is outside its budget (see the report above)"
-                    );
-                    std::process::exit(1);
-                }
-            }
             "analyze" => {
                 run_analyze(
                     analyze_root.clone(),
@@ -714,7 +614,7 @@ fn main() {
                     bench_out.clone(),
                 );
             }
-            other => eprintln!("[repro] unknown target: {other}"),
+            other => unreachable!("targets are validated before the loop: {other}"),
         }
     }
 }
@@ -938,360 +838,6 @@ fn run_fleet_bench(days: f64, shards: u32, obs_out: &ObsOutputs) -> (String, boo
     ));
     out.push_str(&format!(
         "  \"speedup_floor\": {speedup_floor:.2},\n  \"regression\": {regression}\n}}"
-    ));
-    (out, regression)
-}
-
-/// The `serve` target: the epoch-swapped query layer under a live crawl.
-/// Three legs over the same universe and budget:
-///
-/// 1. **unserved** — the plain crawl, median of 3 (the baseline);
-/// 2. **served, unqueried** — `.serve()` attached but no readers, median
-///    of 3: what the boundary publisher itself costs the crawl;
-/// 3. **served + readers** — one run with `readers` threads hammering
-///    the [`QueryService`] (a rotating mix of point lookups, stats,
-///    rollups, and top-k) for the whole crawl, timed once.
-///
-/// The `regression` field (and returned flag) is the CI smoke marker,
-/// `true` when any gate fails:
-///
-/// * overhead — leg 2 costs more than 10% over leg 1 (plus a small
-///   absolute slack so the ratio cannot trip on sub-second timer noise):
-///   "serving is free" in wall-clock terms, not just byte-identical
-///   output (that part is pinned by `tests/determinism.rs`);
-/// * QPS — the readers sustain fewer than 200 queries/second in total, a
-///   floor conservative enough for a single-core runner where the crawl
-///   thread and every reader share one core;
-/// * swap stall — the p99 of the cheapest query (`epoch_info`, a few
-///   field reads off the current view) exceeds 100 ms. That query only
-///   stalls when a reader blocks behind an epoch swap or the scheduler,
-///   so its p99 bounds how long a swap can hold readers up.
-fn run_serve_bench(days: f64, readers: usize) -> (String, bool) {
-    const OVERHEAD_CEILING: f64 = 1.10;
-    const ABSOLUTE_SLACK_SECS: f64 = 0.25;
-    const QPS_FLOOR: f64 = 200.0;
-    const STALL_P99_CEILING_US: u64 = 100_000;
-
-    let universe = repro_universe();
-    let capacity = universe.site_count() * universe.config().pages_per_site;
-    // A 5-day cadence gives run(15) three pass boundaries — three epoch
-    // swaps for the readers to live through.
-    let budget = CrawlBudget::paper_monthly(capacity).with_cycle_days(5.0);
-    fn build_session<'u>(universe: &'u WebUniverse, budget: CrawlBudget) -> CrawlSession<'u> {
-        CrawlSession::builder()
-            .engine(EngineKind::Incremental)
-            .budget(budget)
-            .universe(universe)
-            .build()
-            .expect("a valid session")
-    }
-
-    eprintln!("[repro] serve: unserved baseline ({days} simulated days, median of 3)...");
-    let mut fetches = 0u64;
-    let unserved_secs = median_secs(3, || {
-        let mut s = build_session(&universe, budget);
-        s.run(days).expect("the crawl runs");
-        fetches = s.metrics().fetches;
-    });
-
-    eprintln!("[repro] serve: served leg, no readers (median of 3)...");
-    let mut epochs = 0u64;
-    let mut view_pages = 0usize;
-    let served_secs = median_secs(3, || {
-        let mut s = build_session(&universe, budget);
-        let queries = s.serve();
-        s.run(days).expect("the crawl runs");
-        epochs = queries.epoch();
-        view_pages = queries.epoch_info().pages;
-    });
-    let overhead = served_secs / unserved_secs.max(f64::EPSILON);
-    let overhead_ok =
-        served_secs <= unserved_secs * OVERHEAD_CEILING + ABSOLUTE_SLACK_SECS;
-
-    eprintln!("[repro] serve: served leg with {readers} reader threads...");
-    let stop = std::sync::atomic::AtomicBool::new(false);
-    let mut s = build_session(&universe, budget);
-    let queries = s.serve();
-    let start = std::time::Instant::now();
-    let mut lats: Vec<u64> = Vec::new();
-    let mut stalls: Vec<u64> = Vec::new();
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..readers)
-            .map(|r| {
-                let queries = queries.clone();
-                let stop = &stop;
-                scope.spawn(move || {
-                    let mut lat: Vec<u64> = Vec::new();
-                    let mut stall: Vec<u64> = Vec::new();
-                    let mut i = r; // stagger the mix across readers
-                    while !stop.load(std::sync::atomic::Ordering::Relaxed) {
-                        let t0 = std::time::Instant::now();
-                        match i % 8 {
-                            0 => drop(queries.epoch_info()),
-                            1 => drop(queries.staleness(days)),
-                            2 => drop(queries.lookup(PageId((i as u64 * 7919) % capacity as u64))),
-                            3 => drop(queries.freshness()),
-                            4 => drop(queries.top_k_change_rate(10)),
-                            5 => drop(queries.site_rollups()),
-                            6 => drop(queries.top_k_pagerank(10)),
-                            _ => drop(queries.lookup(PageId(i as u64 % capacity as u64))),
-                        }
-                        let us = t0.elapsed().as_micros() as u64;
-                        lat.push(us);
-                        if i % 8 == 0 {
-                            stall.push(us);
-                        }
-                        i += 1;
-                        // Throttle: cap reader CPU so a single-core runner
-                        // still lets the crawl thread make progress.
-                        std::thread::sleep(std::time::Duration::from_micros(200));
-                    }
-                    (lat, stall)
-                })
-            })
-            .collect();
-        s.run(days).expect("the crawl runs");
-        stop.store(true, std::sync::atomic::Ordering::Relaxed);
-        for handle in handles {
-            let (lat, stall) = handle.join().expect("reader thread");
-            lats.extend(lat);
-            stalls.extend(stall);
-        }
-    });
-    let reader_secs = start.elapsed().as_secs_f64();
-    lats.sort_unstable();
-    stalls.sort_unstable();
-    let pct = |sorted: &[u64], p: f64| -> u64 {
-        if sorted.is_empty() {
-            return 0;
-        }
-        let idx = ((sorted.len() - 1) as f64 * p).round() as usize;
-        sorted[idx]
-    };
-    let queries_total = lats.len() as u64;
-    let qps = queries_total as f64 / reader_secs.max(f64::EPSILON);
-    let (p50, p99) = (pct(&lats, 0.50), pct(&lats, 0.99));
-    let stall_p99 = pct(&stalls, 0.99);
-    let qps_ok = qps >= QPS_FLOOR;
-    let stall_ok = stall_p99 <= STALL_P99_CEILING_US;
-
-    let regression = !(fetches > 0
-        && epochs >= 1
-        && view_pages > 0
-        && queries_total > 0
-        && overhead_ok
-        && qps_ok
-        && stall_ok);
-
-    let mut out = String::from("{\n  \"schema\": \"webevo-repro-serve/1\",\n");
-    out.push_str(&format!(
-        "  \"sim_days\": {days}, \"readers\": {readers}, \"capacity\": {capacity}, \
-         \"fetches\": {fetches},\n"
-    ));
-    out.push_str(&format!(
-        "  \"unserved\": {{\"wall_seconds\": {unserved_secs:.3}}},\n"
-    ));
-    out.push_str(&format!(
-        "  \"served\": {{\"wall_seconds\": {served_secs:.3}, \"epochs\": {epochs}, \
-         \"view_pages\": {view_pages}, \"overhead_ratio\": {overhead:.3}, \
-         \"overhead_ceiling\": {OVERHEAD_CEILING}, \
-         \"absolute_slack_seconds\": {ABSOLUTE_SLACK_SECS}, \
-         \"within_budget\": {overhead_ok}}},\n"
-    ));
-    out.push_str(&format!(
-        "  \"queries\": {{\"wall_seconds\": {reader_secs:.3}, \"total\": {queries_total}, \
-         \"sustained_qps\": {qps:.1}, \"qps_floor\": {QPS_FLOOR}, \
-         \"p50_us\": {p50}, \"p99_us\": {p99}, \
-         \"swap_stall_p99_us\": {stall_p99}, \
-         \"swap_stall_ceiling_us\": {STALL_P99_CEILING_US}}},\n"
-    ));
-    out.push_str(&format!("  \"regression\": {regression}\n}}"));
-    (out, regression)
-}
-
-/// The `e2e` target: the hot-loop overhaul's headline measurement — a
-/// million-page incremental crawl, timed end to end. One generation leg
-/// (the event arena and page/site tables are the dominant allocations, so
-/// their byte counts stand in for RSS) and one timed crawl leg; a single
-/// repetition, because at this scale the run is long enough that scheduler
-/// noise is amortized away and a median-of-3 would triple a deliberately
-/// heavy smoke step.
-///
-/// The `regression` field (and returned flag) is the CI smoke marker,
-/// `true` when the crawl sustains fewer than `FETCH_RATE_FLOOR` fetches
-/// per wall-second. Calibration: the overhauled path sustains 11–13k
-/// fetches/s at a million pages on a single-core runner (see
-/// `BENCH_e2e.json`), while the pre-overhaul path — bisection allocation
-/// solver, per-page `PoissonProcess` allocations, `HashMap` politeness,
-/// per-BFS-child occupant scans — lands well under 1k at this scale (the
-/// solver alone cost 23× end to end at a hundredth of the size). The
-/// floor sits ~5× under the measured rate to absorb noisy shared
-/// runners, yet above anything the old path can reach.
-fn run_e2e_bench(days: f64, sites: usize, pages: usize) -> (String, bool) {
-    const FETCH_RATE_FLOOR: f64 = 2_000.0;
-
-    eprintln!("[repro] e2e: generating {sites}-site, ~{pages}-page universe...");
-    let gen_start = std::time::Instant::now();
-    let universe =
-        WebUniverse::generate(UniverseConfig::scaled(1999, sites, pages, days + 1.0));
-    let gen_secs = gen_start.elapsed().as_secs_f64();
-    let total_pages = universe.page_count();
-    let arena_bytes = universe.arena_bytes();
-    let page_table_bytes = total_pages * std::mem::size_of::<webevo::sim::SimPage>();
-    eprintln!(
-        "[repro] e2e: generated {total_pages} pages in {gen_secs:.1}s \
-         (arena {:.1} MiB, page table {:.1} MiB); crawling {days} days...",
-        arena_bytes as f64 / (1 << 20) as f64,
-        page_table_bytes as f64 / (1 << 20) as f64,
-    );
-
-    let capacity = universe.site_count() * universe.config().pages_per_site;
-    let budget = CrawlBudget::paper_monthly(capacity).with_cycle_days(15.0);
-    let crawl_start = std::time::Instant::now();
-    let mut session = CrawlSession::builder()
-        .engine(EngineKind::Incremental)
-        .budget(budget)
-        .universe(&universe)
-        .build()
-        .expect("a valid session");
-    session.run(days).expect("the crawl runs");
-    let crawl_secs = crawl_start.elapsed().as_secs_f64();
-    let fetches = session.metrics().fetches;
-    let fetches_per_sec = fetches as f64 / crawl_secs.max(f64::EPSILON);
-    let regression = !(fetches > 0 && fetches_per_sec >= FETCH_RATE_FLOOR);
-
-    let mut out = String::from("{\n  \"schema\": \"webevo-repro-e2e/1\",\n");
-    out.push_str(&format!(
-        "  \"sites\": {}, \"pages\": {total_pages}, \"capacity\": {capacity}, \
-         \"sim_days\": {days},\n",
-        universe.site_count()
-    ));
-    out.push_str(&format!(
-        "  \"generate\": {{\"wall_seconds\": {gen_secs:.3}, \
-         \"event_arena_bytes\": {arena_bytes}, \
-         \"page_table_bytes\": {page_table_bytes}}},\n"
-    ));
-    out.push_str(&format!(
-        "  \"crawl\": {{\"fetches\": {fetches}, \"collection\": {}, \
-         \"wall_seconds\": {crawl_secs:.3}, \
-         \"fetches_per_wall_second\": {fetches_per_sec:.0}, \
-         \"sim_days_per_wall_second\": {:.3}}},\n",
-        session.collection_len(),
-        days / crawl_secs.max(f64::EPSILON),
-    ));
-    out.push_str(&format!(
-        "  \"fetch_rate_floor\": {FETCH_RATE_FLOOR:.0},\n  \"regression\": {regression}\n}}"
-    ));
-    (out, regression)
-}
-
-/// The `bench` target: end-to-end crawl throughput, snapshot codec
-/// timings, and WAL append latency, as one machine-readable JSON document
-/// plus the regression verdict. The `regression` field (and returned flag)
-/// is the CI smoke marker, `true` when either gate fails:
-///
-/// * codec — snapshot encode+decode moves fewer than 40 MB/s of snapshot
-///   bytes at any measured size. The checked-in `BENCH_substrates.json`
-///   run does ~300 MB/s (27.9 MB in 0.088 s + 0.100 s at 100k pages), so
-///   the floor absorbs a slow runner but not a real regression;
-/// * obs overhead — a fully traced end-to-end crawl (recording
-///   [`ObsSink`]) costs more than 2% over the untraced run, plus a small
-///   absolute slack so the ratio cannot trip on sub-second timer noise.
-fn run_perf_bench(bench_days: f64, bench_pages: &[u64]) -> (String, bool) {
-    const CODEC_MB_PER_SECOND_FLOOR: f64 = 40.0;
-    const OBS_OVERHEAD_CEILING: f64 = 1.02;
-    const OBS_ABSOLUTE_SLACK_SECS: f64 = 0.25;
-    let mut out = String::from("{\n  \"schema\": \"webevo-repro-bench/2\",\n");
-
-    // --- End-to-end crawl throughput (dense substrates under load). ---
-    // Untraced and fully traced, median of 3 each: the traced run is the
-    // obs-overhead gate — instrumentation must stay within 2% of the
-    // untraced wall time (plus a small absolute slack for timer noise).
-    eprintln!(
-        "[repro] bench: end-to-end crawl ({bench_days} simulated days, \
-         untraced + traced, median of 3)..."
-    );
-    let universe = repro_universe();
-    let capacity = universe.site_count() * universe.config().pages_per_site;
-    let budget = CrawlBudget::paper_monthly(capacity).with_cycle_days(15.0);
-    let mut fetches = 0u64;
-    let e2e_leg = |obs: Option<&ObsSink>, fetches: &mut u64| {
-        median_secs(3, || {
-            let mut session = CrawlSession::builder()
-                .engine(EngineKind::Incremental)
-                .budget(budget)
-                .universe(&universe)
-                .obs(obs.cloned().unwrap_or_else(ObsSink::noop))
-                .build()
-                .expect("a valid session");
-            session.run(bench_days).expect("the crawl runs");
-            *fetches = session.metrics().fetches;
-        })
-    };
-    let elapsed = e2e_leg(None, &mut fetches);
-    let obs = ObsSink::recording();
-    let traced_secs = e2e_leg(Some(&obs), &mut fetches);
-    let fetches_per_sec = fetches as f64 / elapsed;
-    out.push_str(&format!(
-        "  \"e2e\": {{\"capacity\": {capacity}, \"sim_days\": {bench_days}, \
-         \"fetches\": {fetches}, \"wall_seconds\": {elapsed:.3}, \
-         \"fetches_per_wall_second\": {fetches_per_sec:.1}, \
-         \"pages_per_wall_day\": {:.0}, \"sim_days_per_wall_second\": {:.3}}},\n",
-        fetches_per_sec * 86_400.0,
-        bench_days / elapsed,
-    ));
-    let obs_ok = traced_secs <= elapsed * OBS_OVERHEAD_CEILING + OBS_ABSOLUTE_SLACK_SECS;
-    let span_count = obs.spans().len();
-    out.push_str(&format!(
-        "  \"obs\": {{\"untraced_wall_seconds\": {elapsed:.3}, \
-         \"traced_wall_seconds\": {traced_secs:.3}, \
-         \"overhead_ratio\": {:.3}, \"overhead_ceiling\": {OBS_OVERHEAD_CEILING}, \
-         \"absolute_slack_seconds\": {OBS_ABSOLUTE_SLACK_SECS}, \
-         \"spans_recorded\": {span_count}, \"within_budget\": {obs_ok}}},\n",
-        traced_secs / elapsed.max(f64::EPSILON),
-    ));
-
-    // --- Snapshot codec: encode + decode throughput. ---
-    let mut worst_mb_per_second = f64::INFINITY;
-    out.push_str("  \"snapshot\": [\n");
-    for (i, &pages) in bench_pages.iter().enumerate() {
-        eprintln!("[repro] bench: snapshot codec at {pages} pages...");
-        let state = synthetic_state(pages);
-        let doc = encode_snapshot(&state);
-        let encode = median_secs(3, || encode_snapshot(&state));
-        let decode = median_secs(3, || decode_snapshot(&doc).expect("decodes"));
-        let mb_per_second = 2.0 * doc.len() as f64 / 1e6 / (encode + decode).max(f64::EPSILON);
-        worst_mb_per_second = worst_mb_per_second.min(mb_per_second);
-        out.push_str(&format!(
-            "    {{\"pages\": {pages}, \"bytes\": {}, \"encode_seconds\": {encode:.4}, \
-             \"decode_seconds\": {decode:.4}, \"mb_per_second\": {mb_per_second:.1}}}{}\n",
-            doc.len(),
-            if i + 1 == bench_pages.len() { "" } else { "," },
-        ));
-    }
-    out.push_str("  ],\n");
-
-    // --- WAL append latency (one pass-boundary flush). ---
-    eprintln!("[repro] bench: WAL append...");
-    let records = synthetic_records(512);
-    let wal_path = std::env::temp_dir()
-        .join(format!("webevo-repro-bench-{}.wlog", std::process::id()));
-    let mut writer = WalWriter::create(&wal_path).expect("temp WAL writable");
-    let mut seq = 0u64;
-    let wal_secs = median_secs(20, || {
-        seq += 512;
-        writer.append_committed(&records, seq).expect("append")
-    });
-    let _ = std::fs::remove_file(&wal_path);
-    out.push_str(&format!(
-        "  \"wal\": {{\"batch_records\": 512, \"append_seconds\": {wal_secs:.6}}},\n"
-    ));
-
-    let regression =
-        !(fetches > 0 && worst_mb_per_second >= CODEC_MB_PER_SECOND_FLOOR && obs_ok);
-    out.push_str(&format!(
-        "  \"codec_mb_per_second_floor\": {CODEC_MB_PER_SECOND_FLOOR:.1},\n  \
-         \"regression\": {regression}\n}}"
     ));
     (out, regression)
 }

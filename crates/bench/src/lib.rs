@@ -5,14 +5,14 @@
 use std::time::Instant;
 use webevo::prelude::*;
 
-/// Median wall-clock seconds of `reps` invocations of `f`. The shared
-/// timing primitive of every `repro` perf leg (`bench`, `fleet`, the
-/// obs-overhead gate): fleet and codec workloads are deterministic, so
-/// repetitions produce identical results and the median only damps
-/// scheduler noise — one noisy-neighbor stall on a shared CI runner must
-/// not trip a regression gate.
+/// Median wall-clock seconds of `reps` invocations of `f` (the upper
+/// middle sample when `reps` is even). The timing primitive of `repro
+/// fleet`'s legs: a fleet run is deterministic, so repetitions produce
+/// identical results and the median only damps scheduler noise — one
+/// noisy-neighbor stall on a shared CI runner must not trip the
+/// regression gate.
 pub fn median_secs<R>(reps: usize, mut f: impl FnMut() -> R) -> f64 {
-    let mut samples: Vec<f64> = (0..reps)
+    let samples = (0..reps)
         .map(|_| {
             let start = Instant::now();
             let out = f();
@@ -21,6 +21,11 @@ pub fn median_secs<R>(reps: usize, mut f: impl FnMut() -> R) -> f64 {
             secs
         })
         .collect();
+    median(samples)
+}
+
+/// The middle of `samples` by value, the upper one of two.
+fn median(mut samples: Vec<f64>) -> f64 {
     samples.sort_by(|a, b| a.partial_cmp(b).expect("no NaN"));
     samples[samples.len() / 2]
 }
@@ -54,73 +59,6 @@ pub fn paper_rate_mixture(seed: u64, per_domain: usize) -> Vec<ChangeRate> {
     rates
 }
 
-/// Build a synthetic engine state with `pages` stored pages carrying
-/// realistic per-page baggage: a few links, a populated change history,
-/// Bayesian posteriors, and a queue entry each. Shared by the codec
-/// micro-benchmarks and the `repro bench` perf target so both measure the
-/// same workload shape.
-pub fn synthetic_state(pages: u64) -> CrawlerState {
-    use webevo::core::{CrawlModule, EngineClock, QueueEntry, UpdateModule};
-    let config = IncrementalConfig::monthly(pages as usize);
-    let mut collection = Collection::new(pages as usize, 50);
-    let mut all_urls = AllUrls::new();
-    let mut queue = Vec::with_capacity(pages as usize);
-    for i in 0..pages {
-        let url = Url::new(SiteId((i % 997) as u32), PageId(i));
-        let links = vec![
-            Url::new(url.site, PageId((i + 1) % pages)),
-            Url::new(url.site, PageId((i + 7) % pages)),
-        ];
-        collection.save(url, Checksum(i), links, 0.0);
-        // A short revisit history so estimator state is non-trivial.
-        for day in 1..=4u64 {
-            collection.update(PageId(i), Checksum(i + day / 2), vec![], day as f64);
-        }
-        all_urls.add_in_link(url, PageId((i + 3) % pages), 0.0);
-        queue.push(QueueEntry { due_bits: (5.0 + (i % 30) as f64).to_bits(), url });
-    }
-    CrawlerState {
-        engine: EngineKind::Incremental,
-        run_start: 0.0,
-        seeded: true,
-        clock: EngineClock { t: 4.0, next_ranking: 5.0, next_sample: 5.0 },
-        fetch_seq: pages * 5,
-        update: UpdateModule::new(config.revisit, config.estimator, 30.0),
-        config: EngineConfig::Incremental(config),
-        collection,
-        all_urls,
-        queue,
-        queued: (0..pages).map(PageId).collect(),
-        admissions: Vec::new(),
-        ranking_runs: 4,
-        ranking_applied: 0,
-        rank_pending: false,
-        crawl: CrawlModule::default(),
-        periodic: None,
-        metrics: CrawlMetrics::default(),
-        routing: Default::default(),
-        fetcher: None,
-    }
-}
-
-/// A batch of `n` synthetic fetch events, the WAL-append workload shape.
-pub fn synthetic_records(n: u64) -> Vec<WalEvent> {
-    (1..=n)
-        .map(|seq| {
-            WalEvent::Fetch(FetchRecord {
-                seq,
-                url: Url::new(SiteId((seq % 97) as u32), PageId(seq)),
-                t: seq as f64 * 0.01,
-                result: Ok(FetchOutcome {
-                    checksum: Checksum(seq),
-                    links: vec![Url::new(SiteId(1), PageId(seq + 1))],
-                    last_modified: None,
-                }),
-            })
-        })
-        .collect()
-}
-
 /// Run the full §2–3 experiment on the repro universe (128 monitored
 /// days). Expensive — cache the result when calling repeatedly.
 pub fn repro_experiment() -> ExperimentReport {
@@ -133,4 +71,26 @@ pub fn repro_experiment() -> ExperimentReport {
         candidates,
         permitted,
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::{median, median_secs};
+
+    #[test]
+    fn median_is_the_middle_sample_wherever_it_ran() {
+        assert_eq!(median(vec![0.12, 0.0, 0.04]), 0.04);
+        assert_eq!(median(vec![0.04, 0.12, 0.0, 0.08]), 0.08, "even: the upper middle");
+        assert_eq!(median(vec![0.04]), 0.04);
+    }
+
+    #[test]
+    fn median_secs_runs_every_repetition_and_times_it() {
+        for reps in [3, 4] {
+            let mut calls = 0;
+            let secs = median_secs(reps, || calls += 1);
+            assert_eq!(calls, reps);
+            assert!(secs >= 0.0 && secs.is_finite());
+        }
+    }
 }

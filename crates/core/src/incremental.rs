@@ -64,8 +64,9 @@ use crate::state::{
     entries_to_queue, queue_to_entries, CrawlerState, EngineClock, EngineConfig, EngineKind,
 };
 use crate::view::{BoundaryPages, ViewBoundary, ViewPublisher};
-use crossbeam::channel::{self, Receiver, Sender};
+use std::collections::VecDeque;
 use std::marker::PhantomData;
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use webevo_obs::{LogicalClock, ObsSink, SpanGuard, Stage};
 use webevo_schedule::RevisitQueue;
 use webevo_sim::{
@@ -153,12 +154,71 @@ enum Executor {
     Pool { workers: usize },
 }
 
-/// The coordinator's ends of a live pool's channels.
-struct PoolLinks {
-    work_tx: Sender<Slot>,
-    done_rx: Receiver<(Slot, FetchResult)>,
-    rank_tx: Sender<RankRequest>,
-    rank_rx: Receiver<RankResponse>,
+/// An unbounded FIFO between the coordinator and one kind of pool thread,
+/// borrowed by both sides of a thread scope. Not `std::sync::mpsc`: with
+/// one worker every fetch is a hand-off each way, and there the channel
+/// measured 13% more user CPU, half again as many context switches and
+/// three times the run-to-run spread of this queue (CHANGES.md, PR 21).
+struct Handoff<T> {
+    /// The queued items and whether the queue is closed.
+    state: Mutex<(VecDeque<T>, bool)>,
+    ready: Condvar,
+}
+
+impl<T> Handoff<T> {
+    fn new() -> Self {
+        Handoff { state: Mutex::new((VecDeque::new(), false)), ready: Condvar::new() }
+    }
+
+    /// Poison is ignored: no step taken under this lock can leave the queue
+    /// half-updated, and [`Tx`] closes it while its thread unwinds.
+    fn lock(&self) -> MutexGuard<'_, (VecDeque<T>, bool)> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The next item, waiting for one; `None` once closed and drained.
+    fn recv(&self) -> Option<T> {
+        let mut state = self.lock();
+        loop {
+            if let Some(item) = state.0.pop_front() {
+                return Some(item);
+            }
+            if state.1 {
+                return None;
+            }
+            state = self.ready.wait(state).unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+}
+
+/// A sending end of a [`Handoff`]. Dropping it — on return or on unwind —
+/// closes the queue, so a thread that dies ends its peers' waits (and the
+/// scope re-raises its panic) instead of hanging them.
+struct Tx<'a, T>(&'a Handoff<T>);
+
+impl<T> Tx<'_, T> {
+    fn send(&self, item: T) {
+        self.0.lock().0.push_back(item);
+        // Unlocked before the wake-up, so the receiver never blocks on it.
+        self.0.ready.notify_one();
+    }
+}
+
+impl<T> Drop for Tx<'_, T> {
+    fn drop(&mut self) {
+        self.0.lock().1 = true;
+        self.0.ready.notify_all();
+    }
+}
+
+/// The coordinator's ends of a live pool's queues: one work queue per
+/// worker (slot *k* of a batch goes to worker *k*), one completion queue
+/// shared by all of them, one request/response pair for the ranking thread.
+struct PoolLinks<'a> {
+    work_tx: Vec<Tx<'a, Slot>>,
+    done_rx: &'a Handoff<(Slot, FetchResult)>,
+    rank_tx: Tx<'a, RankRequest>,
+    rank_rx: &'a Handoff<RankResponse>,
     rank_in_flight: bool,
 }
 
@@ -168,7 +228,7 @@ enum Backend<'a> {
     /// of either kind, where deferred ranking is computed synchronously).
     Source(FetchSource<'a>),
     /// The live worker pool and ranking thread.
-    Pool(PoolLinks),
+    Pool(PoolLinks<'a>),
 }
 
 impl<'a> Backend<'a> {
@@ -548,9 +608,10 @@ impl<X> IncrementalEngine<X> {
     }
 
     /// Fetch a batch of scheduled slots and apply the results in slot
-    /// order. Workers race for a pool's jobs; only the *application*
-    /// order is pinned, so the interleaving of state updates does not
-    /// depend on thread timing.
+    /// order. A pool hands slot *k* of the batch to worker *k* (a batch
+    /// never exceeds `workers`); completions arrive in whatever order the
+    /// workers finish and are sorted back into slot order, so the
+    /// interleaving of state updates does not depend on thread timing.
     fn execute(
         &mut self,
         universe: &WebUniverse,
@@ -566,8 +627,8 @@ impl<X> IncrementalEngine<X> {
                 }
             }
             Backend::Pool(links) => {
-                for slot in batch.iter() {
-                    links.work_tx.send(*slot).expect("workers alive");
+                for (slot, worker) in batch.iter().zip(&links.work_tx) {
+                    worker.send(*slot);
                 }
                 let mut done: Vec<(Slot, FetchResult)> = batch
                     .drain(..)
@@ -728,7 +789,10 @@ impl<X> IncrementalEngine<X> {
                 all_urls: self.all_urls.clone(),
             };
             match backend {
-                Backend::Pool(links) => links.rank_in_flight = links.rank_tx.send(req).is_ok(),
+                Backend::Pool(links) => {
+                    links.rank_tx.send(req);
+                    links.rank_in_flight = true;
+                }
                 Backend::Source(_) => self.unsent_rank_request = Some(req),
             }
         }
@@ -827,44 +891,46 @@ impl<X> IncrementalEngine<X> {
         workers: usize,
         body: impl FnOnce(&mut Self, &mut Backend<'_>),
     ) {
-        let (work_tx, work_rx) = channel::unbounded::<Slot>();
-        let (done_tx, done_rx) = channel::unbounded::<(Slot, FetchResult)>();
-        let (rank_tx, rank_req_rx) = channel::unbounded::<RankRequest>();
-        let (rank_res_tx, rank_rx) = channel::unbounded::<RankResponse>();
+        let work: Vec<Handoff<Slot>> = (0..workers).map(|_| Handoff::new()).collect();
+        let (done, rank_req, rank_res) = (Handoff::new(), Handoff::new(), Handoff::new());
         let ranking_config = self.config.ranking.clone();
-        crossbeam::scope(|scope| {
-            for _ in 0..workers {
-                let (work_rx, done_tx) = (work_rx.clone(), done_tx.clone());
-                scope.spawn(move |_| {
+        // The scope joins every thread before returning and re-raises a
+        // thread's panic there.
+        std::thread::scope(|scope| {
+            for work in &work {
+                let done_tx = Tx(&done);
+                scope.spawn(move || {
                     let mut fetcher =
                         SimFetcher::new(universe).with_politeness(Politeness::unrestricted());
-                    while let Ok(slot) = work_rx.recv() {
-                        let result = fetcher.fetch(slot.url, slot.t);
-                        if done_tx.send((slot, result)).is_err() {
-                            break;
-                        }
+                    while let Some(slot) = work.recv() {
+                        done_tx.send((slot, fetcher.fetch(slot.url, slot.t)));
                     }
                 });
             }
-            drop(done_tx); // the coordinator holds the only receiver
-            scope.spawn(move |_| {
+            let rank_res_tx = Tx(&rank_res);
+            let rank_req = &rank_req;
+            scope.spawn(move || {
                 let mut ranking = RankingModule::new(ranking_config);
-                while let Ok(req) = rank_req_rx.recv() {
-                    if rank_res_tx.send(rank(&mut ranking, req)).is_err() {
-                        break;
-                    }
+                while let Some(req) = rank_req.recv() {
+                    rank_res_tx.send(rank(&mut ranking, req));
                 }
             });
-            let mut links = PoolLinks { work_tx, done_rx, rank_tx, rank_rx, rank_in_flight: false };
+            let mut links = PoolLinks {
+                work_tx: work.iter().map(Tx).collect(),
+                done_rx: &done,
+                rank_tx: Tx(rank_req),
+                rank_rx: &rank_res,
+                rank_in_flight: false,
+            };
             // A restored/replayed engine re-issues the outstanding request.
             if let Some(req) = self.unsent_rank_request.take() {
-                links.rank_in_flight = links.rank_tx.send(req).is_ok();
+                links.rank_tx.send(req);
+                links.rank_in_flight = true;
             }
-            // Dropping the links when `body` returns closes the channels,
-            // which is what ends the threads.
+            // Dropping the links when `body` returns closes the work and
+            // request queues, which is what ends the threads.
             body(self, &mut Backend::Pool(links));
-        })
-        .expect("crawler threads do not panic");
+        });
     }
 }
 
@@ -1160,6 +1226,23 @@ mod tests {
             let engine = crawl(workers, cfg, &universe(62), 10.0);
             assert!(engine.metrics().fetches > 20, "workers={workers:?} stalled");
         }
+    }
+
+    #[test]
+    fn a_dying_pool_thread_closes_its_queue_instead_of_hanging_the_receiver() {
+        let queue = Handoff::new();
+        let scope = std::panic::AssertUnwindSafe(|| {
+            std::thread::scope(|scope| {
+                let tx = Tx(&queue);
+                scope.spawn(move || {
+                    tx.send(7);
+                    panic!("the worker dies");
+                });
+                assert_eq!(queue.recv(), Some(7), "what was sent before the panic is drained");
+                assert_eq!(queue.recv(), None);
+            })
+        });
+        assert!(std::panic::catch_unwind(scope).is_err(), "the scope re-raises the panic");
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! `Arc` store and writers never block readers for longer than an `Arc`
 //! clone. The workspace forbids `unsafe`, so this is the swap primitive —
 //! the critical sections are two reference-count operations, which is
-//! what the `repro serve` swap-stall gate measures.
+//! what `benchmark/`'s `serve.swap_stall_ns_max` reading measures.
 
 use crate::view::{CollectionView, EpochInfo, FreshnessStats, SiteRollup, ViewPage};
 use std::sync::atomic::{AtomicU64, Ordering};

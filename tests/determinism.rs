@@ -408,6 +408,43 @@ fn fleet_merge_identical_across_runs_and_thread_counts() {
 }
 
 #[test]
+fn four_shard_fleet_collects_what_the_single_node_collects() {
+    // The page-loss contract of sharding: the same budget split four ways
+    // collects within 1% of what one node collects. What holds it there
+    // is capacity and crawl rate apportioned by owned sites (an even
+    // split strands 10.6% of the collection on this skewed hash plan) and
+    // foreign discoveries diverted to the exchange instead of the local
+    // frontier (2.0% without). The inputs are `repro fleet`'s: the
+    // medium-scale repro universe, full coverage, 15-day cycle, 15 days.
+    let universe = WebUniverse::generate(UniverseConfig::medium_scale(1999));
+    let capacity = universe.site_count() * universe.config().pages_per_site;
+    let budget = CrawlBudget::paper_monthly(capacity).with_cycle_days(15.0);
+    let run = |shards: u32| {
+        let mut fleet = FleetSession::builder()
+            .shards(shards)
+            .budget(budget)
+            .universe(&universe)
+            .build()
+            .expect("a valid fleet");
+        fleet.run(15.0).expect("the fleet runs").clone()
+    };
+    let single = run(1);
+    let fleet = run(4);
+    assert!(fleet.routed_links() > 0, "cross-shard links were exchanged");
+    assert!(
+        fleet.shards.iter().all(|s| s.foreign_rejects == 0),
+        "routing must keep every fetch on an owned site"
+    );
+    let (n_single, n_fleet) = (single.collection_len(), fleet.collection_len());
+    assert!(n_single >= 2_000, "1% must be a count of pages, not a rounding: {n_single}");
+    let deficit = 1.0 - n_fleet as f64 / n_single as f64;
+    assert!(
+        deficit <= 0.01,
+        "4-shard collection {n_fleet} vs single-node {n_single}: deficit {deficit:.4}"
+    );
+}
+
+#[test]
 fn fleet_kill_one_shard_resume_matches_uninterrupted() {
     let dir = temp_dir("fleet-kill-one");
     let universe = WebUniverse::generate(UniverseConfig::test_scale(45));
