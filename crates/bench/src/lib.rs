@@ -1,4 +1,4 @@
-//! Shared fixtures for the benchmark suite and the `repro` binary.
+//! Fixtures of the `repro` binary.
 
 #![forbid(unsafe_code)]
 
@@ -34,11 +34,6 @@ fn median(mut samples: Vec<f64>) -> f64 {
 /// ratio, 100-page windows), fixed seed.
 pub fn repro_universe() -> WebUniverse {
     WebUniverse::generate(UniverseConfig::medium_scale(1999))
-}
-
-/// A small universe for fast micro-benchmarks.
-pub fn bench_universe() -> WebUniverse {
-    WebUniverse::generate(UniverseConfig::test_scale(7))
 }
 
 /// The paper's Table 2 rate: one change per four months.

@@ -20,6 +20,12 @@
 //! * [`CrawlEngine::metrics`] / [`CrawlEngine::collection`] /
 //!   [`CrawlEngine::passes`] expose the observable outcomes uniformly.
 //!
+//! Everything behind that contract that is not crawl policy — run state,
+//! fetch accounting, the sampling grid, routing plumbing, the
+//! pass-boundary sequence — is one [`EngineShell`] every engine embeds and
+//! hands out through [`CrawlEngine::shell`]; the trait answers the state
+//! queries and installs scope, sink and publisher once, over that shell.
+//!
 //! [`CrawlBudget`] carries the fetch-budget knobs the engines share
 //! (capacity, revisit cycle, cadences), so the periodic and incremental
 //! configurations derive from one source and cannot drift — e.g.
@@ -74,6 +80,7 @@ use crate::metrics::CrawlMetrics;
 use crate::modules::{EstimatorKind, RankingConfig, RevisitStrategy};
 use crate::periodic::{PeriodicConfig, PeriodicCrawler};
 use crate::routing::{RoutedBatch, RoutedLink, RoutingState, ShardScope, WalEvent};
+use crate::shell::EngineShell;
 use crate::state::{CrawlerState, EngineClock};
 use crate::view::ViewPublisher;
 use webevo_obs::ObsSink;
@@ -190,20 +197,32 @@ impl CrawlBudget {
 }
 
 /// The step-wise crawl-loop contract every engine implements. See the
-/// module docs for the shape; `tests/determinism.rs` pins that driving an
-/// engine through this trait is bit-identical to the pre-redesign
-/// per-engine `run`/`resume` surface.
+/// module docs for the shape. An engine supplies its crawl policy (the
+/// required methods) and its [`EngineShell`]; the provided methods answer
+/// everything policy-independent from the shell.
 pub trait CrawlEngine {
+    /// The engine's shell: run state, routing state and observers. Its
+    /// fields are private to this crate, so only engines defined here can
+    /// implement this trait.
+    fn shell(&self) -> &EngineShell;
+
+    /// Mutable access to [`CrawlEngine::shell`].
+    fn shell_mut(&mut self) -> &mut EngineShell;
+
     /// Which engine this is (including the worker count for the threaded
     /// engine).
     fn kind(&self) -> EngineKind;
 
     /// Whether the run has started (seed URLs injected). A started engine
     /// continues from its frozen clock on the next [`CrawlEngine::drive`].
-    fn started(&self) -> bool;
+    fn started(&self) -> bool {
+        self.shell().started
+    }
 
     /// The engine's discrete-event clock.
-    fn clock(&self) -> EngineClock;
+    fn clock(&self) -> EngineClock {
+        self.shell().clock
+    }
 
     /// Advance the crawl to day `until`, fetching through `fetcher` and
     /// reporting every fetch and pass boundary to `hook`. The first call
@@ -215,8 +234,8 @@ pub trait CrawlEngine {
     /// politeness; the simulated fetch is a pure function of `(url, t)`
     /// for them).
     ///
-    /// Errors (typed, never panics): `until` not beyond the current
-    /// clock.
+    /// Errors (typed, never panics, and before the run is started):
+    /// `until` not a finite day beyond the current clock.
     fn drive(
         &mut self,
         universe: &WebUniverse,
@@ -247,7 +266,9 @@ pub trait CrawlEngine {
     fn export_state(&self) -> CrawlerState;
 
     /// Collected metrics.
-    fn metrics(&self) -> &CrawlMetrics;
+    fn metrics(&self) -> &CrawlMetrics {
+        &self.shell().metrics
+    }
 
     /// The Figure 12 `Collection`, for engines that maintain one (`None`
     /// for the periodic engine, whose user-visible snapshot has no
@@ -260,7 +281,9 @@ pub trait CrawlEngine {
     /// Completed refinement passes: RankingModule runs for the
     /// incremental engine, applied ranking outcomes for the threaded one,
     /// shadow swaps for the periodic one.
-    fn passes(&self) -> u64;
+    fn passes(&self) -> u64 {
+        self.shell().passes
+    }
 
     /// Whether [`CrawlEngine::drive`] fetches through the caller-supplied
     /// fetcher (`false` for the threaded engine; see
@@ -272,20 +295,22 @@ pub trait CrawlEngine {
     /// Restrict the engine to the sites one fleet shard owns: foreign
     /// discoveries divert into the routing outbox instead of entering the
     /// frontier, and the residual schedule never fetches a foreign URL.
-    /// Must be set before the run starts. An engine without routing
-    /// support returns a typed error (every engine in this crate has it).
+    /// Must be set before the run starts (a typed error otherwise).
     fn set_scope(&mut self, scope: ShardScope) -> Result<(), WebEvoError> {
-        let _ = scope;
-        Err(WebEvoError::InvalidState(format!(
-            "the {} engine does not support shard scoping",
-            self.kind()
-        )))
+        let shell = self.shell_mut();
+        if shell.started {
+            return Err(WebEvoError::InvalidState(
+                "shard scope must be set before the run starts".into(),
+            ));
+        }
+        shell.routing.scope = Some(scope);
+        Ok(())
     }
 
-    /// The engine's routing state (outbox, applied-exchange counter), when
-    /// the engine supports routing.
+    /// The engine's routing state (scope, outbox, applied-exchange
+    /// counter); inert when unsharded.
     fn routing(&self) -> Option<&RoutingState> {
-        None
+        Some(&self.shell().routing)
     }
 
     /// Deliver one exchange's routed links into the engine: clears the
@@ -293,23 +318,18 @@ pub trait CrawlEngine {
     /// the batches), admits each owned link to the frontier, consumes one
     /// sequence number, and bumps the applied-exchange counter. Returns
     /// the applied batch so the caller can log it durably. The engine
-    /// must be started and quiescent (at a pass boundary).
-    fn inject_links(&mut self, links: Vec<RoutedLink>) -> Result<RoutedBatch, WebEvoError> {
-        let _ = links;
-        Err(WebEvoError::InvalidState(format!(
-            "the {} engine does not support link injection",
-            self.kind()
-        )))
-    }
+    /// must be started (a typed error otherwise) and quiescent (at a pass
+    /// boundary).
+    fn inject_links(&mut self, links: Vec<RoutedLink>) -> Result<RoutedBatch, WebEvoError>;
 
     /// Install an observability sink: the engine stamps its drive, pass,
     /// and fetch-batch stages (and fetch-outcome counters) into it.
     /// Observation is strictly write-only — the hard invariant is that a
     /// traced run's crawl output stays byte-identical to an untraced
     /// run's, so the sink never appears in [`CrawlerState`] and no engine
-    /// reads anything back from it. The default keeps the no-op sink.
+    /// reads anything back from it.
     fn set_obs(&mut self, obs: ObsSink) {
-        let _ = obs;
+        self.shell_mut().obs = obs;
     }
 
     /// Install a serving-view publisher: the engine calls
@@ -318,10 +338,9 @@ pub trait CrawlEngine {
     /// strictly write-only — the same hard invariant as observation: a
     /// served run's checkpoints and metrics stay byte-identical to an
     /// unserved run's, so the publisher never appears in [`CrawlerState`]
-    /// and no engine reads anything back from it. The default drops the
-    /// publisher (no serving).
+    /// and no engine reads anything back from it.
     fn set_view_publisher(&mut self, publisher: Box<dyn ViewPublisher>) {
-        let _ = publisher;
+        self.shell_mut().publisher = Some(publisher);
     }
 
     /// Record the closing metrics sample a live [`CrawlEngine::drive`]
@@ -384,22 +403,6 @@ pub fn collection_quality(collection: &Collection, universe: &WebUniverse, t: f6
     } else {
         0.0
     }
-}
-
-/// The one check every [`CrawlEngine::drive`] opens with: the target must
-/// lie beyond the clock the run starts (or continues) from.
-pub(crate) fn check_drive_target(
-    started: bool,
-    clock_t: f64,
-    until: f64,
-) -> Result<(), WebEvoError> {
-    if until <= clock_t {
-        let from = if started { "engine clock" } else { "start day" };
-        return Err(WebEvoError::InvalidState(format!(
-            "drive target {until} must lie beyond the {from} {clock_t}"
-        )));
-    }
-    Ok(())
 }
 
 /// Where a fetch slot's result comes from: a live fetcher, or the
@@ -467,15 +470,16 @@ impl<'a> FetchSource<'a> {
         }
     }
 
-    /// Consume the next event when it is the routed batch logged at
-    /// exactly clock `t` with sequence number `seq` (`None` for live
-    /// sources, fetch events and batches due later). Live injection
-    /// happens while the engine is frozen *between* drives; the match is
-    /// exact because batches record the frozen clock.
-    pub(crate) fn take_routed_at(&mut self, t: f64, seq: u64) -> Option<RoutedBatch> {
+    /// Consume the next event when it is the routed batch due at the
+    /// current point of the schedule: logged at exactly the shell's clock
+    /// with its next sequence number (`None` for live sources, fetch
+    /// events and batches due later). Live injection happens while the
+    /// engine is frozen *between* drives; the match is exact because
+    /// batches record the frozen clock.
+    pub(crate) fn take_routed(&mut self, shell: &EngineShell) -> Option<RoutedBatch> {
         let FetchSource::Replay { events, pos, .. } = self else { return None };
         let Some(WalEvent::Routed(batch)) = events.get(*pos) else { return None };
-        if batch.t.to_bits() != t.to_bits() || batch.seq != seq {
+        if batch.t.to_bits() != shell.clock.t.to_bits() || batch.seq != shell.fetch_seq + 1 {
             return None;
         }
         *pos += 1;
@@ -535,6 +539,16 @@ mod tests {
     use super::*;
     use crate::hooks::NoopHook;
     use webevo_sim::{SimFetcher, UniverseConfig};
+    use webevo_types::{ShardFn, ShardId, ShardPlan};
+
+    /// One fresh engine of every kind under `budget`.
+    fn engines(budget: CrawlBudget, workers: usize) -> Vec<Box<dyn CrawlEngine>> {
+        vec![
+            Box::new(PeriodicCrawler::new(budget.periodic_config())),
+            Box::new(IncrementalCrawler::new(budget.incremental_config())),
+            Box::new(ThreadedCrawler::new(budget.incremental_config(), workers)),
+        ]
+    }
 
     #[test]
     fn budget_derives_both_configs_from_one_source() {
@@ -567,12 +581,7 @@ mod tests {
     fn every_engine_drives_through_the_trait() {
         let u = WebUniverse::generate(UniverseConfig::test_scale(64));
         let budget = CrawlBudget::paper_monthly(40).with_cycle_days(5.0);
-        let engines: Vec<Box<dyn CrawlEngine>> = vec![
-            Box::new(PeriodicCrawler::new(budget.periodic_config())),
-            Box::new(IncrementalCrawler::new(budget.incremental_config())),
-            Box::new(ThreadedCrawler::new(budget.incremental_config(), 2)),
-        ];
-        for mut engine in engines {
+        for mut engine in engines(budget, 2) {
             let kind = engine.kind();
             assert!(!engine.started());
             let mut fetcher = SimFetcher::new(&u);
@@ -596,15 +605,48 @@ mod tests {
     }
 
     #[test]
+    fn scope_and_routed_links_are_guarded_by_the_run_state_for_every_kind() {
+        let u = WebUniverse::generate(UniverseConfig::test_scale(66));
+        let budget = CrawlBudget::paper_monthly(30).with_cycle_days(5.0);
+        let plan = ShardPlan::new(ShardFn::Hash, 2, u.site_count() as u32);
+        let scope = ShardScope { plan, shard: ShardId(0) };
+        let invalid = |result: Result<(), WebEvoError>, needle: &str, kind: EngineKind| match result {
+            Err(WebEvoError::InvalidState(msg)) => assert!(msg.contains(needle), "{kind}: {msg}"),
+            other => panic!("{kind}: expected InvalidState mentioning {needle:?}, got {other:?}"),
+        };
+        for mut engine in engines(budget, 2) {
+            let kind = engine.kind();
+            // Before the run starts there is no point in the sequence to
+            // inject at: refused, with nothing consumed.
+            let injected = engine.inject_links(Vec::new()).map(|_| ());
+            invalid(injected, "cannot inject routed links before the run starts", kind);
+            assert_eq!(engine.routing(), Some(&RoutingState::default()), "{kind}");
+            assert_eq!(engine.shell().fetch_seq, 0, "{kind}");
+
+            engine.drive(&u, &mut SimFetcher::new(&u), &mut NoopHook, 12.0).expect("drives");
+
+            // Once started the seeds are in: a scope can no longer apply.
+            let (routing, seq) = (engine.routing().cloned(), engine.shell().fetch_seq);
+            invalid(engine.set_scope(scope), "shard scope must be set before the run starts", kind);
+            assert_eq!(engine.routing().cloned(), routing, "{kind}: routing state moved");
+            assert_eq!(engine.routing().and_then(|r| r.scope), None, "{kind}");
+            assert_eq!(engine.shell().fetch_seq, seq, "{kind}: a sequence number was consumed");
+
+            // An (empty) exchange takes the next sequence number at the
+            // frozen clock and counts as one applied exchange.
+            let exchanges = routing.expect("every engine routes").exchanges;
+            let batch = engine.inject_links(Vec::new()).expect("a started engine accepts");
+            assert_eq!((batch.seq, batch.t), (seq + 1, engine.clock().t), "{kind}");
+            assert_eq!(engine.shell().fetch_seq, seq + 1, "{kind}");
+            assert_eq!(engine.routing().map(|r| r.exchanges), Some(exchanges + 1), "{kind}");
+        }
+    }
+
+    #[test]
     fn restore_rejects_nothing_but_rebuilds_the_right_engine() {
         let u = WebUniverse::generate(UniverseConfig::test_scale(65));
         let budget = CrawlBudget::paper_monthly(30).with_cycle_days(5.0);
-        let engines: Vec<Box<dyn CrawlEngine>> = vec![
-            Box::new(PeriodicCrawler::new(budget.periodic_config())),
-            Box::new(IncrementalCrawler::new(budget.incremental_config())),
-            Box::new(ThreadedCrawler::new(budget.incremental_config(), 3)),
-        ];
-        for mut engine in engines {
+        for mut engine in engines(budget, 3) {
             let mut fetcher = SimFetcher::new(&u);
             engine.drive(&u, &mut fetcher, &mut NoopHook, 12.0).expect("drives");
             let state = engine.export_state();

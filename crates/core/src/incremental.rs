@@ -53,21 +53,20 @@
 
 use crate::allurls::AllUrls;
 use crate::collection::Collection;
-use crate::engine::{check_drive_target, CrawlBudget, CrawlEngine, FetchSource};
-use crate::hooks::{CrawlHook, FetchRecord, NoopHook};
+use crate::engine::{CrawlBudget, CrawlEngine, FetchSource};
+use crate::hooks::{CrawlHook, NoopHook};
 use crate::metrics::CrawlMetrics;
 use crate::modules::{
     CrawlModule, EstimatorKind, RankingConfig, RankingModule, RevisitStrategy, UpdateModule,
 };
-use crate::routing::{RoutedBatch, RoutedLink, RoutingState, ShardScope, WalEvent};
-use crate::state::{
-    entries_to_queue, queue_to_entries, CrawlerState, EngineClock, EngineConfig, EngineKind,
-};
-use crate::view::{BoundaryPages, ViewBoundary, ViewPublisher};
+use crate::routing::{RoutedBatch, RoutedLink, WalEvent};
+use crate::shell::{announce_boundary, EngineShell};
+use crate::state::{entries_to_queue, queue_to_entries, CrawlerState, EngineConfig, EngineKind};
+use crate::view::BoundaryPages;
 use std::collections::VecDeque;
 use std::marker::PhantomData;
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
-use webevo_obs::{LogicalClock, ObsSink, SpanGuard, Stage};
+use webevo_obs::{LogicalClock, SpanGuard, Stage};
 use webevo_schedule::RevisitQueue;
 use webevo_sim::{
     FetchError, FetchOutcome, Fetcher, FetcherState, Politeness, SimFetcher, WebUniverse,
@@ -141,6 +140,11 @@ fn rank(ranking: &mut RankingModule, mut req: RankRequest) -> RankResponse {
     let outcome = ranking.run(&mut req.collection, &req.all_urls);
     let importance = req.collection.iter().map(|(p, s)| (p, s.importance)).collect();
     RankResponse { importance, replacements: outcome.replacements }
+}
+
+/// The `(page, day it was crawled)` pairs the freshness sampler reads.
+fn copies(collection: &Collection) -> impl Iterator<Item = (PageId, f64)> + '_ {
+    collection.iter().map(|(p, stored)| (p, stored.last_crawl))
 }
 
 /// How batches of slots are fetched and where ranking runs — derived from
@@ -275,19 +279,11 @@ pub struct IncrementalEngine<X> {
     ranking: RankingModule,
     /// Fetch accounting of the inline executor's CrawlModule.
     crawl: CrawlModule,
-    metrics: CrawlMetrics,
-    /// Ranking outcomes applied.
-    passes: u64,
-    run_start: f64,
-    /// Discrete-event clock; lives on the struct (not the run loop) so a
-    /// checkpoint can freeze it and a resumed engine continues mid-run.
-    clock: EngineClock,
-    /// Seed URLs injected (guards against double seeding on resume).
-    seeded: bool,
-    /// Fetch attempts issued; pairs with [`FetchRecord::seq`]. Routed
-    /// batches consume numbers from the same counter, so the WAL is one
-    /// totally-ordered event stream.
-    fetch_seq: u64,
+    /// The run state every engine shares. Here `passes` counts ranking
+    /// outcomes applied, and shard scoping is enforced where slots are
+    /// scheduled, so a worker never sees a foreign URL and worker
+    /// parallelism composes with fleet sharding.
+    shell: EngineShell,
     /// Pool only. True once the first pass boundary has been crossed: a
     /// ranking request derived from the engine state at the most recent
     /// boundary is outstanding. Checkpoints persist the flag; the request
@@ -298,20 +294,6 @@ pub struct IncrementalEngine<X> {
     /// holds it: after `from_state` and during WAL replay. A live drive
     /// hands it to its ranking thread first thing.
     unsent_rank_request: Option<RankRequest>,
-    /// Cross-shard routing: scope, outbox of foreign discoveries, and the
-    /// applied-exchange counter. Inert (default) when unsharded. Scoping
-    /// is enforced where slots are scheduled, so a worker never sees a
-    /// foreign URL and worker parallelism composes with fleet sharding.
-    routing: RoutingState,
-    /// Observability sink, touched only on the coordinating thread.
-    /// Write-only and deliberately absent from [`CrawlerState`]: spans and
-    /// counters describe the run, they never steer it, so a traced run
-    /// stays byte-identical to an untraced one.
-    obs: ObsSink,
-    /// Serving-view publisher, fired at every pass boundary. Write-only
-    /// and absent from [`CrawlerState`] for the same reason as `obs`: a
-    /// served run stays byte-identical to an unserved one.
-    publisher: Option<Box<dyn ViewPublisher>>,
     _executor: PhantomData<X>,
 }
 
@@ -390,25 +372,22 @@ impl<X> IncrementalEngine<X> {
             update: UpdateModule::new(config.revisit, config.estimator, default_interval),
             ranking: RankingModule::new(config.ranking.clone()),
             crawl: CrawlModule::new(),
-            metrics: CrawlMetrics::default(),
-            passes: 0,
-            run_start: 0.0,
-            clock: EngineClock { t: 0.0, next_ranking: 0.0, next_sample: 0.0 },
-            seeded: false,
-            fetch_seq: 0,
+            shell: EngineShell::default(),
             rank_pending: false,
             unsent_rank_request: None,
-            routing: RoutingState::default(),
-            obs: ObsSink::noop(),
-            publisher: None,
             _executor: PhantomData,
             config,
         }
     }
 
-    fn rebuild(state: CrawlerState, executor: Executor) -> Result<Self, WebEvoError> {
+    fn rebuild(mut state: CrawlerState, executor: Executor) -> Result<Self, WebEvoError> {
         let config = state.config.as_incremental()?.clone();
+        let passes = match executor {
+            Executor::Inline => state.ranking_runs,
+            Executor::Pool { .. } => state.ranking_applied,
+        };
         Ok(IncrementalEngine {
+            shell: EngineShell::restore(&mut state, passes),
             executor,
             collection: state.collection,
             all_urls: state.all_urls,
@@ -418,20 +397,8 @@ impl<X> IncrementalEngine<X> {
             update: state.update,
             ranking: RankingModule::new(config.ranking.clone()),
             crawl: state.crawl,
-            metrics: state.metrics,
-            passes: match executor {
-                Executor::Inline => state.ranking_runs,
-                Executor::Pool { .. } => state.ranking_applied,
-            },
-            run_start: state.run_start,
-            clock: state.clock,
-            seeded: state.seeded,
-            fetch_seq: state.fetch_seq,
             rank_pending: false,
             unsent_rank_request: None,
-            routing: state.routing,
-            obs: ObsSink::noop(),
-            publisher: None,
             _executor: PhantomData,
             config,
         })
@@ -470,25 +437,19 @@ impl<X> IncrementalEngine<X> {
         }
     }
 
-    /// Start the run at the frozen clock: anchor the periodic activities
-    /// and inject the seed URLs (§1's "initial set of URLs, called seed
-    /// URLs"). Shared by [`CrawlEngine::drive`] on a fresh engine and by
-    /// [`CrawlEngine::replay`] when the snapshot is a day-0 one (a run
-    /// killed before its first cadence snapshot recovers from the initial
-    /// snapshot that `webevo-store`'s `Checkpointer` writes at creation,
-    /// plus the whole WAL).
+    /// The engine's share of a run the shell just started — in a drive, or
+    /// in the replay of a day-0 snapshot (a run killed before its first
+    /// cadence snapshot recovers from the initial snapshot that
+    /// `webevo-store`'s `Checkpointer` writes at creation, plus the whole
+    /// WAL): anchor the ranking cadence at the frozen clock and inject the
+    /// seed URLs (§1's "initial set of URLs, called seed URLs").
     fn begin_run(&mut self, universe: &WebUniverse) {
-        let start = self.clock.t;
-        self.run_start = start;
-        self.clock = EngineClock {
-            t: start,
-            next_ranking: start + self.config.ranking_interval_days,
-            next_sample: start,
-        };
+        let start = self.shell.clock.t;
+        self.shell.clock.next_ranking = start + self.config.ranking_interval_days;
         for site in universe.sites() {
             // A scoped (fleet-shard) engine seeds only the sites it owns;
             // foreign sites are other shards' seeds.
-            if self.routing.is_foreign(site.id) {
+            if self.shell.routing.is_foreign(site.id) {
                 continue;
             }
             if let Some(root) = universe.occupant(site.id, 0, start) {
@@ -497,20 +458,15 @@ impl<X> IncrementalEngine<X> {
                 self.enqueue(url, start);
             }
         }
-        self.seeded = true;
     }
 
-    /// Apply one routed-link delivery: the outbox the coordinator drained
-    /// to build this exchange is cleared, each link enters `AllUrls` (and
-    /// the frontier, collection permitting) exactly as a locally
-    /// discovered link would, one sequence number is consumed, and the
-    /// exchange counter advances. Shared by live injection (on the frozen
-    /// engine between drives) and WAL replay, so a replayed shard is
-    /// bit-identical to the live one.
+    /// Apply one routed-link delivery: after the shell's header, each
+    /// link enters `AllUrls` (and the frontier, collection permitting)
+    /// exactly as a locally discovered link would. Shared by live
+    /// injection (on the frozen engine between drives) and WAL replay, so
+    /// a replayed shard is bit-identical to the live one.
     fn apply_routed(&mut self, batch: RoutedBatch) {
-        self.routing.outbox.clear();
-        self.fetch_seq = batch.seq;
-        self.routing.exchanges += 1;
+        self.shell.accept_batch(&batch);
         for link in batch.links {
             self.admit_link(link.url, link.from, batch.t);
         }
@@ -539,14 +495,11 @@ impl<X> IncrementalEngine<X> {
         // boundary and closed (dropped) at the next one — so the trace
         // alternates fetch_batch / pass under the drive span.
         let mut fetch_span: Option<SpanGuard> = None;
-        while self.clock.t < end {
+        while self.shell.clock.t < end {
             // Routed batches re-inject before anything else: live
             // injection happens before the boundary handlers of the slot
             // the clock froze on.
-            let routed = backend
-                .source()
-                .and_then(|s| s.take_routed_at(self.clock.t, self.fetch_seq + 1));
-            if let Some(routed) = routed {
+            if let Some(routed) = backend.source().and_then(|s| s.take_routed(&self.shell)) {
                 // A routed record marks the end of a live drive call at
                 // the exchange barrier — the ranking-cadence instant the
                 // coordinator drove to, which the frozen clock has just
@@ -554,7 +507,7 @@ impl<X> IncrementalEngine<X> {
                 // sample at the clock, which belongs to no live row) so
                 // the replayed state matches the interrupted one.
                 let barrier =
-                    (self.routing.exchanges + 1) as f64 * self.config.ranking_interval_days;
+                    (self.shell.routing.exchanges + 1) as f64 * self.config.ranking_interval_days;
                 self.finish_drive(universe, backend, barrier);
                 self.apply_routed(routed);
                 continue;
@@ -562,28 +515,24 @@ impl<X> IncrementalEngine<X> {
             if backend.source().is_some_and(|s| s.exhausted()) {
                 break;
             }
-            let t = self.clock.t;
-            // Sample at the grid instant, not the slot that crossed it:
-            // slot times depend on the crawl rate, and fleet shards run at
-            // ownership-apportioned rates yet must sample on one shared
-            // grid to merge (the periodic engine pins its grid the same
-            // way).
+            let t = self.shell.clock.t;
             self.sample_grid(universe, t);
-            if t >= self.clock.next_ranking {
+            if t >= self.shell.clock.next_ranking {
                 fetch_span = None;
-                self.pass_boundary(t, backend, hook);
+                self.pass_boundary(backend, hook);
             }
-            if self.obs.enabled() && fetch_span.is_none() && !self.queue.is_empty() {
-                fetch_span =
-                    Some(self.obs.span(Stage::FetchBatch, LogicalClock::new(t, self.fetch_seq)));
+            if self.shell.obs.enabled() && fetch_span.is_none() && !self.queue.is_empty() {
+                let clock = LogicalClock::new(t, self.shell.fetch_seq);
+                fetch_span = Some(self.shell.obs.span(Stage::FetchBatch, clock));
             }
             // Schedule one batch: at most `width` slots. The slot at `t`
             // always runs; later ones only while they stay short of the
             // next boundary, and in replay only as far as the log has
             // outcomes for them.
-            let horizon = self.clock.next_sample.min(self.clock.next_ranking).min(end);
+            let clock = self.shell.clock;
+            let horizon = clock.next_sample.min(clock.next_ranking).min(end);
             while batch.len() < width
-                && (self.clock.t == t || self.clock.t < horizon)
+                && (self.shell.clock.t == t || self.shell.clock.t < horizon)
                 && backend.source().map_or(true, |s| s.has_fetch_at(batch.len()))
             {
                 let Some(visit) = self.queue.pop() else { break };
@@ -592,16 +541,17 @@ impl<X> IncrementalEngine<X> {
                 // from a pre-routing checkpoint) burns its slot without
                 // spending a fetch or a sequence number: routed links, not
                 // fetches, cross shard boundaries.
-                if !self.routing.is_foreign(visit.url.site) {
-                    self.fetch_seq += 1;
-                    batch.push(Slot { seq: self.fetch_seq, url: visit.url, t: self.clock.t });
+                if !self.shell.routing.is_foreign(visit.url.site) {
+                    self.shell.fetch_seq += 1;
+                    let seq = self.shell.fetch_seq;
+                    batch.push(Slot { seq, url: visit.url, t: self.shell.clock.t });
                 }
-                self.clock.t += step;
+                self.shell.clock.t += step;
             }
-            if self.clock.t == t {
+            if self.shell.clock.t == t {
                 // Nothing to crawl yet (collection empty and no
                 // discoveries): burn the slot.
-                self.clock.t += step;
+                self.shell.clock.t += step;
             }
             self.execute(universe, backend, &mut batch, hook);
         }
@@ -654,13 +604,9 @@ impl<X> IncrementalEngine<X> {
         if let Executor::Inline = self.executor {
             self.crawl.observe(result.is_err());
         }
-        if hook.active() {
-            hook.on_fetch(&FetchRecord { seq, url, t, result: result.clone() });
-        }
+        self.shell.observe_fetch(hook, seq, url, t, &result);
         match result {
             Ok(outcome) => {
-                self.obs.add("fetch_ok_total", 1);
-                self.metrics.record_fetch(true);
                 if self.collection.contains(url.page) {
                     self.collection.update(url.page, outcome.checksum, outcome.links.clone(), t);
                 } else {
@@ -685,34 +631,25 @@ impl<X> IncrementalEngine<X> {
                     }
                     self.collection.save(url, outcome.checksum, outcome.links.clone(), t);
                     let birth = universe.page(url.page).birth;
-                    if birth >= self.run_start {
+                    if birth >= self.shell.run_start {
                         // Only pages born during the run measure "how fast
                         // do *new* pages reach users"; initial-fill pages
                         // would just measure the warm-up.
-                        self.metrics.record_admission_latency(t - birth);
+                        self.shell.metrics.record_admission_latency(t - birth);
                         let found = self.all_urls.info(url).map(|i| i.discovered).unwrap_or(t);
-                        self.metrics.record_discovery_latency(t - found);
+                        self.shell.metrics.record_discovery_latency(t - found);
                     }
                 }
                 // Forward discovered URLs to AllUrls (Algorithm 5.1 steps
                 // [11]-[12]) with in-link evidence.
                 for link in &outcome.links {
-                    if self.routing.is_foreign(link.site) {
-                        // Another shard owns this site: queue the sighting
-                        // for the next fleet exchange instead of entering
-                        // the local frontier. Every sighting is routed
-                        // (no dedup), mirroring the per-sighting
-                        // `add_in_link` evidence a single node collects.
-                        self.routing.outbox.push(RoutedLink { seq, from: url.page, url: *link });
-                    } else {
+                    if !self.shell.divert_foreign(seq, url.page, *link) {
                         self.admit_link(*link, url.page, t);
                     }
                 }
                 self.enqueue(url, self.update.next_due(url.page, t));
             }
             Err(FetchError::NotFound) => {
-                self.obs.add("fetch_not_found_total", 1);
-                self.metrics.record_fetch(false);
                 self.all_urls.mark_dead(url, t);
                 self.admissions.remove(url.page);
                 if self.collection.discard(url.page).is_some() {
@@ -720,25 +657,17 @@ impl<X> IncrementalEngine<X> {
                 }
                 // The freed slot is refilled by the next ranking pass.
             }
-            Err(FetchError::Transient) => {
-                self.obs.add("fetch_transient_total", 1);
-                self.metrics.record_fetch(false);
-                // Retry with a small backoff.
-                self.enqueue(url, t + 0.25);
-            }
-            Err(FetchError::RateLimited { retry_at }) => {
-                self.obs.add("fetch_rate_limited_total", 1);
-                self.enqueue(url, retry_at.max(t + 0.01));
-            }
+            // Retry with a small backoff.
+            Err(FetchError::Transient) => self.enqueue(url, t + 0.25),
+            Err(FetchError::RateLimited { retry_at }) => self.enqueue(url, retry_at.max(t + 0.01)),
         }
     }
 
-    /// One pass boundary at slot time `t`: apply a ranking outcome, let
+    /// One pass boundary at the current slot: apply a ranking outcome, let
     /// the hook and the view publisher observe the quiescent engine, and
     /// (pool) issue the next ranking request.
-    fn pass_boundary(&mut self, t: f64, backend: &mut Backend<'_>, hook: &mut dyn CrawlHook) {
-        let _pass = self.obs.span(Stage::Pass, LogicalClock::new(t, self.fetch_seq));
-        self.obs.gauge("queue_depth", self.queue.len() as f64);
+    fn pass_boundary(&mut self, backend: &mut Backend<'_>, hook: &mut dyn CrawlHook) {
+        let _pass = self.shell.open_pass(self.queue.len());
         match self.executor {
             Executor::Inline => {
                 let outcome = self.ranking.run(&mut self.collection, &self.all_urls);
@@ -759,30 +688,13 @@ impl<X> IncrementalEngine<X> {
         // Advance the clock *before* the hook: a snapshot must record this
         // pass as done, or the restored engine would run the boundary
         // twice.
-        self.clock.next_ranking += self.config.ranking_interval_days;
-        if hook.active() {
-            // The export closure is lazy on purpose: most pass boundaries
-            // only flush the WAL, and neither the engine nor the fetcher
-            // state should be captured unless a snapshot is actually due.
-            let backend = &*backend;
-            hook.on_pass_boundary(t, &mut || {
-                let mut state = self.export_state();
-                if let Backend::Source(source) = backend {
-                    state.fetcher = source.fetcher_state();
-                }
-                state
-            });
-        }
-        if let Some(publisher) = self.publisher.as_mut() {
-            let _swap = self.obs.span(Stage::ViewSwap, LogicalClock::new(t, self.fetch_seq));
-            publisher.publish(ViewBoundary {
-                t,
-                fetch_seq: self.fetch_seq,
-                passes: self.passes,
-                pages: BoundaryPages::Stored { collection: &self.collection, update: &self.update },
-                metrics: &self.metrics,
-            });
-        }
+        self.shell.clock.next_ranking += self.config.ranking_interval_days;
+        announce_boundary(&*self, hook, || match &*backend {
+            Backend::Source(source) => source.fetcher_state(),
+            Backend::Pool(_) => None,
+        });
+        self.shell
+            .publish(BoundaryPages::Stored { collection: &self.collection, update: &self.update });
         if let Executor::Pool { .. } = self.executor {
             let req = RankRequest {
                 collection: self.collection.clone(),
@@ -818,7 +730,7 @@ impl<X> IncrementalEngine<X> {
     /// front, per §5.3); the matching eviction happens when the candidate's
     /// crawl succeeds, so dead candidates never cost a slot.
     fn apply_ranking(&mut self, importance: Vec<(PageId, f64)>, replacements: Vec<(PageId, Url)>) {
-        self.passes += 1;
+        self.shell.passes += 1;
         for (p, importance) in importance {
             if let Some(stored) = self.collection.get_mut(p) {
                 stored.importance = importance;
@@ -852,20 +764,12 @@ impl<X> IncrementalEngine<X> {
         self.flush_samples(universe, until);
     }
 
-    /// Emit every pending grid sample up to and including `until`.
-    fn sample_grid(&mut self, universe: &WebUniverse, until: f64) {
-        while self.clock.next_sample <= until {
-            let ts = self.clock.next_sample;
-            self.sample(universe, ts);
-            self.clock.next_sample += self.config.sample_interval_days;
-        }
-    }
-
-    /// Evaluation-only: freshness and mean age of the collection against
-    /// ground truth.
-    fn sample(&mut self, universe: &WebUniverse, t: f64) {
-        let copies = self.collection.iter().map(|(p, stored)| (p, stored.last_crawl));
-        self.metrics.sample_freshness(universe, t, copies);
+    /// Emit every pending grid sample of the collection up to and
+    /// including `through`.
+    fn sample_grid(&mut self, universe: &WebUniverse, through: f64) {
+        let collection = &self.collection;
+        let interval = self.config.sample_interval_days;
+        self.shell.sample_grid(universe, through, interval, || copies(collection));
     }
 
     /// Emit every pending grid sample up to `until`, then the closing
@@ -876,7 +780,7 @@ impl<X> IncrementalEngine<X> {
     /// never of the crawl rate, whose slot times vary per fleet shard.
     fn flush_samples(&mut self, universe: &WebUniverse, until: f64) {
         self.sample_grid(universe, until);
-        self.sample(universe, until);
+        self.shell.metrics.sample_freshness(universe, until, copies(&self.collection));
     }
 
     /// Run `body` against a live worker pool and ranking thread, all of
@@ -935,19 +839,19 @@ impl<X> IncrementalEngine<X> {
 }
 
 impl<X> CrawlEngine for IncrementalEngine<X> {
+    fn shell(&self) -> &EngineShell {
+        &self.shell
+    }
+
+    fn shell_mut(&mut self) -> &mut EngineShell {
+        &mut self.shell
+    }
+
     fn kind(&self) -> EngineKind {
         match self.executor {
             Executor::Inline => EngineKind::Incremental,
             Executor::Pool { workers } => EngineKind::Threaded { workers },
         }
-    }
-
-    fn started(&self) -> bool {
-        self.seeded
-    }
-
-    fn clock(&self) -> EngineClock {
-        self.clock
     }
 
     /// Advance to day `until`. The first call starts the run at day 0 and
@@ -976,12 +880,10 @@ impl<X> CrawlEngine for IncrementalEngine<X> {
         hook: &mut dyn CrawlHook,
         until: f64,
     ) -> Result<&CrawlMetrics, WebEvoError> {
-        check_drive_target(self.seeded, self.clock.t, until)?;
-        if !self.seeded {
+        let (fresh, _drive) = self.shell.begin_drive(until, self.config.crawl_rate_per_day)?;
+        if fresh {
             self.begin_run(universe);
         }
-        self.metrics.observe_speed(self.config.crawl_rate_per_day);
-        let _drive = self.obs.span(Stage::Drive, LogicalClock::new(self.clock.t, self.fetch_seq));
         let mut run = |engine: &mut Self, backend: &mut Backend<'_>| {
             engine.advance(universe, backend, until, hook);
             engine.finish_drive(universe, backend, until);
@@ -990,7 +892,7 @@ impl<X> CrawlEngine for IncrementalEngine<X> {
             Executor::Inline => run(self, &mut Backend::Source(FetchSource::Live(fetcher))),
             Executor::Pool { workers } => self.with_pool(universe, workers, run),
         }
-        Ok(&self.metrics)
+        Ok(&self.shell.metrics)
     }
 
     /// Re-apply the write-ahead-log tail after restoring a snapshot:
@@ -1008,19 +910,16 @@ impl<X> CrawlEngine for IncrementalEngine<X> {
         fetcher: &mut dyn Fetcher,
         events: &[WalEvent],
     ) -> Result<(), WebEvoError> {
-        if !self.seeded {
-            // A day-0 snapshot: the run died before its first cadence
-            // snapshot. An empty tail means nothing ever hit the log;
-            // otherwise the log necessarily starts at seq 1, so the replay
-            // *is* the run from the top — start it exactly as drive would.
-            if events.is_empty() {
-                return Ok(());
-            }
+        let Some(fresh) = self.shell.begin_replay(events) else {
+            return Ok(());
+        };
+        if fresh {
             self.begin_run(universe);
         }
         let fetcher: Option<&mut dyn Fetcher> =
             if self.uses_external_fetcher() { Some(fetcher) } else { None };
-        let mut backend = Backend::Source(FetchSource::replay(events, self.fetch_seq, fetcher)?);
+        let source = FetchSource::replay(events, self.shell.fetch_seq, fetcher)?;
+        let mut backend = Backend::Source(source);
         // The log is finite and each non-idle slot consumes one record, so
         // the unbounded horizon is only ever reached by exhaustion.
         self.advance(universe, &mut backend, f64::INFINITY, &mut NoopHook);
@@ -1033,16 +932,16 @@ impl<X> CrawlEngine for IncrementalEngine<X> {
     /// stateless.
     fn export_state(&self) -> CrawlerState {
         let (ranking_runs, ranking_applied) = match self.executor {
-            Executor::Inline => (self.passes, 0),
-            Executor::Pool { .. } => (0, self.passes),
+            Executor::Inline => (self.shell.passes, 0),
+            Executor::Pool { .. } => (0, self.shell.passes),
         };
         CrawlerState {
             engine: self.kind(),
             config: EngineConfig::Incremental(self.config.clone()),
-            run_start: self.run_start,
-            seeded: self.seeded,
-            clock: self.clock,
-            fetch_seq: self.fetch_seq,
+            run_start: self.shell.run_start,
+            seeded: self.shell.started,
+            clock: self.shell.clock,
+            fetch_seq: self.shell.fetch_seq,
             collection: self.collection.clone(),
             all_urls: self.all_urls.clone(),
             queue: queue_to_entries(&self.queue),
@@ -1054,14 +953,10 @@ impl<X> CrawlEngine for IncrementalEngine<X> {
             rank_pending: self.rank_pending,
             crawl: self.crawl.clone(),
             periodic: None,
-            metrics: self.metrics.clone(),
+            metrics: self.shell.metrics.clone(),
             fetcher: None,
-            routing: self.routing.clone(),
+            routing: self.shell.routing.clone(),
         }
-    }
-
-    fn metrics(&self) -> &CrawlMetrics {
-        &self.metrics
     }
 
     fn collection(&self) -> Option<&Collection> {
@@ -1072,49 +967,18 @@ impl<X> CrawlEngine for IncrementalEngine<X> {
         self.collection.len()
     }
 
-    fn passes(&self) -> u64 {
-        self.passes
-    }
-
     fn uses_external_fetcher(&self) -> bool {
         matches!(self.executor, Executor::Inline)
     }
 
-    fn set_obs(&mut self, obs: ObsSink) {
-        self.obs = obs;
-    }
-
-    fn set_view_publisher(&mut self, publisher: Box<dyn ViewPublisher>) {
-        self.publisher = Some(publisher);
-    }
-
-    fn set_scope(&mut self, scope: ShardScope) -> Result<(), WebEvoError> {
-        if self.seeded {
-            return Err(WebEvoError::InvalidState(
-                "shard scope must be set before the run starts".into(),
-            ));
-        }
-        self.routing.scope = Some(scope);
-        Ok(())
-    }
-
-    fn routing(&self) -> Option<&RoutingState> {
-        Some(&self.routing)
-    }
-
     fn inject_links(&mut self, links: Vec<RoutedLink>) -> Result<RoutedBatch, WebEvoError> {
-        if !self.seeded {
-            return Err(WebEvoError::InvalidState(
-                "cannot inject routed links before the run starts".into(),
-            ));
-        }
-        let batch = RoutedBatch { seq: self.fetch_seq + 1, t: self.clock.t, links };
+        let batch = self.shell.stamp_batch(links)?;
         self.apply_routed(batch.clone());
         Ok(batch)
     }
 
     fn close_sample(&mut self, universe: &WebUniverse, t: f64) {
-        if self.seeded {
+        if self.shell.started {
             self.flush_samples(universe, t);
         }
     }

@@ -39,6 +39,10 @@
 //!   shared [`CrawlBudget`] both configuration families derive from. The
 //!   application-facing `CrawlSession` builder in `webevo-store` drives
 //!   engines exclusively through this trait.
+//! * [`shell`] — the [`EngineShell`] every engine embeds: the run state a
+//!   checkpoint freezes, fetch accounting, the sampling grid, routing
+//!   plumbing and the pass-boundary sequence, defined once so that the
+//!   periodic and incremental engines differ in crawl policy only.
 //! * [`view`] — the serving surface: a write-only [`ViewPublisher`]
 //!   observer that sees the user-visible pages at every quiescent pass
 //!   boundary, from which `webevo-serve` builds immutable epoch-numbered
@@ -63,6 +67,7 @@ pub mod metrics;
 pub mod modules;
 pub mod periodic;
 pub mod routing;
+pub mod shell;
 pub mod state;
 pub mod view;
 
@@ -80,5 +85,6 @@ pub use routing::{
     merge_outboxes, rebalance_states, route_exchange, RoutedBatch, RoutedLink, RoutingState,
     ShardScope, WalEvent,
 };
+pub use shell::EngineShell;
 pub use state::{CrawlerState, EngineClock, EngineConfig, EngineKind, QueueEntry};
 pub use view::{BoundaryPages, ViewBoundary, ViewPublisher};

@@ -17,15 +17,16 @@
 //! engine is quiescent between cycles.
 
 use crate::collection::Collection;
-use crate::engine::{check_drive_target, CrawlBudget, CrawlEngine, FetchSource};
-use crate::hooks::{CrawlHook, FetchRecord, NoopHook};
+use crate::engine::{CrawlBudget, CrawlEngine, FetchSource};
+use crate::hooks::{CrawlHook, NoopHook};
 use crate::metrics::CrawlMetrics;
 use crate::modules::{CrawlModule, EstimatorKind, RevisitStrategy, UpdateModule};
-use crate::routing::{RoutedBatch, RoutedLink, RoutingState, ShardScope, WalEvent};
-use crate::view::{BoundaryPages, ViewBoundary, ViewPublisher};
-use crate::state::{CrawlerState, EngineClock, EngineConfig, EngineKind};
+use crate::routing::{RoutedBatch, RoutedLink, WalEvent};
+use crate::shell::{announce_boundary, EngineShell};
+use crate::state::{CrawlerState, EngineConfig, EngineKind};
+use crate::view::BoundaryPages;
 use std::collections::VecDeque;
-use webevo_obs::{LogicalClock, ObsSink, SpanGuard, Stage};
+use webevo_obs::{LogicalClock, SpanGuard, Stage};
 use webevo_sim::{FetchError, Fetcher, FetcherState, WebUniverse};
 use webevo_types::{wire_struct, Checksum, DenseMap, DenseSet, Url, WebEvoError};
 
@@ -121,29 +122,13 @@ pub struct PeriodicCrawler {
     current: DenseMap<PeriodicPage>,
     /// When each page first became visible to users (for latency metrics).
     first_visible: DenseMap<f64>,
-    metrics: CrawlMetrics,
-    cycles: u64,
-    run_start: f64,
-    started: bool,
-    fetch_seq: u64,
-    /// `t` is the next fetch-slot time during a window; `next_ranking` is
-    /// unused (this engine's boundaries are swaps, not ranking passes).
-    clock: EngineClock,
+    /// The run state every engine shares. Here `passes` counts completed
+    /// shadow swaps, and the routing inbox seeds the next batch window.
+    shell: EngineShell,
     cycle_start: f64,
     /// See [`PeriodicState::idle`].
     idle: bool,
     window: Option<BatchWindow>,
-    /// Cross-shard routing: scope, outbox, and the routed-in inbox that
-    /// seeds the next batch window. Inert (default) when unsharded.
-    routing: RoutingState,
-    /// Observability sink. Write-only and deliberately absent from
-    /// [`CrawlerState`]: a traced run stays byte-identical to an untraced
-    /// one.
-    obs: ObsSink,
-    /// Serving-view publisher, fired at every shadow swap. Write-only and
-    /// absent from [`CrawlerState`] for the same reason as `obs`: a
-    /// served run stays byte-identical to an unserved one.
-    publisher: Option<Box<dyn ViewPublisher>>,
 }
 
 impl PeriodicCrawler {
@@ -156,18 +141,10 @@ impl PeriodicCrawler {
             config,
             current: DenseMap::new(),
             first_visible: DenseMap::new(),
-            metrics: CrawlMetrics::default(),
-            cycles: 0,
-            run_start: 0.0,
-            started: false,
-            fetch_seq: 0,
-            clock: EngineClock { t: 0.0, next_ranking: 0.0, next_sample: 0.0 },
+            shell: EngineShell::default(),
             cycle_start: 0.0,
             idle: false,
             window: None,
-            routing: RoutingState::default(),
-            obs: ObsSink::noop(),
-            publisher: None,
         }
     }
 
@@ -175,7 +152,7 @@ impl PeriodicCrawler {
     /// the fetcher state the caller must install into its fetcher before
     /// replaying or resuming.
     pub fn from_state(
-        state: CrawlerState,
+        mut state: CrawlerState,
     ) -> Result<(PeriodicCrawler, Option<FetcherState>), WebEvoError> {
         if state.engine != EngineKind::Periodic {
             return Err(WebEvoError::InvalidState(format!(
@@ -184,50 +161,29 @@ impl PeriodicCrawler {
             )));
         }
         let config = state.config.as_periodic()?.clone();
-        let periodic = state.periodic.ok_or_else(|| {
+        let periodic = state.periodic.take().ok_or_else(|| {
             WebEvoError::InvalidState("periodic state payload missing from snapshot".into())
         })?;
         let crawler = PeriodicCrawler {
             config,
             current: periodic.current,
             first_visible: periodic.first_visible,
-            metrics: state.metrics,
-            cycles: periodic.cycles,
-            run_start: state.run_start,
-            started: state.seeded,
-            fetch_seq: state.fetch_seq,
-            clock: state.clock,
+            shell: EngineShell::restore(&mut state, periodic.cycles),
             cycle_start: periodic.cycle_start,
             idle: periodic.idle,
             window: periodic.window,
-            routing: state.routing,
-            obs: ObsSink::noop(),
-            publisher: None,
         };
         Ok((crawler, state.fetcher))
     }
 
     /// Completed cycles.
     pub fn cycles(&self) -> u64 {
-        self.cycles
+        self.shell.passes
     }
 
     /// Pages currently visible to users.
     pub fn current_size(&self) -> usize {
         self.current.len()
-    }
-
-    /// Start the run at the frozen clock: anchor the cycle grid and the
-    /// sampling grid. Shared by [`CrawlEngine::drive`] on a fresh engine
-    /// and by [`CrawlEngine::replay`] from a day-0 snapshot (a run killed
-    /// before its first cadence snapshot). The BFS frontier itself seeds
-    /// lazily per cycle via [`PeriodicCrawler::seed_window`].
-    fn begin_run(&mut self) {
-        let start = self.clock.t;
-        self.run_start = start;
-        self.cycle_start = start;
-        self.clock.next_sample = start;
-        self.started = true;
     }
 
     /// Seed the BFS frontier for the cycle starting at `self.cycle_start`.
@@ -239,7 +195,7 @@ impl PeriodicCrawler {
         };
         for site in universe.sites() {
             // A scoped (fleet-shard) engine seeds only the sites it owns.
-            if self.routing.is_foreign(site.id) {
+            if self.shell.routing.is_foreign(site.id) {
                 continue;
             }
             if let Some(root) = universe.occupant(site.id, 0, self.cycle_start) {
@@ -251,7 +207,7 @@ impl PeriodicCrawler {
         }
         // Routed-in URLs join the frontier after the owned roots, in the
         // deterministic exchange order they arrived in.
-        for url in std::mem::take(&mut self.routing.inbox) {
+        for url in std::mem::take(&mut self.shell.routing.inbox) {
             if window.seen.insert(url.page) {
                 window.frontier.push_back(url);
             }
@@ -259,28 +215,15 @@ impl PeriodicCrawler {
         self.window = Some(window);
     }
 
-    /// Apply one routed-link delivery: the outbox drained by the
-    /// coordinator is cleared, the delivered URLs queue in the inbox for
-    /// the next window seed (this engine can only admit URLs at a window
-    /// start), one sequence number is consumed, and the exchange counter
-    /// advances. Shared by live injection and WAL replay.
+    /// Apply one routed-link delivery: after the shell's header, the
+    /// delivered URLs queue in the inbox for the next window seed (this
+    /// engine can only admit URLs at a window start). Shared by live
+    /// injection and WAL replay.
     fn apply_routed(&mut self, batch: RoutedBatch) {
-        self.routing.outbox.clear();
-        self.fetch_seq = batch.seq;
-        self.routing.exchanges += 1;
+        self.shell.accept_batch(&batch);
         for link in batch.links {
-            self.routing.inbox.push(link.url);
+            self.shell.routing.inbox.push(link.url);
         }
-    }
-
-    /// Whether the replay source's next event is the routed batch due at
-    /// the current point of the schedule; apply it if so.
-    fn try_apply_routed(&mut self, source: &mut FetchSource<'_>) -> bool {
-        let Some(batch) = source.take_routed_at(self.clock.t, self.fetch_seq + 1) else {
-            return false;
-        };
-        self.apply_routed(batch);
-        true
     }
 
     /// The shared event loop: samples, batch fetches, shadow swaps, and
@@ -310,7 +253,8 @@ impl PeriodicCrawler {
             // drives (normally mid-idle, clock parked at the window
             // end), so replay applies the batch before the phase
             // handlers of the frozen point run again.
-            if self.try_apply_routed(source) {
+            if let Some(batch) = source.take_routed(&self.shell) {
+                self.apply_routed(batch);
                 continue;
             }
             if source.exhausted() {
@@ -318,25 +262,26 @@ impl PeriodicCrawler {
             }
             if !self.idle {
                 // --- Batch window: build the shadow collection. ---
-                if self.clock.t >= until {
+                if self.shell.clock.t >= until {
                     return;
                 }
                 if self.window.is_none() {
                     self.seed_window(universe);
                 }
-                if self.obs.enabled() {
-                    let clock = LogicalClock::new(self.clock.t, self.fetch_seq);
+                if self.shell.obs.enabled() {
+                    let clock = LogicalClock::new(self.shell.clock.t, self.shell.fetch_seq);
                     if cycle_span.is_none() {
-                        cycle_span = Some(self.obs.span(Stage::Cycle, clock));
+                        cycle_span = Some(self.shell.obs.span(Stage::Cycle, clock));
                     }
                     if batch_span.is_none() {
-                        batch_span = Some(self.obs.span(Stage::FetchBatch, clock));
+                        batch_span = Some(self.shell.obs.span(Stage::FetchBatch, clock));
                     }
                 }
                 loop {
                     // A barrier can land mid-window when the batch window
                     // spans the whole cycle; the batch replays here.
-                    if self.try_apply_routed(source) {
+                    if let Some(batch) = source.take_routed(&self.shell) {
+                        self.apply_routed(batch);
                         continue;
                     }
                     if source.exhausted() {
@@ -346,97 +291,73 @@ impl PeriodicCrawler {
                     if window.shadow.len() >= capacity {
                         break;
                     }
-                    if self.clock.t >= until {
+                    if self.shell.clock.t >= until {
                         return;
                     }
                     // Sampling continues during the crawl: users still
                     // query the *current* collection while the shadow
                     // builds (§4).
-                    while self.clock.next_sample <= self.clock.t {
-                        let ts = self.clock.next_sample;
-                        self.sample(universe, ts);
-                        self.clock.next_sample += self.config.sample_interval_days;
-                    }
+                    self.sample_grid(universe, self.shell.clock.t);
                     let Some(url) = self.window.as_mut().expect("window").frontier.pop_front()
                     else {
                         break; // frontier exhausted before capacity
                     };
-                    if self.routing.is_foreign(url.site) {
+                    if self.shell.routing.is_foreign(url.site) {
                         // Residual foreign entry (only possible in a
                         // window inherited from a pre-routing
                         // checkpoint): drop it without spending a fetch.
                         continue;
                     }
                     self.fetch_one(source, url, hook);
-                    self.clock.t += step;
+                    self.shell.clock.t += step;
                 }
                 drop(batch_span.take());
                 self.swap(universe, source, hook);
             } else {
                 // --- Idle until the next cycle, sampling metrics. ---
                 let cycle_end = self.cycle_start + self.config.cycle_days;
-                while self.clock.next_sample <= cycle_end {
-                    if self.clock.next_sample >= until {
+                while self.shell.clock.next_sample <= cycle_end {
+                    // Stops *before* `until` (a sample at the horizon
+                    // belongs to whoever resumes), so this takes the grid
+                    // one step at a time: exactly the sample due at `ts`.
+                    let ts = self.shell.clock.next_sample;
+                    if ts >= until {
                         return;
                     }
-                    let ts = self.clock.next_sample;
-                    self.sample(universe, ts);
-                    self.clock.next_sample += self.config.sample_interval_days;
+                    self.sample_grid(universe, ts);
                 }
                 cycle_span = None;
                 self.cycle_start += self.config.cycle_days;
-                self.clock.t = self.cycle_start;
+                self.shell.clock.t = self.cycle_start;
                 self.idle = false;
             }
         }
     }
 
-    /// One batch fetch slot at `self.clock.t`.
+    /// One batch fetch slot at the shell's clock.
     fn fetch_one(&mut self, source: &mut FetchSource<'_>, url: Url, hook: &mut dyn CrawlHook) {
-        let t = self.clock.t;
-        self.fetch_seq += 1;
-        let result = source.fetch(self.fetch_seq, url, t);
-        if hook.active() {
-            hook.on_fetch(&FetchRecord { seq: self.fetch_seq, url, t, result: result.clone() });
-        }
+        let t = self.shell.clock.t;
+        self.shell.fetch_seq += 1;
+        let seq = self.shell.fetch_seq;
+        let result = source.fetch(seq, url, t);
+        self.shell.observe_fetch(hook, seq, url, t, &result);
         let window = self.window.as_mut().expect("window in progress");
         match result {
             Ok(outcome) => {
-                self.obs.add("fetch_ok_total", 1);
-                self.metrics.record_fetch(true);
                 window
                     .shadow
                     .insert(url.page, PeriodicPage { crawl_time: t, checksum: outcome.checksum });
                 for link in outcome.links {
-                    if self.routing.is_foreign(link.site) {
-                        // Another shard owns this site: queue the
-                        // sighting for the next fleet exchange instead of
-                        // entering the local frontier.
-                        self.routing.outbox.push(RoutedLink {
-                            seq: self.fetch_seq,
-                            from: url.page,
-                            url: link,
-                        });
-                        continue;
-                    }
-                    if window.seen.insert(link.page) {
+                    if !self.shell.divert_foreign(seq, url.page, link)
+                        && window.seen.insert(link.page)
+                    {
                         window.frontier.push_back(link);
                     }
                 }
             }
-            Err(FetchError::NotFound) => {
-                self.obs.add("fetch_not_found_total", 1);
-                self.metrics.record_fetch(false);
-            }
-            Err(FetchError::Transient) => {
-                self.obs.add("fetch_transient_total", 1);
-                self.metrics.record_fetch(false);
-            }
-            Err(FetchError::RateLimited { .. }) => {
-                // Batch crawlers just retry later in the window.
-                self.obs.add("fetch_rate_limited_total", 1);
-                window.frontier.push_back(url);
-            }
+            // Batch crawlers just retry later in the window.
+            Err(FetchError::RateLimited { .. }) => window.frontier.push_back(url),
+            Err(FetchError::NotFound | FetchError::Transient) => {}
         }
     }
 
@@ -445,75 +366,53 @@ impl PeriodicCrawler {
     /// the nominal window end (`cycle_start + window_days`), which the
     /// latency metrics account against, even when the batch finished its
     /// fetch budget earlier.
-    fn swap(
-        &mut self,
-        universe: &WebUniverse,
-        source: &mut FetchSource<'_>,
-        hook: &mut dyn CrawlHook,
-    ) {
+    fn swap(&mut self, universe: &WebUniverse, source: &FetchSource<'_>, hook: &mut dyn CrawlHook) {
         let window = self.window.take().expect("window in progress");
-        let _pass = self.obs.span(Stage::Pass, LogicalClock::new(self.clock.t, self.fetch_seq));
-        self.obs.gauge("queue_depth", window.frontier.len() as f64);
+        let _pass = self.shell.open_pass(window.frontier.len());
         let swap_time = self.cycle_start + self.config.window_days;
         for (p, snap) in window.shadow.iter() {
             if !self.first_visible.contains(p) {
                 self.first_visible.insert(p, swap_time);
                 let birth = universe.page(p).birth;
-                if birth >= self.run_start {
-                    self.metrics.record_admission_latency(swap_time - birth);
+                if birth >= self.shell.run_start {
+                    self.shell.metrics.record_admission_latency(swap_time - birth);
                     // The page was "found" when the batch crawl fetched
                     // it; it sat invisible until the swap.
-                    self.metrics.record_discovery_latency(swap_time - snap.crawl_time);
+                    self.shell.metrics.record_discovery_latency(swap_time - snap.crawl_time);
                 }
             }
         }
         self.current = window.shadow;
-        self.cycles += 1;
+        self.shell.passes += 1;
+        // The boundary fires with the swap done and the idle phase
+        // entered: a snapshot taken here resumes into pure sampling,
+        // never re-runs the swap.
         self.idle = true;
-        if hook.active() {
-            // The boundary fires with the swap done and the idle phase
-            // entered: a snapshot taken here resumes into pure sampling,
-            // never re-runs the swap.
-            let t = self.clock.t;
-            let source = &*source;
-            hook.on_pass_boundary(t, &mut || {
-                let mut state = self.export_state();
-                state.fetcher = source.fetcher_state();
-                state
-            });
-        }
-        if let Some(publisher) = self.publisher.as_mut() {
-            let _swap =
-                self.obs.span(Stage::ViewSwap, LogicalClock::new(self.clock.t, self.fetch_seq));
-            publisher.publish(ViewBoundary {
-                t: self.clock.t,
-                fetch_seq: self.fetch_seq,
-                passes: self.cycles,
-                pages: BoundaryPages::Periodic(&self.current),
-                metrics: &self.metrics,
-            });
-        }
+        announce_boundary(&*self, hook, || source.fetcher_state());
+        self.shell.publish(BoundaryPages::Periodic(&self.current));
     }
 
-    /// Evaluation-only: freshness and mean age of the current collection
-    /// against ground truth.
-    fn sample(&mut self, universe: &WebUniverse, t: f64) {
-        let copies = self.current.iter().map(|(p, snap)| (p, snap.crawl_time));
-        self.metrics.sample_freshness(universe, t, copies);
+    /// Emit every pending grid sample of the current collection up to and
+    /// including `through`.
+    fn sample_grid(&mut self, universe: &WebUniverse, through: f64) {
+        let current = &self.current;
+        self.shell.sample_grid(universe, through, self.config.sample_interval_days, || {
+            current.iter().map(|(p, snap)| (p, snap.crawl_time))
+        });
     }
 }
 
 impl CrawlEngine for PeriodicCrawler {
+    fn shell(&self) -> &EngineShell {
+        &self.shell
+    }
+
+    fn shell_mut(&mut self) -> &mut EngineShell {
+        &mut self.shell
+    }
+
     fn kind(&self) -> EngineKind {
         EngineKind::Periodic
-    }
-
-    fn started(&self) -> bool {
-        self.started
-    }
-
-    fn clock(&self) -> EngineClock {
-        self.clock
     }
 
     /// Advance to day `until`. The first call starts the run at day 0;
@@ -528,14 +427,15 @@ impl CrawlEngine for PeriodicCrawler {
         hook: &mut dyn CrawlHook,
         until: f64,
     ) -> Result<&CrawlMetrics, WebEvoError> {
-        check_drive_target(self.started, self.clock.t, until)?;
-        if !self.started {
-            self.begin_run();
+        let (fresh, _drive) = self.shell.begin_drive(until, self.config.peak_speed())?;
+        if fresh {
+            // The engine's share of a run the shell just started: anchor
+            // the cycle grid at the frozen clock. The BFS frontier seeds
+            // lazily per cycle via `seed_window`.
+            self.cycle_start = self.shell.clock.t;
         }
-        self.metrics.observe_speed(self.config.peak_speed());
-        let _drive = self.obs.span(Stage::Drive, LogicalClock::new(self.clock.t, self.fetch_seq));
         self.advance(universe, &mut FetchSource::Live(fetcher), until, hook);
-        Ok(&self.metrics)
+        Ok(&self.shell.metrics)
     }
 
     /// Re-apply the write-ahead-log tail after restoring a snapshot. The
@@ -548,16 +448,13 @@ impl CrawlEngine for PeriodicCrawler {
         fetcher: &mut dyn Fetcher,
         events: &[WalEvent],
     ) -> Result<(), WebEvoError> {
-        if !self.started {
-            // Day-0 snapshot (killed before the first cadence snapshot):
-            // an empty tail leaves the fresh engine untouched; a non-empty
-            // one starts the run and replays it from the top.
-            if events.is_empty() {
-                return Ok(());
-            }
-            self.begin_run();
+        let Some(fresh) = self.shell.begin_replay(events) else {
+            return Ok(());
+        };
+        if fresh {
+            self.cycle_start = self.shell.clock.t; // as `drive` starts a run
         }
-        let mut source = FetchSource::replay(events, self.fetch_seq, Some(fetcher))?;
+        let mut source = FetchSource::replay(events, self.shell.fetch_seq, Some(fetcher))?;
         self.advance(universe, &mut source, f64::INFINITY, &mut NoopHook);
         Ok(())
     }
@@ -569,10 +466,10 @@ impl CrawlEngine for PeriodicCrawler {
         CrawlerState {
             engine: EngineKind::Periodic,
             config: EngineConfig::Periodic(self.config.clone()),
-            run_start: self.run_start,
-            seeded: self.started,
-            clock: self.clock,
-            fetch_seq: self.fetch_seq,
+            run_start: self.shell.run_start,
+            seeded: self.shell.started,
+            clock: self.shell.clock,
+            fetch_seq: self.shell.fetch_seq,
             collection: Collection::new(self.config.capacity, 1),
             all_urls: crate::allurls::AllUrls::new(),
             queue: Vec::new(),
@@ -590,19 +487,15 @@ impl CrawlEngine for PeriodicCrawler {
             periodic: Some(PeriodicState {
                 current: self.current.clone(),
                 first_visible: self.first_visible.clone(),
-                cycles: self.cycles,
+                cycles: self.shell.passes,
                 cycle_start: self.cycle_start,
                 idle: self.idle,
                 window: self.window.clone(),
             }),
-            metrics: self.metrics.clone(),
+            metrics: self.shell.metrics.clone(),
             fetcher: None,
-            routing: self.routing.clone(),
+            routing: self.shell.routing.clone(),
         }
-    }
-
-    fn metrics(&self) -> &CrawlMetrics {
-        &self.metrics
     }
 
     fn collection(&self) -> Option<&Collection> {
@@ -613,39 +506,8 @@ impl CrawlEngine for PeriodicCrawler {
         self.current.len()
     }
 
-    fn passes(&self) -> u64 {
-        self.cycles
-    }
-
-    fn set_obs(&mut self, obs: ObsSink) {
-        self.obs = obs;
-    }
-
-    fn set_view_publisher(&mut self, publisher: Box<dyn ViewPublisher>) {
-        self.publisher = Some(publisher);
-    }
-
-    fn set_scope(&mut self, scope: ShardScope) -> Result<(), WebEvoError> {
-        if self.started {
-            return Err(WebEvoError::InvalidState(
-                "shard scope must be set before the run starts".into(),
-            ));
-        }
-        self.routing.scope = Some(scope);
-        Ok(())
-    }
-
-    fn routing(&self) -> Option<&RoutingState> {
-        Some(&self.routing)
-    }
-
     fn inject_links(&mut self, links: Vec<RoutedLink>) -> Result<RoutedBatch, WebEvoError> {
-        if !self.started {
-            return Err(WebEvoError::InvalidState(
-                "cannot inject routed links before the run starts".into(),
-            ));
-        }
-        let batch = RoutedBatch { seq: self.fetch_seq + 1, t: self.clock.t, links };
+        let batch = self.shell.stamp_batch(links)?;
         self.apply_routed(batch.clone());
         Ok(batch)
     }

@@ -1,0 +1,265 @@
+//! The engine shell: everything about a crawl engine that is *not* its
+//! crawl policy, defined once for every engine.
+//!
+//! The paper compares periodic and incremental crawling under one budget
+//! and one freshness metric, so whatever is not the policy under
+//! comparison must be the same code on both sides. [`EngineShell`] is:
+//!
+//! * the **run state** a checkpoint freezes — metrics, clock, start day,
+//!   started flag, fetch-sequence and pass counters, routing state — plus
+//!   the two write-only observers (observability sink, serving-view
+//!   publisher) that are deliberately *not* part of any checkpoint;
+//! * the **sequences** every engine walks in the same order: the drive
+//!   and replay preludes, per-outcome fetch accounting, the sampling-grid
+//!   loop, the routing plumbing (foreign-link diversion, the routed-batch
+//!   stamp and header), and the pass boundary (pass span and queue gauge,
+//!   then durability hook, then view publisher).
+//!
+//! What stays in the engines is policy: the periodic crawler's window/idle
+//! state machine and BFS frontier, the incremental engine's slot loop,
+//! executors and ranking hand-off. Every field is crate-private, which
+//! also seals [`CrawlEngine`]: only an engine in this crate has a shell.
+
+use crate::engine::CrawlEngine;
+use crate::hooks::{CrawlHook, FetchRecord};
+use crate::metrics::CrawlMetrics;
+use crate::routing::{RoutedBatch, RoutedLink, RoutingState, WalEvent};
+use crate::state::{CrawlerState, EngineClock};
+use crate::view::{BoundaryPages, ViewBoundary, ViewPublisher};
+use webevo_obs::{LogicalClock, ObsSink, SpanGuard, Stage};
+use webevo_sim::{FetchError, FetchOutcome, FetcherState, WebUniverse};
+use webevo_types::{PageId, Url, WebEvoError};
+
+/// The policy-independent part of a crawl engine. See the module docs.
+/// The default is the shell of a fresh engine: day 0, nothing fetched,
+/// unsharded, unobserved.
+#[derive(Default)]
+pub struct EngineShell {
+    /// Collected metrics.
+    pub(crate) metrics: CrawlMetrics,
+    /// Discrete-event clock; lives here (not in a run loop) so a
+    /// checkpoint can freeze it and a resumed engine continues mid-run.
+    /// `t` is the next fetch-slot time; the periodic engine leaves
+    /// `next_ranking` unused (its boundaries are swaps, not rankings).
+    pub(crate) clock: EngineClock,
+    /// When the run began (baseline for new-page latency accounting).
+    pub(crate) run_start: f64,
+    /// Seed URLs injected (guards against double seeding on resume).
+    pub(crate) started: bool,
+    /// Fetch attempts issued; pairs with [`FetchRecord::seq`]. Routed
+    /// batches consume numbers from the same counter, so the WAL is one
+    /// totally-ordered event stream.
+    pub(crate) fetch_seq: u64,
+    /// Completed refinement passes; see [`CrawlEngine::passes`].
+    pub(crate) passes: u64,
+    /// Cross-shard routing: scope, outbox of foreign discoveries, inbox
+    /// and the applied-exchange counter. Inert (default) when unsharded.
+    pub(crate) routing: RoutingState,
+    /// Observability sink, touched only on the coordinating thread.
+    /// Write-only and deliberately absent from [`CrawlerState`]: spans and
+    /// counters describe the run, they never steer it, so a traced run
+    /// stays byte-identical to an untraced one.
+    pub(crate) obs: ObsSink,
+    /// Serving-view publisher, fired at every pass boundary. Write-only
+    /// and absent from [`CrawlerState`] for the same reason as `obs`: a
+    /// served run stays byte-identical to an unserved one.
+    pub(crate) publisher: Option<Box<dyn ViewPublisher>>,
+}
+
+impl EngineShell {
+    /// The shell a checkpointed `state` freezes, moved out of it (the
+    /// engine takes the rest); `passes` is the engine's own reading of the
+    /// state's pass counters.
+    pub(crate) fn restore(state: &mut CrawlerState, passes: u64) -> EngineShell {
+        EngineShell {
+            metrics: std::mem::take(&mut state.metrics),
+            clock: state.clock,
+            run_start: state.run_start,
+            started: state.seeded,
+            fetch_seq: state.fetch_seq,
+            passes,
+            routing: std::mem::take(&mut state.routing),
+            ..EngineShell::default()
+        }
+    }
+
+    /// The logical instant spans are stamped with.
+    fn stamp(&self) -> LogicalClock {
+        LogicalClock::new(self.clock.t, self.fetch_seq)
+    }
+
+    /// Start the run at the frozen clock if it has not started: anchor
+    /// the run and the sampling grid there. Returns whether it did, in
+    /// which case the engine seeds its frontier.
+    fn start_run(&mut self) -> bool {
+        let fresh = !self.started;
+        if fresh {
+            self.run_start = self.clock.t;
+            self.clock.next_sample = self.clock.t;
+            self.started = true;
+        }
+        fresh
+    }
+
+    /// The one opening of every [`CrawlEngine::drive`]. The target must be
+    /// a finite day beyond the clock the run starts (or continues) from —
+    /// checked before anything is touched, since a drive to NaN or +∞
+    /// would never return. Then the run starts if fresh (returned, so the
+    /// engine seeds its frontier), the engine's `speed` in fetches/day is
+    /// recorded and the drive span opens.
+    pub(crate) fn begin_drive(
+        &mut self,
+        until: f64,
+        speed: f64,
+    ) -> Result<(bool, SpanGuard), WebEvoError> {
+        if !until.is_finite() || until <= self.clock.t {
+            let from = if self.started { "engine clock" } else { "start day" };
+            return Err(WebEvoError::InvalidState(format!(
+                "drive target {until} must be a finite day beyond the {from} {}",
+                self.clock.t
+            )));
+        }
+        let fresh = self.start_run();
+        self.metrics.observe_speed(speed);
+        Ok((fresh, self.obs.span(Stage::Drive, self.stamp())))
+    }
+
+    /// The one opening of every [`CrawlEngine::replay`]. `None` for a
+    /// day-0 snapshot (a run killed before its first cadence snapshot)
+    /// with an empty tail: nothing ever hit the log, the fresh engine
+    /// stays untouched. A non-empty tail over one necessarily starts at
+    /// seq 1, so the replay *is* the run from the top and starts exactly
+    /// as a drive would; the return says whether it did.
+    pub(crate) fn begin_replay(&mut self, events: &[WalEvent]) -> Option<bool> {
+        if !self.started && events.is_empty() {
+            return None;
+        }
+        Some(self.start_run())
+    }
+
+    /// Account one fetch attempt: deliver its [`FetchRecord`] to an active
+    /// hook, bump the outcome's counter, and count it in the metrics
+    /// (a rate-limited attempt is retried, not counted as a fetch).
+    pub(crate) fn observe_fetch(
+        &mut self,
+        hook: &mut dyn CrawlHook,
+        seq: u64,
+        url: Url,
+        t: f64,
+        result: &Result<FetchOutcome, FetchError>,
+    ) {
+        if hook.active() {
+            hook.on_fetch(&FetchRecord { seq, url, t, result: result.clone() });
+        }
+        let (counter, fetched) = match result {
+            Ok(_) => ("fetch_ok_total", Some(true)),
+            Err(FetchError::NotFound) => ("fetch_not_found_total", Some(false)),
+            Err(FetchError::Transient) => ("fetch_transient_total", Some(false)),
+            Err(FetchError::RateLimited { .. }) => ("fetch_rate_limited_total", None),
+        };
+        self.obs.add(counter, 1);
+        if let Some(ok) = fetched {
+            self.metrics.record_fetch(ok);
+        }
+    }
+
+    /// Emit every pending grid sample up to and including `through`:
+    /// freshness and mean age of the user-visible `copies` (each a `(page,
+    /// day it was crawled)` pair) against ground truth — evaluation only.
+    /// Samples sit on the grid instants, never on the slot that crossed
+    /// them: slot times depend on the crawl rate, and fleet shards crawl at
+    /// apportioned rates yet must sample on one shared grid to merge.
+    pub(crate) fn sample_grid<I: Iterator<Item = (PageId, f64)>>(
+        &mut self,
+        universe: &WebUniverse,
+        through: f64,
+        interval: f64,
+        copies: impl Fn() -> I,
+    ) {
+        while self.clock.next_sample <= through {
+            self.metrics.sample_freshness(universe, self.clock.next_sample, copies());
+            self.clock.next_sample += interval;
+        }
+    }
+
+    /// Divert a discovered `link` that another shard owns into the outbox
+    /// for the next fleet exchange, instead of the local frontier. Every
+    /// sighting is routed (no dedup), mirroring the per-sighting in-link
+    /// evidence a single node collects. Returns whether it was diverted.
+    pub(crate) fn divert_foreign(&mut self, seq: u64, from: PageId, link: Url) -> bool {
+        let foreign = self.routing.is_foreign(link.site);
+        if foreign {
+            self.routing.outbox.push(RoutedLink { seq, from, url: link });
+        }
+        foreign
+    }
+
+    /// Stamp one exchange's `links` as the batch a live
+    /// [`CrawlEngine::inject_links`] delivers now: the next sequence
+    /// number at the frozen clock.
+    pub(crate) fn stamp_batch(&self, links: Vec<RoutedLink>) -> Result<RoutedBatch, WebEvoError> {
+        if !self.started {
+            return Err(WebEvoError::InvalidState(
+                "cannot inject routed links before the run starts".into(),
+            ));
+        }
+        Ok(RoutedBatch { seq: self.fetch_seq + 1, t: self.clock.t, links })
+    }
+
+    /// The header of applying a routed batch, live or replayed: the outbox
+    /// the coordinator drained to build this exchange is cleared, one
+    /// sequence number is consumed, and the exchange counter advances. The
+    /// engine then admits the batch's links its own way.
+    pub(crate) fn accept_batch(&mut self, batch: &RoutedBatch) {
+        self.routing.outbox.clear();
+        self.fetch_seq = batch.seq;
+        self.routing.exchanges += 1;
+    }
+
+    /// Open a pass boundary at the current slot: the pass span (held by
+    /// the engine until its boundary work is done) and the depth of the
+    /// frontier the pass leaves behind.
+    pub(crate) fn open_pass(&self, queue_depth: usize) -> SpanGuard {
+        let pass = self.obs.span(Stage::Pass, self.stamp());
+        self.obs.gauge("queue_depth", queue_depth as f64);
+        pass
+    }
+
+    /// The serving half of a pass boundary, after [`announce_boundary`]:
+    /// hand the user-visible `pages` to the publisher, if one is
+    /// installed.
+    pub(crate) fn publish(&mut self, pages: BoundaryPages<'_>) {
+        let stamp = self.stamp();
+        if let Some(publisher) = self.publisher.as_mut() {
+            let _swap = self.obs.span(Stage::ViewSwap, stamp);
+            publisher.publish(ViewBoundary {
+                t: self.clock.t,
+                fetch_seq: self.fetch_seq,
+                passes: self.passes,
+                pages,
+                metrics: &self.metrics,
+            });
+        }
+    }
+}
+
+/// The durability half of a pass boundary, before [`EngineShell::publish`]:
+/// let an active hook observe the quiescent `engine`, which must already
+/// record the pass as done or a snapshot taken here would run the boundary
+/// twice when restored. The export closure is lazy on purpose: most
+/// boundaries only flush the WAL, and neither the engine nor the fetcher
+/// state (`fetcher_state`: only the run loop can reach the fetcher) should
+/// be captured unless a snapshot is actually due.
+pub(crate) fn announce_boundary(
+    engine: &impl CrawlEngine,
+    hook: &mut dyn CrawlHook,
+    fetcher_state: impl Fn() -> Option<FetcherState>,
+) {
+    if hook.active() {
+        hook.on_pass_boundary(engine.shell().clock.t, &mut || {
+            let mut state = engine.export_state();
+            state.fetcher = fetcher_state();
+            state
+        });
+    }
+}

@@ -125,7 +125,7 @@ impl EngineConfig {
 
 /// The engine's discrete-event clock: the current fetch-slot time plus the
 /// next due times of the two periodic activities.
-#[derive(Clone, Copy, Debug, PartialEq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct EngineClock {
     /// Current simulated time (days).
     pub t: f64,

@@ -611,9 +611,6 @@ impl<'a> FleetSession<'a> {
     /// checkpointing configured, writes the fleet manifest and starts a
     /// fresh snapshot+WAL lineage per shard.
     pub fn run(&mut self, days: f64) -> Result<&FleetMetrics, WebEvoError> {
-        if let Some((dir, _)) = &self.checkpoint {
-            write_manifest(dir, &self.manifest())?;
-        }
         self.execute(days, false)
     }
 
@@ -832,6 +829,20 @@ impl<'a> FleetSession<'a> {
     /// barrier strictly inside the horizon, and merge in ascending shard
     /// order.
     fn execute(&mut self, days: f64, resume: bool) -> Result<&FleetMetrics, WebEvoError> {
+        // A NaN horizon never satisfies `barrier >= days` below and +∞ is
+        // never reached, so either would drive barrier after barrier for
+        // good: refuse it before a shard session, directory or manifest
+        // exists (the engines' own check sits behind all three).
+        if !days.is_finite() {
+            return Err(WebEvoError::InvalidState(format!(
+                "fleet horizon {days} must be a finite day"
+            )));
+        }
+        if !resume {
+            if let Some((dir, _)) = &self.checkpoint {
+                write_manifest(dir, &self.manifest())?;
+            }
+        }
         let shard_count = self.plan.shards() as usize;
         let threads = self.concurrency.unwrap_or(shard_count).min(shard_count);
         let mut fetchers: Vec<ShardedFetcher<'a>> = self

@@ -354,3 +354,59 @@ fn resume_to_a_covered_day_reports_recovered_state() {
     assert!(reader.clock().t >= 5.0);
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A drive target that is not a finite day is refused up front, for every
+/// engine kind and on every path to an engine — the trait, a session, a
+/// fleet: NaN and +∞ can never be reached, so anything but an entry check
+/// is a crawl that does not return (−∞ rides the same check). Nothing is
+/// started, sampled or written on the way out.
+#[test]
+fn non_finite_drive_targets_are_typed_errors_before_anything_starts() {
+    let u = universe();
+    let budget = CrawlBudget::paper_monthly(30).with_cycle_days(5.0);
+    let dir = std::env::temp_dir().join(format!("webevo-nonfinite-{}", std::process::id()));
+    let refused = |what: &str, result: Result<(), WebEvoError>| {
+        assert!(matches!(result, Err(WebEvoError::InvalidState(_))), "{what}: {result:?}");
+    };
+    let untouched = |what: &str, engine: &dyn CrawlEngine| {
+        assert!(!engine.started(), "{what}: the run must not be started");
+        let (clock, metrics) = (engine.clock(), engine.metrics());
+        assert_eq!(metrics.freshness.rows().count(), 0, "{what}: no metric row");
+        assert_eq!((clock.t, metrics.fetches, metrics.peak_speed), (0.0, 0, 0.0), "{what}");
+    };
+    for kind in [
+        EngineKind::Periodic,
+        EngineKind::Incremental,
+        EngineKind::Threaded { workers: 2 },
+    ] {
+        for target in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let what = format!("{kind} driven to {target}");
+            let mut engine: Box<dyn CrawlEngine> = match kind {
+                EngineKind::Periodic => Box::new(PeriodicCrawler::new(budget.periodic_config())),
+                EngineKind::Incremental => {
+                    Box::new(IncrementalCrawler::new(budget.incremental_config()))
+                }
+                EngineKind::Threaded { workers } => {
+                    Box::new(ThreadedCrawler::new(budget.incremental_config(), workers))
+                }
+            };
+            let mut fetcher = SimFetcher::new(&u);
+            refused(&what, engine.drive(&u, &mut fetcher, &mut NoopHook, target).map(|_| ()));
+            untouched(&what, &*engine);
+
+            let session = CrawlSession::builder().engine(kind).budget(budget).universe(&u);
+            let mut session = session.build().expect("a valid session");
+            refused(&what, session.run(target).map(|_| ()));
+            untouched(&what, session.engine());
+
+            let _ = std::fs::remove_dir_all(&dir);
+            let fleet = FleetSession::builder().engine(kind).budget(budget).universe(&u);
+            let mut fleet = fleet.shards(2).checkpoint(&dir, 2.0).build().expect("a valid fleet");
+            refused(&what, fleet.run(target).map(|_| ()));
+            assert!(fleet.results().is_none(), "{what}: no fleet results");
+            let written = std::fs::read_dir(&dir).expect("build created the fleet dir").count();
+            assert_eq!(written, 0, "{what}: no manifest and no shard directory");
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
