@@ -150,12 +150,7 @@ impl Collection {
     pub fn least_important(&self) -> Option<PageId> {
         self.pages
             .iter()
-            .min_by(|a, b| {
-                a.1.importance
-                    .partial_cmp(&b.1.importance)
-                    .expect("importance is never NaN")
-                    .then(a.0.cmp(&b.0))
-            })
+            .min_by(|a, b| a.1.importance.total_cmp(&b.1.importance).then(a.0.cmp(&b.0)))
             .map(|(p, _)| p)
     }
 

@@ -29,9 +29,11 @@
 //! * [`EngineKind::Threaded`] ⇒ **pool** ([`ThreadedCrawler`]): up to
 //!   `workers` slots per batch, fetched concurrently by scoped worker
 //!   threads that own their [`SimFetcher`]s (the caller's fetcher is
-//!   ignored), while the RankingModule runs on its *own* thread against a
-//!   snapshot taken at the boundary — the crawl hot path never waits for
-//!   PageRank.
+//!   ignored), while the RankingModule runs on its *own* thread against
+//!   the rank input built at the boundary (the flat link structure plus
+//!   each candidate's in-collection in-link sources, not copies of the
+//!   whole `Collection` and `AllUrls`) — the crawl hot path never waits
+//!   for PageRank.
 //!
 //! The pool is as **deterministic** as the inline executor: every job is
 //! tagged with its slot sequence number and a batch's completions are
@@ -57,7 +59,8 @@ use crate::engine::{CrawlBudget, CrawlEngine, FetchSource};
 use crate::hooks::{CrawlHook, NoopHook};
 use crate::metrics::CrawlMetrics;
 use crate::modules::{
-    CrawlModule, EstimatorKind, RankingConfig, RankingModule, RevisitStrategy, UpdateModule,
+    CrawlModule, EstimatorKind, RankInput, RankingConfig, RankingModule, RevisitStrategy,
+    UpdateModule,
 };
 use crate::routing::{RoutedBatch, RoutedLink, WalEvent};
 use crate::shell::{announce_boundary, EngineShell};
@@ -120,13 +123,6 @@ struct Slot {
 
 type FetchResult = Result<FetchOutcome, FetchError>;
 
-/// A deferred ranking request: snapshots of the state the RankingModule
-/// scans.
-struct RankRequest {
-    collection: Collection,
-    all_urls: AllUrls,
-}
-
 /// A deferred ranking response: new importance scores and replacement
 /// proposals.
 struct RankResponse {
@@ -134,12 +130,12 @@ struct RankResponse {
     replacements: Vec<(PageId, Url)>,
 }
 
-/// Compute a ranking response from a request — the ranking thread's inner
-/// step, also run synchronously during WAL replay.
-fn rank(ranking: &mut RankingModule, mut req: RankRequest) -> RankResponse {
-    let outcome = ranking.run(&mut req.collection, &req.all_urls);
-    let importance = req.collection.iter().map(|(p, s)| (p, s.importance)).collect();
-    RankResponse { importance, replacements: outcome.replacements }
+/// Solve a deferred ranking request — the ranking thread's inner step,
+/// also run synchronously during WAL replay. A failed solve answers with
+/// the importances the request was built with.
+fn rank(ranking: &mut RankingModule, mut req: RankInput) -> RankResponse {
+    let replacements = ranking.solve(&mut req).unwrap_or_default();
+    RankResponse { importance: req.importance().collect(), replacements }
 }
 
 /// The `(page, day it was crawled)` pairs the freshness sampler reads.
@@ -221,7 +217,7 @@ impl<T> Drop for Tx<'_, T> {
 struct PoolLinks<'a> {
     work_tx: Vec<Tx<'a, Slot>>,
     done_rx: &'a Handoff<(Slot, FetchResult)>,
-    rank_tx: Tx<'a, RankRequest>,
+    rank_tx: Tx<'a, RankInput>,
     rank_rx: &'a Handoff<RankResponse>,
     rank_in_flight: bool,
 }
@@ -293,7 +289,7 @@ pub struct IncrementalEngine<X> {
     /// Pool only. The outstanding ranking request while no ranking thread
     /// holds it: after `from_state` and during WAL replay. A live drive
     /// hands it to its ranking thread first thing.
-    unsent_rank_request: Option<RankRequest>,
+    unsent_rank_request: Option<RankInput>,
     _executor: PhantomData<X>,
 }
 
@@ -347,10 +343,8 @@ impl IncrementalEngine<Pool> {
             // response was applied and before the next request was issued:
             // the restored state *is* the outstanding request's base.
             crawler.rank_pending = true;
-            crawler.unsent_rank_request = Some(RankRequest {
-                collection: crawler.collection.clone(),
-                all_urls: crawler.all_urls.clone(),
-            });
+            crawler.unsent_rank_request =
+                Some(RankInput::build(&crawler.collection, &crawler.all_urls));
         }
         Ok(crawler)
     }
@@ -670,7 +664,11 @@ impl<X> IncrementalEngine<X> {
         let _pass = self.shell.open_pass(self.queue.len());
         match self.executor {
             Executor::Inline => {
-                let outcome = self.ranking.run(&mut self.collection, &self.all_urls);
+                let input = self.build_rank_input();
+                let outcome = {
+                    let _solve = self.shell.span(Stage::RankSolve);
+                    self.ranking.run_built(&mut self.collection, input)
+                };
                 self.apply_ranking(Vec::new(), outcome.replacements);
             }
             Executor::Pool { .. } => {
@@ -696,10 +694,7 @@ impl<X> IncrementalEngine<X> {
         self.shell
             .publish(BoundaryPages::Stored { collection: &self.collection, update: &self.update });
         if let Executor::Pool { .. } = self.executor {
-            let req = RankRequest {
-                collection: self.collection.clone(),
-                all_urls: self.all_urls.clone(),
-            };
+            let req = self.build_rank_input();
             match backend {
                 Backend::Pool(links) => {
                     links.rank_tx.send(req);
@@ -708,6 +703,13 @@ impl<X> IncrementalEngine<X> {
                 Backend::Source(_) => self.unsent_rank_request = Some(req),
             }
         }
+    }
+
+    /// The ranking pass's input, built from the engine as it stands — at a
+    /// pass boundary, on the crawl thread, for either executor.
+    fn build_rank_input(&self) -> RankInput {
+        let _build = self.shell.span(Stage::RankBuild);
+        RankInput::build(&self.collection, &self.all_urls)
     }
 
     /// The outcome of the outstanding deferred ranking request, if there
@@ -746,6 +748,7 @@ impl<X> IncrementalEngine<X> {
             self.admissions.insert(admit.page);
             self.enqueue_front(admit);
         }
+        let _reallocate = self.shell.span(Stage::Reallocate);
         self.update.reallocate(&self.collection, self.config.crawl_rate_per_day);
     }
 

@@ -17,8 +17,8 @@
 
 use crate::allurls::AllUrls;
 use crate::collection::{Collection, StoredPage};
-use webevo_graph::pagerank::{pagerank, PageRankConfig};
-use webevo_graph::PageGraph;
+use std::cmp::Ordering;
+use webevo_graph::{estimate_uncrawled, LinkCsr, PageRankConfig, PageRankKernel};
 use webevo_schedule::{
     optimal_allocation, proportional_allocation, uniform_allocation,
 };
@@ -271,18 +271,70 @@ pub struct RankingOutcome {
     pub ranked: usize,
 }
 
+/// What one ranking pass reads, flattened out of the collection and
+/// AllUrls at a pass boundary. The inline executor builds and solves it in
+/// place; the pool executor builds it on the crawl thread and hands it —
+/// instead of clones of the whole `Collection` and `AllUrls` — to its
+/// ranking thread, which solves it with the same code.
+pub(crate) struct RankInput {
+    /// The intra-collection link structure; its page order is the order of
+    /// every per-page vector here.
+    links: LinkCsr,
+    /// Each page's importance as of the build; a solve overwrites it with
+    /// the new scores, a failed solve leaves it as built.
+    importance: Vec<f64>,
+    /// AllUrls' admission candidates, ascending page id.
+    candidates: Vec<Url>,
+    /// Candidate `k`'s in-collection in-link sources are
+    /// `sources[source_end[k - 1]..source_end[k]]` (from 0 for `k = 0`).
+    source_end: Vec<usize>,
+    sources: Vec<PageId>,
+}
+
+impl RankInput {
+    /// Flatten the ranking pass's view of `collection` and `all_urls`.
+    pub(crate) fn build(collection: &Collection, all_urls: &AllUrls) -> RankInput {
+        let links = LinkCsr::from_out_links(|| {
+            collection.iter().map(|(p, stored)| (p, stored.links.iter().map(|l| l.page)))
+        });
+        let importance = collection.iter().map(|(_, stored)| stored.importance).collect();
+        let (mut candidates, mut source_end, mut sources) = (Vec::new(), Vec::new(), Vec::new());
+        let in_collection = |url: Url| links.contains(url.page);
+        for (url, info) in all_urls.candidates(&in_collection) {
+            candidates.push(url);
+            sources.extend(info.in_link_sources.iter().filter(|&&s| links.contains(s)));
+            source_end.push(sources.len());
+        }
+        RankInput { links, importance, candidates, source_end, sources }
+    }
+
+    /// `(page, importance)` for every page of the input.
+    pub(crate) fn importance(&self) -> impl Iterator<Item = (PageId, f64)> + '_ {
+        self.links.pages().iter().copied().zip(self.importance.iter().copied())
+    }
+}
+
 /// The RankingModule: periodic importance recomputation and replacement
 /// proposals.
+///
+/// The scratch buffers are reused from pass to pass and carry nothing from
+/// one pass into the next, so they are never persisted: a module rebuilt
+/// from its config decides exactly what this one would.
 #[derive(Clone, Debug, Default)]
 pub struct RankingModule {
     config: RankingConfig,
     runs: u64,
+    kernel: PageRankKernel,
+    /// Candidates with their footnote-2 estimates.
+    estimates: Vec<(Url, f64)>,
+    /// Incumbent positions, for the lowest-importance selection.
+    incumbents: Vec<u32>,
 }
 
 impl RankingModule {
     /// Create with a configuration.
     pub fn new(config: RankingConfig) -> RankingModule {
-        RankingModule { config, runs: 0 }
+        RankingModule { config, ..RankingModule::default() }
     }
 
     /// Number of completed passes.
@@ -294,7 +346,102 @@ impl RankingModule {
     /// structure, write importance scores back, and propose replacements
     /// from AllUrls candidates.
     pub fn run(&mut self, collection: &mut Collection, all_urls: &AllUrls) -> RankingOutcome {
+        let input = RankInput::build(collection, all_urls);
+        self.run_built(collection, input)
+    }
+
+    /// [`RankingModule::run`] over an input built from `collection` as it
+    /// still is.
+    pub(crate) fn run_built(
+        &mut self,
+        collection: &mut Collection,
+        mut input: RankInput,
+    ) -> RankingOutcome {
         self.runs += 1;
+        if collection.is_empty() {
+            return RankingOutcome::default();
+        }
+        let Some(replacements) = self.solve(&mut input) else {
+            return RankingOutcome::default();
+        };
+        for ((_, stored), importance) in collection.iter_mut().zip(input.importance) {
+            stored.importance = importance;
+        }
+        RankingOutcome { replacements, ranked: collection.len() }
+    }
+
+    /// Solve a built input: PageRank over its links (into
+    /// `input.importance`), every candidate's footnote-2 estimate, and the
+    /// replacement proposals — the best `max_replacements_per_run`
+    /// candidates (estimate descending, then `(site, page)`) against as
+    /// many lowest-importance incumbents (importance ascending, then
+    /// `PageId`), paired in order while the candidate beats its victim by
+    /// `admit_margin`. `None` if PageRank fails.
+    pub(crate) fn solve(&mut self, input: &mut RankInput) -> Option<Vec<(PageId, Url)>> {
+        let config = &self.config;
+        self.kernel.solve(&input.links, &config.pagerank).ok()?;
+        input.importance.copy_from_slice(self.kernel.scores());
+        let (links, scores) = (&input.links, &input.importance);
+
+        self.estimates.clear();
+        let mut start = 0;
+        for (&url, &end) in input.candidates.iter().zip(&input.source_end) {
+            let sources = &input.sources[start..end];
+            self.estimates.push((url, estimate_uncrawled(links, scores, sources, &config.pagerank)));
+            start = end;
+        }
+        let k = config.max_replacements_per_run;
+        let best = least_k(&mut self.estimates, k, |a, b| {
+            b.1.total_cmp(&a.1).then((a.0.site, a.0.page).cmp(&(b.0.site, b.0.page)))
+        });
+        self.incumbents.clear();
+        self.incumbents.extend(0..scores.len() as u32);
+        let lowest = least_k(&mut self.incumbents, k, |&a, &b| {
+            scores[a as usize].total_cmp(&scores[b as usize]).then(a.cmp(&b))
+        });
+        Some(
+            best.iter()
+                .zip(lowest.iter().map(|&v| v as usize))
+                .take_while(|&(&(_, estimate), v)| estimate > scores[v] * config.admit_margin)
+                .map(|(&(url, _), v)| (links.pages()[v], url))
+                .collect(),
+        )
+    }
+}
+
+/// The `k` least elements of `items` under `order`, sorted, at its front:
+/// a bounded selection, then a sort of only the selected. `order` must be
+/// total, so the result is what a full sort's first `k` would be.
+fn least_k<T>(items: &mut [T], k: usize, mut order: impl FnMut(&T, &T) -> Ordering) -> &[T] {
+    if k < items.len() {
+        items.select_nth_unstable_by(k, &mut order);
+    }
+    let k = k.min(items.len());
+    let head = &mut items[..k];
+    head.sort_unstable_by(order);
+    head
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+    use webevo_graph::{pagerank, PageGraph};
+    use webevo_types::{Checksum, SiteId};
+
+    fn url(i: u64) -> Url {
+        Url::new(SiteId(0), PageId(i))
+    }
+
+    /// `RankingModule::run` as it stood before the flat link structure,
+    /// verbatim: the oracle of `ranking_pass_matches_the_reference`. Its
+    /// `pagerank(&PageGraph)` runs today's kernel, which the graph crate's
+    /// differential tests hold bit-equal to the loop this body called.
+    fn reference_run(
+        config: &RankingConfig,
+        collection: &mut Collection,
+        all_urls: &AllUrls,
+    ) -> RankingOutcome {
         if collection.is_empty() {
             return RankingOutcome::default();
         }
@@ -303,15 +450,12 @@ impl RankingModule {
         for (p, stored) in collection.iter() {
             graph.add_page(p, stored.url.site);
         }
-        // Two passes (membership first, then edges) so no intermediate
-        // edge list is materialized: the old per-page `collect` meant one
-        // heap allocation per collection page, every ranking pass.
         for (p, stored) in collection.iter() {
             for l in stored.links.iter().filter(|l| collection.contains(l.page)) {
                 graph.add_link(p, l.page);
             }
         }
-        let Ok(scores) = pagerank(&graph, &self.config.pagerank) else {
+        let Ok(scores) = pagerank(&graph, &config.pagerank) else {
             return RankingOutcome::default();
         };
         for (p, stored) in collection.iter_mut() {
@@ -319,7 +463,7 @@ impl RankingModule {
         }
         // Estimate candidates from their in-link evidence.
         let in_collection = |url: Url| collection.contains(url.page);
-        let teleport = 1.0 - self.config.pagerank.follow;
+        let teleport = 1.0 - config.pagerank.follow;
         let mut candidates: Vec<(Url, f64)> = all_urls
             .candidates(&in_collection)
             .map(|(url, info)| {
@@ -332,7 +476,7 @@ impl RankingModule {
                         scores.get(s) / deg as f64
                     })
                     .sum();
-                (url, teleport + self.config.pagerank.follow * mass)
+                (url, teleport + config.pagerank.follow * mass)
             })
             .collect();
         candidates.sort_by(|a, b| {
@@ -345,7 +489,7 @@ impl RankingModule {
         let mut outcome = RankingOutcome { replacements: Vec::new(), ranked: collection.len() };
         let mut evicted: Vec<PageId> = Vec::new();
         for (url, estimate) in candidates {
-            if outcome.replacements.len() >= self.config.max_replacements_per_run {
+            if outcome.replacements.len() >= config.max_replacements_per_run {
                 break;
             }
             let victim = collection
@@ -361,7 +505,7 @@ impl RankingModule {
             let Some((victim_page, victim_importance)) = victim else {
                 break;
             };
-            if estimate > victim_importance * self.config.admit_margin {
+            if estimate > victim_importance * config.admit_margin {
                 evicted.push(victim_page);
                 outcome.replacements.push((victim_page, url));
             } else {
@@ -370,15 +514,81 @@ impl RankingModule {
         }
         outcome
     }
-}
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use webevo_types::{Checksum, SiteId};
+    fn importance_bits(collection: &Collection) -> Vec<(PageId, u64)> {
+        collection.iter().map(|(p, stored)| (p, stored.importance.to_bits())).collect()
+    }
 
-    fn url(i: u64) -> Url {
-        Url::new(SiteId(0), PageId(i))
+    proptest! {
+        /// The ranking pass — inline (`run`) and as the pool's ranking
+        /// thread runs it (`solve` on a built input, with the module's
+        /// scratch already used once) — decides exactly what the reference
+        /// pass decides, and leaves bit-identical importances: duplicate,
+        /// self- and non-member links, dangling pages, all-equal scores (no
+        /// links), dead, excluded and zero-in-link candidates, every cap and
+        /// margin of interest, and PageRank failing (iteration cap 2).
+        #[test]
+        fn ranking_pass_matches_the_reference(
+            pages in prop::collection::vec((0u64..20, 0u32..3), 0..14),
+            links in prop::collection::vec((0u64..20, 0u64..26), 0..70),
+            urls in prop::collection::vec((0u64..30, 0u64..26, 0u8..6), 0..40),
+            knobs in (0usize..4, 0usize..3, 0usize..3, 0u8..4),
+        ) {
+            let (cap, margin, form, link_mode) = knobs;
+            let mut collection = Collection::new(64, 8);
+            for &(id, site) in &pages {
+                if collection.contains(PageId(id)) {
+                    continue;
+                }
+                // Out-links in drawn order; mode 0 drops them all, so every
+                // page scores the same.
+                let out: Vec<Url> = links
+                    .iter()
+                    .filter(|&&(from, _)| from == id && link_mode != 0)
+                    .map(|&(_, to)| Url::new(SiteId((to % 3) as u32), PageId(to)))
+                    .collect();
+                collection.save(Url::new(SiteId(site), PageId(id)), Checksum(id), out, 0.0);
+                // Importances a failed solve leaves in place.
+                collection.get_mut(PageId(id)).unwrap().importance = 0.25 + (id % 4) as f64;
+            }
+            let mut all_urls = AllUrls::new();
+            for &(id, source, kind) in &urls {
+                let candidate = Url::new(SiteId((id % 3) as u32), PageId(id));
+                match kind {
+                    0 => all_urls.discover(candidate, 0.0),
+                    1 => {
+                        all_urls.add_in_link(candidate, PageId(source), 0.0);
+                        all_urls.mark_dead(candidate, 1.0);
+                    }
+                    _ => all_urls.add_in_link(candidate, PageId(source), 0.0),
+                }
+            }
+            let config = RankingConfig {
+                pagerank: match form {
+                    0 => PageRankConfig::conventional(),
+                    1 => PageRankConfig::paper_1999(),
+                    _ => PageRankConfig { max_iterations: 2, ..PageRankConfig::conventional() },
+                },
+                max_replacements_per_run: [0, 1, 8, 100][cap],
+                admit_margin: [1.0, 1.1, 10.0][margin],
+            };
+
+            let mut expected = collection.clone();
+            let want = reference_run(&config, &mut expected, &all_urls);
+            let mut module = RankingModule::new(config);
+            let mut got = collection.clone();
+            let outcome = module.run(&mut got, &all_urls);
+            prop_assert_eq!(&outcome.replacements, &want.replacements);
+            prop_assert_eq!(outcome.ranked, want.ranked);
+            prop_assert_eq!(importance_bits(&got), importance_bits(&expected));
+
+            let mut input = RankInput::build(&collection, &all_urls);
+            let replacements = module.solve(&mut input).unwrap_or_default();
+            prop_assert_eq!(&replacements, &want.replacements);
+            let pool_importance: Vec<(PageId, u64)> =
+                input.importance().map(|(p, v)| (p, v.to_bits())).collect();
+            prop_assert_eq!(pool_importance, importance_bits(&expected));
+        }
     }
 
     fn filled_collection(n: u64) -> Collection {

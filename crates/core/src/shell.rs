@@ -88,6 +88,11 @@ impl EngineShell {
         LogicalClock::new(self.clock.t, self.fetch_seq)
     }
 
+    /// Open a `stage` span at the current slot.
+    pub(crate) fn span(&self, stage: Stage) -> SpanGuard {
+        self.obs.span(stage, self.stamp())
+    }
+
     /// Start the run at the frozen clock if it has not started: anchor
     /// the run and the sampling grid there. Returns whether it did, in
     /// which case the engine seeds its frontier.
@@ -121,7 +126,7 @@ impl EngineShell {
         }
         let fresh = self.start_run();
         self.metrics.observe_speed(speed);
-        Ok((fresh, self.obs.span(Stage::Drive, self.stamp())))
+        Ok((fresh, self.span(Stage::Drive)))
     }
 
     /// The one opening of every [`CrawlEngine::replay`]. `None` for a
@@ -220,7 +225,7 @@ impl EngineShell {
     /// the engine until its boundary work is done) and the depth of the
     /// frontier the pass leaves behind.
     pub(crate) fn open_pass(&self, queue_depth: usize) -> SpanGuard {
-        let pass = self.obs.span(Stage::Pass, self.stamp());
+        let pass = self.span(Stage::Pass);
         self.obs.gauge("queue_depth", queue_depth as f64);
         pass
     }

@@ -14,17 +14,24 @@
 //! * **The simulator** generates realistic link structure to drive both.
 //!
 //! The [`PageGraph`] is mutable (pages and links appear and disappear as the
-//! web evolves) and all ranking algorithms run on a point-in-time view.
+//! web evolves). PageRank runs on a point-in-time flat copy, a [`LinkCsr`],
+//! built either from a `PageGraph` or straight from each page's out-links.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod hits;
+pub mod linkcsr;
 pub mod pagegraph;
 pub mod pagerank;
+#[cfg(test)]
+mod reference;
 pub mod sitegraph;
 
 pub use hits::{hits, HitsConfig, HitsScores};
+pub use linkcsr::LinkCsr;
 pub use pagegraph::PageGraph;
-pub use pagerank::{pagerank, estimate_uncrawled, PageRankConfig, PageRankScores};
+pub use pagerank::{
+    estimate_uncrawled, pagerank, pagerank_csr, PageRankConfig, PageRankKernel, PageRankScores,
+};
 pub use sitegraph::{site_pagerank, SiteGraph};

@@ -3,8 +3,12 @@
 //! Pages are added and removed as the simulated web evolves and as the
 //! crawler's Collection gains and sheds pages; links change whenever a page
 //! changes content. The representation is a forward adjacency list plus a
-//! reverse adjacency list, both kept in sync, so PageRank (needs in-links)
-//! and link extraction (needs out-links) are both cheap.
+//! reverse adjacency list, both kept in sync, so any single page's
+//! in-links and out-links are cheap to read and to change. That is a
+//! mutation-friendly layout, not an iteration-friendly one: PageRank runs
+//! on a flat copy ([`crate::LinkCsr::from_graph`]), and the crawler's
+//! ranking pass never builds a `PageGraph` at all — it flattens its
+//! collection straight into a [`crate::LinkCsr`].
 
 use webevo_types::{DenseMap, PageId, SiteId};
 

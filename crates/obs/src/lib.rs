@@ -90,6 +90,15 @@ pub enum Stage {
     /// A pass boundary: ranking run + hook flush on the incremental and
     /// threaded engines, the shadow→current swap on the periodic engine.
     Pass,
+    /// Inside a pass: flattening the collection's links and AllUrls'
+    /// candidates into the ranking pass's input.
+    RankBuild,
+    /// Inside a pass: PageRank, candidate estimates and replacement
+    /// selection over a built input (spanned where it runs on the crawl
+    /// thread; the pool's ranking thread solves unspanned).
+    RankSolve,
+    /// Inside a pass: the UpdateModule's revisit-interval reallocation.
+    Reallocate,
     /// One full periodic crawl cycle (batch window + idle tail).
     Cycle,
     /// The fetching work between two consecutive boundaries.
@@ -115,6 +124,9 @@ impl Stage {
         match self {
             Stage::Drive => "drive",
             Stage::Pass => "pass",
+            Stage::RankBuild => "rank_build",
+            Stage::RankSolve => "rank_solve",
+            Stage::Reallocate => "reallocate",
             Stage::Cycle => "cycle",
             Stage::FetchBatch => "fetch_batch",
             Stage::SnapshotEncode => "snapshot_encode",
@@ -451,6 +463,9 @@ mod tests {
         let names: Vec<&str> = [
             Stage::Drive,
             Stage::Pass,
+            Stage::RankBuild,
+            Stage::RankSolve,
+            Stage::Reallocate,
             Stage::Cycle,
             Stage::FetchBatch,
             Stage::SnapshotEncode,
@@ -468,6 +483,9 @@ mod tests {
             [
                 "drive",
                 "pass",
+                "rank_build",
+                "rank_solve",
+                "reallocate",
                 "cycle",
                 "fetch_batch",
                 "snapshot_encode",

@@ -10,8 +10,7 @@
 use std::sync::OnceLock;
 use webevo_core::view::{BoundaryPages, ViewBoundary};
 use webevo_core::CrawlMetrics;
-use webevo_graph::pagegraph::PageGraph;
-use webevo_graph::pagerank::{pagerank, PageRankConfig, PageRankScores};
+use webevo_graph::{pagerank_csr, LinkCsr, PageRankConfig, PageRankScores};
 use webevo_stats::Summary;
 use webevo_types::{Checksum, PageId, SiteId, Url};
 
@@ -310,22 +309,13 @@ impl CollectionView {
     /// cap blowout yields the empty scores.
     fn pagerank(&self) -> &PageRankScores {
         self.pagerank.get_or_init(|| {
-            let mut graph = PageGraph::new();
-            for p in &self.pages {
-                let Some(site) = p.site else { continue };
-                graph.add_page(p.page, site);
-            }
-            for p in &self.pages {
-                if p.site.is_none() {
-                    continue;
-                }
-                for link in &p.links {
-                    if graph.contains(link.page) {
-                        graph.add_link(p.page, link.page);
-                    }
-                }
-            }
-            pagerank(&graph, &PageRankConfig::paper_1999()).unwrap_or_default()
+            let links = LinkCsr::from_out_links(|| {
+                self.pages
+                    .iter()
+                    .filter(|p| p.site.is_some())
+                    .map(|p| (p.page, p.links.iter().map(|link| link.page)))
+            });
+            pagerank_csr(&links, &PageRankConfig::paper_1999()).unwrap_or_default()
         })
     }
 
