@@ -27,20 +27,21 @@
 //!   one slot per batch, fetched through the caller's [`Fetcher`]; the
 //!   RankingModule runs in place at the boundary.
 //! * [`EngineKind::Threaded`] ⇒ **pool** ([`ThreadedCrawler`]): up to
-//!   `workers` slots per batch, fetched concurrently by scoped worker
-//!   threads that own their [`SimFetcher`]s (the caller's fetcher is
-//!   ignored), while the RankingModule runs on its *own* thread against
-//!   the rank input built at the boundary (the flat link structure plus
-//!   each candidate's in-collection in-link sources, not copies of the
-//!   whole `Collection` and `AllUrls`) — the crawl hot path never waits
-//!   for PageRank.
+//!   `workers` slots per batch — the fetches in flight between two state
+//!   updates, which is what parallel CrawlModules mean for the schedule —
+//!   fetched on the coordinating thread through the pool's own
+//!   [`SimFetcher`] (the caller's fetcher is ignored), while the
+//!   RankingModule runs on its *own* thread against the rank input built
+//!   at the boundary (the flat link structure plus each candidate's
+//!   in-collection in-link sources, not copies of the whole `Collection`
+//!   and `AllUrls`) — the crawl hot path never waits for PageRank.
 //!
-//! The pool is as **deterministic** as the inline executor: every job is
-//! tagged with its slot sequence number and a batch's completions are
-//! applied in slot order, whichever worker finished first; a ranking
-//! request issued at one boundary has its response applied at the *next*
-//! (or at the drive's end), not whenever the ranking thread happens to
-//! finish. That is what makes both kinds checkpointable: a
+//! The pool is as **deterministic** as the inline executor: every slot of
+//! a batch is scheduled before any is fetched, and the batch is fetched
+//! and applied in slot order; a ranking request issued at one boundary
+//! has its response applied at the *next* (or at the drive's end), not
+//! whenever the ranking thread happens to finish. That is what makes both
+//! kinds checkpointable: a
 //! [`CrawlerState`] snapshot plus the write-ahead-log tail reconstructs
 //! the pre-crash engine bit-for-bit through the same slot loop
 //! (`tests/determinism.rs`, `tests/trajectory_golden.rs`).
@@ -66,9 +67,8 @@ use crate::routing::{RoutedBatch, RoutedLink, WalEvent};
 use crate::shell::{announce_boundary, EngineShell};
 use crate::state::{entries_to_queue, queue_to_entries, CrawlerState, EngineConfig, EngineKind};
 use crate::view::BoundaryPages;
-use std::collections::VecDeque;
 use std::marker::PhantomData;
-use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use webevo_obs::{LogicalClock, SpanGuard, Stage};
 use webevo_schedule::RevisitQueue;
 use webevo_sim::{
@@ -111,9 +111,8 @@ wire_struct!(IncrementalConfig {
     sample_interval_days, ranking
 });
 
-/// One scheduled fetch slot. `seq` is assigned when the slot is scheduled;
-/// a batch's results are applied in `seq` order regardless of which worker
-/// finished first.
+/// One scheduled fetch slot. `seq` is assigned when the slot is scheduled,
+/// and a batch is built, fetched and applied in `seq` order.
 #[derive(Clone, Copy)]
 struct Slot {
     seq: u64,
@@ -149,77 +148,34 @@ fn copies(collection: &Collection) -> impl Iterator<Item = (PageId, f64)> + '_ {
 enum Executor {
     /// One slot per batch through the caller's fetcher; ranking in place.
     Inline,
-    /// Up to `workers` slots per batch on a scoped worker pool; ranking
-    /// deferred by one pass on its own thread.
+    /// Up to `workers` slots per batch, all scheduled before any result is
+    /// applied, fetched through the pool's own fetcher; ranking deferred
+    /// by one pass on its own thread.
     Pool { workers: usize },
 }
 
-/// An unbounded FIFO between the coordinator and one kind of pool thread,
-/// borrowed by both sides of a thread scope. Not `std::sync::mpsc`: with
-/// one worker every fetch is a hand-off each way, and there the channel
-/// measured 13% more user CPU, half again as many context switches and
-/// three times the run-to-run spread of this queue (CHANGES.md, PR 21).
-struct Handoff<T> {
-    /// The queued items and whether the queue is closed.
-    state: Mutex<(VecDeque<T>, bool)>,
-    ready: Condvar,
-}
+/// A ranking request: the input built at a boundary, stamped with that
+/// boundary's logical clock for the ranking thread's span.
+type RankRequest = (LogicalClock, RankInput);
 
-impl<T> Handoff<T> {
-    fn new() -> Self {
-        Handoff { state: Mutex::new((VecDeque::new(), false)), ready: Condvar::new() }
-    }
-
-    /// Poison is ignored: no step taken under this lock can leave the queue
-    /// half-updated, and [`Tx`] closes it while its thread unwinds.
-    fn lock(&self) -> MutexGuard<'_, (VecDeque<T>, bool)> {
-        self.state.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// The next item, waiting for one; `None` once closed and drained.
-    fn recv(&self) -> Option<T> {
-        let mut state = self.lock();
-        loop {
-            if let Some(item) = state.0.pop_front() {
-                return Some(item);
-            }
-            if state.1 {
-                return None;
-            }
-            state = self.ready.wait(state).unwrap_or_else(PoisonError::into_inner);
-        }
-    }
-}
-
-/// A sending end of a [`Handoff`]. Dropping it — on return or on unwind —
-/// closes the queue, so a thread that dies ends its peers' waits (and the
-/// scope re-raises its panic) instead of hanging them.
-struct Tx<'a, T>(&'a Handoff<T>);
-
-impl<T> Tx<'_, T> {
-    fn send(&self, item: T) {
-        self.0.lock().0.push_back(item);
-        // Unlocked before the wake-up, so the receiver never blocks on it.
-        self.0.ready.notify_one();
-    }
-}
-
-impl<T> Drop for Tx<'_, T> {
-    fn drop(&mut self) {
-        self.0.lock().1 = true;
-        self.0.ready.notify_all();
-    }
-}
-
-/// The coordinator's ends of a live pool's queues: one work queue per
-/// worker (slot *k* of a batch goes to worker *k*), one completion queue
-/// shared by all of them, one request/response pair for the ranking thread.
+/// The coordinator's side of a live pool: the fetcher its batches go
+/// through and the ranking thread's request and response channels. Only
+/// these two messages per pass cross threads.
 struct PoolLinks<'a> {
-    work_tx: Vec<Tx<'a, Slot>>,
-    done_rx: &'a Handoff<(Slot, FetchResult)>,
-    rank_tx: Tx<'a, RankInput>,
-    rank_rx: &'a Handoff<RankResponse>,
+    fetcher: SimFetcher<'a>,
+    rank_tx: Sender<RankRequest>,
+    rank_rx: Receiver<RankResponse>,
     rank_in_flight: bool,
+}
+
+impl PoolLinks<'_> {
+    /// Hand the ranking thread a request. A dead ranking thread has
+    /// dropped its receiver, so the send fails; the matching receive in
+    /// [`IncrementalEngine::take_ranking`] reports it.
+    fn request_ranking(&mut self, req: RankRequest) {
+        let _ = self.rank_tx.send(req);
+        self.rank_in_flight = true;
+    }
 }
 
 /// What a drive or a replay runs the slot loop against.
@@ -227,7 +183,7 @@ enum Backend<'a> {
     /// The caller's fetcher (inline, live) or the write-ahead log (replay
     /// of either kind, where deferred ranking is computed synchronously).
     Source(FetchSource<'a>),
-    /// The live worker pool and ranking thread.
+    /// The live pool: its fetcher and its ranking thread.
     Pool(PoolLinks<'a>),
 }
 
@@ -236,6 +192,13 @@ impl<'a> Backend<'a> {
         match self {
             Backend::Source(source) => Some(source),
             Backend::Pool(_) => None,
+        }
+    }
+
+    fn fetch(&mut self, slot: Slot) -> FetchResult {
+        match self {
+            Backend::Source(source) => source.fetch(slot.seq, slot.url, slot.t),
+            Backend::Pool(links) => links.fetcher.fetch(slot.url, slot.t),
         }
     }
 }
@@ -277,8 +240,8 @@ pub struct IncrementalEngine<X> {
     crawl: CrawlModule,
     /// The run state every engine shares. Here `passes` counts ranking
     /// outcomes applied, and shard scoping is enforced where slots are
-    /// scheduled, so a worker never sees a foreign URL and worker
-    /// parallelism composes with fleet sharding.
+    /// scheduled, so no slot fetches a foreign URL and the pool composes
+    /// with fleet sharding.
     shell: EngineShell,
     /// Pool only. True once the first pass boundary has been crossed: a
     /// ranking request derived from the engine state at the most recent
@@ -289,7 +252,7 @@ pub struct IncrementalEngine<X> {
     /// Pool only. The outstanding ranking request while no ranking thread
     /// holds it: after `from_state` and during WAL replay. A live drive
     /// hands it to its ranking thread first thing.
-    unsent_rank_request: Option<RankInput>,
+    unsent_rank_request: Option<RankRequest>,
     _executor: PhantomData<X>,
 }
 
@@ -317,7 +280,8 @@ impl IncrementalEngine<Inline> {
 }
 
 impl IncrementalEngine<Pool> {
-    /// Create with `workers` parallel CrawlModules.
+    /// Create with `workers` fetch slots in flight between two state
+    /// updates.
     pub fn new(config: IncrementalConfig, workers: usize) -> ThreadedCrawler {
         assert!(workers >= 1);
         Self::build(config, Executor::Pool { workers })
@@ -343,8 +307,8 @@ impl IncrementalEngine<Pool> {
             // response was applied and before the next request was issued:
             // the restored state *is* the outstanding request's base.
             crawler.rank_pending = true;
-            crawler.unsent_rank_request =
-                Some(RankInput::build(&crawler.collection, &crawler.all_urls));
+            let input = RankInput::build(&crawler.collection, &crawler.all_urls);
+            crawler.unsent_rank_request = Some((crawler.shell.stamp(), input));
         }
         Ok(crawler)
     }
@@ -502,6 +466,7 @@ impl<X> IncrementalEngine<X> {
                 // the replayed state matches the interrupted one.
                 let barrier =
                     (self.shell.routing.exchanges + 1) as f64 * self.config.ranking_interval_days;
+                fetch_span = None;
                 self.finish_drive(universe, backend, barrier);
                 self.apply_routed(routed);
                 continue;
@@ -551,11 +516,12 @@ impl<X> IncrementalEngine<X> {
         }
     }
 
-    /// Fetch a batch of scheduled slots and apply the results in slot
-    /// order. A pool hands slot *k* of the batch to worker *k* (a batch
-    /// never exceeds `workers`); completions arrive in whatever order the
-    /// workers finish and are sorted back into slot order, so the
-    /// interleaving of state updates does not depend on thread timing.
+    /// Fetch a batch of scheduled slots and apply each result, in slot
+    /// order. Every slot of the batch was scheduled before this runs, so a
+    /// pool's batch of `workers` slots is exactly what that many parallel
+    /// fetches would see; fetching them one after another on this thread
+    /// gives the same results, because the pool's fetch is a pure function
+    /// of `(url, t)` (see [`Self::with_pool`]).
     fn execute(
         &mut self,
         universe: &WebUniverse,
@@ -563,26 +529,9 @@ impl<X> IncrementalEngine<X> {
         batch: &mut Vec<Slot>,
         hook: &mut dyn CrawlHook,
     ) {
-        match backend {
-            Backend::Source(source) => {
-                for slot in batch.drain(..) {
-                    let result = source.fetch(slot.seq, slot.url, slot.t);
-                    self.apply_result(universe, slot, result, hook);
-                }
-            }
-            Backend::Pool(links) => {
-                for (slot, worker) in batch.iter().zip(&links.work_tx) {
-                    worker.send(*slot);
-                }
-                let mut done: Vec<(Slot, FetchResult)> = batch
-                    .drain(..)
-                    .map(|_| links.done_rx.recv().expect("worker alive"))
-                    .collect();
-                done.sort_by_key(|(slot, _)| slot.seq);
-                for (slot, result) in done {
-                    self.apply_result(universe, slot, result, hook);
-                }
-            }
+        for slot in batch.drain(..) {
+            let result = backend.fetch(slot);
+            self.apply_result(universe, slot, result, hook);
         }
     }
 
@@ -694,12 +643,9 @@ impl<X> IncrementalEngine<X> {
         self.shell
             .publish(BoundaryPages::Stored { collection: &self.collection, update: &self.update });
         if let Executor::Pool { .. } = self.executor {
-            let req = self.build_rank_input();
+            let req = (self.shell.stamp(), self.build_rank_input());
             match backend {
-                Backend::Pool(links) => {
-                    links.rank_tx.send(req);
-                    links.rank_in_flight = true;
-                }
+                Backend::Pool(links) => links.request_ranking(req),
                 Backend::Source(_) => self.unsent_rank_request = Some(req),
             }
         }
@@ -721,7 +667,7 @@ impl<X> IncrementalEngine<X> {
                 links.rank_in_flight = false;
                 Some(links.rank_rx.recv().expect("ranking thread alive"))
             }
-            _ => self.unsent_rank_request.take().map(|req| rank(&mut self.ranking, req)),
+            _ => self.unsent_rank_request.take().map(|(_, req)| rank(&mut self.ranking, req)),
         }
     }
 
@@ -756,14 +702,18 @@ impl<X> IncrementalEngine<X> {
     /// outstanding is applied rather than discarded (the application point
     /// — the drive's end — is deterministic), then the samples are flushed.
     /// Live drives end here; replay reconstructs the same at every routed
-    /// record, the only place a drive ends mid-log.
+    /// record, the only place a drive ends mid-log. Taking and applying
+    /// the outcome is the step a pool takes at every boundary, so it runs
+    /// under a `pass` span too.
     fn finish_drive(&mut self, universe: &WebUniverse, backend: &mut Backend<'_>, until: f64) {
+        let pass = self.rank_pending.then(|| self.shell.span(Stage::Pass));
         if let Some(res) = self.take_ranking(backend) {
             self.apply_ranking(res.importance, res.replacements);
             // The outstanding request is consumed: a state exported now
             // must not re-issue one.
             self.rank_pending = false;
         }
+        drop(pass);
         self.flush_samples(universe, until);
     }
 
@@ -786,56 +736,50 @@ impl<X> IncrementalEngine<X> {
         self.shell.metrics.sample_freshness(universe, until, copies(&self.collection));
     }
 
-    /// Run `body` against a live worker pool and ranking thread, all of
-    /// which have exited when this returns. The workers fetch through
-    /// their own [`SimFetcher`]s with unrestricted politeness, under which
-    /// the simulated fetch is a pure function of `(url, t)` — that is what
+    /// Run `body` against a live pool: the coordinator's fetcher and a
+    /// ranking thread that has exited when this returns. The fetcher has
+    /// unrestricted politeness and no failure injection, under which the
+    /// simulated fetch is a pure function of `(url, t)` — that is what
     /// makes the pool deterministic and checkpointable without fetcher
-    /// state.
+    /// state. The ranking thread opens a `rank_solve` span around each
+    /// solve, stamped with the boundary that issued the request.
     fn with_pool(
         &mut self,
         universe: &WebUniverse,
-        workers: usize,
         body: impl FnOnce(&mut Self, &mut Backend<'_>),
     ) {
-        let work: Vec<Handoff<Slot>> = (0..workers).map(|_| Handoff::new()).collect();
-        let (done, rank_req, rank_res) = (Handoff::new(), Handoff::new(), Handoff::new());
+        let (rank_tx, requests) = channel::<RankRequest>();
+        let (responses, rank_rx) = channel();
         let ranking_config = self.config.ranking.clone();
-        // The scope joins every thread before returning and re-raises a
-        // thread's panic there.
+        let obs = self.shell.obs.clone();
+        // The scope joins the ranking thread before returning and re-raises
+        // its panic there. A panic drops the thread's sender, which ends
+        // the coordinator's wait for a response instead of hanging it.
         std::thread::scope(|scope| {
-            for work in &work {
-                let done_tx = Tx(&done);
-                scope.spawn(move || {
-                    let mut fetcher =
-                        SimFetcher::new(universe).with_politeness(Politeness::unrestricted());
-                    while let Some(slot) = work.recv() {
-                        done_tx.send((slot, fetcher.fetch(slot.url, slot.t)));
-                    }
-                });
-            }
-            let rank_res_tx = Tx(&rank_res);
-            let rank_req = &rank_req;
             scope.spawn(move || {
                 let mut ranking = RankingModule::new(ranking_config);
-                while let Some(req) = rank_req.recv() {
-                    rank_res_tx.send(rank(&mut ranking, req));
+                for (clock, req) in requests {
+                    let res = {
+                        let _solve = obs.span(Stage::RankSolve, clock);
+                        rank(&mut ranking, req)
+                    };
+                    if responses.send(res).is_err() {
+                        break;
+                    }
                 }
             });
             let mut links = PoolLinks {
-                work_tx: work.iter().map(Tx).collect(),
-                done_rx: &done,
-                rank_tx: Tx(rank_req),
-                rank_rx: &rank_res,
+                fetcher: SimFetcher::new(universe).with_politeness(Politeness::unrestricted()),
+                rank_tx,
+                rank_rx,
                 rank_in_flight: false,
             };
             // A restored/replayed engine re-issues the outstanding request.
             if let Some(req) = self.unsent_rank_request.take() {
-                links.rank_tx.send(req);
-                links.rank_in_flight = true;
+                links.request_ranking(req);
             }
-            // Dropping the links when `body` returns closes the work and
-            // request queues, which is what ends the threads.
+            // Dropping the links when `body` returns closes the request
+            // channel, which is what ends the ranking thread.
             body(self, &mut Backend::Pool(links));
         });
     }
@@ -893,7 +837,7 @@ impl<X> CrawlEngine for IncrementalEngine<X> {
         };
         match self.executor {
             Executor::Inline => run(self, &mut Backend::Source(FetchSource::Live(fetcher))),
-            Executor::Pool { workers } => self.with_pool(universe, workers, run),
+            Executor::Pool { .. } => self.with_pool(universe, run),
         }
         Ok(&self.shell.metrics)
     }
@@ -931,8 +875,8 @@ impl<X> CrawlEngine for IncrementalEngine<X> {
 
     /// Capture the full engine state. The fetcher state is excluded: the
     /// checkpoint layer merges the inline executor's in, since only the
-    /// run loop can reach the fetcher, and the pool's worker fetchers are
-    /// stateless.
+    /// run loop can reach the fetcher, and the pool's own fetcher carries
+    /// no state its results depend on.
     fn export_state(&self) -> CrawlerState {
         let (ranking_runs, ranking_applied) = match self.executor {
             Executor::Inline => (self.shell.passes, 0),
@@ -992,6 +936,7 @@ mod tests {
     use super::*;
     use crate::engine::{collection_quality, restore};
     use webevo_sim::{SimFetcher, UniverseConfig, WebUniverse};
+    use webevo_types::BinEncode;
 
     fn universe(seed: u64) -> WebUniverse {
         WebUniverse::generate(UniverseConfig::test_scale(seed))
@@ -1096,20 +1041,33 @@ mod tests {
     }
 
     #[test]
-    fn a_dying_pool_thread_closes_its_queue_instead_of_hanging_the_receiver() {
-        let queue = Handoff::new();
-        let scope = std::panic::AssertUnwindSafe(|| {
-            std::thread::scope(|scope| {
-                let tx = Tx(&queue);
-                scope.spawn(move || {
-                    tx.send(7);
-                    panic!("the worker dies");
-                });
-                assert_eq!(queue.recv(), Some(7), "what was sent before the panic is drained");
-                assert_eq!(queue.recv(), None);
+    fn the_executor_is_a_deployment_choice_bit_for_bit() {
+        // With ranking off the pool has nothing to defer, so at one slot
+        // in flight it must crawl exactly as the inline executor does —
+        // across a drive boundary, where the pool starts a fresh fetcher
+        // and the inline side keeps its own.
+        let u = universe(63);
+        let cfg = IncrementalConfig { ranking_interval_days: 1e9, ..config(40) };
+        // The wire encoding writes every f64 as its raw bits.
+        fn bytes(value: &impl BinEncode) -> Vec<u8> {
+            let mut out = Vec::new();
+            value.bin_encode(&mut out);
+            out
+        }
+        let runs: Vec<(Vec<u8>, Vec<u8>)> = [None, Some(1)]
+            .into_iter()
+            .map(|workers| {
+                let mut engine = engine(workers, cfg.clone());
+                let mut fetcher = SimFetcher::new(&u);
+                run(&mut *engine, &u, &mut fetcher, 9.5);
+                run(&mut *engine, &u, &mut fetcher, 24.0);
+                assert!(engine.metrics().fetches > 100, "workers={workers:?} barely crawled");
+                assert_eq!(engine.passes(), 0, "ranking must stay off");
+                (bytes(engine.metrics()), bytes(engine.collection().expect("incremental has one")))
             })
-        });
-        assert!(std::panic::catch_unwind(scope).is_err(), "the scope re-raises the panic");
+            .collect();
+        assert!(runs[0].0 == runs[1].0, "metrics differ between the executors");
+        assert!(runs[0].1 == runs[1].1, "collections differ between the executors");
     }
 
     #[test]

@@ -55,7 +55,8 @@ pub struct EngineShell {
     /// Cross-shard routing: scope, outbox of foreign discoveries, inbox
     /// and the applied-exchange counter. Inert (default) when unsharded.
     pub(crate) routing: RoutingState,
-    /// Observability sink, touched only on the coordinating thread.
+    /// Observability sink, touched on the coordinating thread (and, through
+    /// a clone, by the pool's ranking thread for its solve span).
     /// Write-only and deliberately absent from [`CrawlerState`]: spans and
     /// counters describe the run, they never steer it, so a traced run
     /// stays byte-identical to an untraced one.
@@ -84,7 +85,7 @@ impl EngineShell {
     }
 
     /// The logical instant spans are stamped with.
-    fn stamp(&self) -> LogicalClock {
+    pub(crate) fn stamp(&self) -> LogicalClock {
         LogicalClock::new(self.clock.t, self.fetch_seq)
     }
 

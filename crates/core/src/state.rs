@@ -44,10 +44,12 @@ pub enum EngineKind {
     /// The incremental engine ([`crate::incremental`]) with its inline
     /// executor: [`crate::IncrementalCrawler`].
     Incremental,
-    /// The same engine with its pool executor — `workers` parallel
-    /// CrawlModules and a ranking thread: [`crate::ThreadedCrawler`].
+    /// The same engine with its pool executor — batches of `workers`
+    /// fetch slots, as parallel CrawlModules would schedule them, and a
+    /// ranking thread: [`crate::ThreadedCrawler`].
     Threaded {
-        /// Number of crawl workers.
+        /// Fetch slots in flight between two state updates: that many
+        /// slots are scheduled before any of their results is applied.
         workers: usize,
     },
 }

@@ -76,8 +76,9 @@ pub mod registry;
 
 pub use registry::{Histogram, MetricsRegistry, ObsError};
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, Mutex};
+use std::thread::ThreadId;
 use std::time::Instant;
 use webevo_types::ShardId;
 
@@ -93,9 +94,10 @@ pub enum Stage {
     /// Inside a pass: flattening the collection's links and AllUrls'
     /// candidates into the ranking pass's input.
     RankBuild,
-    /// Inside a pass: PageRank, candidate estimates and replacement
-    /// selection over a built input (spanned where it runs on the crawl
-    /// thread; the pool's ranking thread solves unspanned).
+    /// PageRank, candidate estimates and replacement selection over a
+    /// built input: inside a pass on the inline executor, a root span on
+    /// the pool's ranking thread, stamped with the logical clock of the
+    /// boundary that issued the request.
     RankSolve,
     /// Inside a pass: the UpdateModule's revisit-interval reallocation.
     Reallocate,
@@ -188,14 +190,21 @@ impl SpanRecord {
     }
 }
 
+/// A span stack's key: the recording handle's shard context and the
+/// thread that opened the span.
+type StackKey = (Option<ShardId>, ThreadId);
+
 /// The shared store behind a recording sink. Span stacks are kept per
-/// shard context: each shard's instrumented stages run on one thread at a
-/// time (the fleet's lockstep drive), so per-context nesting is strict.
+/// shard context *and* per thread: a span nests only under spans its own
+/// thread opened, so an off-thread stage (a background snapshot encode,
+/// the pool's ranking solve) is a root of its own instead of adopting
+/// whatever the crawl thread has open. The stacks are never iterated, so
+/// their hashing order cannot reach any output.
 #[derive(Debug)]
 pub(crate) struct ObsState {
     epoch: Instant,
     pub(crate) spans: Vec<SpanRecord>,
-    stacks: BTreeMap<Option<ShardId>, Vec<usize>>,
+    stacks: HashMap<StackKey, Vec<usize>>,
     pub(crate) registries: BTreeMap<Option<ShardId>, MetricsRegistry>,
 }
 
@@ -204,7 +213,7 @@ impl ObsState {
         ObsState {
             epoch: Instant::now(),
             spans: Vec::new(),
-            stacks: BTreeMap::new(),
+            stacks: HashMap::new(),
             registries: BTreeMap::new(),
         }
     }
@@ -268,10 +277,10 @@ impl ObsSink {
         let Some(inner) = &self.inner else {
             return SpanGuard { ctx: None };
         };
+        let key = (self.shard, std::thread::current().id());
         let mut state = inner.lock().expect("no recorder panicked holding the obs lock");
         let start_us = state.now_us();
-        let stack = state.stacks.entry(self.shard).or_default();
-        let parent = stack.last().copied();
+        let parent = state.stacks.get(&key).and_then(|stack| stack.last().copied());
         let path = match parent {
             Some(p) => {
                 let mut path = state.spans[p].path.clone();
@@ -291,8 +300,8 @@ impl ObsSink {
             end_us: None,
             parent,
         });
-        state.stacks.entry(self.shard).or_default().push(idx);
-        SpanGuard { ctx: Some(SpanCtx { state: Arc::clone(inner), shard: self.shard, idx }) }
+        state.stacks.entry(key).or_default().push(idx);
+        SpanGuard { ctx: Some(SpanCtx { state: Arc::clone(inner), key, idx }) }
     }
 
     /// Add `delta` to the counter `name` in this handle's shard context.
@@ -351,7 +360,8 @@ impl ObsSink {
 
 struct SpanCtx {
     state: Arc<Mutex<ObsState>>,
-    shard: Option<ShardId>,
+    /// The stack the span was pushed on, so the guard pops from its own.
+    key: StackKey,
     idx: usize,
 }
 
@@ -380,9 +390,13 @@ impl Drop for SpanGuard {
         let mut state = ctx.state.lock().expect("no recorder panicked holding the obs lock");
         let end = state.now_us();
         state.spans[ctx.idx].end_us = Some(end);
-        if let Some(stack) = state.stacks.get_mut(&ctx.shard) {
+        if let Some(stack) = state.stacks.get_mut(&ctx.key) {
             if let Some(pos) = stack.iter().rposition(|&i| i == ctx.idx) {
                 stack.remove(pos);
+            }
+            // A finished thread leaves no empty stack behind.
+            if stack.is_empty() {
+                state.stacks.remove(&ctx.key);
             }
         }
     }
@@ -454,6 +468,27 @@ mod tests {
         let merged = fleet.merged_registry().unwrap();
         assert_eq!(merged.counter("fetch_ok_total"), 7);
         assert_eq!(merged.counter("exchange_barriers_total"), 1);
+    }
+
+    #[test]
+    fn a_span_on_another_thread_is_a_root_not_a_child_of_this_threads_span() {
+        let sink = ObsSink::recording();
+        let pass = sink.span(Stage::Pass, LogicalClock::new(2.0, 40));
+        let worker = sink.clone();
+        std::thread::scope(|scope| {
+            scope.spawn(move || {
+                let _solve = worker.span(Stage::RankSolve, LogicalClock::new(2.0, 40));
+                let _inner = worker.span(Stage::Reallocate, LogicalClock::new(2.0, 40));
+            });
+        });
+        // This thread's stack is untouched by the other thread's spans.
+        let _after = sink.span(Stage::Reallocate, LogicalClock::new(2.0, 41));
+        drop(pass);
+        let spans = sink.spans();
+        assert_eq!(spans.len(), 4);
+        assert_eq!((spans[1].path.as_str(), spans[1].parent), ("rank_solve", None));
+        assert_eq!((spans[2].path.as_str(), spans[2].parent), ("rank_solve;reallocate", Some(1)));
+        assert_eq!((spans[3].path.as_str(), spans[3].parent), ("pass;reallocate", Some(0)));
     }
 
     #[test]

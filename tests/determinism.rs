@@ -812,12 +812,11 @@ fn assert_observation_is_free(tag: &str, kind: EngineKind) {
 
     let spans = sink.spans();
     assert!(!spans.is_empty(), "the traced run recorded no spans");
-    // The pass sub-spans, each opened on the thread that does the work: the
-    // pool's ranking thread solves unspanned.
+    // The ranking stages, each opened on the thread that does the work: the
+    // pool's ranking thread spans its own solve.
     let pass_stages: &[Stage] = match kind {
-        EngineKind::Incremental => &[Stage::RankBuild, Stage::RankSolve, Stage::Reallocate],
-        EngineKind::Threaded { .. } => &[Stage::RankBuild, Stage::Reallocate],
         EngineKind::Periodic => &[],
+        _ => &[Stage::RankBuild, Stage::RankSolve, Stage::Reallocate],
     };
     for &stage in [Stage::Drive, Stage::Pass, Stage::FetchBatch, Stage::WalFlush, Stage::SnapshotEncode]
         .iter()
