@@ -83,13 +83,14 @@ impl AnalyzeConfig {
     ///   or experiment tables.
     /// * Clock-exempt: `obs` (its whole job is wall-clock timing) and
     ///   `bench` (measures real elapsed time).
-    /// * Panic-budgeted: `core` and `store`, the snapshot/WAL path.
+    /// * Panic-budgeted: `core` and `store`, the snapshot/WAL path, and
+    ///   `graph`, whose PageRank kernel runs on the pool's ranking thread.
     pub fn workspace_default() -> AnalyzeConfig {
         let v = |names: &[&str]| names.iter().map(|s| s.to_string()).collect();
         AnalyzeConfig {
             map_strict_crates: v(&["types", "core", "store", "sim", "estimate", "graph"]),
             clock_exempt_crates: v(&["obs", "bench"]),
-            panic_budget_crates: v(&["core", "store"]),
+            panic_budget_crates: v(&["core", "store", "graph"]),
         }
     }
 }

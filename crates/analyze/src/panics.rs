@@ -1,10 +1,13 @@
-//! Panic-path audit: `unwrap()`/`expect()` budgets for the durability core.
+//! Panic-path audit: `unwrap()`/`expect()` budgets for the durability core
+//! and the ranking kernel.
 //!
 //! `core` and `store` sit on the snapshot/WAL path, where a panic means a
-//! truncated checkpoint rather than a failed request. Existing panic sites
-//! are grandfathered through per-file budgets in `ANALYZE.allow`; the audit
-//! makes the count a ratchet — going over budget is an error, while a count
-//! below budget is a note inviting the budget down. New files start at zero.
+//! truncated checkpoint rather than a failed request; `graph`'s PageRank
+//! kernel runs on the pool executor's ranking thread, where a panic takes
+//! the crawl down with it. Existing panic sites are grandfathered through
+//! per-file budgets in `ANALYZE.allow`; the audit makes the count a
+//! ratchet — going over budget is an error, while a count below budget is
+//! a note inviting the budget down. New files start at zero.
 
 use crate::allow::Allowlist;
 use crate::report::{Finding, Lint, Severity};

@@ -391,7 +391,7 @@ pub fn collection_quality(collection: &Collection, universe: &WebUniverse, t: f6
         return 0.0;
     };
     let mut all: Vec<f64> = scores.iter().map(|(_, s)| s).collect();
-    all.sort_by(|a, b| b.partial_cmp(a).expect("no NaN"));
+    all.sort_by(|a, b| b.total_cmp(a));
     let k = collection.len().min(all.len());
     if k == 0 {
         return 0.0;

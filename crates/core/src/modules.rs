@@ -426,17 +426,19 @@ fn least_k<T>(items: &mut [T], k: usize, mut order: impl FnMut(&T, &T) -> Orderi
 mod tests {
     use super::*;
     use proptest::prelude::*;
-    use webevo_graph::{pagerank, PageGraph};
+    use std::collections::BTreeSet;
+    use webevo_graph::{pagerank, LinkCsr};
     use webevo_types::{Checksum, SiteId};
 
     fn url(i: u64) -> Url {
         Url::new(SiteId(0), PageId(i))
     }
 
-    /// `RankingModule::run` as it stood before the flat link structure,
-    /// verbatim: the oracle of `ranking_pass_matches_the_reference`. Its
-    /// `pagerank(&PageGraph)` runs today's kernel, which the graph crate's
-    /// differential tests hold bit-equal to the loop this body called.
+    /// `RankingModule::run` as it stood before the flat link structure:
+    /// the oracle of `ranking_pass_matches_the_reference`. It takes only
+    /// the PageRank scores from `pagerank(&LinkCsr)`, today's kernel, which
+    /// the graph crate's differential tests hold bit-equal to the loop this
+    /// body called; the out-degrees it divides by it counts itself.
     fn reference_run(
         config: &RankingConfig,
         collection: &mut Collection,
@@ -445,22 +447,22 @@ mod tests {
         if collection.is_empty() {
             return RankingOutcome::default();
         }
-        // Build the intra-collection link graph.
-        let mut graph = PageGraph::new();
-        for (p, stored) in collection.iter() {
-            graph.add_page(p, stored.url.site);
-        }
-        for (p, stored) in collection.iter() {
-            for l in stored.links.iter().filter(|l| collection.contains(l.page)) {
-                graph.add_link(p, l.page);
-            }
-        }
-        let Ok(scores) = pagerank(&graph, &config.pagerank) else {
+        let links = LinkCsr::from_out_links(|| {
+            collection.iter().map(|(p, stored)| (p, stored.links.iter().map(|l| l.page)))
+        });
+        let Ok(scores) = pagerank(&links, &config.pagerank) else {
             return RankingOutcome::default();
         };
         for (p, stored) in collection.iter_mut() {
             stored.importance = scores.get(p);
         }
+        // Distinct in-collection targets; a self-link counts once.
+        let out_degree = |p: PageId| -> usize {
+            let stored = collection.get(p).expect("a source in the collection");
+            let targets: BTreeSet<PageId> =
+                stored.links.iter().map(|l| l.page).filter(|&t| collection.contains(t)).collect();
+            targets.len()
+        };
         // Estimate candidates from their in-link evidence.
         let in_collection = |url: Url| collection.contains(url.page);
         let teleport = 1.0 - config.pagerank.follow;
@@ -472,7 +474,7 @@ mod tests {
                     .iter()
                     .filter(|s| collection.contains(**s))
                     .map(|&s| {
-                        let deg = graph.out_degree(s) + 1;
+                        let deg = out_degree(s) + 1;
                         scores.get(s) / deg as f64
                     })
                     .sum();

@@ -44,8 +44,8 @@ pub fn select_sites(
     permitted: usize,
 ) -> SiteSelection {
     assert!(permitted <= candidates, "cannot permit more sites than candidates");
-    let graph = universe.snapshot_graph(t);
-    let site_graph = SiteGraph::from_page_graph(&graph);
+    let site_graph =
+        SiteGraph::from_links(&universe.snapshot_graph(t), |p| universe.page(p).site);
     // The paper's own parameterization (d = 0.9 in its formula).
     let scores = site_pagerank(&site_graph, &PageRankConfig::paper_1999())
         .expect("site pagerank converges");

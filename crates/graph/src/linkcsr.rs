@@ -1,13 +1,13 @@
-//! A flat, read-only link structure for one ranking pass.
+//! The workspace's one link type: a flat, read-only link structure.
 //!
-//! [`PageGraph`] keeps two `Vec`s per node so that pages and links can come
-//! and go; a ranking pass only reads. [`LinkCsr`] is what the pass reads:
-//! the member pages in ascending `PageId` order, each page's de-duplicated
-//! out-degree, and each page's in-link sources in one flat array indexed by
-//! per-page offsets (compressed sparse rows). Positions are `u32` indices
-//! into the page order, so the PageRank kernel never touches a `PageId`.
+//! Every reader of links — a ranking pass, the serve view, ground-truth
+//! importance and site selection — only reads, so the links are built once
+//! per use from each page's out-links into a [`LinkCsr`]: the member pages
+//! in ascending `PageId` order, each page's de-duplicated out-degree, and
+//! each page's in-link sources in one flat array indexed by per-page
+//! offsets (compressed sparse rows). Positions are `u32` indices into the
+//! page order, so the PageRank kernel never touches a `PageId`.
 
-use crate::pagegraph::PageGraph;
 use webevo_types::PageId;
 
 /// The `position` entry of an id that is not a member.
@@ -38,8 +38,7 @@ impl LinkCsr {
     /// fills the sources. A per-target stamp of the last source that linked
     /// it collapses parallel edges, and links to non-members are skipped.
     /// Sources are visited in ascending order, so each target's sources come
-    /// out ascending — exactly the in-lists a [`PageGraph`] built by
-    /// `add_link` in ascending-source order holds.
+    /// out ascending. A self-link counts once, like any other link.
     pub fn from_out_links<I, L>(pages: impl Fn() -> I) -> LinkCsr
     where
         I: Iterator<Item = (PageId, L)>,
@@ -78,24 +77,6 @@ impl LinkCsr {
                     }
                 }
             }
-        }
-        csr
-    }
-
-    /// Copy a [`PageGraph`]: each node's `in_links()` in stored order (which
-    /// after `remove_link`/`set_out_links` churn is not sorted — the kernel
-    /// sums in exactly this order).
-    pub fn from_graph(graph: &PageGraph) -> LinkCsr {
-        let mut csr = LinkCsr::with_members(graph.pages().collect());
-        csr.in_start.push(0);
-        for i in 0..csr.pages.len() {
-            let p = csr.pages[i];
-            csr.out_degree[i] = graph.out_degree(p) as u32;
-            // A graph's in-link sources are members by its own invariant.
-            let position = &csr.position;
-            csr.sources
-                .extend(graph.in_links(p).iter().map(|&q| position[q.index()]));
-            csr.in_start.push(csr.sources.len() as u32);
         }
         csr
     }
@@ -173,25 +154,16 @@ impl LinkCsr {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use webevo_types::SiteId;
+    use crate::reference::csr as build;
 
     fn p(i: u64) -> PageId {
         PageId(i)
     }
 
-    /// `(page, out-links)` lists, as `from_out_links` consumes them.
-    fn build(adjacency: &[(u64, &[u64])]) -> LinkCsr {
-        LinkCsr::from_out_links(|| {
-            adjacency
-                .iter()
-                .map(|&(page, links)| (p(page), links.iter().map(|&t| p(t))))
-        })
-    }
-
     #[test]
     fn counting_sort_dedups_skips_non_members_and_sorts_sources() {
         // 9 links 3 twice and itself; 2 links a non-member; 7 has no links.
-        let csr = build(&[(2, &[9, 40, 3]), (3, &[2]), (7, &[]), (9, &[3, 9, 3, 2])]);
+        let csr = build(&[(2, vec![9, 40, 3]), (3, vec![2]), (7, vec![]), (9, vec![3, 9, 3, 2])]);
         assert_eq!(csr.pages(), &[p(2), p(3), p(7), p(9)]);
         assert_eq!(csr.link_count(), 6);
         assert_eq!(
@@ -208,42 +180,9 @@ mod tests {
     }
 
     #[test]
-    fn matches_a_page_graph_built_in_ascending_source_order() {
-        let adjacency: &[(u64, &[u64])] =
-            &[(0, &[1, 4, 1]), (1, &[0, 1]), (4, &[0, 1, 7]), (5, &[4, 0])];
-        let mut graph = PageGraph::new();
-        for &(page, _) in adjacency {
-            graph.add_page(p(page), SiteId(0));
-        }
-        for &(page, links) in adjacency {
-            for &t in links {
-                if graph.contains(p(t)) {
-                    graph.add_link(p(page), p(t));
-                }
-            }
-        }
-        assert_eq!(build(adjacency), LinkCsr::from_graph(&graph));
-    }
-
-    #[test]
-    fn from_graph_keeps_stored_in_link_order() {
-        let mut graph = PageGraph::new();
-        for i in 0..4 {
-            graph.add_page(p(i), SiteId(0));
-        }
-        for s in 0..4 {
-            graph.add_link(p(s), p(0));
-        }
-        // Swap-remove moves the last source (3) into the hole at 1's slot.
-        graph.remove_link(p(1), p(0));
-        let csr = LinkCsr::from_graph(&graph);
-        assert_eq!(csr.in_sources(0), &[0, 3, 2]);
-        assert_eq!(csr.out_degree(1), 0);
-    }
-
-    #[test]
     fn empty_inputs_build_empty_structures() {
-        assert_eq!(build(&[]).page_count(), 0);
-        assert_eq!(LinkCsr::from_graph(&PageGraph::new()).link_count(), 0);
+        let csr = build(&[]);
+        assert_eq!((csr.page_count(), csr.link_count()), (0, 0));
+        assert!(!csr.contains(p(0)));
     }
 }

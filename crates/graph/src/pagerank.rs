@@ -1,4 +1,4 @@
-//! PageRank over a [`LinkCsr`] (and, through it, over a [`PageGraph`]).
+//! PageRank over a [`LinkCsr`].
 //!
 //! The paper defines (§2.2):
 //!
@@ -17,11 +17,10 @@
 //! standard fix, so total rank is conserved and the iteration converges on
 //! every graph.
 //!
-//! There is one kernel, [`PageRankKernel`]; [`pagerank`], [`pagerank_csr`]
-//! and the crawler's RankingModule all run it.
+//! There is one kernel, [`PageRankKernel`]; [`pagerank`] and the crawler's
+//! RankingModule both run it.
 
 use crate::linkcsr::LinkCsr;
-use crate::pagegraph::PageGraph;
 use webevo_types::{DenseMap, Error, PageId, Result};
 
 /// Parameters for the PageRank iteration.
@@ -92,7 +91,7 @@ impl PageRankScores {
     /// determinism).
     pub fn ranked(&self) -> Vec<(PageId, f64)> {
         let mut v: Vec<_> = self.iter().collect();
-        v.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("no NaN").then(a.0.cmp(&b.0)));
+        v.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
         v
     }
 
@@ -106,14 +105,6 @@ impl PageRankScores {
         v
     }
 
-    /// The lowest-scored page, if any — the RankingModule's discard
-    /// candidate (§5.2: "the discarded page should have the lowest
-    /// importance in the collection").
-    pub fn lowest(&self) -> Option<(PageId, f64)> {
-        self.iter()
-            .min_by(|a, b| a.1.partial_cmp(&b.1).expect("no NaN").then(a.0.cmp(&b.0)))
-    }
-
     /// Number of scored pages.
     pub fn len(&self) -> usize {
         self.scores.len()
@@ -125,16 +116,10 @@ impl PageRankScores {
     }
 }
 
-/// Compute PageRank over the graph's current state: [`LinkCsr::from_graph`]
-/// plus the kernel.
-///
-/// Returns scores averaging 1. An empty graph yields empty scores.
-pub fn pagerank(graph: &PageGraph, config: &PageRankConfig) -> Result<PageRankScores> {
-    pagerank_csr(&LinkCsr::from_graph(graph), config)
-}
-
 /// Compute PageRank over a built link structure, keyed by page.
-pub fn pagerank_csr(links: &LinkCsr, config: &PageRankConfig) -> Result<PageRankScores> {
+///
+/// Returns scores averaging 1. An empty structure yields empty scores.
+pub fn pagerank(links: &LinkCsr, config: &PageRankConfig) -> Result<PageRankScores> {
     let mut kernel = PageRankKernel::default();
     let iterations = kernel.solve(links, config)?;
     let scores = links.pages().iter().copied().zip(kernel.scores().iter().copied()).collect();
@@ -349,29 +334,21 @@ pub fn estimate_uncrawled(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::reference;
+    use crate::reference::{self, csr};
     use proptest::prelude::*;
-    use webevo_types::SiteId;
 
     fn p(i: u64) -> PageId {
         PageId(i)
     }
 
-    fn cycle(n: u64) -> PageGraph {
-        let mut g = PageGraph::new();
-        for i in 0..n {
-            g.add_page(p(i), SiteId(0));
-        }
-        for i in 0..n {
-            g.add_link(p(i), p((i + 1) % n));
-        }
-        g
+    fn cycle(n: u64) -> Vec<(u64, Vec<u64>)> {
+        (0..n).map(|i| (i, vec![(i + 1) % n])).collect()
     }
 
     /// Scores and iteration count equal to the reference loop's, bit for
     /// bit (or both solves failing).
-    fn assert_matches_reference(g: &PageGraph, cfg: &PageRankConfig) {
-        match (pagerank(g, cfg), reference::pagerank(g, cfg)) {
+    fn assert_matches_reference(adjacency: &[(u64, Vec<u64>)], cfg: &PageRankConfig) {
+        match (pagerank(&csr(adjacency), cfg), reference::pagerank(adjacency, cfg)) {
             (Ok(new), Ok(old)) => {
                 assert_eq!(new.iterations(), old.iterations());
                 let bits = |s: &PageRankScores| -> Vec<(PageId, u64)> {
@@ -386,15 +363,13 @@ mod tests {
 
     #[test]
     fn empty_graph() {
-        let g = PageGraph::new();
-        let s = pagerank(&g, &PageRankConfig::conventional()).unwrap();
+        let s = pagerank(&csr(&[]), &PageRankConfig::conventional()).unwrap();
         assert!(s.is_empty());
     }
 
     #[test]
     fn cycle_is_uniform() {
-        let g = cycle(5);
-        let s = pagerank(&g, &PageRankConfig::conventional()).unwrap();
+        let s = pagerank(&csr(&cycle(5)), &PageRankConfig::conventional()).unwrap();
         for i in 0..5 {
             assert!((s.get(p(i)) - 1.0).abs() < 1e-8, "score={}", s.get(p(i)));
         }
@@ -403,10 +378,9 @@ mod tests {
     #[test]
     fn scores_average_to_one() {
         let mut g = cycle(4);
-        g.add_page(p(10), SiteId(1));
-        g.add_link(p(0), p(10));
-        g.add_link(p(10), p(2));
-        let s = pagerank(&g, &PageRankConfig::conventional()).unwrap();
+        g[0].1.push(10);
+        g.push((10, vec![2]));
+        let s = pagerank(&csr(&g), &PageRankConfig::conventional()).unwrap();
         let mean: f64 = s.iter().map(|(_, v)| v).sum::<f64>() / s.len() as f64;
         assert!((mean - 1.0).abs() < 1e-8, "mean={mean}");
     }
@@ -414,15 +388,8 @@ mod tests {
     #[test]
     fn hub_receives_more_rank() {
         // star: everyone links to page 0; page 0 links back to 1.
-        let mut g = PageGraph::new();
-        for i in 0..6 {
-            g.add_page(p(i), SiteId(0));
-        }
-        for i in 1..6 {
-            g.add_link(p(i), p(0));
-        }
-        g.add_link(p(0), p(1));
-        let s = pagerank(&g, &PageRankConfig::conventional()).unwrap();
+        let g: Vec<_> = (0..6).map(|i| (i, vec![if i == 0 { 1 } else { 0 }])).collect();
+        let s = pagerank(&csr(&g), &PageRankConfig::conventional()).unwrap();
         let ranked = s.ranked();
         assert_eq!(ranked[0].0, p(0), "hub should rank first");
         assert!(s.get(p(0)) > s.get(p(2)) * 2.0);
@@ -432,11 +399,9 @@ mod tests {
 
     #[test]
     fn dangling_pages_converge() {
-        let mut g = PageGraph::new();
-        g.add_page(p(0), SiteId(0));
-        g.add_page(p(1), SiteId(0));
-        g.add_link(p(0), p(1)); // page 1 dangles
-        let s = pagerank(&g, &PageRankConfig::conventional()).unwrap();
+        // Page 1 dangles.
+        let s = pagerank(&csr(&[(0, vec![1]), (1, vec![])]), &PageRankConfig::conventional())
+            .unwrap();
         assert!(s.get(p(1)) > s.get(p(0)));
         let mean: f64 = s.iter().map(|(_, v)| v).sum::<f64>() / 2.0;
         assert!((mean - 1.0).abs() < 1e-8);
@@ -447,46 +412,31 @@ mod tests {
         // For the paper's form PR = d + (1-d)*sum, verify the computed
         // scores satisfy the equation on a small asymmetric graph.
         let mut g = cycle(3);
-        g.add_link(p(0), p(2));
+        g[0].1.push(2);
+        let links = csr(&g);
         let cfg = PageRankConfig::paper_1999();
-        let s = pagerank(&g, &cfg).unwrap();
+        let s = pagerank(&links, &cfg).unwrap();
         let d = 0.9; // paper damping; follow = 1 - d
-        for i in 0..3u64 {
-            let sum: f64 = g
-                .in_links(p(i))
+        for i in 0..3 {
+            let sum: f64 = links
+                .in_sources(i)
                 .iter()
-                .map(|&q| s.get(q) / g.out_degree(q) as f64)
+                .map(|&j| s.get(links.pages()[j as usize]) / links.out_degree(j as usize) as f64)
                 .sum();
             let rhs = d + (1.0 - d) * sum;
-            assert!((s.get(p(i)) - rhs).abs() < 1e-6, "page {i}");
+            assert!((s.get(p(i as u64)) - rhs).abs() < 1e-6, "page {i}");
         }
     }
 
     #[test]
     fn invalid_follow_rejected() {
-        let g = cycle(3);
         let cfg = PageRankConfig { follow: 1.5, ..PageRankConfig::conventional() };
-        assert!(pagerank(&g, &cfg).is_err());
-    }
-
-    #[test]
-    fn lowest_is_discard_candidate() {
-        let mut g = PageGraph::new();
-        for i in 0..4 {
-            g.add_page(p(i), SiteId(0));
-        }
-        g.add_link(p(1), p(0));
-        g.add_link(p(2), p(0));
-        g.add_link(p(3), p(0));
-        g.add_link(p(0), p(1));
-        let s = pagerank(&g, &PageRankConfig::conventional()).unwrap();
-        let (low, _) = s.lowest().unwrap();
-        assert!(low == p(2) || low == p(3), "unlinked-to pages rank lowest, got {low}");
+        assert!(pagerank(&csr(&cycle(3)), &cfg).is_err());
     }
 
     #[test]
     fn uncrawled_estimate_scales_with_inlinks() {
-        let links = LinkCsr::from_graph(&cycle(4));
+        let links = csr(&cycle(4));
         let cfg = PageRankConfig::conventional();
         let mut kernel = PageRankKernel::default();
         kernel.solve(&links, &cfg).unwrap();
@@ -506,8 +456,7 @@ mod tests {
         // A 6-cycle scores every page exactly 1.0: the ordering is decided
         // entirely by the tie-break, which must be ascending PageId no
         // matter how the backing map iterates.
-        let g = cycle(6);
-        let s = pagerank(&g, &PageRankConfig::conventional()).unwrap();
+        let s = pagerank(&csr(&cycle(6)), &PageRankConfig::conventional()).unwrap();
         let top = s.top_k(4);
         assert_eq!(
             top.iter().map(|&(p, _)| p).collect::<Vec<_>>(),
@@ -522,9 +471,9 @@ mod tests {
 
     #[test]
     fn deterministic_across_runs() {
-        let g = cycle(7);
-        let a = pagerank(&g, &PageRankConfig::conventional()).unwrap();
-        let b = pagerank(&g, &PageRankConfig::conventional()).unwrap();
+        let links = csr(&cycle(7));
+        let a = pagerank(&links, &PageRankConfig::conventional()).unwrap();
+        let b = pagerank(&links, &PageRankConfig::conventional()).unwrap();
         for (p, v) in a.iter() {
             assert_eq!(v, b.get(p));
         }
@@ -534,13 +483,10 @@ mod tests {
     fn high_in_degree_groups_match_the_reference() {
         // In-degrees 0..=12 all occur: every unrolled group and the
         // general one run.
-        let mut g = PageGraph::new();
-        for i in 0..14 {
-            g.add_page(p(i), SiteId(0));
-        }
+        let mut g: Vec<(u64, Vec<u64>)> = (0..14).map(|i| (i, vec![])).collect();
         for t in 0..13u64 {
             for s in 0..t {
-                g.add_link(p(13 - s), p(t));
+                g[(13 - s) as usize].1.push(t);
             }
         }
         assert_matches_reference(&g, &PageRankConfig::conventional());
@@ -548,40 +494,28 @@ mod tests {
     }
 
     proptest! {
-        /// After add/remove/replace churn — whose swap-removed in-lists are
-        /// not sorted — the kernel equals the reference loop bit for bit,
-        /// including when neither converges within a tiny cap.
+        /// On random adjacency — duplicate, self- and non-member links,
+        /// dangling and unlinked pages — the kernel equals the reference
+        /// loop bit for bit, including when neither converges within a
+        /// tiny cap.
         #[test]
-        fn kernel_matches_reference_after_churn(
-            ops in prop::collection::vec((0u8..5, 0u64..14, 0u64..14), 1..120),
+        fn kernel_matches_reference_on_random_adjacency(
+            lists in prop::collection::vec(
+                (0u64..20, prop::collection::vec(0u64..24, 0..8)),
+                0..16,
+            ),
             config in (0usize..3, 1usize..4),
         ) {
-            let mut g = PageGraph::new();
-            for i in 0..10u64 {
-                g.add_page(p(i), SiteId((i % 3) as u32));
-            }
-            for (op, a, b) in ops {
-                let (pa, pb) = (p(a), p(b));
-                match op {
-                    0 => g.add_page(pa, SiteId((a % 3) as u32)),
-                    1 | 2 => {
-                        if g.contains(pa) && g.contains(pb) {
-                            g.add_link(pa, pb);
-                        }
-                    }
-                    3 => {
-                        g.remove_link(pa, pb);
-                    }
-                    _ => g.set_out_links(pa, &[pb, p((a + b) % 14), pb]),
-                }
-            }
+            let mut adjacency = lists;
+            adjacency.sort_by_key(|&(page, _)| page);
+            adjacency.dedup_by_key(|(page, _)| *page);
             let (form, cap) = config;
             let cfg = match form {
                 0 => PageRankConfig::conventional(),
                 1 => PageRankConfig::paper_1999(),
                 _ => PageRankConfig { max_iterations: cap, ..PageRankConfig::conventional() },
             };
-            assert_matches_reference(&g, &cfg);
+            assert_matches_reference(&adjacency, &cfg);
         }
     }
 }

@@ -1,42 +1,62 @@
 //! The PageRank loop as it stood before [`LinkCsr`](crate::LinkCsr) and the
 //! degree-bucketed kernel, kept verbatim as the oracle the differential
 //! tests hold the kernel to: every score bit and the iteration count must
-//! match.
+//! match. It reads a plain adjacency list and lays out its own in-lists
+//! with std collections, so it shares no code with the structure under
+//! test.
 
-use crate::pagegraph::PageGraph;
+use crate::linkcsr::LinkCsr;
 use crate::pagerank::{PageRankConfig, PageRankScores};
-use webevo_types::{DenseMap, Error, PageId, Result};
+use std::collections::{BTreeMap, BTreeSet};
+use webevo_types::{Error, PageId, Result};
 
-/// The reference solve over a [`PageGraph`]: scores and iteration count.
-pub(crate) fn pagerank(graph: &PageGraph, config: &PageRankConfig) -> Result<PageRankScores> {
+/// The structure under test, built from the `(page, out-links)` lists the
+/// reference reads.
+pub(crate) fn csr(adjacency: &[(u64, Vec<u64>)]) -> LinkCsr {
+    LinkCsr::from_out_links(|| {
+        adjacency
+            .iter()
+            .map(|(page, links)| (PageId(*page), links.iter().map(|&t| PageId(t))))
+    })
+}
+
+/// The reference solve over `(page, out-links)` lists, pages strictly
+/// ascending: scores and iteration count. Links to non-members are
+/// dropped and parallel links collapse; a self-link counts once.
+pub(crate) fn pagerank(
+    adjacency: &[(u64, Vec<u64>)],
+    config: &PageRankConfig,
+) -> Result<PageRankScores> {
     if !(0.0..=1.0).contains(&config.follow) {
         return Err(Error::invalid(format!(
             "follow probability must be in [0,1], got {}",
             config.follow
         )));
     }
-    let n = graph.page_count();
+    let n = adjacency.len();
     if n == 0 {
         return Ok(PageRankScores::default());
     }
 
-    // Stable page order for deterministic iteration.
-    let mut pages: Vec<PageId> = graph.pages().collect();
-    pages.sort_unstable();
-    let index: DenseMap<u32> =
-        pages.iter().enumerate().map(|(i, &p)| (p, i as u32)).collect();
-
-    let out_degree: Vec<usize> = pages.iter().map(|&p| graph.out_degree(p)).collect();
+    let pages: Vec<PageId> = adjacency.iter().map(|&(p, _)| PageId(p)).collect();
+    let index: BTreeMap<u64, usize> =
+        adjacency.iter().enumerate().map(|(i, &(p, _))| (p, i)).collect();
+    // Each source's distinct member targets; each target's sources,
+    // ascending.
+    let mut out_degree: Vec<usize> = vec![0; n];
+    let mut in_lists: Vec<BTreeSet<u32>> = vec![BTreeSet::new(); n];
+    for (s, (_, links)) in adjacency.iter().enumerate() {
+        let targets: BTreeSet<usize> = links.iter().filter_map(|t| index.get(t).copied()).collect();
+        out_degree[s] = targets.len();
+        for t in targets {
+            in_lists[t].insert(s as u32);
+        }
+    }
     let mut in_offsets: Vec<usize> = Vec::with_capacity(n + 1);
     in_offsets.push(0);
-    let mut in_edges: Vec<u32> = Vec::with_capacity(graph.link_count());
-    for &p in &pages {
-        in_edges.extend(
-            graph
-                .in_links(p)
-                .iter()
-                .map(|&q| *index.get(q).expect("in-link source is in the graph")),
-        );
+    let mut in_edges: Vec<u32> = Vec::new();
+    for sources in &in_lists {
+        in_edges.extend(sources);
         in_offsets.push(in_edges.len());
     }
     let dangling_pages: Vec<usize> =

@@ -8,43 +8,52 @@
 //! between the same pair of sites collapse into one edge, mirroring how the
 //! hypergraph abstracts away page multiplicity.
 
-use crate::pagegraph::PageGraph;
+use crate::linkcsr::LinkCsr;
 use crate::pagerank::PageRankConfig;
 use std::collections::{BTreeMap, BTreeSet};
-use webevo_types::{Error, Result, SiteId};
+use webevo_types::{Error, PageId, Result, SiteId};
 
-/// A directed graph over sites, collapsed from a page graph. Adjacency is
-/// kept in ordered maps so neighbor iteration is deterministic by
-/// construction.
+/// A directed graph over sites, collapsed from a page-level link
+/// structure. Sites are held in ascending id order and every per-site
+/// vector is indexed by a site's position in that order, so iteration is
+/// deterministic by construction.
 #[derive(Clone, Debug, Default)]
 pub struct SiteGraph {
-    out: BTreeMap<SiteId, BTreeSet<SiteId>>,
-    inc: BTreeMap<SiteId, BTreeSet<SiteId>>,
+    /// Sites with at least one member page, ascending.
     sites: Vec<SiteId>,
+    /// Number of distinct out-neighbors of each site.
+    out_degree: Vec<usize>,
+    /// In-neighbor positions of each site, ascending.
+    inc: Vec<Vec<usize>>,
 }
 
 impl SiteGraph {
-    /// Collapse a page graph into its site hypergraph. Intra-site links are
+    /// Collapse a page-level link structure into its site hypergraph;
+    /// `site_of` names each member page's site. Intra-site links are
     /// dropped; inter-site page links become (de-duplicated) site edges.
-    pub fn from_page_graph(graph: &PageGraph) -> SiteGraph {
-        let mut sg = SiteGraph::default();
-        let mut seen: BTreeSet<SiteId> = BTreeSet::new();
-        for p in graph.pages() {
-            let s = graph.site_of(p).expect("iterating existing pages");
-            if seen.insert(s) {
-                sg.sites.push(s);
+    pub fn from_links(links: &LinkCsr, site_of: impl Fn(PageId) -> SiteId) -> SiteGraph {
+        let page_site: Vec<SiteId> = links.pages().iter().map(|&p| site_of(p)).collect();
+        let mut sites = page_site.clone();
+        sites.sort_unstable();
+        sites.dedup();
+        let slot: Vec<usize> =
+            page_site.iter().map(|s| sites.partition_point(|x| x < s)).collect();
+        let mut out = vec![BTreeSet::new(); sites.len()];
+        let mut inc = vec![BTreeSet::new(); sites.len()];
+        for (to_page, &to) in slot.iter().enumerate() {
+            for &from_page in links.in_sources(to_page) {
+                let from = slot[from_page as usize];
+                if from != to {
+                    out[from].insert(to);
+                    inc[to].insert(from);
+                }
             }
         }
-        sg.sites.sort_unstable();
-        for (from, to) in graph.links() {
-            let sf = graph.site_of(from).expect("link source exists");
-            let st = graph.site_of(to).expect("link target exists");
-            if sf != st {
-                sg.out.entry(sf).or_default().insert(st);
-                sg.inc.entry(st).or_default().insert(sf);
-            }
+        SiteGraph {
+            sites,
+            out_degree: out.iter().map(BTreeSet::len).collect(),
+            inc: inc.into_iter().map(|s| s.into_iter().collect()).collect(),
         }
-        sg
     }
 
     /// Number of sites.
@@ -54,7 +63,7 @@ impl SiteGraph {
 
     /// Number of inter-site edges.
     pub fn edge_count(&self) -> usize {
-        self.out.values().map(|s| s.len()).sum()
+        self.out_degree.iter().sum()
     }
 
     /// Sites in ascending id order.
@@ -62,19 +71,9 @@ impl SiteGraph {
         &self.sites
     }
 
-    /// Out-neighbors of a site.
-    pub fn out_neighbors(&self, s: SiteId) -> impl Iterator<Item = SiteId> + '_ {
-        self.out.get(&s).into_iter().flatten().copied()
-    }
-
-    /// In-neighbors of a site.
-    pub fn in_neighbors(&self, s: SiteId) -> impl Iterator<Item = SiteId> + '_ {
-        self.inc.get(&s).into_iter().flatten().copied()
-    }
-
-    /// Out-degree of a site.
+    /// Out-degree of a site (0 for a site that is not in the graph).
     pub fn out_degree(&self, s: SiteId) -> usize {
-        self.out.get(&s).map(|v| v.len()).unwrap_or(0)
+        self.sites.binary_search(&s).map_or(0, |i| self.out_degree[i])
     }
 }
 
@@ -87,37 +86,19 @@ pub fn site_pagerank(sg: &SiteGraph, config: &PageRankConfig) -> Result<BTreeMap
     if n == 0 {
         return Ok(BTreeMap::new());
     }
-    // `sites` is sorted, so a binary search replaces a site→slot map.
-    let index = |q: SiteId| {
-        sg.sites.binary_search(&q).expect("neighbor is a known site")
-    };
-    let out_degree: Vec<usize> = sg.sites.iter().map(|&s| sg.out_degree(s)).collect();
-    let in_edges: Vec<Vec<usize>> = sg
-        .sites
-        .iter()
-        .map(|&s| {
-            let mut v: Vec<usize> = sg.in_neighbors(s).map(index).collect();
-            v.sort_unstable();
-            v
-        })
-        .collect();
-
     let n_f = n as f64;
     let teleport = 1.0 - config.follow;
     let mut rank = vec![1.0; n];
     let mut next = vec![0.0; n];
     for _iteration in 1..=config.max_iterations {
         let dangling: f64 = (0..n)
-            .filter(|&i| out_degree[i] == 0)
+            .filter(|&i| sg.out_degree[i] == 0)
             .map(|i| rank[i])
             .sum::<f64>()
             / n_f;
-        for i in 0..n {
-            let mass: f64 = in_edges[i]
-                .iter()
-                .map(|&j| rank[j] / out_degree[j] as f64)
-                .sum();
-            next[i] = teleport + config.follow * (mass + dangling);
+        for (score, inc) in next.iter_mut().zip(&sg.inc) {
+            let mass: f64 = inc.iter().map(|&j| rank[j] / sg.out_degree[j] as f64).sum();
+            *score = teleport + config.follow * (mass + dangling);
         }
         let delta: f64 = rank
             .iter()
@@ -142,34 +123,34 @@ pub fn site_pagerank(sg: &SiteGraph, config: &PageRankConfig) -> Result<BTreeMap
 /// from which the paper took its "top 400 candidate sites".
 pub fn rank_sites(scores: &BTreeMap<SiteId, f64>) -> Vec<(SiteId, f64)> {
     let mut v: Vec<(SiteId, f64)> = scores.iter().map(|(&s, &r)| (s, r)).collect();
-    v.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("no NaN").then(a.0.cmp(&b.0)));
+    v.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
     v
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use webevo_types::PageId;
+    use crate::reference::csr;
 
-    fn build_two_site_graph() -> PageGraph {
+    /// Pages `10·k .. 10·k + 9` belong to site `k`.
+    fn site_of(p: PageId) -> SiteId {
+        SiteId((p.0 / 10) as u32)
+    }
+
+    fn site_graph(adjacency: &[(u64, Vec<u64>)]) -> SiteGraph {
+        SiteGraph::from_links(&csr(adjacency), site_of)
+    }
+
+    fn two_site_graph() -> SiteGraph {
         // Site 0: pages 0,1.  Site 1: pages 10,11.
-        // Inter-site: 0->10, 1->10 (collapse to one edge 0=>1), 10->0.
-        let mut g = PageGraph::new();
-        g.add_page(PageId(0), SiteId(0));
-        g.add_page(PageId(1), SiteId(0));
-        g.add_page(PageId(10), SiteId(1));
-        g.add_page(PageId(11), SiteId(1));
-        g.add_link(PageId(0), PageId(1)); // intra-site, dropped
-        g.add_link(PageId(0), PageId(10));
-        g.add_link(PageId(1), PageId(10));
-        g.add_link(PageId(10), PageId(0));
-        g
+        // Inter-site: 0->10, 1->10 (collapse to one edge 0=>1), 10->0;
+        // 0->1 is intra-site and dropped.
+        site_graph(&[(0, vec![1, 10]), (1, vec![10]), (10, vec![0]), (11, vec![])])
     }
 
     #[test]
     fn collapse_dedups_and_drops_intra_site() {
-        let g = build_two_site_graph();
-        let sg = SiteGraph::from_page_graph(&g);
+        let sg = two_site_graph();
         assert_eq!(sg.site_count(), 2);
         assert_eq!(sg.edge_count(), 2); // 0=>1 and 1=>0
         assert_eq!(sg.out_degree(SiteId(0)), 1);
@@ -178,9 +159,7 @@ mod tests {
 
     #[test]
     fn site_rank_symmetric_cycle_is_uniform() {
-        let g = build_two_site_graph();
-        let sg = SiteGraph::from_page_graph(&g);
-        let scores = site_pagerank(&sg, &PageRankConfig::conventional()).unwrap();
+        let scores = site_pagerank(&two_site_graph(), &PageRankConfig::conventional()).unwrap();
         assert!((scores[&SiteId(0)] - 1.0).abs() < 1e-8);
         assert!((scores[&SiteId(1)] - 1.0).abs() < 1e-8);
     }
@@ -188,14 +167,7 @@ mod tests {
     #[test]
     fn popular_site_ranks_first() {
         // Three sites; sites 1 and 2 both link to site 0, site 0 links to 1.
-        let mut g = PageGraph::new();
-        for (page, site) in [(0u64, 0u32), (1, 1), (2, 2)] {
-            g.add_page(PageId(page), SiteId(site));
-        }
-        g.add_link(PageId(1), PageId(0));
-        g.add_link(PageId(2), PageId(0));
-        g.add_link(PageId(0), PageId(1));
-        let sg = SiteGraph::from_page_graph(&g);
+        let sg = site_graph(&[(0, vec![10]), (10, vec![0]), (20, vec![0])]);
         let scores = site_pagerank(&sg, &PageRankConfig::conventional()).unwrap();
         let ranked = rank_sites(&scores);
         assert_eq!(ranked[0].0, SiteId(0));
@@ -203,7 +175,7 @@ mod tests {
 
     #[test]
     fn empty_site_graph() {
-        let sg = SiteGraph::from_page_graph(&PageGraph::new());
+        let sg = site_graph(&[]);
         assert_eq!(sg.site_count(), 0);
         assert!(site_pagerank(&sg, &PageRankConfig::conventional())
             .unwrap()
@@ -212,14 +184,7 @@ mod tests {
 
     #[test]
     fn scores_average_to_one() {
-        let mut g = PageGraph::new();
-        for (page, site) in [(0u64, 0u32), (1, 1), (2, 2), (3, 3)] {
-            g.add_page(PageId(page), SiteId(site));
-        }
-        g.add_link(PageId(1), PageId(0));
-        g.add_link(PageId(2), PageId(0));
-        g.add_link(PageId(3), PageId(2));
-        let sg = SiteGraph::from_page_graph(&g);
+        let sg = site_graph(&[(0, vec![]), (10, vec![0]), (20, vec![0]), (30, vec![20])]);
         let scores = site_pagerank(&sg, &PageRankConfig::paper_1999()).unwrap();
         let mean: f64 = scores.values().sum::<f64>() / scores.len() as f64;
         assert!((mean - 1.0).abs() < 1e-8, "mean={mean}");

@@ -10,7 +10,7 @@
 use std::sync::OnceLock;
 use webevo_core::view::{BoundaryPages, ViewBoundary};
 use webevo_core::CrawlMetrics;
-use webevo_graph::{pagerank_csr, LinkCsr, PageRankConfig, PageRankScores};
+use webevo_graph::{pagerank, LinkCsr, PageRankConfig, PageRankScores};
 use webevo_stats::Summary;
 use webevo_types::{Checksum, PageId, SiteId, Url};
 
@@ -315,7 +315,7 @@ impl CollectionView {
                     .filter(|p| p.site.is_some())
                     .map(|p| (p.page, p.links.iter().map(|link| link.page)))
             });
-            pagerank_csr(&links, &PageRankConfig::paper_1999()).unwrap_or_default()
+            pagerank(&links, &PageRankConfig::paper_1999()).unwrap_or_default()
         })
     }
 

@@ -4,7 +4,7 @@
 use crate::config::UniverseConfig;
 use crate::page::{EventRange, SimPage, SimSite};
 use crate::profile::DomainProfile;
-use webevo_graph::PageGraph;
+use webevo_graph::LinkCsr;
 use webevo_stats::{event_slice, generate_poisson_into, SimRng};
 use webevo_types::{Checksum, Domain, PageId, PageVersion, SiteId, Url};
 
@@ -370,26 +370,30 @@ impl WebUniverse {
         }
     }
 
-    /// Build a [`PageGraph`] snapshot of every page alive at `t` (all
-    /// slots, not just the window) — the substrate for site selection and
-    /// for ground-truth importance.
-    pub fn snapshot_graph(&self, t: f64) -> PageGraph {
-        let mut g = PageGraph::new();
-        for page in &self.pages {
-            if page.alive(t) {
-                g.add_page(page.id, page.site);
-            }
+    /// The link structure of every page alive at `t` (all slots, not just
+    /// the window) as a [`LinkCsr`] — the substrate for site selection and
+    /// for ground-truth importance. Each alive page's out-links are
+    /// generated once, into one flat buffer, and the structure is built
+    /// from slices of it: pages ascending, links to pages dead at `t`
+    /// dropped, parallel links collapsed and a self-link counted once.
+    pub fn snapshot_graph(&self, t: f64) -> LinkCsr {
+        let alive: Vec<PageId> =
+            self.pages.iter().filter(|page| page.alive(t)).map(|page| page.id).collect();
+        // Page `alive[i]` links to `targets[offsets[i]..offsets[i + 1]]`.
+        let mut targets: Vec<PageId> = Vec::new();
+        let mut offsets = vec![0];
+        let mut links = Vec::new();
+        for &p in &alive {
+            self.out_links_into(p, t, &mut links);
+            targets.extend(links.iter().map(|url| url.page));
+            offsets.push(targets.len());
         }
-        for page in &self.pages {
-            if page.alive(t) {
-                for url in self.out_links(page.id, t) {
-                    if g.contains(url.page) {
-                        g.add_link(page.id, url.page);
-                    }
-                }
-            }
-        }
-        g
+        LinkCsr::from_out_links(|| {
+            alive
+                .iter()
+                .zip(offsets.windows(2))
+                .map(|(&p, w)| (p, targets[w[0]..w[1]].iter().copied()))
+        })
     }
 
     /// Ground-truth mean change rate over the pages alive at `t` in every
@@ -608,9 +612,18 @@ mod tests {
     fn snapshot_graph_is_consistent() {
         let u = small();
         let g = u.snapshot_graph(10.0);
-        g.check_invariants();
         let alive_count = u.pages().iter().filter(|p| p.alive(10.0)).count();
         assert_eq!(g.page_count(), alive_count);
+        assert!(g.pages().iter().all(|&p| u.alive(p, 10.0)));
+        for (i, &target) in g.pages().iter().enumerate() {
+            let sources = g.in_sources(i);
+            assert!(sources.windows(2).all(|w| w[0] < w[1]), "ascending, no repeats");
+            for &s in sources {
+                // Indexing `pages` checks the source is a member.
+                let links = u.out_links(g.pages()[s as usize], 10.0);
+                assert!(links.iter().any(|url| url.page == target), "a real link");
+            }
+        }
         assert!(g.link_count() > 0);
     }
 

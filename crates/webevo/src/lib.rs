@@ -5,7 +5,7 @@
 //! (VLDB 2000)**: the web-evolution measurement study (§2–3), the
 //! freshness analysis of crawler design choices (§4), and the incremental
 //! crawler architecture (§5) — plus every substrate they need, built from
-//! scratch (synthetic evolving web, PageRank/HITS, statistics toolkit,
+//! scratch (synthetic evolving web, PageRank, statistics toolkit,
 //! change-frequency estimators, revisit-schedule optimizer).
 //!
 //! ## Quickstart
@@ -40,7 +40,7 @@
 //! |---|---|---|
 //! | [`types`] | — | ids, time, domains, checksums |
 //! | [`stats`] | §3.4 | sampling, histograms, CIs, goodness-of-fit |
-//! | [`graph`] | §2.2, §5 | PageRank (page + site level), HITS |
+//! | [`graph`] | §2.2, §5 | the flat link structure, PageRank (page + site level) |
 //! | [`sim`] | §2 | the synthetic evolving web + fetch interface |
 //! | [`experiment`] | §2–3 | daily monitor, Figures 2/4/5/6, Table 1 |
 //! | [`freshness`] | §4 | freshness/age analytics, Figures 7/8, Table 2 |
@@ -91,7 +91,7 @@ pub mod prelude {
         freshness_steady_inplace, freshness_steady_shadow, CrawlMode, CrawlPolicy,
         FreshnessSeries, UpdateMode,
     };
-    pub use webevo_graph::{hits, pagerank, PageGraph, PageRankConfig};
+    pub use webevo_graph::{pagerank, LinkCsr, PageRankConfig};
     pub use webevo_obs::{LogicalClock, MetricsRegistry, ObsSink, SpanRecord, Stage};
     pub use webevo_schedule::{
         evaluate_allocation, optimal_allocation, optimal_frequency_curve,

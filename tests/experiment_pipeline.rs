@@ -4,6 +4,7 @@
 
 use webevo::experiment::report;
 use webevo::prelude::*;
+use webevo::store::fnv64;
 
 fn small_report(seed: u64, failure_rate: f64) -> ExperimentReport {
     let universe = WebUniverse::generate(UniverseConfig::test_scale(seed));
@@ -97,4 +98,63 @@ fn selection_respects_candidate_ordering() {
     let top3 = select_sites(&universe, 0.0, 3, 3);
     // The top-3 candidates must be the first three of the full ranking.
     assert_eq!(top3.selected[..], all.selected[..3]);
+}
+
+/// Everything computed from the ground-truth link graph, pinned as one
+/// fnv64 digest per snapshot time: the graph's page and link counts,
+/// PageRank's score bits and iteration count in both forms, every site's
+/// selection rank and score bits, and a crawled collection's quality. The
+/// last time falls after churn, so dead pages and reoccupied slots are in
+/// the snapshot. The constants were printed by a build that held the links
+/// in a mutable adjacency graph; the flat link structure reproduces them.
+#[test]
+fn link_graph_outputs_match_golden_digests() {
+    let universe = WebUniverse::generate(UniverseConfig::test_scale(605));
+    let mut session = CrawlSession::builder()
+        .engine(EngineKind::Incremental)
+        .budget(CrawlBudget::paper_monthly(50).with_cycle_days(5.0))
+        .universe(&universe)
+        .build()
+        .expect("a valid session");
+    session.run(20.0).expect("the crawl runs");
+    let collection = session.collection().expect("incremental engines have a collection");
+    assert!(!collection.is_empty());
+
+    let late = 120.0;
+    assert!(universe.pages().iter().any(|p| p.death <= late), "churn kills pages");
+    assert!(
+        universe.pages().iter().any(|p| p.birth > 0.0 && p.alive(late)),
+        "churn reoccupies slots"
+    );
+    let sites = universe.site_count();
+    let digests: Vec<u64> = [0.0, 45.0, late]
+        .iter()
+        .map(|&t| {
+            let mut bytes: Vec<u8> = Vec::new();
+            let mut put = |v: u64| bytes.extend_from_slice(&v.to_le_bytes());
+            let graph = universe.snapshot_graph(t);
+            put(graph.page_count() as u64);
+            put(graph.link_count() as u64);
+            for cfg in [PageRankConfig::paper_1999(), PageRankConfig::conventional()] {
+                let scores = pagerank(&graph, &cfg).expect("pagerank converges");
+                put(scores.iterations() as u64);
+                for (page, score) in scores.iter() {
+                    put(page.0);
+                    put(score.to_bits());
+                }
+            }
+            let selection = select_sites(&universe, t, sites, sites);
+            for (site, score) in selection.selected.iter().zip(&selection.scores) {
+                put(u64::from(site.0));
+                put(score.to_bits());
+            }
+            put(collection_quality(collection, &universe, t).to_bits());
+            fnv64(&bytes)
+        })
+        .collect();
+    assert_eq!(
+        digests,
+        [0x70759eea3b259004, 0xd4d1e89b80e89a58, 0x8f19dc42324fca01],
+        "{digests:#018x?}"
+    );
 }
