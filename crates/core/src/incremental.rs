@@ -549,9 +549,9 @@ impl<X> IncrementalEngine<X> {
         }
         self.shell.observe_fetch(hook, seq, url, t, &result);
         match result {
-            Ok(outcome) => {
+            Ok(FetchOutcome { checksum, links, .. }) => {
                 if self.collection.contains(url.page) {
-                    self.collection.update(url.page, outcome.checksum, outcome.links.clone(), t);
+                    self.collection.update(url.page, checksum, links, t);
                 } else {
                     let admitted = self.admissions.remove(url.page);
                     if self.collection.is_full() {
@@ -572,7 +572,7 @@ impl<X> IncrementalEngine<X> {
                             }
                         }
                     }
-                    self.collection.save(url, outcome.checksum, outcome.links.clone(), t);
+                    self.collection.save(url, checksum, links, t);
                     let birth = universe.page(url.page).birth;
                     if birth >= self.shell.run_start {
                         // Only pages born during the run measure "how fast
@@ -583,12 +583,24 @@ impl<X> IncrementalEngine<X> {
                         self.shell.metrics.record_discovery_latency(t - found);
                     }
                 }
+                self.shell.truth.forget(url.page);
                 // Forward discovered URLs to AllUrls (Algorithm 5.1 steps
-                // [11]-[12]) with in-link evidence.
-                for link in &outcome.links {
-                    if !self.shell.divert_foreign(seq, url.page, *link) {
-                        self.admit_link(*link, url.page, t);
+                // [11]-[12]) with in-link evidence, after the store, so a
+                // self-link sees its page stored. The stored copy owns the
+                // fetched links; they are lent out meanwhile, since
+                // admission never reads a stored page's links.
+                let links = self
+                    .collection
+                    .get_mut(url.page)
+                    .map(|stored| std::mem::take(&mut stored.links))
+                    .unwrap_or_default();
+                for &link in &links {
+                    if !self.shell.divert_foreign(seq, url.page, link) {
+                        self.admit_link(link, url.page, t);
                     }
+                }
+                if let Some(stored) = self.collection.get_mut(url.page) {
+                    stored.links = links;
                 }
                 self.enqueue(url, self.update.next_due(url.page, t));
             }
@@ -733,7 +745,7 @@ impl<X> IncrementalEngine<X> {
     /// never of the crawl rate, whose slot times vary per fleet shard.
     fn flush_samples(&mut self, universe: &WebUniverse, until: f64) {
         self.sample_grid(universe, until);
-        self.shell.metrics.sample_freshness(universe, until, copies(&self.collection));
+        self.shell.sample(universe, until, copies(&self.collection));
     }
 
     /// Run `body` against a live pool: the coordinator's fetcher and a

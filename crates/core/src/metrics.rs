@@ -5,11 +5,42 @@
 //! reason). The engines call [`CrawlMetrics::sample`] on a fixed cadence
 //! and record admission events; the summaries feed Figure 10's comparison
 //! and the crawler-architecture benches.
+//!
+//! # The freshness sampler
+//!
+//! Every engine samples through one `CopyTruth`, held by its shell; the
+//! simulator's change schedules are read for evaluation only there.
+//! A stored copy `(p, crawled)` sampled at `t ≥ crawled` is fresh exactly
+//! when `t ≤ through`, where `through` is the earlier of the page's first
+//! change event at or after `crawled` and the last instant before its
+//! death. That is `WebUniverse::copy_is_fresh`'s "alive at `t` and no
+//! event in `[crawled, t)`", given `crawled ≥ birth`, which any copy a
+//! successful fetch made satisfies. A stale copy ages from
+//! `staled_at = min(first event > crawled, death)`. Both instants depend
+//! only on `(p, crawled)`, so they are derived once per copy, at the first
+//! sample that meets it, not once per sample.
+//!
+//! The contract this rests on:
+//!
+//! * sample times never decrease within one engine (a copy once stale
+//!   stays stale until it is recrawled; debug builds assert the order);
+//! * the engine forgets a copy whenever it stores or recrawls the page,
+//!   and forgets them all when it replaces the whole visible set;
+//! * a sample before the crawl, or a copy crawled before the page's
+//!   birth, is answered by the reference predicate directly (no engine
+//!   produces either).
+//!
+//! The freshness test's `[crawled, t)` and the age term's strict
+//! "first event after `crawled`" disagree on an event exactly at
+//! `crawled`: such a copy is stale from the first later instant yet ages
+//! from the next event (or death). That edge is preserved as it always
+//! was; changing it would move every freshness and age bit. Debug builds
+//! check each cached decision against the reference predicate.
 
 use webevo_freshness::FreshnessSeries;
 use webevo_sim::WebUniverse;
 use webevo_stats::Summary;
-use webevo_types::{wire_struct, PageId, WebEvoError};
+use webevo_types::{wire_struct, DenseSet, PageId, WebEvoError};
 
 /// Metrics collected over one crawler run.
 #[derive(Clone, Debug, Default)]
@@ -95,36 +126,6 @@ impl CrawlMetrics {
         }
         self.freshness.push(t, freshness);
         self.age.push(t, mean_age);
-    }
-
-    /// The one freshness sampler of every engine kind: record the
-    /// freshness and mean age at `t` of the user-visible `copies` — each a
-    /// `(page, day it was crawled)` pair — against ground truth. A stale
-    /// copy ages from the page's first change after the crawl (or from its
-    /// death); an empty collection samples as `(0, 0)`.
-    pub fn sample_freshness(
-        &mut self,
-        universe: &WebUniverse,
-        t: f64,
-        copies: impl Iterator<Item = (PageId, f64)>,
-    ) {
-        let (mut n, mut fresh, mut age_sum) = (0usize, 0usize, 0.0);
-        for (p, crawled) in copies {
-            n += 1;
-            if universe.copy_is_fresh(p, crawled, t) {
-                fresh += 1;
-            } else {
-                let page = universe.page(p);
-                let staled_at =
-                    universe.first_change_after(p, crawled).unwrap_or(page.death).min(page.death);
-                age_sum += (t - staled_at).max(0.0);
-            }
-        }
-        if n == 0 {
-            self.sample(t, 0.0, 0.0);
-        } else {
-            self.sample(t, fresh as f64 / n as f64, age_sum / n as f64);
-        }
     }
 
     /// Record a page becoming visible to users `latency` days after its
@@ -287,6 +288,149 @@ impl std::fmt::Display for CrawlMetrics {
     }
 }
 
+/// The freshness sampler: each visible copy's ground truth, derived once
+/// per copy (see the module docs). Evaluation state, not crawl state:
+/// like the shell's observers it is in no checkpoint, so a restored,
+/// replayed or rebalanced engine starts empty and rederives.
+#[derive(Debug, Default)]
+pub(crate) struct CopyTruth {
+    /// Per page id, sized by the largest id sampled: NaN while the page's
+    /// copy is underived, the instant it stays fresh through while it is
+    /// fresh, and its `staled_at` once `stale` holds the page.
+    known: Vec<f64>,
+    /// Pages whose copy a sample has found stale.
+    stale: DenseSet,
+    /// The latest instant sampled.
+    last_t: Option<f64>,
+}
+
+impl CopyTruth {
+    /// Forget the copy of `p`: the engine just stored or recrawled it.
+    pub(crate) fn forget(&mut self, p: PageId) {
+        if let Some(known) = self.known.get_mut(p.index()) {
+            *known = f64::NAN;
+        }
+        self.stale.remove(p);
+    }
+
+    /// Forget every copy: the engine replaced its whole visible set.
+    pub(crate) fn forget_all(&mut self) {
+        self.known.clear();
+        self.stale.clear();
+    }
+
+    /// Freshness and mean age at `t` of the user-visible `copies`, each a
+    /// `(page, day it was crawled)` pair, accumulated in iteration order.
+    /// An empty collection samples as `(0, 0)`.
+    pub(crate) fn sample(
+        &mut self,
+        universe: &WebUniverse,
+        t: f64,
+        copies: impl Iterator<Item = (PageId, f64)>,
+    ) -> (f64, f64) {
+        debug_assert!(
+            self.last_t.map_or(true, |last| t >= last),
+            "freshness sampled at {t} after {:?}",
+            self.last_t
+        );
+        self.last_t = Some(t);
+        let (mut n, mut fresh, mut age_sum) = (0usize, 0usize, 0.0);
+        for (p, crawled) in copies {
+            n += 1;
+            let staled_at = self.staled_at(universe, p, crawled, t);
+            debug_assert_eq!(
+                staled_at.map(f64::to_bits),
+                reference_staled_at(universe, p, crawled, t).map(f64::to_bits),
+                "derived truth of {p:?} crawled at {crawled} is wrong at {t}"
+            );
+            match staled_at {
+                None => fresh += 1,
+                Some(staled_at) => age_sum += (t - staled_at).max(0.0),
+            }
+        }
+        if n == 0 {
+            (0.0, 0.0)
+        } else {
+            (fresh as f64 / n as f64, age_sum / n as f64)
+        }
+    }
+
+    /// `None` when the copy of `p` crawled at `crawled` is fresh at `t`,
+    /// else the instant it went stale; derived at most twice per copy
+    /// (once fresh, once stale).
+    #[inline]
+    fn staled_at(
+        &mut self,
+        universe: &WebUniverse,
+        p: PageId,
+        crawled: f64,
+        t: f64,
+    ) -> Option<f64> {
+        if t < crawled {
+            return reference_staled_at(universe, p, crawled, t);
+        }
+        let i = p.index();
+        if i >= self.known.len() {
+            self.known.resize(i + 1, f64::NAN);
+        }
+        let known = self.known[i];
+        if self.stale.contains(p) {
+            return Some(known);
+        }
+        if t <= known {
+            return None;
+        }
+        // Underived (NaN), or fresh only through an instant now passed.
+        let page = universe.page(p);
+        if crawled < page.birth {
+            return reference_staled_at(universe, p, crawled, t);
+        }
+        if known.is_nan() {
+            let events = universe.events_of(p);
+            let next = events.get(events.partition_point(|&e| e < crawled));
+            let through = next.map_or(f64::INFINITY, |&e| e).min(last_instant_before(page.death));
+            self.known[i] = through;
+            if t <= through {
+                return None;
+            }
+        }
+        let staled_at =
+            universe.first_change_after(p, crawled).unwrap_or(page.death).min(page.death);
+        self.known[i] = staled_at;
+        self.stale.insert(p);
+        Some(staled_at)
+    }
+}
+
+/// The predicate [`CopyTruth`] derives once per copy, evaluated afresh:
+/// `None` when the copy is fresh at `t` (the page is alive and did not
+/// change in `[crawled, t)`), else the page's first change strictly after
+/// `crawled`, capped at its death.
+fn reference_staled_at(universe: &WebUniverse, p: PageId, crawled: f64, t: f64) -> Option<f64> {
+    if universe.copy_is_fresh(p, crawled, t) {
+        return None;
+    }
+    let death = universe.page(p).death;
+    Some(universe.first_change_after(p, crawled).unwrap_or(death).min(death))
+}
+
+/// The greatest `f64` below a death instant `x` (`+∞` ↦ `f64::MAX`), so
+/// that `t < x` exactly when `t ≤ last_instant_before(x)`. Bit arithmetic,
+/// because `f64::next_down` postdates the workspace's minimum Rust.
+fn last_instant_before(x: f64) -> f64 {
+    if x == f64::INFINITY {
+        f64::MAX
+    } else if x > 0.0 {
+        f64::from_bits(x.to_bits() - 1)
+    } else if x == 0.0 {
+        -f64::from_bits(1)
+    } else if x < 0.0 {
+        f64::from_bits(x.to_bits() + 1)
+    } else {
+        x
+    }
+}
+
 wire_struct!(FreshnessSeriesLike { times, values }
     reject |s| s.times.len() != s.values.len() => "age series times/values length mismatch");
 wire_struct!(CrawlMetrics {
@@ -366,6 +510,22 @@ mod tests {
         let shown = format!("{a}");
         assert!(shown.contains("value"));
         assert!(shown.contains("0.750"), "whole-run freshness average: {shown}");
+    }
+
+    #[test]
+    fn last_instant_before_is_the_strict_bound_as_an_inclusive_one() {
+        let tiny = f64::from_bits(1);
+        let deaths = [f64::INFINITY, f64::MAX, 130.0, 2.5, 1.0, tiny, 0.0, -0.0, -tiny, -3.0];
+        for x in deaths {
+            let below = last_instant_before(x);
+            assert!(below < x, "{below} must lie below {x}");
+            let probes = [x, below, -below, 0.0, -0.0, tiny, -tiny, 1.0, 130.0, f64::MAX];
+            for t in probes.into_iter().chain([f64::INFINITY, f64::NEG_INFINITY]) {
+                assert_eq!(t < x, t <= below, "t = {t}, x = {x}");
+            }
+        }
+        assert_eq!(last_instant_before(f64::INFINITY), f64::MAX);
+        assert_eq!(last_instant_before(1.0), 1.0 - f64::EPSILON / 2.0);
     }
 
     #[test]

@@ -383,6 +383,7 @@ impl PeriodicCrawler {
             }
         }
         self.current = window.shadow;
+        self.shell.truth.forget_all();
         self.shell.passes += 1;
         // The boundary fires with the swap done and the idle phase
         // entered: a snapshot taken here resumes into pure sampling,

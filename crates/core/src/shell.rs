@@ -8,10 +8,11 @@
 //! * the **run state** a checkpoint freezes — metrics, clock, start day,
 //!   started flag, fetch-sequence and pass counters, routing state — plus
 //!   the two write-only observers (observability sink, serving-view
-//!   publisher) that are deliberately *not* part of any checkpoint;
+//!   publisher) and the freshness sampler's per-copy ground truth, all
+//!   deliberately *not* part of any checkpoint;
 //! * the **sequences** every engine walks in the same order: the drive
-//!   and replay preludes, per-outcome fetch accounting, the sampling-grid
-//!   loop, the routing plumbing (foreign-link diversion, the routed-batch
+//!   and replay preludes, per-outcome fetch accounting, the freshness
+//!   sampler and its grid loop, the routing plumbing (foreign-link diversion, the routed-batch
 //!   stamp and header), and the pass boundary (pass span and queue gauge,
 //!   then durability hook, then view publisher).
 //!
@@ -22,7 +23,7 @@
 
 use crate::engine::CrawlEngine;
 use crate::hooks::{CrawlHook, FetchRecord};
-use crate::metrics::CrawlMetrics;
+use crate::metrics::{CopyTruth, CrawlMetrics};
 use crate::routing::{RoutedBatch, RoutedLink, RoutingState, WalEvent};
 use crate::state::{CrawlerState, EngineClock};
 use crate::view::{BoundaryPages, ViewBoundary, ViewPublisher};
@@ -65,6 +66,11 @@ pub struct EngineShell {
     /// and absent from [`CrawlerState`] for the same reason as `obs`: a
     /// served run stays byte-identical to an unserved one.
     pub(crate) publisher: Option<Box<dyn ViewPublisher>>,
+    /// The freshness sampler's per-copy ground truth. Absent from
+    /// [`CrawlerState`] like the observers: it caches what the universe
+    /// already says about the stored copies, so a fresh shell rederives
+    /// it. The engine forgets a copy wherever it stores or replaces one.
+    pub(crate) truth: CopyTruth,
 }
 
 impl EngineShell {
@@ -169,9 +175,21 @@ impl EngineShell {
         }
     }
 
-    /// Emit every pending grid sample up to and including `through`:
-    /// freshness and mean age of the user-visible `copies` (each a `(page,
-    /// day it was crawled)` pair) against ground truth — evaluation only.
+    /// Record the freshness and mean age at `t` of the user-visible
+    /// `copies` (each a `(page, day it was crawled)` pair) against ground
+    /// truth — evaluation only — under a `sample` span.
+    pub(crate) fn sample(
+        &mut self,
+        universe: &WebUniverse,
+        t: f64,
+        copies: impl Iterator<Item = (PageId, f64)>,
+    ) {
+        let _sample = self.obs.span(Stage::Sample, LogicalClock::new(t, self.fetch_seq));
+        let (freshness, mean_age) = self.truth.sample(universe, t, copies);
+        self.metrics.sample(t, freshness, mean_age);
+    }
+
+    /// Emit every pending grid sample up to and including `through`.
     /// Samples sit on the grid instants, never on the slot that crossed
     /// them: slot times depend on the crawl rate, and fleet shards crawl at
     /// apportioned rates yet must sample on one shared grid to merge.
@@ -183,7 +201,7 @@ impl EngineShell {
         copies: impl Fn() -> I,
     ) {
         while self.clock.next_sample <= through {
-            self.metrics.sample_freshness(universe, self.clock.next_sample, copies());
+            self.sample(universe, self.clock.next_sample, copies());
             self.clock.next_sample += interval;
         }
     }
@@ -267,5 +285,159 @@ pub(crate) fn announce_boundary(
             state.fetcher = fetcher_state();
             state
         });
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
+    use webevo_sim::UniverseConfig;
+
+    /// `CrawlMetrics::sample_freshness` as it stood before the sampler
+    /// derived each copy's truth once, verbatim: the oracle of
+    /// `the_sampler_matches_the_per_sample_loop`.
+    fn reference_sample_freshness(
+        metrics: &mut CrawlMetrics,
+        universe: &WebUniverse,
+        t: f64,
+        copies: impl Iterator<Item = (PageId, f64)>,
+    ) {
+        let (mut n, mut fresh, mut age_sum) = (0usize, 0usize, 0.0);
+        for (p, crawled) in copies {
+            n += 1;
+            if universe.copy_is_fresh(p, crawled, t) {
+                fresh += 1;
+            } else {
+                let page = universe.page(p);
+                let staled_at =
+                    universe.first_change_after(p, crawled).unwrap_or(page.death).min(page.death);
+                age_sum += (t - staled_at).max(0.0);
+            }
+        }
+        if n == 0 {
+            metrics.sample(t, 0.0, 0.0);
+        } else {
+            metrics.sample(t, fresh as f64 / n as f64, age_sum / n as f64);
+        }
+    }
+
+    /// The neighbouring `f64` of a finite `x`, above or below it.
+    fn ulp(x: f64, up: bool) -> f64 {
+        if x == 0.0 {
+            let tiny = f64::from_bits(1);
+            return if up { tiny } else { -tiny };
+        }
+        let bits = x.to_bits();
+        f64::from_bits(if (x > 0.0) == up { bits + 1 } else { bits - 1 })
+    }
+
+    /// Every freshness and age row, as bits.
+    fn row_bits(metrics: &CrawlMetrics) -> Vec<(u64, u64, u64)> {
+        metrics
+            .freshness
+            .rows()
+            .zip(metrics.age.rows())
+            .map(|((t, fresh), (_, age))| (t.to_bits(), fresh.to_bits(), age.to_bits()))
+            .collect()
+    }
+
+    proptest! {
+        /// The shell's sampler records bit for bit what the per-sample
+        /// loop records, through random stores, recrawls, evictions and
+        /// whole-set swaps and non-decreasing sample instants. Probes:
+        /// samples at the crawl instant and before it, at an event time,
+        /// at death and one ulp either side of both; a copy crawled exactly
+        /// at an event (where `[crawled, t)` and the strict "first change
+        /// after" disagree), just before death, or before birth; universes
+        /// with and without churn (all pages immortal).
+        #[test]
+        fn the_sampler_matches_the_per_sample_loop(
+            universe_seed in 0u64..6,
+            churn in 0u8..3,
+            ops in prop::collection::vec((0u8..8, 0u64..1 << 20, 0u8..8, 0.0f64..1.0), 1..80),
+        ) {
+            let mut config = UniverseConfig::test_scale(universe_seed);
+            config.churn = churn != 0;
+            let universe = WebUniverse::generate(config);
+            let pages = universe.pages();
+            let horizon = universe.config().horizon_days;
+            let mut shell = EngineShell::default();
+            let mut oracle = CrawlMetrics::default();
+            let mut copies: BTreeMap<PageId, f64> = BTreeMap::new();
+            let mut t = 0.0;
+            for (kind, pick, probe, frac) in ops {
+                let up = pick % 2 == 0;
+                // A random page, and one whose copy is held, if any.
+                let page = &pages[(pick % pages.len() as u64) as usize];
+                let held = copies
+                    .keys()
+                    .nth(pick as usize % copies.len().max(1))
+                    .map_or(page, |&p| universe.page(p));
+                match kind {
+                    // Store or recrawl one copy.
+                    0..=2 => {
+                        let events = universe.events_of(page.id);
+                        let event = events.get((frac * events.len() as f64) as usize).copied();
+                        let end = page.death.min(horizon);
+                        let crawled = match probe {
+                            0 => t,
+                            1 => page.birth + frac * (end - page.birth),
+                            2 => event.unwrap_or(page.birth),
+                            3 => event.map_or(page.birth, |e| ulp(e, up)),
+                            4 => page.birth,
+                            5 => page.birth - 1.0 - frac,
+                            6 if page.death.is_finite() => ulp(page.death, false),
+                            _ => t + frac * 3.0,
+                        };
+                        copies.insert(page.id, crawled);
+                        shell.truth.forget(page.id);
+                    }
+                    // Evict a held copy: engines forget nothing on eviction.
+                    3 => {
+                        copies.remove(&held.id);
+                    }
+                    // Replace the whole visible set.
+                    4 => {
+                        let n = pages.len() as u64;
+                        copies = (0..pick % 24)
+                            .map(|k| {
+                                let q = &pages[((pick / 24 + k * 7919) % n) as usize];
+                                (q.id, q.birth.max(t - frac * 10.0 * k as f64))
+                            })
+                            .collect();
+                        shell.truth.forget_all();
+                    }
+                    // Sample at a non-decreasing instant.
+                    _ => {
+                        let events = universe.events_of(held.id);
+                        let event = events.get((frac * events.len() as f64) as usize).copied();
+                        let death = held.death;
+                        let next = match probe {
+                            0 => t,
+                            1 => t + frac * 5.0,
+                            2 => event.unwrap_or(t),
+                            3 => event.map_or(t, |e| ulp(e, up)),
+                            4 => death,
+                            5 if death.is_finite() => ulp(death, up),
+                            6 => copies.get(&held.id).copied().unwrap_or(t),
+                            _ => t + frac * 40.0,
+                        };
+                        if next.is_finite() && next > t {
+                            t = next;
+                        }
+                        shell.sample(&universe, t, copies.iter().map(|(&p, &c)| (p, c)));
+                        reference_sample_freshness(
+                            &mut oracle,
+                            &universe,
+                            t,
+                            copies.iter().map(|(&p, &c)| (p, c)),
+                        );
+                    }
+                }
+            }
+            prop_assert_eq!(row_bits(&shell.metrics), row_bits(&oracle));
+        }
     }
 }

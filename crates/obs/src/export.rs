@@ -244,6 +244,7 @@ mod tests {
             let _drive = shard.span(Stage::Drive, LogicalClock::new(0.0, 0));
             {
                 let _batch = shard.span(Stage::FetchBatch, LogicalClock::new(0.2, 9));
+                let _sample = shard.span(Stage::Sample, LogicalClock::new(0.5, 9));
             }
             let _flush = shard.span(Stage::WalFlush, LogicalClock::new(1.0, 30));
         }
@@ -261,7 +262,7 @@ mod tests {
         sink.write_trace_jsonl(&mut buffer).unwrap();
         let text = String::from_utf8(buffer).unwrap();
         let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 3);
+        assert_eq!(lines.len(), 4);
         for line in &lines {
             assert!(line.starts_with('{') && line.ends_with('}'), "{line}");
         }
@@ -269,6 +270,9 @@ mod tests {
         assert!(lines[1].contains("\"path\":\"drive;fetch_batch\""));
         assert!(lines[1].contains("\"shard\":0"));
         assert!(lines[1].contains("\"fetch_seq\":9"));
+        assert!(lines[2].contains("\"span\":\"sample\""));
+        assert!(lines[2].contains("\"path\":\"drive;fetch_batch;sample\""));
+        assert!(lines[2].contains("\"day\":0.5"));
     }
 
     #[test]
@@ -306,6 +310,7 @@ mod tests {
         let report = sink.stage_report();
         assert!(report.contains("drive"));
         assert!(report.contains("fetch_batch"));
+        assert!(report.contains("sample"));
         assert!(report.contains("wal_flush"));
         assert!(report.contains('%'));
         // And the empty sink says so rather than printing a bare header.

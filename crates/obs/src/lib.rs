@@ -25,8 +25,9 @@
 //!   everything it records with a [`ShardId`], which is how one fleet-wide
 //!   sink yields per-shard series.
 //! * **Spans** ([`ObsSink::span`], [`SpanGuard`]) — hierarchical stages
-//!   ([`Stage`]): drive → pass/cycle → fetch batch, WAL flush, snapshot
-//!   encode/decode, exchange barrier, rebalance. Each span records wall
+//!   ([`Stage`]): drive → pass/cycle → fetch batch → freshness sample,
+//!   WAL flush, snapshot encode/decode, exchange barrier, rebalance.
+//!   Each span records wall
 //!   time *and* the logical clock ([`LogicalClock`]: day + fetch sequence,
 //!   plus the sink's shard), so traces line up across shards and across
 //!   replays even though wall times differ run to run.
@@ -105,6 +106,9 @@ pub enum Stage {
     Cycle,
     /// The fetching work between two consecutive boundaries.
     FetchBatch,
+    /// One freshness/age sample of the user-visible collection against
+    /// simulator ground truth, stamped with the sampled instant.
+    Sample,
     /// Encoding and atomically writing one snapshot.
     SnapshotEncode,
     /// Reading and decoding a checkpoint during recovery.
@@ -131,6 +135,7 @@ impl Stage {
             Stage::Reallocate => "reallocate",
             Stage::Cycle => "cycle",
             Stage::FetchBatch => "fetch_batch",
+            Stage::Sample => "sample",
             Stage::SnapshotEncode => "snapshot_encode",
             Stage::SnapshotDecode => "snapshot_decode",
             Stage::WalFlush => "wal_flush",
@@ -503,6 +508,7 @@ mod tests {
             Stage::Reallocate,
             Stage::Cycle,
             Stage::FetchBatch,
+            Stage::Sample,
             Stage::SnapshotEncode,
             Stage::SnapshotDecode,
             Stage::WalFlush,
@@ -523,6 +529,7 @@ mod tests {
                 "reallocate",
                 "cycle",
                 "fetch_batch",
+                "sample",
                 "snapshot_encode",
                 "snapshot_decode",
                 "wal_flush",

@@ -818,9 +818,9 @@ fn assert_observation_is_free(tag: &str, kind: EngineKind) {
         EngineKind::Periodic => &[],
         _ => &[Stage::RankBuild, Stage::RankSolve, Stage::Reallocate],
     };
-    for &stage in [Stage::Drive, Stage::Pass, Stage::FetchBatch, Stage::WalFlush, Stage::SnapshotEncode]
-        .iter()
-        .chain(pass_stages)
+    let stages =
+        [Stage::Drive, Stage::Pass, Stage::FetchBatch, Stage::Sample, Stage::WalFlush, Stage::SnapshotEncode];
+    for &stage in stages.iter().chain(pass_stages)
     {
         assert!(
             spans.iter().any(|s| s.stage == stage),
@@ -893,6 +893,7 @@ fn fleet_traced_run_is_byte_identical_to_untraced() {
         Stage::Drive,
         Stage::Pass,
         Stage::FetchBatch,
+        Stage::Sample,
         Stage::WalFlush,
         Stage::SnapshotEncode,
         Stage::ExchangeBarrier,
