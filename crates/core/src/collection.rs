@@ -96,9 +96,9 @@ impl Collection {
         assert!(!self.pages.contains(url.page), "page already stored: use update");
         let mut history = ChangeHistory::new(self.history_window);
         history.record_visit(t, checksum);
-        let mut bayes = BayesianEstimator::uniform_prior(BayesianEstimator::paper_classes())
+        // The first visit carries no comparison: the prior stands.
+        let bayes = BayesianEstimator::uniform_prior(BayesianEstimator::paper_classes())
             .expect("paper classes are non-empty");
-        let _ = &mut bayes; // first visit carries no comparison information
         self.pages.insert(
             url.page,
             StoredPage {

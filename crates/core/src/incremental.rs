@@ -569,6 +569,7 @@ impl<X> IncrementalEngine<X> {
                                 self.queue.remove(stored.url);
                                 self.queued.remove(victim);
                                 self.update.forget(victim);
+                                self.shell.truth.remove(victim);
                             }
                         }
                     }
@@ -583,7 +584,8 @@ impl<X> IncrementalEngine<X> {
                         self.shell.metrics.record_discovery_latency(t - found);
                     }
                 }
-                self.shell.truth.forget(url.page);
+                // The page and the events the fetch just read are in cache.
+                self.shell.truth.store(universe, url.page, t);
                 // Forward discovered URLs to AllUrls (Algorithm 5.1 steps
                 // [11]-[12]) with in-link evidence, after the store, so a
                 // self-link sees its page stored. The stored copy owns the
@@ -609,6 +611,7 @@ impl<X> IncrementalEngine<X> {
                 self.admissions.remove(url.page);
                 if self.collection.discard(url.page).is_some() {
                     self.update.forget(url.page);
+                    self.shell.truth.remove(url.page);
                 }
                 // The freed slot is refilled by the next ranking pass.
             }

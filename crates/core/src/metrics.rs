@@ -17,30 +17,41 @@
 //! event in `[crawled, t)`", given `crawled ≥ birth`, which any copy a
 //! successful fetch made satisfies. A stale copy ages from
 //! `staled_at = min(first event > crawled, death)`. Both instants depend
-//! only on `(p, crawled)`, so they are derived once per copy, at the first
-//! sample that meets it, not once per sample.
+//! only on `(p, crawled)`, so they are derived when the copy is stored,
+//! from one binary search of the page's events, while the fetch that
+//! made the copy has them in cache.
+//!
+//! `CopyTruth` is a mirror of the engine's visible copy set: two
+//! `PageId`-indexed columns, `through` and `staled_at` (NaN where no copy
+//! is held), and a copy count. A sample is one pass over the columns in
+//! ascending id, the order the engines' copy iterators walk, so every age
+//! sum adds the same terms in the same order as the per-copy loop it
+//! replaced.
 //!
 //! The contract this rests on:
 //!
-//! * sample times never decrease within one engine (a copy once stale
-//!   stays stale until it is recrawled; debug builds assert the order);
-//! * the engine forgets a copy whenever it stores or recrawls the page,
-//!   and forgets them all when it replaces the whole visible set;
-//! * a sample before the crawl, or a copy crawled before the page's
-//!   birth, is answered by the reference predicate directly (no engine
-//!   produces either).
+//! * the engine calls `store` wherever it stores or recrawls a copy,
+//!   `remove` wherever it discards one, and `clear` before storing a
+//!   whole new visible set;
+//! * no sample precedes a held copy's crawl, and no copy is crawled
+//!   before its page's birth; sample times never decrease.
+//!
+//! A new or restored engine's mirror is unbuilt: it ignores stores and
+//! removes until its first sample rebuilds it from the engine's copies.
+//! Debug builds assert the contract and check the mirror against the
+//! engine's copies at every sample: the count, and each copy's re-derived
+//! pair.
 //!
 //! The freshness test's `[crawled, t)` and the age term's strict
 //! "first event after `crawled`" disagree on an event exactly at
 //! `crawled`: such a copy is stale from the first later instant yet ages
 //! from the next event (or death). That edge is preserved as it always
-//! was; changing it would move every freshness and age bit. Debug builds
-//! check each cached decision against the reference predicate.
+//! was; changing it would move every freshness and age bit.
 
 use webevo_freshness::FreshnessSeries;
 use webevo_sim::WebUniverse;
 use webevo_stats::Summary;
-use webevo_types::{wire_struct, DenseSet, PageId, WebEvoError};
+use webevo_types::{wire_struct, PageId, WebEvoError};
 
 /// Metrics collected over one crawler run.
 #[derive(Clone, Debug, Default)]
@@ -288,40 +299,70 @@ impl std::fmt::Display for CrawlMetrics {
     }
 }
 
-/// The freshness sampler: each visible copy's ground truth, derived once
-/// per copy (see the module docs). Evaluation state, not crawl state:
-/// like the shell's observers it is in no checkpoint, so a restored,
-/// replayed or rebalanced engine starts empty and rederives.
+/// The freshness sampler: a mirror of the engine's visible copies, each
+/// copy's ground truth derived when it is stored (see the module docs).
+/// Evaluation state, not crawl state: like the shell's observers it is in
+/// no checkpoint, so a restored, replayed or rebalanced engine starts
+/// unbuilt and rebuilds at its first sample.
 #[derive(Debug, Default)]
 pub(crate) struct CopyTruth {
-    /// Per page id, sized by the largest id sampled: NaN while the page's
-    /// copy is underived, the instant it stays fresh through while it is
-    /// fresh, and its `staled_at` once `stale` holds the page.
-    known: Vec<f64>,
-    /// Pages whose copy a sample has found stale.
-    stale: DenseSet,
+    /// Per page id, sized by the largest id stored: the last instant the
+    /// held copy is fresh through, NaN where no copy is held.
+    through: Vec<f64>,
+    /// Per page id: the instant the held copy goes stale from, NaN where
+    /// no copy is held.
+    staled_at: Vec<f64>,
+    /// Copies held.
+    copies: usize,
+    /// Whether the columns mirror the engine's copies: false until the
+    /// first sample or [`CopyTruth::clear`].
+    built: bool,
     /// The latest instant sampled.
     last_t: Option<f64>,
 }
 
 impl CopyTruth {
-    /// Forget the copy of `p`: the engine just stored or recrawled it.
-    pub(crate) fn forget(&mut self, p: PageId) {
-        if let Some(known) = self.known.get_mut(p.index()) {
-            *known = f64::NAN;
+    /// The engine stored or recrawled the copy of `p` at `crawled`.
+    pub(crate) fn store(&mut self, universe: &WebUniverse, p: PageId, crawled: f64) {
+        if !self.built {
+            return;
         }
-        self.stale.remove(p);
+        let i = p.index();
+        if i >= self.through.len() {
+            self.through.resize(i + 1, f64::NAN);
+            self.staled_at.resize(i + 1, f64::NAN);
+        }
+        if self.through[i].is_nan() {
+            self.copies += 1;
+        }
+        (self.through[i], self.staled_at[i]) = derive(universe, p, crawled);
     }
 
-    /// Forget every copy: the engine replaced its whole visible set.
-    pub(crate) fn forget_all(&mut self) {
-        self.known.clear();
-        self.stale.clear();
+    /// The engine discarded the copy of `p`.
+    pub(crate) fn remove(&mut self, p: PageId) {
+        let i = p.index();
+        if let Some(through) = self.through.get_mut(i) {
+            if !through.is_nan() {
+                *through = f64::NAN;
+                self.staled_at[i] = f64::NAN;
+                self.copies -= 1;
+            }
+        }
+    }
+
+    /// The engine's visible set is now empty: it is about to store a whole
+    /// new one.
+    pub(crate) fn clear(&mut self) {
+        self.through.clear();
+        self.staled_at.clear();
+        self.copies = 0;
+        self.built = true;
     }
 
     /// Freshness and mean age at `t` of the user-visible `copies`, each a
-    /// `(page, day it was crawled)` pair, accumulated in iteration order.
-    /// An empty collection samples as `(0, 0)`.
+    /// `(page, day it was crawled)` pair in ascending page order. They are
+    /// read only to build the mirror at the first sample, and in debug
+    /// builds to check it. An empty collection samples as `(0, 0)`.
     pub(crate) fn sample(
         &mut self,
         universe: &WebUniverse,
@@ -334,84 +375,67 @@ impl CopyTruth {
             self.last_t
         );
         self.last_t = Some(t);
-        let (mut n, mut fresh, mut age_sum) = (0usize, 0usize, 0.0);
-        for (p, crawled) in copies {
-            n += 1;
-            let staled_at = self.staled_at(universe, p, crawled, t);
-            debug_assert_eq!(
-                staled_at.map(f64::to_bits),
-                reference_staled_at(universe, p, crawled, t).map(f64::to_bits),
-                "derived truth of {p:?} crawled at {crawled} is wrong at {t}"
-            );
-            match staled_at {
-                None => fresh += 1,
-                Some(staled_at) => age_sum += (t - staled_at).max(0.0),
+        let rebuild = !self.built;
+        if rebuild {
+            self.clear();
+        }
+        if rebuild || cfg!(debug_assertions) {
+            let mut n = 0usize;
+            for (p, crawled) in copies {
+                n += 1;
+                debug_assert!(t >= crawled, "sampled at {t}, before {p:?}'s crawl at {crawled}");
+                if rebuild {
+                    self.store(universe, p, crawled);
+                } else {
+                    self.check(universe, p, crawled);
+                }
             }
+            debug_assert_eq!(n, self.copies, "the freshness mirror's copy count drifted");
         }
-        if n == 0 {
-            (0.0, 0.0)
-        } else {
-            (fresh as f64 / n as f64, age_sum / n as f64)
+        if self.copies == 0 {
+            return (0.0, 0.0);
         }
+        let (mut fresh, mut age_sum) = (0usize, 0.0);
+        for (&through, &staled_at) in self.through.iter().zip(&self.staled_at) {
+            fresh += usize::from(t <= through);
+            // A fresh copy's `staled_at` is at or after `through`, so at
+            // or after `t`, and an empty slot's is NaN, which `max` drops:
+            // either term is a zero, and a zero leaves the sum (which
+            // starts at +0.0, so is never -0.0) bit for bit as it was.
+            age_sum += (t - staled_at).max(0.0);
+        }
+        let n = self.copies as f64;
+        (fresh as f64 / n, age_sum / n)
     }
 
-    /// `None` when the copy of `p` crawled at `crawled` is fresh at `t`,
-    /// else the instant it went stale; derived at most twice per copy
-    /// (once fresh, once stale).
-    #[inline]
-    fn staled_at(
-        &mut self,
-        universe: &WebUniverse,
-        p: PageId,
-        crawled: f64,
-        t: f64,
-    ) -> Option<f64> {
-        if t < crawled {
-            return reference_staled_at(universe, p, crawled, t);
-        }
+    /// Debug builds: the mirror holds the pair `derive` gives the copy of
+    /// `p` crawled at `crawled`.
+    fn check(&self, universe: &WebUniverse, p: PageId, crawled: f64) {
         let i = p.index();
-        if i >= self.known.len() {
-            self.known.resize(i + 1, f64::NAN);
-        }
-        let known = self.known[i];
-        if self.stale.contains(p) {
-            return Some(known);
-        }
-        if t <= known {
-            return None;
-        }
-        // Underived (NaN), or fresh only through an instant now passed.
-        let page = universe.page(p);
-        if crawled < page.birth {
-            return reference_staled_at(universe, p, crawled, t);
-        }
-        if known.is_nan() {
-            let events = universe.events_of(p);
-            let next = events.get(events.partition_point(|&e| e < crawled));
-            let through = next.map_or(f64::INFINITY, |&e| e).min(last_instant_before(page.death));
-            self.known[i] = through;
-            if t <= through {
-                return None;
-            }
-        }
-        let staled_at =
-            universe.first_change_after(p, crawled).unwrap_or(page.death).min(page.death);
-        self.known[i] = staled_at;
-        self.stale.insert(p);
-        Some(staled_at)
+        let held = (self.through.get(i).copied(), self.staled_at.get(i).copied());
+        let (through, staled_at) = derive(universe, p, crawled);
+        debug_assert!(
+            held.0.map(f64::to_bits) == Some(through.to_bits())
+                && held.1.map(f64::to_bits) == Some(staled_at.to_bits()),
+            "the freshness mirror holds {held:?} for {p:?} crawled at {crawled}, \
+             not ({through}, {staled_at}): a store or remove was missed"
+        );
     }
 }
 
-/// The predicate [`CopyTruth`] derives once per copy, evaluated afresh:
-/// `None` when the copy is fresh at `t` (the page is alive and did not
-/// change in `[crawled, t)`), else the page's first change strictly after
-/// `crawled`, capped at its death.
-fn reference_staled_at(universe: &WebUniverse, p: PageId, crawled: f64, t: f64) -> Option<f64> {
-    if universe.copy_is_fresh(p, crawled, t) {
-        return None;
-    }
-    let death = universe.page(p).death;
-    Some(universe.first_change_after(p, crawled).unwrap_or(death).min(death))
+/// The `(through, staled_at)` pair of the copy of `p` crawled at
+/// `crawled`, from one binary search of the page's events: the first
+/// event at or after `crawled` capped at the last instant before death,
+/// and the first event strictly after `crawled` capped at death.
+fn derive(universe: &WebUniverse, p: PageId, crawled: f64) -> (f64, f64) {
+    let page = universe.page(p);
+    debug_assert!(crawled >= page.birth, "{p:?} crawled at {crawled}, before its birth");
+    let events = universe.events_of(p);
+    let at = events.partition_point(|&e| e < crawled);
+    let after = at + events[at..].iter().take_while(|&&e| e <= crawled).count();
+    let through = events.get(at).map_or(f64::INFINITY, |&e| e);
+    let staled_at = events.get(after).map_or(page.death, |&e| e);
+    (through.min(last_instant_before(page.death)), staled_at.min(page.death))
 }
 
 /// The greatest `f64` below a death instant `x` (`+∞` ↦ `f64::MAX`), so

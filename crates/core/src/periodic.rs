@@ -370,7 +370,9 @@ impl PeriodicCrawler {
         let window = self.window.take().expect("window in progress");
         let _pass = self.shell.open_pass(window.frontier.len());
         let swap_time = self.cycle_start + self.config.window_days;
+        self.shell.truth.clear();
         for (p, snap) in window.shadow.iter() {
+            self.shell.truth.store(universe, p, snap.crawl_time);
             if !self.first_visible.contains(p) {
                 self.first_visible.insert(p, swap_time);
                 let birth = universe.page(p).birth;
@@ -383,7 +385,6 @@ impl PeriodicCrawler {
             }
         }
         self.current = window.shadow;
-        self.shell.truth.forget_all();
         self.shell.passes += 1;
         // The boundary fires with the swap done and the idle phase
         // entered: a snapshot taken here resumes into pure sampling,

@@ -66,10 +66,13 @@ pub struct EngineShell {
     /// and absent from [`CrawlerState`] for the same reason as `obs`: a
     /// served run stays byte-identical to an unserved one.
     pub(crate) publisher: Option<Box<dyn ViewPublisher>>,
-    /// The freshness sampler's per-copy ground truth. Absent from
-    /// [`CrawlerState`] like the observers: it caches what the universe
-    /// already says about the stored copies, so a fresh shell rederives
-    /// it. The engine forgets a copy wherever it stores or replaces one.
+    /// The freshness sampler: a mirror of the visible copies with each
+    /// one's ground truth. The engine stores a copy wherever it stores or
+    /// recrawls one, removes it wherever it discards one, and clears the
+    /// mirror before storing a whole new visible set. Absent from
+    /// [`CrawlerState`] like the observers: it only restates what the
+    /// universe says about the copies, so a restored shell's mirror
+    /// rebuilds from the engine's copies at its first sample.
     pub(crate) truth: CopyTruth,
 }
 
@@ -296,8 +299,8 @@ mod tests {
     use webevo_sim::UniverseConfig;
 
     /// `CrawlMetrics::sample_freshness` as it stood before the sampler
-    /// derived each copy's truth once, verbatim: the oracle of
-    /// `the_sampler_matches_the_per_sample_loop`.
+    /// derived each copy's truth ahead of sampling, verbatim: the oracle
+    /// of `the_sampler_matches_the_per_sample_loop`.
     fn reference_sample_freshness(
         metrics: &mut CrawlMetrics,
         universe: &WebUniverse,
@@ -345,18 +348,21 @@ mod tests {
 
     proptest! {
         /// The shell's sampler records bit for bit what the per-sample
-        /// loop records, through random stores, recrawls, evictions and
-        /// whole-set swaps and non-decreasing sample instants. Probes:
-        /// samples at the crawl instant and before it, at an event time,
-        /// at death and one ulp either side of both; a copy crawled exactly
-        /// at an event (where `[crawled, t)` and the strict "first change
-        /// after" disagree), just before death, or before birth; universes
-        /// with and without churn (all pages immortal).
+        /// loop records, through random stores, recrawls, removals,
+        /// whole-set swaps, restores (a fresh mirror that rebuilds from
+        /// the copies at its next sample) and non-decreasing sample
+        /// instants. Probes, within the sampling contract: a sample at the
+        /// crawl instant (a store moves the clock to its crawl), at an
+        /// event time, at death and one ulp either side of both; a copy
+        /// crawled exactly at an event (where `[crawled, t)` and the strict
+        /// "first change after" disagree), one ulp either side of one, at
+        /// birth or just before death; universes with and without churn
+        /// (all pages immortal).
         #[test]
         fn the_sampler_matches_the_per_sample_loop(
             universe_seed in 0u64..6,
             churn in 0u8..3,
-            ops in prop::collection::vec((0u8..8, 0u64..1 << 20, 0u8..8, 0.0f64..1.0), 1..80),
+            ops in prop::collection::vec((0u8..9, 0u64..1 << 20, 0u8..8, 0.0f64..1.0), 1..80),
         ) {
             let mut config = UniverseConfig::test_scale(universe_seed);
             config.churn = churn != 0;
@@ -366,7 +372,7 @@ mod tests {
             let mut shell = EngineShell::default();
             let mut oracle = CrawlMetrics::default();
             let mut copies: BTreeMap<PageId, f64> = BTreeMap::new();
-            let mut t = 0.0;
+            let mut t: f64 = 0.0;
             for (kind, pick, probe, frac) in ops {
                 let up = pick % 2 == 0;
                 // A random page, and one whose copy is held, if any.
@@ -376,7 +382,7 @@ mod tests {
                     .nth(pick as usize % copies.len().max(1))
                     .map_or(page, |&p| universe.page(p));
                 match kind {
-                    // Store or recrawl one copy.
+                    // Store or recrawl one copy, never before its birth.
                     0..=2 => {
                         let events = universe.events_of(page.id);
                         let event = events.get((frac * events.len() as f64) as usize).copied();
@@ -387,16 +393,18 @@ mod tests {
                             2 => event.unwrap_or(page.birth),
                             3 => event.map_or(page.birth, |e| ulp(e, up)),
                             4 => page.birth,
-                            5 => page.birth - 1.0 - frac,
-                            6 if page.death.is_finite() => ulp(page.death, false),
+                            5 if page.death.is_finite() => ulp(page.death, false),
                             _ => t + frac * 3.0,
-                        };
+                        }
+                        .max(page.birth);
+                        t = t.max(crawled);
                         copies.insert(page.id, crawled);
-                        shell.truth.forget(page.id);
+                        shell.truth.store(&universe, page.id, crawled);
                     }
-                    // Evict a held copy: engines forget nothing on eviction.
+                    // Discard a held copy.
                     3 => {
                         copies.remove(&held.id);
+                        shell.truth.remove(held.id);
                     }
                     // Replace the whole visible set.
                     4 => {
@@ -407,8 +415,14 @@ mod tests {
                                 (q.id, q.birth.max(t - frac * 10.0 * k as f64))
                             })
                             .collect();
-                        shell.truth.forget_all();
+                        t = copies.values().fold(t, |t, &crawled| t.max(crawled));
+                        shell.truth.clear();
+                        for (&p, &crawled) in &copies {
+                            shell.truth.store(&universe, p, crawled);
+                        }
                     }
+                    // Restore: the mirror starts unbuilt.
+                    5 => shell.truth = CopyTruth::default(),
                     // Sample at a non-decreasing instant.
                     _ => {
                         let events = universe.events_of(held.id);
@@ -421,7 +435,6 @@ mod tests {
                             3 => event.map_or(t, |e| ulp(e, up)),
                             4 => death,
                             5 if death.is_finite() => ulp(death, up),
-                            6 => copies.get(&held.id).copied().unwrap_or(t),
                             _ => t + frac * 40.0,
                         };
                         if next.is_finite() && next > t {
@@ -439,5 +452,21 @@ mod tests {
             }
             prop_assert_eq!(row_bits(&shell.metrics), row_bits(&oracle));
         }
+    }
+
+    /// Debug builds check the mirror against the engine's copies at every
+    /// sample: a copy discarded without a `remove` trips the check.
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "copy count drifted")]
+    fn a_missed_remove_trips_the_cross_check() {
+        let universe = WebUniverse::generate(UniverseConfig::test_scale(1));
+        let mut copies: BTreeMap<PageId, f64> =
+            universe.pages().iter().take(5).map(|page| (page.id, page.birth)).collect();
+        let t = copies.values().fold(0.0, |t: f64, &crawled| t.max(crawled));
+        let mut shell = EngineShell::default();
+        shell.sample(&universe, t, copies.iter().map(|(&p, &c)| (p, c)));
+        copies.pop_first();
+        shell.sample(&universe, t + 1.0, copies.iter().map(|(&p, &c)| (p, c)));
     }
 }

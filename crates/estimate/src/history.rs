@@ -75,10 +75,12 @@ impl ChangeHistory {
         }
         self.observations.push_back(obs);
         if self.observations.len() > self.window {
+            // The first visit carries no comparison; it is retired
+            // uncounted. (A same-instant unchanged revisit looks like it,
+            // `interval == 0 && !changed`, but was counted.)
+            let first_visit = self.retains_first_visit();
             let old = self.observations.pop_front().expect("non-empty");
-            // The very first observation carries no comparison; detect that
-            // by interval == 0 && !changed at the head position.
-            if old.interval > 0.0 || old.changed {
+            if !first_visit {
                 self.comparisons -= 1;
                 self.monitored_days -= old.interval;
                 if old.changed {
@@ -124,7 +126,13 @@ impl ChangeHistory {
     /// Comparison observations only (skipping the first visit), oldest
     /// first — the input shape the estimators consume.
     pub fn comparison_observations(&self) -> impl Iterator<Item = &Observation> {
-        self.observations.iter().filter(|o| o.interval > 0.0 || o.changed)
+        self.observations.iter().skip(usize::from(self.retains_first_visit()))
+    }
+
+    /// Whether the oldest retained observation is the first visit: every
+    /// other retained observation is a counted comparison.
+    fn retains_first_visit(&self) -> bool {
+        self.observations.len() as u64 == self.comparisons + 1
     }
 
     /// True when the history has enough comparisons for estimation.
@@ -190,6 +198,26 @@ mod tests {
         assert_eq!(h.comparisons(), 3);
         assert_eq!(h.detections(), 1);
         assert!((h.monitored_days() - 3.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn a_zero_interval_revisit_retires_as_a_comparison() {
+        let mut h = ChangeHistory::new(3);
+        h.record_visit(0.0, ck(0));
+        h.record_visit(1.0, ck(1)); // change
+        h.record_visit(1.0, ck(1)); // same instant, unchanged: a comparison
+        assert_eq!(h.comparisons(), 2);
+        h.record_visit(2.0, ck(1)); // the first visit falls out
+        h.record_visit(3.0, ck(1)); // the change at 1.0 falls out
+        assert_eq!(h.comparisons(), 3);
+        assert_eq!(h.comparison_observations().count(), 3, "the zero-interval revisit counts");
+        h.record_visit(4.0, ck(1)); // the zero-interval revisit falls out
+        assert_eq!(h.observations().count(), 3);
+        assert_eq!(h.comparisons(), 3);
+        assert_eq!(h.detections(), 0);
+        assert_eq!(h.comparison_observations().count(), 3);
+        assert!((h.monitored_days() - 3.0).abs() < 1e-12);
+        assert_eq!(h.mean_access_interval(), Some(1.0));
     }
 
     #[test]
