@@ -1,9 +1,13 @@
 //! The `Collection`: the crawler's local page store (Figure 12).
 //!
 //! Each stored page carries what §5.3 says the UpdateModule records: the
-//! last checksum (for change detection), the change history feeding the
-//! frequency estimators, the extracted links (feeding both AllUrls and the
-//! RankingModule's link structure), and the current importance score.
+//! last checksum (for change detection), the change history feeding
+//! estimator EP, the extracted links (feeding both AllUrls and the
+//! RankingModule's link structure), and the current importance score. A
+//! page carries EB's frequency-class posterior only when the UpdateModule
+//! estimates with EB: the UpdateModule owns that choice and hands
+//! [`Collection::save`] each new page's initial posterior, `None` under EP,
+//! whose estimate never reads one.
 
 use webevo_estimate::{BayesianEstimator, ChangeHistory};
 use webevo_types::{wire_struct, Checksum, DenseMap, PageId, SiteId, Url};
@@ -25,8 +29,10 @@ pub struct StoredPage {
     pub crawl_count: u64,
     /// Change observation history (drives estimator EP).
     pub history: ChangeHistory,
-    /// Bayesian frequency-class state (drives estimator EB).
-    pub bayes: BayesianEstimator,
+    /// Bayesian frequency-class state (drives estimator EB): `Some`
+    /// exactly when the UpdateModule estimates with EB (see
+    /// [`UpdateModule::initial_posterior`](crate::UpdateModule::initial_posterior)).
+    pub bayes: Option<BayesianEstimator>,
     /// Current importance score (set by the RankingModule; 1.0 until the
     /// first ranking pass, matching PageRank's mean).
     pub importance: f64,
@@ -88,17 +94,24 @@ impl Collection {
         self.pages.get_mut(page)
     }
 
-    /// Admit a new page crawled at `t` (Algorithm 5.1 step \[9\]). Panics
-    /// if full — the engine must evict first (step \[7\]/\[8\]); that
-    /// ordering is the refinement decision and must stay explicit.
-    pub fn save(&mut self, url: Url, checksum: Checksum, links: Vec<Url>, t: f64) {
+    /// Admit a new page crawled at `t` (Algorithm 5.1 step \[9\]) with
+    /// `bayes` as its initial EB state — what
+    /// [`UpdateModule::initial_posterior`](crate::UpdateModule::initial_posterior)
+    /// hands out. Panics if full — the engine must evict first (step
+    /// \[7\]/\[8\]); that ordering is the refinement decision and must stay
+    /// explicit.
+    pub fn save(
+        &mut self,
+        url: Url,
+        checksum: Checksum,
+        links: Vec<Url>,
+        t: f64,
+        bayes: Option<BayesianEstimator>,
+    ) {
         assert!(!self.is_full(), "collection full: evict before saving");
         assert!(!self.pages.contains(url.page), "page already stored: use update");
         let mut history = ChangeHistory::new(self.history_window);
         history.record_visit(t, checksum);
-        // The first visit carries no comparison: the prior stands.
-        let bayes = BayesianEstimator::uniform_prior(BayesianEstimator::paper_classes())
-            .expect("paper classes are non-empty");
         self.pages.insert(
             url.page,
             StoredPage {
@@ -121,7 +134,9 @@ impl Collection {
         let stored = self.pages.get_mut(page).expect("update requires a stored page");
         let obs = stored.history.record_visit(t, checksum);
         if obs.interval > 0.0 {
-            stored.bayes.observe(obs.interval, obs.changed);
+            if let Some(bayes) = &mut stored.bayes {
+                bayes.observe(obs.interval, obs.changed);
+            }
         }
         stored.checksum = checksum;
         stored.links = links;
@@ -205,6 +220,7 @@ wire_struct!(Collection { pages, capacity, history_window });
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::modules::{EstimatorKind, RevisitStrategy, UpdateModule};
     use webevo_types::SiteId;
 
     fn url(i: u64) -> Url {
@@ -215,10 +231,15 @@ mod tests {
         Collection::new(3, 50)
     }
 
+    /// What the UpdateModule under `estimator` hands a new page.
+    fn initial_posterior(estimator: EstimatorKind) -> Option<BayesianEstimator> {
+        UpdateModule::new(RevisitStrategy::Uniform, estimator, 10.0).initial_posterior()
+    }
+
     #[test]
     fn save_update_discard_lifecycle() {
         let mut c = collection();
-        c.save(url(1), Checksum(100), vec![url(2)], 0.0);
+        c.save(url(1), Checksum(100), vec![url(2)], 0.0, None);
         assert!(c.contains(PageId(1)));
         assert_eq!(c.len(), 1);
         // Unchanged re-crawl.
@@ -239,24 +260,24 @@ mod tests {
     fn save_into_full_collection_panics() {
         let mut c = collection();
         for i in 0..3 {
-            c.save(url(i), Checksum(i), vec![], 0.0);
+            c.save(url(i), Checksum(i), vec![], 0.0, None);
         }
-        c.save(url(9), Checksum(9), vec![], 0.0);
+        c.save(url(9), Checksum(9), vec![], 0.0, None);
     }
 
     #[test]
     #[should_panic(expected = "already stored")]
     fn double_save_panics() {
         let mut c = collection();
-        c.save(url(1), Checksum(1), vec![], 0.0);
-        c.save(url(1), Checksum(1), vec![], 1.0);
+        c.save(url(1), Checksum(1), vec![], 0.0, None);
+        c.save(url(1), Checksum(1), vec![], 1.0, None);
     }
 
     #[test]
     fn least_important_breaks_ties_deterministically() {
         let mut c = collection();
         for i in 0..3 {
-            c.save(url(i), Checksum(i), vec![], 0.0);
+            c.save(url(i), Checksum(i), vec![], 0.0, None);
         }
         // All importance 1.0 → lowest page id wins the tie.
         assert_eq!(c.least_important(), Some(PageId(0)));
@@ -268,17 +289,30 @@ mod tests {
     #[test]
     fn bayes_observes_changes_on_update() {
         let mut c = collection();
-        c.save(url(1), Checksum(0), vec![], 0.0);
+        c.save(url(1), Checksum(0), vec![], 0.0, initial_posterior(EstimatorKind::Eb));
         for day in 1..=30 {
             // Change every other day.
             let ck = Checksum((day / 2) as u64);
             c.update(PageId(1), ck, vec![], day as f64);
         }
-        let stored = c.get(PageId(1)).unwrap();
-        assert_eq!(stored.bayes.observations(), 30);
+        let bayes = c.get(PageId(1)).unwrap().bayes.as_ref().expect("EB pages keep a posterior");
+        assert_eq!(bayes.observations(), 30);
         // Posterior mean should land near 0.5/day, far from the
         // "quarterly+" class.
-        let rate = stored.bayes.posterior_mean_rate().per_day();
+        let rate = bayes.posterior_mean_rate().per_day();
         assert!(rate > 0.1, "rate={rate}");
+    }
+
+    #[test]
+    fn ep_pages_carry_no_posterior() {
+        let mut c = collection();
+        c.save(url(1), Checksum(0), vec![], 0.0, initial_posterior(EstimatorKind::Ep));
+        assert!(c.get(PageId(1)).unwrap().bayes.is_none());
+        for day in 1..=30 {
+            c.update(PageId(1), Checksum((day / 2) as u64), vec![], day as f64);
+        }
+        let stored = c.get(PageId(1)).unwrap();
+        assert!(stored.bayes.is_none(), "an update must not conjure a posterior");
+        assert_eq!(stored.history.comparisons(), 30);
     }
 }

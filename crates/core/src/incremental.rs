@@ -573,7 +573,7 @@ impl<X> IncrementalEngine<X> {
                             }
                         }
                     }
-                    self.collection.save(url, checksum, links, t);
+                    self.collection.save(url, checksum, links, t, self.update.initial_posterior());
                     let birth = universe.page(url.page).birth;
                     if birth >= self.shell.run_start {
                         // Only pages born during the run measure "how fast

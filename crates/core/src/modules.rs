@@ -18,6 +18,7 @@
 use crate::allurls::AllUrls;
 use crate::collection::{Collection, StoredPage};
 use std::cmp::Ordering;
+use webevo_estimate::BayesianEstimator;
 use webevo_graph::{estimate_uncrawled, LinkCsr, PageRankConfig, PageRankKernel};
 use webevo_schedule::{
     optimal_allocation, proportional_allocation, uniform_allocation,
@@ -131,8 +132,19 @@ impl UpdateModule {
         }
     }
 
+    /// A newly admitted page's EB state, for [`Collection::save`]: a
+    /// uniform prior over the paper's frequency classes under EB, `None`
+    /// under EP, whose estimate reads only the change history.
+    pub fn initial_posterior(&self) -> Option<BayesianEstimator> {
+        match self.estimator {
+            EstimatorKind::Ep => None,
+            EstimatorKind::Eb => Some(BayesianEstimator::paper_prior()),
+        }
+    }
+
     /// Estimated change rate of a stored page under the configured
-    /// estimator; the prior until the page has enough history.
+    /// estimator; the prior until the page has enough history, and under
+    /// EB for a page that carries no posterior.
     pub fn estimated_rate(&self, page: &StoredPage) -> ChangeRate {
         match self.estimator {
             EstimatorKind::Ep => {
@@ -151,13 +163,10 @@ impl UpdateModule {
                 )
                 .unwrap_or(self.prior_rate)
             }
-            EstimatorKind::Eb => {
-                if page.bayes.observations() == 0 {
-                    self.prior_rate
-                } else {
-                    page.bayes.posterior_mean_rate()
-                }
-            }
+            EstimatorKind::Eb => match &page.bayes {
+                Some(bayes) if bayes.observations() > 0 => bayes.posterior_mean_rate(),
+                _ => self.prior_rate,
+            },
         }
     }
 
@@ -549,7 +558,7 @@ mod tests {
                     .filter(|&&(from, _)| from == id && link_mode != 0)
                     .map(|&(_, to)| Url::new(SiteId((to % 3) as u32), PageId(to)))
                     .collect();
-                collection.save(Url::new(SiteId(site), PageId(id)), Checksum(id), out, 0.0);
+                collection.save(Url::new(SiteId(site), PageId(id)), Checksum(id), out, 0.0, None);
                 // Importances a failed solve leaves in place.
                 collection.get_mut(PageId(id)).unwrap().importance = 0.25 + (id % 4) as f64;
             }
@@ -596,7 +605,7 @@ mod tests {
     fn filled_collection(n: u64) -> Collection {
         let mut c = Collection::new(n as usize, 50);
         for i in 0..n {
-            c.save(url(i), Checksum(i), vec![], 0.0);
+            c.save(url(i), Checksum(i), vec![], 0.0, None);
         }
         c
     }
@@ -609,20 +618,37 @@ mod tests {
         assert_eq!(m.estimated_rate(stored), ChangeRate(1.0 / 60.0));
     }
 
-    #[test]
-    fn update_module_learns_from_history() {
-        let m = UpdateModule::new(RevisitStrategy::Uniform, EstimatorKind::Ep, 10.0);
-        let mut c = filled_collection(1);
-        // Change on every visit for 30 days: the estimate must be fast.
+    /// A one-page collection saved with `m`'s initial posterior, changed on
+    /// every daily visit for 30 days.
+    fn always_changing(m: &UpdateModule) -> Collection {
+        let mut c = Collection::new(1, 50);
+        c.save(url(0), Checksum(0), vec![], 0.0, m.initial_posterior());
         for day in 1..=30 {
             c.update(PageId(0), Checksum(100 + day), vec![], day as f64);
         }
-        let rate = m.estimated_rate(c.get(PageId(0)).unwrap());
+        c
+    }
+
+    #[test]
+    fn update_module_learns_from_history() {
+        // Change on every visit for 30 days: the estimate must be fast.
+        let m = UpdateModule::new(RevisitStrategy::Uniform, EstimatorKind::Ep, 10.0);
+        let rate = m.estimated_rate(always_changing(&m).get(PageId(0)).unwrap());
         assert!(rate.per_day() > 1.0, "rate={}", rate.per_day());
         // EB agrees directionally.
         let mb = UpdateModule::new(RevisitStrategy::Uniform, EstimatorKind::Eb, 10.0);
-        let rb = mb.estimated_rate(c.get(PageId(0)).unwrap());
+        let rb = mb.estimated_rate(always_changing(&mb).get(PageId(0)).unwrap());
         assert!(rb.per_day() > 0.3, "eb rate={}", rb.per_day());
+    }
+
+    #[test]
+    fn eb_rate_of_a_page_without_a_posterior_is_the_prior() {
+        let ep = UpdateModule::new(RevisitStrategy::Uniform, EstimatorKind::Ep, 10.0);
+        let eb = UpdateModule::new(RevisitStrategy::Uniform, EstimatorKind::Eb, 10.0);
+        let c = always_changing(&ep);
+        let page = c.get(PageId(0)).unwrap();
+        assert!(page.bayes.is_none());
+        assert_eq!(eb.estimated_rate(page), ChangeRate(1.0 / 60.0));
     }
 
     #[test]
@@ -640,8 +666,8 @@ mod tests {
     fn reallocation_optimal_prefers_moderate_pages() {
         let mut m = UpdateModule::new(RevisitStrategy::Optimal, EstimatorKind::Ep, 10.0);
         let mut c = Collection::new(2, 200);
-        c.save(url(0), Checksum(0), vec![], 0.0);
-        c.save(url(1), Checksum(1), vec![], 0.0);
+        c.save(url(0), Checksum(0), vec![], 0.0, None);
+        c.save(url(1), Checksum(1), vec![], 0.0, None);
         // Page 0 changes every visit (hot), page 1 changes rarely.
         for day in 1..=60 {
             c.update(PageId(0), Checksum(1000 + day), vec![], day as f64);
@@ -671,9 +697,9 @@ mod tests {
     fn ranking_scores_and_replaces() {
         let mut c = Collection::new(3, 50);
         // Page 0 links to 1; 1 links to 0; 2 is isolated (lowest rank).
-        c.save(url(0), Checksum(0), vec![url(1)], 0.0);
-        c.save(url(1), Checksum(1), vec![url(0)], 0.0);
-        c.save(url(2), Checksum(2), vec![], 0.0);
+        c.save(url(0), Checksum(0), vec![url(1)], 0.0, None);
+        c.save(url(1), Checksum(1), vec![url(0)], 0.0, None);
+        c.save(url(2), Checksum(2), vec![], 0.0, None);
         let mut a = AllUrls::new();
         // Candidate 10 is linked from both collection hubs.
         a.add_in_link(url(10), PageId(0), 0.0);
@@ -694,8 +720,8 @@ mod tests {
     #[test]
     fn ranking_respects_margin() {
         let mut c = Collection::new(2, 50);
-        c.save(url(0), Checksum(0), vec![url(1)], 0.0);
-        c.save(url(1), Checksum(1), vec![url(0)], 0.0);
+        c.save(url(0), Checksum(0), vec![url(1)], 0.0, None);
+        c.save(url(1), Checksum(1), vec![url(0)], 0.0, None);
         let mut a = AllUrls::new();
         // A candidate with one weak in-link should NOT displace anyone
         // under a high margin.

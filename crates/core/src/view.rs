@@ -103,7 +103,7 @@ mod tests {
     #[test]
     fn boundary_pages_report_length_for_both_arenas() {
         let mut collection = Collection::new(4, 10);
-        collection.save(Url::new(SiteId(0), PageId(1)), Checksum(7), vec![], 0.5);
+        collection.save(Url::new(SiteId(0), PageId(1)), Checksum(7), vec![], 0.5, None);
         let update = UpdateModule::new(
             crate::modules::RevisitStrategy::Uniform,
             crate::modules::EstimatorKind::Ep,

@@ -50,12 +50,24 @@ impl BayesianEstimator {
         if classes.is_empty() {
             return Err(Error::invalid("need at least one frequency class"));
         }
+        Ok(BayesianEstimator::uniform(classes))
+    }
+
+    /// A uniform prior over [`BayesianEstimator::paper_classes`] — the
+    /// state an EB UpdateModule starts every page from. Infallible: the
+    /// paper's classes are a fixed, non-empty list.
+    pub fn paper_prior() -> BayesianEstimator {
+        BayesianEstimator::uniform(BayesianEstimator::paper_classes())
+    }
+
+    /// A uniform prior over non-empty `classes`.
+    fn uniform(classes: Vec<FrequencyClass>) -> BayesianEstimator {
         let n = classes.len();
-        Ok(BayesianEstimator {
+        BayesianEstimator {
             classes,
             posterior: vec![1.0 / n as f64; n],
             observations: 0,
-        })
+        }
     }
 
     /// Create with an explicit prior (normalized internally).
@@ -156,12 +168,17 @@ impl BayesianEstimator {
 }
 
 wire_struct!(FrequencyClass { label, rate });
-wire_struct!(BayesianEstimator { classes, posterior, observations });
+// A decoded estimator is checked, not trusted: `observe` and `map_class`
+// index the posterior by class.
+wire_struct!(BayesianEstimator { classes, posterior, observations }
+    reject |e| e.classes.is_empty() || e.posterior.len() != e.classes.len()
+        => "Bayesian estimator needs at least one class and one posterior entry per class");
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use webevo_stats::{PoissonProcess, SimRng};
+    use webevo_types::{BinDecode, BinEncode, BinReader};
 
     fn weekly_monthly() -> BayesianEstimator {
         BayesianEstimator::uniform_prior(vec![
@@ -206,7 +223,7 @@ mod tests {
         let lambda = 1.0 / 7.0;
         let mut rng = SimRng::seed_from_u64(3);
         let process = PoissonProcess::generate(&mut rng, lambda, 400.0);
-        let mut e = BayesianEstimator::uniform_prior(BayesianEstimator::paper_classes()).unwrap();
+        let mut e = BayesianEstimator::paper_prior();
         let mut last_version = 0;
         for day in 1..=365 {
             let v = process.version_at(day as f64);
@@ -220,7 +237,7 @@ mod tests {
 
     #[test]
     fn static_page_converges_to_slowest_class() {
-        let mut e = BayesianEstimator::uniform_prior(BayesianEstimator::paper_classes()).unwrap();
+        let mut e = BayesianEstimator::paper_prior();
         for day in 0..120 {
             let _ = day;
             e.observe(1.0, false);
@@ -253,5 +270,25 @@ mod tests {
     fn rejects_zero_interval_observation() {
         let mut e = weekly_monthly();
         e.observe(0.0, true);
+    }
+
+    #[test]
+    fn decode_rejects_an_estimator_without_classes() {
+        let empty = BayesianEstimator { classes: vec![], posterior: vec![], observations: 0 };
+        let mut bytes = Vec::new();
+        empty.bin_encode(&mut bytes);
+        assert!(BayesianEstimator::bin_decode(&mut BinReader::new(&bytes)).is_err());
+    }
+
+    #[test]
+    fn decode_rejects_a_posterior_that_does_not_match_the_classes() {
+        let mut e = weekly_monthly();
+        let mut bytes = Vec::new();
+        e.bin_encode(&mut bytes);
+        assert_eq!(BayesianEstimator::bin_decode(&mut BinReader::new(&bytes)), Ok(e.clone()));
+        e.posterior.push(0.0);
+        bytes.clear();
+        e.bin_encode(&mut bytes);
+        assert!(BayesianEstimator::bin_decode(&mut BinReader::new(&bytes)).is_err());
     }
 }

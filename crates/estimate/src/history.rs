@@ -151,13 +151,20 @@ impl ChangeHistory {
 }
 
 wire_struct!(Observation { time, interval, changed });
+// A decoded history is checked, not trusted: `record_visit` retires
+// observations against the window and the running totals, and would
+// underflow `comparisons` on a history outside these bounds.
 wire_struct!(ChangeHistory {
     window, observations, last_checksum, last_visit, comparisons, detections, monitored_days
-});
+} reject |h| h.window < 2
+    || h.observations.len() > h.window
+    || h.comparisons > h.observations.len() as u64
+    => "change history outgrows its window or counts more comparisons than observations");
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use webevo_types::{BinDecode, BinEncode, BinError, BinReader};
 
     fn ck(v: u64) -> Checksum {
         Checksum(v)
@@ -257,5 +264,40 @@ mod tests {
         let intervals: Vec<f64> =
             h.comparison_observations().map(|o| o.interval).collect();
         assert_eq!(intervals, vec![0.5, 9.5]);
+    }
+
+    fn roundtrip(h: &ChangeHistory) -> Result<ChangeHistory, BinError> {
+        let mut bytes = Vec::new();
+        h.bin_encode(&mut bytes);
+        ChangeHistory::bin_decode(&mut BinReader::new(&bytes))
+    }
+
+    #[test]
+    fn decode_rejects_a_window_under_two() {
+        let mut h = ChangeHistory::new(2);
+        assert!(roundtrip(&h).is_ok());
+        h.window = 1;
+        assert!(roundtrip(&h).is_err());
+    }
+
+    #[test]
+    fn decode_rejects_more_observations_than_the_window() {
+        let mut h = ChangeHistory::new(3);
+        for day in 0..3u64 {
+            h.record_visit(day as f64, ck(day));
+        }
+        assert!(roundtrip(&h).is_ok());
+        h.window = 2;
+        assert!(roundtrip(&h).is_err());
+    }
+
+    #[test]
+    fn decode_rejects_more_comparisons_than_observations() {
+        let mut h = ChangeHistory::new(3);
+        h.record_visit(0.0, ck(0));
+        h.record_visit(1.0, ck(1));
+        assert!(roundtrip(&h).is_ok());
+        h.comparisons = 3;
+        assert!(roundtrip(&h).is_err());
     }
 }

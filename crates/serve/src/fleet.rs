@@ -188,7 +188,7 @@ mod tests {
     ) -> (Collection, UpdateModule, CrawlMetrics) {
         let mut collection = Collection::new(ids.len().max(1), 10);
         for &id in ids {
-            collection.save(Url::new(SiteId(site), PageId(id)), Checksum(id), vec![], t);
+            collection.save(Url::new(SiteId(site), PageId(id)), Checksum(id), vec![], t, None);
         }
         let update = UpdateModule::new(RevisitStrategy::Uniform, EstimatorKind::Ep, 30.0);
         let mut metrics = CrawlMetrics::default();

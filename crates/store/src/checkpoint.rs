@@ -568,6 +568,28 @@ mod tests {
     }
 
     #[test]
+    fn version_3_snapshots_fail_closed() {
+        // Version 3 stored an EB posterior on every page. Its header is
+        // refused by version alone, even over a payload whose checksum
+        // still matches.
+        use crate::codec::{SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
+        let dir = temp_dir("v3");
+        let crawler = IncrementalCrawler::new(config(25));
+        let ckpt = Checkpointer::create(CheckpointConfig::new(&dir, 5.0), &crawler.export_state())
+            .expect("create checkpointer");
+        drop(ckpt);
+        let path = dir.join(SNAPSHOT_FILE);
+        let live = fs::read(&path).unwrap();
+        let header = format!("{SNAPSHOT_MAGIC} {SNAPSHOT_VERSION} ");
+        assert!(live.starts_with(header.as_bytes()));
+        let v3 = [format!("{SNAPSHOT_MAGIC} 3 ").as_bytes(), &live[header.len()..]].concat();
+        assert_eq!(decode_snapshot(&v3).unwrap_err(), StoreError::UnsupportedVersion(3));
+        fs::write(&path, &v3).unwrap();
+        assert!(matches!(recover(&dir), Err(StoreError::UnsupportedVersion(3))));
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
     fn stale_snapshot_tmp_is_removed_and_overwritten() {
         // A crash between the snapshot temp-file write and the atomic
         // rename leaves `snapshot.wsnap.tmp` behind. `recover` must clean

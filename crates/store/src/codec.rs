@@ -26,8 +26,10 @@ pub const SNAPSHOT_MAGIC: &str = "WEBEVO-SNAPSHOT";
 /// * 3 — the unified-engine layout (`config` is the `EngineConfig` enum,
 ///   `EngineKind::Threaded` carries its worker count, the periodic
 ///   engine's cycle/shadow state rides in a `periodic` payload) in the
-///   binary wire format (current).
-pub const SNAPSHOT_VERSION: u32 = 3;
+///   binary wire format; every stored page carried an EB posterior.
+/// * 4 — a stored page's EB posterior is optional: a `0` tag under EP,
+///   `1` and the posterior under EB (current).
+pub const SNAPSHOT_VERSION: u32 = 4;
 
 /// Why a snapshot, WAL or fleet manifest could not be decoded.
 #[derive(Clone, Debug, PartialEq, Eq)]

@@ -1,12 +1,14 @@
 //! Golden fixture of the live on-disk formats: a checked-in
-//! `WEBEVO-SNAPSHOT 3` + `WEBEVO-WAL 2` checkpoint must keep decoding,
+//! `WEBEVO-SNAPSHOT 4` + `WEBEVO-WAL 2` checkpoint must keep decoding,
 //! re-encoding to itself, and resuming byte-identically.
 //!
-//! The pair under `tests/fixtures/golden/` was written by the build that
-//! preceded the removal of the JSON twin formats, from a deterministic run
+//! The pair under `tests/fixtures/golden/` comes from a deterministic run
 //! (universe `test_scale(42)`, incremental engine, capacity 50 at 10
 //! fetches/day, 15% transient-failure injection, snapshot cadence 5 days,
-//! killed at day 23 — the same shape `tests/determinism.rs` pins). It is
+//! killed at day 23 — the same shape `tests/determinism.rs` pins). The WAL
+//! was written by the build that preceded the removal of the JSON twin
+//! formats; the snapshot by commit 458a729 with only its stored-page
+//! encoding patched to the version-4 layout and the version bumped. It is
 //! the proof that a change to the persisted types' Rust-side shape moved
 //! no byte on disk: the bytes here are not produced by the code under
 //! test.

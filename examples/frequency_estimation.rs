@@ -12,8 +12,7 @@ fn observe_page(lambda: f64, days: usize, seed: u64) -> (ChangeHistory, Bayesian
     let mut rng = SimRng::seed_from_u64(seed);
     let process = PoissonProcess::generate(&mut rng, lambda, days as f64 + 1.0);
     let mut history = ChangeHistory::new(days + 2);
-    let mut bayes = BayesianEstimator::uniform_prior(BayesianEstimator::paper_classes())
-        .expect("classes are non-empty");
+    let mut bayes = BayesianEstimator::paper_prior();
     let mut prev_version = 0;
     for day in 0..=days {
         let t = day as f64;

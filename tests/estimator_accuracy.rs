@@ -65,8 +65,7 @@ fn eb_classifies_paper_classes() {
         for seed in 0..trials {
             let mut rng = SimRng::seed_from_u64(3000 + i as u64 * 100 + seed);
             let process = PoissonProcess::generate(&mut rng, lambda, 130.0);
-            let mut bayes =
-                BayesianEstimator::uniform_prior(BayesianEstimator::paper_classes()).unwrap();
+            let mut bayes = BayesianEstimator::paper_prior();
             let mut prev = 0;
             for day in 1..=128 {
                 let v = process.version_at(day as f64);

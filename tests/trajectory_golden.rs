@@ -16,9 +16,15 @@
 //! cargo test --release -p webevo --test trajectory_golden -- --ignored --nocapture
 //! ```
 //!
-//! then paste the printed rows over [`GOLDEN`]. The rows checked in here
-//! were printed at commit 8490ee6 (the last commit with two incremental
-//! engine source files).
+//! then paste the printed rows over [`GOLDEN`]. A change that moves only
+//! the snapshot layout re-pins the `state` column alone, from the parent
+//! patched with nothing but the new encoding. The rows checked in here:
+//! `metrics`, `fetches` and `passes` of the EP rows were printed at commit
+//! 8490ee6 (the last commit with two incremental engine source files);
+//! the `state` column and the whole `incremental-eb` row at commit 458a729
+//! with only the snapshot version bumped to 4 and the stored page's EB
+//! posterior written in the version-4 layout (a `0` tag under EP, `1` and
+//! the posterior under EB).
 
 use std::path::PathBuf;
 use webevo::prelude::*;
@@ -39,10 +45,11 @@ struct Digest {
 /// `(case, digest)` rows printed by `print_golden_digests` at the commit
 /// named in the module docs.
 const GOLDEN: &[(&str, Digest)] = &[
-    ("incremental", Digest { metrics: 0x31f48a784d343cc9, fetches: 350, passes: 34, state: 0x00c2c854a51d7906 }),
-    ("threaded-1", Digest { metrics: 0x60f7ffbd29fd7fc1, fetches: 350, passes: 34, state: 0xeed9858fde46c735 }),
-    ("threaded-4", Digest { metrics: 0x7d82a0f0afc2d1e8, fetches: 350, passes: 34, state: 0x1235cc74f1015c38 }),
-    ("fleet-2x-threaded-2", Digest { metrics: 0x3ddff81b39e3510d, fetches: 321, passes: 0, state: 0xb11fbc76233011e1 }),
+    ("incremental", Digest { metrics: 0x31f48a784d343cc9, fetches: 350, passes: 34, state: 0xdea031490ba5774b }),
+    ("incremental-eb", Digest { metrics: 0x7ad10033e7f24e0f, fetches: 350, passes: 34, state: 0x4f3bc95ed1718a1b }),
+    ("threaded-1", Digest { metrics: 0x60f7ffbd29fd7fc1, fetches: 350, passes: 34, state: 0x0a09bf1e6189d56f }),
+    ("threaded-4", Digest { metrics: 0x7d82a0f0afc2d1e8, fetches: 350, passes: 34, state: 0x38da422d0899bc97 }),
+    ("fleet-2x-threaded-2", Digest { metrics: 0x3ddff81b39e3510d, fetches: 321, passes: 0, state: 0x746be299a64c7826 }),
 ];
 
 fn temp_dir(name: &str) -> PathBuf {
@@ -76,13 +83,15 @@ fn metrics_bytes(m: &CrawlMetrics, out: &mut Vec<u8>) {
 /// (off the cadence, the ranking grid and the sampling grid), resume from
 /// `snapshot + WAL tail` and drive on to day 35. The single-threaded kind
 /// crawls through a failure-injecting fetcher so its replay state is part
-/// of the pinned snapshot.
-fn single_node(tag: &str, kind: EngineKind, seed: u64) -> Digest {
+/// of the pinned snapshot. Under `EstimatorKind::Eb` every stored page
+/// carries a posterior; under `Ep` none does.
+fn single_node(tag: &str, kind: EngineKind, estimator: EstimatorKind, seed: u64) -> Digest {
     let dir = temp_dir(tag);
     let universe = WebUniverse::generate(UniverseConfig::test_scale(seed));
     let config = IncrementalConfig {
         capacity: 50,
         crawl_rate_per_day: 10.0,
+        estimator,
         ..IncrementalConfig::monthly(50)
     };
     let external = kind == EngineKind::Incremental;
@@ -168,10 +177,12 @@ fn threaded_fleet() -> Digest {
 }
 
 fn cases() -> Vec<(&'static str, Digest)> {
+    use EstimatorKind::{Eb, Ep};
     vec![
-        ("incremental", single_node("inc", EngineKind::Incremental, 42)),
-        ("threaded-1", single_node("thr1", EngineKind::Threaded { workers: 1 }, 43)),
-        ("threaded-4", single_node("thr4", EngineKind::Threaded { workers: 4 }, 43)),
+        ("incremental", single_node("inc", EngineKind::Incremental, Ep, 42)),
+        ("incremental-eb", single_node("inc-eb", EngineKind::Incremental, Eb, 42)),
+        ("threaded-1", single_node("thr1", EngineKind::Threaded { workers: 1 }, Ep, 43)),
+        ("threaded-4", single_node("thr4", EngineKind::Threaded { workers: 4 }, Ep, 43)),
         ("fleet-2x-threaded-2", threaded_fleet()),
     ]
 }
