@@ -10,10 +10,13 @@
 //! wall-clock src/query.rs -- latency histograms are observability-only
 //! raw-thread-spawn src/checkpoint.rs -- sanctioned off-thread snapshot encoder
 //! panic-budget src/codec.rs 12 -- decode invariants checked by the header
+//! dead-pub src/curves.rs::inplace_freshness_at -- a caller is coming
 //! ```
 //!
-//! Paths are crate-relative (`src/…`). A justification after ` -- ` is
-//! mandatory: an allowlist entry without a reason is itself a finding.
+//! Paths are crate-relative (`src/…`); a `dead-pub` entry names one item
+//! after the path (`src/file.rs::item`), never a whole file. A
+//! justification after ` -- ` is mandatory: an allowlist entry without a
+//! reason is itself a finding.
 
 use crate::report::{Finding, Lint, Severity};
 
@@ -152,6 +155,11 @@ impl Allowlist {
             }
         }
         None
+    }
+
+    /// The entries something consulted so far.
+    pub fn used(&self) -> impl Iterator<Item = &AllowEntry> {
+        self.entries.iter().zip(&self.used).filter(|(_, used)| **used).map(|(e, _)| e)
     }
 
     /// Report entries nothing consulted — stale exemptions that should be

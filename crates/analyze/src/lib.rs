@@ -6,7 +6,7 @@
 //! serialized path, one `Instant::now()` feeding engine state, or one
 //! silent field reorder in a wire-format declaration breaks them in ways
 //! tests only catch probabilistically. This crate makes those properties
-//! checkable on every commit, with three analyses over a hand-rolled token
+//! checkable on every commit, with four analyses over a hand-rolled token
 //! scanner (no `syn`, no dependencies — the gate builds offline):
 //!
 //! * **Determinism lints** ([`lints`]) — unordered maps in
@@ -24,6 +24,12 @@
 //!   pair can read fields back in a different order than it wrote them.
 //! * **Panic-path audit** ([`panics`]) — `unwrap()`/`expect()` counts in
 //!   the durability crates against budgets that can only ratchet down.
+//! * **Dead public surface** ([`dead_pub`]) — every non-test `pub fn`,
+//!   `pub const fn`, `pub const` and `pub static` must be named by some
+//!   other file: crate sources, `crates/*/tests`, `tests/`, `examples/` or
+//!   `benchmark/src` (a `pub use` re-export does not count). An item kept
+//!   for a caller that is coming is exempted by name, with its reason:
+//!   `dead-pub src/curves.rs::inplace_freshness_at -- …`.
 //!
 //! Run it as `repro analyze` (add `--deny-warnings` for the CI gate).
 //!
@@ -41,7 +47,7 @@
 //! let lib = SourceFile::new("crates/core/src/lib.rs", "#![forbid(unsafe_code)]");
 //! let ws = Workspace::from_sources(vec![CrateSources::new("core", vec![file, lib])]);
 //!
-//! let findings = analyze(&ws, &AnalyzeConfig::workspace_default(), None);
+//! let findings = analyze(&ws, &AnalyzeConfig::workspace_default(), None).findings;
 //! assert_eq!(findings.len(), 1);
 //! assert_eq!(findings[0].lint, Lint::UnorderedMap);
 //! assert!(findings[0].file.contains("frontier.rs"));
@@ -51,6 +57,7 @@
 #![warn(missing_docs)]
 
 pub mod allow;
+pub mod dead_pub;
 pub mod lints;
 pub mod panics;
 pub mod report;
@@ -59,6 +66,8 @@ pub mod schema;
 
 pub use report::{render_json, Finding, Lint, Severity};
 pub use scan::{scan_workspace, Workspace};
+
+use std::collections::BTreeMap;
 
 use allow::Allowlist;
 
@@ -95,14 +104,40 @@ impl AnalyzeConfig {
     }
 }
 
+/// What [`analyze`] found, and which exemptions it relied on.
+#[derive(Clone, Debug)]
+pub struct Analysis {
+    /// Findings sorted by file, line, then lint.
+    pub findings: Vec<Finding>,
+    /// How many `ANALYZE.allow` entries each lint used.
+    pub exempt: BTreeMap<Lint, usize>,
+}
+
+impl Analysis {
+    /// Findings and used exemptions per lint, e.g. `… dead-pub 0 (6 exempt)`.
+    pub fn per_lint(&self) -> String {
+        let parts: Vec<String> = Lint::ALL
+            .iter()
+            .map(|lint| {
+                let found = self.findings.iter().filter(|f| f.lint == *lint).count();
+                match self.exempt.get(lint) {
+                    Some(n) => format!("{} {found} ({n} exempt)", lint.name()),
+                    None => format!("{} {found}", lint.name()),
+                }
+            })
+            .collect();
+        parts.join(", ")
+    }
+}
+
 /// Run every analysis over a workspace. `schema_lock` is the contents of
 /// `SCHEMA.lock` when the file exists; pass `None` for in-memory
 /// workspaces without a lock (the schema gate then only fires if the
 /// workspace defines wire impls).
-///
-/// Findings come back sorted by file, line, then lint.
-pub fn analyze(ws: &Workspace, config: &AnalyzeConfig, schema_lock: Option<&str>) -> Vec<Finding> {
+pub fn analyze(ws: &Workspace, config: &AnalyzeConfig, schema_lock: Option<&str>) -> Analysis {
     let mut findings = Vec::new();
+    let mut exempt = BTreeMap::new();
+    let callers = dead_pub::Callers::index(ws);
     for krate in &ws.crates {
         let mut allowlist = match &krate.allow {
             Some(text) => Allowlist::parse(&krate.name, text, &mut findings),
@@ -110,7 +145,11 @@ pub fn analyze(ws: &Workspace, config: &AnalyzeConfig, schema_lock: Option<&str>
         };
         lints::run(config, krate, &mut allowlist, &mut findings);
         panics::run(config, krate, &mut allowlist, &mut findings);
+        dead_pub::run(&callers, krate, &mut allowlist, &mut findings);
         allowlist.report_stale(&krate.name, &mut findings);
+        for entry in allowlist.used() {
+            *exempt.entry(entry.lint).or_insert(0) += 1;
+        }
     }
     schema::check(ws, schema_lock, &mut findings);
     findings.sort_by(|a, b| {
@@ -119,7 +158,7 @@ pub fn analyze(ws: &Workspace, config: &AnalyzeConfig, schema_lock: Option<&str>
             .then(a.line.cmp(&b.line))
             .then(a.lint.cmp(&b.lint))
     });
-    findings
+    Analysis { findings, exempt }
 }
 
 #[cfg(test)]
@@ -134,7 +173,7 @@ mod tests {
             "#![forbid(unsafe_code)]\nuse std::collections::BTreeMap;\nfn f() {}\n",
         );
         let ws = Workspace::from_sources(vec![CrateSources::new("core", vec![lib])]);
-        let findings = analyze(&ws, &AnalyzeConfig::workspace_default(), None);
+        let findings = analyze(&ws, &AnalyzeConfig::workspace_default(), None).findings;
         assert!(findings.is_empty(), "{findings:?}");
     }
 
@@ -146,7 +185,7 @@ mod tests {
         );
         let lib = SourceFile::new("crates/core/src/lib.rs", "#![forbid(unsafe_code)]");
         let ws = Workspace::from_sources(vec![CrateSources::new("core", vec![a, lib])]);
-        let findings = analyze(&ws, &AnalyzeConfig::workspace_default(), None);
+        let findings = analyze(&ws, &AnalyzeConfig::workspace_default(), None).findings;
         assert_eq!(findings.len(), 2);
         assert!(findings[0].line < findings[1].line);
     }

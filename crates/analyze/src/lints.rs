@@ -41,7 +41,7 @@ pub fn run(
 }
 
 /// `crates/<name>/src/foo.rs` → `src/foo.rs` (the form allowlists use).
-fn crate_relative(rel_path: &str, crate_name: &str) -> String {
+pub(crate) fn crate_relative(rel_path: &str, crate_name: &str) -> String {
     let prefix = format!("crates/{crate_name}/");
     rel_path.strip_prefix(&prefix).unwrap_or(rel_path).to_string()
 }
@@ -200,7 +200,7 @@ mod tests {
     }
 
     fn findings_for(ws: &Workspace) -> Vec<Finding> {
-        analyze(ws, &AnalyzeConfig::workspace_default(), None)
+        analyze(ws, &AnalyzeConfig::workspace_default(), None).findings
     }
 
     #[test]

@@ -10,6 +10,7 @@
 //! a note inviting the budget down. New files start at zero.
 
 use crate::allow::Allowlist;
+use crate::lints::crate_relative;
 use crate::report::{Finding, Lint, Severity};
 use crate::scan::CrateSources;
 use crate::AnalyzeConfig;
@@ -26,11 +27,7 @@ pub fn run(
     }
     for file in &krate.files {
         let count = count_panic_sites(file);
-        let crate_rel = file
-            .rel_path
-            .strip_prefix(&format!("crates/{}/", krate.name))
-            .unwrap_or(&file.rel_path)
-            .to_string();
+        let crate_rel = crate_relative(&file.rel_path, &krate.name);
         let budget = allow.panic_budget(&crate_rel).unwrap_or(0);
         if count > budget {
             findings.push(Finding::new(
@@ -65,7 +62,7 @@ pub fn run(
 /// Matching the preceding `.` excludes definitions (`fn unwrap`) and
 /// standalone idents; `unwrap_or`/`unwrap_or_default`/`expect_err` are
 /// distinct identifiers, so they never match.
-pub fn count_panic_sites(file: &crate::scan::SourceFile) -> usize {
+fn count_panic_sites(file: &crate::scan::SourceFile) -> usize {
     let tokens = file.tokens();
     let mut count = 0;
     for i in 1..tokens.len() {

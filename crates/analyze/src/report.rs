@@ -21,9 +21,23 @@ pub enum Lint {
     Schema,
     /// A malformed or stale `ANALYZE.allow` entry.
     Allowlist,
+    /// A `pub fn`/`const`/`static` that no other file names.
+    DeadPub,
 }
 
 impl Lint {
+    /// Every lint, in report order.
+    pub const ALL: [Lint; 8] = [
+        Lint::UnorderedMap,
+        Lint::WallClock,
+        Lint::RawThreadSpawn,
+        Lint::MissingForbidUnsafe,
+        Lint::PanicBudget,
+        Lint::Schema,
+        Lint::Allowlist,
+        Lint::DeadPub,
+    ];
+
     /// The lint's stable name, as used in `ANALYZE.allow` and reports.
     pub fn name(self) -> &'static str {
         match self {
@@ -34,21 +48,13 @@ impl Lint {
             Lint::PanicBudget => "panic-budget",
             Lint::Schema => "schema",
             Lint::Allowlist => "allowlist",
+            Lint::DeadPub => "dead-pub",
         }
     }
 
     /// Parse a lint name from an `ANALYZE.allow` entry.
     pub fn from_name(s: &str) -> Option<Lint> {
-        Some(match s {
-            "unordered-map" => Lint::UnorderedMap,
-            "wall-clock" => Lint::WallClock,
-            "raw-thread-spawn" => Lint::RawThreadSpawn,
-            "missing-forbid-unsafe" => Lint::MissingForbidUnsafe,
-            "panic-budget" => Lint::PanicBudget,
-            "schema" => Lint::Schema,
-            "allowlist" => Lint::Allowlist,
-            _ => return None,
-        })
+        Lint::ALL.into_iter().find(|l| l.name() == s)
     }
 }
 
@@ -119,7 +125,7 @@ impl fmt::Display for Finding {
 }
 
 /// Escape a string for inclusion in a JSON document.
-pub fn json_escape(s: &str) -> String {
+fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     for c in s.chars() {
         match c {
@@ -165,15 +171,7 @@ mod tests {
 
     #[test]
     fn lint_names_roundtrip() {
-        for lint in [
-            Lint::UnorderedMap,
-            Lint::WallClock,
-            Lint::RawThreadSpawn,
-            Lint::MissingForbidUnsafe,
-            Lint::PanicBudget,
-            Lint::Schema,
-            Lint::Allowlist,
-        ] {
+        for lint in Lint::ALL {
             assert_eq!(Lint::from_name(lint.name()), Some(lint));
         }
         assert_eq!(Lint::from_name("nonsense"), None);

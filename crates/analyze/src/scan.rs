@@ -6,8 +6,9 @@
 //! the constructs the lints care about (`HashMap`, `Instant::now`,
 //! `wire_struct!(Type { … })`) without ever matching text inside a comment or
 //! a string literal — the failure mode that makes `grep`-based gates cry
-//! wolf. Test modules (`#[cfg(test)] mod … { … }`) are marked so lints can
-//! skip them: test code may use unordered maps and wall clocks freely.
+//! wolf. Test items (`#[cfg(test)] mod … { … }`, or any other item behind
+//! `#[cfg(test)]`) are marked so lints can skip them: test code may use
+//! unordered maps and wall clocks freely.
 
 use std::fmt;
 use std::fs;
@@ -134,13 +135,23 @@ impl CrateSources {
 pub struct Workspace {
     /// Crates in ascending name order.
     pub crates: Vec<CrateSources>,
+    /// Caller-only files: integration tests, examples and the benchmark
+    /// harness. Only the dead-pub analysis reads them, as callers of the
+    /// crates' public items; no lint runs over them.
+    pub callers: Vec<SourceFile>,
 }
 
 impl Workspace {
     /// Build a workspace from in-memory sources (tests, doctests).
     pub fn from_sources(mut crates: Vec<CrateSources>) -> Workspace {
         crates.sort_by(|a, b| a.name.cmp(&b.name));
-        Workspace { crates }
+        Workspace { crates, callers: Vec::new() }
+    }
+
+    /// Attach caller-only files (see [`Workspace::callers`]).
+    pub fn with_callers(mut self, callers: Vec<SourceFile>) -> Workspace {
+        self.callers = callers;
+        self
     }
 
     /// All files across all crates, each with its owning crate name.
@@ -153,8 +164,9 @@ impl Workspace {
 
 /// Load every crate under `<root>/crates/` — all `.rs` files beneath each
 /// crate's `src/` (recursively, so `src/bin/` is included) plus its
-/// `ANALYZE.allow` when present. Files are sorted by path so every run
-/// sees the same order.
+/// `ANALYZE.allow` when present — and, as caller-only files, every `.rs`
+/// file under `crates/*/tests`, `tests/`, `examples/` and `benchmark/src`.
+/// Files are sorted by path so every run sees the same order.
 pub fn scan_workspace(root: &Path) -> io::Result<Workspace> {
     let crates_dir = root.join("crates");
     if !crates_dir.is_dir() {
@@ -164,6 +176,7 @@ pub fn scan_workspace(root: &Path) -> io::Result<Workspace> {
         ));
     }
     let mut crates = Vec::new();
+    let mut callers = Vec::new();
     let mut dirs: Vec<PathBuf> = fs::read_dir(&crates_dir)?
         .filter_map(|e| e.ok())
         .map(|e| e.path())
@@ -181,13 +194,18 @@ pub fn scan_workspace(root: &Path) -> io::Result<Workspace> {
         files.sort_by(|a, b| a.rel_path.cmp(&b.rel_path));
         let allow = fs::read_to_string(dir.join("ANALYZE.allow")).ok();
         crates.push(CrateSources { name, files, allow });
+        collect_rs_files(&dir.join("tests"), root, &mut callers)?;
     }
-    Ok(Workspace { crates })
+    for dir in ["tests", "examples", "benchmark/src"] {
+        collect_rs_files(&root.join(dir), root, &mut callers)?;
+    }
+    callers.sort_by(|a, b| a.rel_path.cmp(&b.rel_path));
+    Ok(Workspace { crates, callers })
 }
 
 fn collect_rs_files(dir: &Path, root: &Path, out: &mut Vec<SourceFile>) -> io::Result<()> {
     let Ok(entries) = fs::read_dir(dir) else {
-        return Ok(()); // a crate without src/ contributes nothing
+        return Ok(()); // a missing directory contributes nothing
     };
     for entry in entries {
         let path = entry?.path();
@@ -407,22 +425,18 @@ fn lex_string(bytes: &[u8], start: usize) -> (String, usize, usize) {
     (String::from_utf8_lossy(&bytes[content_start..]).into_owned(), bytes.len() - start, newlines)
 }
 
-/// Mark every token inside a `#[cfg(test)]`-gated item (normally the
-/// `mod tests { … }` block) with `in_test = true`.
+/// Mark every token of a `#[cfg(test)]`-gated item (normally the
+/// `mod tests { … }` block), from the attribute to the item's end, with
+/// `in_test = true`.
 fn mark_test_regions(tokens: &mut [Token]) {
     let mut i = 0;
     while i < tokens.len() {
         if is_cfg_test_attr(tokens, i) {
-            // Skip past the attribute's closing `]`, then mark the
-            // following item's braced body.
+            // Mark the attribute and the item's header (e.g. `mod tests`,
+            // `pub fn helper()`) up to its opening brace.
             let mut j = i;
-            while j < tokens.len() && !tokens[j].is_punct(']') {
-                j += 1;
-            }
-            j += 1;
-            // Find the item's opening brace (skipping e.g. `mod tests`,
-            // `fn foo()` headers) at angle/paren depth 0.
             while j < tokens.len() && !tokens[j].is_punct('{') {
+                tokens[j].in_test = true;
                 if tokens[j].is_punct(';') {
                     // `#[cfg(test)] mod tests;` — body is another file,
                     // which lives under src/ and is scanned on its own.
@@ -532,5 +546,14 @@ mod tests {
         assert_eq!(unwraps, vec![false, true]);
         let live2 = toks.iter().find(|t| t.is_ident("live2")).unwrap();
         assert!(!live2.in_test, "tokens after the test module are live again");
+    }
+
+    #[test]
+    fn a_cfg_test_item_is_marked_from_its_attribute() {
+        let src = "#[cfg(test)]\npub fn reference() {}\npub fn live() {}\n";
+        let toks = SourceFile::new("t.rs", src).tokens();
+        let marked = |name: &str| toks.iter().find(|t| t.is_ident(name)).unwrap().in_test;
+        assert!(marked("cfg") && marked("pub") && marked("reference"));
+        assert!(!marked("live"));
     }
 }

@@ -45,7 +45,7 @@ pub struct WireType {
 /// `wire_struct!`/`wire_enum!` declarations plus the encode side of the
 /// impls in `binio.rs`. Hand-written impls anywhere else, and half a pair
 /// in `binio.rs`, are reported into `findings`.
-pub fn extract(ws: &Workspace, findings: &mut Vec<Finding>) -> BTreeMap<String, WireType> {
+fn extract(ws: &Workspace, findings: &mut Vec<Finding>) -> BTreeMap<String, WireType> {
     let mut types = BTreeMap::new();
     for (crate_name, file) in ws.files() {
         let tokens = file.tokens();

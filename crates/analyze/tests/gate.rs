@@ -25,7 +25,7 @@ fn fixture_with_allow(name: &str, body: &str, allow: Option<&str>) -> Workspace 
 }
 
 fn run(ws: &Workspace, lock: Option<&str>) -> Vec<webevo_analyze::Finding> {
-    analyze(ws, &AnalyzeConfig::workspace_default(), lock)
+    analyze(ws, &AnalyzeConfig::workspace_default(), lock).findings
 }
 
 fn fired(findings: &[webevo_analyze::Finding], lint: Lint) -> bool {
@@ -81,7 +81,7 @@ fn seeded_missing_forbid_unsafe_fires_as_error() {
 
 #[test]
 fn seeded_panic_budget_overrun_fires() {
-    let body = "pub fn f(v: Vec<u32>) -> u32 { *v.first().unwrap() + *v.last().unwrap() }\n";
+    let body = "fn f(v: Vec<u32>) -> u32 { *v.first().unwrap() + *v.last().unwrap() }\n";
     let over = fixture_with_allow(
         "core",
         body,
@@ -138,9 +138,9 @@ fn seeded_exemption_without_justification_fires() {
 fn wire_crate(fields: [&str; 2], snapshot: u32) -> Workspace {
     let lib = format!(
         "#![forbid(unsafe_code)]\n\
-         pub const SNAPSHOT_VERSION: u32 = {snapshot};\n\
-         pub const WAL_HEADER: &str = \"WEBEVO-WAL 2\";\n\
-         pub const MANIFEST_VERSION: u32 = 2;\n\
+         const SNAPSHOT_VERSION: u32 = {snapshot};\n\
+         const WAL_HEADER: &str = \"WEBEVO-WAL 2\";\n\
+         const MANIFEST_VERSION: u32 = 2;\n\
          pub struct Page {{ pub url: u64, pub rank: u64 }}\n\
          wire_struct!(Page {{ {f0}, {f1} }});\n",
         f0 = fields[0],
@@ -236,6 +236,106 @@ fn seeded_missing_lock_is_an_error() {
             .any(|f| f.lint == Lint::Schema && f.message.contains("SCHEMA.lock is missing")),
         "{f:?}"
     );
+}
+
+// -------------------------------------------------------- dead pub surface
+
+/// A fixture crate `x` (`files` under `crates/x/`, `#![forbid(unsafe_code)]`
+/// prepended to `src/lib.rs`) plus caller-only files at workspace paths.
+fn dead_pub_fixture(files: &[(&str, &str)], callers: &[(&str, &str)], allow: Option<&str>) -> Workspace {
+    let files = files
+        .iter()
+        .map(|(path, text)| {
+            let text = if *path == "src/lib.rs" {
+                format!("#![forbid(unsafe_code)]\n{text}")
+            } else {
+                text.to_string()
+            };
+            SourceFile::new(format!("crates/x/{path}"), text)
+        })
+        .collect();
+    let mut krate = CrateSources::new("x", files);
+    if let Some(a) = allow {
+        krate = krate.with_allow(a);
+    }
+    let callers = callers.iter().map(|(path, text)| SourceFile::new(*path, *text)).collect();
+    Workspace::from_sources(vec![krate]).with_callers(callers)
+}
+
+/// The messages of the dead-pub findings.
+fn dead_pub(findings: &[webevo_analyze::Finding]) -> Vec<&str> {
+    findings
+        .iter()
+        .filter(|f| f.lint == Lint::DeadPub)
+        .map(|f| f.message.as_str())
+        .collect()
+}
+
+#[test]
+fn a_pub_fn_named_only_by_its_own_tests_is_dead() {
+    // Test code's own `pub` items are not surface: only `helper` is dead.
+    let lib = "pub fn helper() {}\n\
+               #[cfg(test)]\n\
+               pub fn reference() {}\n\
+               #[cfg(test)]\n\
+               mod tests { use super::*; pub fn h() {} #[test] fn t() { helper(); reference(); h(); } }\n";
+    let f = run(&dead_pub_fixture(&[("src/lib.rs", lib)], &[], None), None);
+    assert_eq!(dead_pub(&f).len(), 1, "{f:?}");
+    assert!(dead_pub(&f)[0].contains("`pub fn helper`"), "{f:?}");
+    assert!(f.iter().all(|f| f.severity == Severity::Warning), "{f:?}");
+}
+
+#[test]
+fn a_pub_fn_named_by_an_integration_test_is_live() {
+    let caller = ("tests/it.rs", "use x::helper;\n#[test]\nfn t() { helper(); }\n");
+    let ws = dead_pub_fixture(&[("src/lib.rs", "pub fn helper() {}\n")], &[caller], None);
+    assert!(run(&ws, None).is_empty());
+}
+
+#[test]
+fn a_pub_use_re_export_is_not_a_caller() {
+    let files = [
+        ("src/lib.rs", "pub mod util;\npub use util::helper;\n"),
+        ("src/util.rs", "pub fn helper() {}\n"),
+    ];
+    let f = run(&dead_pub_fixture(&files, &[], None), None);
+    assert_eq!(dead_pub(&f).len(), 1, "{f:?}");
+    assert_eq!(f[0].file, "crates/x/src/util.rs");
+}
+
+#[test]
+fn pub_crate_items_are_out_of_scope() {
+    let ws = dead_pub_fixture(&[("src/lib.rs", "pub(crate) fn helper() {}\n")], &[], None);
+    assert!(run(&ws, None).is_empty());
+}
+
+#[test]
+fn an_item_exemption_silences_that_item_only() {
+    let ws = dead_pub_fixture(
+        &[("src/lib.rs", "pub fn kept() {}\npub fn dropped() {}\n")],
+        &[],
+        Some("dead-pub src/lib.rs::kept -- a caller is coming\n"),
+    );
+    let analysis = analyze(&ws, &AnalyzeConfig::workspace_default(), None);
+    let f = &analysis.findings;
+    assert_eq!(dead_pub(f), ["`pub fn dropped` is named in no other file: delete it, make it \
+        private, or add `dead-pub src/lib.rs::dropped` to ANALYZE.allow with the reason a \
+        caller is coming"]);
+    assert_eq!(f.len(), 1, "the used exemption is not stale: {f:?}");
+    assert!(analysis.per_lint().ends_with("dead-pub 1 (1 exempt)"), "{}", analysis.per_lint());
+}
+
+#[test]
+fn an_exemption_for_a_live_item_is_stale() {
+    let ws = dead_pub_fixture(
+        &[("src/lib.rs", "pub fn used() {}\n")],
+        &[("examples/demo.rs", "fn main() { x::used(); }\n")],
+        Some("dead-pub src/lib.rs::used -- dead once\n"),
+    );
+    let f = run(&ws, None);
+    assert_eq!(f.len(), 1, "{f:?}");
+    assert_eq!((f[0].lint, f[0].severity), (Lint::Allowlist, Severity::Warning));
+    assert!(f[0].message.contains("stale allowlist entry: `dead-pub src/lib.rs::used`"), "{f:?}");
 }
 
 // --------------------------------------------------------- real workspace

@@ -649,10 +649,11 @@ fn run_analyze(
         eprintln!("[repro] wrote {lock_path:?}");
     }
     let lock_text = std::fs::read_to_string(&lock_path).ok();
-    let findings = analyze(&ws, &AnalyzeConfig::workspace_default(), lock_text.as_deref());
+    let analysis = analyze(&ws, &AnalyzeConfig::workspace_default(), lock_text.as_deref());
+    let findings = &analysis.findings;
 
     let file_count: usize = ws.crates.iter().map(|c| c.files.len()).sum();
-    for f in &findings {
+    for f in findings {
         println!("{f}");
     }
     let errors = findings.iter().filter(|f| f.severity == Severity::Error).count();
@@ -660,11 +661,12 @@ fn run_analyze(
     let notes = findings.len() - errors - warnings;
     println!(
         "[repro] analyze: {file_count} files in {} crates — {errors} error(s), \
-         {warnings} warning(s), {notes} note(s)",
-        ws.crates.len()
+         {warnings} warning(s), {notes} note(s); {}",
+        ws.crates.len(),
+        analysis.per_lint()
     );
     if let Some(path) = out {
-        std::fs::write(&path, render_json(&findings)).unwrap_or_else(|e| {
+        std::fs::write(&path, render_json(findings)).unwrap_or_else(|e| {
             eprintln!("[repro] cannot write {path:?}: {e}");
             std::process::exit(1);
         });

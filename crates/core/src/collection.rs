@@ -169,14 +169,6 @@ impl Collection {
             .map(|(p, _)| p)
     }
 
-    /// Minimum importance in the collection.
-    pub fn min_importance(&self) -> f64 {
-        self.pages
-            .values()
-            .map(|s| s.importance)
-            .fold(f64::INFINITY, f64::min)
-    }
-
     /// Remove and return every page whose site satisfies `departing`, in
     /// ascending page-id order — the donor side of a fleet rebalance.
     pub fn extract_pages(&mut self, departing: impl Fn(SiteId) -> bool) -> Vec<StoredPage> {
@@ -283,7 +275,6 @@ mod tests {
         assert_eq!(c.least_important(), Some(PageId(0)));
         c.get_mut(PageId(2)).unwrap().importance = 0.1;
         assert_eq!(c.least_important(), Some(PageId(2)));
-        assert!((c.min_importance() - 0.1).abs() < 1e-12);
     }
 
     #[test]

@@ -82,7 +82,7 @@ pub use modules::{
 };
 pub use periodic::{PeriodicConfig, PeriodicCrawler, PeriodicState};
 pub use routing::{
-    merge_outboxes, rebalance_states, route_exchange, RoutedBatch, RoutedLink, RoutingState,
+    rebalance_states, route_exchange, RoutedBatch, RoutedLink, RoutingState,
     ShardScope, WalEvent,
 };
 pub use shell::EngineShell;

@@ -231,11 +231,6 @@ impl UpdateModule {
         self.intervals.insert(page, interval);
     }
 
-    /// The configured strategy.
-    pub fn strategy(&self) -> RevisitStrategy {
-        self.strategy
-    }
-
     /// The configured estimator.
     pub fn estimator(&self) -> EstimatorKind {
         self.estimator

@@ -181,11 +181,6 @@ impl PeriodicCrawler {
         self.shell.passes
     }
 
-    /// Pages currently visible to users.
-    pub fn current_size(&self) -> usize {
-        self.current.len()
-    }
-
     /// Seed the BFS frontier for the cycle starting at `self.cycle_start`.
     fn seed_window(&mut self, universe: &WebUniverse) {
         let mut window = BatchWindow {
@@ -544,7 +539,7 @@ mod tests {
         let mut crawler = PeriodicCrawler::new(config());
         run(&mut crawler, &u, &mut fetcher, 40.0);
         assert_eq!(crawler.cycles(), 4);
-        assert!(crawler.current_size() > 40, "size={}", crawler.current_size());
+        assert!(crawler.current.len() > 40, "size={}", crawler.current.len());
     }
 
     #[test]
@@ -619,7 +614,7 @@ mod tests {
             let mut fetcher = SimFetcher::new(&u);
             let mut crawler = PeriodicCrawler::new(config());
             run(&mut crawler, &u, &mut fetcher, 30.0);
-            (crawler.current_size(), crawler.metrics().fetches)
+            (crawler.current.len(), crawler.metrics().fetches)
         };
         assert_eq!(run_once(), run_once());
     }

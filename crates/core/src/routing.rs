@@ -31,7 +31,7 @@ use webevo_types::{wire_struct, PageId, ShardId, ShardPlan, SiteId, Url, WebEvoE
 ///
 /// `seq` is the *source* shard's fetch sequence number at the moment of
 /// discovery; together with the source [`ShardId`] it gives every routed
-/// link a fleet-wide total order (see [`merge_outboxes`]).
+/// link a fleet-wide total order (see [`route_exchange`]).
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct RoutedLink {
     /// Source-shard fetch sequence at discovery time.
@@ -157,7 +157,7 @@ wire_struct!(RoutingState { scope, outbox, inbox, exchanges });
 /// the outbox *contents*, never of which worker thread drained which
 /// shard first. That invariance is what keeps fleet runs byte-identical
 /// across concurrency levels.
-pub fn merge_outboxes(parts: &[(ShardId, Vec<RoutedLink>)]) -> Vec<RoutedLink> {
+fn merge_outboxes(parts: &[(ShardId, Vec<RoutedLink>)]) -> Vec<RoutedLink> {
     let mut tagged: Vec<(ShardId, RoutedLink)> = parts
         .iter()
         .flat_map(|(shard, links)| links.iter().map(move |link| (*shard, *link)))
@@ -169,7 +169,8 @@ pub fn merge_outboxes(parts: &[(ShardId, Vec<RoutedLink>)]) -> Vec<RoutedLink> {
 /// Partition one exchange's merged links by destination shard.
 ///
 /// Index `k` of the result is the batch bound for shard `k` under
-/// `plan`; each batch preserves the [`merge_outboxes`] order.
+/// `plan`; each batch preserves the fleet-wide exchange order:
+/// `(source ShardId, seq)` ascending.
 pub fn route_exchange(
     plan: &ShardPlan,
     parts: &[(ShardId, Vec<RoutedLink>)],

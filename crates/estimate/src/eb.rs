@@ -27,7 +27,7 @@ pub struct FrequencyClass {
 
 impl FrequencyClass {
     /// Build a class from a mean change interval in days.
-    pub fn per_interval(label: &str, days: f64) -> FrequencyClass {
+    fn per_interval(label: &str, days: f64) -> FrequencyClass {
         FrequencyClass {
             label: label.to_string(),
             rate: ChangeRate::per_interval_days(days),
@@ -70,25 +70,6 @@ impl BayesianEstimator {
         }
     }
 
-    /// Create with an explicit prior (normalized internally).
-    pub fn with_prior(classes: Vec<FrequencyClass>, prior: Vec<f64>) -> Result<BayesianEstimator> {
-        if classes.len() != prior.len() {
-            return Err(Error::invalid("prior length must match class count"));
-        }
-        if classes.is_empty() {
-            return Err(Error::invalid("need at least one frequency class"));
-        }
-        let total: f64 = prior.iter().sum();
-        if total.is_nan() || total <= 0.0 || prior.iter().any(|&p| p < 0.0) {
-            return Err(Error::invalid("prior must be non-negative with positive sum"));
-        }
-        Ok(BayesianEstimator {
-            classes,
-            posterior: prior.into_iter().map(|p| p / total).collect(),
-            observations: 0,
-        })
-    }
-
     /// The paper's example classes (weekly C_W and monthly C_M) plus the
     /// daily and 4-monthly extremes §3.1 measured — a practical default
     /// spanning Figure 2's bins.
@@ -127,16 +108,6 @@ impl BayesianEstimator {
             }
         }
         self.observations += 1;
-    }
-
-    /// Posterior probability of each class, in class order.
-    pub fn posterior(&self) -> &[f64] {
-        &self.posterior
-    }
-
-    /// The classes.
-    pub fn classes(&self) -> &[FrequencyClass] {
-        &self.classes
     }
 
     /// Observations absorbed so far.
@@ -193,17 +164,17 @@ mod tests {
         // "if the UpdateModule learns that page p1 did not change for one
         // month, \[it\] increases P{C_M} and decreases P{C_W}".
         let mut e = weekly_monthly();
-        let before = e.posterior().to_vec();
+        let before = e.posterior.to_vec();
         e.observe(30.0, false);
-        assert!(e.posterior()[1] > before[1], "P(monthly) should increase");
-        assert!(e.posterior()[0] < before[0], "P(weekly) should decrease");
+        assert!(e.posterior[1] > before[1], "P(monthly) should increase");
+        assert!(e.posterior[0] < before[0], "P(weekly) should decrease");
     }
 
     #[test]
     fn change_observation_favors_fast_class() {
         let mut e = weekly_monthly();
         e.observe(1.0, true);
-        assert!(e.posterior()[0] > 0.5, "a quick change favors weekly");
+        assert!(e.posterior[0] > 0.5, "a quick change favors weekly");
         assert_eq!(e.map_class().label, "weekly");
     }
 
@@ -212,7 +183,7 @@ mod tests {
         let mut e = weekly_monthly();
         for k in 0..50 {
             e.observe(1.0 + (k % 5) as f64, k % 3 == 0);
-            let sum: f64 = e.posterior().iter().sum();
+            let sum: f64 = e.posterior.iter().sum();
             assert!((sum - 1.0).abs() < 1e-9, "sum={sum}");
         }
     }
@@ -248,21 +219,6 @@ mod tests {
     #[test]
     fn prior_validation() {
         assert!(BayesianEstimator::uniform_prior(vec![]).is_err());
-        let classes = BayesianEstimator::paper_classes();
-        assert!(BayesianEstimator::with_prior(classes.clone(), vec![1.0]).is_err());
-        assert!(BayesianEstimator::with_prior(classes.clone(), vec![0.0; 4]).is_err());
-        let ok = BayesianEstimator::with_prior(classes, vec![2.0, 1.0, 1.0, 0.0]).unwrap();
-        assert!((ok.posterior()[0] - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn informative_prior_shifts_map() {
-        let classes = vec![
-            FrequencyClass::per_interval("weekly", 7.0),
-            FrequencyClass::per_interval("monthly", 30.0),
-        ];
-        let e = BayesianEstimator::with_prior(classes, vec![0.9, 0.1]).unwrap();
-        assert_eq!(e.map_class().label, "weekly");
     }
 
     #[test]

@@ -8,9 +8,10 @@
 //! visit (Figure 1(a) of this paper) — and proposes estimators that invert
 //! the detection probability instead:
 //!
-//! * [`estimate_regular_mle`]: `λ̂ = −ln(1 − X/n)/Δ`, the MLE.
 //! * [`estimate_regular_bias_corrected`]: `λ̂ = −ln((n−X+0.5)/(n+0.5))/Δ`,
-//!   \[CGM99a\]'s small-sample correction that stays finite at `X = n`.
+//!   \[CGM99a\]'s small-sample correction of the MLE `−ln(1 − X/n)/Δ`
+//!   that stays finite at `X = n`; the plain MLE is kept as this module's
+//!   test reference.
 //! * [`estimate_irregular_mle`]: Newton-solved MLE for irregular visit
 //!   intervals, maximizing `Σ_changed ln(1−e^{−λt_i}) − Σ_unchanged λt_i`.
 //!
@@ -43,29 +44,6 @@ pub fn estimate_naive(history: &ChangeHistory) -> Result<ChangeRate> {
         return Err(Error::InvalidState("no comparisons in history".into()));
     }
     Ok(ChangeRate(history.detections() as f64 / history.monitored_days()))
-}
-
-/// MLE for regular access intervals: `λ̂ = −ln(1 − X/n)/Δ`.
-///
-/// Returns an error when every visit saw a change (`X = n`), where the MLE
-/// diverges — use [`estimate_regular_bias_corrected`] there.
-pub fn estimate_regular_mle(detections: u64, n: u64, interval_days: f64) -> Result<ChangeRate> {
-    if n == 0 {
-        return Err(Error::InvalidState("no comparisons".into()));
-    }
-    if interval_days <= 0.0 {
-        return Err(Error::invalid("access interval must be positive"));
-    }
-    if detections > n {
-        return Err(Error::invalid("detections cannot exceed comparisons"));
-    }
-    if detections == n {
-        return Err(Error::InvalidState(
-            "every visit detected a change; MLE diverges (Figure 1(a) granularity limit)".into(),
-        ));
-    }
-    let p_hat = detections as f64 / n as f64;
-    Ok(ChangeRate(-(1.0 - p_hat).ln() / interval_days))
 }
 
 /// \[CGM99a\]'s bias-corrected estimator for regular access:
@@ -180,6 +158,30 @@ mod tests {
     use super::*;
     use webevo_stats::SimRng;
     use webevo_types::Checksum;
+
+    /// MLE for regular access intervals: `λ̂ = −ln(1 − X/n)/Δ`, the reference
+    /// the bias-corrected estimator is judged against.
+    ///
+    /// Returns an error when every visit saw a change (`X = n`), where the MLE
+    /// diverges — the case the bias correction exists for.
+    fn estimate_regular_mle(detections: u64, n: u64, interval_days: f64) -> Result<ChangeRate> {
+        if n == 0 {
+            return Err(Error::InvalidState("no comparisons".into()));
+        }
+        if interval_days <= 0.0 {
+            return Err(Error::invalid("access interval must be positive"));
+        }
+        if detections > n {
+            return Err(Error::invalid("detections cannot exceed comparisons"));
+        }
+        if detections == n {
+            return Err(Error::InvalidState(
+                "every visit detected a change; MLE diverges (Figure 1(a) granularity limit)".into(),
+            ));
+        }
+        let p_hat = detections as f64 / n as f64;
+        Ok(ChangeRate(-(1.0 - p_hat).ln() / interval_days))
+    }
 
     /// Build a history by simulating daily visits to a Poisson page.
     fn simulated_history(lambda: f64, days: usize, interval: f64, seed: u64) -> ChangeHistory {

@@ -108,11 +108,6 @@ impl ChangeHistory {
         self.monitored_days.max(0.0)
     }
 
-    /// Time of the most recent visit.
-    pub fn last_visit(&self) -> Option<f64> {
-        self.last_visit
-    }
-
     /// The most recent checksum.
     pub fn last_checksum(&self) -> Option<Checksum> {
         self.last_checksum
@@ -153,13 +148,17 @@ impl ChangeHistory {
 wire_struct!(Observation { time, interval, changed });
 // A decoded history is checked, not trusted: `record_visit` retires
 // observations against the window and the running totals, and would
-// underflow `comparisons` on a history outside these bounds.
+// underflow `comparisons` or `detections` on a history outside these
+// bounds. `detections` is exactly the retained changed observations:
+// `record_visit` counts and retires the two in step.
 wire_struct!(ChangeHistory {
     window, observations, last_checksum, last_visit, comparisons, detections, monitored_days
 } reject |h| h.window < 2
     || h.observations.len() > h.window
     || h.comparisons > h.observations.len() as u64
-    => "change history outgrows its window or counts more comparisons than observations");
+    || h.detections != h.observations.iter().filter(|o| o.changed).count() as u64
+    => "change history outgrows its window, counts more comparisons than observations, \
+        or miscounts its detected changes");
 
 #[cfg(test)]
 mod tests {
@@ -299,5 +298,21 @@ mod tests {
         assert!(roundtrip(&h).is_ok());
         h.comparisons = 3;
         assert!(roundtrip(&h).is_err());
+    }
+
+    #[test]
+    fn decode_rejects_detections_that_miscount_the_changed_observations() {
+        let mut h = ChangeHistory::new(3);
+        for (day, c) in [(0.0, 0), (1.0, 1), (2.0, 2), (3.0, 2)] {
+            h.record_visit(day, ck(c));
+        }
+        assert_eq!(h.detections(), 2);
+        assert!(roundtrip(&h).is_ok());
+        for detections in [0, 1, 3] {
+            h.detections = detections;
+            // Too few would underflow at the next retirement; too many
+            // would inflate EP's rate.
+            assert!(roundtrip(&h).is_err(), "detections = {detections}");
+        }
     }
 }

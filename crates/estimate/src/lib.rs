@@ -30,7 +30,7 @@ pub mod pooling;
 pub use eb::{BayesianEstimator, FrequencyClass};
 pub use ep::{
     estimate_ep, estimate_irregular_mle, estimate_naive,
-    estimate_regular_bias_corrected, estimate_regular_mle, EpEstimate,
+    estimate_regular_bias_corrected, EpEstimate,
 };
 pub use history::{ChangeHistory, Observation};
 pub use last_modified::{estimate_from_last_modified, LastModifiedObs};

@@ -5,24 +5,6 @@
 //! the page's first unseen change otherwise. Age penalizes *how stale*
 //! pages are, not just whether they are stale.
 
-/// Expected age of a single page copy a time `t` after its last sync, for
-/// change rate `lambda`:
-///
-/// ```text
-/// E[age(t)] = ∫₀^t P(first change before s happened) ds·… = t − (1 − e^{−λt})/λ
-/// ```
-///
-/// *Derivation.* Age at `t` is `(t − T_c)⁺` where `T_c` is the first change
-/// after the sync; `E[(t − T_c)⁺] = ∫₀^t P(T_c ≤ s) ds =
-/// ∫₀^t (1 − e^{−λs}) ds = t − (1 − e^{−λt})/λ`.
-pub fn age_at(lambda: f64, t: f64) -> f64 {
-    assert!(lambda >= 0.0 && t >= 0.0);
-    if lambda == 0.0 {
-        return 0.0;
-    }
-    t - (-(-lambda * t).exp_m1()) / lambda
-}
-
 /// Time-averaged expected age of a page re-synced **in place** every
 /// `interval_days`:
 ///
@@ -30,7 +12,8 @@ pub fn age_at(lambda: f64, t: f64) -> f64 {
 /// Ā = I/2 − 1/λ + (1 − e^{−λI})/(λ²I)
 /// ```
 ///
-/// (the average of [`age_at`] over one sync interval).
+/// (the average over one sync interval of the expected age a time `t`
+/// after a sync, `t − (1 − e^{−λt})/λ`).
 pub fn age_periodic(lambda: f64, interval_days: f64) -> f64 {
     assert!(lambda >= 0.0, "rate must be non-negative");
     assert!(interval_days > 0.0, "interval must be positive");
@@ -41,16 +24,27 @@ pub fn age_periodic(lambda: f64, interval_days: f64) -> f64 {
     interval_days / 2.0 - 1.0 / lambda + (-(-li).exp_m1()) / (lambda * lambda * interval_days)
 }
 
-/// Time-averaged age for a **steady in-place** collection where every page
-/// is revisited once per `cycle_days` — identical to [`age_periodic`] with
-/// the cycle as the interval (the same argument as for freshness).
-pub fn age_steady_collection(lambda: f64, cycle_days: f64) -> f64 {
-    age_periodic(lambda, cycle_days)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Expected age of a single page copy a time `t` after its last sync, for
+    /// change rate `lambda`:
+    ///
+    /// ```text
+    /// E[age(t)] = ∫₀^t P(first change before s happened) ds·… = t − (1 − e^{−λt})/λ
+    /// ```
+    ///
+    /// *Derivation.* Age at `t` is `(t − T_c)⁺` where `T_c` is the first change
+    /// after the sync; `E[(t − T_c)⁺] = ∫₀^t P(T_c ≤ s) ds =
+    /// ∫₀^t (1 − e^{−λs}) ds = t − (1 − e^{−λt})/λ`.
+    fn age_at(lambda: f64, t: f64) -> f64 {
+        assert!(lambda >= 0.0 && t >= 0.0);
+        if lambda == 0.0 {
+            return 0.0;
+        }
+        t - (-(-lambda * t).exp_m1()) / lambda
+    }
 
     #[test]
     fn age_zero_at_sync() {

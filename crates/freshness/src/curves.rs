@@ -10,7 +10,6 @@
 //! All curves are exact expectations under the Poisson model, expressed in
 //! cycle-relative time and evaluated on a uniform grid.
 
-use crate::analytic::one_minus_exp_over;
 use crate::policy::{CrawlPolicy, UpdateMode};
 
 /// A sampled curve: expected freshness at uniformly spaced times.
@@ -176,21 +175,12 @@ pub fn policy_curves(
     }
 }
 
-/// Convenience: the steady in-place constant, for checking Figure 7(b)'s
-/// flat line.
-pub fn steady_constant(lambda: f64, cycle: f64) -> f64 {
-    if lambda == 0.0 {
-        1.0
-    } else {
-        one_minus_exp_over(lambda * cycle)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::analytic::{
-        freshness_batch_shadow, freshness_periodic, freshness_steady_shadow,
+        freshness_batch_shadow, freshness_periodic, freshness_steady_inplace,
+        freshness_steady_shadow,
     };
     use crate::policy::{CrawlMode, CrawlPolicy, UpdateMode};
 
@@ -200,7 +190,7 @@ mod tests {
 
     #[test]
     fn steady_inplace_curve_is_flat() {
-        let c = steady_constant(LAMBDA, CYCLE);
+        let c = freshness_steady_inplace(LAMBDA, CYCLE);
         for i in 0..50 {
             let t = CYCLE * i as f64 / 50.0;
             let f = inplace_freshness_at(LAMBDA, CYCLE, CYCLE, t);

@@ -28,7 +28,7 @@ pub mod montecarlo;
 pub mod policy;
 pub mod series;
 
-pub use age::{age_periodic, age_steady_collection};
+pub use age::age_periodic;
 pub use analytic::{
     freshness_batch_inplace, freshness_batch_shadow, freshness_periodic,
     freshness_steady_inplace, freshness_steady_shadow, table2_entry,

@@ -111,32 +111,6 @@ fn last_serving_sync(
     }
 }
 
-/// Single-page freshness simulation with an arbitrary fixed revisit
-/// interval — the Monte Carlo counterpart of
-/// [`crate::analytic::freshness_periodic`], used to validate the Figure 9
-/// optimizer's objective.
-pub fn simulate_periodic(
-    lambda: f64,
-    interval_days: f64,
-    horizon_days: f64,
-    grid: usize,
-    seed: u64,
-) -> f64 {
-    assert!(interval_days > 0.0 && horizon_days > interval_days);
-    let mut rng = SimRng::seed_from_u64(seed);
-    let process = PoissonProcess::generate(&mut rng, lambda, horizon_days);
-    let mut fresh = 0usize;
-    let start = interval_days; // skip the pre-first-sync ramp
-    for g in 0..grid {
-        let t = start + (horizon_days - start) * g as f64 / grid as f64;
-        let sync = (t / interval_days).floor() * interval_days;
-        if !process.any_in(sync, t) {
-            fresh += 1;
-        }
-    }
-    fresh as f64 / grid as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -146,6 +120,32 @@ mod tests {
 
     const LAMBDA: f64 = 1.0 / 10.0; // fast pages: sharper differences
     const CYCLE: f64 = 30.0;
+
+    /// Single-page freshness simulation with an arbitrary fixed revisit
+    /// interval — the Monte Carlo counterpart of
+    /// [`crate::analytic::freshness_periodic`], the Figure 9 optimizer's
+    /// objective.
+    fn simulate_periodic(
+        lambda: f64,
+        interval_days: f64,
+        horizon_days: f64,
+        grid: usize,
+        seed: u64,
+    ) -> f64 {
+        assert!(interval_days > 0.0 && horizon_days > interval_days);
+        let mut rng = SimRng::seed_from_u64(seed);
+        let process = PoissonProcess::generate(&mut rng, lambda, horizon_days);
+        let mut fresh = 0usize;
+        let start = interval_days; // skip the pre-first-sync ramp
+        for g in 0..grid {
+            let t = start + (horizon_days - start) * g as f64 / grid as f64;
+            let sync = (t / interval_days).floor() * interval_days;
+            if !process.any_in(sync, t) {
+                fresh += 1;
+            }
+        }
+        fresh as f64 / grid as f64
+    }
 
     fn run(policy: CrawlPolicy) -> f64 {
         // 1600 pages × 8 cycles keeps the Monte Carlo standard error well

@@ -26,13 +26,6 @@ impl CrawlMode {
             CrawlMode::Batch { window_days } => window_days,
         }
     }
-
-    /// Peak crawl speed relative to a steady crawler with the same cycle —
-    /// the paper's §4 argument that batch crawling "increases the peak load
-    /// on the crawler's local machine and on the network".
-    pub fn peak_speed_factor(&self, cycle_days: f64) -> f64 {
-        cycle_days / self.window_days(cycle_days)
-    }
 }
 
 /// How the crawler installs refreshed pages (§4 choice 2).
@@ -95,14 +88,6 @@ impl fmt::Display for CrawlPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn peak_speed() {
-        let steady = CrawlMode::Steady;
-        let batch = CrawlMode::Batch { window_days: 7.0 };
-        assert_eq!(steady.peak_speed_factor(30.0), 1.0);
-        assert!((batch.peak_speed_factor(30.0) - 30.0 / 7.0).abs() < 1e-12);
-    }
 
     #[test]
     fn table2_policy_order() {

@@ -84,15 +84,6 @@ impl FreshnessSeries {
         area / (times.last().unwrap() - times.first().unwrap())
     }
 
-    /// Minimum freshness at or after `start`.
-    pub fn min_from(&self, start: f64) -> f64 {
-        let first = self.times.partition_point(|&t| t < start);
-        self.values[first..]
-            .iter()
-            .copied()
-            .fold(f64::INFINITY, f64::min)
-    }
-
     /// The final sample, if any.
     pub fn last(&self) -> Option<(f64, f64)> {
         match (self.times.last(), self.values.last()) {
@@ -143,8 +134,6 @@ mod tests {
         s.push(0.0, 0.9);
         s.push(1.0, 0.3);
         s.push(2.0, 0.7);
-        assert_eq!(s.min_from(0.0), 0.3);
-        assert_eq!(s.min_from(1.5), 0.7);
         assert_eq!(s.last(), Some((2.0, 0.7)));
     }
 

@@ -61,11 +61,6 @@ impl SiteGraph {
         self.sites.len()
     }
 
-    /// Number of inter-site edges.
-    pub fn edge_count(&self) -> usize {
-        self.out_degree.iter().sum()
-    }
-
     /// Sites in ascending id order.
     pub fn sites(&self) -> &[SiteId] {
         &self.sites
@@ -152,9 +147,8 @@ mod tests {
     fn collapse_dedups_and_drops_intra_site() {
         let sg = two_site_graph();
         assert_eq!(sg.site_count(), 2);
-        assert_eq!(sg.edge_count(), 2); // 0=>1 and 1=>0
-        assert_eq!(sg.out_degree(SiteId(0)), 1);
-        assert_eq!(sg.out_degree(SiteId(1)), 1);
+        assert_eq!(sg.out_degree(SiteId(0)), 1); // 0=>1
+        assert_eq!(sg.out_degree(SiteId(1)), 1); // 1=>0
     }
 
     #[test]

@@ -378,7 +378,7 @@ pub struct SpanGuard {
 
 impl SpanGuard {
     /// Whether this guard belongs to a recording sink.
-    pub fn is_recording(&self) -> bool {
+    fn is_recording(&self) -> bool {
         self.ctx.is_some()
     }
 }

@@ -3,9 +3,9 @@
 //!
 //! Everything here is deterministic given the recorded values: names are
 //! kept in `BTreeMap`s (stable iteration order), and histograms use one
-//! fixed set of bucket edges ([`Histogram::DEFAULT_EDGES`], powers of
-//! two), so two shards' histograms always merge bucket-for-bucket exactly
-//! like `CrawlMetrics::merge_weighted` merges the crawl series. The only
+//! fixed set of bucket edges (powers of two, `1..=2^30`), so two shards'
+//! histograms always merge bucket-for-bucket exactly like
+//! `CrawlMetrics::merge_weighted` merges the crawl series. The only
 //! way a merge can fail is combining registries built with different
 //! custom edges — a typed [`ObsError::EdgeMismatch`], mirroring the
 //! grid-mismatch error of the metrics merge.
@@ -56,7 +56,7 @@ impl Histogram {
     /// in microseconds, sizes in bytes, depths in items — at ~2× relative
     /// resolution, and fixing it globally is what makes every histogram
     /// mergeable with every peer shard's.
-    pub const DEFAULT_EDGES: [f64; 31] = {
+    const DEFAULT_EDGES: [f64; 31] = {
         let mut edges = [0.0; 31];
         let mut i = 0;
         while i < 31 {
@@ -66,13 +66,13 @@ impl Histogram {
         edges
     };
 
-    /// An empty histogram over [`Histogram::DEFAULT_EDGES`].
+    /// An empty histogram over the default power-of-two edges.
     pub fn new() -> Histogram {
         Histogram::with_edges(Histogram::DEFAULT_EDGES.to_vec())
     }
 
     /// An empty histogram over custom ascending `edges`.
-    pub fn with_edges(edges: Vec<f64>) -> Histogram {
+    fn with_edges(edges: Vec<f64>) -> Histogram {
         assert!(
             edges.windows(2).all(|w| w[0] < w[1]),
             "histogram edges must be strictly ascending"

@@ -15,8 +15,7 @@
 //!   worth chasing.
 //!
 //! [`optimal`] implements the solver, [`policy`] the uniform/proportional
-//! baselines and the common evaluation code, [`weighted`] the
-//! importance-weighted variant §5.3 sketches, and [`queue`] the
+//! baselines and the common evaluation code, and [`queue`] the
 //! time-ordered revisit queue that turns frequencies into a crawl order
 //! (the heart of `CollUrls`).
 
@@ -26,7 +25,6 @@
 pub mod optimal;
 pub mod policy;
 pub mod queue;
-pub mod weighted;
 
 pub use optimal::{optimal_allocation, optimal_frequency_curve, OptimalSolution};
 pub use policy::{
@@ -34,4 +32,3 @@ pub use policy::{
     RevisitPolicy,
 };
 pub use queue::{RevisitQueue, ScheduledVisit};
-pub use weighted::weighted_optimal_allocation;

@@ -84,22 +84,9 @@ impl RevisitQueue {
             .push(Entry(ScheduledVisit { due: f64::NEG_INFINITY, url }));
     }
 
-    /// The earliest due visit without removing it.
-    pub fn peek(&self) -> Option<ScheduledVisit> {
-        self.heap.peek().map(|e| e.0)
-    }
-
     /// Pop the earliest due visit.
     pub fn pop(&mut self) -> Option<ScheduledVisit> {
         self.heap.pop().map(|e| e.0)
-    }
-
-    /// Pop the earliest visit only if it is due at or before `now`.
-    pub fn pop_due(&mut self, now: f64) -> Option<ScheduledVisit> {
-        match self.peek() {
-            Some(v) if v.due <= now => self.pop(),
-            _ => None,
-        }
     }
 
     /// Remove every entry for `url` (used when the RankingModule discards a
@@ -188,15 +175,6 @@ mod tests {
         q.push(url(1), 0.0);
         q.push_front(url(2));
         assert_eq!(q.pop().unwrap().url, url(2));
-    }
-
-    #[test]
-    fn pop_due_respects_clock() {
-        let mut q = RevisitQueue::new();
-        q.push(url(1), 10.0);
-        assert_eq!(q.pop_due(5.0), None);
-        assert!(q.pop_due(10.0).is_some());
-        assert!(q.is_empty());
     }
 
     #[test]

@@ -266,16 +266,6 @@ impl CollectionView {
         }
     }
 
-    /// Mean copy age of the view's pages relative to the view's day, as a
-    /// Welford summary over `day - last_crawl`.
-    pub fn copy_age(&self) -> Summary {
-        let mut age = Summary::default();
-        for p in &self.pages {
-            age.record((self.day - p.last_crawl).max(0.0));
-        }
-        age
-    }
-
     /// Per-site rollups, ascending by `SiteId`. Pages without site
     /// attribution (periodic views) are skipped. Memoized per view.
     pub fn site_rollups(&self) -> &[SiteRollup] {

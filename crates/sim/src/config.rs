@@ -35,23 +35,6 @@ pub struct UniverseConfig {
 }
 
 impl UniverseConfig {
-    /// The paper's experimental scale: 270 sites in the Table 1 mix, 3,000
-    /// page window, 128-day horizon (1999-02-17 → 1999-06-24). Roughly
-    /// 810k page slots — use for full-fidelity runs only.
-    pub fn paper_scale(seed: u64) -> UniverseConfig {
-        UniverseConfig {
-            sites_per_domain: PerDomain::from_fn(|d| d.paper_site_count()),
-            pages_per_site: 3_000,
-            window_size: 3_000,
-            horizon_days: 128.0,
-            seed,
-            branching: 8,
-            extra_links_per_page: 2,
-            cross_link_probability: 0.05,
-            churn: true,
-        }
-    }
-
     /// A scaled-down universe preserving the Table 1 domain *ratio*
     /// (44:26:10:10) with `pages_per_site` slots: the default for examples
     /// and benchmarks.
@@ -171,18 +154,6 @@ impl UniverseConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn paper_scale_matches_table1() {
-        let c = UniverseConfig::paper_scale(1);
-        assert_eq!(c.total_sites(), 270);
-        assert_eq!(*c.sites_per_domain.get(Domain::Com), 132);
-        assert_eq!(*c.sites_per_domain.get(Domain::Edu), 78);
-        assert_eq!(*c.sites_per_domain.get(Domain::NetOrg), 30);
-        assert_eq!(*c.sites_per_domain.get(Domain::Gov), 30);
-        assert_eq!(c.pages_per_site, 3_000);
-        c.validate();
-    }
 
     #[test]
     fn scales_validate() {

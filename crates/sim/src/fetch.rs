@@ -117,26 +117,12 @@ impl Politeness {
     }
 
     /// Is crawling allowed at day-fraction `frac`?
-    pub fn allows_time_of_day(&self, frac: f64) -> bool {
+    fn allows_time_of_day(&self, frac: f64) -> bool {
         match self.night_window {
             None => true,
             Some((start, end)) if start <= end => frac >= start && frac < end,
             // Window wrapping midnight, e.g. (0.875, 0.25).
             Some((start, end)) => frac >= start || frac < end,
-        }
-    }
-
-    /// Maximum pages fetchable from one site per day under these limits.
-    pub fn max_pages_per_site_per_day(&self) -> f64 {
-        let window_len = match self.night_window {
-            None => 1.0,
-            Some((s, e)) if s <= e => e - s,
-            Some((s, e)) => (1.0 - s) + e,
-        };
-        if self.min_delay_days <= 0.0 {
-            f64::INFINITY
-        } else {
-            window_len / self.min_delay_days
         }
     }
 }
@@ -454,7 +440,8 @@ mod tests {
     #[test]
     fn paper_politeness_explains_window_size() {
         let p = Politeness::paper();
-        let max = p.max_pages_per_site_per_day();
+        let (start, end) = p.night_window.expect("the paper crawls at night");
+        let max = ((1.0 - start) + end) / p.min_delay_days;
         // 9 hours at one page per 10 s = 3,240 pages: the 3,000-page
         // window of §2.3 fits just under it.
         assert!((max - 3240.0).abs() < 1.0, "max={max}");

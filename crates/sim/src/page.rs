@@ -84,12 +84,6 @@ impl SimPage {
     pub fn last_modified(&self, events: &[f64], t: f64) -> f64 {
         event_slice::last_at_or_before(events, t).unwrap_or(self.birth)
     }
-
-    /// Visible lifespan within an observation window `[start, end)`: the
-    /// overlap of the page's life with the observation period.
-    pub fn lifespan_within(&self, start: f64, end: f64) -> f64 {
-        (self.death.min(end) - self.birth.max(start)).max(0.0)
-    }
 }
 
 /// One simulated site: a domain, and its slots' occupancy history.
@@ -108,11 +102,6 @@ impl SimSite {
     /// Number of slots (the site's total page capacity).
     pub fn slot_count(&self) -> usize {
         self.slots.len()
-    }
-
-    /// All page incarnations that ever lived on this site.
-    pub fn all_pages(&self) -> impl Iterator<Item = PageId> + '_ {
-        self.slots.iter().flatten().copied()
     }
 }
 
@@ -169,19 +158,6 @@ mod tests {
     }
 
     #[test]
-    fn lifespan_censoring() {
-        let (p, _) = page(10.0, 50.0, 0.0, 3);
-        // Fully inside the observation period.
-        assert!((p.lifespan_within(0.0, 100.0) - 40.0).abs() < 1e-12);
-        // Censored at the start (page existed before observation).
-        assert!((p.lifespan_within(20.0, 100.0) - 30.0).abs() < 1e-12);
-        // Censored at the end.
-        assert!((p.lifespan_within(0.0, 30.0) - 20.0).abs() < 1e-12);
-        // Disjoint.
-        assert_eq!(p.lifespan_within(60.0, 100.0), 0.0);
-    }
-
-    #[test]
     fn last_modified_defaults_to_birth() {
         let (p, arena) = page(5.0, f64::INFINITY, 0.0, 4);
         assert_eq!(p.last_modified(p.events.slice(&arena), 100.0), 5.0);
@@ -194,8 +170,6 @@ mod tests {
             domain: Domain::Edu,
             slots: vec![vec![PageId(0)], vec![PageId(1), PageId(2)]],
         };
-        let pages: Vec<u64> = site.all_pages().map(|p| p.0).collect();
-        assert_eq!(pages, vec![0, 1, 2]);
         assert_eq!(site.slot_count(), 2);
     }
 }

@@ -121,13 +121,6 @@ impl DomainProfile {
         let (lo, hi) = LIFESPAN_EDGES[bin];
         sample_log_uniform(rng, lo, hi)
     }
-
-    /// Expected fraction of pages whose *true* mean change interval falls
-    /// in each Figure 2 bin — what a long, perfectly sampled experiment
-    /// would recover.
-    pub fn expected_interval_fractions(&self) -> [f64; 5] {
-        self.interval_mix
-    }
 }
 
 #[cfg(test)]

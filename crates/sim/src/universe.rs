@@ -219,12 +219,6 @@ impl WebUniverse {
         self.pages[p.index()].events.slice(&self.events)
     }
 
-    /// The whole change-event arena (all pages' schedules concatenated in
-    /// page-id order).
-    pub fn event_arena(&self) -> &[f64] {
-        &self.events
-    }
-
     /// Bytes held by the precomputed ground-truth structures (event arena
     /// plus occupancy index) — the memory-footprint proxy the scale bench
     /// reports.
@@ -239,7 +233,7 @@ impl WebUniverse {
 
     /// The page currently occupying `slot` of `site` at time `t`, if any.
     ///
-    /// `out_links` and `window` call this per BFS child on the fetch hot
+    /// `out_links_into` and `window` call this per BFS child on the fetch hot
     /// path, so it must not scan: a slot's incarnations are birth-ordered
     /// and contiguous (each birth equals the previous death, pinned by
     /// `slots_have_contiguous_occupancy`), so the only candidate is the
@@ -313,13 +307,8 @@ impl WebUniverse {
     /// an optional cross-site link to another site's root with popularity
     /// skew (low-numbered sites are linked more — giving site-level
     /// PageRank something to rank).
-    pub fn out_links(&self, p: PageId, t: f64) -> Vec<Url> {
-        let mut links = Vec::new();
-        self.out_links_into(p, t, &mut links);
-        links
-    }
-
-    /// [`Self::out_links`] into a caller-owned buffer (cleared first) — the
+    ///
+    /// The links are written into a caller-owned buffer (cleared first): the
     /// fetch hot path reuses one scratch vector instead of allocating per
     /// fetch.
     pub fn out_links_into(&self, p: PageId, t: f64, links: &mut Vec<Url>) {
@@ -395,29 +384,17 @@ impl WebUniverse {
                 .map(|(&p, w)| (p, targets[w[0]..w[1]].iter().copied()))
         })
     }
-
-    /// Ground-truth mean change rate over the pages alive at `t` in every
-    /// window (used to sanity-check the experiment's estimates).
-    pub fn mean_window_rate(&self, t: f64) -> f64 {
-        let mut sum = 0.0;
-        let mut n = 0usize;
-        for site in &self.sites {
-            for p in self.window(site.id, t) {
-                sum += self.page(p).rate.per_day();
-                n += 1;
-            }
-        }
-        if n == 0 {
-            0.0
-        } else {
-            sum / n as f64
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn out_links(u: &WebUniverse, p: PageId, t: f64) -> Vec<Url> {
+        let mut links = Vec::new();
+        u.out_links_into(p, t, &mut links);
+        links
+    }
 
     fn small() -> WebUniverse {
         WebUniverse::generate(UniverseConfig::test_scale(42))
@@ -588,7 +565,7 @@ mod tests {
         for t in [0.0, 60.0, 120.0] {
             for site in u.sites() {
                 for p in u.window(site.id, t) {
-                    for url in u.out_links(p, t) {
+                    for url in out_links(&u, p, t) {
                         assert!(u.alive(url.page, t), "link target must be alive");
                         assert_eq!(u.page(url.page).site, url.site);
                     }
@@ -605,7 +582,7 @@ mod tests {
             .iter()
             .find(|p| p.death < 100.0)
             .expect("churn produces dead pages");
-        assert!(u.out_links(dead.id, dead.death + 1.0).is_empty());
+        assert!(out_links(&u, dead.id, dead.death + 1.0).is_empty());
     }
 
     #[test]
@@ -620,7 +597,7 @@ mod tests {
             assert!(sources.windows(2).all(|w| w[0] < w[1]), "ascending, no repeats");
             for &s in sources {
                 // Indexing `pages` checks the source is a member.
-                let links = u.out_links(g.pages()[s as usize], 10.0);
+                let links = out_links(&u, g.pages()[s as usize], 10.0);
                 assert!(links.iter().any(|url| url.page == target), "a real link");
             }
         }
@@ -637,12 +614,12 @@ mod tests {
             .find(|p| p.events.len > 0 && p.death.is_infinite() && p.slot < 3)
             .expect("a changing long-lived page near the root");
         let e = u.events_of(page.id)[0];
-        let before = u.out_links(page.id, e - 1e-9);
-        let after = u.out_links(page.id, e + 1e-9);
+        let before = out_links(&u, page.id, e - 1e-9);
+        let after = out_links(&u, page.id, e + 1e-9);
         // Not asserting inequality for every page (extras may collide), but
         // the link sets must both be valid and deterministic.
-        assert_eq!(before, u.out_links(page.id, e - 1e-9));
-        assert_eq!(after, u.out_links(page.id, e + 1e-9));
+        assert_eq!(before, out_links(&u, page.id, e - 1e-9));
+        assert_eq!(after, out_links(&u, page.id, e + 1e-9));
     }
 
     #[test]

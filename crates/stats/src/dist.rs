@@ -1,5 +1,5 @@
-//! Elementary distributions: exponential inter-arrival times and Poisson
-//! counts.
+//! Elementary distributions: exponential inter-arrival times and
+//! log-uniform rates.
 //!
 //! Theorem 1 of the paper: for a Poisson process with rate λ, the time to
 //! the next event has density `λ e^{−λt}`. All change schedules in the
@@ -16,40 +16,6 @@ pub fn sample_exponential(rng: &mut SimRng, lambda: f64) -> f64 {
     assert!(lambda > 0.0, "exponential rate must be positive, got {lambda}");
     let u = rng.uniform();
     -(-u).ln_1p() / lambda
-}
-
-/// Sample a Poisson count with mean `mu`.
-///
-/// Knuth's product method for small means; for `mu > 30` a normal
-/// approximation with continuity correction (adequate for the simulator's
-/// workload-sizing uses, never used in the estimation-theory paths where
-/// exactness matters).
-pub fn sample_poisson_count(rng: &mut SimRng, mu: f64) -> u64 {
-    assert!(mu >= 0.0 && mu.is_finite(), "Poisson mean must be finite and >= 0");
-    if mu == 0.0 {
-        return 0;
-    }
-    if mu <= 30.0 {
-        let limit = (-mu).exp();
-        let mut product = rng.uniform();
-        let mut count = 0u64;
-        while product > limit {
-            product *= rng.uniform();
-            count += 1;
-        }
-        count
-    } else {
-        // Box–Muller normal approximation N(mu, mu).
-        let u1 = rng.uniform().max(f64::MIN_POSITIVE);
-        let u2 = rng.uniform();
-        let z = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
-        let x = mu + mu.sqrt() * z;
-        if x < 0.0 {
-            0
-        } else {
-            x.round() as u64
-        }
-    }
 }
 
 /// Sample from a log-uniform distribution on `[lo, hi]` (both positive).
@@ -94,42 +60,6 @@ mod tests {
             .count() as f64
             / n as f64;
         assert!((tail - (-2.0f64).exp()).abs() < 0.01, "tail={tail}");
-    }
-
-    #[test]
-    fn poisson_small_mean() {
-        let mut rng = SimRng::seed_from_u64(3);
-        let mu = 2.5;
-        let n = 50_000;
-        let mut sum = 0u64;
-        let mut sq = 0.0;
-        for _ in 0..n {
-            let k = sample_poisson_count(&mut rng, mu);
-            sum += k;
-            sq += (k as f64) * (k as f64);
-        }
-        let mean = sum as f64 / n as f64;
-        let var = sq / n as f64 - mean * mean;
-        assert!((mean - mu).abs() < 0.05, "mean={mean}");
-        assert!((var - mu).abs() < 0.15, "var={var}");
-    }
-
-    #[test]
-    fn poisson_zero_mean() {
-        let mut rng = SimRng::seed_from_u64(4);
-        for _ in 0..100 {
-            assert_eq!(sample_poisson_count(&mut rng, 0.0), 0);
-        }
-    }
-
-    #[test]
-    fn poisson_large_mean_approximation() {
-        let mut rng = SimRng::seed_from_u64(5);
-        let mu = 400.0;
-        let n = 20_000;
-        let mean = (0..n).map(|_| sample_poisson_count(&mut rng, mu) as f64).sum::<f64>()
-            / n as f64;
-        assert!((mean - mu).abs() < 1.0, "mean={mean}");
     }
 
     #[test]

@@ -1,19 +1,18 @@
-//! Goodness-of-fit tests against the exponential distribution.
+//! Goodness of fit of the Poisson change model.
 //!
 //! §3.4 verifies the Poisson model by plotting change-interval distributions
 //! of pages with a common mean interval against `e^{−λt}` on a log scale
-//! (Figure 6) and eyeballing the fit. We make the verification quantitative:
-//! a chi-square test on binned intervals and a Kolmogorov–Smirnov test on
-//! the raw intervals, both against the exponential with the sample's rate.
+//! (Figure 6) and eyeballing the fit. We make the verification quantitative
+//! with a chi-square test of the daily-detected intervals against the
+//! geometric law a once-a-day observer of a Poisson page sees.
 
-use crate::ecdf::Ecdf;
 use crate::histogram::Histogram;
 use crate::special::chi_square_sf;
 
 /// Outcome of a goodness-of-fit test.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct GofResult {
-    /// The test statistic (chi-square value or KS distance).
+    /// The chi-square statistic.
     pub statistic: f64,
     /// The p-value: probability of a statistic at least this extreme under
     /// the null hypothesis that the data is exponential.
@@ -27,73 +26,6 @@ impl GofResult {
     pub fn rejects_at(&self, alpha: f64) -> bool {
         self.p_value < alpha
     }
-}
-
-/// Chi-square test of exponentiality for a sample of intervals.
-///
-/// The rate is estimated as `1/mean` (MLE for the exponential); intervals
-/// are binned into `bins` equal-probability bins under the fitted
-/// exponential, so every bin has expected count `n/bins`. One degree of
-/// freedom is consumed by the rate estimate: dof = bins − 2.
-pub fn chi_square_exponential_fit(intervals: &[f64], bins: usize) -> GofResult {
-    assert!(bins >= 3, "need at least 3 bins for a meaningful test");
-    assert!(
-        intervals.iter().all(|&x| x >= 0.0 && x.is_finite()),
-        "intervals must be finite and non-negative"
-    );
-    let n = intervals.len();
-    if n < bins * 5 {
-        // Too small for the asymptotic to mean anything: be conservative.
-        return GofResult { statistic: 0.0, p_value: 1.0, n };
-    }
-    let mean: f64 = intervals.iter().sum::<f64>() / n as f64;
-    assert!(mean > 0.0, "intervals cannot all be zero");
-    let lambda = 1.0 / mean;
-
-    // Equal-probability bin edges under Exp(lambda): F^{-1}(k/bins).
-    let mut counts = vec![0u64; bins];
-    for &x in intervals {
-        let u = 1.0 - (-lambda * x).exp(); // CDF value in [0,1)
-        let k = ((u * bins as f64) as usize).min(bins - 1);
-        counts[k] += 1;
-    }
-    let expected = n as f64 / bins as f64;
-    let statistic: f64 = counts
-        .iter()
-        .map(|&c| {
-            let d = c as f64 - expected;
-            d * d / expected
-        })
-        .sum();
-    let dof = (bins - 2) as f64;
-    GofResult { statistic, p_value: chi_square_sf(statistic, dof), n }
-}
-
-/// Kolmogorov–Smirnov test of exponentiality.
-///
-/// Computes `D = sup |F_n(x) − (1 − e^{−λx})|` with `λ = 1/mean`, and the
-/// asymptotic Kolmogorov p-value with the Lilliefors-style small-sample
-/// correction `D·(√n + 0.12 + 0.11/√n)`. Because λ is estimated from the
-/// same data the p-value is approximate (slightly anti-conservative);
-/// adequate for the paper's "does a Poisson process predict the data"
-/// question.
-pub fn ks_test_exponential(intervals: &[f64]) -> GofResult {
-    assert!(
-        intervals.iter().all(|&x| x >= 0.0 && x.is_finite()),
-        "intervals must be finite and non-negative"
-    );
-    let n = intervals.len();
-    if n == 0 {
-        return GofResult { statistic: 0.0, p_value: 1.0, n };
-    }
-    let mean: f64 = intervals.iter().sum::<f64>() / n as f64;
-    assert!(mean > 0.0, "intervals cannot all be zero");
-    let lambda = 1.0 / mean;
-    let ecdf = Ecdf::new(intervals.to_vec());
-    let d = ecdf.ks_distance(|x| 1.0 - (-lambda * x).exp());
-    let sqrt_n = (n as f64).sqrt();
-    let t = d * (sqrt_n + 0.12 + 0.11 / sqrt_n);
-    GofResult { statistic: d, p_value: kolmogorov_sf(t), n }
 }
 
 /// Chi-square test that integer day-intervals follow the **geometric**
@@ -149,23 +81,6 @@ pub fn chi_square_geometric_fit(intervals_days: &[f64]) -> GofResult {
     GofResult { statistic, p_value: chi_square_sf(statistic, dof), n }
 }
 
-/// Survival function of the Kolmogorov distribution:
-/// `Q(t) = 2 Σ_{k≥1} (−1)^{k−1} e^{−2k²t²}`.
-fn kolmogorov_sf(t: f64) -> f64 {
-    if t <= 0.0 {
-        return 1.0;
-    }
-    let mut sum = 0.0;
-    for k in 1..=100 {
-        let term = (-2.0 * (k as f64) * (k as f64) * t * t).exp();
-        if term < 1e-16 {
-            break;
-        }
-        sum += if k % 2 == 1 { term } else { -term };
-    }
-    (2.0 * sum).clamp(0.0, 1.0)
-}
-
 /// Build Figure 6's plot data: the observed fraction of intervals in each
 /// day-bin alongside the Poisson model's prediction for the same bin.
 ///
@@ -208,45 +123,6 @@ mod tests {
     fn exponential_sample(seed: u64, lambda: f64, n: usize) -> Vec<f64> {
         let mut rng = SimRng::seed_from_u64(seed);
         (0..n).map(|_| sample_exponential(&mut rng, lambda)).collect()
-    }
-
-    #[test]
-    fn chi_square_accepts_exponential() {
-        let xs = exponential_sample(1, 0.1, 5000);
-        let r = chi_square_exponential_fit(&xs, 10);
-        assert!(!r.rejects_at(0.01), "p={}", r.p_value);
-    }
-
-    #[test]
-    fn chi_square_rejects_uniform() {
-        // Uniform[0, 20] has the same mean as Exp(0.1) but is far from it.
-        let mut rng = SimRng::seed_from_u64(2);
-        let xs: Vec<f64> = (0..5000).map(|_| rng.uniform_range(0.0, 20.0)).collect();
-        let r = chi_square_exponential_fit(&xs, 10);
-        assert!(r.rejects_at(0.001), "p={}", r.p_value);
-    }
-
-    #[test]
-    fn ks_accepts_exponential() {
-        let xs = exponential_sample(3, 0.5, 2000);
-        let r = ks_test_exponential(&xs);
-        assert!(!r.rejects_at(0.01), "D={}, p={}", r.statistic, r.p_value);
-    }
-
-    #[test]
-    fn ks_rejects_constant_intervals() {
-        // Perfectly periodic changes are maximally non-Poisson.
-        let xs = vec![10.0; 500];
-        let r = ks_test_exponential(&xs);
-        assert!(r.rejects_at(0.001), "p={}", r.p_value);
-    }
-
-    #[test]
-    fn small_samples_are_conservative() {
-        let r = chi_square_exponential_fit(&[1.0, 2.0, 3.0], 3);
-        assert_eq!(r.p_value, 1.0);
-        let r = ks_test_exponential(&[]);
-        assert_eq!(r.p_value, 1.0);
     }
 
     #[test]
@@ -310,13 +186,5 @@ mod tests {
     fn geometric_fit_small_sample_conservative() {
         let r = chi_square_geometric_fit(&[1.0, 2.0, 3.0]);
         assert_eq!(r.p_value, 1.0);
-    }
-
-    #[test]
-    fn kolmogorov_sf_known_point() {
-        // Q(0.83) ≈ 0.5 (median of Kolmogorov distribution ~0.828).
-        assert!((kolmogorov_sf(0.8276) - 0.5).abs() < 0.01);
-        assert_eq!(kolmogorov_sf(0.0), 1.0);
-        assert!(kolmogorov_sf(3.0) < 1e-6);
     }
 }

@@ -306,11 +306,6 @@ impl Histogram {
         self.counts.iter().sum::<u64>() + self.underflow + self.overflow
     }
 
-    /// Samples below the range.
-    pub fn underflow(&self) -> u64 {
-        self.underflow
-    }
-
     /// Samples at or above the range end.
     pub fn overflow(&self) -> u64 {
         self.overflow
@@ -336,11 +331,6 @@ impl Histogram {
         } else {
             self.counts[i] as f64 / total as f64
         }
-    }
-
-    /// Probability-density estimate in bin `i` (fraction / bin width).
-    pub fn density(&self, i: usize) -> f64 {
-        self.fraction(i) / self.bin_width()
     }
 
     /// Summary statistics of everything recorded.
@@ -408,7 +398,6 @@ mod tests {
             h.record(x);
         }
         assert_eq!(h.total(), 7);
-        assert_eq!(h.underflow(), 1);
         assert_eq!(h.overflow(), 2);
         assert_eq!(h.counts()[0], 2); // 0.0, 0.5
         assert_eq!(h.counts()[1], 1); // 1.0
@@ -424,7 +413,7 @@ mod tests {
         h.record(1.5);
         h.record(1.6);
         assert!((h.fraction(0) - 1.0 / 3.0).abs() < 1e-12);
-        assert!((h.density(1) - (2.0 / 3.0)).abs() < 1e-12);
+        assert!((h.fraction(1) - 2.0 / 3.0).abs() < 1e-12);
     }
 
     #[test]

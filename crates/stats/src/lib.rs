@@ -7,11 +7,11 @@
 //! * exponential / Poisson distributions and Poisson-process event streams
 //!   ([`dist`], [`process`]) — Theorem 1 of the paper,
 //! * histograms, including the paper's change-interval bins ([`histogram`]),
-//! * empirical CDFs and survival curves for Figure 5 ([`ecdf`]),
+//! * survival curves for Figure 5 ([`ecdf`]),
 //! * binomial and rate confidence intervals for estimator EP ([`ci`]),
 //! * special functions backing the above ([`special`]),
-//! * chi-square and Kolmogorov–Smirnov goodness-of-fit tests used to verify
-//!   the Poisson model the way Figure 6 does ([`gof`]),
+//! * a chi-square goodness-of-fit test used to verify the Poisson model the
+//!   way Figure 6 does ([`gof`]),
 //! * streaming summary statistics ([`summary`]).
 //!
 //! Everything is deterministic given a seed; nothing here touches wall-clock
@@ -31,9 +31,9 @@ pub mod special;
 pub mod summary;
 
 pub use ci::{binomial_wilson, rate_ci_from_regular_access, ConfidenceInterval};
-pub use dist::{sample_exponential, sample_poisson_count};
-pub use ecdf::{Ecdf, SurvivalCurve};
-pub use gof::{chi_square_exponential_fit, ks_test_exponential, GofResult};
+pub use dist::sample_exponential;
+pub use ecdf::SurvivalCurve;
+pub use gof::GofResult;
 pub use histogram::{Histogram, IntervalBin, IntervalHistogram, LifespanBin, LifespanHistogram};
 pub use process::{event_slice, generate_poisson_into, PoissonProcess};
 pub use rng::SimRng;

@@ -93,12 +93,6 @@ impl PoissonProcess {
         }
     }
 
-    /// The time of the first event strictly after `t`, if any.
-    pub fn first_event_after(&self, t: f64) -> Option<f64> {
-        let idx = self.events.partition_point(|&e| e <= t);
-        self.events.get(idx).copied()
-    }
-
     /// Number of events at or before `t` — i.e. the page's version at `t`
     /// (version 0 before the first change).
     pub fn version_at(&self, t: f64) -> u64 {
@@ -217,8 +211,6 @@ mod tests {
         assert_eq!(p.last_event_at_or_before(0.5), None);
         assert_eq!(p.last_event_at_or_before(1.0), Some(1.0));
         assert_eq!(p.last_event_at_or_before(6.0), Some(2.5));
-        assert_eq!(p.first_event_after(2.5), Some(7.0));
-        assert_eq!(p.first_event_after(7.0), None);
     }
 
     #[test]

@@ -10,7 +10,7 @@
 // Published coefficient tables (Lanczos g=7, Acklam quantile) are kept
 // verbatim even where they exceed f64 precision.
 #[allow(clippy::excessive_precision)]
-pub fn ln_gamma(x: f64) -> f64 {
+fn ln_gamma(x: f64) -> f64 {
     assert!(x > 0.0, "ln_gamma requires x > 0, got {x}");
     const COEF: [f64; 9] = [
         0.999_999_999_999_809_93,
@@ -40,7 +40,7 @@ pub fn ln_gamma(x: f64) -> f64 {
 /// Regularized lower incomplete gamma `P(a, x) = γ(a,x)/Γ(a)`.
 ///
 /// Series expansion for `x < a + 1`, continued fraction otherwise.
-pub fn gamma_p(a: f64, x: f64) -> f64 {
+fn gamma_p(a: f64, x: f64) -> f64 {
     assert!(a > 0.0 && x >= 0.0, "gamma_p requires a > 0, x >= 0");
     if x == 0.0 {
         return 0.0;
@@ -53,7 +53,7 @@ pub fn gamma_p(a: f64, x: f64) -> f64 {
 }
 
 /// Regularized upper incomplete gamma `Q(a, x) = 1 − P(a, x)`.
-pub fn gamma_q(a: f64, x: f64) -> f64 {
+fn gamma_q(a: f64, x: f64) -> f64 {
     1.0 - gamma_p(a, x)
 }
 
@@ -102,7 +102,7 @@ fn gamma_q_cf(a: f64, x: f64) -> f64 {
 
 /// The error function, via the regularized incomplete gamma:
 /// `erf(x) = sign(x) · P(1/2, x²)`.
-pub fn erf(x: f64) -> f64 {
+fn erf(x: f64) -> f64 {
     if x == 0.0 {
         0.0
     } else if x > 0.0 {
@@ -113,7 +113,7 @@ pub fn erf(x: f64) -> f64 {
 }
 
 /// CDF of the standard normal distribution.
-pub fn normal_cdf(z: f64) -> f64 {
+fn normal_cdf(z: f64) -> f64 {
     0.5 * (1.0 + erf(z / std::f64::consts::SQRT_2))
 }
 

@@ -28,17 +28,12 @@ impl Summary {
         self.m2 += delta * (x - self.mean);
     }
 
-    /// Record many samples.
-    pub fn record_all<I: IntoIterator<Item = f64>>(&mut self, xs: I) {
-        for x in xs {
-            self.record(x);
-        }
-    }
-
     /// Build from an iterator.
     pub fn of<I: IntoIterator<Item = f64>>(xs: I) -> Summary {
         let mut s = Summary::default();
-        s.record_all(xs);
+        for x in xs {
+            s.record(x);
+        }
         s
     }
 
@@ -63,11 +58,6 @@ impl Summary {
         } else {
             self.m2 / (self.n - 1) as f64
         }
-    }
-
-    /// Sample standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
     }
 
     /// The raw accumulator state `(n, mean, m2, min, max)`, bit for bit —
@@ -117,7 +107,7 @@ impl Summary {
 
 /// Quantile of a sample by linear interpolation (type-7, the numpy default).
 /// `q` in `[0, 1]`. Returns NaN for empty input.
-pub fn quantile(sorted: &[f64], q: f64) -> f64 {
+fn quantile(sorted: &[f64], q: f64) -> f64 {
     assert!((0.0..=1.0).contains(&q), "quantile q must be in [0,1]");
     debug_assert!(sorted.windows(2).all(|w| w[0] <= w[1]), "input must be sorted");
     if sorted.is_empty() {
@@ -133,7 +123,7 @@ pub fn quantile(sorted: &[f64], q: f64) -> f64 {
     sorted[lo] + (sorted[hi] - sorted[lo]) * frac
 }
 
-/// Median convenience wrapper over [`quantile`].
+/// Median of a sorted sample: the type-7 quantile at `q = 0.5`.
 pub fn median(sorted: &[f64]) -> f64 {
     quantile(sorted, 0.5)
 }

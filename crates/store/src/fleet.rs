@@ -132,7 +132,7 @@ use webevo_sim::{ShardedFetcher, SimFetcher, WebUniverse};
 use webevo_types::{wire_struct, ShardFn, ShardId, ShardPlan, WebEvoError};
 
 /// Manifest file name within a fleet directory.
-pub const MANIFEST_FILE: &str = "fleet.manifest";
+const MANIFEST_FILE: &str = "fleet.manifest";
 /// Magic token opening the manifest's header line.
 const MANIFEST_MAGIC: &str = "WEBEVO-MANIFEST";
 /// The manifest format version this build writes, and the only one it
@@ -140,7 +140,7 @@ const MANIFEST_MAGIC: &str = "WEBEVO-MANIFEST";
 pub const MANIFEST_VERSION: u32 = 2;
 
 /// The name of shard `k`'s checkpoint directory under the fleet dir.
-pub fn shard_dir_name(shard: ShardId) -> String {
+fn shard_dir_name(shard: ShardId) -> String {
     format!("shard-{}", shard.0)
 }
 
@@ -149,7 +149,7 @@ pub fn shard_dir_name(shard: ShardId) -> String {
 /// sites to shards — plus the snapshot cadence, recorded for operators but
 /// deliberately *not* validated (resuming under a new cadence is
 /// legitimate tuning, exactly as it is for a single `CrawlSession`).
-/// Stored in [`MANIFEST_FILE`] under the same header discipline as
+/// Stored in `fleet.manifest` under the same header discipline as
 /// snapshots: the text line `WEBEVO-MANIFEST <version> <fnv64 of payload>`
 /// followed by these fields in the binary wire format, so a torn or
 /// bit-rotted manifest is detected rather than half-loaded.
@@ -965,14 +965,6 @@ impl<'a> FleetSession<'a> {
         Ok(())
     }
 
-    /// The collection capacity shard `k` gets: the budget's capacity
-    /// apportioned proportionally to the sites the shard owns (floor of
-    /// one page; see `apportion_capacity`), so capacity sits where the
-    /// reachable pages are even under a skewed hash partition.
-    pub fn shard_capacity(&self, shard: ShardId) -> usize {
-        self.capacities[shard.index()]
-    }
-
     /// Migrate a checkpointed incremental fleet onto `new_plan` between
     /// passes. Recovers every shard, performs one final exchange so no
     /// outbox holds links routed under the old plan, moves pages, URL
@@ -1100,7 +1092,7 @@ fn write_manifest(dir: &Path, manifest: &FleetManifest) -> Result<(), WebEvoErro
 /// and the rename in `write_manifest` — is removed here, mirroring the
 /// snapshot-tmp cleanup in [`crate::checkpoint::recover`]: the rename
 /// never happened, so the file belongs to no lineage.
-pub fn read_manifest(dir: &Path) -> Result<FleetManifest, WebEvoError> {
+fn read_manifest(dir: &Path) -> Result<FleetManifest, WebEvoError> {
     let tmp = dir.join(format!("{MANIFEST_FILE}.tmp"));
     match std::fs::remove_file(&tmp) {
         Ok(()) => {}
@@ -1158,7 +1150,7 @@ mod tests {
             .universe(&u)
             .build()
             .expect("valid fleet");
-        let caps: Vec<usize> = (0..3).map(|k| fleet.shard_capacity(ShardId(k))).collect();
+        let caps = fleet.capacities.clone();
         assert_eq!(caps.iter().sum::<usize>(), 32);
         assert!(caps.iter().all(|&c| c >= 1));
         assert!(caps[0] > caps[1], "the 4-site shard outweighs the 3-site ones: {caps:?}");

@@ -60,7 +60,7 @@
 //! manifests (1) of early builds, and the binary version-3 snapshots that
 //! stored an EB posterior on every page — fail closed with
 //! [`StoreError::UnsupportedVersion`] from [`decode_snapshot`],
-//! [`read_wal`], [`recover`] and [`read_manifest`]; in particular an
+//! [`read_wal`], [`recover`] and [`FleetSession::resume`]; in particular an
 //! old-format WAL never reads as an empty one. A checked-in
 //! snapshot-4/WAL-2 checkpoint (`tests/golden_fixture.rs`) pins the live
 //! bytes: it must keep resuming onto the exact trajectory of an
@@ -107,8 +107,7 @@ pub use checkpoint::{
 };
 pub use codec::{decode_snapshot, encode_snapshot, fnv64, StoreError};
 pub use fleet::{
-    read_manifest, shard_dir_name, FleetManifest, FleetMetrics, FleetSession,
-    FleetSessionBuilder, ShardReport, MANIFEST_FILE,
+    FleetManifest, FleetMetrics, FleetSession, FleetSessionBuilder, ShardReport,
 };
 pub use session::{CrawlSession, CrawlSessionBuilder};
 pub use wal::{read_wal, WalWriter};

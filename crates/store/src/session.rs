@@ -531,15 +531,15 @@ impl<'a> CrawlSession<'a> {
     /// this at every exchange barrier, right before delivering the routed
     /// batches.
     pub(crate) fn snapshot_if_due(&mut self) -> Result<(), WebEvoError> {
-        if self.checkpointer.is_none() {
+        // Held out of `self` while `export_state` borrows the session.
+        let Some(mut ckpt) = self.checkpointer.take() else {
             return Ok(());
-        }
+        };
         let t = self.engine.clock().t;
         let state = self.export_state();
-        let ckpt = self.checkpointer.as_mut().expect("checked above");
-        ckpt.barrier_snapshot(t, &state).map_err(|e| {
-            WebEvoError::InvalidState(format!("barrier snapshot failed: {e}"))
-        })
+        let snapshot = ckpt.barrier_snapshot(t, &state);
+        self.checkpointer = Some(ckpt);
+        snapshot.map_err(|e| WebEvoError::InvalidState(format!("barrier snapshot failed: {e}")))
     }
 
     /// Attach the serving layer: at every pass/cycle boundary the engine
@@ -641,13 +641,6 @@ impl<'a> CrawlSession<'a> {
             (None, Some(ckpt)) => self.engine.drive(universe, fetcher, ckpt, days),
             (None, None) => self.engine.drive(universe, fetcher, &mut noop, days),
         }
-    }
-
-    /// The engine kind this session runs — after a `resume()`, the
-    /// restored engine's kind (e.g. the snapshot's worker count, which
-    /// wins over the builder's within the threaded family).
-    pub fn engine_kind(&self) -> EngineKind {
-        self.engine.kind()
     }
 
     /// The engine's discrete-event clock.

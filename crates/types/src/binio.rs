@@ -136,7 +136,7 @@ impl<'a> BinReader<'a> {
     }
 
     /// Consume a LEB128 varint.
-    pub fn var_u64(&mut self) -> Result<u64, BinError> {
+    fn var_u64(&mut self) -> Result<u64, BinError> {
         let mut value = 0u64;
         let mut shift = 0u32;
         loop {

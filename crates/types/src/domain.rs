@@ -36,7 +36,7 @@ impl Domain {
     }
 
     /// Total sites monitored in the paper (Table 1).
-    pub const PAPER_TOTAL_SITES: usize = 270;
+    const PAPER_TOTAL_SITES: usize = 270;
 
     /// Fraction of monitored sites in this class.
     pub fn paper_site_fraction(self) -> f64 {
@@ -53,20 +53,6 @@ impl Domain {
         }
     }
 
-    /// Classify a hostname suffix the way Table 1 does. Unknown suffixes map
-    /// to `None` (the paper's candidate list only contained these four
-    /// classes).
-    pub fn from_host(host: &str) -> Option<Domain> {
-        let suffix = host.rsplit('.').next()?;
-        match suffix {
-            "com" => Some(Domain::Com),
-            "edu" => Some(Domain::Edu),
-            "net" | "org" => Some(Domain::NetOrg),
-            "gov" | "mil" => Some(Domain::Gov),
-            _ => None,
-        }
-    }
-
     /// Stable small index (0..4) for array-indexed per-domain accumulators.
     pub const fn index(self) -> usize {
         match self {
@@ -74,17 +60,6 @@ impl Domain {
             Domain::Edu => 1,
             Domain::NetOrg => 2,
             Domain::Gov => 3,
-        }
-    }
-
-    /// Inverse of [`Domain::index`].
-    pub const fn from_index(i: usize) -> Option<Domain> {
-        match i {
-            0 => Some(Domain::Com),
-            1 => Some(Domain::Edu),
-            2 => Some(Domain::NetOrg),
-            3 => Some(Domain::Gov),
-            _ => None,
         }
     }
 }
@@ -193,24 +168,6 @@ mod tests {
     fn fractions_sum_to_one() {
         let sum: f64 = Domain::ALL.iter().map(|d| d.paper_site_fraction()).sum();
         assert!((sum - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn host_classification() {
-        assert_eq!(Domain::from_host("www.yahoo.com"), Some(Domain::Com));
-        assert_eq!(Domain::from_host("www.stanford.edu"), Some(Domain::Edu));
-        assert_eq!(Domain::from_host("example.org"), Some(Domain::NetOrg));
-        assert_eq!(Domain::from_host("irs.gov"), Some(Domain::Gov));
-        assert_eq!(Domain::from_host("navy.mil"), Some(Domain::Gov));
-        assert_eq!(Domain::from_host("example.de"), None);
-    }
-
-    #[test]
-    fn index_roundtrip() {
-        for d in Domain::ALL {
-            assert_eq!(Domain::from_index(d.index()), Some(d));
-        }
-        assert_eq!(Domain::from_index(4), None);
     }
 
     #[test]

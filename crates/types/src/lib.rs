@@ -7,7 +7,7 @@
 //!
 //! Design notes:
 //!
-//! * **Time is denominated in days** (`SimTime`, `SimDuration`): the paper's
+//! * **Time is denominated in days**, as plain `f64` ([`time`]): the paper's
 //!   measurement study has one-day granularity, while its analytic layer is
 //!   continuous, so a floating-point day count serves both.
 //! * Identifiers are **newtypes over `u32`/`u64`** so they cannot be mixed up
@@ -36,5 +36,5 @@ pub use error::{Error, Result, WebEvoError};
 pub use id::{PageId, SiteId};
 pub use page::{Checksum, ChangeRate, PageVersion};
 pub use shard::{ShardFn, ShardId, ShardPlan};
-pub use time::{SimDuration, SimTime, DAY, FOUR_MONTHS, MONTH, WEEK, YEAR};
+pub use time::{FOUR_MONTHS, MONTH, WEEK};
 pub use url::Url;

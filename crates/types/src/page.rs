@@ -58,9 +58,6 @@ impl fmt::Debug for Checksum {
 pub struct PageVersion(pub u64);
 
 impl PageVersion {
-    /// The initial version at page birth.
-    pub const INITIAL: PageVersion = PageVersion(0);
-
     /// The next version after a change event.
     #[inline]
     pub fn next(self) -> PageVersion {
@@ -90,12 +87,6 @@ impl ChangeRate {
     #[inline]
     pub const fn per_day(self) -> f64 {
         self.0
-    }
-
-    /// Events per 30-day month.
-    #[inline]
-    pub fn per_month(self) -> f64 {
-        self.0 * crate::time::MONTH
     }
 
     /// Mean interval between changes in days (∞ for rate 0).
@@ -142,7 +133,7 @@ mod tests {
 
     #[test]
     fn version_advances() {
-        let v = PageVersion::INITIAL;
+        let v = PageVersion(0);
         assert_eq!(v.next(), PageVersion(1));
         assert_eq!(v.next().next(), PageVersion(2));
     }
@@ -152,7 +143,6 @@ mod tests {
         let r = ChangeRate::per_interval_days(10.0);
         assert!((r.per_day() - 0.1).abs() < 1e-12);
         assert!((r.mean_interval_days() - 10.0).abs() < 1e-12);
-        assert!((r.per_month() - 3.0).abs() < 1e-12);
         assert_eq!(ChangeRate::ZERO.mean_interval_days(), f64::INFINITY);
     }
 

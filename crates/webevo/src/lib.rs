@@ -80,7 +80,7 @@ pub mod prelude {
     };
     pub use webevo_estimate::{
         estimate_ep, estimate_irregular_mle, estimate_naive,
-        estimate_regular_bias_corrected, estimate_regular_mle, BayesianEstimator,
+        estimate_regular_bias_corrected, BayesianEstimator,
         ChangeHistory, FrequencyClass, SitePool,
     };
     pub use webevo_experiment::{
@@ -115,7 +115,7 @@ pub mod prelude {
         FleetManifest, FleetMetrics, FleetSession, FleetSessionBuilder, Recovered, ShardReport,
     };
     pub use webevo_types::{
-        ChangeRate, Checksum, Domain, PageId, ShardFn, ShardId, ShardPlan, SimDuration,
-        SimTime, SiteId, Url, WebEvoError,
+        ChangeRate, Checksum, Domain, PageId, ShardFn, ShardId, ShardPlan, SiteId, Url,
+        WebEvoError,
     };
 }

@@ -75,22 +75,6 @@ fn proportional_is_the_worst_policy_on_skewed_rates() {
 }
 
 #[test]
-fn weighted_scheduling_prioritizes_importance() {
-    use webevo::schedule::weighted_optimal_allocation;
-    let rates = vec![ChangeRate(0.1); 10];
-    let mut weights = vec![1.0; 10];
-    weights[0] = 25.0;
-    let alloc = weighted_optimal_allocation(&rates, &weights, 2.0).unwrap();
-    let f0 = alloc.frequencies[0];
-    let avg_rest: f64 = alloc.frequencies[1..].iter().sum::<f64>() / 9.0;
-    assert!(
-        f0 > avg_rest * 1.5,
-        "important page frequency {f0} vs others {avg_rest}"
-    );
-    assert!((alloc.total_budget() - 2.0).abs() < 1e-9);
-}
-
-#[test]
 fn figure9_peak_moves_with_budget() {
     // More budget → the crawler can afford to chase faster pages: the
     // abandonment threshold (where f* returns to 0) moves right.
