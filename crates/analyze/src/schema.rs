@@ -134,8 +134,8 @@ fn declaration(tokens: &[Token], i: usize) -> Option<(String, String, usize)> {
     Some((name, layout, close_of(tokens, i + 2) + 1))
 }
 
-/// `a, b; c ?` → `struct a b c`: the field names (or tuple indices) in
-/// order. The optional-tail marker is decode-side only, not layout.
+/// `a, b, c` → `struct a b c`: the field names (or tuple indices) in
+/// order.
 fn struct_layout(body: &[Token]) -> String {
     let mut out = String::from("struct");
     for t in body {
@@ -399,7 +399,7 @@ mod tests {
         let src = format!(
             "{STRUCT_DECL}
              wire_struct!(Id {{ 0 }});
-             webevo_types::wire_struct!(Tail {{ a, b; c ? }}
+             webevo_types::wire_struct!(Checked {{ a, b }}
                  reject |t| t.a > t.b => \"a above b\");
              #[cfg(test)] mod tests {{ wire_struct!(OnlyInTests {{ z }}); }}"
         );
@@ -407,8 +407,8 @@ mod tests {
         let types = extract(&ws(&src), &mut findings);
         assert!(findings.is_empty(), "{findings:?}");
         let layouts: Vec<_> = types.iter().map(|(k, t)| format!("{k} {}", t.layout)).collect();
-        // The tail marker and the post-decode check are not layout.
-        assert_eq!(layouts, ["x::Id struct 0", "x::Point struct x y", "x::Tail struct a b c"]);
+        // The post-decode check is not layout.
+        assert_eq!(layouts, ["x::Checked struct a b", "x::Id struct 0", "x::Point struct x y"]);
         assert_eq!(types["x::Point"].line, 3);
     }
 

@@ -23,8 +23,6 @@ pub struct StoredPage {
     pub links: Vec<Url>,
     /// Time of the most recent crawl (days).
     pub last_crawl: f64,
-    /// Time the page entered the collection.
-    pub admitted: f64,
     /// Number of crawls of this page.
     pub crawl_count: u64,
     /// Change observation history (drives estimator EP).
@@ -119,7 +117,6 @@ impl Collection {
                 checksum,
                 links,
                 last_crawl: t,
-                admitted: t,
                 crawl_count: 1,
                 history,
                 bayes,
@@ -205,7 +202,7 @@ impl Collection {
 }
 
 wire_struct!(StoredPage {
-    url, checksum, links, last_crawl, admitted, crawl_count, history, bayes, importance
+    url, checksum, links, last_crawl, crawl_count, history, bayes, importance
 });
 wire_struct!(Collection { pages, capacity, history_window });
 

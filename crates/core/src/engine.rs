@@ -408,8 +408,9 @@ pub fn collection_quality(collection: &Collection, universe: &WebUniverse, t: f6
 /// Where a fetch slot's result comes from: a live fetcher, or the
 /// write-ahead log during recovery. Replay feeds recorded outcomes through
 /// the exact state transitions of a live crawl (including the fetcher's
-/// own counters, via [`Fetcher::observe_replay`]) and cross-checks that
-/// the deterministic schedule reproduces the log record-for-record.
+/// own attempt counter and site clocks, via [`Fetcher::observe_replay`])
+/// and cross-checks that the deterministic schedule reproduces the log
+/// record-for-record.
 /// Every engine replays through this; the incremental engine's worker
 /// pool is the one live source that does not (see [`crate::incremental`]).
 pub(crate) enum FetchSource<'a> {

@@ -60,8 +60,7 @@ use crate::engine::{CrawlBudget, CrawlEngine, FetchSource};
 use crate::hooks::{CrawlHook, NoopHook};
 use crate::metrics::CrawlMetrics;
 use crate::modules::{
-    CrawlModule, EstimatorKind, RankInput, RankingConfig, RankingModule, RevisitStrategy,
-    UpdateModule,
+    EstimatorKind, RankInput, RankingConfig, RankingModule, RevisitStrategy, UpdateModule,
 };
 use crate::routing::{RoutedBatch, RoutedLink, WalEvent};
 use crate::shell::{announce_boundary, EngineShell};
@@ -226,6 +225,8 @@ pub struct IncrementalEngine<X> {
     collection: Collection,
     all_urls: AllUrls,
     queue: RevisitQueue,
+    /// The pages `queue` holds (each at most once): the dedup guard, not
+    /// persisted but rebuilt from the queue on restore.
     queued: DenseSet,
     /// Pages the RankingModule proposed for admission; the eviction they
     /// pay for happens only when their crawl *succeeds* (Algorithm 5.1
@@ -236,8 +237,6 @@ pub struct IncrementalEngine<X> {
     /// Runs in place (inline) or synchronously during replay (pool); a
     /// live pool's ranking thread owns its own.
     ranking: RankingModule,
-    /// Fetch accounting of the inline executor's CrawlModule.
-    crawl: CrawlModule,
     /// The run state every engine shares. Here `passes` counts ranking
     /// outcomes applied, and shard scoping is enforced where slots are
     /// scheduled, so no slot fetches a foreign URL and the pool composes
@@ -329,7 +328,6 @@ impl<X> IncrementalEngine<X> {
             admissions: DenseSet::new(),
             update: UpdateModule::new(config.revisit, config.estimator, default_interval),
             ranking: RankingModule::new(config.ranking.clone()),
-            crawl: CrawlModule::new(),
             shell: EngineShell::default(),
             rank_pending: false,
             unsent_rank_request: None,
@@ -340,21 +338,16 @@ impl<X> IncrementalEngine<X> {
 
     fn rebuild(mut state: CrawlerState, executor: Executor) -> Result<Self, WebEvoError> {
         let config = state.config.as_incremental()?.clone();
-        let passes = match executor {
-            Executor::Inline => state.ranking_runs,
-            Executor::Pool { .. } => state.ranking_applied,
-        };
         Ok(IncrementalEngine {
-            shell: EngineShell::restore(&mut state, passes),
+            shell: EngineShell::restore(&mut state),
             executor,
             collection: state.collection,
             all_urls: state.all_urls,
             queue: entries_to_queue(&state.queue),
-            queued: state.queued.into_iter().collect(),
+            queued: state.queue.iter().map(|e| e.url.page).collect(),
             admissions: state.admissions.into_iter().collect(),
             update: state.update,
             ranking: RankingModule::new(config.ranking.clone()),
-            crawl: state.crawl,
             rank_pending: false,
             unsent_rank_request: None,
             _executor: PhantomData,
@@ -544,9 +537,6 @@ impl<X> IncrementalEngine<X> {
         hook: &mut dyn CrawlHook,
     ) {
         let Slot { seq, url, t } = slot;
-        if let Executor::Inline = self.executor {
-            self.crawl.observe(result.is_err());
-        }
         self.shell.observe_fetch(hook, seq, url, t, &result);
         match result {
             Ok(FetchOutcome { checksum, links, .. }) => {
@@ -893,10 +883,6 @@ impl<X> CrawlEngine for IncrementalEngine<X> {
     /// run loop can reach the fetcher, and the pool's own fetcher carries
     /// no state its results depend on.
     fn export_state(&self) -> CrawlerState {
-        let (ranking_runs, ranking_applied) = match self.executor {
-            Executor::Inline => (self.shell.passes, 0),
-            Executor::Pool { .. } => (0, self.shell.passes),
-        };
         CrawlerState {
             engine: self.kind(),
             config: EngineConfig::Incremental(self.config.clone()),
@@ -904,16 +890,13 @@ impl<X> CrawlEngine for IncrementalEngine<X> {
             seeded: self.shell.started,
             clock: self.shell.clock,
             fetch_seq: self.shell.fetch_seq,
+            passes: self.shell.passes,
             collection: self.collection.clone(),
             all_urls: self.all_urls.clone(),
             queue: queue_to_entries(&self.queue),
-            queued: self.queued.to_vec(),
             admissions: self.admissions.to_vec(),
             update: self.update.clone(),
-            ranking_runs,
-            ranking_applied,
             rank_pending: self.rank_pending,
-            crawl: self.crawl.clone(),
             periodic: None,
             metrics: self.shell.metrics.clone(),
             fetcher: None,

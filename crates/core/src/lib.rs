@@ -15,9 +15,10 @@
 //!   RankingModule uses to estimate the importance of uncrawled pages.
 //! * [`collection`] — the local page store: checksums, links, change
 //!   histories, importance scores.
-//! * [`modules`] — the three modules as separable units: `CrawlModule`
-//!   (fetch + link extraction), `UpdateModule` (update decision: what to
-//!   refresh, when), `RankingModule` (refinement decision: what to keep).
+//! * [`modules`] — the deciding modules as separable units:
+//!   `UpdateModule` (update decision: what to refresh, when) and
+//!   `RankingModule` (refinement decision: what to keep). The CrawlModule
+//!   (fetch + link extraction) is the engines' fetch slot.
 //! * [`incremental`] — the one deterministic engine combining them
 //!   (Algorithm 5.1 / Figure 11 made concrete), with two executors: inline
 //!   (one fetch slot at a time through the caller's fetcher, ranking in
@@ -77,9 +78,7 @@ pub use engine::{collection_quality, restore, CrawlBudget, CrawlEngine};
 pub use hooks::{CrawlHook, FetchRecord, NoopHook, PairHook};
 pub use incremental::{IncrementalConfig, IncrementalCrawler, IncrementalEngine, ThreadedCrawler};
 pub use metrics::CrawlMetrics;
-pub use modules::{
-    CrawlModule, EstimatorKind, RankingConfig, RankingModule, RevisitStrategy, UpdateModule,
-};
+pub use modules::{EstimatorKind, RankingConfig, RankingModule, RevisitStrategy, UpdateModule};
 pub use periodic::{PeriodicConfig, PeriodicCrawler, PeriodicState};
 pub use routing::{
     rebalance_states, route_exchange, RoutedBatch, RoutedLink, RoutingState,

@@ -1,7 +1,8 @@
-//! The three modules of Figure 12 as separable units.
+//! The two deciding modules of Figure 12 as separable units. The third,
+//! the CrawlModule, is the engines' fetch slot: it fetches a page through
+//! a `webevo_sim::Fetcher` (links are extracted by the fetch layer, as a
+//! real crawler's parser would) and hands the outcome to these two.
 //!
-//! * [`CrawlModule`] — fetches a page and reports the outcome (links are
-//!   extracted by the fetch layer, as a real crawler's parser would).
 //! * [`UpdateModule`] — the *update decision*: estimates each page's change
 //!   rate from its history (EP or EB) and assigns revisit intervals under
 //!   the configured strategy and crawl budget.
@@ -23,7 +24,6 @@ use webevo_graph::{estimate_uncrawled, LinkCsr, PageRankConfig, PageRankKernel};
 use webevo_schedule::{
     optimal_allocation, proportional_allocation, uniform_allocation,
 };
-use webevo_sim::{FetchError, FetchOutcome, Fetcher};
 use webevo_types::{wire_enum, wire_struct, ChangeRate, DenseMap, PageId, Url};
 
 /// Which frequency estimator the UpdateModule uses (§5.3).
@@ -45,56 +45,6 @@ pub enum RevisitStrategy {
     Proportional,
     /// The freshness-optimal allocation (Figure 9).
     Optimal,
-}
-
-/// The CrawlModule: fetch plus accounting. One instance per worker in the
-/// threaded engine.
-#[derive(Clone, Debug, Default)]
-pub struct CrawlModule {
-    crawled: u64,
-    failed: u64,
-}
-
-impl CrawlModule {
-    /// A fresh module.
-    pub fn new() -> CrawlModule {
-        CrawlModule::default()
-    }
-
-    /// Crawl one URL at time `t`: fetch plus [`CrawlModule::observe`]
-    /// accounting. Convenience wrapper for direct module use; the engines
-    /// fetch through their replayable `FetchSource` and call `observe`
-    /// themselves, so accounting semantics live in `observe` alone.
-    pub fn crawl(
-        &mut self,
-        fetcher: &mut dyn Fetcher,
-        url: Url,
-        t: f64,
-    ) -> Result<FetchOutcome, FetchError> {
-        let result = fetcher.fetch(url, t);
-        self.observe(result.is_err());
-        result
-    }
-
-    /// Account one attempt that `failed` (or not) without fetching —
-    /// write-ahead-log replay advances the counters from recorded
-    /// outcomes.
-    pub fn observe(&mut self, failed: bool) {
-        self.crawled += 1;
-        if failed {
-            self.failed += 1;
-        }
-    }
-
-    /// Total crawl attempts.
-    pub fn crawled(&self) -> u64 {
-        self.crawled
-    }
-
-    /// Failed crawl attempts.
-    pub fn failed(&self) -> u64 {
-        self.failed
-    }
 }
 
 /// The UpdateModule: rate estimation and revisit-interval assignment.
@@ -237,7 +187,6 @@ impl UpdateModule {
     }
 }
 
-wire_struct!(CrawlModule { crawled, failed });
 wire_enum!(RevisitStrategy { Uniform = 0, Proportional = 1, Optimal = 2 });
 wire_enum!(EstimatorKind { Ep = 0, Eb = 1 });
 wire_struct!(UpdateModule { strategy, estimator, prior_rate, intervals, default_interval });
@@ -327,7 +276,6 @@ impl RankInput {
 #[derive(Clone, Debug, Default)]
 pub struct RankingModule {
     config: RankingConfig,
-    runs: u64,
     kernel: PageRankKernel,
     /// Candidates with their footnote-2 estimates.
     estimates: Vec<(Url, f64)>,
@@ -339,11 +287,6 @@ impl RankingModule {
     /// Create with a configuration.
     pub fn new(config: RankingConfig) -> RankingModule {
         RankingModule { config, ..RankingModule::default() }
-    }
-
-    /// Number of completed passes.
-    pub fn runs(&self) -> u64 {
-        self.runs
     }
 
     /// One ranking pass: recompute PageRank over the collection's link
@@ -361,7 +304,6 @@ impl RankingModule {
         collection: &mut Collection,
         mut input: RankInput,
     ) -> RankingOutcome {
-        self.runs += 1;
         if collection.is_empty() {
             return RankingOutcome::default();
         }
@@ -737,19 +679,5 @@ mod tests {
         let outcome = ranking.run(&mut c, &a);
         assert_eq!(outcome.ranked, 0);
         assert!(outcome.replacements.is_empty());
-    }
-
-    #[test]
-    fn crawl_module_counts() {
-        use webevo_sim::{SimFetcher, UniverseConfig, WebUniverse};
-        let u = WebUniverse::generate(UniverseConfig::test_scale(5));
-        let mut f = SimFetcher::new(&u);
-        let mut m = CrawlModule::new();
-        let root = u.sites()[0].slots[0][0];
-        assert!(m.crawl(&mut f, u.url_of(root), 1.0).is_ok());
-        let bogus = Url::new(SiteId(0), PageId(u.page_count() as u64 + 1));
-        assert!(m.crawl(&mut f, bogus, 1.0).is_err());
-        assert_eq!(m.crawled(), 2);
-        assert_eq!(m.failed(), 1);
     }
 }

@@ -14,13 +14,14 @@
 //! freeze the crawl anywhere and a restored engine continues
 //! bit-identically. Pass boundaries — the durability flush points the
 //! [`CrawlHook`] observes — are the shadow swaps: the one moment the
-//! engine is quiescent between cycles.
+//! engine is quiescent between cycles. The completed swaps are the
+//! engine's pass count, persisted once as [`CrawlerState::passes`].
 
 use crate::collection::Collection;
 use crate::engine::{CrawlBudget, CrawlEngine, FetchSource};
 use crate::hooks::{CrawlHook, NoopHook};
 use crate::metrics::CrawlMetrics;
-use crate::modules::{CrawlModule, EstimatorKind, RevisitStrategy, UpdateModule};
+use crate::modules::{EstimatorKind, RevisitStrategy, UpdateModule};
 use crate::routing::{RoutedBatch, RoutedLink, WalEvent};
 use crate::shell::{announce_boundary, EngineShell};
 use crate::state::{CrawlerState, EngineConfig, EngineKind};
@@ -94,10 +95,9 @@ pub struct BatchWindow {
 pub struct PeriodicState {
     /// The user-visible collection.
     pub current: DenseMap<PeriodicPage>,
-    /// When each page first became visible to users.
-    pub first_visible: DenseMap<f64>,
-    /// Completed shadow swaps.
-    pub cycles: u64,
+    /// Pages that have ever been visible to users (a page's first swap
+    /// records its latency; later swaps do not).
+    pub first_visible: DenseSet,
     /// Start day of the cycle in progress.
     pub cycle_start: f64,
     /// `true` between a swap and the next cycle start; `false` during the
@@ -110,7 +110,7 @@ pub struct PeriodicState {
 wire_struct!(PeriodicConfig { capacity, cycle_days, window_days, sample_interval_days });
 wire_struct!(PeriodicPage { crawl_time, checksum });
 wire_struct!(BatchWindow { shadow, frontier, seen });
-wire_struct!(PeriodicState { current, first_visible, cycles, cycle_start, idle, window });
+wire_struct!(PeriodicState { current, first_visible, cycle_start, idle, window });
 
 /// The periodic crawler.
 pub struct PeriodicCrawler {
@@ -120,8 +120,8 @@ pub struct PeriodicCrawler {
     // loop and metric sampling accumulate floats over this iteration
     // order.
     current: DenseMap<PeriodicPage>,
-    /// When each page first became visible to users (for latency metrics).
-    first_visible: DenseMap<f64>,
+    /// See [`PeriodicState::first_visible`].
+    first_visible: DenseSet,
     /// The run state every engine shares. Here `passes` counts completed
     /// shadow swaps, and the routing inbox seeds the next batch window.
     shell: EngineShell,
@@ -140,7 +140,7 @@ impl PeriodicCrawler {
         PeriodicCrawler {
             config,
             current: DenseMap::new(),
-            first_visible: DenseMap::new(),
+            first_visible: DenseSet::new(),
             shell: EngineShell::default(),
             cycle_start: 0.0,
             idle: false,
@@ -168,17 +168,12 @@ impl PeriodicCrawler {
             config,
             current: periodic.current,
             first_visible: periodic.first_visible,
-            shell: EngineShell::restore(&mut state, periodic.cycles),
+            shell: EngineShell::restore(&mut state),
             cycle_start: periodic.cycle_start,
             idle: periodic.idle,
             window: periodic.window,
         };
         Ok((crawler, state.fetcher))
-    }
-
-    /// Completed cycles.
-    pub fn cycles(&self) -> u64 {
-        self.shell.passes
     }
 
     /// Seed the BFS frontier for the cycle starting at `self.cycle_start`.
@@ -368,8 +363,7 @@ impl PeriodicCrawler {
         self.shell.truth.clear();
         for (p, snap) in window.shadow.iter() {
             self.shell.truth.store(universe, p, snap.crawl_time);
-            if !self.first_visible.contains(p) {
-                self.first_visible.insert(p, swap_time);
+            if self.first_visible.insert(p) {
                 let birth = universe.page(p).birth;
                 if birth >= self.shell.run_start {
                     self.shell.metrics.record_admission_latency(swap_time - birth);
@@ -467,24 +461,20 @@ impl CrawlEngine for PeriodicCrawler {
             seeded: self.shell.started,
             clock: self.shell.clock,
             fetch_seq: self.shell.fetch_seq,
+            passes: self.shell.passes,
             collection: Collection::new(self.config.capacity, 1),
             all_urls: crate::allurls::AllUrls::new(),
             queue: Vec::new(),
-            queued: Vec::new(),
             admissions: Vec::new(),
             update: UpdateModule::new(
                 RevisitStrategy::Uniform,
                 EstimatorKind::Ep,
                 self.config.cycle_days,
             ),
-            ranking_runs: 0,
-            ranking_applied: 0,
             rank_pending: false,
-            crawl: CrawlModule::default(),
             periodic: Some(PeriodicState {
                 current: self.current.clone(),
                 first_visible: self.first_visible.clone(),
-                cycles: self.shell.passes,
                 cycle_start: self.cycle_start,
                 idle: self.idle,
                 window: self.window.clone(),
@@ -538,7 +528,7 @@ mod tests {
         let mut fetcher = SimFetcher::new(&u);
         let mut crawler = PeriodicCrawler::new(config());
         run(&mut crawler, &u, &mut fetcher, 40.0);
-        assert_eq!(crawler.cycles(), 4);
+        assert_eq!(crawler.passes(), 4);
         assert!(crawler.current.len() > 40, "size={}", crawler.current.len());
     }
 
@@ -636,7 +626,7 @@ mod tests {
         run(&mut whole, &u, &mut f2, 40.0);
 
         assert_eq!(split.metrics().fetches, whole.metrics().fetches);
-        assert_eq!(split.cycles(), whole.cycles());
+        assert_eq!(split.passes(), whole.passes());
         let rows_a: Vec<(f64, f64)> = split.metrics().freshness.rows().collect();
         let rows_b: Vec<(f64, f64)> = whole.metrics().freshness.rows().collect();
         assert_eq!(rows_a, rows_b, "split drive diverged from one run");

@@ -295,15 +295,13 @@ pub fn rebalance_states(
 
         // Canonical orders: the queue sorts by (due, site, page) — the
         // snapshot order, which is also the rebuilt heap's pop order —
-        // and the id sets ascend.
+        // and the admissions ascend.
         state.queue.sort_by(|a, b| {
             f64::from_bits(a.due_bits)
                 .partial_cmp(&f64::from_bits(b.due_bits))
                 .expect("due times are never NaN")
                 .then((a.url.site, a.url.page).cmp(&(b.url.site, b.url.page)))
         });
-        state.queued = state.queue.iter().map(|e| e.url.page).collect();
-        state.queued.sort_unstable();
         state.admissions.sort_unstable();
         match &mut state.config {
             EngineConfig::Incremental(config) => config.capacity = capacities[i],

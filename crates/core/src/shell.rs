@@ -78,16 +78,15 @@ pub struct EngineShell {
 
 impl EngineShell {
     /// The shell a checkpointed `state` freezes, moved out of it (the
-    /// engine takes the rest); `passes` is the engine's own reading of the
-    /// state's pass counters.
-    pub(crate) fn restore(state: &mut CrawlerState, passes: u64) -> EngineShell {
+    /// engine takes the rest).
+    pub(crate) fn restore(state: &mut CrawlerState) -> EngineShell {
         EngineShell {
             metrics: std::mem::take(&mut state.metrics),
             clock: state.clock,
             run_start: state.run_start,
             started: state.seeded,
             fetch_seq: state.fetch_seq,
-            passes,
+            passes: state.passes,
             routing: std::mem::take(&mut state.routing),
             ..EngineShell::default()
         }

@@ -1,10 +1,13 @@
 //! The full serializable state of a crawler engine.
 //!
 //! [`CrawlerState`] is everything an engine needs to continue a run after
-//! a process restart: the Figure 12 data structures (`Collection`,
-//! `AllUrls`, `CollUrls`), the module states, the metrics accumulated so
-//! far, the discrete-event clock, and — for fetchers that carry replay
-//! state — the fetcher's counters. It is captured at pass boundaries via
+//! a process restart, and nothing else: the Figure 12 data structures
+//! (`Collection`, `AllUrls`, `CollUrls`), the UpdateModule's state, the
+//! metrics accumulated so far, the discrete-event clock and pass counter,
+//! and — for fetchers that carry replay state — what steers the fetcher's
+//! future results. Each fact is stored once: what the engine can rebuild
+//! (the `CollUrls` dedup set, from the queue) or never reads back is not
+//! persisted. It is captured at pass boundaries via
 //! [`crate::CrawlHook::on_pass_boundary`] and rebuilt through
 //! [`crate::engine::restore`] (or the engines' `from_state`
 //! constructors).
@@ -20,15 +23,15 @@
 //! * Queue due-times are stored as raw IEEE-754 bit patterns
 //!   ([`QueueEntry::due_bits`]): the immediate-priority lane uses `−∞`,
 //!   which must survive the trip exactly.
-//! * The `queued`/`admissions` sets are stored as ascending id vectors
-//!   (the engines' dense sets iterate in that order already) so two
-//!   snapshots of the same state are byte-identical.
+//! * The `admissions` set is stored as an ascending id vector (the
+//!   engines' dense sets iterate in that order already) so two snapshots
+//!   of the same state are byte-identical.
 
 use crate::allurls::AllUrls;
 use crate::collection::Collection;
 use crate::incremental::IncrementalConfig;
 use crate::metrics::CrawlMetrics;
-use crate::modules::{CrawlModule, UpdateModule};
+use crate::modules::UpdateModule;
 use crate::periodic::{PeriodicConfig, PeriodicState};
 use crate::routing::RoutingState;
 use webevo_schedule::{RevisitQueue, ScheduledVisit};
@@ -166,30 +169,27 @@ pub struct CrawlerState {
     pub clock: EngineClock,
     /// Fetch attempts issued so far (pairs with [`crate::FetchRecord::seq`]).
     pub fetch_seq: u64,
+    /// Completed refinement passes: ranking passes (inline), applied
+    /// ranking outcomes (pool) or shadow swaps (periodic); see
+    /// [`crate::CrawlEngine::passes`].
+    pub passes: u64,
     /// The local page store (incremental engines; empty for periodic).
     pub collection: Collection,
     /// Every URL ever discovered (incremental engines).
     pub all_urls: AllUrls,
     /// `CollUrls`: the scheduled visits, earliest first (incremental
-    /// engines).
+    /// engines). Each page appears at most once; the engine's dedup guard
+    /// is rebuilt from it.
     pub queue: Vec<QueueEntry>,
-    /// Pages currently scheduled (dedup guard), sorted.
-    pub queued: Vec<PageId>,
     /// Ranking-proposed admissions awaiting their first crawl, sorted.
     pub admissions: Vec<PageId>,
     /// The UpdateModule (strategy, estimator, revisit intervals).
     pub update: UpdateModule,
-    /// RankingModule passes completed (incremental engine).
-    pub ranking_runs: u64,
-    /// Ranking outcomes applied (threaded engine).
-    pub ranking_applied: u64,
     /// Threaded engine: a ranking request built from exactly this state
     /// must be (re)issued on resume — the snapshot is taken at the
     /// boundary between applying one response and sending the next
     /// request.
     pub rank_pending: bool,
-    /// CrawlModule counters.
-    pub crawl: CrawlModule,
     /// The periodic engine's cycle/shadow state (`None` for the
     /// incremental engines).
     pub periodic: Option<PeriodicState>,
@@ -197,8 +197,7 @@ pub struct CrawlerState {
     pub metrics: CrawlMetrics,
     /// Fetcher replay state, when the fetcher is stateful.
     pub fetcher: Option<FetcherState>,
-    /// Cross-shard routing state (inert default when unsharded; absent in
-    /// pre-routing snapshots, which decode to the default).
+    /// Cross-shard routing state (inert default when unsharded).
     pub routing: RoutingState,
 }
 
@@ -206,12 +205,9 @@ wire_enum!(EngineKind { Periodic = 0, Incremental = 1, Threaded { workers } = 2 
 wire_enum!(EngineConfig { Incremental(config) = 0, Periodic(config) = 1 });
 wire_struct!(EngineClock { t, next_ranking, next_sample });
 wire_struct!(QueueEntry { due_bits, url });
-// Routing-era states append `routing`; earlier version-3 snapshots end at
-// `fetcher` and decode it to the inert default.
 wire_struct!(CrawlerState {
-    engine, config, run_start, seeded, clock, fetch_seq, collection, all_urls, queue, queued,
-    admissions, update, ranking_runs, ranking_applied, rank_pending, crawl, periodic, metrics,
-    fetcher; routing ?
+    engine, config, run_start, seeded, clock, fetch_seq, passes, collection, all_urls, queue,
+    admissions, update, rank_pending, periodic, metrics, fetcher, routing
 });
 
 /// Encode a queue for a snapshot: entries earliest-first, due times as
@@ -286,32 +282,19 @@ mod tests {
         ));
     }
 
-    fn encoded<T: BinEncode>(value: &T) -> Vec<u8> {
-        let mut out = Vec::new();
-        value.bin_encode(&mut out);
-        out
-    }
-
     #[test]
-    fn payload_ending_after_fetcher_decodes_to_default_routing() {
+    fn every_strict_prefix_of_a_state_fails_to_decode() {
         let u = WebUniverse::generate(UniverseConfig::test_scale(11));
         let mut engine = crate::IncrementalCrawler::new(IncrementalConfig::monthly(60));
         engine.drive(&u, &mut SimFetcher::new(&u), &mut NoopHook, 12.0).expect("drive succeeds");
         let mut state = engine.export_state();
         state.routing = RoutingState::scoped(ShardPlan::new(ShardFn::Hash, 2, 10), ShardId(1));
-        let full = encoded(&state);
-        let cut = full.len() - encoded(&state.routing).len();
+        let mut full = Vec::new();
+        state.bin_encode(&mut full);
 
-        // A pre-routing version-3 payload: everything up to `fetcher`.
-        let mut r = BinReader::new(&full[..cut]);
-        let old = CrawlerState::bin_decode(&mut r).expect("pre-routing payload decodes");
-        assert!(r.is_exhausted());
-        assert_eq!(old.routing, RoutingState::default());
-        // …which is written back in the current, full-length form.
-        assert_eq!(encoded(&old), [&full[..cut], &encoded(&RoutingState::default())[..]].concat());
-
-        // Every other strict prefix is a truncation, never a panic or a value.
-        for len in (0..full.len()).filter(|&len| len != cut) {
+        // Every strict prefix is a truncation, never a panic or a value —
+        // including the one that ends where the routing state begins.
+        for len in 0..full.len() {
             let prefix = &full[..len];
             assert!(
                 CrawlerState::bin_decode(&mut BinReader::new(prefix)).is_err(),

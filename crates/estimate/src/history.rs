@@ -150,15 +150,18 @@ wire_struct!(Observation { time, interval, changed });
 // observations against the window and the running totals, and would
 // underflow `comparisons` or `detections` on a history outside these
 // bounds. `detections` is exactly the retained changed observations:
-// `record_visit` counts and retires the two in step.
+// `record_visit` counts and retires the two in step. `monitored_days` is a
+// sum of finite intervals, and a NaN or infinite total would poison EP's
+// rate for every visit that follows.
 wire_struct!(ChangeHistory {
     window, observations, last_checksum, last_visit, comparisons, detections, monitored_days
 } reject |h| h.window < 2
     || h.observations.len() > h.window
     || h.comparisons > h.observations.len() as u64
     || h.detections != h.observations.iter().filter(|o| o.changed).count() as u64
+    || !h.monitored_days.is_finite()
     => "change history outgrows its window, counts more comparisons than observations, \
-        or miscounts its detected changes");
+        miscounts its detected changes, or monitored a non-finite span");
 
 #[cfg(test)]
 mod tests {
@@ -313,6 +316,18 @@ mod tests {
             // Too few would underflow at the next retirement; too many
             // would inflate EP's rate.
             assert!(roundtrip(&h).is_err(), "detections = {detections}");
+        }
+    }
+
+    #[test]
+    fn decode_rejects_non_finite_monitored_days() {
+        let mut h = ChangeHistory::new(3);
+        h.record_visit(0.0, ck(0));
+        h.record_visit(1.5, ck(1));
+        assert!(roundtrip(&h).is_ok());
+        for days in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            h.monitored_days = days;
+            assert!(roundtrip(&h).is_err(), "monitored_days = {days}");
         }
     }
 }

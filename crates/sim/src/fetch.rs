@@ -54,8 +54,8 @@ pub trait Fetcher {
     /// Advance internal state exactly as [`Fetcher::fetch`] would have for
     /// an attempt that produced `result`, without performing a fetch.
     /// Write-ahead-log recovery calls this once per logged attempt so the
-    /// fetcher's counters and per-site clocks land at the same values an
-    /// uninterrupted run would carry.
+    /// fetcher's attempt counter and per-site clocks land at the same
+    /// values an uninterrupted run would carry.
     fn observe_replay(&mut self, url: Url, t: f64, result: &Result<FetchOutcome, FetchError>) {
         let _ = (url, t, result);
     }
@@ -81,11 +81,9 @@ pub struct FetcherState {
     /// Fetch attempts issued so far (drives deterministic failure
     /// injection).
     pub attempt_counter: u64,
-    /// Accumulated counters.
-    pub stats: FetchStats,
 }
 
-wire_struct!(FetcherState { last_site_access, attempt_counter, stats });
+wire_struct!(FetcherState { last_site_access, attempt_counter });
 
 /// Politeness constraints, mirroring §2.3.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -127,29 +125,8 @@ impl Politeness {
     }
 }
 
-/// Counters a fetcher keeps (useful for the peak-speed arguments of §4).
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct FetchStats {
-    /// Successful fetches.
-    pub ok: u64,
-    /// Pages that were gone / never existed.
-    pub not_found: u64,
-    /// Politeness rejections.
-    pub rate_limited: u64,
-    /// Injected transient failures.
-    pub transient: u64,
-}
-
-impl FetchStats {
-    /// Total fetch attempts.
-    pub fn attempts(&self) -> u64 {
-        self.ok + self.not_found + self.rate_limited + self.transient
-    }
-}
-
 wire_enum!(FetchError { NotFound = 0, RateLimited { retry_at } = 1, Transient = 2 });
 wire_struct!(FetchOutcome { checksum, links, last_modified });
-wire_struct!(FetchStats { ok, not_found, rate_limited, transient });
 
 /// A [`Fetcher`] over a [`WebUniverse`].
 pub struct SimFetcher<'a> {
@@ -164,7 +141,6 @@ pub struct SimFetcher<'a> {
     /// the old map form (finite entries, ascending site id).
     last_site_access: Vec<f64>,
     attempt_counter: u64,
-    stats: FetchStats,
     /// Whether to expose last-modified dates (real servers often do not;
     /// §5.3's checksum design assumes they may be absent).
     report_last_modified: bool,
@@ -182,7 +158,6 @@ impl<'a> SimFetcher<'a> {
             failure_rate: 0.0,
             last_site_access: vec![f64::NEG_INFINITY; universe.site_count()],
             attempt_counter: 0,
-            stats: FetchStats::default(),
             report_last_modified: false,
             scratch_links: Vec::new(),
         }
@@ -207,11 +182,6 @@ impl<'a> SimFetcher<'a> {
         self
     }
 
-    /// Accumulated counters.
-    pub fn stats(&self) -> FetchStats {
-        self.stats
-    }
-
     /// Restore replay-relevant state exported by [`Fetcher::export_state`]
     /// (politeness/failure configuration is set separately via the
     /// builders).
@@ -223,7 +193,6 @@ impl<'a> SimFetcher<'a> {
             }
         }
         self.attempt_counter = state.attempt_counter;
-        self.stats = state.stats;
     }
 
     /// Record a successful site contact at `t` (out-of-universe sites are
@@ -257,7 +226,6 @@ impl Fetcher for SimFetcher<'_> {
         if self.politeness.night_window.is_some() {
             let day_frac = t - t.floor();
             if !self.politeness.allows_time_of_day(day_frac) {
-                self.stats.rate_limited += 1;
                 let retry_at = t.floor()
                     + self
                         .politeness
@@ -272,22 +240,18 @@ impl Fetcher for SimFetcher<'_> {
         if let Some(&last) = self.last_site_access.get(url.site.index()) {
             let earliest = last + self.politeness.min_delay_days;
             if t < earliest {
-                self.stats.rate_limited += 1;
                 return Err(FetchError::RateLimited { retry_at: earliest });
             }
         }
         if self.transient_failure(url) {
-            self.stats.transient += 1;
             return Err(FetchError::Transient);
         }
         self.stamp_site(url.site, t);
         if url.page.index() >= self.universe.page_count()
             || !self.universe.alive(url.page, t)
         {
-            self.stats.not_found += 1;
             return Err(FetchError::NotFound);
         }
-        self.stats.ok += 1;
         self.universe.out_links_into(url.page, t, &mut self.scratch_links);
         Ok(FetchOutcome {
             checksum: self.universe.checksum_at(url.page, t),
@@ -310,7 +274,6 @@ impl Fetcher for SimFetcher<'_> {
         Some(FetcherState {
             last_site_access,
             attempt_counter: self.attempt_counter,
-            stats: self.stats,
         })
     }
 
@@ -325,17 +288,8 @@ impl Fetcher for SimFetcher<'_> {
     /// stamps the site before discovering the page is dead).
     fn observe_replay(&mut self, url: Url, t: f64, result: &Result<FetchOutcome, FetchError>) {
         self.attempt_counter += 1;
-        match result {
-            Ok(_) => {
-                self.stats.ok += 1;
-                self.stamp_site(url.site, t);
-            }
-            Err(FetchError::NotFound) => {
-                self.stats.not_found += 1;
-                self.stamp_site(url.site, t);
-            }
-            Err(FetchError::RateLimited { .. }) => self.stats.rate_limited += 1,
-            Err(FetchError::Transient) => self.stats.transient += 1,
+        if matches!(result, Ok(_) | Err(FetchError::NotFound)) {
+            self.stamp_site(url.site, t);
         }
     }
 }
@@ -358,7 +312,6 @@ mod tests {
         let out = f.fetch(u.url_of(root), 5.0).unwrap();
         assert_eq!(out.checksum, u.checksum_at(root, 5.0));
         assert!(out.last_modified.is_none());
-        assert_eq!(f.stats().ok, 1);
     }
 
     #[test]
@@ -374,7 +327,6 @@ mod tests {
             f.fetch(u.url_of(dead.id), dead.death + 0.5),
             Err(FetchError::NotFound)
         );
-        assert_eq!(f.stats().not_found, 1);
     }
 
     #[test]

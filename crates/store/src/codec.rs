@@ -28,8 +28,16 @@ pub const SNAPSHOT_MAGIC: &str = "WEBEVO-SNAPSHOT";
 ///   engine's cycle/shadow state rides in a `periodic` payload) in the
 ///   binary wire format; every stored page carried an EB posterior.
 /// * 4 — a stored page's EB posterior is optional: a `0` tag under EP,
-///   `1` and the posterior under EB (current).
-pub const SNAPSHOT_VERSION: u32 = 4;
+///   `1` and the posterior under EB.
+/// * 5 — each fact once (current). One pass counter, `passes`, replaces
+///   the per-engine `ranking_runs`, `ranking_applied` and periodic
+///   `cycles`, two of which were always 0. Fields nothing reads back are
+///   gone: the CrawlModule counters, a stored page's `admitted` day, the
+///   fetcher's outcome counters (they cannot steer a future fetch) and the
+///   day values of periodic `first_visible`, now a page set. `queued` is
+///   rebuilt from `queue`. `routing` is a plain field, not an optional
+///   tail, so every strict prefix of a payload is a truncation.
+pub const SNAPSHOT_VERSION: u32 = 5;
 
 /// Why a snapshot, WAL or fleet manifest could not be decoded.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -229,21 +237,25 @@ mod tests {
         let doc = encode_snapshot(&state);
         let header_len = doc.iter().position(|&b| b == b'\n').unwrap() + 1;
         let header = String::from_utf8(doc[..header_len].to_vec()).unwrap();
-        let future = [
-            header
-                .replacen(
-                    &format!("{SNAPSHOT_MAGIC} {SNAPSHOT_VERSION}"),
-                    &format!("{SNAPSHOT_MAGIC} 9"),
-                    1,
-                )
-                .into_bytes(),
-            doc[header_len..].to_vec(),
-        ]
-        .concat();
-        assert_eq!(
-            decode_snapshot(&future).unwrap_err(),
-            StoreError::UnsupportedVersion(9)
-        );
+        // A well-formed, correctly checksummed document of the previous or
+        // a future version is refused by its version alone.
+        for version in [SNAPSHOT_VERSION - 1, 9] {
+            let other = [
+                header
+                    .replacen(
+                        &format!("{SNAPSHOT_MAGIC} {SNAPSHOT_VERSION}"),
+                        &format!("{SNAPSHOT_MAGIC} {version}"),
+                        1,
+                    )
+                    .into_bytes(),
+                doc[header_len..].to_vec(),
+            ]
+            .concat();
+            assert_eq!(
+                decode_snapshot(&other).unwrap_err(),
+                StoreError::UnsupportedVersion(version)
+            );
+        }
         // A version-2 JSON snapshot as early builds wrote it: well-formed
         // header, correct checksum — refused by version, never parsed.
         let json = "{\"engine\":\"Incremental\"}";

@@ -782,6 +782,32 @@ impl<'a> FleetSession<'a> {
         builder.build()
     }
 
+    /// Every shard's fetcher under the current plan, pushed onto the empty
+    /// `fetchers`, and the scoped session built over each, in shard order.
+    fn shard_sessions<'s>(
+        &self,
+        fetchers: &'s mut Vec<ShardedFetcher<'a>>,
+    ) -> Result<Vec<CrawlSession<'s>>, WebEvoError>
+    where
+        'a: 's,
+    {
+        fetchers.extend(self.plan.shard_ids().map(|k| {
+            ShardedFetcher::new(
+                SimFetcher::new(self.universe).with_failure_rate(self.failure_rate),
+                self.plan,
+                k,
+            )
+        }));
+        fetchers
+            .iter_mut()
+            .enumerate()
+            .map(|(k, fetcher)| {
+                self.shard_session(ShardId(k as u32), fetcher)
+                    .map_err(|e| WebEvoError::InvalidState(format!("shard#{k}: {e}")))
+            })
+            .collect()
+    }
+
     /// One exchange barrier: read every outbox, merge per destination in
     /// `(ShardId, seq)` order, inject each shard's batch (logging it to
     /// the shard's WAL), then sync every shard so the exchange is durable
@@ -845,29 +871,15 @@ impl<'a> FleetSession<'a> {
         }
         let shard_count = self.plan.shards() as usize;
         let threads = self.concurrency.unwrap_or(shard_count).min(shard_count);
-        let mut fetchers: Vec<ShardedFetcher<'a>> = self
-            .plan
-            .shard_ids()
-            .map(|k| {
-                ShardedFetcher::new(
-                    SimFetcher::new(self.universe).with_failure_rate(self.failure_rate),
-                    self.plan,
-                    k,
-                )
-            })
-            .collect();
-        let mut sessions: Vec<CrawlSession<'_>> = Vec::with_capacity(shard_count);
-        for (k, fetcher) in fetchers.iter_mut().enumerate() {
-            let mut session = self
-                .shard_session(ShardId(k as u32), fetcher)
-                .map_err(|e| WebEvoError::InvalidState(format!("shard#{k}: {e}")))?;
+        let mut fetchers = Vec::new();
+        let mut sessions = self.shard_sessions(&mut fetchers)?;
+        for session in &mut sessions {
             // Fleet snapshot discipline: cadence snapshots fire only at
             // exchange barriers, pre-injection, so no shard's snapshot
             // ever absorbs an exchange a peer still holds only as a
             // trailing WAL record — the invariant that keeps any single
             // shard's torn WAL tail recoverable (see `align_exchanges`).
             session.snapshot_at_barriers_only();
-            sessions.push(session);
         }
         if resume {
             let (dir, _) = self.checkpoint.clone().expect("resume checked checkpointing");
@@ -1007,7 +1019,6 @@ impl<'a> FleetSession<'a> {
             )));
         }
         self.validate_manifest(&dir)?;
-        let shard_count = self.plan.shards() as usize;
         let _span = self.obs.span(Stage::Rebalance, LogicalClock::new(0.0, 0));
 
         // Materialize every shard at its last committed boundary (aligned,
@@ -1018,24 +1029,8 @@ impl<'a> FleetSession<'a> {
                 "shard#{k} has no checkpoint; run the fleet before rebalancing"
             )));
         }
-        let mut fetchers: Vec<ShardedFetcher<'a>> = self
-            .plan
-            .shard_ids()
-            .map(|k| {
-                ShardedFetcher::new(
-                    SimFetcher::new(self.universe).with_failure_rate(self.failure_rate),
-                    self.plan,
-                    k,
-                )
-            })
-            .collect();
-        let mut sessions: Vec<CrawlSession<'_>> = Vec::with_capacity(shard_count);
-        for (k, fetcher) in fetchers.iter_mut().enumerate() {
-            sessions.push(
-                self.shard_session(ShardId(k as u32), fetcher)
-                    .map_err(|e| WebEvoError::InvalidState(format!("shard#{k}: {e}")))?,
-            );
-        }
+        let mut fetchers = Vec::new();
+        let mut sessions = self.shard_sessions(&mut fetchers)?;
         for (k, rec) in recoveries.into_iter().enumerate() {
             let rec = rec.expect("checked above");
             sessions[k]

@@ -31,12 +31,12 @@
 //! its own engine, site-filtered fetcher, and checkpoint directory under
 //! a fleet-level manifest — and merges their metrics deterministically.
 //!
-//! # Snapshot format (version 4, binary)
+//! # Snapshot format (version 5, binary)
 //!
 //! A snapshot is a one-line text header followed by a binary payload:
 //!
 //! ```text
-//! WEBEVO-SNAPSHOT 4 <fnv64 of payload, 16 hex digits>
+//! WEBEVO-SNAPSHOT 5 <fnv64 of payload, 16 hex digits>
 //! <payload: the CrawlerState in the webevo-types binary wire format>
 //! ```
 //!
@@ -54,15 +54,16 @@
 //!
 //! [`webevo_types::binio`] is the only serialization in the workspace, and
 //! each file has exactly one supported version — the one this build
-//! writes: snapshot 4, WAL 2, fleet manifest 2 (see [`fleet`]; same
+//! writes: snapshot 5, WAL 2, fleet manifest 2 (see [`fleet`]; same
 //! `MAGIC version fnv64` header line as the snapshot). Files of any other
 //! version — the JSON snapshots (1–2), JSON-lines WALs (1) and JSON
-//! manifests (1) of early builds, and the binary version-3 snapshots that
-//! stored an EB posterior on every page — fail closed with
+//! manifests (1) of early builds, the binary version-3 snapshots that
+//! stored an EB posterior on every page, and the version-4 snapshots that
+//! stored redundant and never-read fields — fail closed with
 //! [`StoreError::UnsupportedVersion`] from [`decode_snapshot`],
 //! [`read_wal`], [`recover`] and [`FleetSession::resume`]; in particular an
 //! old-format WAL never reads as an empty one. A checked-in
-//! snapshot-4/WAL-2 checkpoint (`tests/golden_fixture.rs`) pins the live
+//! snapshot-5/WAL-2 checkpoint (`tests/golden_fixture.rs`) pins the live
 //! bytes: it must keep resuming onto the exact trajectory of an
 //! uninterrupted run and re-encode to itself.
 //!

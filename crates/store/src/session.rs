@@ -384,20 +384,7 @@ impl<'a> CrawlSession<'a> {
                 // The lineage opens with a base snapshot of the state the
                 // run starts from, so a kill before the first cadence
                 // snapshot still recovers (base + whole WAL).
-                let initial = self.export_state();
-                let mut ckpt = Checkpointer::create(config.clone(), &initial).map_err(|e| {
-                    WebEvoError::invalid(format!(
-                        "checkpoint dir {:?} is not writable: {e}",
-                        config.dir
-                    ))
-                })?;
-                if self.barrier_snapshots {
-                    ckpt.snapshot_at_barriers_only();
-                }
-                if self.obs.enabled() {
-                    ckpt.set_obs(self.obs.clone());
-                }
-                self.checkpointer = Some(ckpt);
+                self.attach_checkpointer(config, Checkpointer::create)?;
             }
         }
         self.drive(days)
@@ -495,11 +482,19 @@ impl<'a> CrawlSession<'a> {
             .replay(self.universe, self.fetcher.get(), &recovered.wal)?;
         // Re-snapshot the recovered state: the directory again holds one
         // consistent lineage and the old WAL is retired.
-        let mut state = self.engine.export_state();
-        if self.engine.uses_external_fetcher() {
-            state.fetcher = self.fetcher.get().export_state();
-        }
-        let mut ckpt = Checkpointer::continue_from(config.clone(), &state).map_err(|e| {
+        self.attach_checkpointer(config, Checkpointer::continue_from)
+    }
+
+    /// Start checkpointing over the session's current state with `open`
+    /// (a fresh lineage or the continuation of a recovered one), in the
+    /// session's snapshot discipline and under its observability sink.
+    fn attach_checkpointer(
+        &mut self,
+        config: CheckpointConfig,
+        open: fn(CheckpointConfig, &webevo_core::CrawlerState) -> std::io::Result<Checkpointer>,
+    ) -> Result<(), WebEvoError> {
+        let state = self.export_state();
+        let mut ckpt = open(config.clone(), &state).map_err(|e| {
             WebEvoError::invalid(format!(
                 "checkpoint dir {:?} is not writable: {e}",
                 config.dir

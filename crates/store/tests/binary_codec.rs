@@ -82,7 +82,6 @@ proptest! {
                 url: Url::new(SiteId((page % 97) as u32), PageId(page)),
             })
             .collect();
-        state.queued = Vec::new(); // decoupled from the grafted queue
         let doc = encode_snapshot(&state);
         let back = decode_snapshot(&doc).expect("clean snapshot decodes");
         prop_assert_eq!(back.queue.len(), state.queue.len());

@@ -1,5 +1,5 @@
 //! Golden fixture of the live on-disk formats: a checked-in
-//! `WEBEVO-SNAPSHOT 4` + `WEBEVO-WAL 2` checkpoint must keep decoding,
+//! `WEBEVO-SNAPSHOT 5` + `WEBEVO-WAL 2` checkpoint must keep decoding,
 //! re-encoding to itself, and resuming byte-identically.
 //!
 //! The pair under `tests/fixtures/golden/` comes from a deterministic run
@@ -7,11 +7,14 @@
 //! fetches/day, 15% transient-failure injection, snapshot cadence 5 days,
 //! killed at day 23 — the same shape `tests/determinism.rs` pins). The WAL
 //! was written by the build that preceded the removal of the JSON twin
-//! formats; the snapshot by commit 458a729 with only its stored-page
-//! encoding patched to the version-4 layout and the version bumped. It is
-//! the proof that a change to the persisted types' Rust-side shape moved
-//! no byte on disk: the bytes here are not produced by the code under
-//! test.
+//! formats. The snapshot was transcoded from the version-4 fixture (which
+//! commit 458a729 wrote with only its stored-page encoding patched) by a
+//! build of commit e9cce91 with only its snapshot encoding patched to the
+//! version-5 layout: it decoded the version-4 payload and re-encoded it.
+//! The same patched build, run to the kill point, wrote identical bytes.
+//! The fixture is the proof that a change to the persisted types'
+//! Rust-side shape moved no byte on disk: the bytes here are not produced
+//! by the code under test.
 
 use std::path::{Path, PathBuf};
 use webevo_core::engine::EngineKind;

@@ -181,23 +181,17 @@ pub trait BinDecode: Sized {
 
 /// Declare a struct's wire layout once: the listed fields, in order, are
 /// what [`BinEncode`] writes and [`BinDecode`] reads back. Tuple newtypes
-/// list their index (`wire_struct!(PageId { 0 })`).
+/// list their index (`wire_struct!(PageId { 0 })`). Every listed field is
+/// always written and always read: a payload that ends early is truncated.
 ///
-/// Two optional tails, both decode-side only:
-///
-/// * `; field ?` after the list marks one trailing field that older
-///   payloads may end before — it decodes to `Default::default()` when the
-///   reader is already exhausted, and is always written.
-/// * `reject |v| condition => "message"` after the braces validates the
-///   decoded value and turns a hit into a [`BinError`].
+/// An optional `reject |v| condition => "message"` after the braces
+/// validates the decoded value and turns a hit into a [`BinError`].
 #[macro_export]
 macro_rules! wire_struct {
-    ($ty:ident { $($field:tt),+ $(,)? $(; $tail:ident ?)? }
-     $(reject |$v:ident| $bad:expr => $msg:expr)?) => {
+    ($ty:ident { $($field:tt),+ $(,)? } $(reject |$v:ident| $bad:expr => $msg:expr)?) => {
         impl $crate::binio::BinEncode for $ty {
             fn bin_encode(&self, out: &mut Vec<u8>) {
                 $($crate::binio::BinEncode::bin_encode(&self.$field, out);)+
-                $($crate::binio::BinEncode::bin_encode(&self.$tail, out);)?
             }
         }
 
@@ -207,11 +201,6 @@ macro_rules! wire_struct {
             ) -> ::std::result::Result<$ty, $crate::binio::BinError> {
                 let value = $ty {
                     $($field: $crate::binio::BinDecode::bin_decode(r)?,)+
-                    $($tail: if r.is_exhausted() {
-                        ::std::default::Default::default()
-                    } else {
-                        $crate::binio::BinDecode::bin_decode(r)?
-                    },)?
                 };
                 $(
                     let $v = &value;
@@ -592,16 +581,15 @@ mod tests {
     }
     wire_enum!(Shape { Point = 0, Circle { radius } = 1, Segment(from, to) = 4 });
 
-    #[derive(Debug, PartialEq, Default)]
+    #[derive(Debug, PartialEq)]
     struct Span {
         lo: u64,
         hi: u64,
-        label: String,
     }
-    wire_struct!(Span { lo, hi; label ? } reject |s| s.lo > s.hi => "span ends before it starts");
+    wire_struct!(Span { lo, hi } reject |s| s.lo > s.hi => "span ends before it starts");
 
     #[test]
-    fn macro_arms_tags_checks_and_optional_tail() {
+    fn macro_arms_tags_and_checks() {
         roundtrip(Shape::Point);
         roundtrip(Shape::Circle { radius: 2.5 });
         roundtrip(Shape::Segment(7, 300));
@@ -611,17 +599,9 @@ mod tests {
         let err = Shape::bin_decode(&mut BinReader::new(&[2])).unwrap_err();
         assert_eq!(err.to_string(), "invalid Shape tag 2");
 
-        roundtrip(Span { lo: 1, hi: 5, label: "x".into() });
-        // The marked tail may be absent (older payload) but is always written.
-        let old = Span::bin_decode(&mut BinReader::new(&[1, 5])).expect("tail-less payload");
-        assert_eq!(old, Span { lo: 1, hi: 5, label: String::new() });
-        let mut out = Vec::new();
-        old.bin_encode(&mut out);
-        assert_eq!(out, [1, 5, 0]);
-        // Only the tail is optional: a payload ending earlier is truncated.
-        assert!(Span::bin_decode(&mut BinReader::new(&[1])).is_err());
+        roundtrip(Span { lo: 1, hi: 5 });
         // The post-decode check runs on the decoded value and becomes a BinError.
-        let err = Span::bin_decode(&mut BinReader::new(&[5, 1, 0])).unwrap_err();
+        let err = Span::bin_decode(&mut BinReader::new(&[5, 1])).unwrap_err();
         assert_eq!(err.to_string(), "span ends before it starts");
     }
 
