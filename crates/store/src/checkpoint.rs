@@ -17,10 +17,14 @@
 //!    and reset the WAL.
 //! 3. After a crash, [`recover`] returns the newest snapshot and the
 //!    committed WAL tail; the caller rebuilds the engine
-//!    (`webevo_core::engine::restore` → `replay` → `drive`) and creates
-//!    the follow-up checkpointer with [`Checkpointer::continue_from`],
-//!    which re-snapshots the recovered state so the old lineage is never
-//!    needed twice. `CrawlSession::resume` packages all of this.
+//!    (`webevo_core::engine::restore` → `replay` → `drive`) and keeps
+//!    checkpointing with `Checkpointer::adopt`, which continues the
+//!    lineage it recovered: the snapshot stays as it is on disk, and the
+//!    WAL is cut back to the end of the adopted committed prefix
+//!    (dropping a torn tail) and appended to from there. Nothing is
+//!    exported, encoded or rewritten. `CrawlSession::resume` packages all
+//!    of this, and counts the next cadence snapshot from the day the
+//!    crawl resumes at.
 //!
 //! I/O failures inside the hook panic: the hook signature is infallible by
 //! design (the engines cannot meaningfully continue a run whose durability
@@ -45,7 +49,7 @@
 //! before the barrier releases.
 
 use crate::codec::{decode_snapshot, encode_snapshot, StoreError};
-use crate::wal::{read_wal, WalWriter};
+use crate::wal::{read_wal, scan_wal, WalScan, WalWriter};
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -102,7 +106,10 @@ pub struct Checkpointer {
     config: CheckpointConfig,
     buffer: Vec<WalEvent>,
     wal: WalWriter,
-    last_snapshot_t: Option<f64>,
+    /// Simulated day the snapshot cadence counts from: the newest snapshot
+    /// this checkpointer wrote or opened over, or the day a resumed crawl
+    /// continues from.
+    last_snapshot_t: f64,
     last_seq: u64,
     stats: CheckpointStats,
     /// When set, pass boundaries only flush; cadence snapshots are taken
@@ -145,24 +152,15 @@ impl Checkpointer {
         // records, which replay could not tell apart from its own.
         let wal = WalWriter::create(&config.wal_path())?;
         write_snapshot_atomically(&config, initial)?;
-        Ok(Checkpointer {
-            last_snapshot_t: Some(initial.clock.t),
-            last_seq: initial.fetch_seq,
-            clock_t: initial.clock.t,
-            config,
-            buffer: Vec::new(),
-            wal,
-            stats: CheckpointStats { snapshots: 1, ..CheckpointStats::default() },
-            barrier_only: false,
-            obs: ObsSink::noop(),
-            fsyncs_seen: 0,
-            pending: None,
-        })
+        Ok(Checkpointer::open(config, wal, initial.clock.t, initial.fetch_seq, 1))
     }
 
-    /// Continue checkpointing after a recovery: immediately snapshot the
-    /// recovered (replayed) `state` and reset the WAL, so the directory
-    /// again holds exactly one consistent lineage.
+    /// Start a fresh lineage over `state`, a state no snapshot in
+    /// `config.dir` holds yet — the fleet's rebalance writes each shard's
+    /// migrated state this way: snapshot it, then reset the WAL, so the
+    /// directory again holds exactly one consistent lineage. A resume does
+    /// not come here; it continues the lineage it recovered
+    /// (`Checkpointer::adopt`).
     pub fn continue_from(
         config: CheckpointConfig,
         state: &CrawlerState,
@@ -170,19 +168,71 @@ impl Checkpointer {
         fs::create_dir_all(&config.dir)?;
         write_snapshot_atomically(&config, state)?;
         let wal = WalWriter::create(&config.wal_path())?;
-        Ok(Checkpointer {
-            last_snapshot_t: Some(state.clock.t),
-            last_seq: state.fetch_seq,
-            clock_t: state.clock.t,
+        Ok(Checkpointer::open(config, wal, state.clock.t, state.fetch_seq, 1))
+    }
+
+    /// Keep checkpointing the lineage `recovered` came from, in
+    /// `config.dir`: the snapshot already on disk stays the lineage's
+    /// newest, and the WAL is cut back to the end of the committed prefix
+    /// `recovered.wal` holds — dropping a torn tail, or routed batches the
+    /// fleet's alignment popped — and appended to from there. Nothing is
+    /// exported, encoded or written but that cut; the checkpointer starts
+    /// at zero snapshots. Call it with the recovery the engine is (or will
+    /// be) replayed from, so the log continues exactly where the engine
+    /// stands, then [`Checkpointer::resume_at`] the day replay lands on.
+    ///
+    /// A prefix that does not end on a commit marker is
+    /// [`StoreError::PrefixNotCommitted`]; an I/O failure is
+    /// [`StoreError::Io`].
+    pub(crate) fn adopt(
+        config: CheckpointConfig,
+        recovered: &Recovered,
+    ) -> Result<Checkpointer, StoreError> {
+        let wal_path = config.wal_path();
+        let wal = match recovered.wal_end()? {
+            Some(end) => WalWriter::continue_at(&wal_path, end),
+            None => WalWriter::create(&wal_path),
+        }
+        .map_err(|e| StoreError::Io(format!("continuing {wal_path:?}: {e}")))?;
+        let snapshot = &recovered.state;
+        // Replay leaves the engine at the newest event's sequence number,
+        // or at the snapshot's when the tail adds nothing past it.
+        let last_seq = recovered.wal.last().map_or(0, WalEvent::seq).max(snapshot.fetch_seq);
+        Ok(Checkpointer::open(config, wal, snapshot.clock.t, last_seq, 0))
+    }
+
+    /// The replayed crawl continues from day `t`: count the snapshot
+    /// cadence, and stamp traces, from there. Counting from the recovered
+    /// snapshot's day instead would make a snapshot fall due sooner after
+    /// every resume: one more state export held in memory, and encoded
+    /// off-thread, while the resumed crawl runs on.
+    pub(crate) fn resume_at(&mut self, t: f64) {
+        self.last_snapshot_t = t;
+        self.clock_t = t;
+    }
+
+    /// A checkpointer over an open `wal`, whose newest snapshot (taken at
+    /// `snapshot_t`) counts as `snapshots` written by this checkpointer.
+    fn open(
+        config: CheckpointConfig,
+        wal: WalWriter,
+        snapshot_t: f64,
+        last_seq: u64,
+        snapshots: u64,
+    ) -> Checkpointer {
+        Checkpointer {
+            last_snapshot_t: snapshot_t,
+            last_seq,
+            clock_t: snapshot_t,
             config,
             buffer: Vec::new(),
             wal,
-            stats: CheckpointStats { snapshots: 1, ..CheckpointStats::default() },
+            stats: CheckpointStats { snapshots, ..CheckpointStats::default() },
             barrier_only: false,
             obs: ObsSink::noop(),
             fsyncs_seen: 0,
             pending: None,
-        })
+        }
     }
 
     /// Restrict cadence snapshots to explicit
@@ -212,15 +262,11 @@ impl Checkpointer {
         self.clock_t = t;
         self.join_pending_snapshot()?;
         self.flush()?;
-        let snapshot_due = match self.last_snapshot_t {
-            None => true,
-            Some(last) => t - last >= self.config.snapshot_every_days,
-        };
-        if snapshot_due {
+        if t - self.last_snapshot_t >= self.config.snapshot_every_days {
             self.traced_snapshot(state)?;
             self.wal.reset()?;
             self.sync_fsync_counter();
-            self.last_snapshot_t = Some(t);
+            self.last_snapshot_t = t;
             self.stats.snapshots += 1;
         }
         Ok(())
@@ -333,18 +379,15 @@ impl CrawlHook for Checkpointer {
         // previous snapshot.
         self.flush()
             .unwrap_or_else(|e| panic!("WAL append to {:?} failed: {e}", self.wal.path()));
-        let snapshot_due = !self.barrier_only
-            && match self.last_snapshot_t {
-                None => true, // defensive: create/continue_from always seed one
-                Some(last) => t - last >= self.config.snapshot_every_days,
-            };
+        let snapshot_due =
+            !self.barrier_only && t - self.last_snapshot_t >= self.config.snapshot_every_days;
         if snapshot_due {
             // Export the immutable boundary view and encode it off-thread;
             // the crawl thread resumes immediately. `last_snapshot_t`
             // advances now (cadence is measured from the state's time, not
             // the encoder's completion), `stats.snapshots` at the join.
             let state = export();
-            self.last_snapshot_t = Some(t);
+            self.last_snapshot_t = t;
             self.spawn_snapshot(state);
         }
     }
@@ -398,8 +441,28 @@ pub struct Recovered {
     pub state: CrawlerState,
     /// The committed WAL tail — fetches and routed batches alike (it may
     /// include events the snapshot already covers; the engines' `replay`
-    /// skips them by sequence number).
+    /// skips them by sequence number). A caller may drop trailing
+    /// committed batches before adopting it (the fleet's alignment does);
+    /// `Checkpointer::adopt` then continues the log after what is left.
     pub wal: Vec<WalEvent>,
+    /// Where each committed prefix of the log ends in the file (see
+    /// `WalScan::commit_ends`).
+    commit_ends: Vec<(usize, u64)>,
+}
+
+impl Recovered {
+    /// The byte offset where the committed prefix `wal` now holds ends in
+    /// the log file: just past its last commit marker, or past the header
+    /// when it holds no events. `None` when the directory held no readable
+    /// log at all, so a fresh one must be started.
+    fn wal_end(&self) -> Result<Option<u64>, StoreError> {
+        let events = self.wal.len();
+        match self.commit_ends.iter().rev().find(|&&(committed, _)| committed == events) {
+            Some(&(_, end)) => Ok(Some(end)),
+            None if self.commit_ends.is_empty() && events == 0 => Ok(None),
+            None => Err(StoreError::PrefixNotCommitted { events }),
+        }
+    }
 }
 
 /// Load the newest consistent crawl state from a checkpoint directory:
@@ -439,8 +502,8 @@ pub fn recover(dir: &Path) -> Result<Option<Recovered>, StoreError> {
         Err(e) => return Err(StoreError::Io(format!("reading {snapshot_path:?}: {e}"))),
     };
     let state = decode_snapshot(&doc)?;
-    let wal = read_wal(&dir.join(WAL_FILE))?;
-    Ok(Some(Recovered { state, wal }))
+    let WalScan { events, commit_ends } = scan_wal(&dir.join(WAL_FILE))?;
+    Ok(Some(Recovered { state, wal: events, commit_ends }))
 }
 
 #[cfg(test)]
@@ -612,8 +675,9 @@ mod tests {
         assert!(recovered.state.seeded);
         assert!(!tmp.exists(), "recover removes the stale temp file");
 
-        // The next snapshot (here: the post-recovery re-snapshot) lands
-        // cleanly even with a fresh stale tmp planted again.
+        // The next snapshot (here: a fresh lineage over the recovered
+        // state, the way a fleet rebalance writes one) lands cleanly even
+        // with a fresh stale tmp planted again.
         fs::write(&tmp, b"garbage").unwrap();
         let (mut restored, fstate) = engine::restore(recovered.state).expect("restores");
         let mut fetcher2 = SimFetcher::new(&u);
@@ -626,6 +690,36 @@ mod tests {
         let again = recover(&dir).expect("decodes").expect("snapshot exists");
         assert_eq!(again.state.fetch_seq, state.fetch_seq);
         assert!(!tmp.exists());
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn adopt_refuses_a_prefix_that_splits_a_batch() {
+        // Committed batches end on commit markers; dropping one event from
+        // the last batch leaves a prefix no marker ends, which adopt must
+        // refuse rather than continue the log after it. A missing log, on
+        // the other hand, commits nothing: adopt starts a fresh one.
+        let dir = temp_dir("split");
+        let u = WebUniverse::generate(UniverseConfig::test_scale(25));
+        let mut crawler = IncrementalCrawler::new(config(30));
+        let cfg = CheckpointConfig::new(&dir, 50.0);
+        let mut ckpt = Checkpointer::create(cfg.clone(), &crawler.export_state()).unwrap();
+        let mut fetcher = SimFetcher::new(&u);
+        crawler.drive(&u, &mut fetcher, &mut ckpt, 6.0).expect("drive");
+        drop(ckpt);
+        let mut recovered = recover(&dir).unwrap().unwrap();
+        let events = recovered.wal.len();
+        assert!(events > 1);
+        recovered.wal.pop();
+        assert_eq!(
+            Checkpointer::adopt(cfg.clone(), &recovered).unwrap_err(),
+            StoreError::PrefixNotCommitted { events: events - 1 }
+        );
+        fs::remove_file(dir.join(WAL_FILE)).unwrap();
+        let recovered = recover(&dir).unwrap().unwrap();
+        let ckpt = Checkpointer::adopt(cfg, &recovered).expect("a fresh log");
+        assert_eq!(ckpt.stats(), CheckpointStats::default());
+        assert!(read_wal(&dir.join(WAL_FILE)).unwrap().is_empty());
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -78,6 +78,14 @@ pub enum StoreError {
         /// The shard whose checkpoint disagrees with the manifest.
         shard: u32,
     },
+    /// A resume was asked to continue a write-ahead log after a recovered
+    /// prefix that does not end on a commit marker. Appending there would
+    /// bury the new batches behind events no marker commits, so the log is
+    /// never continued from such a point.
+    PrefixNotCommitted {
+        /// Events in the prefix that was to be continued.
+        events: usize,
+    },
 }
 
 impl fmt::Display for StoreError {
@@ -105,6 +113,11 @@ impl fmt::Display for StoreError {
                 "shard {shard}'s checkpoint was written under a different shard plan \
                  than the fleet manifest records; resuming it here would route sites \
                  to the wrong shards"
+            ),
+            StoreError::PrefixNotCommitted { events } => write!(
+                f,
+                "the recovered write-ahead-log prefix of {events} event(s) does not end \
+                 on a commit marker; refusing to continue the log after it"
             ),
         }
     }

@@ -68,8 +68,9 @@
 //! some shards' logs holding a routed batch their peers never received;
 //! recovery *aligns* the fleet by dropping those trailing batches down to
 //! the fleet-wide minimum exchange count — every shard then sits exactly
-//! at the barrier with its outbox intact — and re-runs the exchange from
-//! the live outboxes, which reproduces the dropped batches byte for byte.
+//! at the barrier with its outbox intact, its log cut back to that
+//! barrier — and re-runs the exchange from the live outboxes, which
+//! reproduces the dropped batches byte for byte.
 //! The resumed trajectory therefore equals an uninterrupted run
 //! (`tests/determinism.rs`).
 //!
@@ -461,10 +462,12 @@ fn replayed_exchanges(recovered: &Recovered) -> u64 {
 /// Align a shard's recovery to `target` exchanges by dropping trailing
 /// routed records from its WAL tail. A kill mid-exchange leaves some
 /// shards' logs holding a batch their peers never received; by protocol
-/// those surplus batches sit at the very end of the log (no shard crawls
-/// past a barrier until every shard's batch is durable), so dropping them
-/// rolls the shard back to the barrier with its outbox intact, and the
-/// re-run exchange reproduces the dropped batches byte for byte.
+/// those surplus batches sit at the very end of the log, each under a
+/// commit marker of its own (no shard crawls past a barrier until every
+/// shard's batch is durable), so dropping them rolls the shard back to
+/// the barrier with its outbox intact. Adopting the recovery then cuts
+/// them from the shard's log file, and the re-run exchange reproduces
+/// the dropped batches byte for byte in their place.
 fn align_exchanges(recovered: &mut Recovered, target: u64) -> Result<(), WebEvoError> {
     let mut e = replayed_exchanges(recovered);
     while e > target {

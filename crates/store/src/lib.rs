@@ -21,7 +21,9 @@
 //! engine's own state transitions, landing bit-identically on the state at
 //! the last flushed boundary; driving the engine onward then continues the
 //! crawl as if the crash never happened (`tests/determinism.rs` pins this
-//! end to end).
+//! end to end). A resume keeps the lineage it recovered: the snapshot
+//! stays on disk untouched, and the log is cut back to its committed
+//! prefix and appended to from there.
 //!
 //! Applications do not wire any of this by hand: the [`CrawlSession`]
 //! builder in [`session`] is the supported entry point — engine choice,

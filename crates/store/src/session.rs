@@ -10,9 +10,11 @@
 //! * [`CrawlSession::run`] — start a fresh crawl (checkpointing to disk
 //!   when configured);
 //! * [`CrawlSession::resume`] — recover `snapshot + WAL tail` from the
-//!   checkpoint directory, replay to the last committed boundary, start a
-//!   fresh checkpoint lineage, and continue. The continuation is
-//!   bit-identical to a never-interrupted run (`tests/determinism.rs`).
+//!   checkpoint directory, replay to the last committed boundary, keep
+//!   checkpointing the recovered lineage in place (no snapshot is
+//!   rewritten; the log continues after its committed prefix), and
+//!   continue. The continuation is bit-identical to a never-interrupted
+//!   run (`tests/determinism.rs`).
 //!
 //! [`CrawlSessionBuilder::build`] validates everything up front and
 //! returns typed [`WebEvoError`]s — zero capacity, zero workers, an
@@ -384,7 +386,14 @@ impl<'a> CrawlSession<'a> {
                 // The lineage opens with a base snapshot of the state the
                 // run starts from, so a kill before the first cadence
                 // snapshot still recovers (base + whole WAL).
-                self.attach_checkpointer(config, Checkpointer::create)?;
+                let state = self.export_state();
+                let ckpt = Checkpointer::create(config.clone(), &state).map_err(|e| {
+                    WebEvoError::invalid(format!(
+                        "checkpoint dir {:?} is not writable: {e}",
+                        config.dir
+                    ))
+                })?;
+                self.attach_checkpointer(ckpt);
             }
         }
         self.drive(days)
@@ -392,8 +401,9 @@ impl<'a> CrawlSession<'a> {
 
     /// Recover from the checkpoint directory and continue to day `days`:
     /// decode the newest snapshot, rebuild the engine, restore the
-    /// fetcher's replay state, re-apply the committed WAL tail, start a
-    /// fresh checkpoint lineage over the recovered state, and drive on.
+    /// fetcher's replay state, re-apply the committed WAL tail, keep
+    /// checkpointing the recovered lineage (see `Checkpointer::adopt`),
+    /// and drive on.
     ///
     /// Typed failure modes: no checkpointing configured, nothing to
     /// resume (no snapshot on disk), a corrupt snapshot, or a snapshot
@@ -436,12 +446,16 @@ impl<'a> CrawlSession<'a> {
     }
 
     /// Install a recovered checkpoint into this session: validate it
-    /// against the session's configuration, rebuild the engine, restore
-    /// the fetcher's replay state, re-apply the committed WAL tail, and
-    /// start a fresh checkpoint lineage over the recovered state. The
-    /// engine afterwards sits at the last committed boundary; no driving
-    /// happens. `FleetSession` recovers shards itself (it aligns their
-    /// exchange counters first) and adopts each one through this.
+    /// against the session's configuration, continue its lineage with
+    /// `Checkpointer::adopt` — the snapshot on disk stays, the WAL is
+    /// cut back to the end of the committed prefix `recovered.wal` holds
+    /// and appended to from there — rebuild the engine, restore the
+    /// fetcher's replay state, and re-apply that prefix. No snapshot is
+    /// exported, encoded or written; the next cadence snapshot counts from
+    /// the day replay lands on. The engine afterwards sits at the last
+    /// committed boundary; no driving happens. `FleetSession`
+    /// recovers shards itself (it aligns their exchange counters first)
+    /// and adopts each one through this.
     pub(crate) fn adopt(&mut self, recovered: Recovered) -> Result<(), WebEvoError> {
         let config = self.checkpoint.clone().ok_or_else(|| {
             WebEvoError::InvalidState(
@@ -467,6 +481,12 @@ impl<'a> CrawlSession<'a> {
                 )));
             }
         }
+        let mut ckpt = Checkpointer::adopt(config.clone(), &recovered).map_err(|e| {
+            WebEvoError::InvalidState(format!(
+                "checkpoint in {:?} cannot be continued: {e}",
+                config.dir
+            ))
+        })?;
         let (engine, fetcher_state) = restore(recovered.state)?;
         self.engine = engine;
         if self.obs.enabled() {
@@ -480,26 +500,14 @@ impl<'a> CrawlSession<'a> {
         }
         self.engine
             .replay(self.universe, self.fetcher.get(), &recovered.wal)?;
-        // Re-snapshot the recovered state: the directory again holds one
-        // consistent lineage and the old WAL is retired.
-        self.attach_checkpointer(config, Checkpointer::continue_from)
+        ckpt.resume_at(self.engine.clock().t);
+        self.attach_checkpointer(ckpt);
+        Ok(())
     }
 
-    /// Start checkpointing over the session's current state with `open`
-    /// (a fresh lineage or the continuation of a recovered one), in the
+    /// Checkpoint the rest of the session's crawl through `ckpt`, in the
     /// session's snapshot discipline and under its observability sink.
-    fn attach_checkpointer(
-        &mut self,
-        config: CheckpointConfig,
-        open: fn(CheckpointConfig, &webevo_core::CrawlerState) -> std::io::Result<Checkpointer>,
-    ) -> Result<(), WebEvoError> {
-        let state = self.export_state();
-        let mut ckpt = open(config.clone(), &state).map_err(|e| {
-            WebEvoError::invalid(format!(
-                "checkpoint dir {:?} is not writable: {e}",
-                config.dir
-            ))
-        })?;
+    fn attach_checkpointer(&mut self, mut ckpt: Checkpointer) {
         if self.barrier_snapshots {
             ckpt.snapshot_at_barriers_only();
         }
@@ -507,7 +515,6 @@ impl<'a> CrawlSession<'a> {
             ckpt.set_obs(self.obs.clone());
         }
         self.checkpointer = Some(ckpt);
-        Ok(())
     }
 
     /// Switch this session into the fleet's snapshot discipline: cadence

@@ -10,11 +10,13 @@
 //! boundaries, so the fetch hot path never touches the file system.
 //! [`WalWriter::create`] and [`WalWriter::reset`] also sync once after
 //! writing the header, so an empty log is durable before any crawl work
-//! depends on it. All writes — header, batches, resets — go through the
-//! writer's single buffered handle; nothing reopens the file behind it.
+//! depends on it, and `WalWriter::continue_at` syncs once when it cuts
+//! a tail off a recovered log. All writes — header, batches, resets — go
+//! through the writer's single buffered handle; nothing reopens the file
+//! behind it.
 
 use crate::codec::{fnv64, StoreError};
-use std::fs::File;
+use std::fs::{File, OpenOptions};
 use std::io::{self, BufWriter, Write};
 use std::path::{Path, PathBuf};
 use webevo_core::{FetchRecord, RoutedBatch, WalEvent};
@@ -47,8 +49,8 @@ pub struct WalWriter {
     file: BufWriter<File>,
     /// `sync_data` calls issued over this writer's lifetime — the
     /// observable face of the module-level fsync contract: one per
-    /// `create`/`reset` (durable header) plus exactly one per
-    /// `append_committed`, never one per record.
+    /// `create`/`reset` (durable header) or tail cut in `continue_at`,
+    /// plus exactly one per `append_committed`, never one per record.
     fsyncs: u64,
 }
 
@@ -71,6 +73,32 @@ impl WalWriter {
             file: start_log(path)?,
             fsyncs: 1, // the durable header write
         })
+    }
+
+    /// Reopen a recovered log for appending after its committed prefix:
+    /// `end` is the byte offset where that prefix ends — just past its
+    /// last commit marker, or past the header when it commits nothing. A
+    /// longer file is cut back to `end` and synced first: a torn tail, or
+    /// batches recovery chose not to adopt, must never sit between the
+    /// prefix and what is appended next, where a reader would stop before
+    /// the new commits. A file shorter than `end` no longer holds the
+    /// prefix it was recovered from and is an error.
+    pub(crate) fn continue_at(path: &Path, end: u64) -> io::Result<WalWriter> {
+        let file = OpenOptions::new().append(true).open(path)?;
+        let len = file.metadata()?.len();
+        if len < end {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("{path:?} holds {len} bytes, short of its committed prefix of {end}"),
+            ));
+        }
+        let mut fsyncs = 0;
+        if len > end {
+            file.set_len(end)?;
+            file.sync_data()?;
+            fsyncs = 1;
+        }
+        Ok(WalWriter { path: path.to_path_buf(), file: BufWriter::new(file), fsyncs })
     }
 
     /// The file this writer appends to.
@@ -135,6 +163,19 @@ fn push_frame(chunk: &mut Vec<u8>, tag: u8, payload: &[u8]) {
     chunk.extend_from_slice(payload);
 }
 
+/// What [`scan_wal`] found in a log: its committed events and where each
+/// committed prefix of them ends in the file.
+#[derive(Debug, Default)]
+pub(crate) struct WalScan {
+    /// Every committed event, in log order.
+    pub(crate) events: Vec<WalEvent>,
+    /// `(events committed so far, byte offset just past the frame)` for
+    /// the header line — `(0, header length)` — and then for every commit
+    /// marker, in file order. Empty when the file holds no readable log
+    /// (missing, or a torn header).
+    pub(crate) commit_ends: Vec<(usize, u64)>,
+}
+
 /// Read every *committed* event from a WAL file: events after the last
 /// valid commit marker — including a torn final frame, a frame whose
 /// checksum fails, or a batch whose commit never landed — are discarded.
@@ -145,30 +186,38 @@ fn push_frame(chunk: &mut Vec<u8>, tag: u8, payload: &[u8]) {
 /// committed work this build cannot see, and reporting it as empty would
 /// let a caller start fresh over it.
 pub fn read_wal(path: &Path) -> Result<Vec<WalEvent>, StoreError> {
+    scan_wal(path).map(|scan| scan.events)
+}
+
+/// [`read_wal`], also reporting where each committed prefix ends — what
+/// recovery needs to continue the log in place.
+pub(crate) fn scan_wal(path: &Path) -> Result<WalScan, StoreError> {
     let bytes = match std::fs::read(path) {
         Ok(bytes) => bytes,
-        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(Vec::new()),
+        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(WalScan::default()),
         Err(e) => return Err(StoreError::Io(format!("reading {path:?}: {e}"))),
     };
     let Some(newline) = bytes.iter().position(|&b| b == b'\n') else {
-        return Ok(Vec::new());
+        return Ok(WalScan::default());
     };
     let (header, body) = (&bytes[..newline], &bytes[newline + 1..]);
     if header == WAL_HEADER.as_bytes() {
-        return Ok(read_binary_frames(body));
+        return Ok(read_binary_frames(body, newline as u64 + 1));
     }
     let other_version = std::str::from_utf8(header)
         .ok()
         .and_then(|h| h.strip_prefix("WEBEVO-WAL ")?.parse::<u32>().ok());
     match other_version {
         Some(version) => Err(StoreError::UnsupportedVersion(version)),
-        None => Ok(Vec::new()),
+        None => Ok(WalScan::default()),
     }
 }
 
-/// Parse the binary frame stream that follows the header line.
-fn read_binary_frames(body: &[u8]) -> Vec<WalEvent> {
+/// Parse the binary frame stream that follows the header line, which ends
+/// at byte `body_start` of the file.
+fn read_binary_frames(body: &[u8], body_start: u64) -> WalScan {
     let mut committed: Vec<WalEvent> = Vec::new();
+    let mut commit_ends = vec![(0, body_start)];
     let mut pending: Vec<WalEvent> = Vec::new();
     let mut pos = 0usize;
     // A frame head is tag, u32 length, u64 checksum (FRAME_HEAD bytes); a
@@ -220,12 +269,13 @@ fn read_binary_frames(body: &[u8]) -> Vec<WalEvent> {
                     }
                 }
                 committed.append(&mut pending);
+                commit_ends.push((committed.len(), body_start + (pos + FRAME_HEAD + len) as u64));
             }
             _ => break,
         }
         pos += FRAME_HEAD + len;
     }
-    committed
+    WalScan { events: committed, commit_ends }
 }
 
 #[cfg(test)]
@@ -318,6 +368,24 @@ mod tests {
         assert!(more > 0);
         w.reset().unwrap();
         assert_eq!(w.fsyncs(), 4, "reset re-syncs the fresh header");
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn continue_at_cuts_the_tail_then_appends() {
+        let path = temp_path("continue");
+        let mut w = WalWriter::create(&path).unwrap();
+        w.append_committed(&[fetch(1)], 1).unwrap();
+        drop(w);
+        let prefix = std::fs::read(&path).unwrap();
+        let end = prefix.len() as u64;
+        std::fs::write(&path, [&prefix[..], b"torn"].concat()).unwrap();
+        let mut w = WalWriter::continue_at(&path, end).unwrap();
+        assert_eq!(w.fsyncs(), 1, "the cut is synced");
+        w.append_committed(&[fetch(2)], 2).unwrap();
+        assert_eq!(read_wal(&path).unwrap(), vec![fetch(1), fetch(2)]);
+        // A log shorter than the prefix it was recovered from is refused.
+        assert!(WalWriter::continue_at(&path, 1 << 20).is_err());
         std::fs::remove_file(&path).unwrap();
     }
 

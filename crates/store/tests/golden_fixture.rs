@@ -111,8 +111,9 @@ fn current_build_writes_the_fixture_bytes() {
 
 #[test]
 fn fixture_resumes_onto_the_uninterrupted_trajectory() {
-    // Stage a copy: resume writes a fresh lineage over the directory, and
-    // the fixture itself must stay pristine.
+    // Stage a copy: resume continues the lineage in the directory — its
+    // log grows and later snapshots replace the fixture's — and the
+    // fixture itself must stay pristine.
     let dir = scratch_dir("resume");
     std::fs::create_dir_all(&dir).expect("scratch dir");
     for file in [SNAPSHOT_FILE, WAL_FILE] {
