@@ -764,18 +764,10 @@ fn run_fleet_bench(days: f64, shards: u32, obs_out: &ObsOutputs) -> (String, boo
         obs_out.dump(&obs);
     }
 
-    // Throughput counts *owned* fetch attempts only: a shard's rejections
-    // of foreign URLs (routing-boundary hits absent from the 1-shard
-    // baseline) cost near nothing and must not inflate the speedup the
-    // regression marker judges.
-    let owned = |results: &webevo::prelude::FleetMetrics| {
-        results.merged.fetches
-            - results.shards.iter().map(|s| s.foreign_rejects).sum::<u64>()
-    };
-    let single_owned = owned(&single);
-    let fleet_owned = owned(&fleet);
-    let single_fps = single_owned as f64 / single_secs;
-    let fleet_fps = fleet_owned as f64 / fleet_secs;
+    // Every fetch lands on a site its shard owns: the engines never
+    // schedule a foreign URL.
+    let single_fps = single.merged.fetches as f64 / single_secs;
+    let fleet_fps = fleet.merged.fetches as f64 / fleet_secs;
     let speedup = fleet_fps / single_fps;
     let speedup_floor = (0.75f64).max(shards.min(cores as u32) as f64 / 2.0);
 
@@ -788,24 +780,24 @@ fn run_fleet_bench(days: f64, shards: u32, obs_out: &ObsOutputs) -> (String, boo
     let min_sites = fleet.shards.iter().map(|s| s.sites).min().unwrap_or(0);
     let max_sites = fleet.shards.iter().map(|s| s.sites).max().unwrap_or(0);
     let regression =
-        !(fleet_owned > 0 && speedup >= speedup_floor && deficit <= 0.01);
+        !(fleet.merged.fetches > 0 && speedup >= speedup_floor && deficit <= 0.01);
 
-    let mut out = String::from("{\n  \"schema\": \"webevo-repro-fleet/2\",\n");
+    let mut out = String::from("{\n  \"schema\": \"webevo-repro-fleet/3\",\n");
     out.push_str(&format!(
         "  \"shards\": {shards}, \"sim_days\": {days}, \"cores\": {cores}, \
          \"sites\": {}, \"capacity\": {capacity},\n",
         universe.site_count()
     ));
     out.push_str(&format!(
-        "  \"single\": {{\"fetches\": {}, \"owned_fetches\": {single_owned}, \
+        "  \"single\": {{\"fetches\": {}, \
          \"collection\": {single_pages}, \"wall_seconds\": {single_secs:.3}, \
-         \"owned_fetches_per_wall_second\": {single_fps:.1}}},\n",
+         \"fetches_per_wall_second\": {single_fps:.1}}},\n",
         single.merged.fetches
     ));
     out.push_str(&format!(
-        "  \"fleet\": {{\"fetches\": {}, \"owned_fetches\": {fleet_owned}, \
+        "  \"fleet\": {{\"fetches\": {}, \
          \"wall_seconds\": {fleet_secs:.3}, \
-         \"owned_fetches_per_wall_second\": {fleet_fps:.1}, \
+         \"fetches_per_wall_second\": {fleet_fps:.1}, \
          \"collection\": {fleet_pages}, \"routed_links\": {routed_links},\n",
         fleet.merged.fetches,
     ));
@@ -818,14 +810,13 @@ fn run_fleet_bench(days: f64, shards: u32, obs_out: &ObsOutputs) -> (String, boo
     for (i, report) in fleet.shards.iter().enumerate() {
         out.push_str(&format!(
             "      {{\"shard\": {}, \"sites\": {}, \"capacity\": {}, \"fetches\": {}, \
-             \"collection\": {}, \"routed_links\": {}, \"foreign_rejects\": {}}}{}\n",
+             \"collection\": {}, \"routed_links\": {}}}{}\n",
             report.shard.0,
             report.sites,
             report.capacity,
             report.metrics.fetches,
             report.collection_len,
             report.routed_links,
-            report.foreign_rejects,
             if i + 1 == fleet.shards.len() { "" } else { "," },
         ));
     }

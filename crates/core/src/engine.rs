@@ -228,11 +228,9 @@ pub trait CrawlEngine {
     /// reporting every fetch and pass boundary to `hook`. The first call
     /// on a fresh engine starts the run at day 0; later calls continue
     /// from the frozen clock (including after [`restore`] + replay).
-    ///
-    /// The threaded engine spawns its own per-worker fetchers against
-    /// `universe` and ignores `fetcher` (its workers run unrestricted
-    /// politeness; the simulated fetch is a pure function of `(url, t)`
-    /// for them).
+    /// Every engine fetches through `fetcher` alone, on the calling
+    /// thread, in slot order, so a stateful fetcher (politeness clocks,
+    /// failure injection) replays and checkpoints the same under each.
     ///
     /// Errors (typed, never panics, and before the run is started):
     /// `until` not a finite day beyond the current clock.
@@ -286,8 +284,8 @@ pub trait CrawlEngine {
     }
 
     /// Whether [`CrawlEngine::drive`] fetches through the caller-supplied
-    /// fetcher (`false` for the threaded engine; see
-    /// [`CrawlEngine::drive`]).
+    /// fetcher: always, for every engine. Kept for callers written when
+    /// the threaded engine still owned a fetcher of its own.
     fn uses_external_fetcher(&self) -> bool {
         true
     }
@@ -309,8 +307,8 @@ pub trait CrawlEngine {
 
     /// The engine's routing state (scope, outbox, applied-exchange
     /// counter); inert when unsharded.
-    fn routing(&self) -> Option<&RoutingState> {
-        Some(&self.shell().routing)
+    fn routing(&self) -> &RoutingState {
+        &self.shell().routing
     }
 
     /// Deliver one exchange's routed links into the engine: clears the
@@ -364,20 +362,16 @@ pub trait CrawlEngine {
 pub fn restore(
     state: CrawlerState,
 ) -> Result<(Box<dyn CrawlEngine + Send>, Option<FetcherState>), WebEvoError> {
-    match state.engine {
-        EngineKind::Periodic => {
-            let (engine, fetcher) = PeriodicCrawler::from_state(state)?;
-            Ok((Box::new(engine), fetcher))
-        }
-        EngineKind::Incremental => {
-            let (engine, fetcher) = IncrementalCrawler::from_state(state)?;
-            Ok((Box::new(engine), fetcher))
-        }
-        EngineKind::Threaded { .. } => {
-            let engine = ThreadedCrawler::from_state(state)?;
-            Ok((Box::new(engine), None))
-        }
+    fn boxed<E: CrawlEngine + Send + 'static>(
+        (engine, fetcher): (E, Option<FetcherState>),
+    ) -> (Box<dyn CrawlEngine + Send>, Option<FetcherState>) {
+        (Box::new(engine), fetcher)
     }
+    Ok(match state.engine {
+        EngineKind::Periodic => boxed(PeriodicCrawler::from_state(state)?),
+        EngineKind::Incremental => boxed(IncrementalCrawler::from_state(state)?),
+        EngineKind::Threaded { .. } => boxed(ThreadedCrawler::from_state(state)?),
+    })
 }
 
 /// Evaluation-only: a collection's quality (§5.1 goal 2) as the mean
@@ -410,9 +404,8 @@ pub fn collection_quality(collection: &Collection, universe: &WebUniverse, t: f6
 /// the exact state transitions of a live crawl (including the fetcher's
 /// own attempt counter and site clocks, via [`Fetcher::observe_replay`])
 /// and cross-checks that the deterministic schedule reproduces the log
-/// record-for-record.
-/// Every engine replays through this; the incremental engine's worker
-/// pool is the one live source that does not (see [`crate::incremental`]).
+/// record-for-record. Every engine, under either executor, fetches and
+/// replays through this.
 pub(crate) enum FetchSource<'a> {
     /// Fetch for real.
     Live(&'a mut dyn Fetcher),
@@ -423,9 +416,8 @@ pub(crate) enum FetchSource<'a> {
         events: &'a [WalEvent],
         /// Next event to consume.
         pos: usize,
-        /// The fetcher to advance via [`Fetcher::observe_replay`]; `None`
-        /// for an engine that does not crawl through the caller's fetcher.
-        fetcher: Option<&'a mut dyn Fetcher>,
+        /// The fetcher to advance via [`Fetcher::observe_replay`].
+        fetcher: &'a mut dyn Fetcher,
     },
 }
 
@@ -436,7 +428,7 @@ impl<'a> FetchSource<'a> {
     pub(crate) fn replay(
         events: &'a [WalEvent],
         fetch_seq: u64,
-        fetcher: Option<&'a mut dyn Fetcher>,
+        fetcher: &'a mut dyn Fetcher,
     ) -> Result<FetchSource<'a>, WebEvoError> {
         let tail = &events[events.partition_point(|e| e.seq() <= fetch_seq)..];
         match tail.first() {
@@ -490,9 +482,8 @@ impl<'a> FetchSource<'a> {
     /// The underlying fetcher's exportable state.
     pub(crate) fn fetcher_state(&self) -> Option<FetcherState> {
         match self {
-            FetchSource::Live(f) => f.export_state(),
-            FetchSource::Replay { fetcher, .. } => {
-                fetcher.as_ref().and_then(|f| f.export_state())
+            FetchSource::Live(fetcher) | FetchSource::Replay { fetcher, .. } => {
+                fetcher.export_state()
             }
         }
     }
@@ -525,9 +516,7 @@ impl<'a> FetchSource<'a> {
                     "WAL replay diverged at seq {seq}: slot time {t} vs logged {}",
                     record.t
                 );
-                if let Some(fetcher) = fetcher {
-                    fetcher.observe_replay(url, t, &record.result);
-                }
+                fetcher.observe_replay(url, t, &record.result);
                 *pos += 1;
                 record.result.clone()
             }
@@ -538,7 +527,7 @@ impl<'a> FetchSource<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::hooks::NoopHook;
+    use crate::hooks::{FetchRecord, NoopHook};
     use webevo_sim::{SimFetcher, UniverseConfig};
     use webevo_types::{ShardFn, ShardId, ShardPlan};
 
@@ -621,25 +610,94 @@ mod tests {
             // inject at: refused, with nothing consumed.
             let injected = engine.inject_links(Vec::new()).map(|_| ());
             invalid(injected, "cannot inject routed links before the run starts", kind);
-            assert_eq!(engine.routing(), Some(&RoutingState::default()), "{kind}");
+            assert_eq!(engine.routing(), &RoutingState::default(), "{kind}");
             assert_eq!(engine.shell().fetch_seq, 0, "{kind}");
 
             engine.drive(&u, &mut SimFetcher::new(&u), &mut NoopHook, 12.0).expect("drives");
 
             // Once started the seeds are in: a scope can no longer apply.
-            let (routing, seq) = (engine.routing().cloned(), engine.shell().fetch_seq);
+            let (routing, seq) = (engine.routing().clone(), engine.shell().fetch_seq);
             invalid(engine.set_scope(scope), "shard scope must be set before the run starts", kind);
-            assert_eq!(engine.routing().cloned(), routing, "{kind}: routing state moved");
-            assert_eq!(engine.routing().and_then(|r| r.scope), None, "{kind}");
+            assert_eq!(engine.routing(), &routing, "{kind}: routing state moved");
+            assert_eq!(engine.routing().scope, None, "{kind}");
             assert_eq!(engine.shell().fetch_seq, seq, "{kind}: a sequence number was consumed");
 
             // An (empty) exchange takes the next sequence number at the
             // frozen clock and counts as one applied exchange.
-            let exchanges = routing.expect("every engine routes").exchanges;
+            let exchanges = routing.exchanges;
             let batch = engine.inject_links(Vec::new()).expect("a started engine accepts");
             assert_eq!((batch.seq, batch.t), (seq + 1, engine.clock().t), "{kind}");
             assert_eq!(engine.shell().fetch_seq, seq + 1, "{kind}");
-            assert_eq!(engine.routing().map(|r| r.exchanges), Some(exchanges + 1), "{kind}");
+            assert_eq!(engine.routing().exchanges, exchanges + 1, "{kind}");
+        }
+    }
+
+    /// Records every fetch an engine reports.
+    #[derive(Default)]
+    struct FetchLog(Vec<FetchRecord>);
+
+    impl CrawlHook for FetchLog {
+        fn on_fetch(&mut self, record: &FetchRecord) {
+            self.0.push(record.clone());
+        }
+
+        fn on_pass_boundary(&mut self, _t: f64, _export: &mut dyn FnMut() -> CrawlerState) {}
+    }
+
+    #[test]
+    fn a_scoped_engine_fetches_and_seeds_only_the_sites_its_shard_owns() {
+        // Shard scope is enforced in the engine and nowhere else: foreign
+        // seeds are skipped, foreign discoveries divert into the outbox,
+        // and a foreign entry that reaches the schedule anyway burns its
+        // slot unfetched. The fetcher is a plain one that fetches anything.
+        let u = WebUniverse::generate(UniverseConfig::test_scale(67));
+        let budget = CrawlBudget::paper_monthly(30).with_cycle_days(1.0);
+        let plan = ShardPlan::new(ShardFn::Hash, 2, u.site_count() as u32);
+        let shard = ShardId(0);
+        let seeds: Vec<Url> = u
+            .sites()
+            .iter()
+            .filter_map(|site| {
+                u.occupant(site.id, 0, 0.0)
+                    .map(|root| Url::new(site.id, root))
+            })
+            .collect();
+        let owned: Vec<Url> = seeds
+            .iter()
+            .copied()
+            .filter(|s| plan.owns(shard, s.site))
+            .collect();
+        assert!(
+            !owned.is_empty() && owned.len() < seeds.len(),
+            "the plan must split the seeds"
+        );
+        for mut engine in engines(budget, 2) {
+            let kind = engine.kind();
+            engine
+                .set_scope(ShardScope { plan, shard })
+                .expect("a fresh engine takes a scope");
+            let mut log = FetchLog::default();
+            engine
+                .drive(&u, &mut SimFetcher::new(&u), &mut log, 12.0)
+                .expect("drives");
+            assert!(!log.0.is_empty(), "{kind} fetched nothing");
+            for record in &log.0 {
+                assert!(
+                    plan.owns(shard, record.url.site),
+                    "{kind} fetched {:?}",
+                    record.url
+                );
+            }
+            let fetched = |seed: &&Url| log.0.iter().any(|r| r.url == **seed);
+            let fetched_seeds: Vec<Url> = seeds.iter().filter(fetched).copied().collect();
+            assert_eq!(
+                fetched_seeds, owned,
+                "{kind}: the seeds fetched are the shard's own"
+            );
+            assert!(
+                !engine.routing().outbox.is_empty(),
+                "{kind} diverted no foreign link"
+            );
         }
     }
 

@@ -24,17 +24,18 @@
 //! crawler: [`EngineKind`] selects the executor, and nothing else varies.
 //!
 //! * [`EngineKind::Incremental`] ⇒ **inline** ([`IncrementalCrawler`]):
-//!   one slot per batch, fetched through the caller's [`Fetcher`]; the
-//!   RankingModule runs in place at the boundary.
+//!   one slot per batch; the RankingModule runs in place at the boundary.
 //! * [`EngineKind::Threaded`] ⇒ **pool** ([`ThreadedCrawler`]): up to
 //!   `workers` slots per batch — the fetches in flight between two state
 //!   updates, which is what parallel CrawlModules mean for the schedule —
-//!   fetched on the coordinating thread through the pool's own
-//!   [`SimFetcher`] (the caller's fetcher is ignored), while the
-//!   RankingModule runs on its *own* thread against the rank input built
-//!   at the boundary (the flat link structure plus each candidate's
-//!   in-collection in-link sources, not copies of the whole `Collection`
-//!   and `AllUrls`) — the crawl hot path never waits for PageRank.
+//!   while the RankingModule runs on its *own* thread against the rank
+//!   input built at the boundary (the flat link structure plus each
+//!   candidate's in-collection in-link sources, not copies of the whole
+//!   `Collection` and `AllUrls`) — the crawl hot path never waits for
+//!   PageRank.
+//!
+//! Both executors fetch through the caller's [`Fetcher`], on the
+//! coordinating thread, in slot order.
 //!
 //! The pool is as **deterministic** as the inline executor: every slot of
 //! a batch is scheduled before any is fetched, and the batch is fetched
@@ -70,9 +71,7 @@ use std::marker::PhantomData;
 use std::sync::mpsc::{channel, Receiver, Sender};
 use webevo_obs::{LogicalClock, SpanGuard, Stage};
 use webevo_schedule::RevisitQueue;
-use webevo_sim::{
-    FetchError, FetchOutcome, Fetcher, FetcherState, Politeness, SimFetcher, WebUniverse,
-};
+use webevo_sim::{FetchError, FetchOutcome, Fetcher, FetcherState, WebUniverse};
 use webevo_types::{wire_struct, DenseSet, PageId, Url, WebEvoError};
 
 /// Configuration of the incremental crawler.
@@ -145,11 +144,10 @@ fn copies(collection: &Collection) -> impl Iterator<Item = (PageId, f64)> + '_ {
 /// [`EngineKind`] and from nothing else.
 #[derive(Clone, Copy)]
 enum Executor {
-    /// One slot per batch through the caller's fetcher; ranking in place.
+    /// One slot per batch; ranking in place.
     Inline,
     /// Up to `workers` slots per batch, all scheduled before any result is
-    /// applied, fetched through the pool's own fetcher; ranking deferred
-    /// by one pass on its own thread.
+    /// applied; ranking deferred by one pass on its own thread.
     Pool { workers: usize },
 }
 
@@ -157,17 +155,15 @@ enum Executor {
 /// boundary's logical clock for the ranking thread's span.
 type RankRequest = (LogicalClock, RankInput);
 
-/// The coordinator's side of a live pool: the fetcher its batches go
-/// through and the ranking thread's request and response channels. Only
-/// these two messages per pass cross threads.
-struct PoolLinks<'a> {
-    fetcher: SimFetcher<'a>,
+/// The coordinator's side of a live pool: the ranking thread's request
+/// and response channels. Only these two messages per pass cross threads.
+struct PoolLinks {
     rank_tx: Sender<RankRequest>,
     rank_rx: Receiver<RankResponse>,
     rank_in_flight: bool,
 }
 
-impl PoolLinks<'_> {
+impl PoolLinks {
     /// Hand the ranking thread a request. A dead ranking thread has
     /// dropped its receiver, so the send fails; the matching receive in
     /// [`IncrementalEngine::take_ranking`] reports it.
@@ -178,28 +174,12 @@ impl PoolLinks<'_> {
 }
 
 /// What a drive or a replay runs the slot loop against.
-enum Backend<'a> {
-    /// The caller's fetcher (inline, live) or the write-ahead log (replay
-    /// of either kind, where deferred ranking is computed synchronously).
-    Source(FetchSource<'a>),
-    /// The live pool: its fetcher and its ranking thread.
-    Pool(PoolLinks<'a>),
-}
-
-impl<'a> Backend<'a> {
-    fn source(&mut self) -> Option<&mut FetchSource<'a>> {
-        match self {
-            Backend::Source(source) => Some(source),
-            Backend::Pool(_) => None,
-        }
-    }
-
-    fn fetch(&mut self, slot: Slot) -> FetchResult {
-        match self {
-            Backend::Source(source) => source.fetch(slot.seq, slot.url, slot.t),
-            Backend::Pool(links) => links.fetcher.fetch(slot.url, slot.t),
-        }
-    }
+struct Backend<'a> {
+    /// The caller's fetcher (live) or the write-ahead log (replay of
+    /// either executor, where deferred ranking is computed synchronously).
+    source: FetchSource<'a>,
+    /// The live pool's ranking thread; `None` inline and in replay.
+    pool: Option<PoolLinks>,
 }
 
 /// Marker of the inline executor; see [`IncrementalCrawler`].
@@ -256,7 +236,7 @@ pub struct IncrementalEngine<X> {
 }
 
 impl IncrementalEngine<Inline> {
-    /// Create a crawler that fetches through the caller's fetcher.
+    /// Create a crawler with one fetch slot in flight.
     pub fn new(config: IncrementalConfig) -> IncrementalCrawler {
         Self::build(config, Executor::Inline)
     }
@@ -273,8 +253,7 @@ impl IncrementalEngine<Inline> {
                 state.engine
             )));
         }
-        let fetcher = state.fetcher.clone();
-        Ok((Self::rebuild(state, Executor::Inline)?, fetcher))
+        Self::rebuild(state, Executor::Inline)
     }
 }
 
@@ -286,8 +265,11 @@ impl IncrementalEngine<Pool> {
         Self::build(config, Executor::Pool { workers })
     }
 
-    /// Rebuild an engine from a checkpointed state.
-    pub fn from_state(state: CrawlerState) -> Result<ThreadedCrawler, WebEvoError> {
+    /// Rebuild an engine from a checkpointed state; see
+    /// [`IncrementalCrawler::from_state`].
+    pub fn from_state(
+        state: CrawlerState,
+    ) -> Result<(ThreadedCrawler, Option<FetcherState>), WebEvoError> {
         let EngineKind::Threaded { workers } = state.engine else {
             return Err(WebEvoError::InvalidState(format!(
                 "state was written by the {} engine, not the threaded one",
@@ -300,7 +282,7 @@ impl IncrementalEngine<Pool> {
             ));
         }
         let rank_pending = state.rank_pending;
-        let mut crawler = Self::rebuild(state, Executor::Pool { workers })?;
+        let (mut crawler, fetcher) = Self::rebuild(state, Executor::Pool { workers })?;
         if rank_pending {
             // Snapshots are taken at pass boundaries, after the previous
             // response was applied and before the next request was issued:
@@ -309,7 +291,7 @@ impl IncrementalEngine<Pool> {
             let input = RankInput::build(&crawler.collection, &crawler.all_urls);
             crawler.unsent_rank_request = Some((crawler.shell.stamp(), input));
         }
-        Ok(crawler)
+        Ok((crawler, fetcher))
     }
 }
 
@@ -336,9 +318,12 @@ impl<X> IncrementalEngine<X> {
         }
     }
 
-    fn rebuild(mut state: CrawlerState, executor: Executor) -> Result<Self, WebEvoError> {
+    fn rebuild(
+        mut state: CrawlerState,
+        executor: Executor,
+    ) -> Result<(Self, Option<FetcherState>), WebEvoError> {
         let config = state.config.as_incremental()?.clone();
-        Ok(IncrementalEngine {
+        let engine = IncrementalEngine {
             shell: EngineShell::restore(&mut state),
             executor,
             collection: state.collection,
@@ -352,7 +337,8 @@ impl<X> IncrementalEngine<X> {
             unsent_rank_request: None,
             _executor: PhantomData,
             config,
-        })
+        };
+        Ok((engine, state.fetcher))
     }
 
     /// All discovered URLs (for inspection).
@@ -450,7 +436,7 @@ impl<X> IncrementalEngine<X> {
             // Routed batches re-inject before anything else: live
             // injection happens before the boundary handlers of the slot
             // the clock froze on.
-            if let Some(routed) = backend.source().and_then(|s| s.take_routed(&self.shell)) {
+            if let Some(routed) = backend.source.take_routed(&self.shell) {
                 // A routed record marks the end of a live drive call at
                 // the exchange barrier — the ranking-cadence instant the
                 // coordinator drove to, which the frozen clock has just
@@ -464,7 +450,7 @@ impl<X> IncrementalEngine<X> {
                 self.apply_routed(routed);
                 continue;
             }
-            if backend.source().is_some_and(|s| s.exhausted()) {
+            if backend.source.exhausted() {
                 break;
             }
             let t = self.shell.clock.t;
@@ -485,7 +471,7 @@ impl<X> IncrementalEngine<X> {
             let horizon = clock.next_sample.min(clock.next_ranking).min(end);
             while batch.len() < width
                 && (self.shell.clock.t == t || self.shell.clock.t < horizon)
-                && backend.source().map_or(true, |s| s.has_fetch_at(batch.len()))
+                && backend.source.has_fetch_at(batch.len())
             {
                 let Some(visit) = self.queue.pop() else { break };
                 self.queued.remove(visit.url.page);
@@ -511,10 +497,11 @@ impl<X> IncrementalEngine<X> {
 
     /// Fetch a batch of scheduled slots and apply each result, in slot
     /// order. Every slot of the batch was scheduled before this runs, so a
-    /// pool's batch of `workers` slots is exactly what that many parallel
-    /// fetches would see; fetching them one after another on this thread
-    /// gives the same results, because the pool's fetch is a pure function
-    /// of `(url, t)` (see [`Self::with_pool`]).
+    /// pool's batch of `workers` slots is the schedule that many parallel
+    /// fetches would follow; the fetches themselves run one after another
+    /// on this thread, so a stateful fetcher (politeness clocks, failure
+    /// injection) sees one sequence of attempts, live and in replay, under
+    /// either executor.
     fn execute(
         &mut self,
         universe: &WebUniverse,
@@ -523,7 +510,7 @@ impl<X> IncrementalEngine<X> {
         hook: &mut dyn CrawlHook,
     ) {
         for slot in batch.drain(..) {
-            let result = backend.fetch(slot);
+            let result = backend.source.fetch(slot.seq, slot.url, slot.t);
             self.apply_result(universe, slot, result, hook);
         }
     }
@@ -641,17 +628,14 @@ impl<X> IncrementalEngine<X> {
         // pass as done, or the restored engine would run the boundary
         // twice.
         self.shell.clock.next_ranking += self.config.ranking_interval_days;
-        announce_boundary(&*self, hook, || match &*backend {
-            Backend::Source(source) => source.fetcher_state(),
-            Backend::Pool(_) => None,
-        });
+        announce_boundary(&*self, hook, || backend.source.fetcher_state());
         self.shell
             .publish(BoundaryPages::Stored { collection: &self.collection, update: &self.update });
         if let Executor::Pool { .. } = self.executor {
             let req = (self.shell.stamp(), self.build_rank_input());
-            match backend {
-                Backend::Pool(links) => links.request_ranking(req),
-                Backend::Source(_) => self.unsent_rank_request = Some(req),
+            match &mut backend.pool {
+                Some(links) => links.request_ranking(req),
+                None => self.unsent_rank_request = Some(req),
             }
         }
     }
@@ -667,8 +651,8 @@ impl<X> IncrementalEngine<X> {
     /// is one: received from a live pool's ranking thread, computed on the
     /// spot otherwise.
     fn take_ranking(&mut self, backend: &mut Backend<'_>) -> Option<RankResponse> {
-        match backend {
-            Backend::Pool(links) if links.rank_in_flight => {
+        match &mut backend.pool {
+            Some(links) if links.rank_in_flight => {
                 links.rank_in_flight = false;
                 Some(links.rank_rx.recv().expect("ranking thread alive"))
             }
@@ -741,17 +725,14 @@ impl<X> IncrementalEngine<X> {
         self.shell.sample(universe, until, copies(&self.collection));
     }
 
-    /// Run `body` against a live pool: the coordinator's fetcher and a
-    /// ranking thread that has exited when this returns. The fetcher has
-    /// unrestricted politeness and no failure injection, under which the
-    /// simulated fetch is a pure function of `(url, t)` — that is what
-    /// makes the pool deterministic and checkpointable without fetcher
-    /// state. The ranking thread opens a `rank_solve` span around each
-    /// solve, stamped with the boundary that issued the request.
-    fn with_pool(
+    /// Run `body` against a live pool: fetches from `source` and a
+    /// ranking thread that has exited when this returns. The ranking
+    /// thread opens a `rank_solve` span around each solve, stamped with
+    /// the boundary that issued the request.
+    fn with_pool<'f>(
         &mut self,
-        universe: &WebUniverse,
-        body: impl FnOnce(&mut Self, &mut Backend<'_>),
+        source: FetchSource<'f>,
+        body: impl FnOnce(&mut Self, &mut Backend<'f>),
     ) {
         let (rank_tx, requests) = channel::<RankRequest>();
         let (responses, rank_rx) = channel();
@@ -774,7 +755,6 @@ impl<X> IncrementalEngine<X> {
                 }
             });
             let mut links = PoolLinks {
-                fetcher: SimFetcher::new(universe).with_politeness(Politeness::unrestricted()),
                 rank_tx,
                 rank_rx,
                 rank_in_flight: false,
@@ -785,7 +765,7 @@ impl<X> IncrementalEngine<X> {
             }
             // Dropping the links when `body` returns closes the request
             // channel, which is what ends the ranking thread.
-            body(self, &mut Backend::Pool(links));
+            body(self, &mut Backend { source, pool: Some(links) });
         });
     }
 }
@@ -811,7 +791,6 @@ impl<X> CrawlEngine for IncrementalEngine<X> {
     /// URLs"); later calls continue from the frozen clock — including
     /// after a checkpoint restore, where the continuation is
     /// bit-identical to a never-interrupted run (`tests/determinism.rs`).
-    /// The pool executor ignores `fetcher`.
     ///
     /// Each call closes with a metrics sample at `until` and (pool)
     /// applies the outstanding ranking response. When `until` sits on the
@@ -840,9 +819,10 @@ impl<X> CrawlEngine for IncrementalEngine<X> {
             engine.advance(universe, backend, until, hook);
             engine.finish_drive(universe, backend, until);
         };
+        let source = FetchSource::Live(fetcher);
         match self.executor {
-            Executor::Inline => run(self, &mut Backend::Source(FetchSource::Live(fetcher))),
-            Executor::Pool { .. } => self.with_pool(universe, run),
+            Executor::Inline => run(self, &mut Backend { source, pool: None }),
+            Executor::Pool { .. } => self.with_pool(source, run),
         }
         Ok(&self.shell.metrics)
     }
@@ -852,8 +832,8 @@ impl<X> CrawlEngine for IncrementalEngine<X> {
     /// `fetch_seq`) are skipped, the rest drive the normal slot loop with
     /// logged outcomes instead of live fetches, ranking passes crossed on
     /// the way run synchronously, and routed batches re-inject at the
-    /// exchange barrier they were logged at. Afterwards the engine (and,
-    /// inline, `fetcher`, advanced via [`Fetcher::observe_replay`]) sit at
+    /// exchange barrier they were logged at. Afterwards the engine (and
+    /// `fetcher`, advanced via [`Fetcher::observe_replay`]) sit at
     /// the exact state of the last flushed pass boundary; call
     /// [`CrawlEngine::drive`] to continue crawling for real.
     fn replay(
@@ -868,10 +848,8 @@ impl<X> CrawlEngine for IncrementalEngine<X> {
         if fresh {
             self.begin_run(universe);
         }
-        let fetcher: Option<&mut dyn Fetcher> =
-            if self.uses_external_fetcher() { Some(fetcher) } else { None };
         let source = FetchSource::replay(events, self.shell.fetch_seq, fetcher)?;
-        let mut backend = Backend::Source(source);
+        let mut backend = Backend { source, pool: None };
         // The log is finite and each non-idle slot consumes one record, so
         // the unbounded horizon is only ever reached by exhaustion.
         self.advance(universe, &mut backend, f64::INFINITY, &mut NoopHook);
@@ -879,9 +857,8 @@ impl<X> CrawlEngine for IncrementalEngine<X> {
     }
 
     /// Capture the full engine state. The fetcher state is excluded: the
-    /// checkpoint layer merges the inline executor's in, since only the
-    /// run loop can reach the fetcher, and the pool's own fetcher carries
-    /// no state its results depend on.
+    /// caller that owns the fetcher merges it in, since only the run loop
+    /// can reach it.
     fn export_state(&self) -> CrawlerState {
         CrawlerState {
             engine: self.kind(),
@@ -910,10 +887,6 @@ impl<X> CrawlEngine for IncrementalEngine<X> {
 
     fn collection_len(&self) -> usize {
         self.collection.len()
-    }
-
-    fn uses_external_fetcher(&self) -> bool {
-        matches!(self.executor, Executor::Inline)
     }
 
     fn inject_links(&mut self, links: Vec<RoutedLink>) -> Result<RoutedBatch, WebEvoError> {
@@ -966,8 +939,7 @@ mod tests {
         engine.drive(u, f, &mut NoopHook, days).expect("drive succeeds");
     }
 
-    /// Drive a fresh engine for `days` through a plain fetcher (which a
-    /// pool ignores).
+    /// Drive a fresh engine for `days` through a plain fetcher.
     fn crawl(
         workers: Option<usize>,
         config: IncrementalConfig,
@@ -1042,8 +1014,8 @@ mod tests {
     fn the_executor_is_a_deployment_choice_bit_for_bit() {
         // With ranking off the pool has nothing to defer, so at one slot
         // in flight it must crawl exactly as the inline executor does —
-        // across a drive boundary, where the pool starts a fresh fetcher
-        // and the inline side keeps its own.
+        // across a drive boundary too, where the pool's ranking thread is
+        // torn down and respawned.
         let u = universe(63);
         let cfg = IncrementalConfig { ranking_interval_days: 1e9, ..config(40) };
         // The wire encoding writes every f64 as its raw bits.
@@ -1207,9 +1179,7 @@ mod tests {
             run(&mut *original, &u, &mut fetcher, 21.0);
             let mut state = original.export_state();
             assert_eq!(state.engine, original.kind());
-            if original.uses_external_fetcher() {
-                state.fetcher = Fetcher::export_state(&fetcher);
-            }
+            state.fetcher = Fetcher::export_state(&fetcher);
             let (mut restored, fetcher_state) = restore(state).expect("state restores");
             let mut restored_fetcher = SimFetcher::new(&u);
             if let Some(fetcher_state) = fetcher_state {

@@ -20,13 +20,12 @@
 //!   `RankingModule` (refinement decision: what to keep). The CrawlModule
 //!   (fetch + link extraction) is the engines' fetch slot.
 //! * [`incremental`] — the one deterministic engine combining them
-//!   (Algorithm 5.1 / Figure 11 made concrete), with two executors: inline
-//!   (one fetch slot at a time through the caller's fetcher, ranking in
-//!   place) and a worker pool (scoped crawl workers behind one
-//!   condvar queue each, the RankingModule on its own thread,
-//!   decoupled from the crawl hot path exactly as §5.3 prescribes:
-//!   "Separating the update decision from the refinement decision is
-//!   crucial").
+//!   (Algorithm 5.1 / Figure 11 made concrete), with two executors that
+//!   both fetch through the caller's fetcher: inline (one fetch slot at a
+//!   time, ranking in place) and a pool (several slots in flight between
+//!   state updates, the RankingModule on its own thread, decoupled from
+//!   the crawl hot path exactly as §5.3 prescribes: "Separating the
+//!   update decision from the refinement decision is crucial").
 //! * [`periodic`] — the batch-mode, shadowing, fixed-frequency baseline
 //!   (the right-hand column of Figure 10).
 //! * [`metrics`] — freshness/age/new-page-latency instrumentation against

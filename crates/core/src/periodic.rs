@@ -445,7 +445,7 @@ impl CrawlEngine for PeriodicCrawler {
         if fresh {
             self.cycle_start = self.shell.clock.t; // as `drive` starts a run
         }
-        let mut source = FetchSource::replay(events, self.shell.fetch_seq, Some(fetcher))?;
+        let mut source = FetchSource::replay(events, self.shell.fetch_seq, fetcher)?;
         self.advance(universe, &mut source, f64::INFINITY, &mut NoopHook);
         Ok(())
     }

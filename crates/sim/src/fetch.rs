@@ -109,8 +109,9 @@ impl Politeness {
         }
     }
 
-    /// No constraints (simulation-speed crawling).
-    pub fn unrestricted() -> Politeness {
+    /// No constraints (simulation-speed crawling): [`SimFetcher::new`]'s
+    /// default.
+    fn unrestricted() -> Politeness {
         Politeness { min_delay_days: 0.0, night_window: None }
     }
 

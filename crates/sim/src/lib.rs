@@ -32,12 +32,10 @@ pub mod config;
 pub mod fetch;
 pub mod page;
 pub mod profile;
-pub mod shard;
 pub mod universe;
 
 pub use config::UniverseConfig;
 pub use fetch::{FetchError, FetchOutcome, Fetcher, FetcherState, Politeness, SimFetcher};
 pub use page::{SimPage, SimSite};
 pub use profile::DomainProfile;
-pub use shard::ShardedFetcher;
 pub use universe::WebUniverse;

@@ -419,19 +419,24 @@ impl Drop for Checkpointer {
 }
 
 fn write_snapshot_atomically(config: &CheckpointConfig, state: &CrawlerState) -> io::Result<u64> {
-    use std::io::Write;
-    let tmp = config.dir.join(format!("{SNAPSHOT_FILE}.tmp"));
-    let mut file = fs::File::create(&tmp)?;
     let doc = encode_snapshot(state);
-    file.write_all(&doc)?;
-    // Sync before the rename so the directory entry can never point at a
-    // half-written file after a machine crash; sync the directory after so
-    // the rename itself is durable.
+    write_atomically(&config.dir, SNAPSHOT_FILE, &doc)?;
+    Ok(doc.len() as u64)
+}
+
+/// Replace `dir/name` with `bytes` atomically: write `name.tmp`, sync it,
+/// rename it over `name`, sync the directory. Syncing before the rename
+/// means the entry can never point at a half-written file after a machine
+/// crash; syncing the directory after makes the rename itself durable.
+pub(crate) fn write_atomically(dir: &Path, name: &str, bytes: &[u8]) -> io::Result<()> {
+    use std::io::Write;
+    let tmp = dir.join(format!("{name}.tmp"));
+    let mut file = fs::File::create(&tmp)?;
+    file.write_all(bytes)?;
     file.sync_all()?;
     drop(file);
-    fs::rename(&tmp, config.snapshot_path())?;
-    fs::File::open(&config.dir)?.sync_all()?;
-    Ok(doc.len() as u64)
+    fs::rename(&tmp, dir.join(name))?;
+    fs::File::open(dir)?.sync_all()
 }
 
 /// What [`recover`] found in a checkpoint directory.

@@ -14,12 +14,11 @@
 //! Shards are *scoped*, not blind: a shard's engine knows the plan, skips
 //! seeds on foreign sites, and diverts every foreign link it discovers
 //! into its routing **outbox** instead of burning a fetch on a URL another
-//! shard owns (the site-filtered [`ShardedFetcher`] remains as a residual
-//! backstop, and [`ShardReport::foreign_rejects`] counts its hits — zero
-//! in a healthy fleet). The fleet drives all shards in lockstep between
-//! **exchange barriers** at `T(b) = b · interval` (the ranking interval
-//! for incremental shards, the cycle length for periodic ones). At each
-//! barrier the coordinator:
+//! shard owns; the engine, where it schedules fetch slots, is the one
+//! place that scope is enforced. The fleet drives all shards in lockstep
+//! between **exchange barriers** at `T(b) = b · interval` (the ranking
+//! interval for incremental shards, the cycle length for periodic ones).
+//! At each barrier the coordinator:
 //!
 //! 1. reads *every* shard's outbox (before injecting into any shard —
 //!    injection clears the receiving shard's own outbox);
@@ -87,13 +86,11 @@
 //! the new plan; resuming a stale pre-rebalance shard directory against
 //! the rewritten manifest is the `ShardPlanMismatch` error above.
 //!
-//! Any [`EngineKind`] runs per shard, including the threaded engine:
-//! its seq-tagged deterministic coordinator enforces the shard scope at
-//! its dispatch queue (workers never see a foreign URL) and speaks the
-//! same outbox/exchange protocol as the single-threaded engines, so
-//! worker parallelism composes with sharding. The one restriction is
-//! [`FleetSessionBuilder::failure_rate`], which needs the session
-//! fetcher the threaded engine does not use.
+//! Any [`EngineKind`] runs per shard, including the threaded engine: it
+//! schedules, scopes and fetches through its shard's fetcher exactly as
+//! the inline engine does and speaks the same outbox/exchange protocol,
+//! so worker parallelism composes with sharding and with
+//! [`FleetSessionBuilder::failure_rate`].
 //!
 //! ```
 //! use webevo_core::engine::{CrawlBudget, EngineKind};
@@ -115,12 +112,11 @@
 //! let per_shard: u64 = results.shards.iter().map(|s| s.metrics.fetches).sum();
 //! assert_eq!(results.merged.fetches, per_shard);
 //! // Foreign discoveries route between shards instead of burning fetches.
-//! assert!(results.shards.iter().all(|s| s.foreign_rejects == 0));
 //! let routed: u64 = results.shards.iter().map(|s| s.routed_links).sum();
 //! assert!(routed > 0, "cross-shard links were exchanged");
 //! ```
 
-use crate::checkpoint::{recover, CheckpointConfig, Checkpointer, Recovered};
+use crate::checkpoint::{recover, write_atomically, CheckpointConfig, Checkpointer, Recovered};
 use crate::codec::{decode_document, encode_document, StoreError};
 use crate::session::CrawlSession;
 use std::path::{Path, PathBuf};
@@ -129,7 +125,7 @@ use webevo_core::engine::{CrawlBudget, EngineKind};
 use webevo_core::{rebalance_states, route_exchange, CrawlMetrics, RoutedLink, ShardScope, WalEvent};
 use webevo_obs::{LogicalClock, ObsSink, Stage};
 use webevo_serve::{FleetViewCollector, QueryService, ServeHandle};
-use webevo_sim::{ShardedFetcher, SimFetcher, WebUniverse};
+use webevo_sim::{SimFetcher, WebUniverse};
 use webevo_types::{wire_struct, ShardFn, ShardId, ShardPlan, WebEvoError};
 
 /// Manifest file name within a fleet directory.
@@ -185,11 +181,6 @@ pub struct ShardReport {
     pub sites: usize,
     /// Pages the shard's engine holds user-visible at the horizon.
     pub collection_len: usize,
-    /// Fetch attempts the shard's fetcher rejected as foreign. With link
-    /// routing in force this is a residual backstop — engines divert
-    /// foreign discoveries into the outbox and never schedule a foreign
-    /// fetch, so a nonzero count indicates a routing bug.
-    pub foreign_rejects: u64,
     /// Links delivered *to* this shard by exchange barriers during the
     /// run: foreign discoveries other shards routed here instead of
     /// burning fetches on them.
@@ -264,10 +255,9 @@ impl<'a> FleetSessionBuilder<'a> {
         self
     }
 
-    /// The per-shard engine kind (default: incremental). The threaded
-    /// engine composes with sharding — each shard runs its own worker
-    /// pool, scoped at the coordinator's dispatch queue — but cannot be
-    /// combined with [`FleetSessionBuilder::failure_rate`].
+    /// The per-shard engine kind (default: incremental). Every kind
+    /// composes with sharding: each shard runs its own engine, scoped
+    /// where it schedules fetch slots.
     pub fn engine(mut self, kind: EngineKind) -> Self {
         self.engine = kind;
         self
@@ -336,13 +326,6 @@ impl<'a> FleetSessionBuilder<'a> {
             .ok_or_else(|| WebEvoError::invalid("a fleet needs .budget(…)"))?;
         if self.shards == 0 {
             return Err(WebEvoError::invalid("a fleet needs at least one shard"));
-        }
-        if matches!(self.engine, EngineKind::Threaded { .. }) && self.failure_rate > 0.0 {
-            return Err(WebEvoError::invalid(
-                "failure injection needs the session fetcher, but the threaded engine's \
-                 workers spawn their own — use EngineKind::Incremental or \
-                 EngineKind::Periodic to combine a fleet with .failure_rate(…)",
-            ));
         }
         if budget.capacity < self.shards as usize {
             return Err(WebEvoError::invalid(format!(
@@ -735,23 +718,18 @@ impl<'a> FleetSession<'a> {
     fn shard_session<'s>(
         &self,
         shard: ShardId,
-        fetcher: &'s mut ShardedFetcher<'a>,
+        fetcher: &'s mut SimFetcher<'a>,
     ) -> Result<CrawlSession<'s>, WebEvoError>
     where
         'a: 's,
     {
         let capacity = self.capacities[shard.index()];
-        let mut builder = CrawlSession::builder()
+        let builder = CrawlSession::builder()
             .engine(self.engine)
             .universe(self.universe)
-            .scope(self.plan, shard);
-        // The threaded engine spawns its own worker fetchers (scoping is
-        // enforced at its coordinator's dispatch queue); handing it the
-        // session fetcher is a build error.
-        if !matches!(self.engine, EngineKind::Threaded { .. }) {
-            builder = builder.fetcher(fetcher);
-        }
-        builder = match self.engine {
+            .scope(self.plan, shard)
+            .fetcher(fetcher);
+        let mut builder = match self.engine {
             EngineKind::Periodic => {
                 let mut config = self.budget.periodic_config();
                 config.capacity = capacity;
@@ -789,18 +767,16 @@ impl<'a> FleetSession<'a> {
     /// `fetchers`, and the scoped session built over each, in shard order.
     fn shard_sessions<'s>(
         &self,
-        fetchers: &'s mut Vec<ShardedFetcher<'a>>,
+        fetchers: &'s mut Vec<SimFetcher<'a>>,
     ) -> Result<Vec<CrawlSession<'s>>, WebEvoError>
     where
         'a: 's,
     {
-        fetchers.extend(self.plan.shard_ids().map(|k| {
-            ShardedFetcher::new(
-                SimFetcher::new(self.universe).with_failure_rate(self.failure_rate),
-                self.plan,
-                k,
-            )
-        }));
+        fetchers.extend(
+            self.plan
+                .shard_ids()
+                .map(|_| SimFetcher::new(self.universe).with_failure_rate(self.failure_rate)),
+        );
         fetchers
             .iter_mut()
             .enumerate()
@@ -824,7 +800,7 @@ impl<'a> FleetSession<'a> {
             .iter()
             .enumerate()
             .map(|(k, s)| {
-                let outbox = s.routing().map(|r| r.outbox.clone()).unwrap_or_default();
+                let outbox = s.routing().outbox.clone();
                 if self.obs.enabled() {
                     self.obs
                         .for_shard(ShardId(k as u32))
@@ -913,11 +889,7 @@ impl<'a> FleetSession<'a> {
         // schedules the whole fleet.
         let interval = self.barrier_interval();
         let mut routed = vec![0u64; shard_count];
-        let mut exchanges = sessions
-            .first()
-            .and_then(|s| s.routing())
-            .map(|r| r.exchanges)
-            .unwrap_or(0);
+        let mut exchanges = sessions.first().map_or(0, |s| s.routing().exchanges);
         loop {
             let barrier = (exchanges + 1) as f64 * interval;
             if barrier >= days {
@@ -940,25 +912,19 @@ impl<'a> FleetSession<'a> {
         }
         drive_all(&mut sessions, days, threads)?;
         self.merge_views(days)?;
-        let outcomes: Vec<(CrawlMetrics, usize)> = sessions
+        let shards: Vec<ShardReport> = sessions
             .iter()
-            .map(|s| (s.metrics().clone(), s.collection_len()))
-            .collect();
-        drop(sessions);
-        let mut shards = Vec::with_capacity(shard_count);
-        for (k, ((metrics, collection_len), fetcher)) in
-            outcomes.into_iter().zip(&fetchers).enumerate()
-        {
-            shards.push(ShardReport {
+            .enumerate()
+            .map(|(k, s)| ShardReport {
                 shard: ShardId(k as u32),
                 capacity: self.capacities[k],
                 sites: self.site_counts[k],
-                collection_len,
-                foreign_rejects: fetcher.foreign_rejects(),
+                collection_len: s.collection_len(),
                 routed_links: routed[k],
-                metrics,
-            });
-        }
+                metrics: s.metrics().clone(),
+            })
+            .collect();
+        drop(sessions);
         let parts: Vec<(f64, &CrawlMetrics)> = shards
             .iter()
             .map(|s| (s.capacity as f64, &s.metrics))
@@ -1070,17 +1036,16 @@ impl<'a> FleetSession<'a> {
     }
 }
 
-/// Write the manifest atomically (temp file + rename), mirroring the
-/// snapshot discipline: a crash mid-write never leaves a torn manifest.
+/// Write the manifest durably and atomically, the way snapshots are
+/// written (see [`write_atomically`]): a crash mid-write never leaves a
+/// torn manifest, and once this returns the rename — the commit point of
+/// [`FleetSession::rebalance`] — survives a machine crash.
 fn write_manifest(dir: &Path, manifest: &FleetManifest) -> Result<(), WebEvoError> {
     let doc = encode_document(MANIFEST_MAGIC, MANIFEST_VERSION, 64, manifest);
-    let path = dir.join(MANIFEST_FILE);
-    let tmp = dir.join(format!("{MANIFEST_FILE}.tmp"));
-    std::fs::write(&tmp, &doc)
-        .and_then(|()| std::fs::rename(&tmp, &path))
-        .map_err(|e| {
-            WebEvoError::invalid(format!("fleet manifest {path:?} cannot be written: {e}"))
-        })
+    write_atomically(dir, MANIFEST_FILE, &doc).map_err(|e| {
+        let path = dir.join(MANIFEST_FILE);
+        WebEvoError::invalid(format!("fleet manifest {path:?} cannot be written: {e}"))
+    })
 }
 
 /// Read and decode the manifest of a fleet directory: a missing,
@@ -1264,10 +1229,7 @@ mod tests {
             assert!(report.metrics.fetches > 0, "{} idle", report.shard);
             assert!(report.collection_len <= report.capacity);
         }
-        // Routing replaced rejection: no shard ever burned a fetch on a
-        // foreign URL, and the boundary traffic flowed through exchanges.
-        let rejects: u64 = results.shards.iter().map(|s| s.foreign_rejects).sum();
-        assert_eq!(rejects, 0, "the routing layer must keep fetches on owned sites");
+        // The boundary traffic flowed through exchanges.
         assert!(results.routed_links() > 0, "cross-shard links were exchanged");
         assert_eq!(
             results.merged.fetches,
@@ -1321,14 +1283,6 @@ mod tests {
         let invalid = |b: FleetSessionBuilder| b.build().err().expect("must be rejected");
         invalid(FleetSession::builder().budget(budget).universe(&u).shards(0));
         invalid(FleetSession::builder().budget(budget).universe(&u).shards(11));
-        invalid(
-            FleetSession::builder()
-                .budget(budget)
-                .universe(&u)
-                .shards(2)
-                .engine(EngineKind::Threaded { workers: 2 })
-                .failure_rate(0.1),
-        );
         invalid(
             FleetSession::builder()
                 .budget(budget)

@@ -30,8 +30,8 @@
 //! budget, checkpointing, and recovery in one validated API. For
 //! horizontal scale-out, the [`FleetSession`] builder in [`fleet`] runs N
 //! site-partitioned `CrawlSession`s on scoped threads — each shard with
-//! its own engine, site-filtered fetcher, and checkpoint directory under
-//! a fleet-level manifest — and merges their metrics deterministically.
+//! its own scoped engine, fetcher, and checkpoint directory under a
+//! fleet-level manifest — and merges their metrics deterministically.
 //!
 //! # Snapshot format (version 5, binary)
 //!

@@ -135,11 +135,8 @@ impl<'a> CrawlSessionBuilder<'a> {
         self
     }
 
-    /// The fetcher to crawl through. Defaults to an unrestricted
-    /// [`SimFetcher`] over the universe. The threaded engine spawns its
-    /// own worker fetchers, so combining this with
-    /// `EngineKind::Threaded` is a build error — a politeness- or
-    /// failure-configured fetcher would otherwise be dropped silently.
+    /// The fetcher to crawl through, under every engine. Defaults to an
+    /// unrestricted [`SimFetcher`] over the universe.
     pub fn fetcher(mut self, fetcher: &'a mut (dyn Fetcher + Send)) -> Self {
         self.fetcher = Some(fetcher);
         self
@@ -156,9 +153,8 @@ impl<'a> CrawlSessionBuilder<'a> {
     /// foreign link discoveries divert into the routing outbox (drained by
     /// the fleet coordinator at exchange barriers) instead of burning
     /// fetches, and seeds on foreign sites are skipped. Every engine
-    /// supports scoping — the threaded engine enforces it at its
-    /// coordinator's dispatch queue, so its workers never fetch a foreign
-    /// URL.
+    /// supports scoping, enforced where it schedules fetch slots, so no
+    /// engine fetches a foreign URL.
     pub fn scope(mut self, plan: ShardPlan, shard: ShardId) -> Self {
         self.scope = Some(ShardScope { plan, shard });
         self
@@ -193,19 +189,10 @@ impl<'a> CrawlSessionBuilder<'a> {
         let universe = self.universe.ok_or_else(|| {
             WebEvoError::invalid("no universe supplied: call .universe(&universe)")
         })?;
-        if let EngineKind::Threaded { workers } = kind {
-            if workers == 0 {
-                return Err(WebEvoError::invalid(
-                    "threaded engine needs at least one worker",
-                ));
-            }
-            if self.fetcher.is_some() {
-                return Err(WebEvoError::invalid(
-                    "the threaded engine spawns its own worker fetchers and would ignore \
-                     .fetcher(…); remove it (or pick a single-threaded engine to crawl \
-                     through a custom fetcher)",
-                ));
-            }
+        if matches!(kind, EngineKind::Threaded { workers: 0 }) {
+            return Err(WebEvoError::invalid(
+                "threaded engine needs at least one worker",
+            ));
         }
 
         // Resolve the engine configuration: explicit config > budget.
@@ -586,8 +573,8 @@ impl<'a> CrawlSession<'a> {
     }
 
     /// The engine's routing state (shard scope, outbox, applied-exchange
-    /// counter), when the engine supports routing.
-    pub fn routing(&self) -> Option<&RoutingState> {
+    /// counter).
+    pub fn routing(&self) -> &RoutingState {
         self.engine.routing()
     }
 
@@ -629,10 +616,7 @@ impl<'a> CrawlSession<'a> {
     /// Advance the engine under the composed (user + checkpoint) hook.
     fn drive(&mut self, days: f64) -> Result<&CrawlMetrics, WebEvoError> {
         let universe = self.universe;
-        let fetcher = match &mut self.fetcher {
-            SessionFetcher::Borrowed(f) => &mut **f,
-            SessionFetcher::Owned(f) => f as &mut dyn Fetcher,
-        };
+        let fetcher = self.fetcher.get();
         let mut noop = NoopHook;
         match (&mut self.hook, &mut self.checkpointer) {
             (Some(user), Some(ckpt)) => {
@@ -686,13 +670,11 @@ impl<'a> CrawlSession<'a> {
         self.checkpointer.as_ref().map(|c| c.stats())
     }
 
-    /// Export the full engine state (with the fetcher's replay state
-    /// merged in, for engines that crawl through the session fetcher).
+    /// Export the full engine state, with the fetcher's replay state
+    /// merged in.
     pub fn export_state(&mut self) -> webevo_core::CrawlerState {
         let mut state = self.engine.export_state();
-        if self.engine.uses_external_fetcher() {
-            state.fetcher = self.fetcher.get().export_state();
-        }
+        state.fetcher = self.fetcher.get().export_state();
         state
     }
 

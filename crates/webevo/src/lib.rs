@@ -109,7 +109,6 @@ pub mod prelude {
         Histogram, IntervalBin, IntervalHistogram, LifespanBin, LifespanHistogram,
         PoissonProcess, SimRng, Summary, SurvivalCurve,
     };
-    pub use webevo_sim::ShardedFetcher;
     pub use webevo_store::{
         recover, CheckpointConfig, Checkpointer, CrawlSession, CrawlSessionBuilder,
         FleetManifest, FleetMetrics, FleetSession, FleetSessionBuilder, Recovered, ShardReport,

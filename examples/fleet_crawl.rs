@@ -55,11 +55,6 @@ fn main() {
             report.routed_links
         );
     }
-    assert_eq!(
-        first.shards.iter().map(|s| s.foreign_rejects).sum::<u64>(),
-        0,
-        "link routing keeps every fetch on an owned site"
-    );
     drop(fleet); // the crash: every in-memory structure is gone
 
     // Tear shard 2's WAL mid-frame — that shard also lost its last flush.

@@ -131,9 +131,11 @@ struct RecoveryCase {
     /// Crawl through a caller-supplied failure-injecting fetcher. That
     /// makes the fetcher genuinely stateful (its attempt counter drives
     /// the failure pattern), so the case also proves fetcher state
-    /// survives the crash. `None` for the threaded kind, whose workers own
-    /// their fetchers.
-    failure_rate: Option<f64>,
+    /// survives the crash.
+    failure_rate: f64,
+    /// The fetcher's politeness limits; `None` keeps
+    /// [`SimFetcher::new`]'s unrestricted default.
+    politeness: Option<Politeness>,
     snapshot_every: f64,
     /// Deliberately not a checkpoint boundary.
     kill_day: f64,
@@ -150,17 +152,15 @@ impl RecoveryCase {
     fn session<'a, 'u: 'a>(
         &self,
         universe: &'a WebUniverse,
-        fetcher: Option<&'a mut SimFetcher<'u>>,
+        fetcher: &'a mut SimFetcher<'u>,
         dir: Option<&std::path::Path>,
     ) -> CrawlSession<'a> {
-        let mut builder = CrawlSession::builder().engine(self.kind).universe(universe);
-        builder = match self.config.clone() {
+        let builder = CrawlSession::builder().engine(self.kind).universe(universe);
+        let mut builder = match self.config.clone() {
             EngineConfig::Incremental(config) => builder.incremental(config),
             EngineConfig::Periodic(config) => builder.periodic(config),
-        };
-        if let Some(fetcher) = fetcher {
-            builder = builder.fetcher(fetcher);
         }
+        .fetcher(fetcher);
         if let Some(dir) = dir {
             builder = builder.checkpoint(dir, self.snapshot_every);
         }
@@ -177,10 +177,14 @@ fn assert_killed_and_recovered_matches_uninterrupted(case: RecoveryCase) {
     let dir = temp_dir(case.tag);
     let universe = WebUniverse::generate(UniverseConfig::test_scale(case.seed));
     let fetcher = || {
-        case.failure_rate.map(|rate| SimFetcher::new(&universe).with_failure_rate(rate))
+        let fetcher = SimFetcher::new(&universe).with_failure_rate(case.failure_rate);
+        match case.politeness {
+            Some(politeness) => fetcher.with_politeness(politeness),
+            None => fetcher,
+        }
     };
     let mut killed_fetcher = fetcher();
-    let mut killed = case.session(&universe, killed_fetcher.as_mut(), Some(&dir));
+    let mut killed = case.session(&universe, &mut killed_fetcher, Some(&dir));
     killed.run(case.kill_day).expect("the crawl runs");
     let stats = killed.checkpoint_stats().expect("checkpointing active");
     assert!(stats.snapshots >= case.min_snapshots, "{}: stats={stats:?}", case.tag);
@@ -192,28 +196,26 @@ fn assert_killed_and_recovered_matches_uninterrupted(case: RecoveryCase) {
     assert!(on_disk.state.clock.t < case.kill_day, "snapshot predates the kill point");
 
     let mut resumed_fetcher = fetcher();
-    let mut resumed = case.session(&universe, resumed_fetcher.as_mut(), Some(&dir));
+    let mut resumed = case.session(&universe, &mut resumed_fetcher, Some(&dir));
     resumed.resume(case.end_day).expect("snapshot + WAL tail recover");
     assert!(resumed.passes() >= case.min_passes, "{}: passes={}", case.tag, resumed.passes());
     let resumed_metrics = resumed.metrics().clone();
     drop(resumed);
 
     let mut reference_fetcher = fetcher();
-    let mut reference = case.session(&universe, reference_fetcher.as_mut(), None);
+    let mut reference = case.session(&universe, &mut reference_fetcher, None);
     reference.run(case.end_day).expect("the crawl runs");
     let reference_metrics = reference.metrics().clone();
     drop(reference);
 
     assert!(reference_metrics.fetches > 0, "the run should actually crawl");
     assert_metrics_identical(&reference_metrics, &resumed_metrics);
-    if let (Some(reference_fetcher), Some(resumed_fetcher)) = (reference_fetcher, resumed_fetcher) {
-        assert!(reference_metrics.failed_fetches > 0, "failure injection active");
-        assert_eq!(
-            Fetcher::export_state(&reference_fetcher),
-            Fetcher::export_state(&resumed_fetcher),
-            "fetcher replay state diverged"
-        );
-    }
+    assert!(reference_metrics.failed_fetches > 0, "failure injection active");
+    assert_eq!(
+        Fetcher::export_state(&reference_fetcher),
+        Fetcher::export_state(&resumed_fetcher),
+        "fetcher replay state diverged"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -232,7 +234,8 @@ fn incremental_killed_and_recovered_matches_uninterrupted() {
         kind: EngineKind::Incremental,
         seed: 42,
         config: small_incremental_config(),
-        failure_rate: Some(0.15),
+        failure_rate: 0.15,
+        politeness: None,
         snapshot_every: 5.0,
         kill_day: 23.0,
         end_day: 40.0,
@@ -243,12 +246,17 @@ fn incremental_killed_and_recovered_matches_uninterrupted() {
 
 #[test]
 fn threaded_killed_and_recovered_matches_uninterrupted() {
+    // The pool fetches through the session's fetcher like the inline
+    // executor: under the paper's politeness (nightly window, per-site
+    // spacing) and failure injection, its clocks and attempt counter
+    // survive the crash too.
     assert_killed_and_recovered_matches_uninterrupted(RecoveryCase {
         tag: "thr-recover",
         kind: EngineKind::Threaded { workers: 4 },
         seed: 43,
         config: small_incremental_config(),
-        failure_rate: None,
+        failure_rate: 0.15,
+        politeness: Some(Politeness::paper()),
         snapshot_every: 4.0,
         kill_day: 21.0,
         end_day: 35.0,
@@ -267,7 +275,8 @@ fn periodic_killed_and_recovered_matches_uninterrupted() {
         kind: EngineKind::Periodic,
         seed: 44,
         config: EngineConfig::Periodic(PeriodicConfig::monthly(50)),
-        failure_rate: Some(0.15),
+        failure_rate: 0.15,
+        politeness: None,
         snapshot_every: 5.0,
         kill_day: 23.0,
         end_day: 70.0,
@@ -345,10 +354,9 @@ fn torn_wal_tail_is_discarded_not_misparsed() {
 // --------------------------------------------------------------------
 
 /// Exact equality of two fleet results: the merged view and every
-/// per-shard channel. (`foreign_rejects` is deliberately excluded — it is
-/// a per-process observability counter, not durable state, so a resumed
-/// fleet reports only the rejections since its own start; the tests
-/// comparing two *fresh* runs assert it separately.)
+/// per-shard channel. (`routed_links` is excluded — it counts the links
+/// delivered since the fleet's own start, so a resumed fleet reports
+/// fewer; the tests comparing two *fresh* runs assert it separately.)
 fn assert_fleet_identical(a: &FleetMetrics, b: &FleetMetrics) {
     assert_metrics_identical(&a.merged, &b.merged);
     assert_eq!(a.shards.len(), b.shards.len());
@@ -361,12 +369,22 @@ fn assert_fleet_identical(a: &FleetMetrics, b: &FleetMetrics) {
     }
 }
 
-#[test]
-fn fleet_merge_identical_across_runs_and_thread_counts() {
+/// Repeatability at the same thread count, and independence from it: one
+/// thread serializes the shards, more interleave them differently — the
+/// results, including the exchanged batches, must not notice. Nor may a
+/// threaded shard's own slots in flight leak into them.
+fn assert_fleet_identical_across_concurrency(
+    kind: EngineKind,
+    seed: u64,
+    shards: u32,
+    baseline: usize,
+    others: &[usize],
+) {
+    let universe = WebUniverse::generate(UniverseConfig::test_scale(seed));
     let run = |concurrency: usize| {
-        let universe = WebUniverse::generate(UniverseConfig::test_scale(42));
         let mut fleet = FleetSession::builder()
-            .shards(4)
+            .shards(shards)
+            .engine(kind)
             .budget(CrawlBudget::paper_monthly(48).with_cycle_days(6.0))
             .universe(&universe)
             .concurrency(concurrency)
@@ -374,37 +392,40 @@ fn fleet_merge_identical_across_runs_and_thread_counts() {
             .expect("a valid fleet");
         fleet.run(25.0).expect("the fleet runs").clone()
     };
-    let four_wide = run(4);
-    assert!(four_wide.merged.fetches > 0, "the fleet should actually crawl");
+    let baseline = run(baseline);
+    assert!(baseline.merged.fetches > 0, "{kind}: the fleet should actually crawl");
     assert!(
-        four_wide.shards.iter().all(|s| s.metrics.fetches > 0),
-        "every shard should actually crawl"
+        baseline.shards.iter().all(|s| s.metrics.fetches > 0),
+        "{kind}: every shard should actually crawl"
     );
-    // The link-exchange protocol in action: cross-shard discoveries route
-    // between shards instead of burning fetches as foreign rejects.
-    assert!(four_wide.routed_links() > 0, "cross-shard links were exchanged");
-    assert!(
-        four_wide.shards.iter().all(|s| s.foreign_rejects == 0),
-        "routing must keep every fetch on an owned site"
-    );
-    // Repeatability at the same thread count, and independence from it:
-    // one thread serializes the shards, two interleaves them differently —
-    // the results, including the exchanged batches, must not notice.
-    for other in [run(4), run(1), run(2)] {
-        assert_fleet_identical(&four_wide, &other);
-        for (sa, sb) in four_wide.shards.iter().zip(&other.shards) {
+    assert!(baseline.routed_links() > 0, "{kind}: cross-shard links were exchanged");
+    for &concurrency in others {
+        let other = run(concurrency);
+        assert_fleet_identical(&baseline, &other);
+        for (sa, sb) in baseline.shards.iter().zip(&other.shards) {
             assert_eq!(
                 sa.routed_links, sb.routed_links,
-                "{} exchange deliveries diverged between fresh runs",
-                sa.shard
-            );
-            assert_eq!(
-                sa.foreign_rejects, sb.foreign_rejects,
-                "{} routing-boundary hits diverged between fresh runs",
+                "{kind}: {} exchange deliveries diverged between fresh runs",
                 sa.shard
             );
         }
     }
+}
+
+#[test]
+fn fleet_merge_identical_across_runs_and_thread_counts() {
+    assert_fleet_identical_across_concurrency(EngineKind::Incremental, 42, 4, 4, &[4, 1, 2]);
+}
+
+#[test]
+fn threaded_fleet_identical_across_concurrency() {
+    assert_fleet_identical_across_concurrency(
+        EngineKind::Threaded { workers: 2 },
+        48,
+        2,
+        1,
+        &[2, 4],
+    );
 }
 
 #[test]
@@ -431,10 +452,6 @@ fn four_shard_fleet_collects_what_the_single_node_collects() {
     let single = run(1);
     let fleet = run(4);
     assert!(fleet.routed_links() > 0, "cross-shard links were exchanged");
-    assert!(
-        fleet.shards.iter().all(|s| s.foreign_rejects == 0),
-        "routing must keep every fetch on an owned site"
-    );
     let (n_single, n_fleet) = (single.collection_len(), fleet.collection_len());
     assert!(n_single >= 2_000, "1% must be a count of pages, not a rounding: {n_single}");
     let deficit = 1.0 - n_fleet as f64 / n_single as f64;
@@ -444,18 +461,28 @@ fn four_shard_fleet_collects_what_the_single_node_collects() {
     );
 }
 
-#[test]
-fn fleet_kill_one_shard_resume_matches_uninterrupted() {
-    let dir = temp_dir("fleet-kill-one");
-    let universe = WebUniverse::generate(UniverseConfig::test_scale(45));
-    let budget = CrawlBudget::paper_monthly(36).with_cycle_days(6.0);
-    let failure_rate = 0.15;
+/// Kill a checkpointed fleet, tear shard 1's WAL mid-record, resume, and
+/// compare with the same fleet never interrupted. Every kind crawls through
+/// failure-injecting fetchers; the threaded engine's WAL mixes seq-tagged
+/// fetch records with the fleet's routed-batch records, which recovery
+/// replays through the same drive-end reconstruction the live loop uses.
+fn assert_fleet_kill_one_shard_resume_matches_uninterrupted(
+    tag: &str,
+    kind: EngineKind,
+    seed: u64,
+    shards: u32,
+    capacity: usize,
+) {
+    let dir = temp_dir(tag);
+    let universe = WebUniverse::generate(UniverseConfig::test_scale(seed));
+    let budget = CrawlBudget::paper_monthly(capacity).with_cycle_days(6.0);
     let build = |checkpoint: bool| {
         let mut builder = FleetSession::builder()
-            .shards(3)
+            .shards(shards)
+            .engine(kind)
             .budget(budget)
             .universe(&universe)
-            .failure_rate(failure_rate);
+            .failure_rate(0.15);
         if checkpoint {
             builder = builder.checkpoint(&dir, 4.0);
         }
@@ -463,8 +490,8 @@ fn fleet_kill_one_shard_resume_matches_uninterrupted() {
     };
 
     // Phase 1: run the fleet under checkpointing, then "kill" it — and
-    // tear shard 1's WAL mid-record, as if that one shard's process died
-    // during a flush while the others checkpointed cleanly.
+    // tear shard 1's WAL mid-record, as if that one shard's process
+    // died during a flush while the others checkpointed cleanly.
     let mut killed = build(true);
     killed.run(23.0).expect("the fleet runs");
     drop(killed);
@@ -472,11 +499,11 @@ fn fleet_kill_one_shard_resume_matches_uninterrupted() {
     let bytes = std::fs::read(&wal_path).expect("shard 1 has a WAL");
     std::fs::write(&wal_path, &bytes[..bytes.len() - 31]).expect("wal writable");
 
-    // Phase 2: resume the whole fleet. Shard 1 replays its committed WAL
-    // prefix and re-crawls the torn tail; shards 0 and 2 continue from
+    // Phase 2: resume the whole fleet. Shard 1 replays its committed
+    // WAL prefix and re-crawls the torn tail; the others continue from
     // their snapshots — first rolling back any link exchange shard 1
-    // never committed, then re-running it so all three shards re-enter
-    // the barrier loop in lockstep.
+    // never committed, then re-running it so every shard re-enters the
+    // barrier loop in lockstep.
     let mut resumed = build(true);
     let resumed_results = resumed.resume(40.0).expect("the fleet recovers").clone();
 
@@ -484,12 +511,36 @@ fn fleet_kill_one_shard_resume_matches_uninterrupted() {
     let mut reference = build(false);
     let reference_results = reference.run(40.0).expect("the fleet runs").clone();
 
+    assert!(reference_results.merged.fetches > 0, "{kind}: the fleet should actually crawl");
     assert!(
         reference_results.merged.failed_fetches > 0,
-        "failure injection should be active"
+        "{kind}: failure injection should be active"
     );
+    assert!(reference_results.routed_links() > 0, "{kind}: cross-shard links were exchanged");
     assert_fleet_identical(&reference_results, &resumed_results);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn fleet_kill_one_shard_resume_matches_uninterrupted() {
+    assert_fleet_kill_one_shard_resume_matches_uninterrupted(
+        "fleet-kill-one",
+        EngineKind::Incremental,
+        45,
+        3,
+        36,
+    );
+}
+
+#[test]
+fn threaded_fleet_kill_one_shard_resume_matches_uninterrupted() {
+    assert_fleet_kill_one_shard_resume_matches_uninterrupted(
+        "thr-fleet-kill-one",
+        EngineKind::Threaded { workers: 2 },
+        50,
+        2,
+        48,
+    );
 }
 
 #[test]
@@ -535,47 +586,6 @@ fn fleet_rebalance_then_resume_matches_uninterrupted() {
 }
 
 #[test]
-fn threaded_fleet_identical_across_concurrency() {
-    // Worker parallelism now composes with sharding: each shard runs its
-    // own seq-tagged threaded coordinator, and the coordinator enforces
-    // the shard scope at its dispatch queue. Neither the fleet's shard
-    // concurrency nor the per-shard worker pool may leak into results.
-    let run = |concurrency: usize| {
-        let universe = WebUniverse::generate(UniverseConfig::test_scale(48));
-        let mut fleet = FleetSession::builder()
-            .shards(2)
-            .engine(EngineKind::Threaded { workers: 2 })
-            .budget(CrawlBudget::paper_monthly(48).with_cycle_days(6.0))
-            .universe(&universe)
-            .concurrency(concurrency)
-            .build()
-            .expect("a valid fleet");
-        fleet.run(25.0).expect("the fleet runs").clone()
-    };
-    let baseline = run(1);
-    assert!(baseline.merged.fetches > 0, "the fleet should actually crawl");
-    assert!(
-        baseline.shards.iter().all(|s| s.metrics.fetches > 0),
-        "every shard should actually crawl"
-    );
-    assert!(baseline.routed_links() > 0, "cross-shard links were exchanged");
-    assert!(
-        baseline.shards.iter().all(|s| s.foreign_rejects == 0),
-        "the coordinator must keep every dispatched fetch on an owned site"
-    );
-    for other in [run(2), run(4)] {
-        assert_fleet_identical(&baseline, &other);
-        for (sa, sb) in baseline.shards.iter().zip(&other.shards) {
-            assert_eq!(
-                sa.routed_links, sb.routed_links,
-                "{} exchange deliveries diverged across concurrency",
-                sa.shard
-            );
-        }
-    }
-}
-
-#[test]
 fn threaded_fleet_agrees_with_single_shard_threaded_run() {
     // Sharding apportions the budget and splits the frontier, so the
     // 2-shard merged series cannot be byte-identical to a 1-shard run —
@@ -609,48 +619,6 @@ fn threaded_fleet_agrees_with_single_shard_threaded_run() {
         n_sharded >= n_single * 9 / 10,
         "2-shard collection {n_sharded} lags single-shard {n_single}"
     );
-}
-
-#[test]
-fn threaded_fleet_kill_one_shard_resume_matches_uninterrupted() {
-    // The threaded engine's WAL mixes seq-tagged fetch records with the
-    // fleet's routed-batch records; recovery replays the committed prefix
-    // through the same drive-end reconstruction the live loop uses, then
-    // re-enters the barrier protocol in lockstep with the surviving
-    // shards. Tear one shard's WAL mid-record and the resumed fleet must
-    // still match an uninterrupted one bit for bit.
-    let dir = temp_dir("thr-fleet-kill-one");
-    let universe = WebUniverse::generate(UniverseConfig::test_scale(50));
-    let budget = CrawlBudget::paper_monthly(48).with_cycle_days(6.0);
-    let build = |checkpoint: bool| {
-        let mut builder = FleetSession::builder()
-            .shards(2)
-            .engine(EngineKind::Threaded { workers: 2 })
-            .budget(budget)
-            .universe(&universe);
-        if checkpoint {
-            builder = builder.checkpoint(&dir, 4.0);
-        }
-        builder.build().expect("a valid fleet")
-    };
-
-    let mut killed = build(true);
-    killed.run(23.0).expect("the fleet runs");
-    drop(killed);
-    let wal_path = dir.join("shard-1").join(webevo::store::WAL_FILE);
-    let bytes = std::fs::read(&wal_path).expect("shard 1 has a WAL");
-    std::fs::write(&wal_path, &bytes[..bytes.len() - 31]).expect("wal writable");
-
-    let mut resumed = build(true);
-    let resumed_results = resumed.resume(40.0).expect("the fleet recovers").clone();
-
-    let mut reference = build(false);
-    let reference_results = reference.run(40.0).expect("the fleet runs").clone();
-
-    assert!(reference_results.merged.fetches > 0, "the fleet should actually crawl");
-    assert!(reference_results.routed_links() > 0, "cross-shard links were exchanged");
-    assert_fleet_identical(&reference_results, &resumed_results);
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

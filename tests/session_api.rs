@@ -54,24 +54,6 @@ fn zero_workers_is_a_typed_error() {
 }
 
 #[test]
-fn custom_fetcher_with_threaded_engine_is_a_typed_error() {
-    // The threaded engine's workers fetch through their own SimFetchers;
-    // silently dropping a failure- or politeness-configured fetcher would
-    // invalidate comparisons, so the builder refuses the combination.
-    let u = universe();
-    let mut fetcher = SimFetcher::new(&u).with_failure_rate(0.25);
-    assert_invalid(
-        CrawlSession::builder()
-            .engine(EngineKind::Threaded { workers: 2 })
-            .budget(CrawlBudget::paper_monthly(10))
-            .universe(&u)
-            .fetcher(&mut fetcher)
-            .build(),
-        "worker fetchers",
-    );
-}
-
-#[test]
 fn unwritable_checkpoint_dir_is_a_typed_error() {
     // A path below a regular file can never become a directory — the
     // probe fails for any user, root included.
@@ -294,26 +276,15 @@ fn fleet_misconfigurations_are_typed_errors() {
         FleetSession::builder().budget(budget).universe(&u).shards(11).build(),
         "capacity",
     );
-    // Threaded shards are supported; what stays a typed error is pairing
-    // them with failure injection, which needs the session fetcher the
-    // threaded engine's workers bypass.
+    // Threaded shards are supported, with failure injection too.
     FleetSession::builder()
         .budget(budget)
         .universe(&u)
         .shards(2)
         .engine(EngineKind::Threaded { workers: 4 })
+        .failure_rate(0.1)
         .build()
         .expect("a threaded fleet builds");
-    assert_fleet_invalid(
-        FleetSession::builder()
-            .budget(budget)
-            .universe(&u)
-            .shards(2)
-            .engine(EngineKind::Threaded { workers: 4 })
-            .failure_rate(0.1)
-            .build(),
-        "threaded",
-    );
     assert_fleet_invalid(
         FleetSession::builder().budget(budget).universe(&u).shards(2).concurrency(0).build(),
         "concurrency",
