@@ -93,7 +93,8 @@ impl AnalyzeConfig {
     /// * Clock-exempt: `obs` (its whole job is wall-clock timing) and
     ///   `bench` (measures real elapsed time).
     /// * Panic-budgeted: `core` and `store`, the snapshot/WAL path, and
-    ///   `graph`, whose PageRank kernel runs on the pool's ranking thread.
+    ///   `graph`, whose PageRank kernel runs in the pool's scoped ranking
+    ///   solve, where a panic becomes a typed error.
     pub fn workspace_default() -> AnalyzeConfig {
         let v = |names: &[&str]| names.iter().map(|s| s.to_string()).collect();
         AnalyzeConfig {

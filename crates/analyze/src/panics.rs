@@ -3,8 +3,8 @@
 //!
 //! `core` and `store` sit on the snapshot/WAL path, where a panic means a
 //! truncated checkpoint rather than a failed request; `graph`'s PageRank
-//! kernel runs on the pool executor's ranking thread, where a panic takes
-//! the crawl down with it. Existing panic sites are grandfathered through
+//! kernel runs in the pool executor's scoped ranking solve, where a panic
+//! becomes a typed error that ends the drive. Existing panic sites are grandfathered through
 //! per-file budgets in `ANALYZE.allow`; the audit makes the count a
 //! ratchet — going over budget is an error, while a count below budget is
 //! a note inviting the budget down. New files start at zero.

@@ -13,7 +13,7 @@
 //! * [`CrawlHook::on_pass_boundary`] fires at each completed pass
 //!   boundary — a RankingModule pass for the incremental engines, a
 //!   shadow swap for the periodic one — when no fetch is in flight and no
-//!   ranking response is pending: the one point where the full engine
+//!   ranking outcome is pending: the one point where the full engine
 //!   state is quiescent and cheap to capture. The engine announces the
 //!   boundary explicitly; observers never have to infer it from ranking
 //!   or cycle counters. Durable I/O belongs here.
@@ -82,34 +82,4 @@ impl CrawlHook for NoopHook {
     fn on_fetch(&mut self, _record: &FetchRecord) {}
 
     fn on_pass_boundary(&mut self, _t: f64, _export: &mut dyn FnMut() -> CrawlerState) {}
-}
-
-/// Fan-out to two hooks — how `CrawlSession` runs a user hook and the
-/// checkpointer side by side. Active when either side is.
-pub struct PairHook<'a> {
-    first: &'a mut dyn CrawlHook,
-    second: &'a mut dyn CrawlHook,
-}
-
-impl<'a> PairHook<'a> {
-    /// Combine two hooks; both observe every fetch and pass boundary.
-    pub fn new(first: &'a mut dyn CrawlHook, second: &'a mut dyn CrawlHook) -> PairHook<'a> {
-        PairHook { first, second }
-    }
-}
-
-impl CrawlHook for PairHook<'_> {
-    fn active(&self) -> bool {
-        self.first.active() || self.second.active()
-    }
-
-    fn on_fetch(&mut self, record: &FetchRecord) {
-        self.first.on_fetch(record);
-        self.second.on_fetch(record);
-    }
-
-    fn on_pass_boundary(&mut self, t: f64, export: &mut dyn FnMut() -> CrawlerState) {
-        self.first.on_pass_boundary(t, export);
-        self.second.on_pass_boundary(t, export);
-    }
 }

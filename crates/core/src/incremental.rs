@@ -28,8 +28,9 @@
 //! * [`EngineKind::Threaded`] ⇒ **pool** ([`ThreadedCrawler`]): up to
 //!   `workers` slots per batch — the fetches in flight between two state
 //!   updates, which is what parallel CrawlModules mean for the schedule —
-//!   while the RankingModule runs on its *own* thread against the rank
-//!   input built at the boundary (the flat link structure plus each
+//!   while ranking is one scoped solve per pass, joined at the next
+//!   boundary: the engine's RankingModule is lent to it together with the
+//!   rank input built at the boundary (the flat link structure plus each
 //!   candidate's in-collection in-link sources, not copies of the whole
 //!   `Collection` and `AllUrls`) — the crawl hot path never waits for
 //!   PageRank.
@@ -40,8 +41,8 @@
 //! The pool is as **deterministic** as the inline executor: every slot of
 //! a batch is scheduled before any is fetched, and the batch is fetched
 //! and applied in slot order; a ranking request issued at one boundary
-//! has its response applied at the *next* (or at the drive's end), not
-//! whenever the ranking thread happens to finish. That is what makes both
+//! has its outcome applied at the *next* (or at the drive's end), not
+//! whenever its solve happens to finish. That is what makes both
 //! kinds checkpointable: a
 //! [`CrawlerState`] snapshot plus the write-ahead-log tail reconstructs
 //! the pre-crash engine bit-for-bit through the same slot loop
@@ -61,14 +62,15 @@ use crate::engine::{CrawlBudget, CrawlEngine, FetchSource};
 use crate::hooks::{CrawlHook, NoopHook};
 use crate::metrics::CrawlMetrics;
 use crate::modules::{
-    EstimatorKind, RankInput, RankingConfig, RankingModule, RevisitStrategy, UpdateModule,
+    EstimatorKind, RankInput, RankingConfig, RankingModule, RankingOutcome, RevisitStrategy,
+    UpdateModule,
 };
 use crate::routing::{RoutedBatch, RoutedLink, WalEvent};
 use crate::shell::{announce_boundary, EngineShell};
 use crate::state::{entries_to_queue, queue_to_entries, CrawlerState, EngineConfig, EngineKind};
 use crate::view::BoundaryPages;
 use std::marker::PhantomData;
-use std::sync::mpsc::{channel, Receiver, Sender};
+use std::thread::{Scope, ScopedJoinHandle};
 use webevo_obs::{LogicalClock, SpanGuard, Stage};
 use webevo_schedule::RevisitQueue;
 use webevo_sim::{FetchError, FetchOutcome, Fetcher, FetcherState, WebUniverse};
@@ -120,21 +122,6 @@ struct Slot {
 
 type FetchResult = Result<FetchOutcome, FetchError>;
 
-/// A deferred ranking response: new importance scores and replacement
-/// proposals.
-struct RankResponse {
-    importance: Vec<(PageId, f64)>,
-    replacements: Vec<(PageId, Url)>,
-}
-
-/// Solve a deferred ranking request — the ranking thread's inner step,
-/// also run synchronously during WAL replay. A failed solve answers with
-/// the importances the request was built with.
-fn rank(ranking: &mut RankingModule, mut req: RankInput) -> RankResponse {
-    let replacements = ranking.solve(&mut req).unwrap_or_default();
-    RankResponse { importance: req.importance().collect(), replacements }
-}
-
 /// The `(page, day it was crawled)` pairs the freshness sampler reads.
 fn copies(collection: &Collection) -> impl Iterator<Item = (PageId, f64)> + '_ {
     collection.iter().map(|(p, stored)| (p, stored.last_crawl))
@@ -147,39 +134,27 @@ enum Executor {
     /// One slot per batch; ranking in place.
     Inline,
     /// Up to `workers` slots per batch, all scheduled before any result is
-    /// applied; ranking deferred by one pass on its own thread.
+    /// applied; ranking deferred by one pass: one scoped solve per pass,
+    /// joined at the next boundary.
     Pool { workers: usize },
 }
 
 /// A ranking request: the input built at a boundary, stamped with that
-/// boundary's logical clock for the ranking thread's span.
+/// boundary's logical clock for the solve's span.
 type RankRequest = (LogicalClock, RankInput);
 
-/// The coordinator's side of a live pool: the ranking thread's request
-/// and response channels. Only these two messages per pass cross threads.
-struct PoolLinks {
-    rank_tx: Sender<RankRequest>,
-    rank_rx: Receiver<RankResponse>,
-    rank_in_flight: bool,
-}
-
-impl PoolLinks {
-    /// Hand the ranking thread a request. A dead ranking thread has
-    /// dropped its receiver, so the send fails; the matching receive in
-    /// [`IncrementalEngine::take_ranking`] reports it.
-    fn request_ranking(&mut self, req: RankRequest) {
-        let _ = self.rank_tx.send(req);
-        self.rank_in_flight = true;
-    }
-}
+/// A live pool's solve in flight: it hands the lent RankingModule back
+/// with the outcome.
+type Solve<'s> = ScopedJoinHandle<'s, (RankingModule, RankingOutcome)>;
 
 /// What a drive or a replay runs the slot loop against.
-struct Backend<'a> {
+struct Backend<'a, 's> {
     /// The caller's fetcher (live) or the write-ahead log (replay of
-    /// either executor, where deferred ranking is computed synchronously).
+    /// either executor, where deferred ranking is solved in place).
     source: FetchSource<'a>,
-    /// The live pool's ranking thread; `None` inline and in replay.
-    pool: Option<PoolLinks>,
+    /// A live pool's thread scope and the solve in flight on it; `None`
+    /// inline and in replay.
+    pool: Option<(&'s Scope<'s, 'a>, Option<Solve<'s>>)>,
 }
 
 /// Marker of the inline executor; see [`IncrementalCrawler`].
@@ -214,8 +189,9 @@ pub struct IncrementalEngine<X> {
     /// would leak slots whenever a candidate turns out dead).
     admissions: DenseSet,
     update: UpdateModule,
-    /// Runs in place (inline) or synchronously during replay (pool); a
-    /// live pool's ranking thread owns its own.
+    /// The one RankingModule. It solves in place inline and in replay; a
+    /// live pool lends it to one scoped solve per pass and gets it back
+    /// at the join at the next boundary.
     ranking: RankingModule,
     /// The run state every engine shares. Here `passes` counts ranking
     /// outcomes applied, and shard scoping is enforced where slots are
@@ -228,9 +204,9 @@ pub struct IncrementalEngine<X> {
     /// itself is rebuilt from the snapshot (which is taken at exactly the
     /// state the request was built from).
     rank_pending: bool,
-    /// Pool only. The outstanding ranking request while no ranking thread
-    /// holds it: after `from_state` and during WAL replay. A live drive
-    /// hands it to its ranking thread first thing.
+    /// Pool only. The outstanding ranking request while no solve of it is
+    /// in flight: after `from_state` and during WAL replay. A live drive
+    /// starts its solve first thing.
     unsent_rank_request: Option<RankRequest>,
     _executor: PhantomData<X>,
 }
@@ -285,7 +261,7 @@ impl IncrementalEngine<Pool> {
         let (mut crawler, fetcher) = Self::rebuild(state, Executor::Pool { workers })?;
         if rank_pending {
             // Snapshots are taken at pass boundaries, after the previous
-            // response was applied and before the next request was issued:
+            // outcome was applied and before the next request was issued:
             // the restored state *is* the outstanding request's base.
             crawler.rank_pending = true;
             let input = RankInput::build(&crawler.collection, &crawler.all_urls);
@@ -418,10 +394,10 @@ impl<X> IncrementalEngine<X> {
     fn advance(
         &mut self,
         universe: &WebUniverse,
-        backend: &mut Backend<'_>,
+        backend: &mut Backend<'_, '_>,
         end: f64,
         hook: &mut dyn CrawlHook,
-    ) {
+    ) -> Result<(), WebEvoError> {
         let step = 1.0 / self.config.crawl_rate_per_day;
         let width = match self.executor {
             Executor::Inline => 1,
@@ -446,7 +422,7 @@ impl<X> IncrementalEngine<X> {
                 let barrier =
                     (self.shell.routing.exchanges + 1) as f64 * self.config.ranking_interval_days;
                 fetch_span = None;
-                self.finish_drive(universe, backend, barrier);
+                self.finish_drive(universe, backend, barrier)?;
                 self.apply_routed(routed);
                 continue;
             }
@@ -457,7 +433,7 @@ impl<X> IncrementalEngine<X> {
             self.sample_grid(universe, t);
             if t >= self.shell.clock.next_ranking {
                 fetch_span = None;
-                self.pass_boundary(backend, hook);
+                self.pass_boundary(backend, hook)?;
             }
             if self.shell.obs.enabled() && fetch_span.is_none() && !self.queue.is_empty() {
                 let clock = LogicalClock::new(t, self.shell.fetch_seq);
@@ -493,6 +469,7 @@ impl<X> IncrementalEngine<X> {
             }
             self.execute(universe, backend, &mut batch, hook);
         }
+        Ok(())
     }
 
     /// Fetch a batch of scheduled slots and apply each result, in slot
@@ -505,7 +482,7 @@ impl<X> IncrementalEngine<X> {
     fn execute(
         &mut self,
         universe: &WebUniverse,
-        backend: &mut Backend<'_>,
+        backend: &mut Backend<'_, '_>,
         batch: &mut Vec<Slot>,
         hook: &mut dyn CrawlHook,
     ) {
@@ -601,25 +578,29 @@ impl<X> IncrementalEngine<X> {
     /// One pass boundary at the current slot: apply a ranking outcome, let
     /// the hook and the view publisher observe the quiescent engine, and
     /// (pool) issue the next ranking request.
-    fn pass_boundary(&mut self, backend: &mut Backend<'_>, hook: &mut dyn CrawlHook) {
+    fn pass_boundary(
+        &mut self,
+        backend: &mut Backend<'_, '_>,
+        hook: &mut dyn CrawlHook,
+    ) -> Result<(), WebEvoError> {
         let _pass = self.shell.open_pass(self.queue.len());
         match self.executor {
             Executor::Inline => {
                 let input = self.build_rank_input();
                 let outcome = {
                     let _solve = self.shell.span(Stage::RankSolve);
-                    self.ranking.run_built(&mut self.collection, input)
+                    self.ranking.solve(input)
                 };
-                self.apply_ranking(Vec::new(), outcome.replacements);
+                self.apply_ranking(outcome);
             }
             Executor::Pool { .. } => {
-                // The response to the request issued one interval ago
-                // lands here — a fixed application point, not "whenever
-                // the ranking thread finishes", so replay can reproduce
-                // it. Waiting only at the pass boundary keeps ranking off
-                // the fetch hot path, as §5.3 prescribes.
-                if let Some(res) = self.take_ranking(backend) {
-                    self.apply_ranking(res.importance, res.replacements);
+                // The outcome of the request issued one interval ago lands
+                // here — a fixed application point, not "whenever the
+                // solve finishes", so replay can reproduce it. Waiting
+                // only at the pass boundary keeps ranking off the fetch
+                // hot path, as §5.3 prescribes.
+                if let Some(outcome) = self.take_ranking(backend)? {
+                    self.apply_ranking(outcome);
                 }
                 self.rank_pending = true;
             }
@@ -633,11 +614,9 @@ impl<X> IncrementalEngine<X> {
             .publish(BoundaryPages::Stored { collection: &self.collection, update: &self.update });
         if let Executor::Pool { .. } = self.executor {
             let req = (self.shell.stamp(), self.build_rank_input());
-            match &mut backend.pool {
-                Some(links) => links.request_ranking(req),
-                None => self.unsent_rank_request = Some(req),
-            }
+            self.issue_ranking(backend, req);
         }
+        Ok(())
     }
 
     /// The ranking pass's input, built from the engine as it stands — at a
@@ -647,26 +626,57 @@ impl<X> IncrementalEngine<X> {
         RankInput::build(&self.collection, &self.all_urls)
     }
 
-    /// The outcome of the outstanding deferred ranking request, if there
-    /// is one: received from a live pool's ranking thread, computed on the
-    /// spot otherwise.
-    fn take_ranking(&mut self, backend: &mut Backend<'_>) -> Option<RankResponse> {
-        match &mut backend.pool {
-            Some(links) if links.rank_in_flight => {
-                links.rank_in_flight = false;
-                Some(links.rank_rx.recv().expect("ranking thread alive"))
-            }
-            _ => self.unsent_rank_request.take().map(|(_, req)| rank(&mut self.ranking, req)),
-        }
+    /// Start the solve of a deferred ranking request: on a live pool's
+    /// scope, under a `rank_solve` span stamped with the issuing
+    /// boundary's clock, with the RankingModule lent to it until
+    /// [`Self::take_ranking`] joins it; otherwise keep the request for
+    /// that join point to solve in place.
+    fn issue_ranking(&mut self, backend: &mut Backend<'_, '_>, (clock, input): RankRequest) {
+        let Some((scope, solve)) = &mut backend.pool else {
+            self.unsent_rank_request = Some((clock, input));
+            return;
+        };
+        let mut ranking = std::mem::take(&mut self.ranking);
+        let obs = self.shell.obs.clone();
+        *solve = Some(scope.spawn(move || {
+            let outcome = {
+                let _solve = obs.span(Stage::RankSolve, clock);
+                ranking.solve(input)
+            };
+            (ranking, outcome)
+        }));
     }
 
-    /// Periodic refinement: importance write-back (for an outcome computed
-    /// on a snapshot), replacement proposals, revisit reallocation.
+    /// The outcome of the outstanding deferred ranking request, if there
+    /// is one: joined from a live pool's solve, which hands the
+    /// RankingModule back, and solved in place otherwise. A solve that
+    /// panicked is a typed error; the module went down with its thread.
+    fn take_ranking(
+        &mut self,
+        backend: &mut Backend<'_, '_>,
+    ) -> Result<Option<RankingOutcome>, WebEvoError> {
+        if let Some(solve) = backend.pool.as_mut().and_then(|(_, solve)| solve.take()) {
+            let (ranking, outcome) = solve.join().map_err(|_| {
+                WebEvoError::InvalidState(
+                    "the pool's deferred ranking solve panicked; the engine lost its \
+                     RankingModule and must be resumed from its checkpoint"
+                        .into(),
+                )
+            })?;
+            self.ranking = ranking;
+            return Ok(Some(outcome));
+        }
+        Ok(self.unsent_rank_request.take().map(|(_, input)| self.ranking.solve(input)))
+    }
+
+    /// Periodic refinement: importance write-back, replacement proposals,
+    /// revisit reallocation.
     ///
     /// Replacement proposals only *schedule* the candidate (at the queue
     /// front, per §5.3); the matching eviction happens when the candidate's
     /// crawl succeeds, so dead candidates never cost a slot.
-    fn apply_ranking(&mut self, importance: Vec<(PageId, f64)>, replacements: Vec<(PageId, Url)>) {
+    fn apply_ranking(&mut self, outcome: RankingOutcome) {
+        let RankingOutcome { importance, replacements } = outcome;
         self.shell.passes += 1;
         for (p, importance) in importance {
             if let Some(stored) = self.collection.get_mut(p) {
@@ -694,16 +704,22 @@ impl<X> IncrementalEngine<X> {
     /// record, the only place a drive ends mid-log. Taking and applying
     /// the outcome is the step a pool takes at every boundary, so it runs
     /// under a `pass` span too.
-    fn finish_drive(&mut self, universe: &WebUniverse, backend: &mut Backend<'_>, until: f64) {
+    fn finish_drive(
+        &mut self,
+        universe: &WebUniverse,
+        backend: &mut Backend<'_, '_>,
+        until: f64,
+    ) -> Result<(), WebEvoError> {
         let pass = self.rank_pending.then(|| self.shell.span(Stage::Pass));
-        if let Some(res) = self.take_ranking(backend) {
-            self.apply_ranking(res.importance, res.replacements);
+        if let Some(outcome) = self.take_ranking(backend)? {
+            self.apply_ranking(outcome);
             // The outstanding request is consumed: a state exported now
             // must not re-issue one.
             self.rank_pending = false;
         }
         drop(pass);
         self.flush_samples(universe, until);
+        Ok(())
     }
 
     /// Emit every pending grid sample of the collection up to and
@@ -723,50 +739,6 @@ impl<X> IncrementalEngine<X> {
     fn flush_samples(&mut self, universe: &WebUniverse, until: f64) {
         self.sample_grid(universe, until);
         self.shell.sample(universe, until, copies(&self.collection));
-    }
-
-    /// Run `body` against a live pool: fetches from `source` and a
-    /// ranking thread that has exited when this returns. The ranking
-    /// thread opens a `rank_solve` span around each solve, stamped with
-    /// the boundary that issued the request.
-    fn with_pool<'f>(
-        &mut self,
-        source: FetchSource<'f>,
-        body: impl FnOnce(&mut Self, &mut Backend<'f>),
-    ) {
-        let (rank_tx, requests) = channel::<RankRequest>();
-        let (responses, rank_rx) = channel();
-        let ranking_config = self.config.ranking.clone();
-        let obs = self.shell.obs.clone();
-        // The scope joins the ranking thread before returning and re-raises
-        // its panic there. A panic drops the thread's sender, which ends
-        // the coordinator's wait for a response instead of hanging it.
-        std::thread::scope(|scope| {
-            scope.spawn(move || {
-                let mut ranking = RankingModule::new(ranking_config);
-                for (clock, req) in requests {
-                    let res = {
-                        let _solve = obs.span(Stage::RankSolve, clock);
-                        rank(&mut ranking, req)
-                    };
-                    if responses.send(res).is_err() {
-                        break;
-                    }
-                }
-            });
-            let mut links = PoolLinks {
-                rank_tx,
-                rank_rx,
-                rank_in_flight: false,
-            };
-            // A restored/replayed engine re-issues the outstanding request.
-            if let Some(req) = self.unsent_rank_request.take() {
-                links.request_ranking(req);
-            }
-            // Dropping the links when `body` returns closes the request
-            // channel, which is what ends the ranking thread.
-            body(self, &mut Backend { source, pool: Some(links) });
-        });
     }
 }
 
@@ -793,7 +765,7 @@ impl<X> CrawlEngine for IncrementalEngine<X> {
     /// bit-identical to a never-interrupted run (`tests/determinism.rs`).
     ///
     /// Each call closes with a metrics sample at `until` and (pool)
-    /// applies the outstanding ranking response. When `until` sits on the
+    /// applies the outstanding ranking outcome. When `until` sits on the
     /// sampling grid — as every fleet exchange barrier does — the closing
     /// sample collapses into the grid sample at the same instant
     /// (`CrawlMetrics::sample` dedups identical instants), so segmented
@@ -804,6 +776,11 @@ impl<X> CrawlEngine for IncrementalEngine<X> {
     /// artifact a single longer run would not have at that point (the
     /// recovery path has neither: snapshots are captured at pass
     /// boundaries).
+    ///
+    /// A pool whose ranking solve panicked returns
+    /// [`WebEvoError::InvalidState`]. The engine's RankingModule went down
+    /// with that solve, so the engine must not be driven again: resume
+    /// from the checkpoint instead.
     fn drive(
         &mut self,
         universe: &WebUniverse,
@@ -815,14 +792,22 @@ impl<X> CrawlEngine for IncrementalEngine<X> {
         if fresh {
             self.begin_run(universe);
         }
-        let mut run = |engine: &mut Self, backend: &mut Backend<'_>| {
-            engine.advance(universe, backend, until, hook);
-            engine.finish_drive(universe, backend, until);
+        let mut run = |engine: &mut Self, backend: &mut Backend<'_, '_>| {
+            engine.advance(universe, backend, until, hook)?;
+            engine.finish_drive(universe, backend, until)
         };
         let source = FetchSource::Live(fetcher);
         match self.executor {
-            Executor::Inline => run(self, &mut Backend { source, pool: None }),
-            Executor::Pool { .. } => self.with_pool(source, run),
+            Executor::Inline => run(self, &mut Backend { source, pool: None })?,
+            Executor::Pool { .. } => std::thread::scope(|scope| {
+                let mut backend = Backend { source, pool: Some((scope, None)) };
+                // A restored or replayed engine solves its outstanding
+                // request first thing.
+                if let Some(req) = self.unsent_rank_request.take() {
+                    self.issue_ranking(&mut backend, req);
+                }
+                run(self, &mut backend)
+            })?,
         }
         Ok(&self.shell.metrics)
     }
@@ -852,8 +837,7 @@ impl<X> CrawlEngine for IncrementalEngine<X> {
         let mut backend = Backend { source, pool: None };
         // The log is finite and each non-idle slot consumes one record, so
         // the unbounded horizon is only ever reached by exhaustion.
-        self.advance(universe, &mut backend, f64::INFINITY, &mut NoopHook);
-        Ok(())
+        self.advance(universe, &mut backend, f64::INFINITY, &mut NoopHook)
     }
 
     /// Capture the full engine state. The fetcher state is excluded: the
@@ -1014,8 +998,8 @@ mod tests {
     fn the_executor_is_a_deployment_choice_bit_for_bit() {
         // With ranking off the pool has nothing to defer, so at one slot
         // in flight it must crawl exactly as the inline executor does —
-        // across a drive boundary too, where the pool's ranking thread is
-        // torn down and respawned.
+        // across a drive boundary too, where the pool's thread scope
+        // closes and reopens.
         let u = universe(63);
         let cfg = IncrementalConfig { ranking_interval_days: 1e9, ..config(40) };
         // The wire encoding writes every f64 as its raw bits.
@@ -1191,6 +1175,26 @@ mod tests {
             let rows_a: Vec<(f64, f64)> = original.metrics().freshness.rows().collect();
             let rows_b: Vec<(f64, f64)> = restored.metrics().freshness.rows().collect();
             assert_eq!(rows_a, rows_b, "workers={workers:?}: restored engine diverged");
+        }
+    }
+
+    #[test]
+    fn a_panicking_ranking_solve_is_a_typed_error() {
+        // The solve issued at the first boundary (day 2) panics on its
+        // thread; the join at the second (day 4) must hand that back as an
+        // error from `drive`, not unwind into the caller.
+        let u = universe(64);
+        let mut crawler = ThreadedCrawler::new(config(20), 2);
+        crawler.ranking.panic_in_solve = true;
+        let mut fetcher = SimFetcher::new(&u);
+        let driven = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            crawler.drive(&u, &mut fetcher, &mut NoopHook, 5.0).map(|_| ())
+        }));
+        match driven.expect("the ranking panic unwound into the caller") {
+            Err(WebEvoError::InvalidState(message)) => {
+                assert!(message.contains("ranking solve panicked"), "{message}")
+            }
+            other => panic!("expected a typed error, got {other:?}"),
         }
     }
 

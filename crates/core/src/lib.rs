@@ -23,9 +23,10 @@
 //!   (Algorithm 5.1 / Figure 11 made concrete), with two executors that
 //!   both fetch through the caller's fetcher: inline (one fetch slot at a
 //!   time, ranking in place) and a pool (several slots in flight between
-//!   state updates, the RankingModule on its own thread, decoupled from
-//!   the crawl hot path exactly as §5.3 prescribes: "Separating the
-//!   update decision from the refinement decision is crucial").
+//!   state updates, ranking as one scoped solve per pass, joined at the
+//!   next boundary, decoupled from the crawl hot path exactly as §5.3
+//!   prescribes: "Separating the update decision from the refinement
+//!   decision is crucial").
 //! * [`periodic`] — the batch-mode, shadowing, fixed-frequency baseline
 //!   (the right-hand column of Figure 10).
 //! * [`metrics`] — freshness/age/new-page-latency instrumentation against
@@ -74,7 +75,7 @@ pub mod view;
 pub use allurls::AllUrls;
 pub use collection::{Collection, StoredPage};
 pub use engine::{collection_quality, restore, CrawlBudget, CrawlEngine};
-pub use hooks::{CrawlHook, FetchRecord, NoopHook, PairHook};
+pub use hooks::{CrawlHook, FetchRecord, NoopHook};
 pub use incremental::{IncrementalConfig, IncrementalCrawler, IncrementalEngine, ThreadedCrawler};
 pub use metrics::CrawlMetrics;
 pub use modules::{EstimatorKind, RankingConfig, RankingModule, RevisitStrategy, UpdateModule};

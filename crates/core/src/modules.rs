@@ -218,17 +218,19 @@ wire_struct!(RankingConfig { pagerank, max_replacements_per_run, admit_margin })
 /// The outcome of one ranking pass.
 #[derive(Clone, Debug, Default)]
 pub struct RankingOutcome {
+    /// `(page, importance)` for every page the pass read; as built when
+    /// PageRank failed.
+    pub importance: Vec<(PageId, f64)>,
     /// `(discard, admit)` pairs the engine should execute.
     pub replacements: Vec<(PageId, Url)>,
-    /// Pages scored.
-    pub ranked: usize,
 }
 
 /// What one ranking pass reads, flattened out of the collection and
-/// AllUrls at a pass boundary. The inline executor builds and solves it in
-/// place; the pool executor builds it on the crawl thread and hands it —
-/// instead of clones of the whole `Collection` and `AllUrls` — to its
-/// ranking thread, which solves it with the same code.
+/// AllUrls at a pass boundary. Every executor builds it on the crawl
+/// thread and solves it with [`RankingModule::solve`]: the inline executor
+/// in place, the pool in one scoped solve per pass, joined at the next
+/// boundary — an input, not clones of the whole `Collection` and
+/// `AllUrls`, is what crosses to the solving thread.
 pub(crate) struct RankInput {
     /// The intra-collection link structure; its page order is the order of
     /// every per-page vector here.
@@ -260,11 +262,6 @@ impl RankInput {
         }
         RankInput { links, importance, candidates, source_end, sources }
     }
-
-    /// `(page, importance)` for every page of the input.
-    pub(crate) fn importance(&self) -> impl Iterator<Item = (PageId, f64)> + '_ {
-        self.links.pages().iter().copied().zip(self.importance.iter().copied())
-    }
 }
 
 /// The RankingModule: periodic importance recomputation and replacement
@@ -281,6 +278,10 @@ pub struct RankingModule {
     estimates: Vec<(Url, f64)>,
     /// Incumbent positions, for the lowest-importance selection.
     incumbents: Vec<u32>,
+    /// Makes [`RankingModule::solve`] panic; it travels with the module
+    /// wherever the solve runs.
+    #[cfg(test)]
+    pub(crate) panic_in_solve: bool,
 }
 
 impl RankingModule {
@@ -293,37 +294,34 @@ impl RankingModule {
     /// structure, write importance scores back, and propose replacements
     /// from AllUrls candidates.
     pub fn run(&mut self, collection: &mut Collection, all_urls: &AllUrls) -> RankingOutcome {
-        let input = RankInput::build(collection, all_urls);
-        self.run_built(collection, input)
-    }
-
-    /// [`RankingModule::run`] over an input built from `collection` as it
-    /// still is.
-    pub(crate) fn run_built(
-        &mut self,
-        collection: &mut Collection,
-        mut input: RankInput,
-    ) -> RankingOutcome {
-        if collection.is_empty() {
-            return RankingOutcome::default();
-        }
-        let Some(replacements) = self.solve(&mut input) else {
-            return RankingOutcome::default();
-        };
-        for ((_, stored), importance) in collection.iter_mut().zip(input.importance) {
+        let outcome = self.solve(RankInput::build(collection, all_urls));
+        for ((_, stored), &(_, importance)) in collection.iter_mut().zip(&outcome.importance) {
             stored.importance = importance;
         }
-        RankingOutcome { replacements, ranked: collection.len() }
+        outcome
     }
 
-    /// Solve a built input: PageRank over its links (into
+    /// Solve a built input — the one ranking step of every executor, live
+    /// and in replay. A failed solve answers with the importances the
+    /// input was built with and no replacements.
+    pub(crate) fn solve(&mut self, mut input: RankInput) -> RankingOutcome {
+        #[cfg(test)]
+        if self.panic_in_solve {
+            panic!("ranking solve told to panic");
+        }
+        let replacements = self.propose(&mut input).unwrap_or_default();
+        let importance = input.links.pages().iter().copied().zip(input.importance).collect();
+        RankingOutcome { importance, replacements }
+    }
+
+    /// The proposals of a built input: PageRank over its links (into
     /// `input.importance`), every candidate's footnote-2 estimate, and the
     /// replacement proposals — the best `max_replacements_per_run`
     /// candidates (estimate descending, then `(site, page)`) against as
     /// many lowest-importance incumbents (importance ascending, then
     /// `PageId`), paired in order while the candidate beats its victim by
     /// `admit_margin`. `None` if PageRank fails.
-    pub(crate) fn solve(&mut self, input: &mut RankInput) -> Option<Vec<(PageId, Url)>> {
+    fn propose(&mut self, input: &mut RankInput) -> Option<Vec<(PageId, Url)>> {
         let config = &self.config;
         self.kernel.solve(&input.links, &config.pagerank).ok()?;
         input.importance.copy_from_slice(self.kernel.scores());
@@ -389,15 +387,15 @@ mod tests {
         config: &RankingConfig,
         collection: &mut Collection,
         all_urls: &AllUrls,
-    ) -> RankingOutcome {
+    ) -> Vec<(PageId, Url)> {
         if collection.is_empty() {
-            return RankingOutcome::default();
+            return Vec::new();
         }
         let links = LinkCsr::from_out_links(|| {
             collection.iter().map(|(p, stored)| (p, stored.links.iter().map(|l| l.page)))
         });
         let Ok(scores) = pagerank(&links, &config.pagerank) else {
-            return RankingOutcome::default();
+            return Vec::new();
         };
         for (p, stored) in collection.iter_mut() {
             stored.importance = scores.get(p);
@@ -434,10 +432,10 @@ mod tests {
         });
 
         // Propose replacements: best candidates against worst incumbents.
-        let mut outcome = RankingOutcome { replacements: Vec::new(), ranked: collection.len() };
+        let mut replacements = Vec::new();
         let mut evicted: Vec<PageId> = Vec::new();
         for (url, estimate) in candidates {
-            if outcome.replacements.len() >= config.max_replacements_per_run {
+            if replacements.len() >= config.max_replacements_per_run {
                 break;
             }
             let victim = collection
@@ -455,12 +453,12 @@ mod tests {
             };
             if estimate > victim_importance * config.admit_margin {
                 evicted.push(victim_page);
-                outcome.replacements.push((victim_page, url));
+                replacements.push((victim_page, url));
             } else {
                 break; // candidates are sorted; nothing further qualifies
             }
         }
-        outcome
+        replacements
     }
 
     fn importance_bits(collection: &Collection) -> Vec<(PageId, u64)> {
@@ -468,9 +466,9 @@ mod tests {
     }
 
     proptest! {
-        /// The ranking pass — inline (`run`) and as the pool's ranking
-        /// thread runs it (`solve` on a built input, with the module's
-        /// scratch already used once) — decides exactly what the reference
+        /// The ranking pass — written back (`run`) and as every executor
+        /// answers it (`solve` on a built input, with the module's scratch
+        /// already used once) — decides exactly what the reference
         /// pass decides, and leaves bit-identical importances: duplicate,
         /// self- and non-member links, dangling pages, all-equal scores (no
         /// links), dead, excluded and zero-in-link candidates, every cap and
@@ -526,15 +524,13 @@ mod tests {
             let mut module = RankingModule::new(config);
             let mut got = collection.clone();
             let outcome = module.run(&mut got, &all_urls);
-            prop_assert_eq!(&outcome.replacements, &want.replacements);
-            prop_assert_eq!(outcome.ranked, want.ranked);
+            prop_assert_eq!(&outcome.replacements, &want);
             prop_assert_eq!(importance_bits(&got), importance_bits(&expected));
 
-            let mut input = RankInput::build(&collection, &all_urls);
-            let replacements = module.solve(&mut input).unwrap_or_default();
-            prop_assert_eq!(&replacements, &want.replacements);
+            let solved = module.solve(RankInput::build(&collection, &all_urls));
+            prop_assert_eq!(&solved.replacements, &want);
             let pool_importance: Vec<(PageId, u64)> =
-                input.importance().map(|(p, v)| (p, v.to_bits())).collect();
+                solved.importance.iter().map(|&(p, v)| (p, v.to_bits())).collect();
             prop_assert_eq!(pool_importance, importance_bits(&expected));
         }
     }
@@ -646,7 +642,6 @@ mod tests {
             ..RankingConfig::default()
         });
         let outcome = ranking.run(&mut c, &a);
-        assert_eq!(outcome.ranked, 3);
         assert!(c.get(PageId(0)).unwrap().importance > c.get(PageId(2)).unwrap().importance);
         assert_eq!(outcome.replacements.len(), 1);
         let (victim, admit) = outcome.replacements[0];
@@ -677,7 +672,6 @@ mod tests {
         let a = AllUrls::new();
         let mut ranking = RankingModule::new(RankingConfig::default());
         let outcome = ranking.run(&mut c, &a);
-        assert_eq!(outcome.ranked, 0);
         assert!(outcome.replacements.is_empty());
     }
 }

@@ -57,7 +57,7 @@ pub struct EngineShell {
     /// and the applied-exchange counter. Inert (default) when unsharded.
     pub(crate) routing: RoutingState,
     /// Observability sink, touched on the coordinating thread (and, through
-    /// a clone, by the pool's ranking thread for its solve span).
+    /// a clone, by the pool's scoped ranking solve for its span).
     /// Write-only and deliberately absent from [`CrawlerState`]: spans and
     /// counters describe the run, they never steer it, so a traced run
     /// stays byte-identical to an untraced one.

@@ -48,8 +48,9 @@ pub enum EngineKind {
     /// executor: [`crate::IncrementalCrawler`].
     Incremental,
     /// The same engine with its pool executor — batches of `workers`
-    /// fetch slots, as parallel CrawlModules would schedule them, and a
-    /// ranking thread: [`crate::ThreadedCrawler`].
+    /// fetch slots, as parallel CrawlModules would schedule them, and one
+    /// scoped ranking solve per pass, joined at the next boundary:
+    /// [`crate::ThreadedCrawler`].
     Threaded {
         /// Fetch slots in flight between two state updates: that many
         /// slots are scheduled before any of their results is applied.
@@ -187,7 +188,7 @@ pub struct CrawlerState {
     pub update: UpdateModule,
     /// Threaded engine: a ranking request built from exactly this state
     /// must be (re)issued on resume — the snapshot is taken at the
-    /// boundary between applying one response and sending the next
+    /// boundary between applying one outcome and issuing the next
     /// request.
     pub rank_pending: bool,
     /// The periodic engine's cycle/shadow state (`None` for the

@@ -164,11 +164,6 @@ impl MonitoringData {
     pub fn page_count(&self) -> usize {
         self.records.len()
     }
-
-    /// Records for one domain.
-    pub fn by_domain(&self, domain: Domain) -> impl Iterator<Item = &PageRecord> {
-        self.records.iter().filter(move |r| r.domain == domain)
-    }
 }
 
 /// The §2.1 daily monitor.

@@ -97,8 +97,8 @@ pub enum Stage {
     RankBuild,
     /// PageRank, candidate estimates and replacement selection over a
     /// built input: inside a pass on the inline executor, a root span on
-    /// the pool's ranking thread, stamped with the logical clock of the
-    /// boundary that issued the request.
+    /// the thread of the pool's scoped solve, stamped with the logical
+    /// clock of the boundary that issued the request.
     RankSolve,
     /// Inside a pass: the UpdateModule's revisit-interval reallocation.
     Reallocate,

@@ -2,10 +2,9 @@
 //!
 //! A session binds together everything a crawl needs — an engine (any
 //! [`EngineKind`]), a [`CrawlBudget`] or explicit configuration, the
-//! universe, a fetcher, an optional observer hook, and optional
-//! checkpointing — behind a validating builder. What used to be a
-//! per-engine zoo of constructors and hand-wired run/resume/replay
-//! variants is now two calls:
+//! universe, a fetcher, and optional checkpointing — behind a validating
+//! builder. What used to be a per-engine zoo of constructors and
+//! hand-wired run/resume/replay variants is now two calls:
 //!
 //! * [`CrawlSession::run`] — start a fresh crawl (checkpointing to disk
 //!   when configured);
@@ -43,7 +42,7 @@ use std::path::{Path, PathBuf};
 use webevo_core::engine::{restore, CrawlBudget, CrawlEngine};
 use webevo_core::{
     Collection, CrawlHook, CrawlMetrics, IncrementalConfig, IncrementalCrawler, NoopHook,
-    PairHook, PeriodicConfig, PeriodicCrawler, RoutedBatch, RoutedLink, RoutingState,
+    PeriodicConfig, PeriodicCrawler, RoutedBatch, RoutedLink, RoutingState,
     ShardScope, ThreadedCrawler,
 };
 use webevo_core::{EngineClock, EngineKind, ViewPublisher};
@@ -76,7 +75,6 @@ pub struct CrawlSessionBuilder<'a> {
     periodic_config: Option<PeriodicConfig>,
     universe: Option<&'a WebUniverse>,
     fetcher: Option<&'a mut (dyn Fetcher + Send)>,
-    hook: Option<&'a mut (dyn CrawlHook + Send)>,
     checkpoint: Option<(PathBuf, f64)>,
     scope: Option<ShardScope>,
     obs: ObsSink,
@@ -91,7 +89,6 @@ impl<'a> CrawlSessionBuilder<'a> {
             periodic_config: None,
             universe: None,
             fetcher: None,
-            hook: None,
             checkpoint: None,
             scope: None,
             obs: ObsSink::noop(),
@@ -139,13 +136,6 @@ impl<'a> CrawlSessionBuilder<'a> {
     /// unrestricted [`SimFetcher`] over the universe.
     pub fn fetcher(mut self, fetcher: &'a mut (dyn Fetcher + Send)) -> Self {
         self.fetcher = Some(fetcher);
-        self
-    }
-
-    /// An observer hook that sees every fetch and pass boundary, alongside
-    /// the checkpointer when both are configured.
-    pub fn hook(mut self, hook: &'a mut (dyn CrawlHook + Send)) -> Self {
-        self.hook = Some(hook);
         self
     }
 
@@ -263,10 +253,8 @@ impl<'a> CrawlSessionBuilder<'a> {
             engine,
             universe,
             fetcher,
-            hook: self.hook,
             checkpoint,
             checkpointer: None,
-            scope: self.scope,
             barrier_snapshots: false,
             obs: self.obs,
             serve: None,
@@ -336,10 +324,8 @@ pub struct CrawlSession<'a> {
     engine: Box<dyn CrawlEngine + Send>,
     universe: &'a WebUniverse,
     fetcher: SessionFetcher<'a>,
-    hook: Option<&'a mut (dyn CrawlHook + Send)>,
     checkpoint: Option<CheckpointConfig>,
     checkpointer: Option<Checkpointer>,
-    scope: Option<ShardScope>,
     /// Fleet mode: cadence snapshots happen only through
     /// [`CrawlSession::snapshot_if_due`] at exchange barriers, never at
     /// pass boundaries mid-leg (see
@@ -459,7 +445,7 @@ impl<'a> CrawlSession<'a> {
                 self.engine.kind().name()
             )));
         }
-        if let Some(scope) = self.scope {
+        if let Some(scope) = self.engine.routing().scope {
             if recovered.state.routing.scope != Some(scope) {
                 return Err(WebEvoError::InvalidState(format!(
                     "checkpoint in {:?} was written under a different shard scope than \
@@ -613,20 +599,14 @@ impl<'a> CrawlSession<'a> {
         }
     }
 
-    /// Advance the engine under the composed (user + checkpoint) hook.
+    /// Advance the engine under the checkpointer, when one is configured.
     fn drive(&mut self, days: f64) -> Result<&CrawlMetrics, WebEvoError> {
-        let universe = self.universe;
         let fetcher = self.fetcher.get();
-        let mut noop = NoopHook;
-        match (&mut self.hook, &mut self.checkpointer) {
-            (Some(user), Some(ckpt)) => {
-                let mut pair = PairHook::new(*user, ckpt);
-                self.engine.drive(universe, fetcher, &mut pair, days)
-            }
-            (Some(user), None) => self.engine.drive(universe, fetcher, *user, days),
-            (None, Some(ckpt)) => self.engine.drive(universe, fetcher, ckpt, days),
-            (None, None) => self.engine.drive(universe, fetcher, &mut noop, days),
-        }
+        let hook: &mut dyn CrawlHook = match &mut self.checkpointer {
+            Some(ckpt) => ckpt,
+            None => &mut NoopHook,
+        };
+        self.engine.drive(self.universe, fetcher, hook, days)
     }
 
     /// The engine's discrete-event clock.

@@ -13,7 +13,7 @@ use std::path::{Path, PathBuf};
 use webevo_core::engine::{CrawlBudget, EngineKind};
 use webevo_core::{
     CrawlEngine, CrawlHook, CrawlMetrics, CrawlerState, FetchRecord, IncrementalConfig,
-    IncrementalCrawler, PairHook,
+    IncrementalCrawler,
 };
 use webevo_sim::{SimFetcher, UniverseConfig, WebUniverse};
 use webevo_store::{
@@ -279,6 +279,21 @@ impl CrawlHook for LastBoundary {
     }
 }
 
+/// Two hooks side by side: both observe every fetch and pass boundary.
+struct PairHook<'a>(&'a mut dyn CrawlHook, &'a mut dyn CrawlHook);
+
+impl CrawlHook for PairHook<'_> {
+    fn on_fetch(&mut self, record: &FetchRecord) {
+        self.0.on_fetch(record);
+        self.1.on_fetch(record);
+    }
+
+    fn on_pass_boundary(&mut self, t: f64, export: &mut dyn FnMut() -> CrawlerState) {
+        self.0.on_pass_boundary(t, export);
+        self.1.on_pass_boundary(t, export);
+    }
+}
+
 /// A checkpointer that snapshots at every boundary, driven a little past
 /// one: that boundary's snapshot is still in flight (handed to the
 /// encoder thread, not yet joined) when this returns.
@@ -294,7 +309,7 @@ fn snapshot_in_flight(dir: &Path) -> (Checkpointer, f64) {
         .expect("checkpoint dir writable");
     let mut last = LastBoundary(0.0);
     let mut fetcher = SimFetcher::new(&universe);
-    let mut hook = PairHook::new(&mut ckpt, &mut last);
+    let mut hook = PairHook(&mut ckpt, &mut last);
     crawler.drive(&universe, &mut fetcher, &mut hook, 6.5).expect("the crawl runs");
     assert!(last.0 > 5.0, "a boundary was crossed late in the run");
     (ckpt, last.0)

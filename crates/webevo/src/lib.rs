@@ -74,7 +74,7 @@ pub mod prelude {
     pub use webevo_core::{
         collection_quality, AllUrls, Collection, CrawlBudget, CrawlEngine, CrawlHook,
         CrawlMetrics, CrawlerState, EngineConfig, EngineKind, EstimatorKind, FetchRecord,
-        IncrementalConfig, IncrementalCrawler, NoopHook, PairHook, PeriodicConfig,
+        IncrementalConfig, IncrementalCrawler, NoopHook, PeriodicConfig,
         PeriodicCrawler, RankingConfig, RevisitStrategy, RoutedBatch, RoutedLink,
         RoutingState, ShardScope, ThreadedCrawler, WalEvent,
     };

@@ -781,7 +781,7 @@ fn assert_observation_is_free(tag: &str, kind: EngineKind) {
     let spans = sink.spans();
     assert!(!spans.is_empty(), "the traced run recorded no spans");
     // The ranking stages, each opened on the thread that does the work: the
-    // pool's ranking thread spans its own solve.
+    // pool's scoped solve spans itself.
     let pass_stages: &[Stage] = match kind {
         EngineKind::Periodic => &[],
         _ => &[Stage::RankBuild, Stage::RankSolve, Stage::Reallocate],
