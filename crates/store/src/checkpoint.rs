@@ -11,7 +11,7 @@
 //!    cadence snapshot recovers from `day-0 snapshot + whole WAL`.
 //! 2. During the run, [`CrawlHook::on_fetch`] buffers records in memory;
 //!    [`CrawlHook::on_pass_boundary`] appends the buffer to the WAL under
-//!    one commit marker, and writes a snapshot whenever
+//!    one commit marker, and snapshots whenever
 //!    [`CheckpointConfig::snapshot_every_days`] simulated days have passed
 //!    since the last one. Snapshot writes are atomic (temp file + rename)
 //!    and reset the WAL.
@@ -26,27 +26,32 @@
 //!    of this, and counts the next cadence snapshot from the day the
 //!    crawl resumes at.
 //!
+//! A lineage whose state carries a shard scope belongs to a fleet shard.
+//! Its pass boundaries only commit: the fleet coordinator takes the same
+//! checkpoint step at every exchange barrier instead, before it injects
+//! the exchange, so no shard's snapshot ever absorbs an exchange a peer
+//! still holds only as a trailing WAL record (see `crate::fleet`).
+//!
 //! I/O failures inside the hook panic: the hook signature is infallible by
 //! design (the engines cannot meaningfully continue a run whose durability
-//! contract just broke), and every panic message names the failing path.
+//! contract just broke). At an exchange barrier the same failures are
+//! typed errors. Either way the message names the failing file.
 //!
 //! # Off-thread snapshot encoding
 //!
-//! Cadence snapshots taken at pass boundaries do **not** block the crawl
-//! thread on encode + fsync. The boundary exports an owned
-//! [`CrawlerState`] (the immutable pass-boundary view) and hands it to a
-//! background encoder thread, which performs the same atomic
-//! temp-file + rename + directory-sync sequence as the synchronous path.
-//! The WAL reset that makes the snapshot authoritative is **deferred to
-//! the join** — the start of the next boundary (or an exchange barrier,
-//! or drop), before anything new is flushed — because the log must keep
-//! covering the old lineage until the rename has durably landed. The
-//! crash-consistency argument is unchanged: between spawn and join the
-//! directory holds either the previous snapshot plus a WAL that replays
-//! past it, or the new snapshot plus a WAL whose records recovery skips
-//! by sequence number. [`Checkpointer::barrier_snapshot`] stays
-//! synchronous: the fleet's exchange protocol needs the snapshot on disk
-//! before the barrier releases.
+//! Cadence snapshots do **not** block the crawl thread on encode + fsync.
+//! The checkpoint step exports an owned [`CrawlerState`] (the immutable
+//! boundary view) and hands it to a background encoder thread, which
+//! performs the atomic temp-file + rename + directory-sync sequence. The
+//! WAL reset that makes the snapshot authoritative is **deferred to the
+//! join**, which the next commit performs before it appends (or drop,
+//! when no commit follows), because the log must keep covering the old
+//! lineage until the rename has durably landed. Between spawn and join
+//! the directory holds either the previous snapshot plus a WAL that
+//! replays past it, or the new snapshot plus a WAL whose records recovery
+//! skips by sequence number. At a fleet barrier the join is the
+//! exchange's own commit, so the shard's directory receives the
+//! pre-injection snapshot, then the WAL reset, then the routed batch.
 
 use crate::codec::{decode_snapshot, encode_snapshot, StoreError};
 use crate::wal::{read_wal, scan_wal, WalScan, WalWriter};
@@ -112,13 +117,10 @@ pub struct Checkpointer {
     last_snapshot_t: f64,
     last_seq: u64,
     stats: CheckpointStats,
-    /// When set, pass boundaries only flush; cadence snapshots are taken
-    /// exclusively through [`Checkpointer::barrier_snapshot`]. The fleet
-    /// coordinator runs shards in this mode so that no shard's snapshot
-    /// ever absorbs a link exchange its peers still hold only as a
-    /// trailing WAL record — the invariant that lets recovery roll any
-    /// single shard's torn tail back across the newest exchange.
-    barrier_only: bool,
+    /// The lineage's state carries a shard scope, so it is a fleet shard's:
+    /// its pass boundaries only commit, and its cadence snapshots are taken
+    /// at exchange barriers (see the module docs).
+    scoped: bool,
     /// Observability sink. Write-only: spans and counters recorded here
     /// never feed back into what gets snapshotted or when, so a traced
     /// lineage stays byte-identical to an untraced one.
@@ -126,13 +128,14 @@ pub struct Checkpointer {
     /// WAL fsyncs already reported to `obs` (delta tracking, so the
     /// `wal_fsyncs_total` counter mirrors [`WalWriter::fsyncs`] exactly).
     fsyncs_seen: u64,
-    /// Simulated day of the most recent hook callback — the logical-clock
-    /// stamp for WAL-flush and snapshot spans.
+    /// Simulated day of the most recent checkpoint step — the
+    /// logical-clock stamp for WAL-flush and snapshot spans.
     clock_t: f64,
     /// In-flight background snapshot encoder, if any. Invariant: while a
-    /// snapshot is pending, nothing is flushed to the WAL — the pending
-    /// snapshot therefore covers every record the log holds, which is
-    /// what makes the deferred [`WalWriter::reset`] at the join safe.
+    /// snapshot is pending, nothing is flushed to the WAL — `flush` joins
+    /// it first — so the pending snapshot covers every record the log
+    /// holds, which is what makes the deferred [`WalWriter::reset`] at the
+    /// join safe.
     pending: Option<std::thread::JoinHandle<io::Result<u64>>>,
 }
 
@@ -152,7 +155,7 @@ impl Checkpointer {
         // records, which replay could not tell apart from its own.
         let wal = WalWriter::create(&config.wal_path())?;
         write_snapshot_atomically(&config, initial)?;
-        Ok(Checkpointer::open(config, wal, initial.clock.t, initial.fetch_seq, 1))
+        Ok(Checkpointer::open(config, wal, initial, initial.fetch_seq, 1))
     }
 
     /// Start a fresh lineage over `state`, a state no snapshot in
@@ -161,14 +164,14 @@ impl Checkpointer {
     /// directory again holds exactly one consistent lineage. A resume does
     /// not come here; it continues the lineage it recovered
     /// (`Checkpointer::adopt`).
-    pub fn continue_from(
+    pub(crate) fn continue_from(
         config: CheckpointConfig,
         state: &CrawlerState,
     ) -> io::Result<Checkpointer> {
         fs::create_dir_all(&config.dir)?;
         write_snapshot_atomically(&config, state)?;
         let wal = WalWriter::create(&config.wal_path())?;
-        Ok(Checkpointer::open(config, wal, state.clock.t, state.fetch_seq, 1))
+        Ok(Checkpointer::open(config, wal, state, state.fetch_seq, 1))
     }
 
     /// Keep checkpointing the lineage `recovered` came from, in
@@ -198,7 +201,7 @@ impl Checkpointer {
         // Replay leaves the engine at the newest event's sequence number,
         // or at the snapshot's when the tail adds nothing past it.
         let last_seq = recovered.wal.last().map_or(0, WalEvent::seq).max(snapshot.fetch_seq);
-        Ok(Checkpointer::open(config, wal, snapshot.clock.t, last_seq, 0))
+        Ok(Checkpointer::open(config, wal, snapshot, last_seq, 0))
     }
 
     /// The replayed crawl continues from day `t`: count the snapshot
@@ -211,36 +214,28 @@ impl Checkpointer {
         self.clock_t = t;
     }
 
-    /// A checkpointer over an open `wal`, whose newest snapshot (taken at
-    /// `snapshot_t`) counts as `snapshots` written by this checkpointer.
+    /// A checkpointer over an open `wal`, whose newest snapshot is
+    /// `snapshot` and counts as `snapshots` written by this checkpointer.
     fn open(
         config: CheckpointConfig,
         wal: WalWriter,
-        snapshot_t: f64,
+        snapshot: &CrawlerState,
         last_seq: u64,
         snapshots: u64,
     ) -> Checkpointer {
         Checkpointer {
-            last_snapshot_t: snapshot_t,
+            last_snapshot_t: snapshot.clock.t,
             last_seq,
-            clock_t: snapshot_t,
+            clock_t: snapshot.clock.t,
             config,
             buffer: Vec::new(),
             wal,
             stats: CheckpointStats { snapshots, ..CheckpointStats::default() },
-            barrier_only: false,
+            scoped: snapshot.routing.scope.is_some(),
             obs: ObsSink::noop(),
             fsyncs_seen: 0,
             pending: None,
         }
-    }
-
-    /// Restrict cadence snapshots to explicit
-    /// [`Checkpointer::barrier_snapshot`] calls; pass boundaries keep
-    /// flushing the WAL but never snapshot on their own. See the field
-    /// docs for why the fleet needs this.
-    pub fn snapshot_at_barriers_only(&mut self) {
-        self.barrier_only = true;
     }
 
     /// Install an observability sink. Spans (WAL flush, snapshot encode)
@@ -252,48 +247,59 @@ impl Checkpointer {
         self.obs = obs;
     }
 
-    /// Take the cadence snapshot at an exchange barrier, if one is due:
-    /// flush the buffered leg, then — when `snapshot_every_days` have
-    /// passed since the last snapshot — write `state` and reset the WAL.
-    /// The fleet calls this with the shard's *pre-injection* state, so the
-    /// exchange delivered right after always lands in the fresh WAL, never
-    /// inside the snapshot.
-    pub fn barrier_snapshot(&mut self, t: f64, state: &CrawlerState) -> io::Result<()> {
-        self.clock_t = t;
-        self.join_pending_snapshot()?;
-        self.flush()?;
-        if t - self.last_snapshot_t >= self.config.snapshot_every_days {
-            self.traced_snapshot(state)?;
-            self.wal.reset()?;
-            self.sync_fsync_counter();
-            self.last_snapshot_t = t;
-            self.stats.snapshots += 1;
-        }
-        Ok(())
-    }
-
     /// Durability counters so far.
     pub fn stats(&self) -> CheckpointStats {
         self.stats
     }
 
+    /// The checkpoint step, at day `t`: commit the buffered events, then —
+    /// when `snapshot_every_days` have passed since the last snapshot —
+    /// export the state and hand it to the background encoder. Every pass
+    /// boundary of an unscoped lineage takes it, and so does every fleet
+    /// exchange barrier, with the shard's pre-injection state.
+    pub(crate) fn checkpoint(
+        &mut self,
+        t: f64,
+        export: &mut dyn FnMut() -> CrawlerState,
+    ) -> io::Result<()> {
+        self.clock_t = t;
+        // Commit first: should the snapshot below tear, the WAL still
+        // carries everything up to here on top of the previous snapshot.
+        self.flush()?;
+        if t - self.last_snapshot_t >= self.config.snapshot_every_days {
+            // The crawl thread resumes as soon as the state is exported.
+            // `last_snapshot_t` advances now (cadence is measured from the
+            // state's time, not the encoder's completion), `stats.snapshots`
+            // at the join.
+            let state = export();
+            self.last_snapshot_t = t;
+            self.spawn_snapshot(state);
+        }
+        Ok(())
+    }
+
     /// Buffer a routed-batch delivery (the fleet exchange's WAL record).
     /// The batch consumed a sequence number from the engine's unified
     /// counter, so it advances `last_seq` exactly like a fetch.
-    pub fn append_routed(&mut self, batch: &RoutedBatch) {
+    pub(crate) fn append_routed(&mut self, batch: RoutedBatch) {
         self.last_seq = batch.seq;
-        self.buffer.push(WalEvent::Routed(batch.clone()));
+        self.buffer.push(WalEvent::Routed(batch));
         self.stats.routed_logged += 1;
     }
 
-    /// Flush the buffered events to the WAL under one commit marker
-    /// without taking a snapshot — the fleet coordinator calls this right
-    /// after delivering an exchange, so a shard killed after the barrier
+    /// Append the buffered events to the WAL under one commit marker,
+    /// after joining the snapshot in flight, if any: its WAL reset must
+    /// precede this append, or the reset would discard records the
+    /// snapshot does not cover. The fleet coordinator commits each
+    /// delivered exchange this way, so a shard killed after the barrier
     /// replays the injection it already absorbed.
-    pub fn flush(&mut self) -> io::Result<()> {
+    pub(crate) fn flush(&mut self) -> io::Result<()> {
+        self.join_pending_snapshot()?;
         let _span = self.obs.span(Stage::WalFlush, LogicalClock::new(self.clock_t, self.last_seq));
         self.obs.observe("wal_flush_records", self.buffer.len() as f64);
-        let bytes = self.wal.append_committed(&self.buffer, self.last_seq)?;
+        let bytes = self.wal.append_committed(&self.buffer, self.last_seq).map_err(|e| {
+            io::Error::new(e.kind(), format!("WAL append to {:?} failed: {e}", self.wal.path()))
+        })?;
         self.buffer.clear();
         self.stats.flushes += 1;
         self.obs.add("wal_appends_total", 1);
@@ -302,20 +308,8 @@ impl Checkpointer {
         Ok(())
     }
 
-    /// Take `state`'s snapshot under a [`Stage::SnapshotEncode`] span and
-    /// record its size. Used by the synchronous barrier path.
-    fn traced_snapshot(&mut self, state: &CrawlerState) -> io::Result<u64> {
-        let _span =
-            self.obs.span(Stage::SnapshotEncode, LogicalClock::new(self.clock_t, self.last_seq));
-        let bytes = write_snapshot_atomically(&self.config, state)?;
-        self.obs.add("snapshots_total", 1);
-        self.obs.observe("snapshot_bytes", bytes as f64);
-        Ok(bytes)
-    }
-
-    /// Hand `state` to a background encoder thread. The caller must have
-    /// flushed already and must not flush again until the join; see the
-    /// `pending` field invariant.
+    /// Hand `state` to a background encoder thread. Nothing is flushed
+    /// until the join; see the `pending` field invariant.
     fn spawn_snapshot(&mut self, state: CrawlerState) {
         debug_assert!(self.pending.is_none(), "at most one snapshot in flight");
         let config = self.config.clone();
@@ -327,18 +321,23 @@ impl Checkpointer {
         }));
     }
 
-    /// Wait for the in-flight snapshot (if any) to land, then perform the
-    /// bookkeeping the synchronous path did right after its rename: reset
-    /// the WAL — every record it holds is at or below the snapshot's
+    /// Wait for the in-flight snapshot (if any) to land, then reset the
+    /// WAL — every record it holds is at or below the snapshot's
     /// `fetch_seq`, so recovery would skip them anyway — and count the
-    /// snapshot. A panic on the encoder thread is propagated.
+    /// snapshot. A failed or panicked encoder is an error naming the
+    /// snapshot file, and leaves the WAL as it is.
     fn join_pending_snapshot(&mut self) -> io::Result<()> {
         let Some(handle) = self.pending.take() else { return Ok(()) };
-        let bytes = match handle.join() {
-            Ok(result) => result?,
-            Err(panic) => std::panic::resume_unwind(panic),
-        };
-        self.wal.reset()?;
+        let path = self.config.snapshot_path();
+        let written = handle.join().map_err(|_| {
+            io::Error::other(format!("background snapshot encoder for {path:?} panicked"))
+        })?;
+        let bytes = written.map_err(|e| {
+            io::Error::new(e.kind(), format!("background snapshot write to {path:?} failed: {e}"))
+        })?;
+        self.wal.reset().map_err(|e| {
+            io::Error::new(e.kind(), format!("WAL reset of {:?} failed: {e}", self.wal.path()))
+        })?;
         self.sync_fsync_counter();
         self.stats.snapshots += 1;
         self.obs.add("snapshots_total", 1);
@@ -367,53 +366,26 @@ impl CrawlHook for Checkpointer {
     }
 
     fn on_pass_boundary(&mut self, t: f64, export: &mut dyn FnMut() -> CrawlerState) {
-        self.clock_t = t;
-        // Join the previous boundary's encoder before anything else: its
-        // WAL reset must precede this boundary's flush, or the reset
-        // would discard records the snapshot does not cover.
-        self.join_pending_snapshot().unwrap_or_else(|e| {
-            panic!("background snapshot write to {:?} failed: {e}", self.config.snapshot_path())
-        });
-        // Flush next: should the pending snapshot below tear, the WAL
-        // still carries everything up to this boundary on top of the
-        // previous snapshot.
-        self.flush()
-            .unwrap_or_else(|e| panic!("WAL append to {:?} failed: {e}", self.wal.path()));
-        let snapshot_due =
-            !self.barrier_only && t - self.last_snapshot_t >= self.config.snapshot_every_days;
-        if snapshot_due {
-            // Export the immutable boundary view and encode it off-thread;
-            // the crawl thread resumes immediately. `last_snapshot_t`
-            // advances now (cadence is measured from the state's time, not
-            // the encoder's completion), `stats.snapshots` at the join.
-            let state = export();
-            self.last_snapshot_t = t;
-            self.spawn_snapshot(state);
-        }
+        // A fleet shard's snapshots wait for the exchange barrier.
+        let committed = if self.scoped {
+            self.clock_t = t;
+            self.flush()
+        } else {
+            self.checkpoint(t, export)
+        };
+        committed.unwrap_or_else(|e| panic!("{e}"));
     }
 }
 
 impl Drop for Checkpointer {
     fn drop(&mut self) {
-        if std::thread::panicking() {
-            // Best effort while unwinding: wait for the encoder so its
-            // file I/O cannot race whatever comes next, but never
-            // double-panic.
-            if let Some(handle) = self.pending.take() {
-                let _ = handle.join();
-            }
-            return;
-        }
         // A failed final write is a crash mid-encode as far as the disk is
         // concerned: the WAL reset is skipped, so the previous snapshot
         // plus the intact log still recover. Drop reports it rather than
         // panicking (the directory may simply have been deleted under a
-        // session that outlived it).
+        // session that outlived it, or the drop may be part of an unwind).
         if let Err(e) = self.join_pending_snapshot() {
-            eprintln!(
-                "[webevo-store] background snapshot write to {:?} failed: {e}",
-                self.config.snapshot_path()
-            );
+            eprintln!("[webevo-store] {e}");
         }
     }
 }
@@ -695,6 +667,24 @@ mod tests {
         let again = recover(&dir).expect("decodes").expect("snapshot exists");
         assert_eq!(again.state.fetch_seq, state.fetch_seq);
         assert!(!tmp.exists());
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_failed_background_snapshot_fails_the_next_commit() {
+        // A directory squatting on the temp file's name makes the encoder
+        // fail. The next commit joins it first: the error names the
+        // snapshot file, and neither the reset nor the append happens.
+        let dir = temp_dir("failed-encode");
+        let state = IncrementalCrawler::new(config(25)).export_state();
+        let mut ckpt = Checkpointer::create(CheckpointConfig::new(&dir, 1.0), &state).unwrap();
+        fs::create_dir(dir.join(format!("{SNAPSHOT_FILE}.tmp"))).unwrap();
+        ckpt.checkpoint(2.0, &mut || state.clone()).expect("the leg commits");
+        let wal = fs::read(dir.join(WAL_FILE)).unwrap();
+        let err = ckpt.flush().expect_err("the failed snapshot surfaces");
+        assert!(err.to_string().contains(SNAPSHOT_FILE), "{err}");
+        assert_eq!(fs::read(dir.join(WAL_FILE)).unwrap(), wal, "the log moved");
+        assert_eq!(ckpt.stats().snapshots, 1, "only the base snapshot counts");
         fs::remove_dir_all(&dir).unwrap();
     }
 

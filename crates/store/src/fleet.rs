@@ -20,15 +20,21 @@
 //! interval for incremental shards, the cycle length for periodic ones).
 //! At each barrier the coordinator:
 //!
-//! 1. reads *every* shard's outbox (before injecting into any shard —
+//! 1. takes every shard's checkpoint step: it commits the shard's leg to
+//!    its write-ahead log and, when the snapshot cadence is due, hands
+//!    the shard's *pre-injection* state to the shard's background
+//!    snapshot encoder (a shard's pass boundaries only commit, so this is
+//!    the one place its snapshots come from);
+//! 2. reads *every* shard's outbox (before injecting into any shard —
 //!    injection clears the receiving shard's own outbox);
-//! 2. merges the links per destination shard in `(source ShardId, seq)`
+//! 3. merges the links per destination shard in `(source ShardId, seq)`
 //!    order ([`route_exchange`]), so the batches are a pure function of
 //!    the outbox contents, independent of thread scheduling;
-//! 3. injects each shard's batch into its engine frontier (consuming one
-//!    sequence number) and logs the applied batch as a routed record in
-//!    the shard's write-ahead log;
-//! 4. syncs every shard's log, so the exchange is durable before any
+//! 4. delivers each shard's batch: injects it into the engine frontier
+//!    (consuming one sequence number) and commits it as a routed record
+//!    to the shard's write-ahead log. The commit first joins the shard's
+//!    snapshot, so the shard's directory receives the snapshot, then the
+//!    WAL reset, then the batch — and the exchange is durable before any
 //!    shard crawls past the barrier.
 //!
 //! Every shard receives a batch at every barrier — an empty one if
@@ -120,7 +126,7 @@ use crate::checkpoint::{recover, write_atomically, CheckpointConfig, Checkpointe
 use crate::codec::{decode_document, encode_document, StoreError};
 use crate::session::CrawlSession;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use webevo_core::engine::{CrawlBudget, EngineKind};
 use webevo_core::{rebalance_states, route_exchange, CrawlMetrics, RoutedLink, ShardScope, WalEvent};
 use webevo_obs::{LogicalClock, ObsSink, Stage};
@@ -416,13 +422,13 @@ fn apportion_capacity(capacity: usize, site_counts: &[usize]) -> Vec<usize> {
         caps[k] += 1;
     }
     // Floor of 1 (a zero-capacity shard is not a valid session): borrow
-    // from the largest allocations, largest first.
-    while caps.contains(&0) {
-        let donor = (0..shards).max_by_key(|&k| (caps[k], std::cmp::Reverse(k))).expect("nonempty");
-        if caps[donor] <= 1 {
-            break; // capacity == shards: everyone has exactly one
-        }
-        let recipient = caps.iter().position(|&c| c == 0).expect("a zero exists");
+    // from the largest allocations, largest first, while any can spare a
+    // page (with capacity == shards, everyone ends with exactly one).
+    while let Some(recipient) = caps.iter().position(|&c| c == 0) {
+        let donors = (0..shards).filter(|&k| caps[k] > 1);
+        let Some(donor) = donors.max_by_key(|&k| (caps[k], std::cmp::Reverse(k))) else {
+            break;
+        };
         caps[donor] -= 1;
         caps[recipient] += 1;
     }
@@ -471,45 +477,62 @@ fn align_exchanges(recovered: &mut Recovered, target: u64) -> Result<(), WebEvoE
 }
 
 /// Drive every session whose clock lies short of `until` up to `until`,
-/// on a pool of `threads` scoped workers. Which thread drives which shard
-/// is scheduling noise; each shard's trajectory is deterministic.
+/// on at most `threads` scoped workers, each taking a contiguous run of
+/// shards. Which thread drives which shard is scheduling noise; each
+/// shard's trajectory is deterministic.
 ///
 /// A recovered shard whose replayed clock already sits at `until` (its
 /// interrupted drive completed this leg) is not re-driven, but it still
 /// records the closing metrics sample the interrupted drive ended with —
 /// see [`CrawlSession::close_sample`] — so every shard's sampling grid
 /// stays identical to an uninterrupted fleet's.
+///
+/// A drive that fails or panics is the lowest failing shard's typed
+/// error; a panic never unwinds through the scope.
 fn drive_all(
     sessions: &mut [CrawlSession<'_>],
     until: f64,
     threads: usize,
 ) -> Result<(), WebEvoError> {
-    let shard_count = sessions.len();
-    let work: Mutex<Vec<(usize, &mut CrawlSession<'_>)>> =
-        Mutex::new(sessions.iter_mut().enumerate().collect());
-    let slots: Vec<Mutex<Option<WebEvoError>>> =
-        (0..shard_count).map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..threads.max(1) {
-            scope.spawn(|| loop {
-                let item = work.lock().expect("no worker poisoned the queue").pop();
-                let Some((k, session)) = item else { break };
-                if until > session.clock().t {
-                    if let Err(e) = session.run(until) {
-                        *slots[k].lock().expect("no worker poisoned this slot") = Some(e);
-                    }
-                } else {
-                    session.close_sample(until);
-                }
-            });
-        }
-    });
-    for (k, slot) in slots.into_iter().enumerate() {
-        if let Some(e) = slot.into_inner().expect("no worker poisoned this slot") {
-            return Err(WebEvoError::InvalidState(format!("shard#{k}: {e}")));
-        }
+    let per_worker = sessions.len().div_ceil(threads.max(1)).max(1);
+    let failures = std::thread::scope(|scope| {
+        let workers: Vec<_> = sessions
+            .chunks_mut(per_worker)
+            .enumerate()
+            .map(|(w, lane)| {
+                scope.spawn(move || {
+                    let mut lane = lane.iter_mut().enumerate();
+                    lane.find_map(|(i, s)| Some((w * per_worker + i, drive_one(s, until).err()?)))
+                })
+            })
+            .collect();
+        workers.into_iter().map(|worker| worker.join()).collect::<Result<Vec<_>, _>>()
+    })
+    .map_err(|_| WebEvoError::InvalidState("a fleet drive worker panicked".into()))?;
+    match failures.into_iter().flatten().min_by_key(|&(k, _)| k) {
+        Some((k, e)) => Err(WebEvoError::InvalidState(format!("shard#{k}: {e}"))),
+        None => Ok(()),
     }
-    Ok(())
+}
+
+/// One shard's leg of [`drive_all`], with a panic caught as a typed error.
+fn drive_one(session: &mut CrawlSession<'_>, until: f64) -> Result<(), WebEvoError> {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        if until > session.clock().t {
+            session.run(until).map(drop)
+        } else {
+            session.close_sample(until);
+            Ok(())
+        }
+    }))
+    .unwrap_or_else(|panic| {
+        let message = panic
+            .downcast_ref::<&str>()
+            .copied()
+            .or_else(|| panic.downcast_ref::<String>().map(String::as_str))
+            .unwrap_or("a non-string payload");
+        Err(WebEvoError::InvalidState(format!("the shard's drive panicked: {message}")))
+    })
 }
 
 /// A sharded crawl fleet over one universe. Built by
@@ -597,7 +620,7 @@ impl<'a> FleetSession<'a> {
     /// checkpointing configured, writes the fleet manifest and starts a
     /// fresh snapshot+WAL lineage per shard.
     pub fn run(&mut self, days: f64) -> Result<&FleetMetrics, WebEvoError> {
-        self.execute(days, false)
+        self.execute(days, None)
     }
 
     /// Recover every shard from the fleet directory and continue to day
@@ -612,7 +635,7 @@ impl<'a> FleetSession<'a> {
             ));
         };
         self.validate_manifest(&dir)?;
-        self.execute(days, true)
+        self.execute(days, Some(&dir))
     }
 
     fn validate_manifest(&self, dir: &Path) -> Result<(), WebEvoError> {
@@ -788,8 +811,8 @@ impl<'a> FleetSession<'a> {
     }
 
     /// One exchange barrier: read every outbox, merge per destination in
-    /// `(ShardId, seq)` order, inject each shard's batch (logging it to
-    /// the shard's WAL), then sync every shard so the exchange is durable
+    /// `(ShardId, seq)` order, and deliver each shard's batch — inject it
+    /// and commit it to the shard's WAL — so the exchange is durable
     /// before anyone crawls on. Returns links delivered per shard.
     fn exchange(&self, sessions: &mut [CrawlSession<'_>]) -> Result<Vec<u64>, WebEvoError> {
         let barrier_t = sessions.first().map(|s| s.clock().t).unwrap_or(0.0);
@@ -819,12 +842,7 @@ impl<'a> FleetSession<'a> {
                     .observe("routed_batch_size", links.len() as f64);
             }
             session
-                .inject_routed(links)
-                .map_err(|e| WebEvoError::InvalidState(format!("shard#{k}: {e}")))?;
-        }
-        for (k, session) in sessions.iter_mut().enumerate() {
-            session
-                .sync()
+                .deliver(links)
                 .map_err(|e| WebEvoError::InvalidState(format!("shard#{k}: {e}")))?;
         }
         Ok(delivered)
@@ -832,8 +850,12 @@ impl<'a> FleetSession<'a> {
 
     /// Drive all shards in lockstep to day `days`, exchanging at every
     /// barrier strictly inside the horizon, and merge in ascending shard
-    /// order.
-    fn execute(&mut self, days: f64, resume: bool) -> Result<&FleetMetrics, WebEvoError> {
+    /// order: from day 0, or from the shards recovered from `resume_from`.
+    fn execute(
+        &mut self,
+        days: f64,
+        resume_from: Option<&Path>,
+    ) -> Result<&FleetMetrics, WebEvoError> {
         // A NaN horizon never satisfies `barrier >= days` below and +∞ is
         // never reached, so either would drive barrier after barrier for
         // good: refuse it before a shard session, directory or manifest
@@ -843,7 +865,7 @@ impl<'a> FleetSession<'a> {
                 "fleet horizon {days} must be a finite day"
             )));
         }
-        if !resume {
+        if resume_from.is_none() {
             if let Some((dir, _)) = &self.checkpoint {
                 write_manifest(dir, &self.manifest())?;
             }
@@ -852,17 +874,8 @@ impl<'a> FleetSession<'a> {
         let threads = self.concurrency.unwrap_or(shard_count).min(shard_count);
         let mut fetchers = Vec::new();
         let mut sessions = self.shard_sessions(&mut fetchers)?;
-        for session in &mut sessions {
-            // Fleet snapshot discipline: cadence snapshots fire only at
-            // exchange barriers, pre-injection, so no shard's snapshot
-            // ever absorbs an exchange a peer still holds only as a
-            // trailing WAL record — the invariant that keeps any single
-            // shard's torn WAL tail recoverable (see `align_exchanges`).
-            session.snapshot_at_barriers_only();
-        }
-        if resume {
-            let (dir, _) = self.checkpoint.clone().expect("resume checked checkpointing");
-            let recoveries = self.recover_aligned(&dir)?;
+        if let Some(dir) = resume_from {
+            let recoveries = self.recover_aligned(dir)?;
             for (k, rec) in recoveries.into_iter().enumerate() {
                 if let Some(rec) = rec {
                     sessions[k]
@@ -896,8 +909,13 @@ impl<'a> FleetSession<'a> {
                 break;
             }
             drive_all(&mut sessions, barrier, threads)?;
-            // Cadence snapshots happen here, before the injection below,
-            // so the exchange always lands in every shard's fresh WAL.
+            // Shards snapshot only here (their lineages are scoped; see
+            // `Checkpointer`), before the injection below: no shard's
+            // snapshot ever absorbs an exchange a peer still holds only as
+            // a trailing WAL record — the invariant that keeps any single
+            // shard's torn WAL tail recoverable (see `align_exchanges`).
+            // Each shard's encode runs off-thread while the coordinator
+            // routes; delivering its batch joins it first.
             for (k, session) in sessions.iter_mut().enumerate() {
                 session
                     .snapshot_if_due()
@@ -930,8 +948,7 @@ impl<'a> FleetSession<'a> {
             .map(|s| (s.capacity as f64, &s.metrics))
             .collect();
         let merged = CrawlMetrics::merge_weighted(&parts)?;
-        self.results = Some(FleetMetrics { merged, shards });
-        Ok(self.results.as_ref().expect("just stored"))
+        Ok(self.results.insert(FleetMetrics { merged, shards }))
     }
 
     /// Merge the staged shard views into one fleet view and publish it
@@ -1000,8 +1017,8 @@ impl<'a> FleetSession<'a> {
         }
         let mut fetchers = Vec::new();
         let mut sessions = self.shard_sessions(&mut fetchers)?;
-        for (k, rec) in recoveries.into_iter().enumerate() {
-            let rec = rec.expect("checked above");
+        // Every shard has a recovery, so shard `k`'s is the `k`-th.
+        for (k, rec) in recoveries.into_iter().flatten().enumerate() {
             sessions[k]
                 .adopt(rec)
                 .map_err(|e| WebEvoError::InvalidState(format!("shard#{k}: {e}")))?;
@@ -1097,6 +1114,44 @@ mod tests {
             .join(format!("webevo-fleet-{}-{name}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         dir
+    }
+
+    /// A fetcher whose every fetch panics.
+    struct PanickingFetcher;
+
+    impl webevo_sim::Fetcher for PanickingFetcher {
+        fn fetch(
+            &mut self,
+            _url: webevo_types::Url,
+            _t: f64,
+        ) -> Result<webevo_sim::FetchOutcome, webevo_sim::FetchError> {
+            panic!("the fetcher broke")
+        }
+    }
+
+    #[test]
+    fn a_panicking_shard_drive_is_a_typed_error() {
+        let u = universe(66);
+        let budget = CrawlBudget::paper_monthly(20).with_cycle_days(5.0);
+        for threads in [1, 2] {
+            let builder = || {
+                CrawlSession::builder().engine(EngineKind::Incremental).budget(budget).universe(&u)
+            };
+            let mut panicking = PanickingFetcher;
+            let mut sessions = vec![
+                builder().build().expect("a valid session"),
+                builder().fetcher(&mut panicking).build().expect("a valid session"),
+            ];
+            let driven = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                drive_all(&mut sessions, 2.0, threads)
+            }));
+            let err = driven.expect("nothing unwinds out of drive_all").expect_err("shard#1 fails");
+            let message = err.to_string();
+            assert!(message.contains("shard#1"), "{threads} thread(s): {message}");
+            assert!(message.contains("drive panicked"), "{threads} thread(s): {message}");
+            assert!(message.contains("the fetcher broke"), "{threads} thread(s): {message}");
+            assert!(sessions[0].metrics().fetches > 0, "the healthy shard still drove");
+        }
     }
 
     #[test]

@@ -15,7 +15,8 @@
 //! * at each RankingModule pass boundary the buffer is flushed to the
 //!   write-ahead log in one append, and every
 //!   [`CheckpointConfig::snapshot_every_days`] simulated days a full
-//!   snapshot is written and the log reset.
+//!   snapshot is encoded off-thread and the log reset (a fleet shard
+//!   snapshots at its exchange barriers instead; see [`fleet`]).
 //!
 //! Recovery loads `snapshot + WAL tail` and replays the tail through the
 //! engine's own state transitions, landing bit-identically on the state at

@@ -41,9 +41,9 @@ use crate::checkpoint::{recover, CheckpointConfig, CheckpointStats, Checkpointer
 use std::path::{Path, PathBuf};
 use webevo_core::engine::{restore, CrawlBudget, CrawlEngine};
 use webevo_core::{
-    Collection, CrawlHook, CrawlMetrics, IncrementalConfig, IncrementalCrawler, NoopHook,
-    PeriodicConfig, PeriodicCrawler, RoutedBatch, RoutedLink, RoutingState,
-    ShardScope, ThreadedCrawler,
+    Collection, CrawlHook, CrawlMetrics, CrawlerState, IncrementalConfig, IncrementalCrawler,
+    NoopHook, PeriodicConfig, PeriodicCrawler, RoutedLink, RoutingState, ShardScope,
+    ThreadedCrawler,
 };
 use webevo_core::{EngineClock, EngineKind, ViewPublisher};
 use webevo_obs::{LogicalClock, ObsSink, Stage};
@@ -144,8 +144,9 @@ impl<'a> CrawlSessionBuilder<'a> {
     /// the fleet coordinator at exchange barriers) instead of burning
     /// fetches, and seeds on foreign sites are skipped. Every engine
     /// supports scoping, enforced where it schedules fetch slots, so no
-    /// engine fetches a foreign URL.
-    pub fn scope(mut self, plan: ShardPlan, shard: ShardId) -> Self {
+    /// engine fetches a foreign URL. Only the fleet builds scoped
+    /// sessions, so a scoped checkpoint lineage is a fleet shard's.
+    pub(crate) fn scope(mut self, plan: ShardPlan, shard: ShardId) -> Self {
         self.scope = Some(ShardScope { plan, shard });
         self
     }
@@ -255,7 +256,6 @@ impl<'a> CrawlSessionBuilder<'a> {
             fetcher,
             checkpoint,
             checkpointer: None,
-            barrier_snapshots: false,
             obs: self.obs,
             serve: None,
             view_publisher: None,
@@ -326,11 +326,6 @@ pub struct CrawlSession<'a> {
     fetcher: SessionFetcher<'a>,
     checkpoint: Option<CheckpointConfig>,
     checkpointer: Option<Checkpointer>,
-    /// Fleet mode: cadence snapshots happen only through
-    /// [`CrawlSession::snapshot_if_due`] at exchange barriers, never at
-    /// pass boundaries mid-leg (see
-    /// [`Checkpointer::snapshot_at_barriers_only`]).
-    barrier_snapshots: bool,
     /// The observability sink shared by the engine and the checkpointer
     /// (a noop unless [`CrawlSessionBuilder::obs`] installed one).
     obs: ObsSink,
@@ -478,43 +473,28 @@ impl<'a> CrawlSession<'a> {
         Ok(())
     }
 
-    /// Checkpoint the rest of the session's crawl through `ckpt`, in the
-    /// session's snapshot discipline and under its observability sink.
+    /// Checkpoint the rest of the session's crawl through `ckpt`, under
+    /// the session's observability sink.
     fn attach_checkpointer(&mut self, mut ckpt: Checkpointer) {
-        if self.barrier_snapshots {
-            ckpt.snapshot_at_barriers_only();
-        }
         if self.obs.enabled() {
             ckpt.set_obs(self.obs.clone());
         }
         self.checkpointer = Some(ckpt);
     }
 
-    /// Switch this session into the fleet's snapshot discipline: cadence
-    /// snapshots fire only through [`CrawlSession::snapshot_if_due`] at
-    /// exchange barriers, so a snapshot never absorbs a link exchange a
-    /// peer shard still holds only as a trailing WAL record.
-    pub(crate) fn snapshot_at_barriers_only(&mut self) {
-        self.barrier_snapshots = true;
-        if let Some(ckpt) = &mut self.checkpointer {
-            ckpt.snapshot_at_barriers_only();
-        }
-    }
-
-    /// Flush the buffered leg and take the cadence snapshot if one is due,
-    /// with the engine's *current* (pre-injection) state. The fleet calls
-    /// this at every exchange barrier, right before delivering the routed
-    /// batches.
+    /// The fleet's exchange-barrier checkpoint: commit the buffered leg
+    /// and, when the cadence is due, hand the engine's *current*
+    /// (pre-injection) state to the background encoder — the step an
+    /// unscoped lineage takes at its pass boundaries. The fleet calls this
+    /// right before delivering the routed batches, whose commit joins the
+    /// snapshot first (see [`CrawlSession::deliver`]).
     pub(crate) fn snapshot_if_due(&mut self) -> Result<(), WebEvoError> {
-        // Held out of `self` while `export_state` borrows the session.
-        let Some(mut ckpt) = self.checkpointer.take() else {
+        let Some(ckpt) = &mut self.checkpointer else {
             return Ok(());
         };
-        let t = self.engine.clock().t;
-        let state = self.export_state();
-        let snapshot = ckpt.barrier_snapshot(t, &state);
-        self.checkpointer = Some(ckpt);
-        snapshot.map_err(|e| WebEvoError::InvalidState(format!("barrier snapshot failed: {e}")))
+        let (engine, fetcher) = (&*self.engine, &mut self.fetcher);
+        ckpt.checkpoint(engine.clock().t, &mut || export_with_fetcher(engine, fetcher))
+            .map_err(|e| WebEvoError::InvalidState(format!("barrier checkpoint failed: {e}")))
     }
 
     /// Attach the serving layer: at every pass/cycle boundary the engine
@@ -560,20 +540,23 @@ impl<'a> CrawlSession<'a> {
 
     /// The engine's routing state (shard scope, outbox, applied-exchange
     /// counter).
-    pub fn routing(&self) -> &RoutingState {
+    pub(crate) fn routing(&self) -> &RoutingState {
         self.engine.routing()
     }
 
-    /// Deliver one exchange's routed links into the engine (see
-    /// [`CrawlEngine::inject_links`]) and log the applied batch to the
-    /// write-ahead log, so a kill-and-resume replays the exchange exactly.
-    /// Call [`CrawlSession::sync`] afterwards to commit the log.
-    pub fn inject_routed(&mut self, links: Vec<RoutedLink>) -> Result<RoutedBatch, WebEvoError> {
+    /// Deliver one exchange's routed links: inject them into the engine
+    /// (see [`CrawlEngine::inject_links`]) and commit the applied batch to
+    /// the write-ahead log, so the exchange is durable before the shard
+    /// crawls past the barrier and a kill-and-resume replays it exactly.
+    /// The commit lands after the barrier's snapshot, if one is in flight.
+    pub(crate) fn deliver(&mut self, links: Vec<RoutedLink>) -> Result<(), WebEvoError> {
         let batch = self.engine.inject_links(links)?;
-        if let Some(ckpt) = &mut self.checkpointer {
-            ckpt.append_routed(&batch);
-        }
-        Ok(batch)
+        let Some(ckpt) = &mut self.checkpointer else {
+            return Ok(());
+        };
+        ckpt.append_routed(batch);
+        ckpt.flush()
+            .map_err(|e| WebEvoError::InvalidState(format!("exchange commit failed: {e}")))
     }
 
     /// Record the closing metrics sample a live drive ending at `t` would
@@ -582,21 +565,8 @@ impl<'a> CrawlSession<'a> {
     /// when a recovered shard's replayed clock already sits at a barrier:
     /// the interrupted process closed that drive with a sample at exactly
     /// `t`, which no logged event reconstructs. Idempotent.
-    pub fn close_sample(&mut self, t: f64) {
+    pub(crate) fn close_sample(&mut self, t: f64) {
         self.engine.close_sample(self.universe, t);
-    }
-
-    /// Commit all buffered write-ahead-log events to disk without waiting
-    /// for the next pass boundary. The fleet coordinator calls this on
-    /// every shard after an exchange so the delivered batches are durable
-    /// before any shard crawls past the barrier.
-    pub fn sync(&mut self) -> Result<(), WebEvoError> {
-        match &mut self.checkpointer {
-            Some(ckpt) => ckpt.flush().map_err(|e| {
-                WebEvoError::InvalidState(format!("write-ahead log flush failed: {e}"))
-            }),
-            None => Ok(()),
-        }
     }
 
     /// Advance the engine under the checkpointer, when one is configured.
@@ -652,10 +622,8 @@ impl<'a> CrawlSession<'a> {
 
     /// Export the full engine state, with the fetcher's replay state
     /// merged in.
-    pub fn export_state(&mut self) -> webevo_core::CrawlerState {
-        let mut state = self.engine.export_state();
-        state.fetcher = self.fetcher.get().export_state();
-        state
+    pub fn export_state(&mut self) -> CrawlerState {
+        export_with_fetcher(&*self.engine, &mut self.fetcher)
     }
 
     /// Direct access to the engine, for trait-level operations the
@@ -663,6 +631,13 @@ impl<'a> CrawlSession<'a> {
     pub fn engine(&self) -> &dyn CrawlEngine {
         &*self.engine
     }
+}
+
+/// `engine`'s full state, with `fetcher`'s replay state merged in.
+fn export_with_fetcher(engine: &dyn CrawlEngine, fetcher: &mut SessionFetcher<'_>) -> CrawlerState {
+    let mut state = engine.export_state();
+    state.fetcher = fetcher.get().export_state();
+    state
 }
 
 #[cfg(test)]

@@ -4,16 +4,17 @@
 //! committed prefix the resume adopted and appended to from there, and
 //! the next cadence snapshot counts from the day the crawl resumes at.
 //! Each case is run for the incremental, threaded and periodic engines;
-//! a fleet case covers a kill in the middle of a link exchange, and the
-//! last two cases cover `Checkpointer`'s drop, which joins the off-thread
-//! snapshot encoder.
+//! two fleet cases cover a kill in the middle of a link exchange — the
+//! second with a one-day snapshot cadence, whose barrier snapshot must
+//! land before the exchange — and the last two cases cover
+//! `Checkpointer`'s drop, which joins the off-thread snapshot encoder.
 
 use std::fs;
 use std::path::{Path, PathBuf};
 use webevo_core::engine::{CrawlBudget, EngineKind};
 use webevo_core::{
     CrawlEngine, CrawlHook, CrawlMetrics, CrawlerState, FetchRecord, IncrementalConfig,
-    IncrementalCrawler,
+    IncrementalCrawler, WalEvent,
 };
 use webevo_sim::{SimFetcher, UniverseConfig, WebUniverse};
 use webevo_store::{
@@ -216,6 +217,20 @@ fn frames(wal: &[u8]) -> Vec<(u8, usize, usize)> {
     out
 }
 
+/// Kill shard `wal`'s log in the middle of its newest exchange: keep the
+/// routed batch and its commit, or cut the log just before the batch.
+/// Returns the log as it stood at the barrier, before the batch.
+fn cut_last_exchange(wal: &Path, keep_batch: bool) -> Vec<u8> {
+    let bytes = read(wal);
+    let all = frames(&bytes);
+    let routed = all.iter().rposition(|f| f.0 == b'X').expect("a routed batch");
+    let (commit_tag, _, commit_end) = all[routed + 1];
+    assert_eq!(commit_tag, b'C', "a routed batch is committed on its own");
+    let end = if keep_batch { commit_end } else { all[routed].1 };
+    fs::write(wal, &bytes[..end]).expect("log writable");
+    bytes[..all[routed].1].to_vec()
+}
+
 #[test]
 fn fleet_kill_mid_exchange_cuts_the_aligned_shard_back_to_the_barrier() {
     let dir = scratch_dir("fleet");
@@ -236,18 +251,8 @@ fn fleet_kill_mid_exchange_cuts_the_aligned_shard_back_to_the_barrier() {
     // Kill in the middle of that exchange: shard 0 committed its batch,
     // shard 1 died before it synced.
     let shard_wal = |k: u32| dir.join(format!("shard-{k}")).join(WAL_FILE);
-    let cut = |k: u32, keep_batch: bool| {
-        let wal = read(&shard_wal(k));
-        let all = frames(&wal);
-        let routed = all.iter().rposition(|f| f.0 == b'X').expect("a routed batch");
-        let (commit_tag, _, commit_end) = all[routed + 1];
-        assert_eq!(commit_tag, b'C', "a routed batch is committed on its own");
-        let end = if keep_batch { commit_end } else { all[routed].1 };
-        fs::write(shard_wal(k), &wal[..end]).expect("log writable");
-        wal[..all[routed].1].to_vec()
-    };
-    let at_barrier = cut(0, true);
-    cut(1, false);
+    let at_barrier = cut_last_exchange(&shard_wal(0), true);
+    cut_last_exchange(&shard_wal(1), false);
     let shard1 = read(&shard_wal(1));
 
     // Resuming to the barrier aligns the fleet — shard 0 drops the batch
@@ -266,6 +271,69 @@ fn fleet_kill_mid_exchange_cuts_the_aligned_shard_back_to_the_barrier() {
         assert!(fingerprint(&a.metrics) == fingerprint(&b.metrics), "{} moved", a.shard);
     }
     let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn fleet_shards_snapshot_at_the_barrier_before_the_exchange() {
+    // (tag, engine, exchanges before the barrier the kill follows, kill
+    // day, end day). Barriers fall on every ranking day (incremental) or
+    // cycle start (periodic, every 6 days). Incremental shards pass a
+    // boundary at every barrier; periodic ones swap mid-leg, 1.4 days
+    // into the cycle — between the barrier and the kill, where a shard
+    // must not snapshot.
+    let budget = CrawlBudget::paper_monthly(48).with_cycle_days(6.0);
+    let cases = [
+        ("inc", EngineKind::Incremental, 8, 9.25, 14.0),
+        ("per", EngineKind::Periodic, 1, 14.0, 26.0),
+    ];
+    for (tag, kind, before_barrier, kill_day, end_day) in cases {
+        let dir = scratch_dir(&format!("fleet-barrier-{tag}"));
+        let universe = WebUniverse::generate(UniverseConfig::test_scale(43));
+        let build = |checkpoint: bool| {
+            let mut builder =
+                FleetSession::builder().shards(2).engine(kind).budget(budget).universe(&universe);
+            if checkpoint {
+                // A one-day cadence: a snapshot falls due at most barriers,
+                // the one the kill follows included. (The cadence runs on
+                // each shard's slot clock, which overshoots a barrier by
+                // up to one slot, so it skips some.)
+                builder = builder.checkpoint(&dir, 1.0);
+            }
+            builder.build().expect("a valid fleet")
+        };
+        build(true).run(kill_day).expect("the fleet runs");
+
+        // Each shard's newest snapshot was taken at the barrier before its
+        // exchange: it holds one exchange fewer than the shard replays,
+        // and the fresh log opens with that barrier's routed batch.
+        let shard_dir = |k: u32| dir.join(format!("shard-{k}"));
+        for k in 0..2 {
+            let on_disk = recover(&shard_dir(k)).expect("decodes").expect("a snapshot exists");
+            let exchanges = on_disk.state.routing.exchanges;
+            let routed = on_disk
+                .wal
+                .iter()
+                .filter(|e| matches!(e, WalEvent::Routed(_)) && e.seq() > on_disk.state.fetch_seq)
+                .count() as u64;
+            assert_eq!(exchanges, before_barrier, "{tag} shard#{k}: not the barrier's snapshot");
+            assert_eq!(routed, 1, "{tag} shard#{k}: the snapshot holds one exchange fewer");
+            assert!(
+                matches!(on_disk.wal.first(), Some(WalEvent::Routed(_))),
+                "{tag} shard#{k}: the log does not open with the barrier's routed batch"
+            );
+        }
+
+        // Kill in the middle of that exchange, as above.
+        cut_last_exchange(&shard_dir(0).join(WAL_FILE), true);
+        cut_last_exchange(&shard_dir(1).join(WAL_FILE), false);
+        let resumed = build(true).resume(end_day).expect("the fleet recovers").clone();
+        let reference = build(false).run(end_day).expect("the fleet runs").clone();
+        assert!(reference.routed_links() > 0, "{tag}: cross-shard links were exchanged");
+        for (a, b) in resumed.shards.iter().zip(&reference.shards) {
+            assert!(fingerprint(&a.metrics) == fingerprint(&b.metrics), "{tag}: {} moved", a.shard);
+        }
+        let _ = fs::remove_dir_all(&dir);
+    }
 }
 
 /// Records the day of the most recent pass boundary.
