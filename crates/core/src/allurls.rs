@@ -12,16 +12,21 @@
 //! deterministic order, which is all the RankingModule needs: its
 //! candidate ranking sorts by `(estimate, site, page)`, a total order, so
 //! the enumeration order never leaks into replacement decisions.
+//!
+//! A URL's in-link evidence is a sorted `Vec` of at most `max_sources`
+//! page ids: most URLs have a handful of in-links, and a sorted vector
+//! holds them in a few dozen bytes where a B-tree spends a ~100-byte leaf.
+//! It iterates and encodes exactly as the ordered set it replaced (count,
+//! then ids ascending).
 
-use std::collections::BTreeSet;
 use webevo_types::{wire_struct, DenseMap, PageId, SiteId, Url};
 
 /// Metadata for one discovered URL.
 #[derive(Clone, Debug, Default)]
 pub struct UrlInfo {
-    /// Collection pages known to link here (bounded; enough for importance
-    /// estimation).
-    pub in_link_sources: BTreeSet<PageId>,
+    /// Collection pages known to link here, strictly ascending (bounded;
+    /// enough for importance estimation).
+    pub in_link_sources: Vec<PageId>,
     /// Simulated day the URL was first discovered.
     pub discovered: f64,
     /// The URL returned NotFound at this time (dead pages are not
@@ -70,11 +75,7 @@ impl AllUrls {
     pub fn discover(&mut self, url: Url, t: f64) {
         self.urls.or_insert_with(url.page, || UrlSlot {
             site: url.site,
-            info: UrlInfo {
-                in_link_sources: BTreeSet::new(),
-                discovered: t,
-                dead_since: None,
-            },
+            info: UrlInfo { in_link_sources: Vec::new(), discovered: t, dead_since: None },
         });
     }
 
@@ -84,14 +85,13 @@ impl AllUrls {
         let max_sources = self.max_sources;
         let slot = self.urls.or_insert_with(url.page, || UrlSlot {
             site: url.site,
-            info: UrlInfo {
-                in_link_sources: BTreeSet::new(),
-                discovered: t,
-                dead_since: None,
-            },
+            info: UrlInfo { in_link_sources: Vec::new(), discovered: t, dead_since: None },
         });
-        if slot.info.in_link_sources.len() < max_sources {
-            slot.info.in_link_sources.insert(source);
+        let sources = &mut slot.info.in_link_sources;
+        if sources.len() < max_sources {
+            if let Err(at) = sources.binary_search(&source) {
+                sources.insert(at, source);
+            }
         }
     }
 
@@ -139,14 +139,11 @@ impl AllUrls {
         let max_sources = self.max_sources;
         match self.urls.get_mut(url.page) {
             Some(slot) => {
-                let merged: BTreeSet<PageId> = slot
-                    .info
-                    .in_link_sources
-                    .union(&info.in_link_sources)
-                    .copied()
-                    .take(max_sources)
-                    .collect();
-                slot.info.in_link_sources = merged;
+                let merged = &mut slot.info.in_link_sources;
+                merged.extend_from_slice(&info.in_link_sources);
+                merged.sort_unstable();
+                merged.dedup();
+                merged.truncate(max_sources);
                 slot.info.discovered = slot.info.discovered.min(info.discovered);
                 slot.info.dead_since = match (slot.info.dead_since, info.dead_since) {
                     (Some(a), Some(b)) => Some(a.min(b)),
@@ -180,13 +177,22 @@ impl AllUrls {
     }
 }
 
-wire_struct!(UrlInfo { in_link_sources, discovered, dead_since });
+// In-link sources decode checked, not trusted: `add_in_link` binary-searches
+// them, so they must be strictly ascending, and no URL may hold more than
+// the cap its set was built with.
+wire_struct!(UrlInfo { in_link_sources, discovered, dead_since }
+    reject |u| u.in_link_sources.windows(2).any(|w| w[0] >= w[1])
+    => "in-link sources are not strictly ascending");
 wire_struct!(UrlSlot { site, info });
-wire_struct!(AllUrls { urls, max_sources });
+wire_struct!(AllUrls { urls, max_sources }
+    reject |a| a.urls.iter().any(|(_, slot)| slot.info.in_link_sources.len() > a.max_sources)
+    => "a URL holds more in-link sources than the cap");
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::{BTreeMap, BTreeSet};
     use webevo_types::{BinDecode, BinEncode, BinReader};
 
     fn url(i: u64) -> Url {
@@ -271,5 +277,104 @@ mod tests {
         let mut again = Vec::new();
         back.bin_encode(&mut again);
         assert_eq!(again, bytes);
+    }
+
+    fn encode<T: BinEncode>(value: &T) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        value.bin_encode(&mut bytes);
+        bytes
+    }
+
+    #[test]
+    fn decode_rejects_sources_that_do_not_strictly_ascend() {
+        let info = |sources: &[u64]| UrlInfo {
+            in_link_sources: sources.iter().map(|&p| PageId(p)).collect(),
+            discovered: 1.0,
+            dead_since: None,
+        };
+        let good = encode(&info(&[2, 5, 9]));
+        assert!(UrlInfo::bin_decode(&mut BinReader::new(&good)).is_ok());
+        for bad in [&[5, 2][..], &[2, 2], &[1, 9, 3]] {
+            let bytes = encode(&info(bad));
+            let err = UrlInfo::bin_decode(&mut BinReader::new(&bytes)).unwrap_err();
+            assert_eq!(err.to_string(), "in-link sources are not strictly ascending", "{bad:?}");
+        }
+    }
+
+    #[test]
+    fn decode_rejects_a_url_over_the_source_cap() {
+        let mut a = AllUrls::new();
+        for i in 0..32 {
+            a.add_in_link(url(1), PageId(i), 0.0);
+        }
+        assert!(AllUrls::bin_decode(&mut BinReader::new(&encode(&a))).is_ok());
+        // A 33rd source can only come from hostile bytes.
+        a.urls.get_mut(PageId(1)).unwrap().info.in_link_sources.push(PageId(99));
+        let err = AllUrls::bin_decode(&mut BinReader::new(&encode(&a))).unwrap_err();
+        assert_eq!(err.to_string(), "a URL holds more in-link sources than the cap");
+    }
+
+    /// The ordered-set model the sorted vectors replaced.
+    #[derive(Default)]
+    struct Model(BTreeMap<u64, BTreeSet<PageId>>);
+
+    impl Model {
+        fn add_in_link(&mut self, page: u64, source: PageId, cap: usize) {
+            let sources = self.0.entry(page).or_default();
+            if sources.len() < cap {
+                sources.insert(source);
+            }
+        }
+
+        fn absorb(&mut self, page: u64, other: &BTreeSet<PageId>, cap: usize) {
+            let sources = self.0.entry(page).or_default();
+            *sources = sources.union(other).copied().take(cap).collect();
+        }
+
+        /// The bytes the old set encoded for `page`'s sources.
+        fn bytes(&self, page: u64) -> Vec<u8> {
+            encode(&self.0.get(&page).cloned().unwrap_or_default())
+        }
+    }
+
+    proptest! {
+        /// `add_in_link` and `absorb` keep exactly the ordered set's
+        /// contents, and encode to its bytes, cap included.
+        #[test]
+        fn sorted_sources_match_the_ordered_set_model(
+            ops in prop::collection::vec((0u8..4, 0u64..4, 0u64..80), 1..160),
+        ) {
+            let (mut a, mut model) = (AllUrls::new(), Model::default());
+            let cap = a.max_sources;
+            for (kind, page, source) in ops {
+                if kind < 3 {
+                    a.add_in_link(url(page), PageId(source), 0.0);
+                    model.add_in_link(page, PageId(source), cap);
+                } else {
+                    // Another shard's record of the same URL: a run of
+                    // sources from `source` up.
+                    let other: BTreeSet<PageId> =
+                        (source..source + page * 9).step_by(3).map(PageId).collect();
+                    let info = UrlInfo {
+                        in_link_sources: other.iter().copied().collect(),
+                        discovered: 0.0,
+                        dead_since: None,
+                    };
+                    a.absorb(url(page), info);
+                    model.absorb(page, &other, cap);
+                }
+                for page in 0..4 {
+                    let got = a.info(url(page)).map(|i| i.in_link_sources.clone()).unwrap_or_default();
+                    let want: Vec<PageId> =
+                        model.0.get(&page).map(|s| s.iter().copied().collect()).unwrap_or_default();
+                    prop_assert_eq!(&got, &want);
+                    prop_assert_eq!(encode(&got), model.bytes(page));
+                }
+            }
+            // The whole set round-trips through its own decoder.
+            let bytes = encode(&a);
+            let back = AllUrls::bin_decode(&mut BinReader::new(&bytes)).unwrap();
+            prop_assert_eq!(encode(&back), bytes);
+        }
     }
 }

@@ -30,7 +30,11 @@ pub struct StoredPage {
     /// Bayesian frequency-class state (drives estimator EB): `Some`
     /// exactly when the UpdateModule estimates with EB (see
     /// [`UpdateModule::initial_posterior`](crate::UpdateModule::initial_posterior)).
-    pub bayes: Option<BayesianEstimator>,
+    /// Boxed, because EP pages (the default) never set it: inline, the
+    /// posterior would widen every stored page and every empty slot of the
+    /// collection's dense map by 48 bytes. A box encodes as its contents,
+    /// so the wire layout is the unboxed one.
+    pub bayes: Option<Box<BayesianEstimator>>,
     /// Current importance score (set by the RankingModule; 1.0 until the
     /// first ranking pass, matching PageRank's mean).
     pub importance: f64,
@@ -104,7 +108,7 @@ impl Collection {
         checksum: Checksum,
         links: Vec<Url>,
         t: f64,
-        bayes: Option<BayesianEstimator>,
+        bayes: Option<Box<BayesianEstimator>>,
     ) {
         assert!(!self.is_full(), "collection full: evict before saving");
         assert!(!self.pages.contains(url.page), "page already stored: use update");
@@ -221,7 +225,7 @@ mod tests {
     }
 
     /// What the UpdateModule under `estimator` hands a new page.
-    fn initial_posterior(estimator: EstimatorKind) -> Option<BayesianEstimator> {
+    fn initial_posterior(estimator: EstimatorKind) -> Option<Box<BayesianEstimator>> {
         UpdateModule::new(RevisitStrategy::Uniform, estimator, 10.0).initial_posterior()
     }
 
@@ -302,5 +306,23 @@ mod tests {
         let stored = c.get(PageId(1)).unwrap();
         assert!(stored.bayes.is_none(), "an update must not conjure a posterior");
         assert_eq!(stored.history.comparisons(), 30);
+    }
+
+    #[test]
+    fn every_strict_prefix_of_a_stored_page_is_truncated() {
+        use webevo_types::{BinDecode, BinEncode, BinReader};
+        for estimator in [EstimatorKind::Ep, EstimatorKind::Eb] {
+            let mut c = collection();
+            c.save(url(1), Checksum(7), vec![url(2), url(3)], 0.5, initial_posterior(estimator));
+            c.update(PageId(1), Checksum(8), vec![url(4)], 3.0);
+            let mut bytes = Vec::new();
+            c.get(PageId(1)).unwrap().bin_encode(&mut bytes);
+            let back = StoredPage::bin_decode(&mut BinReader::new(&bytes)).unwrap();
+            assert_eq!(back.bayes.is_some(), estimator == EstimatorKind::Eb);
+            for len in 0..bytes.len() {
+                let err = StoredPage::bin_decode(&mut BinReader::new(&bytes[..len])).unwrap_err();
+                assert!(err.to_string().starts_with("payload truncated: wanted "), "{len}: {err}");
+            }
+        }
     }
 }

@@ -50,7 +50,7 @@
 
 use webevo_freshness::FreshnessSeries;
 use webevo_sim::WebUniverse;
-use webevo_stats::Summary;
+use webevo_stats::{event_slice, Summary};
 use webevo_types::{wire_struct, PageId, WebEvoError};
 
 /// Metrics collected over one crawler run.
@@ -424,17 +424,15 @@ impl CopyTruth {
 }
 
 /// The `(through, staled_at)` pair of the copy of `p` crawled at
-/// `crawled`, from one binary search of the page's events: the first
-/// event at or after `crawled` capped at the last instant before death,
-/// and the first event strictly after `crawled` capped at death.
+/// `crawled`, from the page's events: the first event at or after
+/// `crawled` capped at the last instant before death, and the first event
+/// strictly after `crawled` capped at death.
 fn derive(universe: &WebUniverse, p: PageId, crawled: f64) -> (f64, f64) {
     let page = universe.page(p);
     debug_assert!(crawled >= page.birth, "{p:?} crawled at {crawled}, before its birth");
     let events = universe.events_of(p);
-    let at = events.partition_point(|&e| e < crawled);
-    let after = at + events[at..].iter().take_while(|&&e| e <= crawled).count();
-    let through = events.get(at).map_or(f64::INFINITY, |&e| e);
-    let staled_at = events.get(after).map_or(page.death, |&e| e);
+    let through = event_slice::first_at_or_after(events, crawled).unwrap_or(f64::INFINITY);
+    let staled_at = event_slice::first_after(events, crawled).unwrap_or(page.death);
     (through.min(last_instant_before(page.death)), staled_at.min(page.death))
 }
 

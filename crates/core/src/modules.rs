@@ -85,10 +85,10 @@ impl UpdateModule {
     /// A newly admitted page's EB state, for [`Collection::save`]: a
     /// uniform prior over the paper's frequency classes under EB, `None`
     /// under EP, whose estimate reads only the change history.
-    pub fn initial_posterior(&self) -> Option<BayesianEstimator> {
+    pub fn initial_posterior(&self) -> Option<Box<BayesianEstimator>> {
         match self.estimator {
             EstimatorKind::Ep => None,
-            EstimatorKind::Eb => Some(BayesianEstimator::paper_prior()),
+            EstimatorKind::Eb => Some(Box::new(BayesianEstimator::paper_prior())),
         }
     }
 

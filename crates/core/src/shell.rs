@@ -384,7 +384,7 @@ mod tests {
                     // Store or recrawl one copy, never before its birth.
                     0..=2 => {
                         let events = universe.events_of(page.id);
-                        let event = events.get((frac * events.len() as f64) as usize).copied();
+                        let event = events.get((frac * events.len() as f64) as usize);
                         let end = page.death.min(horizon);
                         let crawled = match probe {
                             0 => t,
@@ -425,7 +425,7 @@ mod tests {
                     // Sample at a non-decreasing instant.
                     _ => {
                         let events = universe.events_of(held.id);
-                        let event = events.get((frac * events.len() as f64) as usize).copied();
+                        let event = events.get((frac * events.len() as f64) as usize);
                         let death = held.death;
                         let next = match probe {
                             0 => t,

@@ -41,12 +41,14 @@ pub struct ChangeHistory {
 
 impl ChangeHistory {
     /// Create with a retention window of `window` observations. A window of
-    /// 200 daily visits ≈ the paper's 6 months.
+    /// 200 daily visits ≈ the paper's 6 months. Nothing is reserved: the
+    /// log grows with the page's visits, and most pages are visited far
+    /// fewer times than the window holds.
     pub fn new(window: usize) -> ChangeHistory {
         assert!(window >= 2, "window must retain at least two observations");
         ChangeHistory {
             window,
-            observations: VecDeque::with_capacity(window.min(256)),
+            observations: VecDeque::new(),
             last_checksum: None,
             last_visit: None,
             comparisons: 0,
@@ -170,6 +172,14 @@ mod tests {
 
     fn ck(v: u64) -> Checksum {
         Checksum(v)
+    }
+
+    #[test]
+    fn a_new_history_reserves_nothing() {
+        let mut h = ChangeHistory::new(200);
+        assert_eq!(h.observations.capacity(), 0, "the log grows with its visits");
+        h.record_visit(0.0, ck(1));
+        assert!(h.observations.capacity() < 200);
     }
 
     #[test]

@@ -305,11 +305,16 @@ mod tests {
         WebUniverse::generate(UniverseConfig::test_scale(3))
     }
 
+    /// The root page of the `site`-th site (slot 0, immortal).
+    fn root_of(u: &WebUniverse, site: usize) -> PageId {
+        u.occupant(u.sites()[site].id, 0, 0.0).expect("roots live from time zero")
+    }
+
     #[test]
     fn fetch_alive_page_succeeds() {
         let u = universe();
         let mut f = SimFetcher::new(&u);
-        let root = u.sites()[0].slots[0][0];
+        let root = root_of(&u, 0);
         let out = f.fetch(u.url_of(root), 5.0).unwrap();
         assert_eq!(out.checksum, u.checksum_at(root, 5.0));
         assert!(out.last_modified.is_none());
@@ -358,7 +363,7 @@ mod tests {
         let u = universe();
         let politeness = Politeness { min_delay_days: 0.01, night_window: None };
         let mut f = SimFetcher::new(&u).with_politeness(politeness);
-        let root = u.sites()[0].slots[0][0];
+        let root = root_of(&u, 0);
         let url = u.url_of(root);
         assert!(f.fetch(url, 1.0).is_ok());
         match f.fetch(url, 1.005) {
@@ -369,7 +374,7 @@ mod tests {
         }
         assert!(f.fetch(url, 1.01).is_ok());
         // A different site is not limited.
-        let other_root = u.sites()[1].slots[0][0];
+        let other_root = root_of(&u, 1);
         assert!(f.fetch(u.url_of(other_root), 1.0101).is_ok());
     }
 
@@ -377,7 +382,7 @@ mod tests {
     fn night_window_enforced() {
         let u = universe();
         let mut f = SimFetcher::new(&u).with_politeness(Politeness::paper());
-        let root = u.sites()[0].slots[0][0];
+        let root = root_of(&u, 0);
         let url = u.url_of(root);
         // Noon (day fraction 0.5) is outside the night window.
         assert!(matches!(
@@ -404,7 +409,7 @@ mod tests {
     #[test]
     fn failure_injection_is_deterministic_and_calibrated() {
         let u = universe();
-        let root = u.sites()[0].slots[0][0];
+        let root = root_of(&u, 0);
         let url = u.url_of(root);
         let run = || {
             let mut f = SimFetcher::new(&u).with_failure_rate(0.3);
@@ -429,7 +434,7 @@ mod tests {
         // results: their exported states must be identical — the property
         // WAL recovery leans on.
         let u = universe();
-        let root = u.sites()[0].slots[0][0];
+        let root = root_of(&u, 0);
         let url = u.url_of(root);
         let politeness = Politeness { min_delay_days: 0.01, night_window: None };
         let mut live = SimFetcher::new(&u)
@@ -456,14 +461,14 @@ mod tests {
         let u = universe();
         let mut f = SimFetcher::new(&u).with_failure_rate(0.2);
         for i in 0..50 {
-            let root = u.sites()[i % u.sites().len()].slots[0][0];
+            let root = root_of(&u, i % u.sites().len());
             let _ = f.fetch(u.url_of(root), 1.0 + i as f64 * 0.01);
         }
         let state = f.export_state().expect("sim fetcher is stateful");
         let mut restored = SimFetcher::new(&u).with_failure_rate(0.2);
         restored.restore_state(state);
         assert_eq!(f.export_state(), restored.export_state());
-        let root = u.sites()[0].slots[0][0];
+        let root = root_of(&u, 0);
         assert_eq!(f.fetch(u.url_of(root), 3.0), restored.fetch(u.url_of(root), 3.0));
     }
 
@@ -474,12 +479,12 @@ mod tests {
         let page = u
             .pages()
             .iter()
-            .find(|p| p.events.len > 0 && p.death.is_infinite())
+            .find(|p| !p.events.is_empty() && p.death.is_infinite())
             .expect("changing page");
         // Probe strictly between the first change and the next one (hot
         // pages can change again within any fixed offset).
-        let e = u.events_of(page.id)[0];
-        let next = u.events_of(page.id).get(1).copied().unwrap_or(e + 1.0);
+        let e = u.events_of(page.id).get(0).unwrap();
+        let next = u.events_of(page.id).get(1).unwrap_or(e + 1.0);
         let out = f.fetch(u.url_of(page.id), e + (next - e) / 2.0).unwrap();
         assert_eq!(out.last_modified, Some(e));
     }

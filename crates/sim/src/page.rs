@@ -1,36 +1,83 @@
 //! Simulated pages and sites.
 //!
-//! A **site** is a fixed array of BFS-ordered *slots* (page locations). A
-//! **page** is one incarnation living in a slot for its lifetime; when it
-//! dies, a fresh page (new `PageId`, new URL) is born in the same slot —
-//! "pages are constantly created and removed" (§5.1) while the site keeps
-//! its shape. The crawl window is the leading `window_size` slots, so pages
-//! enter the window at birth and leave at death, matching §2.1's window
-//! semantics. Slot 0 is the site root and never dies.
+//! A **site** is a fixed array of `pages_per_site` BFS-ordered *slots*
+//! (page locations). A **page** is one incarnation living in a slot for its
+//! lifetime; when it dies, a fresh page (new `PageId`, new URL) is born in
+//! the same slot — "pages are constantly created and removed" (§5.1) while
+//! the site keeps its shape. The crawl window is the leading `window_size`
+//! slots, so pages enter the window at birth and leave at death, matching
+//! §2.1's window semantics. Slot 0 is the site root and never dies. No
+//! per-slot lists are kept: page ids are handed out in site → slot →
+//! incarnation order, so the universe's one flat occupancy index (see
+//! [`crate::WebUniverse::occupant`]) answers every slot query.
 //!
-//! Change schedules are *not* stored per page: every page's sorted event
-//! times live as one range of the universe-wide event arena (see
-//! [`crate::WebUniverse::events_of`]), so a page carries only the
-//! `[start, start+len)` window and every content query is a binary search
-//! over a shared, cache-friendly buffer.
+//! Change schedules are *not* stored per page. A Poisson page's sorted
+//! event times live as one range of the universe-wide event arena, so it
+//! carries only the `[start, start+len)` window. A ticker (a page that
+//! changes every `TICKER_PERIOD_DAYS`) stores nothing but its event count:
+//! its schedule is computed from its birth on demand (see
+//! [`crate::WebUniverse::events_of`]). Either way every content query is a
+//! binary search over an [`EventSchedule`].
 
-use webevo_stats::event_slice;
+use crate::profile::TICKER_PERIOD_DAYS;
+use webevo_stats::{event_slice, EventSchedule};
 use webevo_types::{ChangeRate, Checksum, Domain, PageId, PageVersion, SiteId};
 
-/// A page's slice of the universe-wide change-event arena.
+/// Where a page's change events are: a slice of the universe-wide event
+/// arena, or a ticker's computed schedule.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct EventRange {
-    /// Offset of the first event in the arena.
-    pub start: usize,
+    /// Offset of the first event in the arena, or [`Self::COMPUTED`] for a
+    /// ticker, whose events are not stored.
+    start: usize,
     /// Number of events.
-    pub len: usize,
+    len: usize,
 }
 
 impl EventRange {
-    /// The page's events within the shared arena.
+    /// The `start` of a ticker's range: no arena offset is ever this large.
+    const COMPUTED: usize = usize::MAX;
+
+    /// `len` events stored in the arena from offset `start`.
+    pub fn stored(start: usize, len: usize) -> EventRange {
+        debug_assert!(start != Self::COMPUTED, "arena offset out of range");
+        EventRange { start, len }
+    }
+
+    /// A ticker born at `birth` whose schedule ends at `end` (its death or
+    /// the horizon): the ticks `birth + k·TICKER_PERIOD_DAYS` for
+    /// k = 1, 2, … that fall before `end`, counted, not stored.
+    pub fn ticks(birth: f64, end: f64) -> EventRange {
+        // The ticks ascend in k, so counting down from the last candidate
+        // finds how many fall before `end`.
+        let mut len = ((end - birth).max(0.0) / TICKER_PERIOD_DAYS).ceil() as usize;
+        while len > 0 && birth + len as f64 * TICKER_PERIOD_DAYS >= end {
+            len -= 1;
+        }
+        EventRange { start: Self::COMPUTED, len }
+    }
+
+    /// Number of events.
     #[inline]
-    pub fn slice<'a>(&self, arena: &'a [f64]) -> &'a [f64] {
-        &arena[self.start..self.start + self.len]
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// True when the page never changes.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The page's schedule: its slice of the shared `arena`, or its ticks
+    /// counted from `birth`.
+    #[inline]
+    pub fn schedule<'a>(&self, arena: &'a [f64], birth: f64) -> EventSchedule<'a> {
+        if self.start == Self::COMPUTED {
+            EventSchedule::Periodic { origin: birth, period: TICKER_PERIOD_DAYS, len: self.len }
+        } else {
+            EventSchedule::Stored(&arena[self.start..self.start + self.len])
+        }
     }
 }
 
@@ -50,9 +97,9 @@ pub struct SimPage {
     pub death: f64,
     /// True Poisson change rate — ground truth, never shown to crawlers.
     pub rate: ChangeRate,
-    /// The page's materialized change schedule (absolute times within
-    /// `[birth, min(death, horizon))`), as a range of the universe's
-    /// shared event arena.
+    /// Where the page's change schedule (absolute times within
+    /// `[birth, min(death, horizon))`) is: a range of the universe's
+    /// shared event arena, or a ticker's event count.
     pub events: EventRange,
 }
 
@@ -65,44 +112,35 @@ impl SimPage {
 
     /// Content version at `t` (0 at birth, +1 per change event). `events`
     /// is this page's schedule, `universe.events_of(self.id)`.
-    pub fn version_at(&self, events: &[f64], t: f64) -> PageVersion {
+    pub fn version_at(&self, events: EventSchedule<'_>, t: f64) -> PageVersion {
         PageVersion(event_slice::version_at(events, t))
     }
 
     /// Content checksum at `t` — what a crawl observes.
-    pub fn checksum_at(&self, events: &[f64], t: f64) -> Checksum {
+    pub fn checksum_at(&self, events: EventSchedule<'_>, t: f64) -> Checksum {
         Checksum::of_version(self.id.0, event_slice::version_at(events, t))
     }
 
     /// Did the content change in `[a, b)`? Ground truth for evaluation.
-    pub fn changed_between(&self, events: &[f64], a: f64, b: f64) -> bool {
+    pub fn changed_between(&self, events: EventSchedule<'_>, a: f64, b: f64) -> bool {
         event_slice::any_in(events, a, b)
     }
 
     /// Time of the last change at or before `t` (birth time if none) —
     /// the "last-modified date" a well-behaved server would report.
-    pub fn last_modified(&self, events: &[f64], t: f64) -> f64 {
+    pub fn last_modified(&self, events: EventSchedule<'_>, t: f64) -> f64 {
         event_slice::last_at_or_before(events, t).unwrap_or(self.birth)
     }
 }
 
-/// One simulated site: a domain, and its slots' occupancy history.
+/// One simulated site: an id and a domain. Its slots' occupants are found
+/// through [`crate::WebUniverse::occupant`].
 #[derive(Clone, Debug)]
 pub struct SimSite {
     /// Site identifier (index into the universe's site table).
     pub id: SiteId,
     /// Domain class (fixed at generation).
     pub domain: Domain,
-    /// `slots[k]` lists the successive occupants of slot `k`,
-    /// time-ordered: each page's death is the next page's birth.
-    pub slots: Vec<Vec<PageId>>,
-}
-
-impl SimSite {
-    /// Number of slots (the site's total page capacity).
-    pub fn slot_count(&self) -> usize {
-        self.slots.len()
-    }
 }
 
 #[cfg(test)]
@@ -124,7 +162,7 @@ mod tests {
             birth,
             death,
             rate: ChangeRate(lambda),
-            events: EventRange { start: 0, len: arena.len() },
+            events: EventRange::stored(0, arena.len()),
         };
         (page, arena)
     }
@@ -141,9 +179,9 @@ mod tests {
     #[test]
     fn checksum_changes_exactly_with_version() {
         let (p, arena) = page(0.0, f64::INFINITY, 0.5, 2);
-        let events = p.events.slice(&arena);
+        let events = p.events.schedule(&arena, p.birth);
         assert!(!events.is_empty(), "want at least one change for the test");
-        let e0 = events[0];
+        let e0 = arena[0];
         let before = p.checksum_at(events, e0 - 1e-6);
         let after = p.checksum_at(events, e0 + 1e-6);
         assert_ne!(before, after, "checksum must change across a change event");
@@ -160,16 +198,28 @@ mod tests {
     #[test]
     fn last_modified_defaults_to_birth() {
         let (p, arena) = page(5.0, f64::INFINITY, 0.0, 4);
-        assert_eq!(p.last_modified(p.events.slice(&arena), 100.0), 5.0);
+        assert_eq!(p.last_modified(p.events.schedule(&arena, p.birth), 100.0), 5.0);
     }
 
     #[test]
-    fn site_page_enumeration() {
-        let site = SimSite {
-            id: SiteId(1),
-            domain: Domain::Edu,
-            slots: vec![vec![PageId(0)], vec![PageId(1), PageId(2)]],
-        };
-        assert_eq!(site.slot_count(), 2);
+    fn a_page_fits_one_cache_line() {
+        assert!(std::mem::size_of::<SimPage>() <= 64);
+    }
+
+    #[test]
+    fn a_ticker_range_computes_its_ticks_from_birth() {
+        let birth = 3.7;
+        let range = EventRange::ticks(birth, birth + 1.3);
+        assert_eq!((range.len(), range.is_empty()), (5, false));
+        let events = range.schedule(&[], birth);
+        for k in 0..5 {
+            let stored = birth + (k + 1) as f64 * TICKER_PERIOD_DAYS;
+            assert_eq!(events.get(k).map(f64::to_bits), Some(stored.to_bits()));
+        }
+        assert_eq!(events.get(5), None);
+        // A tick at `end` is not before it, and a page dead before its
+        // first tick never changes.
+        assert_eq!(EventRange::ticks(birth, birth + 1.25).len(), 4);
+        assert!(EventRange::ticks(birth, birth + 0.1).is_empty());
     }
 }

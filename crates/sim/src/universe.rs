@@ -1,72 +1,62 @@
 //! The generated web universe: all sites, all page incarnations, ground
 //! truth queries, and link structure.
+//!
+//! Two things are computed rather than stored, because they are most of
+//! what storing everything would cost:
+//!
+//! * A ticker's change schedule. Over a fifth of the pages change at every
+//!   daily visit (Figure 1), and the simulator models them as changing
+//!   every `TICKER_PERIOD_DAYS`; materialised, their ticks would be about
+//!   four fifths of the event arena. A ticker stores only its tick count,
+//!   and [`WebUniverse::events_of`] evaluates `birth + k·period` on demand.
+//! * A slot's list of occupants. Page ids are handed out in site → slot →
+//!   incarnation order, so the flat occupancy index's entry `k` is page
+//!   `k`, and a slot's incarnations are one contiguous run of ids. There is
+//!   no per-slot `Vec`.
 
 use crate::config::UniverseConfig;
 use crate::page::{EventRange, SimPage, SimSite};
 use crate::profile::DomainProfile;
 use webevo_graph::LinkCsr;
-use webevo_stats::{event_slice, generate_poisson_into, SimRng};
+use webevo_stats::{event_slice, generate_poisson_into, EventSchedule, SimRng};
 use webevo_types::{Checksum, Domain, PageId, PageVersion, SiteId, Url};
 
 /// Flat occupancy index: for every `(site, slot)` pair, the birth/death
-/// times and ids of its successive incarnations, packed contiguously and
-/// birth-ordered.
+/// times of its successive incarnations, packed contiguously and
+/// birth-ordered. Entry `k` is page `k`: generation hands out ids in
+/// site → slot → incarnation order, and fills this index as it goes.
 ///
 /// [`WebUniverse::occupant`] sits on the fetch hot path (one probe per BFS
 /// child of every fetched page); resolving it against these parallel
 /// arrays is a binary search that never touches the page table, instead of
 /// chasing `PageId → SimPage` per probe.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 struct SlotIndex {
     /// `starts[g]..starts[g+1]` is global slot `g`'s range in the arrays
-    /// below, with `g = site.index() * pages_per_site + slot`.
+    /// below (and of page ids), with `g = site.index() * pages_per_site +
+    /// slot`.
     starts: Vec<usize>,
     /// Incarnation birth times, ascending within each slot's range.
     births: Vec<f64>,
     /// Matching death times.
     deaths: Vec<f64>,
-    /// Matching page ids.
-    pages: Vec<PageId>,
-}
-
-impl SlotIndex {
-    fn build(sites: &[SimSite], pages: &[SimPage]) -> SlotIndex {
-        let total: usize = sites.iter().map(SimSite::slot_count).sum();
-        let mut index = SlotIndex {
-            starts: Vec::with_capacity(total + 1),
-            births: Vec::with_capacity(pages.len()),
-            deaths: Vec::with_capacity(pages.len()),
-            pages: Vec::with_capacity(pages.len()),
-        };
-        index.starts.push(0);
-        for site in sites {
-            for slot in &site.slots {
-                for &p in slot {
-                    let page = &pages[p.index()];
-                    index.births.push(page.birth);
-                    index.deaths.push(page.death);
-                    index.pages.push(p);
-                }
-                index.starts.push(index.pages.len());
-            }
-        }
-        index
-    }
 }
 
 /// The whole simulated web.
 ///
 /// Generation is fully deterministic from `config.seed`; two universes with
 /// equal configs are identical. Pages are stored in one table indexed by
-/// `PageId`, sites in another indexed by `SiteId`. Change schedules are
-/// packed into one shared event arena (each page holds a range into it),
-/// so ground-truth queries are binary searches over contiguous memory.
+/// `PageId`, sites in another indexed by `SiteId`. Stored change schedules
+/// are packed into one shared event arena (each page holds a range into
+/// it) and tickers' are computed, so ground-truth queries are binary
+/// searches over contiguous memory or over a formula.
 #[derive(Clone, Debug)]
 pub struct WebUniverse {
     config: UniverseConfig,
     sites: Vec<SimSite>,
     pages: Vec<SimPage>,
-    /// Every page's change events, concatenated in page-id order.
+    /// Every non-ticker page's change events, concatenated in page-id
+    /// order.
     events: Vec<f64>,
     slot_index: SlotIndex,
 }
@@ -79,45 +69,47 @@ impl WebUniverse {
         let mut pages: Vec<SimPage> = Vec::new();
         let mut events: Vec<f64> = Vec::new();
         let mut sites: Vec<SimSite> = Vec::with_capacity(config.total_sites());
+        let mut slot_index = SlotIndex::default();
+        slot_index.starts.reserve(config.total_sites() * config.pages_per_site + 1);
+        slot_index.starts.push(0);
 
         let mut site_id = 0u32;
         for domain in Domain::ALL {
             let profile = DomainProfile::calibrated(domain);
             for _ in 0..*config.sites_per_domain.get(domain) {
                 let site_rng = root.fork(0x5157_0000 + site_id as u64);
-                let site = Self::generate_site(
+                Self::generate_site(
                     SiteId(site_id),
-                    domain,
                     &profile,
                     &config,
                     &site_rng,
                     &mut pages,
                     &mut events,
+                    &mut slot_index,
                 );
-                sites.push(site);
+                sites.push(SimSite { id: SiteId(site_id), domain });
                 site_id += 1;
             }
         }
         events.shrink_to_fit();
-        let slot_index = SlotIndex::build(&sites, &pages);
         WebUniverse { config, sites, pages, events, slot_index }
     }
 
-    #[allow(clippy::too_many_arguments)]
+    /// Generate every incarnation of every slot of site `id`, appending
+    /// the pages to `pages`, their stored events to `arena` and their
+    /// occupancy to `index`.
     fn generate_site(
         id: SiteId,
-        domain: Domain,
         profile: &DomainProfile,
         config: &UniverseConfig,
         site_rng: &SimRng,
         pages: &mut Vec<SimPage>,
         arena: &mut Vec<f64>,
-    ) -> SimSite {
+        index: &mut SlotIndex,
+    ) {
         let horizon = config.horizon_days;
-        let mut slots: Vec<Vec<PageId>> = Vec::with_capacity(config.pages_per_site);
         for slot in 0..config.pages_per_site {
             let slot_rng = site_rng.fork(slot as u64);
-            let mut occupants = Vec::new();
             // Slot 0 (the site root) is immortal: §2.1 monitors "root pages
             // of the selected sites" throughout.
             let immortal = slot == 0 || !config.churn;
@@ -142,34 +134,29 @@ impl WebUniverse {
                 let rate = behavior.rate;
                 let end = death.min(horizon);
                 let rel_span = (end - birth).max(0.0);
-                let start = arena.len();
-                if behavior.ticker {
-                    // Deterministic sub-daily changer (the paper's
-                    // "changed whenever we visited" pages).
-                    let period = crate::profile::TICKER_PERIOD_DAYS;
-                    let n = (rel_span / period).ceil() as usize;
-                    arena.extend(
-                        (1..=n)
-                            .map(|k| birth + k as f64 * period)
-                            .filter(|&t| t < end),
-                    );
+                let events = if behavior.ticker {
+                    // Deterministic sub-daily changer (the paper's "changed
+                    // whenever we visited" pages): its ticks are counted
+                    // here and computed by `events_of`.
+                    EventRange::ticks(birth, end)
                 } else {
+                    let start = arena.len();
                     generate_poisson_into(&mut page_rng, rate.per_day(), rel_span, birth, arena);
-                }
-                let events = EventRange { start, len: arena.len() - start };
-                debug_assert!(arena[start..].windows(2).all(|w| w[0] <= w[1]));
+                    debug_assert!(arena[start..].windows(2).all(|w| w[0] <= w[1]));
+                    EventRange::stored(start, arena.len() - start)
+                };
                 let pid = PageId(pages.len() as u64);
                 pages.push(SimPage { id: pid, site: id, slot, birth, death, rate, events });
-                occupants.push(pid);
+                index.births.push(birth);
+                index.deaths.push(death);
                 if immortal || death >= horizon {
                     break;
                 }
                 birth = death;
                 incarnation += 1;
             }
-            slots.push(occupants);
+            index.starts.push(pages.len());
         }
-        SimSite { id, domain, slots }
     }
 
     /// The generation configuration.
@@ -212,11 +199,12 @@ impl WebUniverse {
         Url::new(self.page(p).site, p)
     }
 
-    /// A page's change schedule: sorted absolute event times within the
-    /// shared arena.
+    /// A page's change schedule: its sorted absolute event times, a slice
+    /// of the shared arena or, for a ticker, computed from its birth.
     #[inline]
-    pub fn events_of(&self, p: PageId) -> &[f64] {
-        self.pages[p.index()].events.slice(&self.events)
+    pub fn events_of(&self, p: PageId) -> EventSchedule<'_> {
+        let page = &self.pages[p.index()];
+        page.events.schedule(&self.events, page.birth)
     }
 
     /// Bytes held by the precomputed ground-truth structures (event arena
@@ -228,7 +216,13 @@ impl WebUniverse {
             + idx.starts.len() * std::mem::size_of::<usize>()
             + idx.births.len() * std::mem::size_of::<f64>()
             + idx.deaths.len() * std::mem::size_of::<f64>()
-            + idx.pages.len() * std::mem::size_of::<PageId>()
+    }
+
+    /// The ids of `slot` of `site`'s successive occupants, as a range of
+    /// page indices (each page's death is the next page's birth).
+    fn incarnations(&self, site: SiteId, slot: usize) -> std::ops::Range<usize> {
+        let g = site.index() * self.config.pages_per_site + slot;
+        self.slot_index.starts[g]..self.slot_index.starts[g + 1]
     }
 
     /// The page currently occupying `slot` of `site` at time `t`, if any.
@@ -242,21 +236,17 @@ impl WebUniverse {
     /// liveness (`t` past the final death, or before time zero, yields
     /// `None`).
     pub fn occupant(&self, site: SiteId, slot: usize, t: f64) -> Option<PageId> {
-        let g = site.index() * self.config.pages_per_site + slot;
-        let lo = self.slot_index.starts[g];
-        let hi = self.slot_index.starts[g + 1];
-        let births = &self.slot_index.births[lo..hi];
-        let off = births.partition_point(|&b| b <= t);
-        let k = lo + off.checked_sub(1)?;
-        (t < self.slot_index.deaths[k]).then(|| self.slot_index.pages[k])
+        let range = self.incarnations(site, slot);
+        let off = self.slot_index.births[range.clone()].partition_point(|&b| b <= t);
+        let k = range.start + off.checked_sub(1)?;
+        (t < self.slot_index.deaths[k]).then_some(PageId(k as u64))
     }
 
     /// §2.1's page window at time `t`: the alive occupants of the leading
     /// `window_size` BFS slots. (Slots are BFS-ordered by construction, so
     /// this is the breadth-first window the monitor crawls daily.)
     pub fn window(&self, site: SiteId, t: f64) -> Vec<PageId> {
-        let s = &self.sites[site.index()];
-        let w = self.config.window_size.min(s.slots.len());
+        let w = self.config.window_size.min(self.config.pages_per_site);
         (0..w).filter_map(|k| self.occupant(site, k, t)).collect()
     }
 
@@ -317,11 +307,11 @@ impl WebUniverse {
         if !page.alive(t) {
             return;
         }
-        let site = &self.sites[page.site.index()];
+        let slots = self.config.pages_per_site;
         // BFS tree children.
         let b = self.config.branching;
         let first_child = page.slot * b + 1;
-        for c in first_child..(first_child + b).min(site.slots.len()) {
+        for c in first_child..(first_child + b).min(slots) {
             if let Some(target) = self.occupant(page.site, c, t) {
                 links.push(Url::new(page.site, target));
             }
@@ -336,7 +326,7 @@ impl WebUniverse {
                 .wrapping_add(version),
         );
         for _ in 0..self.config.extra_links_per_page {
-            let slot = rng.index(site.slots.len());
+            let slot = rng.index(slots);
             if slot != page.slot {
                 if let Some(target) = self.occupant(page.site, slot, t) {
                     let url = Url::new(page.site, target);
@@ -400,6 +390,23 @@ mod tests {
         WebUniverse::generate(UniverseConfig::test_scale(42))
     }
 
+    /// A schedule's times as bit patterns, for exact comparison.
+    fn bits(events: EventSchedule<'_>) -> Vec<u64> {
+        (0..events.len()).map(|i| events.get(i).unwrap().to_bits()).collect()
+    }
+
+    /// The per-slot occupant lists generation used to keep
+    /// (`lists[site][slot]`, time-ordered), rebuilt from the page table:
+    /// each page went onto its slot's list as it was generated, in id
+    /// order.
+    fn per_slot_lists(u: &WebUniverse) -> Vec<Vec<Vec<PageId>>> {
+        let mut lists = vec![vec![Vec::new(); u.config().pages_per_site]; u.site_count()];
+        for page in u.pages() {
+            lists[page.site.index()][page.slot].push(page.id);
+        }
+        lists
+    }
+
     #[test]
     fn generation_is_deterministic() {
         let a = small();
@@ -409,7 +416,7 @@ mod tests {
             assert_eq!(pa.birth, pb.birth);
             assert_eq!(pa.death, pb.death);
             assert_eq!(pa.rate, pb.rate);
-            assert_eq!(a.events_of(pa.id), b.events_of(pb.id));
+            assert_eq!(bits(a.events_of(pa.id)), bits(b.events_of(pb.id)));
         }
     }
 
@@ -424,14 +431,23 @@ mod tests {
     #[test]
     fn slots_have_contiguous_occupancy() {
         let u = small();
+        let idx = &u.slot_index;
+        assert_eq!(idx.starts.len(), u.site_count() * u.config().pages_per_site + 1);
+        assert_eq!((idx.births.len(), idx.deaths.len()), (u.page_count(), u.page_count()));
+        // Slot ranges tile the page ids in site → slot order.
+        let mut next = 0;
         for site in u.sites() {
-            for (k, slot) in site.slots.iter().enumerate() {
+            for k in 0..u.config().pages_per_site {
+                let slot = u.incarnations(site.id, k);
+                assert_eq!(slot.start, next, "slot {k} of site {} starts where the last ended", site.id);
                 assert!(!slot.is_empty());
                 let mut prev_death = None;
-                for &p in slot {
-                    let page = u.page(p);
+                for i in slot.clone() {
+                    let page = &u.pages()[i];
+                    assert_eq!(page.id, PageId(i as u64), "index entry k is page k");
                     assert_eq!(page.slot, k);
                     assert_eq!(page.site, site.id);
+                    assert_eq!((idx.births[i], idx.deaths[i]), (page.birth, page.death));
                     if let Some(d) = prev_death {
                         assert_eq!(page.birth, d, "next incarnation starts at death");
                     } else {
@@ -441,25 +457,42 @@ mod tests {
                 }
                 // Coverage to the horizon.
                 assert!(prev_death.unwrap() >= u.config().horizon_days);
+                next = slot.end;
+            }
+        }
+        assert_eq!(next, u.page_count());
+    }
+
+    #[test]
+    fn occupant_returns_the_old_per_slot_lists_ids() {
+        let u = small();
+        for (site, slots) in u.sites().iter().zip(per_slot_lists(&u)) {
+            for (k, list) in slots.iter().enumerate() {
+                let ids: Vec<PageId> = u.incarnations(site.id, k).map(|i| PageId(i as u64)).collect();
+                assert_eq!(&ids, list, "slot {k} of site {}", site.id);
+                for &p in list {
+                    let page = u.page(p);
+                    assert_eq!(u.occupant(site.id, k, page.birth), Some(p));
+                    let mid = page.birth + (page.death.min(200.0) - page.birth) / 2.0;
+                    assert_eq!(u.occupant(site.id, k, mid), Some(p));
+                }
             }
         }
     }
 
-    /// The pre-optimization `occupant`: a linear scan for the first alive
-    /// incarnation. Kept as the reference the binary search must match.
-    fn occupant_by_scan(u: &WebUniverse, site: SiteId, slot: usize, t: f64) -> Option<PageId> {
-        u.site(site).slots[slot]
-            .iter()
-            .copied()
-            .find(|&p| u.page(p).alive(t))
+    /// The pre-optimization `occupant`: a linear scan of the slot's
+    /// occupant list for the first alive incarnation. Kept as the
+    /// reference the binary search must match.
+    fn occupant_by_scan(u: &WebUniverse, list: &[PageId], t: f64) -> Option<PageId> {
+        list.iter().copied().find(|&p| u.page(p).alive(t))
     }
 
     #[test]
     fn occupant_binary_search_matches_linear_scan_exhaustively() {
         let u = small();
         let horizon = u.config().horizon_days;
-        for site in u.sites() {
-            for slot in 0..site.slot_count() {
+        for (site, slots) in u.sites().iter().zip(per_slot_lists(&u)) {
+            for (slot, list) in slots.iter().enumerate() {
                 // A dense grid across the horizon (and beyond it, and
                 // before time zero)...
                 let mut probes: Vec<f64> = (-4..=(horizon as i64 * 2 + 4))
@@ -467,7 +500,7 @@ mod tests {
                     .collect();
                 // ...plus every incarnation boundary exactly, and the
                 // floats immediately around it.
-                for &p in &site.slots[slot] {
+                for &p in list {
                     let page = u.page(p);
                     for edge in [page.birth, page.death] {
                         if edge.is_finite() {
@@ -483,7 +516,7 @@ mod tests {
                 for t in probes {
                     assert_eq!(
                         u.occupant(site.id, slot, t),
-                        occupant_by_scan(&u, site.id, slot, t),
+                        occupant_by_scan(&u, list, t),
                         "divergence at site {} slot {slot} t={t}",
                         site.id
                     );
@@ -495,13 +528,11 @@ mod tests {
     #[test]
     fn at_most_one_occupant_per_slot() {
         let u = small();
+        let lists = per_slot_lists(&u);
         for t in [0.0, 30.5, 64.0, 100.0, 129.0] {
             for site in u.sites() {
-                for k in 0..site.slot_count() {
-                    let alive = site.slots[k]
-                        .iter()
-                        .filter(|&&p| u.page(p).alive(t))
-                        .count();
+                for (k, list) in lists[site.id.index()].iter().enumerate() {
+                    let alive = list.iter().filter(|&&p| u.page(p).alive(t)).count();
                     assert!(alive <= 1, "slot {k} has {alive} occupants at {t}");
                 }
             }
@@ -512,7 +543,8 @@ mod tests {
     fn roots_are_immortal() {
         let u = small();
         for site in u.sites() {
-            let root = site.slots[0][0];
+            let root = PageId(u.incarnations(site.id, 0).start as u64);
+            assert_eq!(u.incarnations(site.id, 0).len(), 1, "one incarnation");
             assert!(u.page(root).death.is_infinite());
             assert!(u.alive(root, 0.0) && u.alive(root, 129.0));
         }
@@ -548,9 +580,9 @@ mod tests {
         let page = u
             .pages()
             .iter()
-            .find(|p| p.events.len > 0)
+            .find(|p| !p.events.is_empty())
             .expect("some page changes");
-        let e = u.events_of(page.id)[0];
+        let e = u.events_of(page.id).get(0).unwrap();
         assert_ne!(
             u.checksum_at(page.id, e - 1e-9),
             u.checksum_at(page.id, e + 1e-9)
@@ -611,9 +643,9 @@ mod tests {
         let page = u
             .pages()
             .iter()
-            .find(|p| p.events.len > 0 && p.death.is_infinite() && p.slot < 3)
+            .find(|p| !p.events.is_empty() && p.death.is_infinite() && p.slot < 3)
             .expect("a changing long-lived page near the root");
-        let e = u.events_of(page.id)[0];
+        let e = u.events_of(page.id).get(0).unwrap();
         let before = out_links(&u, page.id, e - 1e-9);
         let after = out_links(&u, page.id, e + 1e-9);
         // Not asserting inequality for every page (extras may collide), but

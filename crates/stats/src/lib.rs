@@ -35,6 +35,6 @@ pub use dist::sample_exponential;
 pub use ecdf::SurvivalCurve;
 pub use gof::GofResult;
 pub use histogram::{Histogram, IntervalBin, IntervalHistogram, LifespanBin, LifespanHistogram};
-pub use process::{event_slice, generate_poisson_into, PoissonProcess};
+pub use process::{event_slice, generate_poisson_into, EventSchedule, PoissonProcess};
 pub use rng::SimRng;
 pub use summary::Summary;

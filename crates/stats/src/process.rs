@@ -1,8 +1,9 @@
 //! Poisson-process event schedules.
 //!
-//! The simulator materializes, for every page, the sorted list of change
-//! times over the simulation horizon. A materialized schedule makes the
-//! ground truth exactly queryable — "did this page change between my last
+//! The simulator holds, for every page, the sorted list of change times
+//! over the simulation horizon: materialized for Poisson pages, computed
+//! on demand for fixed-period ones ([`EventSchedule`]). Either way the
+//! ground truth is exactly queryable — "did this page change between my last
 //! visit and now?" is a binary search — which is what the estimator- and
 //! freshness-evaluation layers are judged against.
 
@@ -131,48 +132,127 @@ pub fn generate_poisson_into(
     }
 }
 
-/// Binary-search queries over a sorted event slice — the arena-backed
+/// A page's sorted change times, as the ground-truth queries read them:
+/// either stored (a slice of a shared arena) or a fixed-period schedule
+/// evaluated on demand.
+///
+/// A periodic schedule's `k`-th time (0-based) is
+/// `origin + (k + 1) as f64 * period`, the very expression a loop
+/// materialising the ticks would have stored, so every time it answers is
+/// the stored time bit for bit and no query can tell the two apart. It
+/// costs no memory per tick, which is what makes it worth having: a page
+/// that changes four times a day for a year would store 1,460 floats.
+#[derive(Clone, Copy, Debug)]
+pub enum EventSchedule<'a> {
+    /// Times held in memory, sorted ascending.
+    Stored(&'a [f64]),
+    /// `len` ticks at `origin + k as f64 * period` for `k = 1..=len`.
+    Periodic {
+        /// The instant the ticks count from (the first tick is one
+        /// `period` after it).
+        origin: f64,
+        /// Days between ticks; positive and finite.
+        period: f64,
+        /// Number of ticks.
+        len: usize,
+    },
+}
+
+impl EventSchedule<'_> {
+    /// Number of events.
+    #[inline]
+    pub fn len(&self) -> usize {
+        match *self {
+            EventSchedule::Stored(events) => events.len(),
+            EventSchedule::Periodic { len, .. } => len,
+        }
+    }
+
+    /// True when the schedule holds no event.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The `i`-th event time (0-based), if there is one.
+    #[inline]
+    pub fn get(&self, i: usize) -> Option<f64> {
+        match *self {
+            EventSchedule::Stored(events) => events.get(i).copied(),
+            EventSchedule::Periodic { origin, period, len } => {
+                (i < len).then(|| origin + (i + 1) as f64 * period)
+            }
+        }
+    }
+
+    /// The index of the first event for which `pred` is false, given that
+    /// `pred` holds on a prefix of the events and fails on the rest — the
+    /// slice method of the same name, over either representation.
+    #[inline]
+    pub fn partition_point(&self, mut pred: impl FnMut(f64) -> bool) -> usize {
+        match *self {
+            EventSchedule::Stored(events) => events.partition_point(|&e| pred(e)),
+            EventSchedule::Periodic { origin, period, len } => {
+                // The slice method's search, over computed times.
+                let (mut lo, mut hi) = (0, len);
+                while lo < hi {
+                    let mid = lo + (hi - lo) / 2;
+                    if pred(origin + (mid + 1) as f64 * period) {
+                        lo = mid + 1;
+                    } else {
+                        hi = mid;
+                    }
+                }
+                lo
+            }
+        }
+    }
+}
+
+/// Binary-search queries over a sorted event schedule — the arena-backed
 /// equivalents of the [`PoissonProcess`] accessors, for callers that hold
-/// event times as a range of a shared buffer rather than an owned process.
-/// Semantics (half-open intervals, inclusive `<= t` version counting) are
-/// pinned against the owned implementation by the equivalence tests in
-/// `webevo-sim`.
+/// event times as a range of a shared buffer (or as a computed periodic
+/// schedule) rather than an owned process. Semantics (half-open
+/// intervals, inclusive `<= t` version counting) are pinned against the
+/// owned implementation by the equivalence tests in `webevo-sim`.
 pub mod event_slice {
+    use super::EventSchedule;
+
     /// Number of events in `[a, b)`.
-    pub fn count_in(events: &[f64], a: f64, b: f64) -> usize {
+    pub fn count_in(events: EventSchedule<'_>, a: f64, b: f64) -> usize {
         if b <= a {
             return 0;
         }
-        let lo = events.partition_point(|&t| t < a);
-        let hi = events.partition_point(|&t| t < b);
+        let lo = events.partition_point(|t| t < a);
+        let hi = events.partition_point(|t| t < b);
         hi - lo
     }
 
     /// True if at least one event falls in `[a, b)`.
     #[inline]
-    pub fn any_in(events: &[f64], a: f64, b: f64) -> bool {
+    pub fn any_in(events: EventSchedule<'_>, a: f64, b: f64) -> bool {
         count_in(events, a, b) > 0
     }
 
     /// The time of the last event at or before `t`, if any.
-    pub fn last_at_or_before(events: &[f64], t: f64) -> Option<f64> {
-        let idx = events.partition_point(|&e| e <= t);
-        if idx == 0 {
-            None
-        } else {
-            Some(events[idx - 1])
-        }
+    pub fn last_at_or_before(events: EventSchedule<'_>, t: f64) -> Option<f64> {
+        let idx = events.partition_point(|e| e <= t);
+        idx.checked_sub(1).and_then(|i| events.get(i))
+    }
+
+    /// The time of the first event at or after `t`, if any.
+    pub fn first_at_or_after(events: EventSchedule<'_>, t: f64) -> Option<f64> {
+        events.get(events.partition_point(|e| e < t))
     }
 
     /// The time of the first event strictly after `t`, if any.
-    pub fn first_after(events: &[f64], t: f64) -> Option<f64> {
-        let idx = events.partition_point(|&e| e <= t);
-        events.get(idx).copied()
+    pub fn first_after(events: EventSchedule<'_>, t: f64) -> Option<f64> {
+        events.get(events.partition_point(|e| e <= t))
     }
 
     /// Number of events at or before `t` — the version at `t`.
-    pub fn version_at(events: &[f64], t: f64) -> u64 {
-        events.partition_point(|&e| e <= t) as u64
+    pub fn version_at(events: EventSchedule<'_>, t: f64) -> u64 {
+        events.partition_point(|e| e <= t) as u64
     }
 }
 

@@ -17,6 +17,7 @@
 //! * `bool` — one byte, `0`/`1`.
 //! * `String`/byte strings — varint length prefix, then the bytes.
 //! * `Option<T>` — one tag byte (`0` = `None`, `1` = `Some`), then `T`.
+//! * `Box<T>` — exactly `T`'s encoding.
 //! * Sequences (`Vec`, `VecDeque`, `BTreeSet`, dense maps/sets) — varint
 //!   element count, then the elements in iteration order; maps interleave
 //!   `key, value`.
@@ -117,26 +118,39 @@ impl<'a> BinReader<'a> {
     }
 
     /// Consume `n` raw bytes.
+    #[inline]
     pub fn take(&mut self, n: usize) -> Result<&'a [u8], BinError> {
-        if self.remaining() < n {
-            return Err(BinError::new(format!(
-                "payload truncated: wanted {n} bytes at offset {}, {} remain",
-                self.pos,
-                self.remaining()
-            )));
+        match self.buf.get(self.pos..).and_then(|rest| rest.get(..n)) {
+            Some(out) => {
+                self.pos += n;
+                Ok(out)
+            }
+            None => Err(self.truncated(n)),
         }
-        let out = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(out)
     }
 
     /// Consume one byte.
+    #[inline]
     pub fn byte(&mut self) -> Result<u8, BinError> {
-        Ok(self.take(1)?[0])
+        match self.buf.get(self.pos) {
+            Some(&b) => {
+                self.pos += 1;
+                Ok(b)
+            }
+            None => Err(self.truncated(1)),
+        }
     }
 
     /// Consume a LEB128 varint.
+    #[inline]
     fn var_u64(&mut self) -> Result<u64, BinError> {
+        // One-byte values (every count and most ids) take the short path.
+        if let Some(&b) = self.buf.get(self.pos) {
+            if b & 0x80 == 0 {
+                self.pos += 1;
+                return Ok(u64::from(b));
+            }
+        }
         let mut value = 0u64;
         let mut shift = 0u32;
         loop {
@@ -150,6 +164,18 @@ impl<'a> BinReader<'a> {
             }
             shift += 7;
         }
+    }
+
+    /// The error of a read of `n` bytes past the end, built off the hot
+    /// path.
+    #[cold]
+    #[inline(never)]
+    fn truncated(&self, n: usize) -> BinError {
+        BinError::new(format!(
+            "payload truncated: wanted {n} bytes at offset {}, {} remain",
+            self.pos,
+            self.remaining()
+        ))
     }
 }
 
@@ -264,6 +290,7 @@ impl BinEncode for u64 {
 }
 
 impl BinDecode for u64 {
+    #[inline]
     fn bin_decode(r: &mut BinReader<'_>) -> Result<u64, BinError> {
         r.var_u64()
     }
@@ -276,6 +303,7 @@ impl BinEncode for u32 {
 }
 
 impl BinDecode for u32 {
+    #[inline]
     fn bin_decode(r: &mut BinReader<'_>) -> Result<u32, BinError> {
         u32::try_from(r.var_u64()?).map_err(|_| BinError::new("varint overflows u32"))
     }
@@ -288,6 +316,7 @@ impl BinEncode for usize {
 }
 
 impl BinDecode for usize {
+    #[inline]
     fn bin_decode(r: &mut BinReader<'_>) -> Result<usize, BinError> {
         usize::try_from(r.var_u64()?).map_err(|_| BinError::new("varint overflows usize"))
     }
@@ -300,9 +329,12 @@ impl BinEncode for f64 {
 }
 
 impl BinDecode for f64 {
+    #[inline]
     fn bin_decode(r: &mut BinReader<'_>) -> Result<f64, BinError> {
-        let bytes: [u8; 8] = r.take(8)?.try_into().expect("take(8) yields 8 bytes");
-        Ok(f64::from_bits(u64::from_le_bytes(bytes)))
+        let bytes = r.take(8)?;
+        let mut raw = [0u8; 8];
+        raw.copy_from_slice(bytes);
+        Ok(f64::from_bits(u64::from_le_bytes(raw)))
     }
 }
 
@@ -313,6 +345,7 @@ impl BinEncode for bool {
 }
 
 impl BinDecode for bool {
+    #[inline]
     fn bin_decode(r: &mut BinReader<'_>) -> Result<bool, BinError> {
         match r.byte()? {
             0 => Ok(false),
@@ -395,6 +428,18 @@ impl<T: BinEncode> BinEncode for VecDeque<T> {
 impl<T: BinDecode> BinDecode for VecDeque<T> {
     fn bin_decode(r: &mut BinReader<'_>) -> Result<VecDeque<T>, BinError> {
         Vec::<T>::bin_decode(r).map(VecDeque::from)
+    }
+}
+
+impl<T: BinEncode> BinEncode for Box<T> {
+    fn bin_encode(&self, out: &mut Vec<u8>) {
+        (**self).bin_encode(out);
+    }
+}
+
+impl<T: BinDecode> BinDecode for Box<T> {
+    fn bin_decode(r: &mut BinReader<'_>) -> Result<Box<T>, BinError> {
+        T::bin_decode(r).map(Box::new)
     }
 }
 
@@ -637,5 +682,81 @@ mod tests {
         let overflow = [0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f];
         assert!(u64::bin_decode(&mut BinReader::new(&overflow)).is_err());
         assert!(u64::bin_decode(&mut BinReader::new(&[])).is_err());
+
+        // Every strict prefix of a stored page (laid out as the
+        // collection's `StoredPage`, with and without its boxed posterior)
+        // fails with the truncation message, naming a read that runs past
+        // the prefix's end.
+        for bayes in [None, Some(Box::new(Posterior { probs: vec![0.25, 0.75], seen: 300 }))] {
+            let page = Page {
+                url: Url::new(SiteId(3), PageId(200)),
+                checksum: Checksum(u64::MAX),
+                links: vec![Url::new(SiteId(3), PageId(7)), Url::new(SiteId(9), PageId(1 << 40))],
+                last_crawl: 12.5,
+                crawl_count: 130,
+                history: History {
+                    window: 200,
+                    observations: VecDeque::from(vec![(0.0, (0.0, false)), (12.5, (12.5, true))]),
+                    last_checksum: Some(Checksum(u64::MAX)),
+                    last_visit: Some(12.5),
+                },
+                bayes,
+                importance: 1.0,
+            };
+            let mut bytes = Vec::new();
+            page.bin_encode(&mut bytes);
+            roundtrip(page);
+            for len in 0..bytes.len() {
+                let err = Page::bin_decode(&mut BinReader::new(&bytes[..len])).unwrap_err();
+                let msg = err.to_string();
+                let (wanted, at, remain) = parse_truncation(&msg).unwrap_or_else(|| {
+                    panic!("prefix of {len} bytes: unexpected error {msg:?}")
+                });
+                assert_eq!(at + remain, len, "{msg}");
+                assert!(wanted > remain, "{msg}");
+            }
+        }
     }
+
+    /// `(wanted, offset, remain)` from a "payload truncated" message.
+    fn parse_truncation(msg: &str) -> Option<(usize, usize, usize)> {
+        let rest = msg.strip_prefix("payload truncated: wanted ")?;
+        let (wanted, rest) = rest.split_once(" bytes at offset ")?;
+        let (at, rest) = rest.split_once(", ")?;
+        let remain = rest.strip_suffix(" remain")?;
+        Some((wanted.parse().ok()?, at.parse().ok()?, remain.parse().ok()?))
+    }
+
+    /// The wire shape of the collection's stored page, and of its change
+    /// history and EB posterior, for the truncation test.
+    #[derive(Debug, PartialEq)]
+    struct Page {
+        url: Url,
+        checksum: Checksum,
+        links: Vec<Url>,
+        last_crawl: f64,
+        crawl_count: u64,
+        history: History,
+        bayes: Option<Box<Posterior>>,
+        importance: f64,
+    }
+    wire_struct!(Page {
+        url, checksum, links, last_crawl, crawl_count, history, bayes, importance
+    });
+
+    #[derive(Debug, PartialEq)]
+    struct History {
+        window: usize,
+        observations: VecDeque<(f64, (f64, bool))>,
+        last_checksum: Option<Checksum>,
+        last_visit: Option<f64>,
+    }
+    wire_struct!(History { window, observations, last_checksum, last_visit });
+
+    #[derive(Debug, PartialEq)]
+    struct Posterior {
+        probs: Vec<f64>,
+        seen: u64,
+    }
+    wire_struct!(Posterior { probs, seen });
 }
