@@ -331,9 +331,12 @@ mod tests {
             *sources = sources.union(other).copied().take(cap).collect();
         }
 
-        /// The bytes the old set encoded for `page`'s sources.
+        /// The bytes of `page`'s model sources: the set's elements,
+        /// ascending, as a sequence.
         fn bytes(&self, page: u64) -> Vec<u8> {
-            encode(&self.0.get(&page).cloned().unwrap_or_default())
+            let sources: Vec<PageId> =
+                self.0.get(&page).map(|s| s.iter().copied().collect()).unwrap_or_default();
+            encode(&sources)
         }
     }
 

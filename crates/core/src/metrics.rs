@@ -59,7 +59,7 @@ pub struct CrawlMetrics {
     /// Freshness of the user-visible collection over time.
     pub freshness: FreshnessSeries,
     /// Mean age (days) of the user-visible collection over time.
-    pub age: FreshnessSeriesLike,
+    pub age: FreshnessSeries,
     /// Latency from page birth to first availability in the user-visible
     /// collection, per admitted page (dominated by discovery physics:
     /// how soon some crawled page links to the newcomer).
@@ -78,51 +78,11 @@ pub struct CrawlMetrics {
     pub peak_speed: f64,
 }
 
-/// A time series like [`FreshnessSeries`] but without the `[0,1]` bound
-/// (ages are unbounded).
-#[derive(Clone, Debug, Default)]
-pub struct FreshnessSeriesLike {
-    times: Vec<f64>,
-    values: Vec<f64>,
-}
-
-impl FreshnessSeriesLike {
-    /// Append a sample (times must be non-decreasing).
-    pub fn push(&mut self, t: f64, v: f64) {
-        if let Some(&last) = self.times.last() {
-            assert!(t >= last, "samples must be time-ordered");
-        }
-        self.times.push(t);
-        self.values.push(v);
-    }
-
-    /// Trapezoidal time average.
-    pub fn time_average(&self) -> f64 {
-        if self.times.len() < 2 {
-            return self.values.first().copied().unwrap_or(0.0);
-        }
-        let mut area = 0.0;
-        for i in 1..self.times.len() {
-            area += (self.times[i] - self.times[i - 1])
-                * (self.values[i] + self.values[i - 1])
-                / 2.0;
-        }
-        let span = self.times.last().unwrap() - self.times.first().unwrap();
-        if span > 0.0 {
-            area / span
-        } else {
-            self.values.iter().sum::<f64>() / self.values.len() as f64
-        }
-    }
-
-    /// Raw rows.
-    pub fn rows(&self) -> impl Iterator<Item = (f64, f64)> + '_ {
-        self.times.iter().copied().zip(self.values.iter().copied())
-    }
-}
-
 impl CrawlMetrics {
     /// Record one sampling instant: collection freshness and mean age.
+    /// Freshness is a fraction (a value outside `[0, 1]` beyond rounding
+    /// is a bug in the caller, and panics); it is clamped to 1. Ages are
+    /// unbounded.
     ///
     /// Sampling the same instant twice collapses to one row. Both the
     /// per-day sampling grid and a drive call's closing sample can land on
@@ -135,7 +95,11 @@ impl CrawlMetrics {
         if self.freshness.times().last().map(|last| last.to_bits()) == Some(t.to_bits()) {
             return;
         }
-        self.freshness.push(t, freshness);
+        assert!(
+            (0.0..=1.0 + 1e-9).contains(&freshness),
+            "freshness must be a fraction, got {freshness}"
+        );
+        self.freshness.push(t, freshness.min(1.0));
         self.age.push(t, mean_age);
     }
 
@@ -211,7 +175,7 @@ impl CrawlMetrics {
         }
         for (i, (_, part)) in parts.iter().enumerate() {
             if part.freshness.times() != first.freshness.times()
-                || part.age.times != first.age.times
+                || part.age.times() != first.age.times()
             {
                 return Err(WebEvoError::InvalidState(format!(
                     "metrics merge: part {i} sampled on a different time grid than part 0 \
@@ -227,7 +191,7 @@ impl CrawlMetrics {
             let mut age = 0.0;
             for (w, part) in parts {
                 fresh += w * part.freshness.values()[row];
-                age += w * part.age.values[row];
+                age += w * part.age.values()[row];
             }
             merged.sample(t, fresh / total_weight, age / total_weight);
         }
@@ -453,8 +417,6 @@ fn last_instant_before(x: f64) -> f64 {
     }
 }
 
-wire_struct!(FreshnessSeriesLike { times, values }
-    reject |s| s.times.len() != s.values.len() => "age series times/values length mismatch");
 wire_struct!(CrawlMetrics {
     freshness, age, new_page_latency, discovery_latency, fetches, failed_fetches, peak_speed
 });
@@ -481,6 +443,12 @@ mod tests {
         assert!((m.age.time_average() - 0.75).abs() < 1e-12);
         assert_eq!(m.new_page_latency.count(), 2);
         assert_eq!(m.new_page_latency.min(), 0.0, "negative latency clamped");
+    }
+
+    #[test]
+    #[should_panic(expected = "fraction")]
+    fn sample_rejects_a_freshness_outside_the_unit_interval() {
+        CrawlMetrics::default().sample(0.0, 1.5, 0.0);
     }
 
     #[test]

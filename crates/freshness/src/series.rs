@@ -1,11 +1,13 @@
-//! Empirical freshness time series.
+//! Empirical time series of collection quality.
 //!
-//! The crawler engines measure *actual* collection freshness against
-//! simulator ground truth at sampling instants; this accumulator holds the
-//! `(time, freshness)` samples and provides the aggregates the experiments
-//! report (time average via trapezoid, minima after warm-up, etc.).
+//! The crawler engines measure *actual* collection freshness and mean age
+//! against simulator ground truth at sampling instants; this accumulator
+//! holds the `(day, value)` samples of one such measure and provides the
+//! aggregates the experiments report (time average via trapezoid, the
+//! average after warm-up, the last sample).
 
-/// A time-ordered series of `(day, freshness)` samples.
+/// A time-ordered series of `(day, value)` samples: the crawl's one time
+/// series type, holding its freshness and its mean age alike.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct FreshnessSeries {
     times: Vec<f64>,
@@ -18,19 +20,13 @@ impl FreshnessSeries {
         FreshnessSeries::default()
     }
 
-    /// Append a sample. Times must be non-decreasing; values are clamped to
-    /// `[0, 1]` only by assertion (a freshness outside that range is a bug
-    /// in the caller).
-    pub fn push(&mut self, time_days: f64, freshness: f64) {
-        assert!(
-            (0.0..=1.0 + 1e-9).contains(&freshness),
-            "freshness must be a fraction, got {freshness}"
-        );
+    /// Append a sample. Times must be non-decreasing.
+    pub fn push(&mut self, time_days: f64, value: f64) {
         if let Some(&last) = self.times.last() {
             assert!(time_days >= last, "samples must be time-ordered");
         }
         self.times.push(time_days);
-        self.values.push(freshness.min(1.0));
+        self.values.push(value);
     }
 
     /// Number of samples.
@@ -94,7 +90,7 @@ impl FreshnessSeries {
 }
 
 webevo_types::wire_struct!(FreshnessSeries { times, values }
-    reject |s| s.times.len() != s.values.len() => "freshness series times/values length mismatch");
+    reject |s| s.times.len() != s.values.len() => "series times/values length mismatch");
 
 #[cfg(test)]
 mod tests {
@@ -153,12 +149,5 @@ mod tests {
         let mut s = FreshnessSeries::new();
         s.push(2.0, 0.5);
         s.push(1.0, 0.5);
-    }
-
-    #[test]
-    #[should_panic(expected = "fraction")]
-    fn rejects_bad_freshness() {
-        let mut s = FreshnessSeries::new();
-        s.push(0.0, 1.5);
     }
 }

@@ -9,22 +9,20 @@
 //! hypergraph abstracts away page multiplicity.
 
 use crate::linkcsr::LinkCsr;
-use crate::pagerank::PageRankConfig;
-use std::collections::{BTreeMap, BTreeSet};
-use webevo_types::{Error, PageId, Result, SiteId};
+use crate::pagerank::{PageRankConfig, PageRankKernel};
+use std::collections::BTreeMap;
+use webevo_types::{PageId, Result, SiteId};
 
 /// A directed graph over sites, collapsed from a page-level link
-/// structure. Sites are held in ascending id order and every per-site
-/// vector is indexed by a site's position in that order, so iteration is
-/// deterministic by construction.
+/// structure. Sites are held in ascending id order, and the site edges are
+/// a [`LinkCsr`] whose member `PageId(i)` is the site at position `i`, so
+/// iteration is deterministic by construction.
 #[derive(Clone, Debug, Default)]
 pub struct SiteGraph {
     /// Sites with at least one member page, ascending.
     sites: Vec<SiteId>,
-    /// Number of distinct out-neighbors of each site.
-    out_degree: Vec<usize>,
-    /// In-neighbor positions of each site, ascending.
-    inc: Vec<Vec<usize>>,
+    /// The de-duplicated site edges, over site positions.
+    links: LinkCsr,
 }
 
 impl SiteGraph {
@@ -36,24 +34,25 @@ impl SiteGraph {
         let mut sites = page_site.clone();
         sites.sort_unstable();
         sites.dedup();
-        let slot: Vec<usize> =
-            page_site.iter().map(|s| sites.partition_point(|x| x < s)).collect();
-        let mut out = vec![BTreeSet::new(); sites.len()];
-        let mut inc = vec![BTreeSet::new(); sites.len()];
+        let slot: Vec<u32> =
+            page_site.iter().map(|s| sites.partition_point(|x| x < s) as u32).collect();
+        // Each site's inter-site targets, repeats included: the link
+        // structure collapses parallel edges.
+        let mut out = vec![Vec::new(); sites.len()];
         for (to_page, &to) in slot.iter().enumerate() {
             for &from_page in links.in_sources(to_page) {
                 let from = slot[from_page as usize];
                 if from != to {
-                    out[from].insert(to);
-                    inc[to].insert(from);
+                    out[from as usize].push(to);
                 }
             }
         }
-        SiteGraph {
-            sites,
-            out_degree: out.iter().map(BTreeSet::len).collect(),
-            inc: inc.into_iter().map(|s| s.into_iter().collect()).collect(),
-        }
+        let links = LinkCsr::from_out_links(|| {
+            out.iter().enumerate().map(|(from, targets)| {
+                (PageId(from as u64), targets.iter().map(|&to| PageId(u64::from(to))))
+            })
+        });
+        SiteGraph { sites, links }
     }
 
     /// Number of sites.
@@ -68,50 +67,20 @@ impl SiteGraph {
 
     /// Out-degree of a site (0 for a site that is not in the graph).
     pub fn out_degree(&self, s: SiteId) -> usize {
-        self.sites.binary_search(&s).map_or(0, |i| self.out_degree[i])
+        self.sites.binary_search(&s).map_or(0, |i| self.links.out_degree(i))
     }
 }
 
 /// Site-level PageRank over the collapsed hypergraph — the popularity
-/// measure the paper used to pick the 400 candidate sites.
+/// measure the paper used to pick the 400 candidate sites. It is the
+/// page-level [`PageRankKernel`] solved over the site edges: §2.2's "same
+/// formula".
 ///
 /// Scores average to 1 across sites. Dangling sites redistribute uniformly.
 pub fn site_pagerank(sg: &SiteGraph, config: &PageRankConfig) -> Result<BTreeMap<SiteId, f64>> {
-    let n = sg.site_count();
-    if n == 0 {
-        return Ok(BTreeMap::new());
-    }
-    let n_f = n as f64;
-    let teleport = 1.0 - config.follow;
-    let mut rank = vec![1.0; n];
-    let mut next = vec![0.0; n];
-    for _iteration in 1..=config.max_iterations {
-        let dangling: f64 = (0..n)
-            .filter(|&i| sg.out_degree[i] == 0)
-            .map(|i| rank[i])
-            .sum::<f64>()
-            / n_f;
-        for (score, inc) in next.iter_mut().zip(&sg.inc) {
-            let mass: f64 = inc.iter().map(|&j| rank[j] / sg.out_degree[j] as f64).sum();
-            *score = teleport + config.follow * (mass + dangling);
-        }
-        let delta: f64 = rank
-            .iter()
-            .zip(next.iter())
-            .map(|(a, b)| (a - b).abs())
-            .sum::<f64>()
-            / n_f;
-        std::mem::swap(&mut rank, &mut next);
-        if delta < config.tolerance {
-            return Ok(sg
-                .sites
-                .iter()
-                .zip(rank.iter())
-                .map(|(&s, &r)| (s, r))
-                .collect());
-        }
-    }
-    Err(Error::NoConvergence { what: "site pagerank", iterations: config.max_iterations })
+    let mut kernel = PageRankKernel::default();
+    kernel.solve(&sg.links, config)?;
+    Ok(sg.sites.iter().copied().zip(kernel.scores().iter().copied()).collect())
 }
 
 /// Rank sites by popularity, descending (ties by id). This is the ordering
@@ -125,7 +94,9 @@ pub fn rank_sites(scores: &BTreeMap<SiteId, f64>) -> Vec<(SiteId, f64)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::reference::csr;
+    use crate::reference::{self, csr};
+    use proptest::prelude::*;
+    use std::collections::BTreeSet;
 
     /// Pages `10·k .. 10·k + 9` belong to site `k`.
     fn site_of(p: PageId) -> SiteId {
@@ -182,5 +153,66 @@ mod tests {
         let scores = site_pagerank(&sg, &PageRankConfig::paper_1999()).unwrap();
         let mean: f64 = scores.values().sum::<f64>() / scores.len() as f64;
         assert!((mean - 1.0).abs() < 1e-8, "mean={mean}");
+    }
+
+    /// The collapsed site adjacency of a page graph, built with std
+    /// collections: the sites in ascending order, and each site position's
+    /// distinct inter-site target positions. Links to non-members are
+    /// dropped, as the page-level link structure drops them.
+    fn collapsed(adjacency: &[(u64, Vec<u64>)]) -> (Vec<SiteId>, Vec<(u64, Vec<u64>)>) {
+        let members: BTreeSet<u64> = adjacency.iter().map(|&(p, _)| p).collect();
+        let sites: Vec<SiteId> = members
+            .iter()
+            .map(|&p| site_of(PageId(p)))
+            .collect::<BTreeSet<_>>()
+            .into_iter()
+            .collect();
+        let position = |p: u64| sites.binary_search(&site_of(PageId(p))).unwrap() as u64;
+        let mut out = vec![BTreeSet::new(); sites.len()];
+        for (page, links) in adjacency {
+            for &target in links.iter().filter(|t| members.contains(t)) {
+                if position(*page) != position(target) {
+                    out[position(*page) as usize].insert(position(target));
+                }
+            }
+        }
+        let lists = out.into_iter().enumerate().map(|(s, t)| (s as u64, t.into_iter().collect()));
+        (sites, lists.collect())
+    }
+
+    proptest! {
+        /// On random page graphs — intra-site, parallel, non-member and
+        /// dangling links — the site scores equal the reference loop's on
+        /// the collapsed site adjacency bit for bit, or both solves fail
+        /// (a 2-iteration cap).
+        #[test]
+        fn site_rank_matches_reference_on_collapsed_adjacency(
+            lists in prop::collection::vec(
+                (0u64..60, prop::collection::vec(0u64..70, 0..8)),
+                0..24,
+            ),
+            form in 0usize..3,
+        ) {
+            let mut adjacency = lists;
+            adjacency.sort_by_key(|&(page, _)| page);
+            adjacency.dedup_by_key(|(page, _)| *page);
+            let cfg = match form {
+                0 => PageRankConfig::conventional(),
+                1 => PageRankConfig::paper_1999(),
+                _ => PageRankConfig { max_iterations: 2, ..PageRankConfig::conventional() },
+            };
+            let (sites, site_adjacency) = collapsed(&adjacency);
+            let new = site_pagerank(&site_graph(&adjacency), &cfg);
+            match (new, reference::pagerank(&site_adjacency, &cfg)) {
+                (Ok(new), Ok(old)) => {
+                    prop_assert_eq!(new.keys().copied().collect::<Vec<_>>(), sites);
+                    let new_bits: Vec<u64> = new.values().map(|v| v.to_bits()).collect();
+                    let old_bits: Vec<u64> = old.iter().map(|(_, v)| v.to_bits()).collect();
+                    prop_assert_eq!(new_bits, old_bits);
+                }
+                (Err(_), Err(_)) => {}
+                (new, old) => panic!("site kernel {new:?} vs reference {old:?}"),
+            }
+        }
     }
 }

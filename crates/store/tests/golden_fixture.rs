@@ -25,6 +25,7 @@ use webevo_store::wal::WAL_HEADER;
 use webevo_store::{
     decode_snapshot, encode_snapshot, recover, CrawlSession, SNAPSHOT_FILE, WAL_FILE,
 };
+use webevo_types::BinEncode;
 
 fn fixture_dir() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/golden")
@@ -66,17 +67,11 @@ fn run_to_kill_point(dir: &Path) {
     session.run(FIXTURE_KILL_DAY).expect("the crawl runs");
 }
 
-fn assert_metrics_identical(a: &CrawlMetrics, b: &CrawlMetrics) {
-    assert_eq!(a.fetches, b.fetches, "fetch counts diverged");
-    assert_eq!(a.failed_fetches, b.failed_fetches, "failure counts diverged");
-    let rows_a: Vec<(f64, f64)> = a.freshness.rows().collect();
-    let rows_b: Vec<(f64, f64)> = b.freshness.rows().collect();
-    assert_eq!(rows_a, rows_b, "freshness series diverged");
-    let age_a: Vec<(f64, f64)> = a.age.rows().collect();
-    let age_b: Vec<(f64, f64)> = b.age.rows().collect();
-    assert_eq!(age_a, age_b, "age series diverged");
-    assert_eq!(a.new_page_latency.count(), b.new_page_latency.count());
-    assert_eq!(a.new_page_latency.mean(), b.new_page_latency.mean());
+/// Every metric channel as wire bytes, each `f64` by its bits.
+fn bytes(m: &CrawlMetrics) -> Vec<u8> {
+    let mut out = Vec::new();
+    m.bin_encode(&mut out);
+    out
 }
 
 #[test]
@@ -157,7 +152,8 @@ fn fixture_resumes_onto_the_uninterrupted_trajectory() {
     drop(reference);
 
     assert!(reference_metrics.failed_fetches > 0, "failure injection active");
-    assert_metrics_identical(&reference_metrics, &resumed_metrics);
+    let same = bytes(&reference_metrics) == bytes(&resumed_metrics);
+    assert!(same, "metrics diverged across the resume");
     assert_eq!(
         Fetcher::export_state(&reference_fetcher),
         Fetcher::export_state(&resumed_fetcher),

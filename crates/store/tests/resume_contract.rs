@@ -21,6 +21,7 @@ use webevo_store::{
     read_wal, recover, CheckpointConfig, Checkpointer, CrawlSession, FleetSession, SNAPSHOT_FILE,
     WAL_FILE,
 };
+use webevo_types::BinEncode;
 
 fn scratch_dir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("webevo-resume-{}-{name}", std::process::id()));
@@ -88,23 +89,16 @@ impl Case {
     }
 
     /// The uninterrupted run every continuation must land on.
-    fn reference(&self, universe: &WebUniverse) -> Vec<u64> {
+    fn reference(&self, universe: &WebUniverse) -> Vec<u8> {
         let mut session = self.session(universe, None);
-        fingerprint(session.run(self.end_day).expect("the crawl runs"))
+        bytes(session.run(self.end_day).expect("the crawl runs"))
     }
 }
 
-/// Every metric channel, floats by bit pattern.
-fn fingerprint(m: &CrawlMetrics) -> Vec<u64> {
-    let mut out = vec![m.fetches, m.failed_fetches];
-    for (t, v) in m.freshness.rows().chain(m.age.rows()) {
-        out.extend([t.to_bits(), v.to_bits()]);
-    }
-    for summary in [&m.new_page_latency, &m.discovery_latency] {
-        let (n, mean, m2, min, max) = summary.raw_parts();
-        out.push(n);
-        out.extend([mean, m2, min, max].map(f64::to_bits));
-    }
+/// Every metric channel as wire bytes, each `f64` by its bits.
+fn bytes(m: &CrawlMetrics) -> Vec<u8> {
+    let mut out = Vec::new();
+    m.bin_encode(&mut out);
     out
 }
 
@@ -152,7 +146,7 @@ fn resume_over_an_empty_tail_rewrites_nothing() {
         );
 
         let mut resumed = case.session(&universe, Some((&dir, every)));
-        let continued = fingerprint(resumed.resume(case.end_day).expect("recovers"));
+        let continued = bytes(resumed.resume(case.end_day).expect("recovers"));
         assert!(continued == case.reference(&universe), "{}: trajectory moved", case.tag);
         let _ = fs::remove_dir_all(&dir);
     }
@@ -199,7 +193,7 @@ fn resume_cuts_a_torn_tail_before_it_appends() {
         drop(recovered);
 
         let mut resumed = case.session(&universe, Some((&dir, every)));
-        let continued = fingerprint(resumed.resume(case.end_day).expect("recovers"));
+        let continued = bytes(resumed.resume(case.end_day).expect("recovers"));
         assert!(continued == case.reference(&universe), "{}: trajectory moved", case.tag);
         let _ = fs::remove_dir_all(&dir);
     }
@@ -266,9 +260,9 @@ fn fleet_kill_mid_exchange_cuts_the_aligned_shard_back_to_the_barrier() {
     let resumed = build(true).resume(20.0).expect("the fleet recovers").clone();
     let reference = build(false).run(20.0).expect("the fleet runs").clone();
     assert!(reference.routed_links() > 0, "cross-shard links were exchanged");
-    assert!(fingerprint(&resumed.merged) == fingerprint(&reference.merged), "trajectory moved");
+    assert!(bytes(&resumed.merged) == bytes(&reference.merged), "trajectory moved");
     for (a, b) in resumed.shards.iter().zip(&reference.shards) {
-        assert!(fingerprint(&a.metrics) == fingerprint(&b.metrics), "{} moved", a.shard);
+        assert!(bytes(&a.metrics) == bytes(&b.metrics), "{} moved", a.shard);
     }
     let _ = fs::remove_dir_all(&dir);
 }
@@ -330,7 +324,7 @@ fn fleet_shards_snapshot_at_the_barrier_before_the_exchange() {
         let reference = build(false).run(end_day).expect("the fleet runs").clone();
         assert!(reference.routed_links() > 0, "{tag}: cross-shard links were exchanged");
         for (a, b) in resumed.shards.iter().zip(&reference.shards) {
-            assert!(fingerprint(&a.metrics) == fingerprint(&b.metrics), "{tag}: {} moved", a.shard);
+            assert!(bytes(&a.metrics) == bytes(&b.metrics), "{tag}: {} moved", a.shard);
         }
         let _ = fs::remove_dir_all(&dir);
     }

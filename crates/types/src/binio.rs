@@ -18,7 +18,7 @@
 //! * `String`/byte strings — varint length prefix, then the bytes.
 //! * `Option<T>` — one tag byte (`0` = `None`, `1` = `Some`), then `T`.
 //! * `Box<T>` — exactly `T`'s encoding.
-//! * Sequences (`Vec`, `VecDeque`, `BTreeSet`, dense maps/sets) — varint
+//! * Sequences (`Vec`, `VecDeque`, dense maps/sets) — varint
 //!   element count, then the elements in iteration order; maps interleave
 //!   `key, value`.
 //! * Enums — one tag byte, then the variant's fields, declared once with
@@ -69,7 +69,7 @@ use crate::dense::{DenseMap, DenseSet};
 use crate::id::{PageId, SiteId};
 use crate::page::{ChangeRate, Checksum, PageVersion};
 use crate::url::Url;
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::VecDeque;
 use std::fmt;
 
 /// A binary decode failure: what the reader expected and where.
@@ -481,26 +481,6 @@ impl<A: BinDecode, B: BinDecode> BinDecode for (A, B) {
     }
 }
 
-impl<T: BinEncode> BinEncode for BTreeSet<T> {
-    fn bin_encode(&self, out: &mut Vec<u8>) {
-        put_var_u64(out, self.len() as u64);
-        for item in self {
-            item.bin_encode(out);
-        }
-    }
-}
-
-impl<T: BinDecode + Ord> BinDecode for BTreeSet<T> {
-    fn bin_decode(r: &mut BinReader<'_>) -> Result<BTreeSet<T>, BinError> {
-        let len = usize::bin_decode(r)?;
-        let mut set = BTreeSet::new();
-        for _ in 0..len {
-            set.insert(T::bin_decode(r)?);
-        }
-        Ok(set)
-    }
-}
-
 impl<V: BinEncode> BinEncode for DenseMap<V> {
     fn bin_encode(&self, out: &mut Vec<u8>) {
         put_var_u64(out, self.len() as u64);
@@ -609,13 +589,6 @@ mod tests {
         roundtrip(Option::<u64>::None);
         roundtrip(vec![PageId(1), PageId(0), PageId(999)]);
         roundtrip(VecDeque::from(vec![(SiteId(1), 0.5f64), (SiteId(2), -1.5)]));
-        let set: BTreeSet<PageId> = [PageId(9), PageId(2), PageId(300)].into_iter().collect();
-        // A set is a sequence on the wire: same bytes as its sorted elements.
-        let (mut as_set, mut as_vec) = (Vec::new(), Vec::new());
-        set.bin_encode(&mut as_set);
-        set.iter().copied().collect::<Vec<_>>().bin_encode(&mut as_vec);
-        assert_eq!(as_set, as_vec);
-        roundtrip(set);
     }
 
     #[derive(Debug, PartialEq)]

@@ -69,49 +69,41 @@ pub use webevo_stats as stats;
 pub use webevo_store as store;
 pub use webevo_types as types;
 
-/// The most commonly used items, re-exported flat.
+/// The most commonly used items, re-exported flat. Everything else is
+/// reachable through its crate module ([`webevo::core`](crate::core),
+/// [`webevo::serve`](crate::serve), …).
 pub mod prelude {
     pub use webevo_core::{
-        collection_quality, AllUrls, Collection, CrawlBudget, CrawlEngine, CrawlHook,
-        CrawlMetrics, CrawlerState, EngineConfig, EngineKind, EstimatorKind, FetchRecord,
-        IncrementalConfig, IncrementalCrawler, NoopHook, PeriodicConfig,
-        PeriodicCrawler, RankingConfig, RevisitStrategy, RoutedBatch, RoutedLink,
-        RoutingState, ShardScope, ThreadedCrawler, WalEvent,
+        collection_quality, CrawlBudget, CrawlEngine, CrawlHook, CrawlMetrics, CrawlerState,
+        EngineConfig, EngineKind, EstimatorKind, FetchRecord, IncrementalConfig,
+        IncrementalCrawler, NoopHook, PeriodicConfig, PeriodicCrawler, RankingConfig,
+        RevisitStrategy, ThreadedCrawler, WalEvent,
     };
     pub use webevo_estimate::{
-        estimate_ep, estimate_irregular_mle, estimate_naive,
-        estimate_regular_bias_corrected, BayesianEstimator,
-        ChangeHistory, FrequencyClass, SitePool,
+        estimate_ep, estimate_irregular_mle, estimate_naive, BayesianEstimator, ChangeHistory,
+        SitePool,
     };
     pub use webevo_experiment::{
         run_full_experiment, select_sites, DailyMonitor, ExperimentReport, MonitorConfig,
     };
     pub use webevo_freshness::{
         freshness_batch_inplace, freshness_batch_shadow, freshness_periodic,
-        freshness_steady_inplace, freshness_steady_shadow, CrawlMode, CrawlPolicy,
-        FreshnessSeries, UpdateMode,
+        freshness_steady_inplace, freshness_steady_shadow, CrawlMode, CrawlPolicy, UpdateMode,
     };
     pub use webevo_graph::{pagerank, LinkCsr, PageRankConfig};
-    pub use webevo_obs::{LogicalClock, MetricsRegistry, ObsSink, SpanRecord, Stage};
+    pub use webevo_obs::{LogicalClock, ObsSink, Stage};
     pub use webevo_schedule::{
         evaluate_allocation, optimal_allocation, optimal_frequency_curve,
-        proportional_allocation, uniform_allocation, RevisitPolicy,
+        proportional_allocation, uniform_allocation,
     };
-    pub use webevo_serve::{
-        CollectionView, EpochInfo, FleetViewCollector, FreshnessStats, QueryService,
-        ServeHandle, SiteRollup, ViewHandle, ViewPage,
-    };
+    pub use webevo_serve::{QueryService, ServeHandle};
     pub use webevo_sim::{
         FetchError, FetchOutcome, Fetcher, FetcherState, Politeness, SimFetcher,
         UniverseConfig, WebUniverse,
     };
-    pub use webevo_stats::{
-        Histogram, IntervalBin, IntervalHistogram, LifespanBin, LifespanHistogram,
-        PoissonProcess, SimRng, Summary, SurvivalCurve,
-    };
+    pub use webevo_stats::{IntervalBin, LifespanBin, PoissonProcess, SimRng, Summary};
     pub use webevo_store::{
-        recover, CheckpointConfig, Checkpointer, CrawlSession, CrawlSessionBuilder,
-        FleetManifest, FleetMetrics, FleetSession, FleetSessionBuilder, Recovered, ShardReport,
+        recover, CheckpointConfig, Checkpointer, CrawlSession, FleetMetrics, FleetSession,
     };
     pub use webevo_types::{
         ChangeRate, Checksum, Domain, PageId, ShardFn, ShardId, ShardPlan, SiteId, Url,

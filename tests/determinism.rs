@@ -3,13 +3,16 @@
 //! Every stochastic component draws from a seeded [`SimRng`], so the whole
 //! pipeline — universe generation, fetch simulation, crawler scheduling —
 //! must replay bit-identically for a fixed `UniverseConfig` seed. These
-//! tests pin that contract at the integration level, through the public
-//! `CrawlSession` API: future refactors (sharding, async engines) must not
-//! silently break replayability, and the session redesign itself is held
-//! to the pre-redesign engines' byte-identical metrics.
+//! tests pin that contract through the public `CrawlSession` and
+//! `FleetSession` APIs, comparing metrics as wire bytes. Scenarios that
+//! share a shape are table rows: kill → recover → continue cases of
+//! `RecoveryCase`, attachments of `assert_attachment_is_free`.
 
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicBool, Ordering};
 use webevo::prelude::*;
+use webevo::store::{ShardReport, SNAPSHOT_FILE, WAL_FILE};
+use webevo::types::BinEncode;
 
 /// A unique temp directory per test (tests run concurrently).
 fn temp_dir(name: &str) -> PathBuf {
@@ -36,30 +39,24 @@ fn crawl(seed: u64, days: f64) -> CrawlMetrics {
     session.metrics().clone()
 }
 
-/// Exact equality of every observable metric channel. `CrawlMetrics` does
-/// not implement `PartialEq` (float series rarely should), so compare the
-/// channels explicitly — bitwise, not within tolerance: replay must be
-/// exact, down to the last fetch.
+/// The wire bytes of `value`: every field in declaration order, each
+/// `f64` as its raw bits.
+fn bytes(value: &impl BinEncode) -> Vec<u8> {
+    let mut out = Vec::new();
+    value.bin_encode(&mut out);
+    out
+}
+
+/// Exact equality of every metric channel — both series, both latency
+/// summaries in full, the counters and the peak speed — as wire bytes:
+/// replay must be exact, down to the last fetch.
 fn assert_metrics_identical(a: &CrawlMetrics, b: &CrawlMetrics) {
-    assert_eq!(a.fetches, b.fetches, "fetch counts diverged");
-    assert_eq!(a.failed_fetches, b.failed_fetches, "failure counts diverged");
-    assert_eq!(a.peak_speed, b.peak_speed, "peak speed diverged");
-    let rows_a: Vec<(f64, f64)> = a.freshness.rows().collect();
-    let rows_b: Vec<(f64, f64)> = b.freshness.rows().collect();
-    assert_eq!(rows_a, rows_b, "freshness series diverged");
-    let age_a: Vec<(f64, f64)> = a.age.rows().collect();
-    let age_b: Vec<(f64, f64)> = b.age.rows().collect();
-    assert_eq!(age_a, age_b, "age series diverged");
-    assert_eq!(a.new_page_latency.count(), b.new_page_latency.count());
-    assert_eq!(a.new_page_latency.mean(), b.new_page_latency.mean());
-    assert_eq!(a.discovery_latency.count(), b.discovery_latency.count());
-    assert_eq!(a.discovery_latency.mean(), b.discovery_latency.mean());
+    assert!(bytes(a) == bytes(b), "metrics diverged ({} vs {} fetches)", a.fetches, b.fetches);
 }
 
 #[test]
 fn identical_seeds_replay_identical_metrics() {
-    let first = crawl(42, 30.0);
-    let second = crawl(42, 30.0);
+    let (first, second) = (crawl(42, 30.0), crawl(42, 30.0));
     assert!(first.fetches > 0, "the run should actually crawl");
     assert_metrics_identical(&first, &second);
 }
@@ -77,21 +74,17 @@ fn periodic_crawler_replays_identically() {
         session.run(65.0).expect("the crawl runs");
         session.metrics().clone()
     };
-    let first = run();
-    let second = run();
+    let (first, second) = (run(), run());
     assert!(first.fetches > 0, "the run should actually crawl");
     assert_metrics_identical(&first, &second);
 }
 
 #[test]
 fn different_seeds_diverge() {
-    let a = crawl(42, 30.0);
-    let b = crawl(43, 30.0);
-    let rows_a: Vec<(f64, f64)> = a.freshness.rows().collect();
-    let rows_b: Vec<(f64, f64)> = b.freshness.rows().collect();
+    let rows = |seed| crawl(seed, 30.0).freshness.rows().collect::<Vec<_>>();
     // Different universes must not produce the same trajectory; otherwise
     // the seed is not actually reaching the generator.
-    assert_ne!(rows_a, rows_b, "seeds 42 and 43 produced identical runs");
+    assert_ne!(rows(42), rows(43), "seeds 42 and 43 produced identical runs");
 }
 
 #[test]
@@ -114,12 +107,37 @@ fn universe_generation_replays() {
     }
 }
 
+#[test]
+fn fork_streams_independent_of_consumer_ordering() {
+    // Stream `s` must yield the same values no matter which other streams
+    // were forked first, or how much the parent was consumed in between.
+    let draw = |rng: &mut SimRng| -> Vec<u64> { (0..64).map(|_| rng.next_u64()).collect() };
+
+    let root_a = SimRng::seed_from_u64(99);
+    let mut fork_a = root_a.fork(5);
+    let a = draw(&mut fork_a);
+
+    let mut root_b = SimRng::seed_from_u64(99);
+    let _ = root_b.fork(1);
+    let _ = root_b.next_u64(); // consume the parent
+    let _ = root_b.fork(17);
+    let mut fork_b = root_b.fork(5);
+    let b = draw(&mut fork_b);
+
+    assert_eq!(a, b, "fork(5) must not depend on sibling forks or parent use");
+
+    // And distinct streams must actually be distinct.
+    let mut other = root_a.fork(6);
+    assert_ne!(a, draw(&mut other), "fork(5) and fork(6) should diverge");
+}
+
 // --------------------------------------------------------------------
 // The durable-state extension of the replay contract: a run that is
 // killed, recovered from `snapshot + WAL tail`, and continued must be
 // indistinguishable — bit for bit, on every metric channel — from a run
 // that was never interrupted. (webevo-store's acceptance bar, exercised
-// through CrawlSession::resume for every engine.)
+// through CrawlSession::resume for every engine, from a cadence snapshot,
+// from the day-0 base snapshot alone, and from a torn log.)
 // --------------------------------------------------------------------
 
 /// One kill → recover → continue scenario.
@@ -131,11 +149,10 @@ struct RecoveryCase {
     /// Crawl through a caller-supplied failure-injecting fetcher. That
     /// makes the fetcher genuinely stateful (its attempt counter drives
     /// the failure pattern), so the case also proves fetcher state
-    /// survives the crash.
+    /// survives the crash. Zero injects no failures.
     failure_rate: f64,
-    /// The fetcher's politeness limits; `None` keeps
-    /// [`SimFetcher::new`]'s unrestricted default.
-    politeness: Option<Politeness>,
+    /// The fetcher's politeness limits.
+    politeness: Politeness,
     snapshot_every: f64,
     /// Deliberately not a checkpoint boundary.
     kill_day: f64,
@@ -144,6 +161,14 @@ struct RecoveryCase {
     /// Passes the resumed run must have completed by `end_day` — proof
     /// that the continuation crossed boundaries of its own.
     min_passes: u64,
+    /// The kill comes before any cadence snapshot: only the unseeded
+    /// day-0 base snapshot `Checkpointer::create` writes is on disk.
+    base_only: bool,
+    /// Whether committed work follows the snapshot in the WAL at the kill.
+    wal_tail: bool,
+    /// Bytes torn off the end of the WAL before recovery, as a crash
+    /// during a flush would (0 leaves it intact).
+    torn_bytes: usize,
 }
 
 impl RecoveryCase {
@@ -169,19 +194,18 @@ impl RecoveryCase {
 }
 
 /// Crawl under the checkpointer to `kill_day`, "kill" the process by
-/// dropping every in-memory structure, recover from `snapshot + WAL tail`
-/// and continue to `end_day` in one call — and require the result to
-/// match, on every metric channel and in the fetcher's replay state, the
-/// same crawl never interrupted.
+/// dropping every in-memory structure, check what is on disk (tearing the
+/// log if the case says so), recover from `snapshot + WAL tail` and
+/// continue to `end_day` in one call — and require the result to match, on
+/// every metric channel and in the fetcher's replay state, the same crawl
+/// never interrupted.
 fn assert_killed_and_recovered_matches_uninterrupted(case: RecoveryCase) {
     let dir = temp_dir(case.tag);
     let universe = WebUniverse::generate(UniverseConfig::test_scale(case.seed));
     let fetcher = || {
-        let fetcher = SimFetcher::new(&universe).with_failure_rate(case.failure_rate);
-        match case.politeness {
-            Some(politeness) => fetcher.with_politeness(politeness),
-            None => fetcher,
-        }
+        SimFetcher::new(&universe)
+            .with_failure_rate(case.failure_rate)
+            .with_politeness(case.politeness)
     };
     let mut killed_fetcher = fetcher();
     let mut killed = case.session(&universe, &mut killed_fetcher, Some(&dir));
@@ -191,26 +215,41 @@ fn assert_killed_and_recovered_matches_uninterrupted(case: RecoveryCase) {
     drop(killed);
     drop(killed_fetcher);
 
-    // Sanity: what is on disk predates the kill point.
     let on_disk = recover(&dir).expect("snapshot decodes").expect("snapshot exists");
     assert!(on_disk.state.clock.t < case.kill_day, "snapshot predates the kill point");
+    if case.base_only {
+        assert_eq!(on_disk.state.fetch_seq, 0, "only the base snapshot was written");
+        assert!(!on_disk.state.seeded, "the base snapshot predates seeding");
+    }
+    assert_eq!(!on_disk.wal.is_empty(), case.wal_tail, "{}: WAL tail at the kill", case.tag);
+    if case.torn_bytes > 0 {
+        // Tear the log mid-record, as a crash during a flush would.
+        let wal = std::fs::read(dir.join(WAL_FILE)).expect("wal readable");
+        let kept = &wal[..wal.len() - case.torn_bytes];
+        std::fs::write(dir.join(WAL_FILE), kept).expect("wal writable");
+        let torn = recover(&dir).expect("torn WAL must still decode").expect("exists");
+        let (torn, intact) = (torn.wal.len(), on_disk.wal.len());
+        assert!(torn < intact, "truncation must shrink the committed tail ({torn} vs {intact})");
+    }
 
+    // Recovery loses only uncommitted work: the continued crawl re-fetches
+    // it and still matches the uninterrupted reference exactly.
     let mut resumed_fetcher = fetcher();
     let mut resumed = case.session(&universe, &mut resumed_fetcher, Some(&dir));
-    resumed.resume(case.end_day).expect("snapshot + WAL tail recover");
+    let resumed_metrics = resumed.resume(case.end_day).expect("snapshot + WAL recover").clone();
     assert!(resumed.passes() >= case.min_passes, "{}: passes={}", case.tag, resumed.passes());
-    let resumed_metrics = resumed.metrics().clone();
     drop(resumed);
 
     let mut reference_fetcher = fetcher();
     let mut reference = case.session(&universe, &mut reference_fetcher, None);
-    reference.run(case.end_day).expect("the crawl runs");
-    let reference_metrics = reference.metrics().clone();
+    let reference_metrics = reference.run(case.end_day).expect("the crawl runs").clone();
     drop(reference);
 
     assert!(reference_metrics.fetches > 0, "the run should actually crawl");
     assert_metrics_identical(&reference_metrics, &resumed_metrics);
-    assert!(reference_metrics.failed_fetches > 0, "failure injection active");
+    if case.failure_rate > 0.0 {
+        assert!(reference_metrics.failed_fetches > 0, "failure injection active");
+    }
     assert_eq!(
         Fetcher::export_state(&reference_fetcher),
         Fetcher::export_state(&resumed_fetcher),
@@ -219,11 +258,42 @@ fn assert_killed_and_recovered_matches_uninterrupted(case: RecoveryCase) {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-fn small_incremental_config() -> EngineConfig {
+/// The base shape of a row: the incremental engine at capacity 50 and 10
+/// fetches/day under 15% failure injection, snapshotting every 5 days,
+/// killed at day 23 with a WAL tail past its last cadence snapshot and
+/// continued to day 40.
+impl Default for RecoveryCase {
+    fn default() -> Self {
+        RecoveryCase {
+            tag: "",
+            kind: EngineKind::Incremental,
+            seed: 42,
+            config: EngineConfig::Incremental(IncrementalConfig {
+                capacity: 50,
+                crawl_rate_per_day: 10.0,
+                ..IncrementalConfig::monthly(50)
+            }),
+            failure_rate: 0.15,
+            // `SimFetcher::new`'s unrestricted default.
+            politeness: Politeness { min_delay_days: 0.0, night_window: None },
+            snapshot_every: 5.0,
+            kill_day: 23.0,
+            end_day: 40.0,
+            min_snapshots: 0,
+            min_passes: 0,
+            base_only: false,
+            wal_tail: true,
+            torn_bytes: 0,
+        }
+    }
+}
+
+/// The base-snapshot rows' engine: capacity 40 at 8 fetches/day.
+fn smaller_incremental_config() -> EngineConfig {
     EngineConfig::Incremental(IncrementalConfig {
-        capacity: 50,
-        crawl_rate_per_day: 10.0,
-        ..IncrementalConfig::monthly(50)
+        capacity: 40,
+        crawl_rate_per_day: 8.0,
+        ..IncrementalConfig::monthly(40)
     })
 }
 
@@ -231,16 +301,9 @@ fn small_incremental_config() -> EngineConfig {
 fn incremental_killed_and_recovered_matches_uninterrupted() {
     assert_killed_and_recovered_matches_uninterrupted(RecoveryCase {
         tag: "inc-recover",
-        kind: EngineKind::Incremental,
-        seed: 42,
-        config: small_incremental_config(),
-        failure_rate: 0.15,
-        politeness: None,
-        snapshot_every: 5.0,
-        kill_day: 23.0,
-        end_day: 40.0,
         min_snapshots: 2,
         min_passes: 39,
+        ..RecoveryCase::default()
     });
 }
 
@@ -254,14 +317,13 @@ fn threaded_killed_and_recovered_matches_uninterrupted() {
         tag: "thr-recover",
         kind: EngineKind::Threaded { workers: 4 },
         seed: 43,
-        config: small_incremental_config(),
-        failure_rate: 0.15,
-        politeness: Some(Politeness::paper()),
+        politeness: Politeness::paper(),
         snapshot_every: 4.0,
         kill_day: 21.0,
         end_day: 35.0,
         min_snapshots: 2,
         min_passes: 34,
+        ..RecoveryCase::default()
     });
 }
 
@@ -275,74 +337,72 @@ fn periodic_killed_and_recovered_matches_uninterrupted() {
         kind: EngineKind::Periodic,
         seed: 44,
         config: EngineConfig::Periodic(PeriodicConfig::monthly(50)),
-        failure_rate: 0.15,
-        politeness: None,
-        snapshot_every: 5.0,
-        kill_day: 23.0,
         end_day: 70.0,
         min_snapshots: 1,
         min_passes: 2,
+        wal_tail: false,
+        ..RecoveryCase::default()
     });
 }
 
 #[test]
 fn torn_wal_tail_is_discarded_not_misparsed() {
-    let dir = temp_dir("torn-wal");
-    let universe = WebUniverse::generate(UniverseConfig::test_scale(44));
-    let config = IncrementalConfig {
-        capacity: 40,
-        crawl_rate_per_day: 8.0,
-        ..IncrementalConfig::monthly(40)
-    };
+    // A long snapshot cadence leaves plenty of WAL past the (base)
+    // snapshot; tearing 37 bytes off its end cuts the last record.
+    assert_killed_and_recovered_matches_uninterrupted(RecoveryCase {
+        tag: "torn-wal",
+        seed: 44,
+        config: smaller_incremental_config(),
+        failure_rate: 0.0,
+        snapshot_every: 50.0,
+        kill_day: 18.0,
+        end_day: 25.0,
+        min_passes: 24,
+        base_only: true,
+        torn_bytes: 37,
+        ..RecoveryCase::default()
+    });
+}
 
-    // Long snapshot cadence: plenty of WAL accumulates past the snapshot.
-    let mut killed = CrawlSession::builder()
-        .engine(EngineKind::Incremental)
-        .incremental(config.clone())
-        .universe(&universe)
-        .checkpoint(&dir, 50.0)
-        .build()
-        .expect("checkpoint dir is writable");
-    killed.run(18.0).expect("the crawl runs");
-    drop(killed);
+#[test]
+fn session_killed_before_first_cadence_snapshot_recovers_from_base() {
+    // With a snapshot cadence the run never reaches, the only snapshot on
+    // disk is the base (day-0) one, and ALL crawl progress lives in the
+    // WAL: recovery must replay it onto the base snapshot, never truncate
+    // the log as if nothing had been committed.
+    assert_killed_and_recovered_matches_uninterrupted(RecoveryCase {
+        tag: "base-snapshot",
+        seed: 46,
+        config: smaller_incremental_config(),
+        failure_rate: 0.2,
+        snapshot_every: 50.0,
+        kill_day: 13.0,
+        end_day: 20.0,
+        min_passes: 19,
+        base_only: true,
+        ..RecoveryCase::default()
+    });
+}
 
-    let intact = recover(&dir).expect("decodes").expect("exists");
-    assert!(!intact.wal.is_empty(), "test needs a WAL tail to tear");
-
-    // Tear the log mid-record, as a crash during a flush would.
-    let wal_path = dir.join(webevo::store::WAL_FILE);
-    let bytes = std::fs::read(&wal_path).expect("wal readable");
-    std::fs::write(&wal_path, &bytes[..bytes.len() - 37]).expect("wal writable");
-
-    let torn = recover(&dir).expect("torn WAL must still decode").expect("exists");
-    assert!(
-        torn.wal.len() < intact.wal.len(),
-        "truncation must shrink the committed tail ({} vs {})",
-        torn.wal.len(),
-        intact.wal.len()
-    );
-
-    // Recovery from the torn log loses only the uncommitted work — the
-    // continued crawl re-fetches it and still matches the uninterrupted
-    // reference exactly.
-    let mut resumed = CrawlSession::builder()
-        .engine(EngineKind::Incremental)
-        .incremental(config.clone())
-        .universe(&universe)
-        .checkpoint(&dir, 50.0)
-        .build()
-        .expect("checkpoint dir is writable");
-    resumed.resume(25.0).expect("torn checkpoint recovers");
-
-    let mut reference = CrawlSession::builder()
-        .engine(EngineKind::Incremental)
-        .incremental(config)
-        .universe(&universe)
-        .build()
-        .expect("a valid session");
-    reference.run(25.0).expect("the crawl runs");
-    assert_metrics_identical(reference.metrics(), resumed.metrics());
-    let _ = std::fs::remove_dir_all(&dir);
+#[test]
+fn periodic_killed_before_any_boundary_restarts_cleanly() {
+    // The empty-WAL edge of the base-snapshot path: the periodic engine's
+    // first pass boundary is its first shadow swap (day 7 here), so a
+    // kill at day 5 leaves the base snapshot and an empty log — recovery
+    // must restart the run from day 0 and still match an uninterrupted
+    // run exactly.
+    assert_killed_and_recovered_matches_uninterrupted(RecoveryCase {
+        tag: "per-base",
+        kind: EngineKind::Periodic,
+        seed: 47,
+        config: EngineConfig::Periodic(PeriodicConfig::monthly(50)),
+        failure_rate: 0.0,
+        kill_day: 5.0,
+        min_passes: 2,
+        base_only: true,
+        wal_tail: false,
+        ..RecoveryCase::default()
+    });
 }
 
 // --------------------------------------------------------------------
@@ -361,10 +421,8 @@ fn assert_fleet_identical(a: &FleetMetrics, b: &FleetMetrics) {
     assert_metrics_identical(&a.merged, &b.merged);
     assert_eq!(a.shards.len(), b.shards.len());
     for (sa, sb) in a.shards.iter().zip(&b.shards) {
-        assert_eq!(sa.shard, sb.shard);
-        assert_eq!(sa.capacity, sb.capacity);
-        assert_eq!(sa.sites, sb.sites);
-        assert_eq!(sa.collection_len, sb.collection_len, "{} diverged", sa.shard);
+        let report = |s: &ShardReport| (s.shard, s.capacity, s.sites, s.collection_len);
+        assert_eq!(report(sa), report(sb), "{} diverged", sa.shard);
         assert_metrics_identical(&sa.metrics, &sb.metrics);
     }
 }
@@ -621,430 +679,227 @@ fn threaded_fleet_agrees_with_single_shard_threaded_run() {
     );
 }
 
-#[test]
-fn session_killed_before_first_cadence_snapshot_recovers_from_base() {
-    // The recovery bugfix pinned end to end: with a snapshot cadence the
-    // run never reaches, the only snapshot on disk is the base (day-0)
-    // one Checkpointer::create writes, and ALL crawl progress lives in
-    // the WAL. Before the fix this directory recovered as `Ok(None)` and
-    // a restart truncated the log — silently discarding committed work.
-    let dir = temp_dir("base-snapshot");
-    let universe = WebUniverse::generate(UniverseConfig::test_scale(46));
-    let config = IncrementalConfig {
-        capacity: 40,
-        crawl_rate_per_day: 8.0,
-        ..IncrementalConfig::monthly(40)
-    };
-    let failure_rate = 0.2;
-
-    let mut killed_fetcher = SimFetcher::new(&universe).with_failure_rate(failure_rate);
-    let mut killed = CrawlSession::builder()
-        .engine(EngineKind::Incremental)
-        .incremental(config.clone())
-        .universe(&universe)
-        .fetcher(&mut killed_fetcher)
-        .checkpoint(&dir, 50.0)
-        .build()
-        .expect("checkpoint dir is writable");
-    killed.run(13.0).expect("the crawl runs");
-    drop(killed);
-    drop(killed_fetcher);
-
-    // What survived the kill is exactly `day-0 snapshot + WAL`.
-    let on_disk = recover(&dir).expect("decodes").expect("base snapshot exists");
-    assert_eq!(on_disk.state.fetch_seq, 0, "only the base snapshot was written");
-    assert!(!on_disk.state.seeded, "the base snapshot predates seeding");
-    assert!(!on_disk.wal.is_empty(), "all committed work lives in the WAL");
-
-    let mut resumed_fetcher = SimFetcher::new(&universe).with_failure_rate(failure_rate);
-    let mut resumed = CrawlSession::builder()
-        .engine(EngineKind::Incremental)
-        .incremental(config.clone())
-        .universe(&universe)
-        .fetcher(&mut resumed_fetcher)
-        .checkpoint(&dir, 50.0)
-        .build()
-        .expect("checkpoint dir is writable");
-    resumed.resume(20.0).expect("base snapshot + WAL recover");
-    let resumed_metrics = resumed.metrics().clone();
-    drop(resumed);
-
-    let mut reference_fetcher = SimFetcher::new(&universe).with_failure_rate(failure_rate);
-    let mut reference = CrawlSession::builder()
-        .engine(EngineKind::Incremental)
-        .incremental(config)
-        .universe(&universe)
-        .fetcher(&mut reference_fetcher)
-        .build()
-        .expect("a valid session");
-    reference.run(20.0).expect("the crawl runs");
-
-    assert!(reference.metrics().failed_fetches > 0, "failure injection active");
-    assert_metrics_identical(reference.metrics(), &resumed_metrics);
-    assert_eq!(
-        Fetcher::export_state(&reference_fetcher),
-        Fetcher::export_state(&resumed_fetcher),
-        "fetcher replay state diverged"
-    );
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn periodic_killed_before_any_boundary_restarts_cleanly() {
-    // The empty-WAL edge of the base-snapshot path: the periodic engine's
-    // first pass boundary is its first shadow swap (day 7 here), so a
-    // kill at day 5 leaves the base snapshot and an empty log — recovery
-    // must restart the run from day 0 and still match an uninterrupted
-    // run exactly.
-    let dir = temp_dir("per-base");
-    let universe = WebUniverse::generate(UniverseConfig::test_scale(47));
-    let config = PeriodicConfig::monthly(50);
-
-    let mut killed = CrawlSession::builder()
-        .engine(EngineKind::Periodic)
-        .periodic(config.clone())
-        .universe(&universe)
-        .checkpoint(&dir, 5.0)
-        .build()
-        .expect("checkpoint dir is writable");
-    killed.run(5.0).expect("the crawl runs");
-    drop(killed);
-
-    let on_disk = recover(&dir).expect("decodes").expect("base snapshot exists");
-    assert!(!on_disk.state.seeded && on_disk.wal.is_empty());
-
-    let mut resumed = CrawlSession::builder()
-        .engine(EngineKind::Periodic)
-        .periodic(config.clone())
-        .universe(&universe)
-        .checkpoint(&dir, 5.0)
-        .build()
-        .expect("checkpoint dir is writable");
-    resumed.resume(40.0).expect("base snapshot recovers");
-
-    let mut reference = CrawlSession::builder()
-        .engine(EngineKind::Periodic)
-        .periodic(config)
-        .universe(&universe)
-        .build()
-        .expect("a valid session");
-    reference.run(40.0).expect("the crawl runs");
-    assert_metrics_identical(reference.metrics(), resumed.metrics());
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
 // --------------------------------------------------------------------
-// The observability extension of the replay contract: attaching a fully
-// recording `ObsSink` must not perturb the crawl by a single byte.
-// Spans time stages out of band and no observed value feeds back into a
-// crawl decision, so a traced run and a Noop-sink run must agree on
-// every metric channel AND on the raw checkpoint bytes (snapshot + WAL)
-// they leave on disk.
+// Attachments are free: attaching a fully recording `ObsSink`, or the
+// epoch-swapped query layer (`CrawlSession::serve` /
+// `FleetSession::serve`), must not perturb the crawl by a single byte.
+// Spans time stages out of band, and the boundary publisher only reads
+// the arenas at a pass boundary; nothing either computes feeds back into
+// a crawl decision. So an attached run and a plain run must agree on every
+// metric channel AND on the raw checkpoint bytes (snapshot + WAL) they
+// leave on disk — with a session's served run queried by a reader thread
+// for the whole crawl.
 // --------------------------------------------------------------------
 
-/// Run `kind` twice over the same universe — once under a recording
-/// sink, once untraced — and require byte-identical crawl output. Also
-/// require the traced run to have actually observed something, so the
-/// test cannot pass vacuously against a sink that was never wired in.
-fn assert_observation_is_free(tag: &str, kind: EngineKind) {
-    let universe = WebUniverse::generate(UniverseConfig::test_scale(48));
-    let budget = CrawlBudget::paper_monthly(50).with_cycle_days(6.0);
-    let run = |suffix: &str, obs: Option<&ObsSink>| {
-        let dir = temp_dir(&format!("{tag}-{suffix}"));
-        let mut builder = CrawlSession::builder()
-            .engine(kind)
-            .budget(budget)
-            .universe(&universe)
-            .checkpoint(&dir, 6.0);
-        if let Some(sink) = obs {
-            builder = builder.obs(sink.clone());
-        }
-        let mut session = builder.build().expect("checkpoint dir is writable");
-        session.run(30.0).expect("the crawl runs");
-        let metrics = session.metrics().clone();
-        drop(session);
-        let snapshot = std::fs::read(dir.join(webevo::store::SNAPSHOT_FILE)).expect("snapshot");
-        let wal = std::fs::read(dir.join(webevo::store::WAL_FILE)).expect("wal");
+/// What an attachment is attached to: one session of an engine kind (seed
+/// 48, `paper_monthly(50)` at a 6-day cycle, snapshots every 6 days, 30
+/// days), or a fleet of `FLEET_SHARDS` shards of the default engine (seed
+/// 49, `paper_monthly(36)` at a 6-day cycle, snapshots every 5 days, 25
+/// days).
+#[derive(Clone, Copy)]
+enum Topology {
+    Session(EngineKind),
+    Fleet,
+}
+
+/// What is attached: a recording `ObsSink` (a fleet's shards record into
+/// per-shard views of it), or the query layer (a session's is read by a
+/// reader thread throughout).
+#[derive(Clone, Copy, Debug)]
+enum Attachment {
+    Recording,
+    Served,
+}
+
+const FLEET_SHARDS: u32 = 4;
+
+impl Topology {
+    /// Crawl once into a fresh directory, recording into `obs` (the
+    /// builders' default is `ObsSink::noop()`) and serving when asked.
+    /// Returns the results (a session's as a fleet of no shards) and every
+    /// checkpoint file, snapshot then WAL, shard by shard.
+    fn crawl(self, tag: &str, obs: &ObsSink, serve: bool) -> (FleetMetrics, Vec<Vec<u8>>) {
+        let dir = temp_dir(tag);
+        let (results, dirs) = match self {
+            Topology::Session(kind) => {
+                let universe = WebUniverse::generate(UniverseConfig::test_scale(48));
+                let mut session = CrawlSession::builder()
+                    .engine(kind)
+                    .budget(CrawlBudget::paper_monthly(50).with_cycle_days(6.0))
+                    .universe(&universe)
+                    .checkpoint(&dir, 6.0)
+                    .obs(obs.clone())
+                    .build()
+                    .expect("checkpoint dir is writable");
+                if serve {
+                    run_served(&mut session, 30.0);
+                } else {
+                    session.run(30.0).expect("the crawl runs");
+                }
+                let merged = session.metrics().clone();
+                (FleetMetrics { merged, shards: Vec::new() }, vec![dir.clone()])
+            }
+            Topology::Fleet => {
+                let universe = WebUniverse::generate(UniverseConfig::test_scale(49));
+                let mut fleet = FleetSession::builder()
+                    .shards(FLEET_SHARDS)
+                    .budget(CrawlBudget::paper_monthly(36).with_cycle_days(6.0))
+                    .universe(&universe)
+                    .checkpoint(&dir, 5.0)
+                    .obs(obs.clone())
+                    .build()
+                    .expect("a valid fleet");
+                let queries = serve.then(|| fleet.serve());
+                let results = fleet.run(25.0).expect("the fleet runs").clone();
+                if let Some(queries) = &queries {
+                    // The coordinator merges the shards' views at every barrier.
+                    assert!(queries.epoch() >= 1, "no fleet view was ever merged");
+                    let view = queries.view();
+                    let spans_every_shard = view.len() == results.collection_len();
+                    assert!(spans_every_shard, "the merged view must span every shard");
+                    assert!(view.info().fetch_seq > 0, "the merged view carries no fetch progress");
+                }
+                (results, (0..FLEET_SHARDS).map(|k| dir.join(format!("shard-{k}"))).collect())
+            }
+        };
+        let files = dirs
+            .iter()
+            .flat_map(|d| [SNAPSHOT_FILE, WAL_FILE].map(|f| std::fs::read(d.join(f)).expect(f)))
+            .collect();
         let _ = std::fs::remove_dir_all(&dir);
-        (metrics, snapshot, wal)
+        (results, files)
+    }
+}
+
+/// Run `session` to `days` with the query layer attached and a reader
+/// thread querying throughout (it checks before it tests `stop`, so it
+/// answers at least once), and require the service to have published
+/// epochs and answered queries, so the row cannot pass vacuously against a
+/// publisher that was never wired in.
+fn run_served(session: &mut CrawlSession<'_>, days: f64) {
+    let queries = session.serve();
+    assert_eq!(queries.epoch(), 0, "readers start on the empty epoch-0 view");
+    let stop = AtomicBool::new(false);
+    let answered = std::thread::scope(|scope| {
+        let reader = scope.spawn(|| {
+            let mut answered = 0u64;
+            loop {
+                let view = queries.view();
+                assert_eq!(view.info().pages, view.len());
+                let _ = view.freshness();
+                answered += 1;
+                if stop.load(Ordering::Relaxed) {
+                    return answered;
+                }
+            }
+        });
+        session.run(days).expect("the crawl runs");
+        stop.store(true, Ordering::Relaxed);
+        reader.join().expect("reader thread")
+    });
+    assert!(queries.epoch() >= 1, "no epoch was ever published");
+    assert!(!queries.view().is_empty(), "the published view is empty");
+    assert!(answered > 0, "the reader thread answered nothing");
+}
+
+/// Crawl `topology` twice over the same universe — once with `attachment`,
+/// once plain — and require byte-identical results and checkpoint files.
+/// A recording sink must also have seen the crawl (and a session's fetch
+/// and fsync counters fired), so the row cannot pass vacuously against a
+/// sink that was never wired in.
+fn assert_attachment_is_free(topology: Topology, attachment: Attachment) {
+    let name = if let Topology::Session(kind) = topology { kind.name() } else { "fleet" };
+    let tag = format!("{name}-{attachment:?}");
+    let (plain_sink, sink) = (ObsSink::noop(), ObsSink::recording());
+    let (attached, attached_files) = match attachment {
+        Attachment::Recording => topology.crawl(&format!("{tag}-on"), &sink, false),
+        Attachment::Served => topology.crawl(&format!("{tag}-on"), &plain_sink, true),
     };
+    let (plain, plain_files) = topology.crawl(&format!("{tag}-off"), &plain_sink, false);
 
-    let sink = ObsSink::recording();
-    let (traced, traced_snapshot, traced_wal) = run("traced", Some(&sink));
-    let (plain, plain_snapshot, plain_wal) = run("plain", None);
-
-    assert!(plain.fetches > 0, "the run should actually crawl");
-    assert_metrics_identical(&plain, &traced);
-    assert_eq!(plain_snapshot, traced_snapshot, "snapshot bytes diverged under observation");
-    assert_eq!(plain_wal, traced_wal, "WAL bytes diverged under observation");
-
+    assert!(plain.merged.fetches > 0, "the run should actually crawl");
+    assert_fleet_identical(&plain, &attached);
+    assert!(plain_files == attached_files, "checkpoint bytes diverged under {attachment:?}");
+    if let Attachment::Served = attachment {
+        return;
+    }
+    // The recording sink saw every stage the topology runs: a session's
+    // incremental engines also open the ranking stages, each on the thread
+    // that does the work (the pool's scoped solve spans itself), and a
+    // fleet its exchange barriers, in every shard.
     let spans = sink.spans();
     assert!(!spans.is_empty(), "the traced run recorded no spans");
-    // The ranking stages, each opened on the thread that does the work: the
-    // pool's scoped solve spans itself.
-    let pass_stages: &[Stage] = match kind {
-        EngineKind::Periodic => &[],
-        _ => &[Stage::RankBuild, Stage::RankSolve, Stage::Reallocate],
+    let topology_stages: &[Stage] = match topology {
+        Topology::Session(EngineKind::Periodic) => &[],
+        Topology::Session(_) => &[Stage::RankBuild, Stage::RankSolve, Stage::Reallocate],
+        Topology::Fleet => &[Stage::ExchangeBarrier],
     };
-    let stages =
-        [Stage::Drive, Stage::Pass, Stage::FetchBatch, Stage::Sample, Stage::WalFlush, Stage::SnapshotEncode];
-    for &stage in stages.iter().chain(pass_stages)
-    {
-        assert!(
-            spans.iter().any(|s| s.stage == stage),
-            "no {} span recorded",
-            stage.name()
-        );
+    let crawl_stages = [Stage::Drive, Stage::Pass, Stage::FetchBatch, Stage::Sample];
+    let store_stages = [Stage::WalFlush, Stage::SnapshotEncode];
+    for &stage in crawl_stages.iter().chain(&store_stages).chain(topology_stages) {
+        assert!(spans.iter().any(|s| s.stage == stage), "no {} span recorded", stage.name());
     }
-    let registry = sink.merged_registry().expect("one sink, one edge set");
-    assert!(registry.counter("fetch_ok_total") > 0, "fetch counters never fired");
-    assert!(registry.counter("wal_fsyncs_total") > 0, "fsync counter never fired");
+    match topology {
+        Topology::Session(_) => {
+            let registry = sink.merged_registry().expect("one sink, one edge set");
+            assert!(registry.counter("fetch_ok_total") > 0, "fetch counters never fired");
+            assert!(registry.counter("wal_fsyncs_total") > 0, "fsync counter never fired");
+        }
+        Topology::Fleet => {
+            for shard in 0..FLEET_SHARDS {
+                assert!(
+                    spans.iter().any(|s| s.shard == Some(ShardId(shard))),
+                    "shard {shard} recorded no spans"
+                );
+            }
+        }
+    }
 }
 
 #[test]
 fn incremental_traced_run_is_byte_identical_to_untraced() {
-    assert_observation_is_free("obs-inc", EngineKind::Incremental);
+    assert_attachment_is_free(Topology::Session(EngineKind::Incremental), Attachment::Recording);
 }
 
 #[test]
 fn periodic_traced_run_is_byte_identical_to_untraced() {
-    assert_observation_is_free("obs-per", EngineKind::Periodic);
+    assert_attachment_is_free(Topology::Session(EngineKind::Periodic), Attachment::Recording);
 }
 
 #[test]
 fn threaded_traced_run_is_byte_identical_to_untraced() {
-    assert_observation_is_free("obs-thr", EngineKind::Threaded { workers: 4 });
+    assert_attachment_is_free(
+        Topology::Session(EngineKind::Threaded { workers: 4 }),
+        Attachment::Recording,
+    );
 }
 
 #[test]
 fn fleet_traced_run_is_byte_identical_to_untraced() {
-    // The 4-shard variant: one fleet-wide sink, per-shard views via
-    // `for_shard`. Traced and untraced fleets must agree on the merged
-    // metrics, every per-shard channel, and every shard's checkpoint
-    // bytes; the trace must cover the fleet-only stages too.
-    let universe = WebUniverse::generate(UniverseConfig::test_scale(49));
-    let budget = CrawlBudget::paper_monthly(36).with_cycle_days(6.0);
-    let shards = 4u32;
-    let run = |tag: &str, obs: Option<&ObsSink>| {
-        let dir = temp_dir(tag);
-        let mut builder = FleetSession::builder()
-            .shards(shards)
-            .budget(budget)
-            .universe(&universe)
-            .checkpoint(&dir, 5.0);
-        if let Some(sink) = obs {
-            builder = builder.obs(sink.clone());
-        }
-        let mut fleet = builder.build().expect("a valid fleet");
-        let results = fleet.run(25.0).expect("the fleet runs").clone();
-        drop(fleet);
-        let mut files = Vec::new();
-        for shard in 0..shards {
-            let shard_dir = dir.join(format!("shard-{shard}"));
-            files.push(std::fs::read(shard_dir.join(webevo::store::SNAPSHOT_FILE)).expect("snapshot"));
-            files.push(std::fs::read(shard_dir.join(webevo::store::WAL_FILE)).expect("wal"));
-        }
-        let _ = std::fs::remove_dir_all(&dir);
-        (results, files)
-    };
-
-    let sink = ObsSink::recording();
-    let (traced, traced_files) = run("fleet-obs-traced", Some(&sink));
-    let (plain, plain_files) = run("fleet-obs-plain", None);
-
-    assert!(plain.merged.fetches > 0, "the fleet should actually crawl");
-    assert_fleet_identical(&plain, &traced);
-    assert_eq!(plain_files, traced_files, "shard checkpoint bytes diverged under observation");
-
-    let spans = sink.spans();
-    for stage in [
-        Stage::Drive,
-        Stage::Pass,
-        Stage::FetchBatch,
-        Stage::Sample,
-        Stage::WalFlush,
-        Stage::SnapshotEncode,
-        Stage::ExchangeBarrier,
-    ] {
-        assert!(
-            spans.iter().any(|s| s.stage == stage),
-            "no {} span recorded",
-            stage.name()
-        );
-    }
-    for shard in 0..shards {
-        assert!(
-            spans.iter().any(|s| s.shard == Some(ShardId(shard))),
-            "shard {shard} recorded no spans"
-        );
-    }
-}
-
-#[test]
-fn fork_streams_independent_of_consumer_ordering() {
-    // Stream `s` must yield the same values no matter which other streams
-    // were forked first, or how much the parent was consumed in between.
-    let draw = |rng: &mut SimRng| -> Vec<u64> { (0..64).map(|_| rng.next_u64()).collect() };
-
-    let root_a = SimRng::seed_from_u64(99);
-    let mut fork_a = root_a.fork(5);
-    let a = draw(&mut fork_a);
-
-    let mut root_b = SimRng::seed_from_u64(99);
-    let _ = root_b.fork(1);
-    let _ = root_b.next_u64(); // consume the parent
-    let _ = root_b.fork(17);
-    let mut fork_b = root_b.fork(5);
-    let b = draw(&mut fork_b);
-
-    assert_eq!(a, b, "fork(5) must not depend on sibling forks or parent use");
-
-    // And distinct streams must actually be distinct.
-    let mut other = root_a.fork(6);
-    assert_ne!(a, draw(&mut other), "fork(5) and fork(6) should diverge");
-}
-
-// --------------------------------------------------------------------
-// The serving extension of the replay contract: attaching the
-// epoch-swapped query layer (`CrawlSession::serve` /
-// `FleetSession::serve`) must not perturb the crawl by a single byte.
-// The boundary publisher is write-only — it reads the arenas at a pass
-// boundary and nothing it computes feeds back into a crawl decision —
-// so a served run and an unserved run must agree on every metric
-// channel AND on the raw checkpoint bytes they leave on disk, even with
-// reader threads hammering the service for the whole run.
-// --------------------------------------------------------------------
-
-/// Run `kind` twice over the same universe — once with the serving layer
-/// attached and a reader thread querying throughout, once unserved — and
-/// require byte-identical crawl output. Also require the served run to
-/// have actually published epochs and answered queries, so the test
-/// cannot pass vacuously against a publisher that was never wired in.
-fn assert_serving_is_free(tag: &str, kind: EngineKind) {
-    let universe = WebUniverse::generate(UniverseConfig::test_scale(48));
-    let budget = CrawlBudget::paper_monthly(50).with_cycle_days(6.0);
-    let run = |suffix: &str, serve: bool| {
-        let dir = temp_dir(&format!("{tag}-{suffix}"));
-        let mut session = CrawlSession::builder()
-            .engine(kind)
-            .budget(budget)
-            .universe(&universe)
-            .checkpoint(&dir, 6.0)
-            .build()
-            .expect("checkpoint dir is writable");
-        let mut served = None;
-        if serve {
-            let queries = session.serve();
-            assert_eq!(queries.epoch(), 0, "readers start on the empty epoch-0 view");
-            let stop = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
-            let reader = std::thread::spawn({
-                let queries = queries.clone();
-                let stop = std::sync::Arc::clone(&stop);
-                move || {
-                    let mut answered = 0u64;
-                    while !stop.load(std::sync::atomic::Ordering::Relaxed) {
-                        let view = queries.view();
-                        assert_eq!(view.info().pages, view.len());
-                        let _ = view.freshness();
-                        answered += 1;
-                    }
-                    answered
-                }
-            });
-            session.run(30.0).expect("the crawl runs");
-            stop.store(true, std::sync::atomic::Ordering::Relaxed);
-            let answered = reader.join().expect("reader thread");
-            served = Some((queries, answered));
-        } else {
-            session.run(30.0).expect("the crawl runs");
-        }
-        let metrics = session.metrics().clone();
-        drop(session);
-        if let Some((queries, answered)) = &served {
-            assert!(queries.epoch() >= 1, "no epoch was ever published");
-            assert!(!queries.view().is_empty(), "the published view is empty");
-            assert!(*answered > 0, "the reader thread answered nothing");
-        }
-        let snapshot = std::fs::read(dir.join(webevo::store::SNAPSHOT_FILE)).expect("snapshot");
-        let wal = std::fs::read(dir.join(webevo::store::WAL_FILE)).expect("wal");
-        let _ = std::fs::remove_dir_all(&dir);
-        (metrics, snapshot, wal)
-    };
-
-    let (served, served_snapshot, served_wal) = run("served", true);
-    let (plain, plain_snapshot, plain_wal) = run("plain", false);
-
-    assert!(plain.fetches > 0, "the run should actually crawl");
-    assert_metrics_identical(&plain, &served);
-    assert_eq!(plain_snapshot, served_snapshot, "snapshot bytes diverged under serving");
-    assert_eq!(plain_wal, served_wal, "WAL bytes diverged under serving");
+    assert_attachment_is_free(Topology::Fleet, Attachment::Recording);
 }
 
 #[test]
 fn incremental_served_run_is_byte_identical_to_unserved() {
-    assert_serving_is_free("serve-inc", EngineKind::Incremental);
+    assert_attachment_is_free(Topology::Session(EngineKind::Incremental), Attachment::Served);
 }
 
 #[test]
 fn periodic_served_run_is_byte_identical_to_unserved() {
-    assert_serving_is_free("serve-per", EngineKind::Periodic);
+    assert_attachment_is_free(Topology::Session(EngineKind::Periodic), Attachment::Served);
 }
 
 #[test]
 fn threaded_served_run_is_byte_identical_to_unserved() {
-    assert_serving_is_free("serve-thr", EngineKind::Threaded { workers: 4 });
+    assert_attachment_is_free(
+        Topology::Session(EngineKind::Threaded { workers: 4 }),
+        Attachment::Served,
+    );
 }
 
 #[test]
 fn fleet_served_run_is_byte_identical_to_unserved() {
-    // The 4-shard variant: per-shard publishers stage views, the
-    // coordinator merges them into one fleet view at every exchange
-    // barrier. Served and unserved fleets must agree on the merged
-    // metrics, every per-shard channel, and every shard's checkpoint
-    // bytes — and the served fleet must have published a merged view
-    // spanning all shards' pages.
-    let universe = WebUniverse::generate(UniverseConfig::test_scale(49));
-    let budget = CrawlBudget::paper_monthly(36).with_cycle_days(6.0);
-    let shards = 4u32;
-    let run = |tag: &str, serve: bool| {
-        let dir = temp_dir(tag);
-        let mut fleet = FleetSession::builder()
-            .shards(shards)
-            .budget(budget)
-            .universe(&universe)
-            .checkpoint(&dir, 5.0)
-            .build()
-            .expect("a valid fleet");
-        let queries = serve.then(|| fleet.serve());
-        let results = fleet.run(25.0).expect("the fleet runs").clone();
-        if let Some(queries) = &queries {
-            assert!(queries.epoch() >= 1, "no fleet view was ever merged");
-            let view = queries.view();
-            assert_eq!(
-                view.len(),
-                results.collection_len(),
-                "the merged view must span every shard's collection"
-            );
-            let fleet_fetches: u64 = view.info().fetch_seq;
-            assert!(fleet_fetches > 0, "the merged view carries no fetch progress");
-        }
-        drop(fleet);
-        let mut files = Vec::new();
-        for shard in 0..shards {
-            let shard_dir = dir.join(format!("shard-{shard}"));
-            files.push(std::fs::read(shard_dir.join(webevo::store::SNAPSHOT_FILE)).expect("snapshot"));
-            files.push(std::fs::read(shard_dir.join(webevo::store::WAL_FILE)).expect("wal"));
-        }
-        let _ = std::fs::remove_dir_all(&dir);
-        (results, files)
-    };
-
-    let (served, served_files) = run("fleet-serve-on", true);
-    let (plain, plain_files) = run("fleet-serve-off", false);
-
-    assert!(plain.merged.fetches > 0, "the fleet should actually crawl");
-    assert_fleet_identical(&plain, &served);
-    assert_eq!(plain_files, served_files, "shard checkpoint bytes diverged under serving");
+    assert_attachment_is_free(Topology::Fleet, Attachment::Served);
 }
 
 #[test]
@@ -1063,58 +918,53 @@ fn concurrent_readers_always_see_one_consistent_epoch() {
         .build()
         .expect("a valid session");
     let queries = session.serve();
-    let stop = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
-    let readers: Vec<_> = (0..4)
-        .map(|_| {
-            let queries = queries.clone();
-            let stop = std::sync::Arc::clone(&stop);
-            std::thread::spawn(move || {
-                let mut last_epoch = 0u64;
-                let mut checks = 0u64;
-                // Check first, test `stop` after: a reader the scheduler
-                // starves until the crawl is over still runs one check.
-                loop {
-                    let view = queries.view();
-                    let info = view.info();
-                    // One snapshot, one epoch: every number below comes
-                    // from the same immutable view.
-                    assert_eq!(info.epoch, view.epoch());
-                    assert_eq!(info.pages, view.len());
-                    assert!(
-                        info.epoch >= last_epoch,
-                        "epoch went backwards: {} after {last_epoch}",
-                        info.epoch
-                    );
-                    last_epoch = info.epoch;
-                    let freshness = view.freshness();
-                    assert!(freshness.fetches <= info.fetch_seq);
-                    let rollup_pages: usize =
-                        view.site_rollups().iter().map(|r| r.pages).sum();
-                    assert!(rollup_pages <= info.pages);
-                    if let Some(first) = view.pages().first() {
-                        // Point lookups answer from the same epoch too.
-                        assert_eq!(
-                            view.get(first.page).expect("first page resolves").page,
-                            first.page
-                        );
-                    }
-                    checks += 1;
-                    if stop.load(std::sync::atomic::Ordering::Relaxed) {
-                        break;
-                    }
-                }
-                (last_epoch, checks)
-            })
+    let stop = AtomicBool::new(false);
+    // Check first, test `stop` after: a reader the scheduler starves until
+    // the crawl is over still runs one check.
+    let reader = || {
+        let mut last_epoch = 0u64;
+        let mut checks = 0u64;
+        loop {
+            let view = queries.view();
+            let info = view.info();
+            // One snapshot, one epoch: every number below comes from the
+            // same immutable view.
+            assert_eq!(info.epoch, view.epoch());
+            assert_eq!(info.pages, view.len());
+            assert!(
+                info.epoch >= last_epoch,
+                "epoch went backwards: {} after {last_epoch}",
+                info.epoch
+            );
+            last_epoch = info.epoch;
+            let freshness = view.freshness();
+            assert!(freshness.fetches <= info.fetch_seq);
+            let rollup_pages: usize = view.site_rollups().iter().map(|r| r.pages).sum();
+            assert!(rollup_pages <= info.pages);
+            if let Some(first) = view.pages().first() {
+                // Point lookups answer from the same epoch too.
+                assert_eq!(
+                    view.get(first.page).expect("first page resolves").page,
+                    first.page
+                );
+            }
+            checks += 1;
+            if stop.load(Ordering::Relaxed) {
+                break;
+            }
+        }
+        (last_epoch, checks)
+    };
+    let max_epoch = std::thread::scope(|scope| {
+        let readers: Vec<_> = (0..4).map(|_| scope.spawn(reader)).collect();
+        session.run(20.0).expect("the crawl runs");
+        stop.store(true, Ordering::Relaxed);
+        readers.into_iter().fold(0u64, |max_epoch, reader| {
+            let (epoch, checks) = reader.join().expect("reader thread");
+            assert!(checks > 0, "a reader thread never ran a check");
+            max_epoch.max(epoch)
         })
-        .collect();
-    session.run(20.0).expect("the crawl runs");
-    stop.store(true, std::sync::atomic::Ordering::Relaxed);
-    let mut max_epoch = 0u64;
-    for reader in readers {
-        let (epoch, checks) = reader.join().expect("reader thread");
-        assert!(checks > 0, "a reader thread never ran a check");
-        max_epoch = max_epoch.max(epoch);
-    }
+    });
     assert!(
         queries.epoch() >= 3,
         "the crawl crossed fewer than 3 epoch swaps ({})",
