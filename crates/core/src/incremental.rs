@@ -676,8 +676,10 @@ impl<X> IncrementalEngine<X> {
     /// front, per §5.3); the matching eviction happens when the candidate's
     /// crawl succeeds, so dead candidates never cost a slot.
     fn apply_ranking(&mut self, outcome: RankingOutcome) {
-        let RankingOutcome { importance, replacements } = outcome;
+        let RankingOutcome { importance, replacements, iterations, links } = outcome;
         self.shell.passes += 1;
+        self.shell.obs.add("pagerank_iterations_total", iterations as u64);
+        self.shell.obs.add("pagerank_link_iterations_total", (iterations * links) as u64);
         for (p, importance) in importance {
             if let Some(stored) = self.collection.get_mut(p) {
                 stored.importance = importance;

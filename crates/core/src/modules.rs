@@ -223,6 +223,10 @@ pub struct RankingOutcome {
     pub importance: Vec<(PageId, f64)>,
     /// `(discard, admit)` pairs the engine should execute.
     pub replacements: Vec<(PageId, Url)>,
+    /// Iterations the PageRank solve took; 0 when it failed.
+    pub iterations: usize,
+    /// Links of the structure the solve ran over.
+    pub links: usize,
 }
 
 /// What one ranking pass reads, flattened out of the collection and
@@ -309,9 +313,10 @@ impl RankingModule {
         if self.panic_in_solve {
             panic!("ranking solve told to panic");
         }
-        let replacements = self.propose(&mut input).unwrap_or_default();
+        let (replacements, iterations) = self.propose(&mut input).unwrap_or_default();
+        let links = input.links.link_count();
         let importance = input.links.pages().iter().copied().zip(input.importance).collect();
-        RankingOutcome { importance, replacements }
+        RankingOutcome { importance, replacements, iterations, links }
     }
 
     /// The proposals of a built input: PageRank over its links (into
@@ -320,10 +325,11 @@ impl RankingModule {
     /// candidates (estimate descending, then `(site, page)`) against as
     /// many lowest-importance incumbents (importance ascending, then
     /// `PageId`), paired in order while the candidate beats its victim by
-    /// `admit_margin`. `None` if PageRank fails.
-    fn propose(&mut self, input: &mut RankInput) -> Option<Vec<(PageId, Url)>> {
+    /// `admit_margin` — and the solve's iteration count. `None` if
+    /// PageRank fails.
+    fn propose(&mut self, input: &mut RankInput) -> Option<(Vec<(PageId, Url)>, usize)> {
         let config = &self.config;
-        self.kernel.solve(&input.links, &config.pagerank).ok()?;
+        let iterations = self.kernel.solve(&input.links, &config.pagerank).ok()?;
         input.importance.copy_from_slice(self.kernel.scores());
         let (links, scores) = (&input.links, &input.importance);
 
@@ -343,13 +349,13 @@ impl RankingModule {
         let lowest = least_k(&mut self.incumbents, k, |&a, &b| {
             scores[a as usize].total_cmp(&scores[b as usize]).then(a.cmp(&b))
         });
-        Some(
-            best.iter()
-                .zip(lowest.iter().map(|&v| v as usize))
-                .take_while(|&(&(_, estimate), v)| estimate > scores[v] * config.admit_margin)
-                .map(|(&(url, _), v)| (links.pages()[v], url))
-                .collect(),
-        )
+        let replacements = best
+            .iter()
+            .zip(lowest.iter().map(|&v| v as usize))
+            .take_while(|&(&(_, estimate), v)| estimate > scores[v] * config.admit_margin)
+            .map(|(&(url, _), v)| (links.pages()[v], url))
+            .collect();
+        Some((replacements, iterations))
     }
 }
 

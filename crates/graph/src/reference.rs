@@ -1,7 +1,10 @@
-//! The PageRank loop as it stood before [`LinkCsr`](crate::LinkCsr) and the
-//! degree-bucketed kernel, kept verbatim as the oracle the differential
-//! tests hold the kernel to: every score bit and the iteration count must
-//! match. It reads a plain adjacency list and lays out its own in-lists
+//! The PageRank loop as it stood before [`LinkCsr`](crate::LinkCsr) and
+//! [`PageRankKernel`](crate::PageRankKernel) (targets grouped by in-degree
+//! within blocks of positions, the outgoing terms written by the
+//! convergence pass), kept verbatim as the oracle the differential tests
+//! hold the kernel to, under the kernel's own block size and under block
+//! sizes from one position up: every score bit and the iteration count
+//! must match. It reads a plain adjacency list and lays out its own in-lists
 //! with std collections, so it shares no code with the structure under
 //! test.
 

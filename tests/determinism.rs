@@ -840,10 +840,15 @@ fn assert_attachment_is_free(topology: Topology, attachment: Attachment) {
         assert!(spans.iter().any(|s| s.stage == stage), "no {} span recorded", stage.name());
     }
     match topology {
-        Topology::Session(_) => {
+        Topology::Session(kind) => {
             let registry = sink.merged_registry().expect("one sink, one edge set");
             assert!(registry.counter("fetch_ok_total") > 0, "fetch counters never fired");
             assert!(registry.counter("wal_fsyncs_total") > 0, "fsync counter never fired");
+            if kind != EngineKind::Periodic {
+                for counter in ["pagerank_iterations_total", "pagerank_link_iterations_total"] {
+                    assert!(registry.counter(counter) > 0, "{counter} never fired");
+                }
+            }
         }
         Topology::Fleet => {
             for shard in 0..FLEET_SHARDS {

@@ -39,6 +39,14 @@
 //! build printed exactly the values these rows held before —
 //! `0x98e43a4384871851`, `0x5d720583df1ddbfa` and `0xccaf9b8804c1e190` —
 //! and its other three columns unchanged.
+//!
+//! The `multi-block` row was added, and printed at commit c11bceb, before
+//! the PageRank kernel began grouping its targets within blocks of 4,096
+//! positions. Every other row runs a collection of at most 50 pages, one
+//! block; this one holds more than 8,192 pages at its kill, so the passes
+//! after its resume solve over two full blocks and a partial third, and
+//! its `state` column, a hash of the snapshot bytes, pins every
+//! importance bit they wrote.
 
 use std::path::PathBuf;
 use webevo::prelude::*;
@@ -64,6 +72,7 @@ const GOLDEN: &[(&str, Digest)] = &[
     ("threaded-1", Digest { metrics: 0x60f7ffbd29fd7fc1, fetches: 350, passes: 34, state: 0x7873407699110552 }),
     ("threaded-4", Digest { metrics: 0x7d82a0f0afc2d1e8, fetches: 350, passes: 34, state: 0x5c689074d6a7d27b }),
     ("fleet-2x-threaded-2", Digest { metrics: 0x3ddff81b39e3510d, fetches: 321, passes: 0, state: 0x3b8fc96e331c0293 }),
+    ("multi-block", Digest { metrics: 0x60933b1a0d5a77c7, fetches: 16001, passes: 3, state: 0x5a9dff434d85e887 }),
 ];
 
 fn temp_dir(name: &str) -> PathBuf {
@@ -93,22 +102,72 @@ fn metrics_bytes(m: &CrawlMetrics, out: &mut Vec<u8>) {
     push_f64s(out, [m.peak_speed]);
 }
 
-/// Single node: crawl under a 4-day snapshot cadence, kill at day 22.5
-/// (off the cadence, the ranking grid and the sampling grid), resume from
-/// `snapshot + WAL tail` and drive on to day 35. The single-threaded kind
+/// What a single-node case crawls: its universe and collection, the
+/// snapshot cadence, the day it is killed at and the day it is driven on
+/// to.
+struct Crawl {
+    universe: UniverseConfig,
+    capacity: usize,
+    crawl_rate_per_day: f64,
+    snapshot_every_days: f64,
+    kill: f64,
+    end: f64,
+}
+
+impl Crawl {
+    /// A test-scale crawl under a 4-day snapshot cadence, killed at day
+    /// 22.5 (off the cadence, the ranking grid and the sampling grid) and
+    /// driven on to day 35.
+    fn test_scale(seed: u64) -> Crawl {
+        Crawl {
+            universe: UniverseConfig::test_scale(seed),
+            capacity: 50,
+            crawl_rate_per_day: 10.0,
+            snapshot_every_days: 4.0,
+            kill: 22.5,
+            end: 35.0,
+        }
+    }
+
+    /// A crawl whose collection holds more than [`MULTI_BLOCK_PAGES`]
+    /// pages when it is killed at day 2.5, so every ranking pass after
+    /// the resume solves PageRank over more than two 4,096-position blocks
+    /// of the kernel; driven on to day 4.
+    fn multi_block() -> Crawl {
+        Crawl {
+            universe: UniverseConfig::scaled(1999, 30, 12_000, 5.0),
+            capacity: 12_000,
+            crawl_rate_per_day: 4_000.0,
+            snapshot_every_days: 2.0,
+            kill: 2.5,
+            end: 4.0,
+        }
+    }
+}
+
+/// The collection the `multi-block` row must pass before its resume.
+const MULTI_BLOCK_PAGES: usize = 8_192;
+
+/// Single node: run `crawl` under its snapshot cadence, kill it, resume
+/// from `snapshot + WAL tail` and drive on. The single-threaded kind
 /// crawls through a failure-injecting fetcher, the threaded kinds through
 /// the session's default one (as when these rows were first pinned);
 /// either fetcher's replay state is part of the pinned snapshot. Under
 /// `EstimatorKind::Eb` every stored page carries a posterior; under `Ep`
-/// none does.
-fn single_node(tag: &str, kind: EngineKind, estimator: EstimatorKind, seed: u64) -> Digest {
+/// none does. Returns the digest and the collection's size at the kill.
+fn single_node(
+    tag: &str,
+    kind: EngineKind,
+    estimator: EstimatorKind,
+    crawl: Crawl,
+) -> (Digest, usize) {
     let dir = temp_dir(tag);
-    let universe = WebUniverse::generate(UniverseConfig::test_scale(seed));
+    let universe = WebUniverse::generate(crawl.universe);
     let config = IncrementalConfig {
-        capacity: 50,
-        crawl_rate_per_day: 10.0,
+        capacity: crawl.capacity,
+        crawl_rate_per_day: crawl.crawl_rate_per_day,
         estimator,
-        ..IncrementalConfig::monthly(50)
+        ..IncrementalConfig::monthly(crawl.capacity)
     };
     let external = kind == EngineKind::Incremental;
     let fetcher = || SimFetcher::new(&universe).with_failure_rate(0.15);
@@ -117,7 +176,7 @@ fn single_node(tag: &str, kind: EngineKind, estimator: EstimatorKind, seed: u64)
             .engine(kind)
             .incremental(config.clone())
             .universe(&universe)
-            .checkpoint(&dir, 4.0);
+            .checkpoint(&dir, crawl.snapshot_every_days);
         if let Some(f) = fetcher {
             builder = builder.fetcher(f);
         }
@@ -129,19 +188,20 @@ fn single_node(tag: &str, kind: EngineKind, estimator: EstimatorKind, seed: u64)
         }
         let mut bytes = Vec::new();
         metrics_bytes(session.metrics(), &mut bytes);
-        Digest {
+        let digest = Digest {
             metrics: fnv64(&bytes),
             fetches: session.metrics().fetches,
             passes: session.passes(),
             state: fnv64(&encode_snapshot(&session.export_state())),
-        }
+        };
+        (digest, session.collection_len())
     };
     let mut killed_fetcher = fetcher();
-    session(external.then_some(&mut killed_fetcher), 22.5, false);
+    let (_, killed_len) = session(external.then_some(&mut killed_fetcher), crawl.kill, false);
     let mut resumed_fetcher = fetcher();
-    let digest = session(external.then_some(&mut resumed_fetcher), 35.0, true);
+    let (digest, _) = session(external.then_some(&mut resumed_fetcher), crawl.end, true);
     let _ = std::fs::remove_dir_all(&dir);
-    digest
+    (digest, killed_len)
 }
 
 /// Fleet: 2 shards × `Threaded { workers: 2 }`, killed at day 23 with
@@ -194,12 +254,22 @@ fn threaded_fleet() -> Digest {
 
 fn cases() -> Vec<(&'static str, Digest)> {
     use EstimatorKind::{Eb, Ep};
+    let test_scale = |tag, kind, estimator, seed| {
+        single_node(tag, kind, estimator, Crawl::test_scale(seed)).0
+    };
+    let (multi_block, killed_len) =
+        single_node("multi", EngineKind::Incremental, Ep, Crawl::multi_block());
+    assert!(
+        killed_len > MULTI_BLOCK_PAGES,
+        "multi-block: {killed_len} pages at the kill, not past {MULTI_BLOCK_PAGES}"
+    );
     vec![
-        ("incremental", single_node("inc", EngineKind::Incremental, Ep, 42)),
-        ("incremental-eb", single_node("inc-eb", EngineKind::Incremental, Eb, 42)),
-        ("threaded-1", single_node("thr1", EngineKind::Threaded { workers: 1 }, Ep, 43)),
-        ("threaded-4", single_node("thr4", EngineKind::Threaded { workers: 4 }, Ep, 43)),
+        ("incremental", test_scale("inc", EngineKind::Incremental, Ep, 42)),
+        ("incremental-eb", test_scale("inc-eb", EngineKind::Incremental, Eb, 42)),
+        ("threaded-1", test_scale("thr1", EngineKind::Threaded { workers: 1 }, Ep, 43)),
+        ("threaded-4", test_scale("thr4", EngineKind::Threaded { workers: 4 }, Ep, 43)),
         ("fleet-2x-threaded-2", threaded_fleet()),
+        ("multi-block", multi_block),
     ]
 }
 
