@@ -1,22 +1,20 @@
 //! `ANALYZE.allow` — the per-crate allowlist.
 //!
-//! Every exemption from a determinism lint, and every panic budget, lives in
-//! a `crates/<name>/ANALYZE.allow` file next to the crate's `Cargo.toml`, so
+//! Every exemption from a `repro analyze` finding lives in a
+//! `crates/<name>/ANALYZE.allow` file next to the crate's `Cargo.toml`, so
 //! exemptions are reviewed in the same diff as the code they justify. The
 //! format is one entry per line:
 //!
 //! ```text
 //! # comment
-//! wall-clock src/query.rs -- latency histograms are observability-only
-//! raw-thread-spawn src/checkpoint.rs -- sanctioned off-thread snapshot encoder
-//! panic-budget src/codec.rs 12 -- decode invariants checked by the header
 //! dead-pub src/curves.rs::inplace_freshness_at -- a caller is coming
 //! ```
 //!
 //! Paths are crate-relative (`src/…`); a `dead-pub` entry names one item
 //! after the path (`src/file.rs::item`), never a whole file. A
 //! justification after ` -- ` is mandatory: an allowlist entry without a
-//! reason is itself a finding.
+//! reason is itself a finding. Clippy's exemptions are not listed here:
+//! they are `#[expect(lint, reason = "…")]` attributes at the site.
 
 use crate::report::{Finding, Lint, Severity};
 
@@ -25,10 +23,8 @@ use crate::report::{Finding, Lint, Severity};
 pub struct AllowEntry {
     /// Which lint is exempted.
     pub lint: Lint,
-    /// Crate-relative path, e.g. `src/query.rs`.
+    /// Crate-relative path and item, e.g. `src/curves.rs::inplace_freshness_at`.
     pub path: String,
-    /// Panic budget (only for `panic-budget` entries).
-    pub budget: Option<usize>,
     /// The mandatory justification.
     pub why: String,
     /// 1-based line in the `ANALYZE.allow` file.
@@ -94,23 +90,6 @@ impl Allowlist {
                 ));
                 continue;
             };
-            let budget = if lint == Lint::PanicBudget {
-                match parts.next().and_then(|n| n.parse::<usize>().ok()) {
-                    Some(n) => Some(n),
-                    None => {
-                        findings.push(Finding::new(
-                            Lint::Allowlist,
-                            Severity::Error,
-                            &file,
-                            line_no,
-                            "panic-budget entry needs `panic-budget <path> <count>`",
-                        ));
-                        continue;
-                    }
-                }
-            } else {
-                None
-            };
             if parts.next().is_some() {
                 findings.push(Finding::new(
                     Lint::Allowlist,
@@ -124,7 +103,6 @@ impl Allowlist {
             entries.push(AllowEntry {
                 lint,
                 path: path.to_string(),
-                budget,
                 why,
                 line: line_no,
             });
@@ -137,24 +115,12 @@ impl Allowlist {
     /// entry used.
     pub fn permits(&mut self, lint: Lint, path: &str) -> bool {
         for (i, e) in self.entries.iter().enumerate() {
-            if e.lint == lint && e.budget.is_none() && e.path == path {
+            if e.lint == lint && e.path == path {
                 self.used[i] = true;
                 return true;
             }
         }
         false
-    }
-
-    /// The panic budget for a crate-relative `path`, if one is declared;
-    /// marks the entry used.
-    pub fn panic_budget(&mut self, path: &str) -> Option<usize> {
-        for (i, e) in self.entries.iter().enumerate() {
-            if e.lint == Lint::PanicBudget && e.path == path {
-                self.used[i] = true;
-                return e.budget;
-            }
-        }
-        None
     }
 
     /// The entries something consulted so far.
@@ -193,27 +159,26 @@ mod tests {
         let text = "\
 # comment
 
-wall-clock src/query.rs -- histograms only
-panic-budget src/codec.rs 12 -- header-checked
+dead-pub src/curves.rs::oracle -- a caller is coming
+dead-pub src/fetch.rs::with_last_modified -- the parked scheduler reads it
 ";
         let mut findings = Vec::new();
-        let mut a = Allowlist::parse("serve", text, &mut findings);
+        let mut a = Allowlist::parse("freshness", text, &mut findings);
         assert!(findings.is_empty(), "{findings:?}");
         assert_eq!(a.entries.len(), 2);
-        assert!(a.permits(Lint::WallClock, "src/query.rs"));
-        assert!(!a.permits(Lint::WallClock, "src/other.rs"));
-        assert_eq!(a.panic_budget("src/codec.rs"), Some(12));
-        assert_eq!(a.panic_budget("src/wal.rs"), None);
+        assert!(a.permits(Lint::DeadPub, "src/curves.rs::oracle"));
+        assert!(!a.permits(Lint::DeadPub, "src/curves.rs::other"));
+        assert!(!a.permits(Lint::Schema, "src/fetch.rs::with_last_modified"));
     }
 
     #[test]
     fn malformed_lines_become_findings() {
         let cases = [
-            "wall-clock src/query.rs",                    // no justification
-            "bogus-lint src/x.rs -- why",                 // unknown lint
-            "wall-clock -- why",                          // no path
-            "panic-budget src/x.rs -- why",               // no count
-            "wall-clock src/x.rs extra -- why",           // trailing tokens
+            "dead-pub src/x.rs::f",                // no justification
+            "bogus-lint src/x.rs::f -- why",       // unknown lint
+            "panic-budget src/x.rs 1 -- why",      // clippy's, not an analyzer lint
+            "dead-pub -- why",                     // no path
+            "dead-pub src/x.rs::f extra -- why",   // trailing tokens
         ];
         for case in cases {
             let mut findings = Vec::new();
@@ -229,12 +194,12 @@ panic-budget src/codec.rs 12 -- header-checked
         let mut findings = Vec::new();
         let mut a = Allowlist::parse(
             "core",
-            "wall-clock src/a.rs -- x\nwall-clock src/b.rs -- y\n",
+            "dead-pub src/a.rs::f -- x\ndead-pub src/b.rs::g -- y\n",
             &mut findings,
         );
-        assert!(a.permits(Lint::WallClock, "src/a.rs"));
+        assert!(a.permits(Lint::DeadPub, "src/a.rs::f"));
         a.report_stale("core", &mut findings);
         assert_eq!(findings.len(), 1);
-        assert!(findings[0].message.contains("src/b.rs"), "{findings:?}");
+        assert!(findings[0].message.contains("src/b.rs::g"), "{findings:?}");
     }
 }

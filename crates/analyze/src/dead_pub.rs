@@ -21,7 +21,6 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use crate::allow::Allowlist;
-use crate::lints::crate_relative;
 use crate::report::{Finding, Lint, Severity};
 use crate::scan::{CrateSources, Token, Workspace};
 
@@ -89,7 +88,10 @@ pub fn run(
     allow: &mut Allowlist,
     findings: &mut Vec<Finding>,
 ) {
+    let prefix = format!("crates/{}/", krate.name);
     for file in &krate.files {
+        // The crate-relative path allowlist entries name: `src/foo.rs`.
+        let path = file.rel_path.strip_prefix(&prefix).unwrap_or(&file.rel_path);
         let tokens = file.tokens();
         for i in 0..tokens.len() {
             if tokens[i].in_test || !tokens[i].is_ident("pub") {
@@ -101,7 +103,7 @@ pub fn run(
             if callers.named_outside(name, &file.rel_path) {
                 continue;
             }
-            let entry = format!("{}::{name}", crate_relative(&file.rel_path, &krate.name));
+            let entry = format!("{path}::{name}");
             if allow.permits(Lint::DeadPub, &entry) {
                 continue;
             }

@@ -2,19 +2,18 @@
 //!
 //! The reproduction's headline guarantees — byte-identical snapshots,
 //! WAL replay determinism, cross-engine comparability — are properties of
-//! the *source*, not of any single test run: one `HashMap` iteration on a
-//! serialized path, one `Instant::now()` feeding engine state, or one
-//! silent field reorder in a wire-format declaration breaks them in ways
-//! tests only catch probabilistically. This crate makes those properties
-//! checkable on every commit, with four analyses over a hand-rolled token
-//! scanner (no `syn`, no dependencies — the gate builds offline):
+//! the *source*, not of any single test run. The determinism and panic
+//! policy is clippy's: the root `clippy.toml` disallows `HashMap`/`HashSet`,
+//! `Instant::now`/`SystemTime::now` and raw `thread::spawn`, the roots of
+//! `core`, `store` and `graph` warn on `unwrap()`/`expect()`, and every
+//! exemption is an `#[expect(lint, reason = "…")]` that fails CI's
+//! `cargo clippy --workspace --all-targets -- -D warnings` once it goes
+//! stale. This crate checks what clippy cannot, with four analyses over a
+//! hand-rolled token scanner (no `syn`, no dependencies — the gate builds
+//! offline):
 //!
-//! * **Determinism lints** ([`lints`]) — unordered maps in
-//!   determinism-relevant crates, wall-clock reads outside observability
-//!   code, raw `thread::spawn` outside sanctioned modules, and a missing
-//!   `#![forbid(unsafe_code)]`. Exemptions live in per-crate
-//!   `ANALYZE.allow` files ([`allow`]) and every exemption needs a written
-//!   justification; stale exemptions are themselves findings.
+//! * **Unsafe code** ([`lints`]) — every crate root carries
+//!   `#![forbid(unsafe_code)]`.
 //! * **Wire-format schema** ([`schema`]) — every persisted type's one
 //!   `wire_struct!`/`wire_enum!` field list (which generates both its
 //!   `BinEncode` and its `BinDecode`) is pinned in `SCHEMA.lock` keyed to
@@ -22,8 +21,9 @@
 //!   lands unreviewed; a hand-written codec impl outside
 //!   `crates/types/src/binio.rs` is an error, because only a hand-written
 //!   pair can read fields back in a different order than it wrote them.
-//! * **Panic-path audit** ([`panics`]) — `unwrap()`/`expect()` counts in
-//!   the durability crates against budgets that can only ratchet down.
+//! * **Allowlists** ([`allow`]) — every entry of a per-crate
+//!   `ANALYZE.allow` file needs a written justification, and an entry
+//!   nothing relies on any more is itself a finding.
 //! * **Dead public surface** ([`dead_pub`]) — every non-test `pub fn`,
 //!   `pub const fn`, `pub const` and `pub static` must be named by some
 //!   other file: crate sources, `crates/*/tests`, `tests/`, `examples/` or
@@ -36,20 +36,17 @@
 //! # Example
 //!
 //! ```
-//! use webevo_analyze::{analyze, AnalyzeConfig, Lint};
+//! use webevo_analyze::{analyze, Lint};
 //! use webevo_analyze::scan::{CrateSources, SourceFile, Workspace};
 //!
-//! // A determinism-relevant crate that snuck a HashMap in:
-//! let file = SourceFile::new(
-//!     "crates/core/src/frontier.rs",
-//!     "use std::collections::HashMap;\nfn f() {}\n",
-//! );
-//! let lib = SourceFile::new("crates/core/src/lib.rs", "#![forbid(unsafe_code)]");
+//! // A public function that no other file calls:
+//! let file = SourceFile::new("crates/core/src/frontier.rs", "pub fn unused() {}\n");
+//! let lib = SourceFile::new("crates/core/src/lib.rs", "#![forbid(unsafe_code)]\nmod frontier;\n");
 //! let ws = Workspace::from_sources(vec![CrateSources::new("core", vec![file, lib])]);
 //!
-//! let findings = analyze(&ws, &AnalyzeConfig::workspace_default(), None).findings;
+//! let findings = analyze(&ws, None).findings;
 //! assert_eq!(findings.len(), 1);
-//! assert_eq!(findings[0].lint, Lint::UnorderedMap);
+//! assert_eq!(findings[0].lint, Lint::DeadPub);
 //! assert!(findings[0].file.contains("frontier.rs"));
 //! ```
 
@@ -59,7 +56,6 @@
 pub mod allow;
 pub mod dead_pub;
 pub mod lints;
-pub mod panics;
 pub mod report;
 pub mod scan;
 pub mod schema;
@@ -70,40 +66,6 @@ pub use scan::{scan_workspace, Workspace};
 use std::collections::BTreeMap;
 
 use allow::Allowlist;
-
-/// Which crates each analysis applies to. Crate names are the directory
-/// names under `crates/`.
-#[derive(Clone, Debug)]
-pub struct AnalyzeConfig {
-    /// Crates where `HashMap`/`HashSet` are flagged: everything whose state
-    /// is serialized, replayed, or feeds deterministic outputs.
-    pub map_strict_crates: Vec<String>,
-    /// Crates allowed to read wall clocks (observability and benchmarks).
-    pub clock_exempt_crates: Vec<String>,
-    /// Crates whose `unwrap()`/`expect()` counts are budgeted.
-    pub panic_budget_crates: Vec<String>,
-}
-
-impl AnalyzeConfig {
-    /// The policy for this workspace.
-    ///
-    /// * Map-strict: `types`, `core`, `store`, `sim`, `estimate`, `graph` —
-    ///   the crates whose data structures end up in snapshots, WAL replay,
-    ///   or experiment tables.
-    /// * Clock-exempt: `obs` (its whole job is wall-clock timing) and
-    ///   `bench` (measures real elapsed time).
-    /// * Panic-budgeted: `core` and `store`, the snapshot/WAL path, and
-    ///   `graph`, whose PageRank kernel runs in the pool's scoped ranking
-    ///   solve, where a panic becomes a typed error.
-    pub fn workspace_default() -> AnalyzeConfig {
-        let v = |names: &[&str]| names.iter().map(|s| s.to_string()).collect();
-        AnalyzeConfig {
-            map_strict_crates: v(&["types", "core", "store", "sim", "estimate", "graph"]),
-            clock_exempt_crates: v(&["obs", "bench"]),
-            panic_budget_crates: v(&["core", "store", "graph"]),
-        }
-    }
-}
 
 /// What [`analyze`] found, and which exemptions it relied on.
 #[derive(Clone, Debug)]
@@ -135,7 +97,7 @@ impl Analysis {
 /// `SCHEMA.lock` when the file exists; pass `None` for in-memory
 /// workspaces without a lock (the schema gate then only fires if the
 /// workspace defines wire impls).
-pub fn analyze(ws: &Workspace, config: &AnalyzeConfig, schema_lock: Option<&str>) -> Analysis {
+pub fn analyze(ws: &Workspace, schema_lock: Option<&str>) -> Analysis {
     let mut findings = Vec::new();
     let mut exempt = BTreeMap::new();
     let callers = dead_pub::Callers::index(ws);
@@ -144,8 +106,7 @@ pub fn analyze(ws: &Workspace, config: &AnalyzeConfig, schema_lock: Option<&str>
             Some(text) => Allowlist::parse(&krate.name, text, &mut findings),
             None => Allowlist::default(),
         };
-        lints::run(config, krate, &mut allowlist, &mut findings);
-        panics::run(config, krate, &mut allowlist, &mut findings);
+        lints::run(krate, &mut findings);
         dead_pub::run(&callers, krate, &mut allowlist, &mut findings);
         allowlist.report_stale(&krate.name, &mut findings);
         for entry in allowlist.used() {
@@ -169,24 +130,19 @@ mod tests {
 
     #[test]
     fn clean_workspace_has_no_findings() {
-        let lib = SourceFile::new(
-            "crates/core/src/lib.rs",
-            "#![forbid(unsafe_code)]\nuse std::collections::BTreeMap;\nfn f() {}\n",
-        );
-        let ws = Workspace::from_sources(vec![CrateSources::new("core", vec![lib])]);
-        let findings = analyze(&ws, &AnalyzeConfig::workspace_default(), None).findings;
+        let lib = SourceFile::new("crates/core/src/lib.rs", "#![forbid(unsafe_code)]\npub fn f() {}\n");
+        let user = SourceFile::new("crates/core/src/user.rs", "fn g() { crate::f(); }\n");
+        let ws = Workspace::from_sources(vec![CrateSources::new("core", vec![lib, user])]);
+        let findings = analyze(&ws, None).findings;
         assert!(findings.is_empty(), "{findings:?}");
     }
 
     #[test]
     fn findings_are_sorted_by_location() {
-        let a = SourceFile::new(
-            "crates/core/src/a.rs",
-            "use std::collections::HashMap;\nuse std::collections::HashSet;\n",
-        );
+        let a = SourceFile::new("crates/core/src/a.rs", "pub fn one() {}\npub fn two() {}\n");
         let lib = SourceFile::new("crates/core/src/lib.rs", "#![forbid(unsafe_code)]");
         let ws = Workspace::from_sources(vec![CrateSources::new("core", vec![a, lib])]);
-        let findings = analyze(&ws, &AnalyzeConfig::workspace_default(), None).findings;
+        let findings = analyze(&ws, None).findings;
         assert_eq!(findings.len(), 2);
         assert!(findings[0].line < findings[1].line);
     }

@@ -5,16 +5,8 @@ use std::fmt;
 /// Which analysis produced a finding.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Lint {
-    /// `HashMap`/`HashSet` in a determinism-relevant crate.
-    UnorderedMap,
-    /// `SystemTime::now`/`Instant::now` outside the observability crates.
-    WallClock,
-    /// Raw `std::thread::spawn`/`thread::Builder` outside sanctioned modules.
-    RawThreadSpawn,
     /// A crate missing `#![forbid(unsafe_code)]` in its `lib.rs`.
     MissingForbidUnsafe,
-    /// `unwrap()`/`expect()` count above the budgeted allowlist.
-    PanicBudget,
     /// Wire-format schema problems: drift vs `SCHEMA.lock`, a missing
     /// encode/decode counterpart in `binio.rs`, or a hand-written codec
     /// impl anywhere else.
@@ -27,25 +19,13 @@ pub enum Lint {
 
 impl Lint {
     /// Every lint, in report order.
-    pub const ALL: [Lint; 8] = [
-        Lint::UnorderedMap,
-        Lint::WallClock,
-        Lint::RawThreadSpawn,
-        Lint::MissingForbidUnsafe,
-        Lint::PanicBudget,
-        Lint::Schema,
-        Lint::Allowlist,
-        Lint::DeadPub,
-    ];
+    pub const ALL: [Lint; 4] =
+        [Lint::MissingForbidUnsafe, Lint::Schema, Lint::Allowlist, Lint::DeadPub];
 
     /// The lint's stable name, as used in `ANALYZE.allow` and reports.
     pub fn name(self) -> &'static str {
         match self {
-            Lint::UnorderedMap => "unordered-map",
-            Lint::WallClock => "wall-clock",
-            Lint::RawThreadSpawn => "raw-thread-spawn",
             Lint::MissingForbidUnsafe => "missing-forbid-unsafe",
-            Lint::PanicBudget => "panic-budget",
             Lint::Schema => "schema",
             Lint::Allowlist => "allowlist",
             Lint::DeadPub => "dead-pub",
@@ -62,11 +42,8 @@ impl Lint {
 ///
 /// * `Error` always fails `repro analyze`.
 /// * `Warning` fails only under `--deny-warnings` (the CI mode).
-/// * `Note` never fails; it is advice (e.g. "budget can be lowered").
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Severity {
-    /// Advisory only.
-    Note,
     /// Fails under `--deny-warnings`.
     Warning,
     /// Always fails.
@@ -76,7 +53,6 @@ pub enum Severity {
 impl fmt::Display for Severity {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(match self {
-            Severity::Note => "note",
             Severity::Warning => "warning",
             Severity::Error => "error",
         })
@@ -158,9 +134,8 @@ pub fn render_json(findings: &[Finding]) -> String {
     }
     let errors = findings.iter().filter(|f| f.severity == Severity::Error).count();
     let warnings = findings.iter().filter(|f| f.severity == Severity::Warning).count();
-    let notes = findings.iter().filter(|f| f.severity == Severity::Note).count();
     out.push_str(&format!(
-        "  ],\n  \"errors\": {errors},\n  \"warnings\": {warnings},\n  \"notes\": {notes}\n}}\n"
+        "  ],\n  \"errors\": {errors},\n  \"warnings\": {warnings}\n}}\n"
     ));
     out
 }
@@ -175,21 +150,23 @@ mod tests {
             assert_eq!(Lint::from_name(lint.name()), Some(lint));
         }
         assert_eq!(Lint::from_name("nonsense"), None);
+        // Clippy checks maps, clocks, threads and panics now.
+        assert_eq!(Lint::from_name("unordered-map"), None);
     }
 
     #[test]
     fn display_and_json_render() {
         let f = Finding::new(
-            Lint::UnorderedMap,
+            Lint::DeadPub,
             Severity::Warning,
             "crates/core/src/x.rs",
             7,
-            "HashMap on a \"hot\" path",
+            "`pub fn f` is named in no \"other\" file",
         );
         let text = f.to_string();
-        assert!(text.contains("warning[unordered-map] crates/core/src/x.rs:7"), "{text}");
+        assert!(text.contains("warning[dead-pub] crates/core/src/x.rs:7"), "{text}");
         let json = render_json(&[f]);
-        assert!(json.contains("\\\"hot\\\""), "{json}");
+        assert!(json.contains("\\\"other\\\""), "{json}");
         assert!(json.contains("\"warnings\": 1"), "{json}");
     }
 }

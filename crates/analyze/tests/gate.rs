@@ -1,10 +1,11 @@
 //! End-to-end tests for the static-analysis gate: seeded-violation
 //! fixtures (each must fire its lint), the schema lock-drift contract,
-//! and the real workspace (which must be clean against the checked-in
-//! `SCHEMA.lock`).
+//! the real workspace (which must be clean against the checked-in
+//! `SCHEMA.lock`), and the clippy configuration that carries the
+//! determinism and panic policy.
 
 use webevo_analyze::scan::{CrateSources, SourceFile, Workspace};
-use webevo_analyze::{analyze, schema, AnalyzeConfig, Lint, Severity};
+use webevo_analyze::{analyze, schema, Lint, Severity};
 
 /// One fixture crate named `name`, with `#![forbid(unsafe_code)]` in its
 /// root and `body` appended to `src/lib.rs`.
@@ -25,47 +26,10 @@ fn fixture_with_allow(name: &str, body: &str, allow: Option<&str>) -> Workspace 
 }
 
 fn run(ws: &Workspace, lock: Option<&str>) -> Vec<webevo_analyze::Finding> {
-    analyze(ws, &AnalyzeConfig::workspace_default(), lock).findings
+    analyze(ws, lock).findings
 }
 
-fn fired(findings: &[webevo_analyze::Finding], lint: Lint) -> bool {
-    findings.iter().any(|f| f.lint == lint)
-}
-
-// ------------------------------------------------ seeded determinism lints
-
-#[test]
-fn seeded_hashmap_on_serialized_path_fires() {
-    let ws = fixture(
-        "store",
-        "use std::collections::HashMap;\n\
-         pub struct Index { pages: HashMap<u64, u32> }\n",
-    );
-    let f = run(&ws, None);
-    assert!(fired(&f, Lint::UnorderedMap), "{f:?}");
-    assert!(f.iter().any(|f| f.severity >= Severity::Warning));
-}
-
-#[test]
-fn seeded_wall_clock_in_engine_fires() {
-    let ws = fixture(
-        "core",
-        "use std::time::Instant;\n\
-         pub fn step() { let _t = Instant::now(); }\n",
-    );
-    let f = run(&ws, None);
-    assert!(fired(&f, Lint::WallClock), "{f:?}");
-}
-
-#[test]
-fn seeded_thread_spawn_fires() {
-    let ws = fixture(
-        "schedule",
-        "pub fn go() { std::thread::spawn(|| {}); }\n",
-    );
-    let f = run(&ws, None);
-    assert!(fired(&f, Lint::RawThreadSpawn), "{f:?}");
-}
+// ----------------------------------------------------------- seeded lints
 
 #[test]
 fn seeded_missing_forbid_unsafe_fires_as_error() {
@@ -80,47 +44,11 @@ fn seeded_missing_forbid_unsafe_fires_as_error() {
 }
 
 #[test]
-fn seeded_panic_budget_overrun_fires() {
-    let body = "fn f(v: Vec<u32>) -> u32 { *v.first().unwrap() + *v.last().unwrap() }\n";
-    let over = fixture_with_allow(
-        "core",
-        body,
-        Some("panic-budget src/lib.rs 1 -- one guarded site\n"),
-    );
-    let f = run(&over, None);
-    assert!(
-        f.iter()
-            .any(|f| f.lint == Lint::PanicBudget && f.severity == Severity::Error),
-        "{f:?}"
-    );
-
-    // At-budget is silent; under-budget is a ratchet-down note, not a failure.
-    let exact = fixture_with_allow(
-        "core",
-        body,
-        Some("panic-budget src/lib.rs 2 -- two guarded sites\n"),
-    );
-    assert!(run(&exact, None).is_empty());
-    let under = fixture_with_allow(
-        "core",
-        body,
-        Some("panic-budget src/lib.rs 3 -- stale budget\n"),
-    );
-    let f = run(&under, None);
-    assert!(
-        f.iter()
-            .all(|f| f.lint == Lint::PanicBudget && f.severity == Severity::Note),
-        "{f:?}"
-    );
-    assert_eq!(f.len(), 1);
-}
-
-#[test]
 fn seeded_exemption_without_justification_fires() {
     let ws = fixture_with_allow(
         "core",
-        "use std::collections::HashMap;\n",
-        Some("unordered-map src/lib.rs\n"),
+        "pub fn kept() {}\n",
+        Some("dead-pub src/lib.rs::kept\n"),
     );
     let f = run(&ws, None);
     assert!(
@@ -316,7 +244,7 @@ fn an_item_exemption_silences_that_item_only() {
         &[],
         Some("dead-pub src/lib.rs::kept -- a caller is coming\n"),
     );
-    let analysis = analyze(&ws, &AnalyzeConfig::workspace_default(), None);
+    let analysis = analyze(&ws, None);
     let f = &analysis.findings;
     assert_eq!(dead_pub(f), ["`pub fn dropped` is named in no other file: delete it, make it \
         private, or add `dead-pub src/lib.rs::dropped` to ANALYZE.allow with the reason a \
@@ -359,6 +287,68 @@ fn real_workspace_is_clean_under_deny_warnings() {
             .collect::<Vec<_>>()
             .join("\n")
     );
+}
+
+/// The text of the checked-in file at `path`, relative to the repo root.
+fn checked_in(path: &str) -> String {
+    std::fs::read_to_string(format!("{}/{path}", repo_root()))
+        .unwrap_or_else(|e| panic!("{path} is checked in at the repo root: {e}"))
+}
+
+/// The lines of a TOML document from `open` (an array `key = [` or a table
+/// `[name]`) up to the line that closes it, comments dropped.
+fn toml_block<'a>(text: &'a str, open: &str) -> Vec<&'a str> {
+    let lines: Vec<&str> = text.lines().map(str::trim).filter(|l| !l.starts_with('#')).collect();
+    let Some(start) = lines.iter().position(|l| *l == open) else {
+        return Vec::new();
+    };
+    let ends = |l: &&str| if open.ends_with('[') { *l == "]" } else { l.starts_with('[') };
+    lines[start + 1..].iter().take_while(|l| !ends(l)).copied().collect()
+}
+
+/// The determinism and panic policy runs on clippy; CI's
+/// `cargo clippy --workspace --all-targets -- -D warnings` enforces it only
+/// while this configuration is in place.
+#[test]
+fn clippy_policy_is_configured() {
+    let clippy = checked_in("clippy.toml");
+    let names = |open: &str, paths: &[&str]| {
+        let block = toml_block(&clippy, open);
+        for path in paths {
+            let entry = format!("path = \"{path}\"");
+            assert!(
+                block.iter().any(|l| l.contains(&entry)),
+                "clippy.toml's `{open}` no longer lists `{path}`"
+            );
+        }
+    };
+    names("disallowed-types = [", &["std::collections::HashMap", "std::collections::HashSet"]);
+    names(
+        "disallowed-methods = [",
+        &[
+            "std::time::Instant::now",
+            "std::time::SystemTime::now",
+            "std::thread::spawn",
+            "std::thread::Builder::spawn",
+        ],
+    );
+    for switch in ["allow-unwrap-in-tests = true", "allow-expect-in-tests = true"] {
+        assert!(clippy.lines().any(|l| l.trim() == switch), "clippy.toml lost `{switch}`");
+    }
+
+    let manifest = checked_in("Cargo.toml");
+    let lints = toml_block(&manifest, "[workspace.lints.clippy]");
+    for entry in ["allow_attributes = \"warn\"", "allow_attributes_without_reason = \"warn\""] {
+        assert!(lints.contains(&entry), "[workspace.lints.clippy] lost `{entry}`");
+    }
+
+    for krate in ["core", "store", "graph"] {
+        let root = checked_in(&format!("crates/{krate}/src/lib.rs"));
+        assert!(
+            root.lines().any(|l| l == "#![warn(clippy::unwrap_used, clippy::expect_used)]"),
+            "crates/{krate}/src/lib.rs lost its panic lints"
+        );
+    }
 }
 
 #[test]

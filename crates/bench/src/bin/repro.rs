@@ -629,7 +629,7 @@ fn run_analyze(
     update_schema: bool,
     out: Option<PathBuf>,
 ) {
-    use webevo::analyze::{analyze, render_json, schema, scan_workspace, AnalyzeConfig, Severity};
+    use webevo::analyze::{analyze, render_json, schema, scan_workspace, Severity};
 
     // Default to the workspace this binary was built from; `--root`
     // overrides (used by the fixture tests and for scanning checkouts).
@@ -649,7 +649,7 @@ fn run_analyze(
         eprintln!("[repro] wrote {lock_path:?}");
     }
     let lock_text = std::fs::read_to_string(&lock_path).ok();
-    let analysis = analyze(&ws, &AnalyzeConfig::workspace_default(), lock_text.as_deref());
+    let analysis = analyze(&ws, lock_text.as_deref());
     let findings = &analysis.findings;
 
     let file_count: usize = ws.crates.iter().map(|c| c.files.len()).sum();
@@ -657,11 +657,10 @@ fn run_analyze(
         println!("{f}");
     }
     let errors = findings.iter().filter(|f| f.severity == Severity::Error).count();
-    let warnings = findings.iter().filter(|f| f.severity == Severity::Warning).count();
-    let notes = findings.len() - errors - warnings;
+    let warnings = findings.len() - errors;
     println!(
         "[repro] analyze: {file_count} files in {} crates — {errors} error(s), \
-         {warnings} warning(s), {notes} note(s); {}",
+         {warnings} warning(s); {}",
         ws.crates.len(),
         analysis.per_lint()
     );

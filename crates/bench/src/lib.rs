@@ -14,6 +14,10 @@ use webevo::prelude::*;
 pub fn median_secs<R>(reps: usize, mut f: impl FnMut() -> R) -> f64 {
     let samples = (0..reps)
         .map(|_| {
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "the benchmark helpers measure real elapsed time"
+            )]
             let start = Instant::now();
             let out = f();
             let secs = start.elapsed().as_secs_f64();

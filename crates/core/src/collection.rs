@@ -132,6 +132,10 @@ impl Collection {
     /// Update an existing page from a re-crawl at `t` (Algorithm 5.1 step
     /// \[5\]). Returns whether a change was detected.
     pub fn update(&mut self, page: PageId, checksum: Checksum, links: Vec<Url>, t: f64) -> bool {
+        #[expect(
+            clippy::expect_used,
+            reason = "`update` requires a stored page: the engines update only pages they just found stored"
+        )]
         let stored = self.pages.get_mut(page).expect("update requires a stored page");
         let obs = stored.history.record_visit(t, checksum);
         if obs.interval > 0.0 {

@@ -277,6 +277,10 @@ impl PeriodicCrawler {
                     if source.exhausted() {
                         return;
                     }
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "cycle bookkeeping reads the window the batch phase just seeded; only `swap` takes it"
+                    )]
                     let window = self.window.as_ref().expect("window in progress");
                     if window.shadow.len() >= capacity {
                         break;
@@ -288,6 +292,10 @@ impl PeriodicCrawler {
                     // query the *current* collection while the shadow
                     // builds (§4).
                     self.sample_grid(universe, self.shell.clock.t);
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "cycle bookkeeping reads the window the batch phase just seeded; only `swap` takes it"
+                    )]
                     let Some(url) = self.window.as_mut().expect("window").frontier.pop_front()
                     else {
                         break; // frontier exhausted before capacity
@@ -331,6 +339,10 @@ impl PeriodicCrawler {
         let seq = self.shell.fetch_seq;
         let result = source.fetch(seq, url, t);
         self.shell.observe_fetch(hook, seq, url, t, &result);
+        #[expect(
+            clippy::expect_used,
+            reason = "cycle bookkeeping reads the window the batch phase just seeded; only `swap` takes it"
+        )]
         let window = self.window.as_mut().expect("window in progress");
         match result {
             Ok(outcome) => {
@@ -357,6 +369,10 @@ impl PeriodicCrawler {
     /// latency metrics account against, even when the batch finished its
     /// fetch budget earlier.
     fn swap(&mut self, universe: &WebUniverse, source: &FetchSource<'_>, hook: &mut dyn CrawlHook) {
+        #[expect(
+            clippy::expect_used,
+            reason = "cycle bookkeeping reads the window the batch phase just seeded; only `swap` takes it"
+        )]
         let window = self.window.take().expect("window in progress");
         let _pass = self.shell.open_pass(window.frontier.len());
         let swap_time = self.cycle_start + self.config.window_days;

@@ -287,7 +287,12 @@ pub fn rebalance_states(
         // would: least-important pages go first, deterministic tie-break.
         state.collection.set_capacity(capacities[i]);
         while state.collection.len() > capacities[i] {
+            #[expect(
+                clippy::expect_used,
+                reason = "the loop runs only while the collection is over capacity, so it is non-empty"
+            )]
             let victim = state.collection.least_important().expect("over-capacity is non-empty");
+            #[expect(clippy::expect_used, reason = "`least_important` names a stored page")]
             let url = state.collection.discard(victim).expect("victim is stored").url;
             state.update.forget(victim);
             state.queue.retain(|e| e.url != url);
@@ -296,6 +301,7 @@ pub fn rebalance_states(
         // Canonical orders: the queue sorts by (due, site, page) — the
         // snapshot order, which is also the rebuilt heap's pop order —
         // and the admissions ascend.
+        #[expect(clippy::expect_used, reason = "queued due times are finite, never NaN")]
         state.queue.sort_by(|a, b| {
             f64::from_bits(a.due_bits)
                 .partial_cmp(&f64::from_bits(b.due_bits))

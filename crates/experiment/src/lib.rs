@@ -24,6 +24,10 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![expect(
+    clippy::disallowed_types,
+    reason = "the monitor's page `index` is a `HashMap` that is only looked up, never iterated"
+)]
 
 pub mod analysis;
 pub mod monitor;

@@ -7,9 +7,10 @@
 /// Natural log of the gamma function, Lanczos approximation (g = 7, n = 9).
 ///
 /// Valid for `x > 0`; relative error below 1e-13 over the tested range.
-// Published coefficient tables (Lanczos g=7, Acklam quantile) are kept
-// verbatim even where they exceed f64 precision.
-#[allow(clippy::excessive_precision)]
+#[expect(
+    clippy::excessive_precision,
+    reason = "the published Lanczos (g=7) coefficients are kept verbatim even where they exceed f64 precision"
+)]
 fn ln_gamma(x: f64) -> f64 {
     assert!(x > 0.0, "ln_gamma requires x > 0, got {x}");
     const COEF: [f64; 9] = [
@@ -119,7 +120,10 @@ fn normal_cdf(z: f64) -> f64 {
 
 /// Inverse CDF (quantile) of the standard normal, Acklam's rational
 /// approximation refined with one Halley step. |error| < 1e-9 over (0,1).
-#[allow(clippy::excessive_precision)]
+#[expect(
+    clippy::excessive_precision,
+    reason = "Acklam's published coefficients are kept verbatim even where they exceed f64 precision"
+)]
 pub fn normal_quantile(p: f64) -> f64 {
     assert!(p > 0.0 && p < 1.0, "normal_quantile requires 0 < p < 1, got {p}");
     const A: [f64; 6] = [

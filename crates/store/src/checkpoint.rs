@@ -319,6 +319,10 @@ impl Checkpointer {
     /// `durable-resume` runs the early free read the low peak RSS in 40 of
     /// 40, the state held through the write in 39 of 40, and the state
     /// freed with the bytes at the join the high one in 16 of 16.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the off-thread snapshot encoder is the sanctioned background thread; the next WAL commit (or drop) joins it"
+    )]
     fn spawn_snapshot(&mut self, state: CrawlerState) {
         debug_assert!(self.pending.is_none(), "at most one snapshot in flight");
         let config = self.config.clone();

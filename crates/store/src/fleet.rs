@@ -270,8 +270,9 @@ impl<'a> FleetSessionBuilder<'a> {
     }
 
     /// The *fleet-wide* fetch budget (required): capacity and crawl rate
-    /// are split across the shards — equal rate per shard, capacity
-    /// apportioned by owned sites — so N shards together are granted
+    /// are split across the shards — capacity apportioned by owned sites,
+    /// and each shard's crawl rate the share of the fleet's rate that its
+    /// capacity is of the whole — so N shards together are granted
     /// exactly the one-engine budget.
     pub fn budget(mut self, budget: CrawlBudget) -> Self {
         self.budget = Some(budget);

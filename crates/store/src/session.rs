@@ -422,8 +422,9 @@ impl<'a> CrawlSession<'a> {
     /// exported, encoded or written; the next cadence snapshot counts from
     /// the day replay lands on. The engine afterwards sits at the last
     /// committed boundary; no driving happens. `FleetSession`
-    /// recovers shards itself (it aligns their exchange counters first)
-    /// and adopts each one through this.
+    /// recovers shards itself (it aligns their exchange counters first
+    /// and refuses a checkpoint written under another shard plan) and
+    /// adopts each one through this.
     pub(crate) fn adopt(&mut self, recovered: Recovered) -> Result<(), WebEvoError> {
         let config = self.checkpoint.clone().ok_or_else(|| {
             WebEvoError::InvalidState(
@@ -439,15 +440,6 @@ impl<'a> CrawlSession<'a> {
                 recovered.state.engine.name(),
                 self.engine.kind().name()
             )));
-        }
-        if let Some(scope) = self.engine.routing().scope {
-            if recovered.state.routing.scope != Some(scope) {
-                return Err(WebEvoError::InvalidState(format!(
-                    "checkpoint in {:?} was written under a different shard scope than \
-                     this session was built with",
-                    config.dir
-                )));
-            }
         }
         let mut ckpt = Checkpointer::adopt(config.clone(), &recovered).map_err(|e| {
             WebEvoError::InvalidState(format!(

@@ -73,14 +73,14 @@ impl From<u64> for PageId {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashSet;
 
     #[test]
     fn ids_are_ordered_and_hashable() {
         let a = PageId(1);
         let b = PageId(2);
         assert!(a < b);
-        let mut set = HashSet::new();
+        #[expect(clippy::disallowed_types, reason = "this tests the `Hash` impl")]
+        let mut set = std::collections::HashSet::new();
         set.insert(a);
         set.insert(b);
         set.insert(PageId(1));

@@ -50,7 +50,7 @@
 //! | [`store`] | §5 | durable crawl state, the `CrawlSession` entry point, sharded `FleetSession`s |
 //! | [`obs`] | — | structured tracing, metrics registry, stage profiling |
 //! | [`serve`] | §1, §5 | epoch-swapped query layer serving concurrent readers under a live crawl |
-//! | [`analyze`] | — | static-analysis gate: determinism lints, `SCHEMA.lock` drift, panic budgets |
+//! | [`analyze`] | — | static-analysis gate for what clippy cannot check: `#![forbid(unsafe_code)]`, `SCHEMA.lock` drift, dead public surface |
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
